@@ -26,6 +26,7 @@ from .adjust import (
 )
 from .bootstrap import (
     BootstrapDraws,
+    BootstrapDrawSet,
     InferenceResult,
     bootstrap_se,
     difference_test,

@@ -34,6 +34,8 @@ from .errors import (
 )
 
 METHODS = ("na", "lp", "ml", "lpml", "mlx", "lpmlx", "np", "lasso")
+# Recombination method -> the logistic method whose per-cell fits it recombines.
+LOGIT_BASE = {"lpml": "ml", "lpmlx": "mlx"}
 
 # Coefficient magnitude beyond which a logistic fit is treated as separated.
 _SEPARATION_CAP = 30.0
@@ -809,9 +811,17 @@ def fit_adjustment(
     grid: QuantileGrid,
     lasso_config: LassoConfig | None = None,
     sieve_spec: SieveSpec | None = None,
+    ml_model: AdjustmentModel | None = None,
 ) -> AdjustmentModel:
-    """Fit the named auxiliary regression with its standard feature roster."""
+    """Fit the named auxiliary regression with its standard feature roster.
+
+    ``ml_model`` hands ``lpml`` (``lpmlx``) an already fitted ``ml``
+    (``mlx``) model, whose logistic cells the recombination then reuses
+    instead of refitting them; the result is identical either way.
+    """
     d = dataset.n_covariates
+    if ml_model is not None and method not in LOGIT_BASE:
+        raise DataValidationError(f"method {method!r} does not reuse a logistic fit")
     if method == "na":
         return fit_none(grid)
     if method == "lp":
@@ -821,10 +831,10 @@ def fit_adjustment(
     if method == "mlx":
         return fit_ml(dataset, stats, pilot, grid, logistic_features(d, True), method="mlx")
     if method == "lpml":
-        return fit_lpml(dataset, stats, pilot, grid, logistic_features(d))
+        return fit_lpml(dataset, stats, pilot, grid, logistic_features(d), ml_model)
     if method == "lpmlx":
         return fit_lpml(
-            dataset, stats, pilot, grid, logistic_features(d, True), method="lpmlx"
+            dataset, stats, pilot, grid, logistic_features(d, True), ml_model, method="lpmlx"
         )
     if method == "np":
         sieve = build_sieve_map(dataset.x, sieve_spec or SieveSpec("roster"))

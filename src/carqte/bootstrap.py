@@ -3,21 +3,24 @@
 Each replicate perturbs unit contributions with iid standard-exponential
 weights, recomputes the weighted treated fractions, and re-solves the two
 arm problems from the subgradient conditions; the fitted adjustment is never
-re-estimated.  From the resulting draw matrix we build pointwise confidence
-intervals and Wald tests, quantile-difference tests, and uniform bands.
+re-estimated.  Several models bootstrap over one shared stream of weights,
+solved together in one pass per replicate.  From the resulting draw matrix
+we build pointwise confidence intervals and Wald tests, quantile-difference
+tests, and uniform bands.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.stats import norm
 
 from .data import Dataset, QuantileGrid, StrataStats, WeightVector, weighted_arm_counts
 from .errors import DataValidationError, DegenerateCellError, DegenerateWeightedCellError
-from .estimator import _arm_index, _pi_by_stratum, _solve_sorted
+from .estimator import _fixed_pis, _model_solver
 
 # Spread of the standard normal between the 2.5% and 97.5% critical values.
 _NORMAL_SPREAD = norm.ppf(0.975) - norm.ppf(0.025)
@@ -42,6 +45,28 @@ class BootstrapDraws:
 
     def at(self, tau: float) -> np.ndarray:
         return self.draws[:, self.grid.index_of(tau)]
+
+
+@dataclass(frozen=True)
+class BootstrapDrawSet:
+    """Per-model draws of several models bootstrapped over one weight stream.
+
+    Item k is the :class:`BootstrapDraws` of the k-th model, equal to what a
+    single-model :func:`run_bootstrap` call with the same generator returns.
+    ``n_resampled`` counts the resampled weight draws of the shared stream.
+    """
+
+    per_model: tuple[BootstrapDraws, ...]
+    n_resampled: int = 0
+
+    def __getitem__(self, k: int) -> BootstrapDraws:
+        return self.per_model[k]
+
+    def __len__(self) -> int:
+        return len(self.per_model)
+
+    def __iter__(self):
+        return iter(self.per_model)
 
 
 @dataclass(frozen=True)
@@ -96,28 +121,35 @@ def run_bootstrap(
     rng: np.random.Generator,
     pi_source: str = "estimated",
     fixed_pi=0.5,
-) -> BootstrapDraws:
-    """B multiplier-bootstrap QTE draws over the grid.
+) -> BootstrapDraws | BootstrapDrawSet:
+    """B multiplier-bootstrap QTE draws over the grid, for one or more models.
 
-    One child RNG stream is spawned per replicate, so the draw matrix does
-    not depend on execution order.  Draws in which some stratum's arm mass
-    collapses are resampled within their stream and counted.
+    ``model`` is one fitted adjustment, which yields :class:`BootstrapDraws`,
+    or a list or tuple of them, which yields a :class:`BootstrapDrawSet`.
+    Within a replicate every model sees the same weights, treated fractions
+    and arm masses; only the adjusted targets differ, so all models are
+    solved in one pass.  One child RNG stream is spawned per replicate, so
+    the draws do not depend on execution order, and replicates run one at a
+    time, so memory stays O(n) whatever B is.  Draws in which some stratum's
+    arm mass collapses are resampled within their stream and counted.
     """
     if B < 2:
         raise DataValidationError("need at least two bootstrap replicates")
     degenerate = [stats.labels[i] for i in stats.degenerate]
     if degenerate:
         raise DegenerateCellError(degenerate)
+    single = not isinstance(model, (list, tuple))
+    models = (model,) if single else tuple(model)
+    if not models:
+        raise DataValidationError("need at least one model to bootstrap")
     n = dataset.n
-    taus = np.asarray(tuple(grid))
-    m1 = np.column_stack([model.evaluate_all(1, t, dataset) for t in grid])
-    m0 = np.column_stack([model.evaluate_all(0, t, dataset) for t in grid])
-    idx1 = _arm_index(dataset, 1)
-    idx0 = _arm_index(dataset, 0)
+    n_taus = len(grid)
+    solver = _model_solver(dataset, models, grid)
     af = dataset.a.astype(np.float64)
     floor = _DEGENERATE_FRACTION * stats.n.astype(np.float64)
+    fixed_pis = _fixed_pis(fixed_pi, stats.n_strata) if pi_source == "fixed" else None
 
-    draws = np.empty((B, taus.size))
+    draws = np.empty((len(models), B, n_taus))
     n_resampled = 0
     streams = rng.spawn(B)
     for b, stream in enumerate(streams):
@@ -132,14 +164,20 @@ def run_bootstrap(
             raise DegenerateWeightedCellError(
                 f"replicate {b}: bootstrap weights kept zeroing an arm in some stratum"
             )
-        if pi_source == "fixed":
-            pis = _pi_by_stratum(dataset, xi, "fixed", fixed_pi, stats.n_strata)
-        else:
-            pis = n1w / nw
-        q1 = _solve_sorted(idx1, dataset, 1, xi, pis, m1, taus)
-        q0 = _solve_sorted(idx0, dataset, 0, xi, pis, m0, taus)
-        draws[b] = q1 - q0
-    return BootstrapDraws(draws=draws, grid=grid, n_resampled=n_resampled)
+        q = solver.solve(xi, n1w / nw if fixed_pis is None else fixed_pis)
+        draws[:, b] = (q[1] - q[0]).reshape(len(models), n_taus)
+    per_model = tuple(
+        BootstrapDraws(draws=d, grid=grid, n_resampled=n_resampled) for d in draws
+    )
+    return per_model[0] if single else BootstrapDrawSet(per_model, n_resampled)
+
+
+@lru_cache(maxsize=32)
+def _normal_critical_values(alpha: float) -> tuple[float, float]:
+    """(lower, upper) two-sided standard-normal critical values at level alpha."""
+    if not (0.0 < alpha < 1.0):
+        raise DataValidationError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
+    return norm.ppf(alpha / 2.0), norm.ppf(1.0 - alpha / 2.0)
 
 
 def pointwise_test(
@@ -154,8 +192,7 @@ def pointwise_test(
     check of the estimate against the null.
     """
     se = bootstrap_se(draws_at_tau)
-    z_hi = norm.ppf(1.0 - alpha / 2.0)
-    z_lo = norm.ppf(alpha / 2.0)
+    z_lo, z_hi = _normal_critical_values(alpha)
     if se == 0.0:
         reject = None if null_value is None else bool(estimate != null_value)
         return InferenceResult(

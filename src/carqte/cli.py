@@ -44,6 +44,30 @@ def _parse_taus(raw) -> QuantileGrid:
         raise DataValidationError(f"cannot parse quantile list {raw!r}") from None
 
 
+def _parse_diff(raw, grid: QuantileGrid) -> tuple[float, float]:
+    """The two grid taus of a difference test, from 't1,t2' or a config list."""
+    parts = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
+    try:
+        taus = tuple(float(v) for v in parts)
+    except (TypeError, ValueError):
+        taus = ()
+    if len(taus) != 2 or any(t not in tuple(grid) for t in taus):
+        raise DataValidationError(
+            f"--diff needs two taus from the grid {list(grid)}, got {raw!r}"
+        )
+    return taus
+
+
+def _parse_alpha(raw) -> float:
+    try:
+        alpha = float(raw)
+    except (TypeError, ValueError):
+        raise DataValidationError(f"cannot parse alpha {raw!r}") from None
+    if not (0.0 < alpha < 1.0):
+        raise DataValidationError(f"alpha must lie strictly inside (0, 1), got {raw!r}")
+    return alpha
+
+
 def _parse_pi(raw: str) -> tuple[str, float]:
     if raw == "estimated":
         return "estimated", 0.5
@@ -98,6 +122,8 @@ def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPar
 def cmd_estimate(args: argparse.Namespace) -> int:
     grid = _parse_taus(args.taus)
     pi_source, fixed_pi = _parse_pi(args.pi)
+    alpha = _parse_alpha(args.alpha)
+    diff = _parse_diff(args.diff, grid) if args.diff else None
     dataset = load_csv(args.input)
     stats = index_strata(dataset, target_pi=args.target_pi)
     degenerate = validate_for_estimation(stats)
@@ -124,7 +150,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     est = point.qte
     pointwise = []
     for j, tau in enumerate(grid):
-        res = pointwise_test(est[j], draws.draws[:, j], args.null, args.alpha)
+        res = pointwise_test(est[j], draws.draws[:, j], args.null, alpha)
         pointwise.append(
             {
                 "tau": tau,
@@ -144,7 +170,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "adjust": args.adjust,
             "taus": list(grid),
             "B": args.B,
-            "alpha": args.alpha,
+            "alpha": alpha,
             "seed": args.seed,
             "pi": args.pi,
             "null": args.null,
@@ -153,16 +179,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "n_strata": dataset.n_strata,
         "method": args.adjust,
         "B": args.B,
-        "alpha": args.alpha,
+        "alpha": alpha,
         "seed": args.seed,
         "bootstrap_resampled": draws.n_resampled,
         "pointwise": pointwise,
     }
-    if args.diff:
-        t1, t2 = (float(v) for v in args.diff.split(","))
+    if diff is not None:
+        t1, t2 = diff
         res = difference_test(
             point.at(t1), point.at(t2),
-            draws.at(t1), draws.at(t2), args.null, args.alpha,
+            draws.at(t1), draws.at(t2), args.null, alpha,
         )
         report["difference"] = {
             "tau1": t1,
@@ -176,7 +202,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.uniform:
         if len(grid) < 2:
             raise DataValidationError("uniform band needs a grid of at least two taus")
-        band = uniform_band(est, draws.draws, args.alpha)
+        band = uniform_band(est, draws.draws, alpha)
         report["uniform_band"] = {
             "taus": list(grid),
             "estimate": [float(v) for v in band.estimate],
@@ -192,6 +218,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     grid = _parse_taus(args.taus)
     pi_source, fixed_pi = _parse_pi(args.pi)
+    alpha = _parse_alpha(args.alpha)
     raw_methods = args.methods
     if isinstance(raw_methods, str):
         raw_methods = [m.strip() for m in raw_methods.split(",")]
@@ -210,7 +237,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         B=args.B,
         taus=grid,
         delta=args.delta,
-        alpha=args.alpha,
+        alpha=alpha,
         seed=args.seed,
         pi_source=pi_source,
         fixed_pi=fixed_pi,
@@ -241,7 +268,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "B": args.B,
                 "taus": list(grid),
                 "delta": args.delta,
-                "alpha": args.alpha,
+                "alpha": alpha,
                 "pi": args.pi,
                 "mc_n": args.mc_n,
                 "mc_reps": args.mc_reps,

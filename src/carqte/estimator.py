@@ -3,8 +3,8 @@
 The per-arm problems are piecewise-linear in the candidate quantile, so the
 minimizer is an observed outcome of that arm found by a single sorted sweep
 over cumulative inverse-propensity weights; no iterative optimization is
-involved.  The same sweep serves the unit-weight point estimator and every
-multiplier-bootstrap draw.
+involved.  One solver core serves the unit-weight point estimator, the
+single-problem API and every multiplier-bootstrap draw of every model.
 """
 
 from __future__ import annotations
@@ -100,6 +100,18 @@ def _arm_index(dataset: Dataset, arm: int) -> _ArmIndex:
     )
 
 
+def _fixed_pis(fixed_pi, n_strata: int) -> np.ndarray:
+    if np.isscalar(fixed_pi):
+        pis = np.full(n_strata, float(fixed_pi))
+    else:
+        pis = np.asarray(fixed_pi, dtype=np.float64)
+        if pis.shape != (n_strata,):
+            raise DataValidationError("fixed pi has wrong per-stratum length")
+    if not np.all((pis > 0.0) & (pis < 1.0)):
+        raise DataValidationError("fixed pi must lie strictly inside (0, 1)")
+    return pis
+
+
 def _pi_by_stratum(
     dataset: Dataset,
     xi: np.ndarray,
@@ -108,15 +120,7 @@ def _pi_by_stratum(
     n_strata: int,
 ) -> np.ndarray:
     if pi_source == "fixed":
-        if np.isscalar(fixed_pi):
-            pis = np.full(n_strata, float(fixed_pi))
-        else:
-            pis = np.asarray(fixed_pi, dtype=np.float64)
-            if pis.shape != (n_strata,):
-                raise DataValidationError("fixed pi has wrong per-stratum length")
-        if not np.all((pis > 0.0) & (pis < 1.0)):
-            raise DataValidationError("fixed pi must lie strictly inside (0, 1)")
-        return pis
+        return _fixed_pis(fixed_pi, n_strata)
     n1w, nw = weighted_arm_counts(dataset.s, dataset.a.astype(np.float64), xi, n_strata)
     bad = (nw <= 0.0) | (n1w <= 0.0) | (n1w >= nw)
     if np.any(bad):
@@ -128,44 +132,59 @@ def _pi_by_stratum(
     return n1w / nw
 
 
-def _solve_sorted(
-    index: _ArmIndex,
-    dataset: Dataset,
-    arm: int,
-    xi: np.ndarray,
-    pis: np.ndarray,
-    mhat: np.ndarray | None,
-    taus: np.ndarray,
-) -> np.ndarray:
-    """Smallest minimizer of the weighted check objective, per tau.
+class _Solver:
+    """Both arm problems for K adjustments stacked over one quantile grid.
 
-    Implements the sandwich characterization: the solution is the first
-    distinct arm outcome whose cumulative weight reaches the adjusted target
-    mass.  Duplicate outcomes are grouped so the cumulative mass jumps once
-    per distinct value, and exact boundary ties resolve to the smaller value.
-    Targets outside the attainable range clip to the endpoint candidates,
-    matching the argmin over observed arm outcomes.
+    Built once per dataset from the n x (K*T) adjustment matrix of each arm
+    (model-major columns) and the tau of each column.  Each :meth:`solve`
+    takes one weight vector and the per-stratum treated fractions: the
+    inverse-propensity masses, their sorted cumulative sums and the residual
+    weights are computed once and shared by every model; only the adjusted
+    target masses differ, and they come from one product per arm followed by
+    one sorted search.
     """
-    denom_sorted = pis[index.s_sorted] if arm == 1 else 1.0 - pis[index.s_sorted]
-    w = xi[index.rows] / denom_sorted
-    cum = np.cumsum(w)
-    total = cum[-1]
-    if not np.isfinite(total) or total <= 0.0:
-        raise NumericalError(f"arm {arm} has no weighted mass")
-    targets = taus * total
-    if mhat is not None:
-        pi_full = pis[dataset.s]
-        af = dataset.a.astype(np.float64)
-        if arm == 1:
-            coef = xi * (af - pi_full) / pi_full
-            targets = targets - coef @ mhat
-        else:
-            coef = xi * (af - pi_full) / (1.0 - pi_full)
-            targets = targets + coef @ mhat
-    group_cum = cum[index.group_last]
-    k = np.searchsorted(group_cum, targets, side="left")
-    k = np.minimum(k, index.y_distinct.size - 1)
-    return index.y_distinct[k]
+
+    def __init__(self, dataset: Dataset, column_taus: np.ndarray, m_by_arm: dict) -> None:
+        self._s = dataset.s
+        self._af = dataset.a.astype(np.float64)
+        self._arms = {arm: (_arm_index(dataset, arm), m) for arm, m in m_by_arm.items()}
+        self._taus = column_taus
+
+    def solve(self, xi: np.ndarray, pis: np.ndarray) -> dict:
+        """Arm -> smallest minimizer of the weighted check objective per column.
+
+        Implements the sandwich characterization: the solution is the first
+        distinct arm outcome whose cumulative weight reaches the adjusted
+        target mass.  Duplicate outcomes are grouped so the cumulative mass
+        jumps once per distinct value, and exact boundary ties resolve to the
+        smaller value.  Targets outside the attainable range clip to the
+        endpoint candidates, matching the argmin over observed arm outcomes.
+        """
+        pi_full = pis[self._s]
+        resid = xi * (self._af - pi_full)
+        out = {}
+        for arm, (index, m) in self._arms.items():
+            p_sorted = pis[index.s_sorted]
+            cum = np.cumsum(xi[index.rows] / (p_sorted if arm == 1 else 1.0 - p_sorted))
+            total = cum[-1]
+            if not np.isfinite(total) or total <= 0.0:
+                raise NumericalError(f"arm {arm} has no weighted mass")
+            if arm == 1:
+                targets = self._taus * total - (resid / pi_full) @ m
+            else:
+                targets = self._taus * total + (resid / (1.0 - pi_full)) @ m
+            k = np.searchsorted(cum[index.group_last], targets, side="left")
+            out[arm] = index.y_distinct[np.minimum(k, index.y_distinct.size - 1)]
+        return out
+
+
+def _model_solver(dataset: Dataset, models, grid: QuantileGrid) -> _Solver:
+    """Solver over the adjustments of ``models``, evaluated on every row."""
+    m_by_arm = {
+        arm: np.column_stack([m.evaluate_all(arm, t, dataset) for m in models for t in grid])
+        for arm in (1, 0)
+    }
+    return _Solver(dataset, np.tile(tuple(grid), len(models)), m_by_arm)
 
 
 def solve_arm_quantile(
@@ -180,52 +199,8 @@ def solve_arm_quantile(
     pis = _pi_by_stratum(
         dataset, problem.weights.w, problem.pi_source, problem.fixed_pi, stats.n_strata
     )
-    index = _arm_index(dataset, problem.arm)
-    out = _solve_sorted(
-        index, dataset, problem.arm, problem.weights.w, pis, m,
-        np.array([problem.tau]),
-    )
-    return float(out[0])
-
-
-def check_sandwich(
-    problem: ArmQuantileProblem, dataset: Dataset, stats: StrataStats, solution: float,
-    tol: float = 1e-10,
-) -> bool:
-    """Verify the subgradient inequalities at a proposed solution.
-
-    Uses the grouped convention: the slack on the lower inequality is the
-    total weight of all arm units tied at the solution value, which reduces
-    to the single unit's weight when outcomes are distinct.  Targets outside
-    the attainable mass range certify the endpoint candidates instead.
-    """
-    xi = problem.weights.w
-    pis = _pi_by_stratum(dataset, xi, problem.pi_source, problem.fixed_pi, stats.n_strata)
-    index = _arm_index(dataset, problem.arm)
-    denom_sorted = pis[index.s_sorted] if problem.arm == 1 else 1.0 - pis[index.s_sorted]
-    w = xi[index.rows] / denom_sorted
-    cum = np.cumsum(w)
-    total = cum[-1]
-    t = problem.tau * total
-    pi_full = pis[dataset.s]
-    af = dataset.a.astype(np.float64)
-    m = np.asarray(problem.mhat_values, dtype=np.float64)
-    if problem.arm == 1:
-        t = t - (xi * (af - pi_full) / pi_full) @ m
-    else:
-        t = t + (xi * (af - pi_full) / (1.0 - pi_full)) @ m
-    where = np.flatnonzero(index.y_distinct == solution)
-    if where.size != 1:
-        return False
-    k = int(where[0])
-    below = cum[index.group_last[k - 1]] if k > 0 else 0.0
-    at = cum[index.group_last[k]]
-    scale = max(abs(t), abs(total), 1.0)
-    if t > at + tol * scale:
-        return k == index.y_distinct.size - 1  # target above attainable mass
-    if t < below - tol * scale:
-        return k == 0  # target below attainable mass
-    return True
+    solver = _Solver(dataset, np.array([problem.tau]), {problem.arm: m[:, None]})
+    return float(solver.solve(problem.weights.w, pis)[problem.arm][0])
 
 
 def qte(
@@ -248,15 +223,10 @@ def qte(
     degenerate = [stats.labels[i] for i in stats.degenerate]
     if degenerate:
         raise DegenerateCellError(degenerate)
-    taus = np.asarray(tuple(grid))
-    m1 = np.column_stack([model.evaluate_all(1, t, dataset) for t in grid])
-    m0 = np.column_stack([model.evaluate_all(0, t, dataset) for t in grid])
+    solver = _model_solver(dataset, (model,), grid)
     pis = _pi_by_stratum(dataset, weights.w, pi_source, fixed_pi, stats.n_strata)
-    idx1 = _arm_index(dataset, 1)
-    idx0 = _arm_index(dataset, 0)
-    q1 = _solve_sorted(idx1, dataset, 1, weights.w, pis, m1, taus)
-    q0 = _solve_sorted(idx0, dataset, 0, weights.w, pis, m0, taus)
-    return QteEstimate(taus=tuple(grid), q1=q1, q0=q0)
+    q = solver.solve(weights.w, pis)
+    return QteEstimate(taus=tuple(grid), q1=q[1], q0=q[0])
 
 
 def pilot_quantiles(dataset: Dataset, stats: StrataStats, grid: QuantileGrid) -> PilotQuantiles:

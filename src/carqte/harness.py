@@ -2,10 +2,11 @@
 
 One scenario fixes a design, a randomization scheme, a sample size, and a
 list of adjustment methods.  Every replication draws fresh potential data,
-assigns treatment, runs each method's full estimate-plus-bootstrap pipeline
-on the shared draw, and tests against the cached truth (size) and the truth
-shifted by ``delta`` (power).  Replication seeds derive from (master seed,
-replication index), so results do not depend on the worker count.
+assigns treatment, fits and point-estimates each method on the shared draw,
+bootstraps all methods together over one stream of weights, and tests
+against the cached truth (size) and the truth shifted by ``delta`` (power).
+Replication seeds derive from (master seed, replication index), so results
+do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjust import METHODS, LassoConfig, fit_adjustment
+from .adjust import LOGIT_BASE, METHODS, LassoConfig, fit_adjustment
 from .bootstrap import bootstrap_se, difference_test, pointwise_test, run_bootstrap, uniform_band
 from .data import Dataset, QuantileGrid, index_strata
 from .dgp import DgpSpec, cached_true_qte, generate
@@ -107,22 +108,27 @@ def _run_one_rep(spec: ScenarioSpec, truth: np.ndarray, rep: int) -> dict:
         loading_iterations=spec.lasso_iters,
         forced_support=(1,) if dataset.n_covariates >= 1 else (),
     )
+    # Logistic fits come first so that lpml/lpmlx reuse them, whatever the
+    # order of the requested methods.
+    models: dict = {}
+    for method in sorted(spec.methods, key=lambda m: m in LOGIT_BASE):
+        models[method] = fit_adjustment(
+            method, dataset, stats, pilot, grid, lasso_config=lasso_cfg,
+            ml_model=models.get(LOGIT_BASE.get(method)),
+        )
+    points = [
+        qte(dataset, stats, models[m], grid, pi_source=spec.pi_source, fixed_pi=spec.fixed_pi)
+        for m in spec.methods
+    ]
+    # One stream for all methods: every method sees identical bootstrap
+    # weights, so method comparisons are paired.
+    boot_rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep, 2)))
+    boot = run_bootstrap(
+        dataset, stats, [models[m] for m in spec.methods], grid, spec.B, boot_rng,
+        pi_source=spec.pi_source, fixed_pi=spec.fixed_pi,
+    )
     out: dict = {}
-    for method in spec.methods:
-        model = fit_adjustment(method, dataset, stats, pilot, grid, lasso_config=lasso_cfg)
-        point = qte(
-            dataset, stats, model, grid,
-            pi_source=spec.pi_source, fixed_pi=spec.fixed_pi,
-        )
-        # A fresh generator over the same stream per method: every method sees
-        # identical bootstrap weights, so method comparisons are paired.
-        boot_rng = np.random.default_rng(
-            np.random.SeedSequence(spec.seed, spawn_key=(rep, 2))
-        )
-        draws = run_bootstrap(
-            dataset, stats, model, grid, spec.B, boot_rng,
-            pi_source=spec.pi_source, fixed_pi=spec.fixed_pi,
-        )
+    for method, point, draws in zip(spec.methods, points, boot):
         est = point.qte
         for j, tau in enumerate(taus):
             col = draws.draws[:, j]

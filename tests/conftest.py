@@ -43,6 +43,42 @@ def brute_force_arm(arm, ds, xi, pis, mhat, tau):
     return float(cands[int(np.flatnonzero(vals <= vals.min())[0])])
 
 
+def check_sandwich(problem, ds, solution, tol=1e-10):
+    """Verify the subgradient inequalities at a proposed arm solution.
+
+    Uses the grouped convention: the slack on the lower inequality is the
+    total weight of all arm units tied at the solution value, which reduces
+    to the single unit's weight when outcomes are distinct.  Targets outside
+    the attainable mass range certify the endpoint candidates instead.
+    """
+    arm, xi = problem.arm, problem.weights.w
+    if problem.pi_source == "fixed":
+        pis = np.broadcast_to(np.asarray(problem.fixed_pi, float), (ds.n_strata,))
+    else:
+        pis = estimated_pis(ds, xi)
+    pi_full = pis[ds.s]
+    af = ds.a.astype(float)
+    prop = pi_full if arm == 1 else 1.0 - pi_full
+    in_arm = ds.a == arm
+    cands = np.unique(ds.y[in_arm])
+    mass_upto = np.array([np.sum((xi / prop)[in_arm & (ds.y <= c)]) for c in cands])
+    total = mass_upto[-1]
+    residual = float(np.sum(xi * (af - pi_full) / prop * problem.mhat_values))
+    t = problem.tau * total + (-residual if arm == 1 else residual)
+    where = np.flatnonzero(cands == solution)
+    if where.size != 1:
+        return False
+    k = int(where[0])
+    below = mass_upto[k - 1] if k > 0 else 0.0
+    at = mass_upto[k]
+    scale = max(abs(t), abs(total), 1.0)
+    if t > at + tol * scale:
+        return k == cands.size - 1  # target above attainable mass
+    if t < below - tol * scale:
+        return k == 0  # target below attainable mass
+    return True
+
+
 def estimated_pis(ds, xi):
     n1w, nw = weighted_arm_counts(ds.s, ds.a.astype(float), xi, ds.n_strata)
     return n1w / nw

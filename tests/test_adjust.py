@@ -385,6 +385,40 @@ def test_lpml_zero_variance_column_coefficient_forced_zero():
     assert np.all(np.isfinite(out))
 
 
+def test_lpml_reusing_fitted_logistic_model_equals_standalone_fit():
+    rng = np.random.default_rng(17)
+    ds = _two_strata_dataset(rng, n=160)
+    st = index_strata(ds)
+    grid = QuantileGrid.of([0.25, 0.5, 0.75])
+    pilot = pilot_quantiles(ds, st, grid)
+    for method, base in (("lpml", "ml"), ("lpmlx", "mlx")):
+        alone = fit_adjustment(method, ds, st, pilot, grid)
+        reused = fit_adjustment(
+            method, ds, st, pilot, grid,
+            ml_model=fit_adjustment(base, ds, st, pilot, grid),
+        )
+        assert reused.method == alone.method
+        assert reused.diagnostics == alone.diagnostics
+        for got, want in ((reused.coef, alone.coef), (reused.ml_coef, alone.ml_coef)):
+            assert got.keys() == want.keys()
+            for key, th in want.items():
+                assert np.array_equal(got[key], th)
+        assert reused.normalization.keys() == alone.normalization.keys()
+        for key, (mean, sd) in alone.normalization.items():
+            assert np.array_equal(reused.normalization[key][0], mean)
+            assert np.array_equal(reused.normalization[key][1], sd)
+        for arm in (0, 1):
+            for tau in grid:
+                assert np.array_equal(
+                    reused.evaluate_all(arm, tau, ds), alone.evaluate_all(arm, tau, ds)
+                )
+    ml = fit_adjustment("ml", ds, st, pilot, grid)
+    with pytest.raises(DataValidationError, match="different feature map"):
+        fit_adjustment("lpmlx", ds, st, pilot, grid, ml_model=ml)
+    with pytest.raises(DataValidationError, match="does not reuse"):
+        fit_adjustment("lp", ds, st, pilot, grid, ml_model=ml)
+
+
 # -- lasso ------------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import make_stratified_dataset
@@ -7,20 +9,28 @@ from scipy.stats import norm
 
 import carqte.bootstrap as bt
 from carqte import (
+    BootstrapDrawSet,
+    Dataset,
     DataValidationError,
+    DgpSpec,
     QuantileGrid,
+    SchemeSpec,
     WeightVector,
+    assign,
     bootstrap_se,
     difference_test,
     draw_weights,
+    fit_adjustment,
     fit_none,
+    generate,
     index_strata,
+    pilot_quantiles,
     pointwise_test,
     qte,
     run_bootstrap,
     uniform_band,
 )
-from carqte.bootstrap import empirical_quantile, sup_critical_value
+from carqte.bootstrap import _normal_critical_values, empirical_quantile, sup_critical_value
 
 
 def test_weights_nonnegative_and_reproducible():
@@ -98,6 +108,77 @@ def test_na_bootstrap_matches_from_scratch_rederivation():
                 k = int(np.searchsorted(cum, tau * cum[-1], side="left"))
                 qs.append(ds.y[rows][order][min(k, len(rows) - 1)])
             assert draws.draws[b, j] == qs[0] - qs[1]
+
+
+# sha256 of each model's B=40 draw matrix from single-model run_bootstrap
+# calls on the design below, recorded before the models shared one solve pass
+# (numpy 2.4, scipy 1.17, OpenBLAS 0.3.31).
+PINNED_DRAWS = {
+    "estimated": {
+        "na": "1022dfad5644df22a7f9ef2eb180624af2edadb6030570e7dbe1982050173cb2",
+        "lp": "d5956aeebd56fbdf28c0a55ccf12aca6220f56e011d93be43b6aadeae73e872b",
+        "ml": "d85b6f62f48feee1220ef43505d63ddad5523b6ed55d8c0d2024b60e8abb4e3c",
+        "lpml": "8f6c6d7d559e1c940075ac78b8bbe5487dc6369df7cbd041d58d33f3e0834c7d",
+        "mlx": "4bf21bf633df2d81b2dde64aa016998dd29f5ea24022982c0156a1d7b510e3f5",
+        "lpmlx": "339228acc396ff3df22228c1320f84f4809d3c47e30be8c8763d378129ba415f",
+        "np": "01989ca1a9f11e8f203e803621f14a76e6a62e8599646f5643a600c3856c6906",
+    },
+    "fixed": {
+        "na": "0f9b4cc4aae52d3de9f6b0c15bf7f5494a0d85de07478b9aaa0116997a621b09",
+        "lp": "110fafcabf9fd08dcbefc91ebb4f233f9fdabb1e4153dbd8932f457365156fe0",
+        "ml": "83429b8d95ede52f00c2c4dc51e19a179f4ccad8cf88383b12cbafa761b575eb",
+        "lpml": "c10f400caba1227f371830723c8449c7e4356caa9a5251942162023e6998cda1",
+        "mlx": "91824838d980f49a9ec3294d7addcd8b2fe72e53f91f7745ae4ce6f521ec59f3",
+        "lpmlx": "0dd6372eeb142e4643b8d454b500956b21966eb0a6ca99467f1bdc238e96bb08",
+        "np": "3475ea000878502ed00978a44c789df1eb5418b8a75659d74df67f923eecc424",
+    },
+}
+
+
+@pytest.mark.parametrize("pi_source", ["estimated", "fixed"])
+def test_shared_stream_draws_equal_single_model_draws(pi_source):
+    latent = generate(DgpSpec("dgp1", 200), np.random.default_rng(31))
+    a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(32))
+    ds = Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
+    stt = index_strata(ds)
+    grid = QuantileGrid.of([0.25, 0.5, 0.75])
+    pilot = pilot_quantiles(ds, stt, grid)
+    methods = tuple(PINNED_DRAWS[pi_source])
+    models = [fit_adjustment(m, ds, stt, pilot, grid) for m in methods]
+    kw = dict(pi_source=pi_source, fixed_pi=0.5)
+    shared = run_bootstrap(ds, stt, models, grid, 40, np.random.default_rng(33), **kw)
+    assert isinstance(shared, BootstrapDrawSet)
+    assert len(shared) == len(methods)
+    assert shared.n_resampled == 0
+    for method, model, draws in zip(methods, models, shared):
+        alone = run_bootstrap(ds, stt, model, grid, 40, np.random.default_rng(33), **kw)
+        assert draws.draws.shape == (40, 3)
+        assert np.array_equal(draws.draws, alone.draws)
+        assert draws.n_resampled == alone.n_resampled
+        digest = hashlib.sha256(np.ascontiguousarray(draws.draws).tobytes()).hexdigest()
+        assert digest == PINNED_DRAWS[pi_source][method], method
+
+
+def test_shared_stream_counts_resampled_draws_once(monkeypatch):
+    ds, stt, grid = _fixture()
+    real = bt.draw_weights
+    calls = []
+
+    def flaky(n, rng):
+        calls.append(n)
+        w = real(n, rng)
+        if len(calls) % 3 == 1:  # first try of some replicates zeroes every weight
+            return WeightVector(np.zeros(n), kind="bootstrap")
+        return w
+
+    monkeypatch.setattr(bt, "draw_weights", flaky)
+    model = fit_none(grid)
+    shared = run_bootstrap(ds, stt, [model, model], grid, 4, np.random.default_rng(2))
+    assert shared.n_resampled == 2
+    assert len(calls) == 6  # 4 replicates plus 2 resamples, shared by both models
+    assert np.array_equal(shared[0].draws, shared[1].draws)
+    with pytest.raises(DataValidationError):
+        run_bootstrap(ds, stt, [], grid, 4, np.random.default_rng(2))
 
 
 def test_draw_spread_shrinks_with_root_n():
@@ -255,6 +336,14 @@ def test_empirical_quantile_convention():
     assert empirical_quantile(x, 0.25) == 2.0
     # interpolation between ranks
     assert empirical_quantile(x, 0.3) == pytest.approx(2.2)
+
+
+def test_critical_values_reject_alpha_outside_unit_interval():
+    assert _normal_critical_values(0.05) == (norm.ppf(0.025), norm.ppf(0.975))
+    draws = np.random.default_rng(19).standard_normal(50)
+    for alpha in (0.0, 1.0, 2.0, -0.1, float("nan")):
+        with pytest.raises(DataValidationError, match="alpha"):
+            pointwise_test(0.0, draws, 0.0, alpha)
 
 
 def test_run_bootstrap_validation():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -142,3 +143,46 @@ def test_simulate_unknown_method_usage_error():
 
 def test_usage_error_without_subcommand():
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("diff", ["0.5", "0.5,0.3", "a,b", "0.25,0.5,0.75"])
+def test_estimate_bad_diff_is_data_error_naming_grid(experiment_csv, tmp_path, capsys, diff):
+    out = tmp_path / "r.json"
+    code = main(["estimate", "--input", experiment_csv, "--taus", "0.25,0.5,0.75",
+                 "--B", "20", "--diff", diff, "--out", str(out)])
+    assert code == 3
+    assert "[0.25, 0.5, 0.75]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+@pytest.mark.parametrize("alpha", ["0", "1", "2", "-0.5", "nan"])
+def test_alpha_outside_unit_interval_is_data_error(experiment_csv, tmp_path, capsys,
+                                                   command, alpha):
+    out = tmp_path / "r.out"
+    if command == "estimate":
+        argv = ["estimate", "--input", experiment_csv, "--B", "20"]
+    else:
+        argv = ["simulate", "--n", "80", "--reps", "2", "--B", "20", "--mc-reps", "2"]
+    code = main(argv + ["--alpha", alpha, "--out", str(out)])
+    assert code == 3
+    assert "alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# sha256 of the table written by the command below before all methods shared
+# one bootstrap pass per replication (numpy 2.4, scipy 1.17, OpenBLAS 0.3.31).
+PAPER_TABLE_SHA256 = "ecb66e336f7e71b2e8972d62c217990486b070f20149682a421adbc760474944"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_paper_methods_table_is_pinned(tmp_path, workers):
+    out = tmp_path / "sim.csv"
+    code = main([
+        "simulate", "--dgp", "1", "--scheme", "sbr",
+        "--methods", "na,lp,ml,lpml,mlx,lpmlx,np", "--n", "400", "--reps", "2",
+        "--B", "50", "--taus", "0.25,0.5,0.75", "--workers", workers,
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_TABLE_SHA256

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from conftest import TableModel, brute_force_arm, make_stratified_dataset, solve_both_ways
+from conftest import (
+    TableModel,
+    brute_force_arm,
+    check_sandwich,
+    make_stratified_dataset,
+    solve_both_ways,
+)
 
 from carqte import (
     ArmQuantileProblem,
@@ -16,7 +22,6 @@ from carqte import (
     run_bootstrap,
     solve_arm_quantile,
 )
-from carqte.estimator import check_sandwich
 
 
 def _unit_problem(arm, tau, n, mhat=None):
@@ -77,7 +82,7 @@ def test_sandwich_conditions_hold():
             mhat_values=rng.normal(0, 1, n),
         )
         sol = solve_arm_quantile(prob, ds, st)
-        assert check_sandwich(prob, ds, st, sol)
+        assert check_sandwich(prob, ds, sol)
 
 
 def test_na_matches_classical_quantile_convention():

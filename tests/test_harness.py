@@ -3,6 +3,8 @@ import time
 import numpy as np
 import pytest
 
+import carqte.harness as harness
+
 from carqte import (
     DataValidationError,
     DgpSpec,
@@ -85,6 +87,27 @@ def test_worker_count_does_not_change_results():
     spec1 = _tiny_spec(reps=4)
     spec2 = _tiny_spec(reps=4, workers=2)
     assert emit_table(run_scenario(spec1, TRUTH2)) == emit_table(run_scenario(spec2, TRUTH2))
+
+
+def test_recombination_reuses_logistic_fit_in_any_method_order(monkeypatch):
+    real = harness.fit_adjustment
+    seen = []
+
+    def recording(method, *args, **kwargs):
+        base = kwargs.get("ml_model")
+        seen.append((method, None if base is None else base.method))
+        return real(method, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit_adjustment", recording)
+    orders = (("lpmlx", "lpml", "na", "mlx", "ml"), ("ml", "mlx", "na", "lpml", "lpmlx"))
+    rows = []
+    for methods in orders:
+        seen.clear()
+        rows.append(run_scenario(_tiny_spec(methods=methods, reps=1), TRUTH2).rows)
+        assert sorted(seen) == sorted(
+            [("na", None), ("ml", None), ("mlx", None), ("lpml", "ml"), ("lpmlx", "mlx")]
+        )
+    assert rows[0] == rows[1]
 
 
 def test_smoke_scenario_within_time_budget():
