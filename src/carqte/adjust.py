@@ -40,6 +40,14 @@ LOGIT_BASE = {"lpml": "ml", "lpmlx": "mlx"}
 # Coefficient magnitude beyond which a logistic fit is treated as separated.
 _SEPARATION_CAP = 30.0
 _SCORE_TOL = 1e-8
+# The batched logistic solve pads cells into blocks of at most about this many
+# floats (cells x rows x features x taus); a cell larger than that is a block
+# of its own.
+_BLOCK_FLOATS = 1 << 18
+# A recombined probability column whose cell standard deviation is at most
+# this is treated as constant: saturated logistic columns have an sd of
+# rounding size, and dividing by it would amplify rounding noise.
+_ZERO_SD = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -282,47 +290,158 @@ class AdjustmentModel:
                 return np.zeros(H.shape[0])
             w = np.column_stack([expit(H @ th1), expit(H @ th0)])
             mean, sd = self.normalization[(arm, s, ti)]
-            wd = np.where(sd > 0.0, (w - mean) / np.where(sd > 0.0, sd, 1.0), 0.0)
+            ok = sd > _ZERO_SD
+            wd = np.where(ok, (w - mean) / np.where(ok, sd, 1.0), 0.0)
             return tau - wd @ theta
         raise DataValidationError(f"unknown method {self.method!r}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
-# Logistic quasi-ML on one cell
+# Logistic quasi-ML: one batched Newton core for every (cell, tau) problem
 # ---------------------------------------------------------------------------
 
 
-def _logit_objective(H, y, theta, ridge):
-    t = H @ theta
-    nll = np.mean(np.logaddexp(0.0, t) - y * t)
-    if ridge > 0.0:
-        nll += 0.5 * ridge * float(theta @ theta)
-    return nll
+def _batch_objective(t, Y, valid, n, ridge, theta):
+    """Per-problem penalized mean negative log-likelihood, shape (C, T)."""
+    # log(1 + e^t) - y t over each cell's valid rows, spelled out because
+    # np.logaddexp costs several times as much.
+    f = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))) - Y * t
+    nll = (valid @ f)[:, 0] / n[:, None]
+    return nll + 0.5 * ridge[:, None] * np.sum(theta * theta, axis=1)
 
 
-def _logit_newton(H, y, ridge, max_iter=200):
-    n, p = H.shape
-    theta = np.zeros(p)
-    separated = False
+def _newton_pass(H, Y, valid, n, ridge, active, max_iter=200):
+    """Damped Newton iteration on a block of padded cells.
+
+    ``H`` is (C, N, p) with zero rows past each cell's ``n`` rows (``valid``
+    masks them out of the objective), ``Y`` is (C, N, T) with tau along the
+    columns, ``ridge`` is per cell and ``active`` (C, T) selects the problems
+    to fit.  A problem is frozen once its score is within tolerance
+    (converged) or, without ridge, once a coefficient passes the separation
+    cap (separated); an iteration works only on the tau columns that still
+    have a live problem.  Steps solve each Hessian exactly; if some Hessian
+    of the stack is singular, that iteration falls back to per-problem
+    minimum norm least squares.  Backtracking halves a problem's step while
+    its objective rises by more than 1e-14.  Returns theta (C, p, T) and the
+    converged and separated masks.
+    """
+    C, _, p = H.shape
+    T = Y.shape[2]
+    active = active.copy()
+    converged = np.zeros((C, T), dtype=bool)
+    separated = np.zeros((C, T), dtype=bool)
+    check_sep = (ridge == 0.0)[:, None]
+    HT = H.transpose(0, 2, 1)
+    theta = np.zeros((C, p, T))
+    t = np.zeros(Y.shape)
+    obj = _batch_objective(t, Y, valid, n, ridge, theta)
+    eye = np.eye(p)
     for _ in range(max_iter):
-        t = H @ theta
-        prob = expit(t)
-        score = H.T @ (y - prob) / n - ridge * theta
-        if np.max(np.abs(score)) <= _SCORE_TOL:
-            return theta, True, separated
-        w = prob * (1.0 - prob)
-        hess = (H * w[:, None]).T @ H / n + ridge * np.eye(p)
-        step = np.linalg.lstsq(hess, score, rcond=None)[0]
-        obj = _logit_objective(H, y, theta, ridge)
-        eta = 1.0
-        cand = theta + step
-        while _logit_objective(H, y, cand, ridge) > obj + 1e-14 and eta > 1e-10:
-            eta *= 0.5
-            cand = theta + eta * step
-        theta = cand
-        if ridge == 0.0 and np.max(np.abs(theta)) > _SEPARATION_CAP:
-            return theta, False, True
-    return theta, False, separated
+        cols = np.flatnonzero(active.any(axis=0))
+        if cols.size == 0:
+            break
+        if cols.size == T:
+            cols = slice(None)  # every column live: views, no copies
+        Yc, tc, th, oc = Y[:, :, cols], t[:, :, cols], theta[:, :, cols], obj[:, cols]
+        prob = expit(tc)
+        score = HT @ (Yc - prob) / n[:, None, None] - ridge[:, None, None] * th
+        done = active[:, cols] & (np.max(np.abs(score), axis=1) <= _SCORE_TOL)
+        converged[:, cols] |= done
+        live = active[:, cols] & ~done
+        active[:, cols] = live
+        if not live.any():
+            break
+        # Hessians as a (C, T', p, p) stack, one product per cell; only live
+        # problems take a step.
+        w = (prob * (1.0 - prob)).transpose(0, 2, 1)
+        k = w.shape[1]
+        hess = ((HT[:, None] * w[:, :, None, :]).reshape(C, k * p, -1) @ H).reshape(C, k, p, p)
+        hess = hess / n[:, None, None, None] + ridge[:, None, None, None] * eye
+        hess, rhs = hess[live], score.transpose(0, 2, 1)[live]
+        try:
+            solved = np.linalg.solve(hess, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            solved = np.array([np.linalg.lstsq(h, r, rcond=None)[0] for h, r in zip(hess, rhs)])
+        step = np.zeros((C, k, p))
+        step[live] = solved
+        step = step.transpose(0, 2, 1)
+        eta = np.ones(live.shape)
+        cand = th + step
+        t_cand = H @ cand
+        obj_cand = _batch_objective(t_cand, Yc, valid, n, ridge, cand)
+        halve = live & (obj_cand > oc + 1e-14)
+        while halve.any():
+            eta[halve] *= 0.5
+            cand = np.where(halve[:, None], th + eta[:, None] * step, cand)
+            t_cand = np.where(halve[:, None], H @ cand, t_cand)
+            obj_new = _batch_objective(t_cand, Yc, valid, n, ridge, cand)
+            obj_cand = np.where(halve, obj_new, obj_cand)
+            halve &= (obj_cand > oc + 1e-14) & (eta > 1e-10)
+        th = np.where(live[:, None], cand, th)
+        theta[:, :, cols] = th
+        t[:, :, cols] = np.where(live[:, None], t_cand, tc)
+        obj[:, cols] = np.where(live, obj_cand, oc)
+        sep = live & check_sep & (np.max(np.abs(th), axis=1) > _SEPARATION_CAP)
+        separated[:, cols] |= sep
+        active[:, cols] = live & ~sep
+    return theta, converged, separated
+
+
+def _chunks(sizes, width):
+    """Consecutive runs of cells whose padded block fits the float budget."""
+    chunk: list[int] = []
+    rows = 0
+    for i, size in enumerate(sizes):
+        if chunk and (len(chunk) + 1) * max(rows, size) * width > _BLOCK_FLOATS:
+            yield chunk
+            chunk, rows = [], 0
+        chunk.append(i)
+        rows = max(rows, size)
+    if chunk:
+        yield chunk
+
+
+def _fit_logit_cells(H, cell_rows, labels, ridge=0.0):
+    """Logistic quasi-ML for every (cell, tau) problem, in padded batches.
+
+    ``cell_rows[c]`` indexes the rows of ``H`` in cell c and ``labels[c]``
+    holds its (n_c, T) 0/1 labels, one column per tau.  Problems that
+    separate without ridge are refitted from zero with ridge
+    ``max(ridge, 1e-4 / n_c)`` in a second batched pass.  Returns theta
+    (C, T, p) and the converged and separated masks (C, T).
+    """
+    C = len(cell_rows)
+    p = H.shape[1]
+    T = labels[0].shape[1]
+    sizes = [rows.size for rows in cell_rows]
+    theta = np.zeros((C, T, p))
+    converged = np.zeros((C, T), dtype=bool)
+    separated = np.zeros((C, T), dtype=bool)
+    for chunk in _chunks(sizes, p * T):
+        N = max(sizes[c] for c in chunk)
+        Hb = np.zeros((len(chunk), N, p))
+        Yb = np.zeros((len(chunk), N, T))
+        for k, c in enumerate(chunk):
+            Hb[k, : sizes[c]] = H[cell_rows[c]]
+            Yb[k, : sizes[c]] = labels[c]
+        n = np.array([sizes[c] for c in chunk], dtype=np.float64)
+        valid = (np.arange(N) < n[:, None])[:, None, :].astype(np.float64)
+        ridges = np.full(len(chunk), float(ridge))
+        active = np.ones((len(chunk), T), dtype=bool)
+        th, conv, sep = _newton_pass(Hb, Yb, valid, n, ridges, active)
+        redo = np.flatnonzero(sep.any(axis=1))
+        if redo.size:
+            refit_ridge = np.maximum(ridges[redo], 1e-4 / n[redo])
+            th2, conv2, _ = _newton_pass(
+                Hb[redo], Yb[redo], valid[redo], n[redo], refit_ridge, sep[redo]
+            )
+            mask = sep[redo]
+            th[redo] = np.where(mask[:, None], th2, th[redo])
+            conv[redo] = np.where(mask, conv2, conv[redo])
+        theta[chunk] = th.transpose(0, 2, 1)
+        converged[chunk] = conv
+        separated[chunk] = sep
+    return theta, converged, separated
 
 
 def fit_logit_cell(features_matrix: np.ndarray, labels: np.ndarray, ridge: float = 0.0) -> np.ndarray:
@@ -330,20 +449,21 @@ def fit_logit_cell(features_matrix: np.ndarray, labels: np.ndarray, ridge: float
 
     Separation (coefficients running away) is detected via a magnitude cap
     and resolved by refitting with a small ridge penalty scaled as 1e-4 / n;
-    the refit is flagged with a warning.
+    the refit is flagged with a warning.  This is the one-problem call of the
+    batched core behind every logistic adjustment.
     """
     H = np.asarray(features_matrix, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    if H.ndim != 2 or H.shape[0] != y.shape[0] or H.shape[0] < 1:
+    if H.ndim != 2 or y.ndim != 1 or H.shape[0] != y.shape[0] or H.shape[0] < 1:
         raise DataValidationError("bad cell shapes for logistic fit")
-    theta, converged, separated = _logit_newton(H, y, ridge)
-    if separated:
+    theta, converged, separated = _fit_logit_cells(
+        H, [np.arange(H.shape[0])], [y[:, None]], ridge
+    )
+    if separated[0, 0]:
         warnings.warn("separated logistic cell; refitting with small ridge", stacklevel=2)
-        ridge_refit = max(ridge, 1e-4 / H.shape[0])
-        theta, converged, _ = _logit_newton(H, y, ridge_refit)
-    if not converged:
+    if not converged[0, 0]:
         warnings.warn("logistic fit did not reach score tolerance", stacklevel=2)
-    return theta
+    return theta[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -446,24 +566,24 @@ def _fit_logit_family(
     p = features.width
     taus = tuple(grid)
     cells = _cell_rows(dataset, stats)
+    degraded = [(a, s) for (a, s), rows in cells.items() if rows.size < p + 2]
+    fitted = [(a, s, rows) for (a, s), rows in cells.items() if rows.size >= p + 2]
+    if fitted:
+        labels = [
+            (dataset.y[rows][:, None] <= np.array([pilot.q(a, tau) for tau in taus]))
+            .astype(np.float64)
+            for a, _, rows in fitted
+        ]
+        theta, _, sep = _fit_logit_cells(H, [rows for _, _, rows in fitted], labels)
+    position = {(a, s): c for c, (a, s, _) in enumerate(fitted)}
     coef: dict = {}
-    degraded: list = []
     separated: list = []
-    for (a, s), rows in cells.items():
-        if rows.size < p + 2:
-            _degrade(coef, a, s, len(taus))
-            degraded.append((a, s))
-            continue
-        Hc = H[rows]
-        yc = dataset.y[rows]
-        for ti, tau in enumerate(taus):
-            labels = (yc <= pilot.q(a, tau)).astype(np.float64)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                theta = fit_logit_cell(Hc, labels)
-            if any("separated" in str(w.message) for w in caught):
+    for a, s in cells:
+        c = position.get((a, s))
+        for ti in range(len(taus)):
+            coef[(a, s, ti)] = None if c is None else theta[c, ti]
+            if c is not None and sep[c, ti]:
                 separated.append((a, s, ti))
-            coef[(a, s, ti)] = theta
     model = AdjustmentModel(
         method=method,
         taus=taus,
@@ -544,7 +664,7 @@ def fit_lpml(
             w = np.column_stack([expit(Hc @ th1), expit(Hc @ th0)])
             mean = w.mean(axis=0)
             sd = w.std(axis=0)
-            ok = sd > 0.0
+            ok = sd > _ZERO_SD
             if not ok.all():
                 zero_var.append((a, s, ti))
             wd = np.where(ok, (w - mean) / np.where(ok, sd, 1.0), 0.0)

@@ -20,7 +20,7 @@ from scipy.stats import norm
 
 from .data import Dataset, QuantileGrid, StrataStats, WeightVector, weighted_arm_counts
 from .errors import DataValidationError, DegenerateCellError, DegenerateWeightedCellError
-from .estimator import _fixed_pis, _model_solver
+from .estimator import QteEstimate, _fixed_pis, _model_solver, _pi_by_stratum
 
 # Spread of the standard normal between the 2.5% and 97.5% critical values.
 _NORMAL_SPREAD = norm.ppf(0.975) - norm.ppf(0.025)
@@ -33,11 +33,16 @@ _MAX_RESAMPLE = 1000
 
 @dataclass(frozen=True)
 class BootstrapDraws:
-    """B x len(grid) matrix of bootstrap QTE estimates."""
+    """B x len(grid) matrix of bootstrap QTE estimates.
+
+    ``point`` is the unit-weight estimate from the same solve, the value
+    :func:`~carqte.estimator.qte` returns for the model.
+    """
 
     draws: np.ndarray
     grid: QuantileGrid
     n_resampled: int = 0
+    point: QteEstimate | None = None
 
     @property
     def B(self) -> int:
@@ -128,10 +133,12 @@ def run_bootstrap(
     or a list or tuple of them, which yields a :class:`BootstrapDrawSet`.
     Within a replicate every model sees the same weights, treated fractions
     and arm masses; only the adjusted targets differ, so all models are
-    solved in one pass.  One child RNG stream is spawned per replicate, so
-    the draws do not depend on execution order, and replicates run one at a
-    time, so memory stays O(n) whatever B is.  Draws in which some stratum's
-    arm mass collapses are resampled within their stream and counted.
+    solved in one pass.  The same solver, with unit weights, gives each
+    model's point estimate, so the adjustments are evaluated once.  One
+    child RNG stream is spawned per replicate, so the draws do not depend on
+    execution order, and replicates run one at a time, so memory stays O(n)
+    whatever B is.  Draws in which some stratum's arm mass collapses are
+    resampled within their stream and counted.
     """
     if B < 2:
         raise DataValidationError("need at least two bootstrap replicates")
@@ -148,6 +155,8 @@ def run_bootstrap(
     af = dataset.a.astype(np.float64)
     floor = _DEGENERATE_FRACTION * stats.n.astype(np.float64)
     fixed_pis = _fixed_pis(fixed_pi, stats.n_strata) if pi_source == "fixed" else None
+    unit = np.ones(n)
+    q_unit = solver.solve(unit, _pi_by_stratum(dataset, unit, pi_source, fixed_pi, stats.n_strata))
 
     draws = np.empty((len(models), B, n_taus))
     n_resampled = 0
@@ -166,8 +175,17 @@ def run_bootstrap(
             )
         q = solver.solve(xi, n1w / nw if fixed_pis is None else fixed_pis)
         draws[:, b] = (q[1] - q[0]).reshape(len(models), n_taus)
+    taus = tuple(grid)
     per_model = tuple(
-        BootstrapDraws(draws=d, grid=grid, n_resampled=n_resampled) for d in draws
+        BootstrapDraws(
+            draws=d, grid=grid, n_resampled=n_resampled,
+            point=QteEstimate(
+                taus=taus,
+                q1=q_unit[1][k * n_taus:(k + 1) * n_taus],
+                q0=q_unit[0][k * n_taus:(k + 1) * n_taus],
+            ),
+        )
+        for k, d in enumerate(draws)
     )
     return per_model[0] if single else BootstrapDrawSet(per_model, n_resampled)
 

@@ -19,7 +19,7 @@ from .bootstrap import difference_test, pointwise_test, run_bootstrap, uniform_b
 from .data import QuantileGrid, index_strata, load_csv, validate_for_estimation
 from .dgp import DGP_KINDS, DgpSpec
 from .errors import CarqteError, DataValidationError, NumericalError
-from .estimator import pilot_quantiles, qte
+from .estimator import pilot_quantiles, qte  # noqa: F401 - perfbench traces cli.qte
 from .harness import ScenarioSpec, default_workers, emit_table, run_scenario
 from .randomization import SCHEME_KINDS, SchemeSpec
 
@@ -36,11 +36,11 @@ class _UsageError(Exception):
 def _parse_taus(raw) -> QuantileGrid:
     if isinstance(raw, QuantileGrid):
         return raw
-    if isinstance(raw, (list, tuple)):
-        return QuantileGrid.of(float(v) for v in raw)
     try:
+        if isinstance(raw, (list, tuple)):
+            return QuantileGrid.of(float(v) for v in raw)
         return QuantileGrid.of(float(v) for v in raw.split(",") if v.strip())
-    except ValueError:
+    except (TypeError, ValueError):
         raise DataValidationError(f"cannot parse quantile list {raw!r}") from None
 
 
@@ -99,6 +99,49 @@ def _dump_json(payload: dict, path: str | None) -> None:
             fh.write(text)
 
 
+# Config keys that name argparse internals rather than options.
+_RESERVED_CONFIG_KEYS = ("func", "command", "config")
+# String options whose parsers also take a JSON list.
+_LIST_OPTIONS = ("taus", "methods", "diff")
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value converted the way argparse converts the option's text.
+
+    Integer options take integral numbers only (``2.0`` but not ``2.5``),
+    flags take booleans only, and no valued option takes a boolean.
+    """
+    bad = DataValidationError(f"config key {key!r}: invalid value {value!r}")
+    if value is None:
+        if action.default is None:
+            return None
+        raise bad
+    if action.nargs == 0:  # store_true flag
+        if not isinstance(value, bool):
+            raise bad
+        return value
+    if isinstance(value, bool):
+        raise bad
+    if action.type in (int, float):
+        if action.type is int and isinstance(value, float):
+            if not value.is_integer():
+                raise bad
+            value = int(value)
+        try:
+            value = action.type(value)
+        except (TypeError, ValueError):
+            raise bad from None
+    elif isinstance(value, list) and action.dest in _LIST_OPTIONS:
+        return value
+    elif isinstance(value, (int, float)):
+        value = str(value)
+    elif not isinstance(value, str):
+        raise bad
+    if action.choices is not None and value not in action.choices:
+        raise bad
+    return value
+
+
 def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fill unset options from a JSON config file; explicit flags win."""
     if not getattr(args, "config", None):
@@ -110,13 +153,21 @@ def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPar
         raise DataValidationError(f"cannot read config {args.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise DataValidationError("config file must hold a JSON object")
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        a.dest: a
+        for a in commands.choices[args.command]._actions
+        if a.default != argparse.SUPPRESS
+    }
     for key, value in cfg.items():
         name = key.replace("-", "_")
-        if not hasattr(args, name):
+        if name in _RESERVED_CONFIG_KEYS:
+            raise DataValidationError(f"config key {key!r} is reserved")
+        if name not in options:
             continue  # schema tolerance: ignore unknown fields
         if name in args._explicit:  # noqa: SLF001 - set below in main()
             continue
-        setattr(args, name, value)
+        setattr(args, name, _config_value(options[name], key, value))
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -140,13 +191,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         forced_support=(1,) if dataset.n_covariates >= 1 else (),
     )
     model = fit_adjustment(args.adjust, dataset, stats, pilot, grid, lasso_config=lasso_cfg)
-    point = qte(dataset, stats, model, grid, pi_source=pi_source, fixed_pi=fixed_pi)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     draws = run_bootstrap(
         dataset, stats, model, grid, args.B, rng,
         pi_source=pi_source, fixed_pi=fixed_pi,
     )
-
+    point = draws.point
     est = point.qte
     pointwise = []
     for j, tau in enumerate(grid):

@@ -287,9 +287,10 @@ def load_csv(path) -> Dataset:
 
     ``y`` must parse as float, ``a`` as the integers 0/1, ``s`` is kept as a
     string label.  Every remaining column is treated as a float covariate, in
-    file order.  Missing or non-finite values are rejected.
+    file order.  Missing or non-finite values are rejected.  A leading UTF-8
+    byte order mark, as spreadsheet exports write it, is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

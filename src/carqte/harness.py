@@ -2,7 +2,7 @@
 
 One scenario fixes a design, a randomization scheme, a sample size, and a
 list of adjustment methods.  Every replication draws fresh potential data,
-assigns treatment, fits and point-estimates each method on the shared draw,
+assigns treatment, fits each method on the shared draw, point-estimates and
 bootstraps all methods together over one stream of weights, and tests
 against the cached truth (size) and the truth shifted by ``delta`` (power).
 Replication seeds derive from (master seed, replication index), so results
@@ -25,7 +25,7 @@ from .bootstrap import bootstrap_se, difference_test, pointwise_test, run_bootst
 from .data import Dataset, QuantileGrid, index_strata
 from .dgp import DgpSpec, cached_true_qte, generate
 from .errors import CarqteError, DataValidationError
-from .estimator import pilot_quantiles, qte
+from .estimator import pilot_quantiles, qte  # noqa: F401 - perfbench traces harness.qte
 from .randomization import SchemeSpec, assign
 
 _FAILURE_BUDGET = 0.01
@@ -116,20 +116,17 @@ def _run_one_rep(spec: ScenarioSpec, truth: np.ndarray, rep: int) -> dict:
             method, dataset, stats, pilot, grid, lasso_config=lasso_cfg,
             ml_model=models.get(LOGIT_BASE.get(method)),
         )
-    points = [
-        qte(dataset, stats, models[m], grid, pi_source=spec.pi_source, fixed_pi=spec.fixed_pi)
-        for m in spec.methods
-    ]
     # One stream for all methods: every method sees identical bootstrap
-    # weights, so method comparisons are paired.
+    # weights, so method comparisons are paired.  The same solve gives the
+    # point estimates.
     boot_rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep, 2)))
     boot = run_bootstrap(
         dataset, stats, [models[m] for m in spec.methods], grid, spec.B, boot_rng,
         pi_source=spec.pi_source, fixed_pi=spec.fixed_pi,
     )
     out: dict = {}
-    for method, point, draws in zip(spec.methods, points, boot):
-        est = point.qte
+    for method, draws in zip(spec.methods, boot):
+        est = draws.point.qte
         for j, tau in enumerate(taus):
             col = draws.draws[:, j]
             r0 = pointwise_test(est[j], col, truth[j], spec.alpha).reject

@@ -1,10 +1,12 @@
-"""Shared builders and the brute-force objective oracle used across tests."""
+"""Shared dataset helpers and the brute-force oracles used across tests."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from carqte import ArmQuantileProblem, Dataset, WeightVector, index_strata, solve_arm_quantile
+from carqte.adjust import _SCORE_TOL, _SEPARATION_CAP
 from carqte.data import weighted_arm_counts
 
 
@@ -114,3 +116,51 @@ class TableModel:
             c = np.array([shifts[(a, int(s))] for s in dataset.s])
             out[(a, t)] = v + c
         return TableModel(out)
+
+
+def logit_newton(H, y, ridge=0.0, max_iter=200):
+    """One logistic problem by damped Newton: the per-problem reference.
+
+    Same rule as the batched core in ``carqte.adjust``: stop once the score
+    is within ``_SCORE_TOL``; take the minimum-norm least-squares Newton
+    step; halve it while the objective rises by more than 1e-14 (down to a
+    step factor of 1e-10); without ridge, stop as separated once a
+    coefficient passes ``_SEPARATION_CAP``.  Returns (theta, converged,
+    separated).
+    """
+    n, p = H.shape
+
+    def objective(theta):
+        t = H @ theta
+        nll = np.mean(np.logaddexp(0.0, t) - y * t)
+        if ridge > 0.0:
+            nll += 0.5 * ridge * float(theta @ theta)
+        return nll
+
+    theta = np.zeros(p)
+    for _ in range(max_iter):
+        prob = expit(H @ theta)
+        score = H.T @ (y - prob) / n - ridge * theta
+        if np.max(np.abs(score)) <= _SCORE_TOL:
+            return theta, True, False
+        w = prob * (1.0 - prob)
+        hess = (H * w[:, None]).T @ H / n + ridge * np.eye(p)
+        step = np.linalg.lstsq(hess, score, rcond=None)[0]
+        obj = objective(theta)
+        eta = 1.0
+        cand = theta + step
+        while objective(cand) > obj + 1e-14 and eta > 1e-10:
+            eta *= 0.5
+            cand = theta + eta * step
+        theta = cand
+        if ridge == 0.0 and np.max(np.abs(theta)) > _SEPARATION_CAP:
+            return theta, False, True
+    return theta, False, False
+
+
+def logit_fit_reference(H, y):
+    """(theta, converged, separated) of one cell, with the small-ridge refit."""
+    theta, converged, separated = logit_newton(H, y)
+    if separated:
+        theta, converged, _ = logit_newton(H, y, 1e-4 / H.shape[0])
+    return theta, converged, separated

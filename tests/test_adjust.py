@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import logit_fit_reference
 from scipy.special import expit
 
 from carqte import (
@@ -29,8 +30,11 @@ from carqte import (
     pilot_quantiles,
     raw_features,
 )
+from carqte import adjust
 from carqte.adjust import _l1_kkt_residual
-from carqte.estimator import PilotQuantiles
+from carqte.dgp import DgpSpec, generate
+from carqte.estimator import PilotQuantiles, qte
+from carqte.randomization import SchemeSpec, assign
 
 
 def _median_pilot(y, a):
@@ -131,6 +135,119 @@ def test_score_tolerance_on_random_cells():
         th = fit_logit_cell(H, y)
         score = H.T @ (y - expit(H @ th)) / n
         assert np.max(np.abs(score)) <= 1e-8
+
+
+# -- batched logistic core --------------------------------------------------
+
+
+def _mixed_logit_dataset(seed=0):
+    """Three strata whose np-roster cells converge, separate, have a zero
+    feature column (singular Hessian) or are too small to fit."""
+    rng = np.random.default_rng(seed)
+    parts = []
+
+    def cell(s, a, x, y):
+        parts.append((x, y, np.full(len(y), a), np.full(len(y), s)))
+
+    for a in (0, 1):  # noisy outcomes: converged problems
+        x = rng.normal(0, 1, (60, 2))
+        cell(0, a, x, x @ [1.0, -0.5] + rng.normal(0, 1, 60))
+    x = rng.normal(0, 1, (40, 2))  # outcome a function of x1: separated
+    cell(1, 1, x, 3.0 * x[:, 0])
+    # No row has both covariates above their medians, so the threshold
+    # product column is zero in this cell.
+    x = rng.normal(0, 1, (50, 2))
+    x[::2, 0] = -2.0 - np.abs(x[::2, 0])
+    x[1::2, 1] = -2.0 - np.abs(x[1::2, 1])
+    cell(1, 0, x, x @ [1.0, 0.5] + rng.normal(0, 1, 50))
+    x = rng.normal(0, 1, (4, 2))  # too small: degraded
+    cell(2, 1, x, rng.normal(0, 1, 4))
+    x = rng.normal(0, 1, (50, 2))
+    cell(2, 0, x, x[:, 1] + rng.normal(0, 1, 50))
+    x, y, a, s = (np.concatenate(c) for c in zip(*parts))
+    return Dataset.from_arrays(y, a, s, x)
+
+
+def _fit_quiet(fit, *args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fit(*args, **kwargs)
+
+
+def test_batched_logit_matches_per_problem_reference_on_mixed_batch():
+    ds = _mixed_logit_dataset()
+    st = index_strata(ds)
+    grid = QuantileGrid.of([0.25, 0.5, 0.75])
+    pilot = pilot_quantiles(ds, st, grid)
+    fm = build_sieve_map(ds.x, SieveSpec("roster"))
+    model = _fit_quiet(fit_np, ds, st, pilot, grid, fm)
+    H = fm.build(ds.x)
+    zero_col = fm.terms.index(next(t for t in fm.terms if t[0] == "thrprod"))
+    assert model.diagnostics["degraded"] == ((1, 2),)
+    separated = []
+    for s in range(st.n_strata):
+        for a in (1, 0):
+            rows = np.flatnonzero((ds.s == s) & (ds.a == a))
+            if rows.size < fm.width + 2:
+                assert all(model.coef[(a, s, ti)] is None for ti in range(len(grid)))
+                continue
+            Hc = H[rows]
+            for ti, tau in enumerate(grid):
+                y = (ds.y[rows] <= pilot.q(a, tau)).astype(float)
+                want, converged, sep = logit_fit_reference(Hc, y)
+                assert converged
+                if sep:
+                    separated.append((a, s, ti))
+                got = model.coef[(a, s, ti)]
+                ridge = 1e-4 / rows.size if sep else 0.0
+                score = Hc.T @ (y - expit(Hc @ got)) / rows.size - ridge * got
+                assert np.max(np.abs(score)) <= 1e-8
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert model.diagnostics["separated"] == tuple(separated)
+    assert any(key[:2] == (1, 1) for key in separated)
+    # The singular cell: its zero column keeps a zero (minimum-norm) coefficient.
+    singular = np.flatnonzero((ds.s == 1) & (ds.a == 0))
+    assert not H[singular, zero_col].any()
+    assert all(model.coef[(0, 1, ti)][zero_col] == 0.0 for ti in range(len(grid)))
+
+
+def test_fit_logit_cell_matches_per_problem_reference():
+    rng = np.random.default_rng(9)
+    for n, p in ((30, 2), (60, 4), (45, 6)):
+        H = np.column_stack([np.ones(n), rng.normal(0, 1, (n, p - 1))])
+        for y in ((rng.uniform(size=n) < expit(H[:, 1])).astype(float),
+                  (H[:, 1] > 0.0).astype(float)):
+            want, converged, separated = logit_fit_reference(H, y)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = fit_logit_cell(H, y)
+            messages = [str(w.message) for w in caught]
+            assert any("separated" in m for m in messages) == separated
+            assert any("score tolerance" in m for m in messages) == (not converged)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("method", ["ml", "np"])
+def test_batched_logit_coefficients_do_not_depend_on_chunking(monkeypatch, method):
+    latent = generate(DgpSpec("dgp1", 400), np.random.default_rng(12))
+    a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(13))
+    grid = QuantileGrid.of([0.25, 0.5, 0.75])
+    for ds in (Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x),
+               _mixed_logit_dataset()):
+        st = index_strata(ds)
+        pilot = pilot_quantiles(ds, st, grid)
+        fits = []
+        for budget in (1, 1 << 30):  # one cell per block; every cell in one block
+            monkeypatch.setattr(adjust, "_BLOCK_FLOATS", budget)
+            fits.append(_fit_quiet(fit_adjustment, method, ds, st, pilot, grid))
+        small, large = fits
+        assert small.diagnostics == large.diagnostics
+        assert small.coef.keys() == large.coef.keys()
+        for key, th in large.coef.items():
+            if th is None:
+                assert small.coef[key] is None
+            else:
+                assert np.max(np.abs(small.coef[key] - th)) <= 1e-12 * np.max(np.abs(th))
 
 
 # -- LP ---------------------------------------------------------------------
@@ -383,6 +500,31 @@ def test_lpml_zero_variance_column_coefficient_forced_zero():
         assert th[1] == 0.0
     out = model.evaluate_all(1, 0.5, ds)
     assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("seed,method,base", [(2, "lpml", "ml"), (3, "lpmlx", "mlx")])
+def test_lpml_qte_ignores_rounding_size_changes_of_logistic_coefficients(seed, method, base):
+    # Saturated probability columns have a cell sd of rounding size; before
+    # such columns counted as constant, dividing by that sd let a 1e-13
+    # relative change of the logistic coefficients move these estimates.
+    latent = generate(DgpSpec("dgp1", 400), np.random.default_rng(seed))
+    a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(100 + seed))
+    ds = Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
+    st = index_strata(ds)
+    grid = QuantileGrid.of([0.25, 0.5, 0.75])
+    pilot = pilot_quantiles(ds, st, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ml = fit_adjustment(base, ds, st, pilot, grid)
+        bumped = dataclasses.replace(
+            ml,
+            coef={k: None if th is None else th * (1.0 + 1e-13) for k, th in ml.coef.items()},
+        )
+        model = fit_adjustment(method, ds, st, pilot, grid, ml_model=ml)
+        moved = fit_adjustment(method, ds, st, pilot, grid, ml_model=bumped)
+    assert model.diagnostics["zero_variance"]
+    assert model.diagnostics == moved.diagnostics
+    assert np.array_equal(qte(ds, st, model, grid).qte, qte(ds, st, moved, grid).qte)
 
 
 def test_lpml_reusing_fitted_logistic_model_equals_standalone_fit():

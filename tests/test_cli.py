@@ -98,6 +98,79 @@ def test_config_file_with_flag_precedence(experiment_csv, tmp_path):
     assert report["seed"] == 9    # config fills the gap
 
 
+@pytest.mark.parametrize("key", ["func", "command", "config"])
+def test_config_reserved_keys_are_data_errors(experiment_csv, tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    out = tmp_path / "r.json"
+    code = main(["estimate", "--input", experiment_csv, "--config", str(cfg),
+                 "--out", str(out)])
+    assert code == 3
+    assert "reserved" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cfg,field,want",
+    [
+        ({"B": "50"}, "B", 50),
+        ({"B": 40.0}, "B", 40),
+        ({"alpha": "0.1"}, "alpha", 0.1),
+        ({"null": 1}, "null", 1.0),
+        ({"taus": 0.5}, "taus", [0.5]),
+        ({"taus": "0.25,0.75"}, "taus", [0.25, 0.75]),
+    ],
+)
+def test_config_values_are_coerced_through_option_types(experiment_csv, tmp_path, cfg,
+                                                        field, want):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"B": 20, **cfg}))
+    out = tmp_path / "r.json"
+    code = main(["estimate", "--input", experiment_csv, "--config", str(path),
+                 "--out", str(out)])
+    assert code == 0
+    got = json.loads(out.read_text())["config"][field]
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"B": 2.5},          # non-integral value for an int option
+        {"B": "2.5"},
+        {"B": True},         # valued options take no booleans
+        {"B": [50]},
+        {"seed": None},      # only options without a default take null
+        {"alpha": "five"},
+        {"uniform": "yes"},  # flags take booleans only
+        {"adjust": "ols"},   # outside the option's choices
+        {"pi": {"fixed": 0.5}},
+        {"taus": [{"tau": 0.5}]},
+    ],
+)
+def test_config_bad_values_are_data_errors(experiment_csv, tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "r.json"
+    code = main(["estimate", "--input", experiment_csv, "--config", str(path),
+                 "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "config key" in err or "quantile list" in err
+    assert not out.exists()
+
+
+def test_config_coerces_simulate_options(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"reps": "2", "n": 80.0, "B": "20", "mc-reps": 2,
+                               "workers": "1"}))
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "sim.csv.config.json").read_text())
+    assert sidecar["config"]["reps"] == 2
+    assert sidecar["config"]["n"] == 80
+
+
 def test_estimate_lasso_with_overrides(experiment_csv, tmp_path):
     out = str(tmp_path / "lasso.json")
     code = main([
@@ -171,8 +244,10 @@ def test_alpha_outside_unit_interval_is_data_error(experiment_csv, tmp_path, cap
 
 
 # sha256 of the table written by the command below before all methods shared
-# one bootstrap pass per replication (numpy 2.4, scipy 1.17, OpenBLAS 0.3.31).
-PAPER_TABLE_SHA256 = "ecb66e336f7e71b2e8972d62c217990486b070f20149682a421adbc760474944"
+# one bootstrap pass per replication (numpy 2.4, scipy 1.17, OpenBLAS 0.3.31),
+# re-recorded when lpml/lpmlx started to treat probability columns with a
+# cell sd <= 1e-8 as constant.
+PAPER_TABLE_SHA256 = "f1f26e726bc146893ad154e54b4ddffd655506cb2c2008a21865a54312c209d2"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

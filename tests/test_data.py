@@ -161,6 +161,21 @@ def test_csv_round_trip(tmp_path):
     assert ds.y.tolist() == [1.5, 2.5, 0.5, 3.5]
 
 
+def test_csv_with_utf8_byte_order_mark(tmp_path):
+    body = "y,a,s,x1\n1.5,1,u,0.1\n2.5,0,u,0.3\n0.5,1,v,0.0\n3.5,0,v,1\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(body, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    want, got = load_csv(plain), load_csv(marked)
+    assert got.strata_labels == want.strata_labels
+    for name in ("y", "a", "s", "x"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    # Error messages still count lines from the header.
+    marked.write_bytes(b"\xef\xbb\xbf" + (body + "1.0,1,u,oops\n").encode("utf-8"))
+    with pytest.raises(DataValidationError, match=r":6: column 'x1' is not a float"):
+        load_csv(marked)
+
+
 @pytest.mark.parametrize(
     "body",
     [
