@@ -43,7 +43,6 @@ from .data import (
     WeightVector,
     index_strata,
     load_csv,
-    validate_for_estimation,
 )
 from .dgp import DgpSpec, PotentialData, cached_true_qte, generate, true_qte_oracle
 from .errors import (

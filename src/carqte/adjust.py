@@ -246,21 +246,27 @@ class AdjustmentModel:
         if self.n_strata is not None and not (0 <= s < self.n_strata):
             raise UnknownStratumError(f"stratum code {s} outside fitted range")
 
-    def evaluate_all(self, arm: int, tau: float, dataset: Dataset) -> np.ndarray:
-        """Adjustment values for every row of a dataset at one (arm, tau)."""
-        ti = self.tau_index(tau)
-        n = dataset.n
+    def evaluate_all(self, arm: int, grid, dataset: Dataset) -> np.ndarray:
+        """Adjustment values for every row of a dataset at one arm.
+
+        Returns an ``(n, len(grid))`` matrix with one column per tau of
+        ``grid``.  The feature matrix is built once and each stratum's rows
+        are gathered once, for all taus.
+        """
+        cols = [(self.tau_index(tau), float(tau)) for tau in grid]
+        out = np.zeros((dataset.n, len(cols)))
         if self.method == "na":
-            return np.zeros(n)
+            return out
         if self.n_strata is not None and dataset.n_strata > self.n_strata:
             raise UnknownStratumError("dataset has strata the model was not fitted on")
         H = self.feature_map.build(dataset.x)
-        out = np.zeros(n)
         for s in range(dataset.n_strata):
             rows = np.flatnonzero(dataset.s == s)
             if rows.size == 0:
                 continue
-            out[rows] = self._eval_cell(arm, s, ti, tau, H[rows])
+            H_s = H[rows]
+            for j, (ti, tau) in enumerate(cols):
+                out[rows, j] = self._eval_cell(arm, s, ti, tau, H_s)
         return out
 
     def evaluate(self, arm: int, tau: float, s: int, x_row: np.ndarray) -> float:

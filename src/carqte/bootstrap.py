@@ -12,7 +12,7 @@ tests, and uniform bands.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -79,7 +79,8 @@ class InferenceResult:
     """Point estimate with bootstrap standard error, CI/band, and decision.
 
     Fields are scalars for pointwise/difference tests and per-tau arrays for
-    the uniform band.  ``reject`` is None when no null value was supplied.
+    the uniform band.  ``reject`` is None when no null value was supplied;
+    :meth:`rejects` decides any other null from the same result.
     """
 
     estimate: object
@@ -90,6 +91,28 @@ class InferenceResult:
     alpha: float
     reject: object = None
     null_value: object = None
+
+    def rejects(self, null_value) -> bool:
+        """Whether the test rejects ``null_value``.
+
+        A scalar test is a Wald test, which at a zero standard error reduces
+        to an equality check of the estimate; a band rejects a null function
+        that leaves it at some grid point.
+        """
+        if np.ndim(self.estimate) == 0:
+            if self.se == 0.0:
+                return bool(self.estimate != null_value)
+            return bool(abs(self.estimate - null_value) / self.se >= self.critical_value)
+        nv = np.asarray(null_value, dtype=np.float64)
+        if nv.shape != np.shape(self.estimate):
+            raise DataValidationError("null function must match the grid length")
+        return bool(np.any((nv < self.ci_lower) | (nv > self.ci_upper)))
+
+    def _tested(self, null_value) -> "InferenceResult":
+        """This result with its decision on ``null_value`` (none when None)."""
+        if null_value is None:
+            return self
+        return replace(self, reject=self.rejects(null_value), null_value=null_value)
 
 
 def draw_weights(n: int, rng: np.random.Generator) -> WeightVector:
@@ -212,25 +235,13 @@ def pointwise_test(
     se = bootstrap_se(draws_at_tau)
     z_lo, z_hi = _normal_critical_values(alpha)
     if se == 0.0:
-        reject = None if null_value is None else bool(estimate != null_value)
-        return InferenceResult(
-            estimate=float(estimate), se=0.0, ci_lower=float(estimate),
-            ci_upper=float(estimate), critical_value=float(z_hi), alpha=alpha,
-            reject=reject, null_value=null_value,
-        )
-    reject = None
-    if null_value is not None:
-        reject = bool(abs(estimate - null_value) / se >= z_hi)
+        se, lower, upper = 0.0, float(estimate), float(estimate)
+    else:
+        lower, upper = float(estimate + z_lo * se), float(estimate + z_hi * se)
     return InferenceResult(
-        estimate=float(estimate),
-        se=se,
-        ci_lower=float(estimate + z_lo * se),
-        ci_upper=float(estimate + z_hi * se),
-        critical_value=float(z_hi),
-        alpha=alpha,
-        reject=reject,
-        null_value=null_value,
-    )
+        estimate=float(estimate), se=se, ci_lower=lower, ci_upper=upper,
+        critical_value=float(z_hi), alpha=alpha,
+    )._tested(null_value)
 
 
 def difference_test(
@@ -292,21 +303,11 @@ def uniform_band(
         center = np.quantile(d[:, ok], 0.5, axis=0, method="linear")
         stud = np.abs((d[:, ok] - center) / se[ok])
         crit = sup_critical_value(stud.max(axis=1), alpha)
-    lower = est - crit * se
-    upper = est + crit * se
-    reject = None
-    if null_values is not None:
-        nv = np.asarray(null_values, dtype=np.float64)
-        if nv.shape != est.shape:
-            raise DataValidationError("null function must match the grid length")
-        reject = bool(np.any((nv < lower) | (nv > upper)))
     return InferenceResult(
         estimate=est,
         se=se,
-        ci_lower=lower,
-        ci_upper=upper,
+        ci_lower=est - crit * se,
+        ci_upper=est + crit * se,
         critical_value=float(crit),
         alpha=alpha,
-        reject=reject,
-        null_value=null_values,
-    )
+    )._tested(null_values)

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .adjust import METHODS, LassoConfig, fit_adjustment
 from .bootstrap import difference_test, pointwise_test, run_bootstrap, uniform_band
-from .data import QuantileGrid, index_strata, load_csv, validate_for_estimation
+from .data import QuantileGrid, index_strata, load_csv
 from .dgp import DGP_KINDS, DgpSpec
 from .errors import CarqteError, DataValidationError, NumericalError
 from .estimator import pilot_quantiles, qte  # noqa: F401 - perfbench traces cli.qte
@@ -177,9 +177,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     diff = _parse_diff(args.diff, grid) if args.diff else None
     dataset = load_csv(args.input)
     stats = index_strata(dataset, target_pi=args.target_pi)
-    degenerate = validate_for_estimation(stats)
-    if degenerate:
-        labels = [dataset.strata_labels[i] for i in degenerate]
+    if stats.degenerate:
+        labels = [dataset.strata_labels[i] for i in stats.degenerate]
         raise DataValidationError(
             f"strata without treated or control units: {labels}; "
             "estimation would divide by a zero treated fraction"

@@ -9,6 +9,7 @@ safe to share across workers.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -20,6 +21,11 @@ from .errors import DataValidationError, EmptyStratumError
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _check_finite(y: np.ndarray, x: np.ndarray) -> None:
+    if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
+        raise DataValidationError("non-finite values in y or x")
 
 
 @dataclass(frozen=True)
@@ -52,26 +58,35 @@ class Dataset:
             raise DataValidationError("y, a, s must be 1-D and x 2-D")
         if a.shape[0] != n or s_in.shape[0] != n or x.shape[0] != n:
             raise DataValidationError("y, a, s, x must share the same number of rows")
-        if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
-            raise DataValidationError("non-finite values in y or x")
+        _check_finite(y, x)
         a_f = np.asarray(a, dtype=np.float64)
         if not np.all((a_f == 0.0) | (a_f == 1.0)):
             raise DataValidationError("treatment indicator a must be exactly 0 or 1")
-        a_i = a_f.astype(np.int64)
-
         labels = list(dict.fromkeys(s_in.tolist()))
-        try:
-            labels = sorted(labels)
-        except TypeError:
-            pass  # mixed label types: keep first-appearance order
         code_of = {lab: k for k, lab in enumerate(labels)}
         codes = np.fromiter((code_of[v] for v in s_in.tolist()), dtype=np.int64, count=n)
+        return cls._from_codes(y.copy(), a_f.astype(np.int64), codes, labels, x.copy())
+
+    @classmethod
+    def _from_codes(cls, y, a, codes, labels, x) -> "Dataset":
+        """Dataset from stratum codes in first-appearance order of ``labels``.
+
+        The codes are renumbered so that labels come in sorted order; labels
+        of mixed types that do not sort keep their first-appearance order.
+        The arrays are taken over, not copied.
+        """
+        try:
+            order = sorted(range(len(labels)), key=labels.__getitem__)
+        except TypeError:
+            order = list(range(len(labels)))
+        rank = np.empty(len(labels), dtype=np.int64)
+        rank[order] = np.arange(len(labels))
         return cls(
-            y=_readonly(y.copy()),
-            a=_readonly(a_i),
-            s=_readonly(codes),
-            x=_readonly(x.copy()),
-            strata_labels=tuple(labels),
+            y=_readonly(y),
+            a=_readonly(a),
+            s=_readonly(rank[codes]),
+            x=_readonly(x),
+            strata_labels=tuple(labels[k] for k in order),
         )
 
     @property
@@ -270,16 +285,12 @@ def index_strata(
     )
 
 
-def validate_for_estimation(stats: StrataStats) -> list[int]:
-    """Stratum codes whose treated or control cell is empty (by count or mass)."""
-    return list(stats.degenerate)
-
-
 # ---------------------------------------------------------------------------
 # CSV input
 # ---------------------------------------------------------------------------
 
 _REQUIRED_COLUMNS = ("y", "a", "s")
+_TREATMENT_CODES = {"0": 0.0, "1": 1.0}
 
 
 def load_csv(path) -> Dataset:
@@ -288,12 +299,18 @@ def load_csv(path) -> Dataset:
     ``y`` must parse as float, ``a`` as the integers 0/1, ``s`` is kept as a
     string label.  Every remaining column is treated as a float covariate, in
     file order.  Missing or non-finite values are rejected.  A leading UTF-8
-    byte order mark, as spreadsheet exports write it, is skipped.
+    byte order mark, as spreadsheet exports write it, is skipped.  Fields
+    may be quoted with ``"``; numbers are read by numpy's float parser.
+
+    The body is parsed in one ``np.loadtxt`` pass.  The row checks of
+    :func:`_first_bad_line` run only when that pass fails, when it returns
+    other than one row per body line (``loadtxt`` skips blank lines, which
+    are an error here), or when the file holds a separator character; they
+    name the first bad line.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DataValidationError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
@@ -303,42 +320,121 @@ def load_csv(path) -> Dataset:
         pos = {name: i for i, name in enumerate(header)}
         if len(pos) != len(header):
             raise DataValidationError(f"{path}: duplicate column names")
-        x_cols = [h for h in header if h not in _REQUIRED_COLUMNS]
+        labels: dict[str, int] = {}
 
-        ys: list[float] = []
-        as_: list[int] = []
-        ss: list[str] = []
-        xs: list[list[float]] = []
+        def stratum_code(label: str) -> float:
+            if label == "":
+                raise ValueError("empty stratum label")
+            return float(labels.setdefault(label, len(labels)))  # loadtxt stores floats fastest
+
+        converters = {
+            pos["a"]: _CellCodes(_treatment_code).__getitem__,
+            pos["s"]: _CellCodes(stratum_code).__getitem__,
+        }
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                    converters=converters,
+                )
+        except ValueError as exc:
+            raise DataValidationError(_first_bad_line(path, header) or f"{path}: {exc}") from None
+    lines, separators = _scan_lines(path)
+    if separators or table.shape != (lines - 1, len(header)):
+        message = _first_bad_line(path, header)
+        if message is not None:
+            raise DataValidationError(message)
+    if table.shape[0] == 0:
+        raise DataValidationError(f"{path}: no data rows")
+    y = table[:, pos["y"]].copy()
+    x = np.take(table, [pos[h] for h in header if h not in _REQUIRED_COLUMNS], axis=1)
+    _check_finite(y, x)
+    return Dataset._from_codes(
+        y, table[:, pos["a"]].astype(np.int64), table[:, pos["s"]].astype(np.int64),
+        list(labels), x,
+    )
+
+
+class _CellCodes(dict):
+    """Cell text -> code, for the ``np.loadtxt`` converters of ``a`` and ``s``.
+
+    ``__getitem__`` is the converter: a text seen before costs one dict
+    lookup, and a new one is stripped and coded by ``code``, which raises
+    ValueError on a bad cell.
+    """
+
+    def __init__(self, code):
+        super().__init__()
+        self._code = code
+
+    def __missing__(self, cell: str):
+        value = self[cell] = self._code(cell.strip())
+        return value
+
+
+def _treatment_code(value: str) -> float:
+    try:
+        return _TREATMENT_CODES[value]
+    except KeyError:
+        raise ValueError("treatment must be 0 or 1") from None
+
+
+# numpy's float parser skips these separator characters around a number, as
+# str.strip() does; float() does not, so an outcome padded with them is bad.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _scan_lines(path) -> tuple[int, bool]:
+    r"""(lines, whether a \x1c-\x1f separator occurs) of a file.
+
+    Lines end at \n, \r\n or a lone \r, as ``csv`` reads them.
+    """
+    lines = 0
+    separators = False
+    last = b""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last.endswith(b"\r") and chunk.startswith(b"\n"):
+                lines -= 1  # a \r\n split across two chunks
+            separators = separators or any(sep in chunk for sep in _SEPARATORS)
+            last = chunk
+    if last and not last.endswith((b"\n", b"\r")):
+        lines += 1
+    return lines, separators
+
+
+def _first_bad_line(path, header: list[str]) -> str | None:
+    """Message naming the first body line the row rules reject, else None.
+
+    These are the loader's rules, checked row by row; they run only when the
+    columnar parse in :func:`load_csv` fails or its result is in doubt.
+    """
+    pos = {name: i for i, name in enumerate(header)}
+    x_cols = [h for h in header if h not in _REQUIRED_COLUMNS]
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise DataValidationError(f"{path}:{lineno}: wrong number of fields")
+                return f"{path}:{lineno}: wrong number of fields"
             try:
-                yv = float(row[pos["y"]])
+                float(row[pos["y"]])
             except ValueError:
-                raise DataValidationError(f"{path}:{lineno}: column 'y' is not a float") from None
-            av_raw = row[pos["a"]].strip()
-            if av_raw not in ("0", "1"):
-                raise DataValidationError(f"{path}:{lineno}: column 'a' must be 0 or 1")
-            sv = row[pos["s"]].strip()
-            if sv == "":
-                raise DataValidationError(f"{path}:{lineno}: column 's' is empty")
-            xrow = []
+                return f"{path}:{lineno}: column 'y' is not a float"
+            if row[pos["a"]].strip() not in _TREATMENT_CODES:
+                return f"{path}:{lineno}: column 'a' must be 0 or 1"
+            if row[pos["s"]].strip() == "":
+                return f"{path}:{lineno}: column 's' is empty"
             for c in x_cols:
                 cell = row[pos[c]].strip()
                 if cell == "":
-                    raise DataValidationError(f"{path}:{lineno}: missing value in column '{c}'")
+                    return f"{path}:{lineno}: missing value in column '{c}'"
                 try:
-                    xrow.append(float(cell))
+                    float(cell)
                 except ValueError:
-                    raise DataValidationError(
-                        f"{path}:{lineno}: column '{c}' is not a float"
-                    ) from None
-            ys.append(yv)
-            as_.append(int(av_raw))
-            ss.append(sv)
-            xs.append(xrow)
-
-    if not ys:
-        raise DataValidationError(f"{path}: no data rows")
-    x = np.asarray(xs, dtype=np.float64) if x_cols else np.empty((len(ys), 0))
-    return Dataset.from_arrays(np.asarray(ys), np.asarray(as_), np.asarray(ss, dtype=object), x)
+                    return f"{path}:{lineno}: column '{c}' is not a float"
+    return None

@@ -181,7 +181,7 @@ class _Solver:
 def _model_solver(dataset: Dataset, models, grid: QuantileGrid) -> _Solver:
     """Solver over the adjustments of ``models``, evaluated on every row."""
     m_by_arm = {
-        arm: np.column_stack([m.evaluate_all(arm, t, dataset) for m in models for t in grid])
+        arm: np.column_stack([m.evaluate_all(arm, grid, dataset) for m in models])
         for arm in (1, 0)
     }
     return _Solver(dataset, np.tile(tuple(grid), len(models)), m_by_arm)
@@ -214,7 +214,7 @@ def qte(
 ) -> QteEstimate:
     """Adjusted QTE curve: per-tau difference of the two arm solutions.
 
-    The model is evaluated on the dataset rows once per (arm, tau); with
+    The model is evaluated on the dataset rows once per arm; with
     bootstrap weights the treated fractions are recomputed from the weights
     while the fitted adjustment stays fixed.
     """

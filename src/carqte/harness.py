@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjust import LOGIT_BASE, METHODS, LassoConfig, fit_adjustment
-from .bootstrap import bootstrap_se, difference_test, pointwise_test, run_bootstrap, uniform_band
+from .bootstrap import difference_test, pointwise_test, run_bootstrap, uniform_band
 from .data import Dataset, QuantileGrid, index_strata
 from .dgp import DgpSpec, cached_true_qte, generate
 from .errors import CarqteError, DataValidationError
@@ -124,36 +124,31 @@ def _run_one_rep(spec: ScenarioSpec, truth: np.ndarray, rep: int) -> dict:
         dataset, stats, [models[m] for m in spec.methods], grid, spec.B, boot_rng,
         pi_source=spec.pi_source, fixed_pi=spec.fixed_pi,
     )
+    # Each inference result is computed once and decides both the size null
+    # (the truth) and the power null (the truth shifted by delta).
     out: dict = {}
     for method, draws in zip(spec.methods, boot):
         est = draws.point.qte
         for j, tau in enumerate(taus):
-            col = draws.draws[:, j]
-            r0 = pointwise_test(est[j], col, truth[j], spec.alpha).reject
-            r1 = pointwise_test(est[j], col, truth[j] + spec.delta, spec.alpha).reject
+            res = pointwise_test(est[j], draws.draws[:, j], None, spec.alpha)
             out[(method, f"pointwise@{tau:g}")] = (
-                float(r0), float(r1), float(est[j] - truth[j]), bootstrap_se(col),
+                float(res.rejects(truth[j])), float(res.rejects(truth[j] + spec.delta)),
+                float(est[j] - truth[j]), res.se,
             )
         if len(taus) >= 2:
             dname = f"diff({taus[-1]:g},{taus[0]:g})"
             dtruth = truth[-1] - truth[0]
-            d0 = difference_test(
-                est[-1], est[0], draws.draws[:, -1], draws.draws[:, 0],
-                dtruth, spec.alpha,
-            )
-            d1 = difference_test(
-                est[-1], est[0], draws.draws[:, -1], draws.draws[:, 0],
-                dtruth + spec.delta, spec.alpha,
+            d = difference_test(
+                est[-1], est[0], draws.draws[:, -1], draws.draws[:, 0], None, spec.alpha,
             )
             out[(method, dname)] = (
-                float(d0.reject), float(d1.reject),
-                float((est[-1] - est[0]) - dtruth), d0.se,
+                float(d.rejects(dtruth)), float(d.rejects(dtruth + spec.delta)),
+                float((est[-1] - est[0]) - dtruth), d.se,
             )
-            u0 = uniform_band(est, draws.draws, spec.alpha, truth)
-            u1 = uniform_band(est, draws.draws, spec.alpha, truth + spec.delta)
+            u = uniform_band(est, draws.draws, spec.alpha)
             out[(method, "uniform")] = (
-                float(u0.reject), float(u1.reject),
-                float(np.mean(est - truth)), float(np.mean(u0.se)),
+                float(u.rejects(truth)), float(u.rejects(truth + spec.delta)),
+                float(np.mean(est - truth)), float(np.mean(u.se)),
             )
     return out
 

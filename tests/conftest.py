@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 from scipy.special import expit
 
-from carqte import ArmQuantileProblem, Dataset, WeightVector, index_strata, solve_arm_quantile
+from carqte import (
+    ArmQuantileProblem,
+    Dataset,
+    DataValidationError,
+    WeightVector,
+    index_strata,
+    solve_arm_quantile,
+)
 from carqte.adjust import _SCORE_TOL, _SEPARATION_CAP
 from carqte.data import weighted_arm_counts
 
@@ -106,8 +115,8 @@ class TableModel:
     def __init__(self, values):
         self.values = {(a, float(t)): np.asarray(v, float) for (a, t), v in values.items()}
 
-    def evaluate_all(self, arm, tau, dataset):
-        return self.values[(arm, float(tau))]
+    def evaluate_all(self, arm, grid, dataset):
+        return np.column_stack([self.values[(arm, float(t))] for t in grid])
 
     def shifted(self, dataset, shifts):
         """New model with per-(arm, stratum) constants added."""
@@ -164,3 +173,60 @@ def logit_fit_reference(H, y):
     if separated:
         theta, converged, _ = logit_newton(H, y, 1e-4 / H.shape[0])
     return theta, converged, separated
+
+
+def load_csv_reference(path):
+    """The row-by-row CSV loader: the reference for ``carqte.load_csv``.
+
+    Reads each record with ``csv``, converts ``y`` and the covariates with
+    ``float()`` and stops at the first bad line, naming it.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataValidationError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        for col in ("y", "a", "s"):
+            if col not in header:
+                raise DataValidationError(f"{path}: missing required column '{col}'")
+        pos = {name: i for i, name in enumerate(header)}
+        if len(pos) != len(header):
+            raise DataValidationError(f"{path}: duplicate column names")
+        x_cols = [h for h in header if h not in ("y", "a", "s")]
+
+        ys, as_, ss, xs = [], [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataValidationError(f"{path}:{lineno}: wrong number of fields")
+            try:
+                yv = float(row[pos["y"]])
+            except ValueError:
+                raise DataValidationError(f"{path}:{lineno}: column 'y' is not a float") from None
+            av_raw = row[pos["a"]].strip()
+            if av_raw not in ("0", "1"):
+                raise DataValidationError(f"{path}:{lineno}: column 'a' must be 0 or 1")
+            sv = row[pos["s"]].strip()
+            if sv == "":
+                raise DataValidationError(f"{path}:{lineno}: column 's' is empty")
+            xrow = []
+            for c in x_cols:
+                cell = row[pos[c]].strip()
+                if cell == "":
+                    raise DataValidationError(f"{path}:{lineno}: missing value in column '{c}'")
+                try:
+                    xrow.append(float(cell))
+                except ValueError:
+                    raise DataValidationError(
+                        f"{path}:{lineno}: column '{c}' is not a float"
+                    ) from None
+            ys.append(yv)
+            as_.append(int(av_raw))
+            ss.append(sv)
+            xs.append(xrow)
+
+    if not ys:
+        raise DataValidationError(f"{path}: no data rows")
+    x = np.asarray(xs, dtype=np.float64) if x_cols else np.empty((len(ys), 0))
+    return Dataset.from_arrays(np.asarray(ys), np.asarray(as_), np.asarray(ss, dtype=object), x)

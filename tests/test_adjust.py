@@ -498,7 +498,8 @@ def test_lpml_zero_variance_column_coefficient_forced_zero():
     model = fit_lpml(ds, st, pilot, GRID, ml_model=flat)
     for th in model.coef.values():
         assert th[1] == 0.0
-    out = model.evaluate_all(1, 0.5, ds)
+    out = model.evaluate_all(1, GRID, ds)
+    assert out.shape == (ds.n, len(GRID))
     assert np.all(np.isfinite(out))
 
 
@@ -550,10 +551,9 @@ def test_lpml_reusing_fitted_logistic_model_equals_standalone_fit():
             assert np.array_equal(reused.normalization[key][0], mean)
             assert np.array_equal(reused.normalization[key][1], sd)
         for arm in (0, 1):
-            for tau in grid:
-                assert np.array_equal(
-                    reused.evaluate_all(arm, tau, ds), alone.evaluate_all(arm, tau, ds)
-                )
+            assert np.array_equal(
+                reused.evaluate_all(arm, grid, ds), alone.evaluate_all(arm, grid, ds)
+            )
     ml = fit_adjustment("ml", ds, st, pilot, grid)
     with pytest.raises(DataValidationError, match="different feature map"):
         fit_adjustment("lpmlx", ds, st, pilot, grid, ml_model=ml)
@@ -685,7 +685,7 @@ def test_na_model_evaluates_to_zero_everywhere():
     assert model.evaluate(1, 0.5, 3, np.array([1.0, 2.0])) == 0.0
     rng = np.random.default_rng(17)
     ds = _two_strata_dataset(rng)
-    assert np.array_equal(model.evaluate_all(0, 0.5, ds), np.zeros(ds.n))
+    assert np.array_equal(model.evaluate_all(0, GRID, ds), np.zeros((ds.n, len(GRID))))
 
 
 def test_ml_zero_coefficients_give_tau_minus_half():

@@ -336,6 +336,25 @@ def test_uniform_band_null_function_decision():
     assert far.reject is True
 
 
+def test_one_result_decides_each_null_as_its_own_test_would():
+    rng = np.random.default_rng(21)
+    draws = rng.standard_normal((300, 3))
+    est = np.array([0.1, -0.2, 0.3])
+    for j in range(3):
+        res = pointwise_test(est[j], draws[:, j], None, 0.05)
+        assert res.reject is None
+        edge = est[j] + res.critical_value * res.se
+        for null in (est[j], est[j] + 0.1, est[j] - 5.0 * res.se, edge):
+            assert res.rejects(null) == pointwise_test(est[j], draws[:, j], null, 0.05).reject
+    flat = pointwise_test(1.0, np.full(20, 9.9), None, 0.05)  # zero SE: equality check
+    assert (flat.rejects(1.0), flat.rejects(1.1)) == (False, True)
+    band = uniform_band(est, draws, 0.05)
+    for null in (est, est + 0.05, est + np.array([0.0, 0.0, 10.0])):
+        assert band.rejects(null) == uniform_band(est, draws, 0.05, null).reject
+    with pytest.raises(DataValidationError, match="grid length"):
+        band.rejects(np.zeros(2))
+
+
 def test_empirical_quantile_convention():
     x = np.arange(1.0, 6.0)  # ranks 1..5
     # rank nu*(B-1)+1 = 0.25*4+1 = 2 exactly: second order statistic
