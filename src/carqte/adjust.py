@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtri
 
 from .data import Dataset, QuantileGrid, StrataStats
 from .errors import (
@@ -741,7 +740,7 @@ def penalty_level(n_cell: int, p_penalized: int, config: LassoConfig) -> float:
     else:
         tail = 0.1 / (4.0 * logn * p_penalized)
     tail = min(tail, 0.5)
-    return config.c * np.sqrt(n_cell) * norm.ppf(1.0 - tail)
+    return config.c * np.sqrt(n_cell) * ndtri(1.0 - tail)
 
 
 def _l1_kkt_residual(H, y, theta, lam):

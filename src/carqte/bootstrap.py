@@ -16,14 +16,14 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .data import Dataset, QuantileGrid, StrataStats, WeightVector, weighted_arm_counts
 from .errors import DataValidationError, DegenerateCellError, DegenerateWeightedCellError
 from .estimator import QteEstimate, _fixed_pis, _model_solver, _pi_by_stratum
 
 # Spread of the standard normal between the 2.5% and 97.5% critical values.
-_NORMAL_SPREAD = norm.ppf(0.975) - norm.ppf(0.025)
+_NORMAL_SPREAD = ndtri(0.975) - ndtri(0.025)
 
 # A bootstrap draw is discarded when an arm's weighted mass in some stratum
 # falls below this fraction of the stratum count.
@@ -218,7 +218,7 @@ def _normal_critical_values(alpha: float) -> tuple[float, float]:
     """(lower, upper) two-sided standard-normal critical values at level alpha."""
     if not (0.0 < alpha < 1.0):
         raise DataValidationError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    return norm.ppf(alpha / 2.0), norm.ppf(1.0 - alpha / 2.0)
+    return ndtri(alpha / 2.0), ndtri(1.0 - alpha / 2.0)
 
 
 def pointwise_test(

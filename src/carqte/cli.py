@@ -149,7 +149,7 @@ def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPar
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataValidationError(f"cannot read config {args.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise DataValidationError("config file must hold a JSON object")

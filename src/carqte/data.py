@@ -306,13 +306,17 @@ def load_csv(path) -> Dataset:
     :func:`_first_bad_line` run only when that pass fails, when it returns
     other than one row per body line (``loadtxt`` skips blank lines, which
     are an error here), or when the file holds a separator character; they
-    name the first bad line.
+    name the first bad line.  A byte that is not UTF-8 is read as a lone
+    surrogate, which no cell rule accepts, so such a file takes the same
+    path and is rejected at its first such line.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
             raise DataValidationError(f"{path}: empty file") from None
+        if not _is_utf8(header):
+            raise DataValidationError(f"{path}:1: not valid UTF-8")
         header = [h.strip() for h in header]
         for col in _REQUIRED_COLUMNS:
             if col not in header:
@@ -323,8 +327,8 @@ def load_csv(path) -> Dataset:
         labels: dict[str, int] = {}
 
         def stratum_code(label: str) -> float:
-            if label == "":
-                raise ValueError("empty stratum label")
+            if label == "" or not _is_utf8([label]):
+                raise ValueError("empty or undecodable stratum label")
             return float(labels.setdefault(label, len(labels)))  # loadtxt stores floats fastest
 
         converters = {
@@ -373,6 +377,15 @@ class _CellCodes(dict):
         return value
 
 
+def _is_utf8(cells: list[str]) -> bool:
+    """False when a cell holds a byte that UTF-8 could not decode."""
+    try:
+        "".join(cells).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _treatment_code(value: str) -> float:
     try:
         return _TREATMENT_CODES[value]
@@ -415,10 +428,12 @@ def _first_bad_line(path, header: list[str]) -> str | None:
     """
     pos = {name: i for i, name in enumerate(header)}
     x_cols = [h for h in header if h not in _REQUIRED_COLUMNS]
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         next(reader)
         for lineno, row in enumerate(reader, start=2):
+            if not _is_utf8(row):
+                return f"{path}:{lineno}: not valid UTF-8"
             if len(row) != len(header):
                 return f"{path}:{lineno}: wrong number of fields"
             try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .data import QuantileGrid
 from .errors import DataValidationError
@@ -108,8 +108,8 @@ def dgphd_outcomes(z, x, eps1, eps2, gamma: float = 4.0):
     return y1, y0
 
 
-def generate(spec: DgpSpec, rng: np.random.Generator) -> PotentialData:
-    """Draw one latent sample of size ``spec.n`` from the named design."""
+def _draw(spec: DgpSpec, rng: np.random.Generator):
+    """(z, x, y1, y0) of one sample of the named design, without strata."""
     n = spec.n
     if spec.kind == "dgp1":
         z = _standardized_beta22(rng, n)
@@ -128,10 +128,16 @@ def generate(spec: DgpSpec, rng: np.random.Generator) -> PotentialData:
         z = _standardized_beta22(rng, n)
         chol = np.linalg.cholesky(toeplitz_omega(20))
         w = rng.standard_normal((n, 20)) @ chol.T
-        x = norm.cdf(w)
+        x = ndtr(w)
         eps1 = rng.standard_normal(n)
         eps2 = rng.standard_normal(n)
         y1, y0 = dgphd_outcomes(z, x, eps1, eps2, spec.gamma)
+    return z, x, y1, y0
+
+
+def generate(spec: DgpSpec, rng: np.random.Generator) -> PotentialData:
+    """Draw one latent sample of size ``spec.n`` from the named design."""
+    z, x, y1, y0 = _draw(spec, rng)
     return PotentialData(z=z, s=strata_from_z(z, spec.kind), x=x, y1=y1, y0=y0)
 
 
@@ -173,8 +179,7 @@ def true_qte_oracle(
     inner = DgpSpec(spec.kind, mc_n, spec.gamma)
 
     def sampler(r: np.random.Generator):
-        d = generate(inner, r)
-        return d.y1, d.y0
+        return _draw(inner, r)[2:]
 
     return _oracle_from_sampler(sampler, tuple(grid), mc_reps, rng)
 
@@ -192,14 +197,18 @@ def cached_true_qte(
     seed: int = 0,
     cache_path: str | None = None,
 ) -> np.ndarray:
-    """Oracle truths with a small JSON sidecar cache keyed by all parameters."""
+    """Oracle truths with a small JSON sidecar cache keyed by all parameters.
+
+    A cache file that is not a UTF-8 JSON object, or whose entry for these
+    parameters is not one finite number per tau, raises DataValidationError
+    and is left as it is.
+    """
     key = _oracle_key(spec, grid, mc_n, mc_reps, seed)
     cache: dict = {}
     if cache_path and os.path.exists(cache_path):
-        with open(cache_path, encoding="utf-8") as fh:
-            cache = json.load(fh)
+        cache = _read_truth_cache(cache_path)
         if key in cache:
-            return np.asarray(cache[key], dtype=np.float64)
+            return _cached_truth(cache_path, cache[key], len(grid))
     truth = true_qte_oracle(spec, grid, mc_n, mc_reps, np.random.default_rng(seed))
     if cache_path:
         cache[key] = [float(v) for v in truth]
@@ -207,4 +216,27 @@ def cached_true_qte(
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(cache, fh, indent=2, sort_keys=True)
         os.replace(tmp, cache_path)
+    return truth
+
+
+def _read_truth_cache(cache_path: str) -> dict:
+    try:
+        with open(cache_path, encoding="utf-8") as fh:
+            cache = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataValidationError(f"cannot read truth cache {cache_path}: {exc}") from None
+    if not isinstance(cache, dict):
+        raise DataValidationError(f"truth cache {cache_path} must hold a JSON object")
+    return cache
+
+
+def _cached_truth(cache_path: str, entry, n_taus: int) -> np.ndarray:
+    try:
+        truth = np.asarray(entry, dtype=np.float64)
+    except (TypeError, ValueError):
+        truth = np.empty(0)
+    if truth.shape != (n_taus,) or not np.all(np.isfinite(truth)):
+        raise DataValidationError(
+            f"truth cache {cache_path}: entry is not {n_taus} finite numbers: {entry!r}"
+        )
     return truth

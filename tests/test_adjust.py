@@ -677,6 +677,20 @@ def test_penalty_forms_both_exposed():
     assert a > 0 and b > 0 and a != b
 
 
+@pytest.mark.parametrize("form", ["c31", "a9"])
+@pytest.mark.parametrize("n_cell,p", [(2, 1), (40, 3), (100, 20), (5000, 400)])
+def test_penalty_level_equals_norm_ppf_formula(form, n_cell, p):
+    from scipy.stats import norm
+
+    from carqte.adjust import penalty_level
+
+    cfg = LassoConfig(c=1.1, penalty_form=form)
+    logn = max(np.log(n_cell), 1.0)
+    tail = 1.0 / (p * logn) if form == "c31" else 0.1 / (4.0 * logn * p)
+    want = cfg.c * np.sqrt(n_cell) * norm.ppf(1.0 - min(tail, 0.5))
+    assert penalty_level(n_cell, p, cfg) == want
+
+
 # -- container semantics ----------------------------------------------------
 
 

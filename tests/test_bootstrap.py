@@ -371,6 +371,16 @@ def test_critical_values_reject_alpha_outside_unit_interval():
             pointwise_test(0.0, draws, 0.0, alpha)
 
 
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9, 1e-10])
+def test_normal_quantiles_equal_scipy_stats_norm(alpha):
+    # The package computes normal quantiles with scipy.special.ndtri, which
+    # is what norm.ppf calls; the values must match bit for bit.
+    assert bt._NORMAL_SPREAD == norm.ppf(0.975) - norm.ppf(0.025)
+    lo, hi = _normal_critical_values(alpha)
+    assert (lo, hi) == (norm.ppf(alpha / 2.0), norm.ppf(1.0 - alpha / 2.0))
+    assert type(lo) is type(norm.ppf(alpha / 2.0))
+
+
 def test_run_bootstrap_validation():
     ds, stt, grid = _fixture()
     with pytest.raises(DataValidationError):

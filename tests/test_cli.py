@@ -1,9 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import carqte
 from carqte import DgpSpec, generate
 from carqte.cli import main
 from carqte.randomization import SchemeSpec, assign
@@ -69,6 +76,33 @@ def test_estimate_degenerate_stratum_exit_code(tmp_path, capsys):
 
 def test_estimate_missing_file_exit_code(tmp_path):
     assert main(["estimate", "--input", str(tmp_path / "nope.csv")]) == 3
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs about half of the start-up of a fresh process.
+    code = "import sys, carqte, carqte.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(carqte.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_config_that_is_not_utf8_is_a_data_error(experiment_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe")
+    assert main(["estimate", "--input", experiment_csv, "--config", str(cfg)]) == 3
+    assert f"cannot read config {cfg}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"[1,2]", b"\xff"])
+def test_simulate_with_unreadable_truth_cache_is_a_data_error(tmp_path, capsys, content):
+    cache = tmp_path / "truth.json"
+    cache.write_bytes(content)
+    code = main(["simulate", "--reps", "2", "--B", "20", "--n", "80", "--mc-n", "200",
+                 "--mc-reps", "2", "--workers", "1", "--truth-cache", str(cache)])
+    assert code == 3
+    assert str(cache) in capsys.readouterr().err
+    assert cache.read_bytes() == content
 
 
 def test_unknown_adjust_is_usage_error(experiment_csv):
@@ -261,3 +295,55 @@ def test_simulate_paper_methods_table_is_pinned(tmp_path, workers):
     ])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_TABLE_SHA256
+
+
+# -- fuzzing the CSV boundary ---------------------------------------------------
+
+_ROWS = st.tuples(
+    st.sampled_from([b"0.5", b"-1", b"2.25", b"3", b"1e2", b"-0.0", b" 4 ", b"7"]),
+    st.sampled_from([b"0", b"1"]),
+    st.sampled_from([b"u", b"u", b"\xc3\xa9", b'"v,w"']),
+    st.sampled_from([b"0.1", b"-2", b"5e-3", b"1"]),
+).map(b",".join)
+
+
+@st.composite
+def _csv_bodies(draw):
+    """Mostly well-formed rows under ``y,a,s,x1``, then a few byte edits."""
+    body = bytearray(b"\n".join(draw(st.lists(_ROWS, min_size=8, max_size=24))))
+    edits = draw(st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 1),
+                                    st.binary(max_size=2)), max_size=2))
+    for at, cut, data in edits:
+        at %= len(body) + 1
+        body[at:at + cut] = data
+    return bytes(body)
+
+
+_BODIES = st.one_of(_csv_bodies(), st.binary(max_size=64))
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite constant {name} in output")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bom=st.booleans(), body=_BODIES)
+def test_any_csv_body_ends_in_a_documented_exit(tmp_path, bom, body):
+    # Arbitrary body bytes, invalid UTF-8 and NUL included, end in exit 0
+    # with strict JSON, 3 (bad data) or 4 (numerical failure).
+    path, out = tmp_path / "fuzz.csv", tmp_path / "fuzz.json"
+    path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + b"y,a,s,x1\n" + body)
+    out.unlink(missing_ok=True)
+    code = main(["estimate", "--input", str(path), "--taus", "0.25,0.5", "--B", "20",
+                 "--uniform", "--out", str(out)])
+    assert code in (0, 3, 4)
+    if code == 0:
+        report = _strict_json(out.read_text())
+        for row in report["pointwise"]:
+            assert row["ci"][0] <= row["estimate"] <= row["ci"][1]
+    else:
+        assert not out.exists()

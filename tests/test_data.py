@@ -179,6 +179,36 @@ def test_csv_with_utf8_byte_order_mark(tmp_path):
         load_csv(marked)
 
 
+_NOT_UTF8 = "not valid UTF-8"
+
+
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        (b"y,a,s\n1.0,1,u\n2.0,0,\xff\n", f":3: {_NOT_UTF8}"),
+        (b"y,a,s\n1.0,1,u\n2.\xff0,0,v\n", f":3: {_NOT_UTF8}"),
+        (b"y,a,\xffs\n1.0,1,u\n", f":1: {_NOT_UTF8}"),
+        (b"\xef\xbb\xbfy,a,s\n1.0,1,u\n\xc3,0,u\n", f":3: {_NOT_UTF8}"),
+        (b"y,a,s\n1.0,1,u\n2.0,0\n\xff,1,v\n", ":3: wrong number of fields"),
+        (b"y,a,s\n" + b"1.0,1,u\n" * 5000 + b"1.0,0,\xed\xa0\x80\n", f":5002: {_NOT_UTF8}"),
+    ],
+    ids=["label", "outcome", "header", "bom-then-cut-sequence", "earlier-bad-line-wins",
+         "late-encoded-surrogate"],
+)
+def test_csv_that_is_not_utf8_names_its_first_bad_line(tmp_path, raw, message):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(raw)
+    with pytest.raises(DataValidationError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}{message}"
+
+
+def test_csv_with_non_ascii_labels_still_loads(tmp_path):
+    path = tmp_path / "utf8.csv"
+    path.write_bytes("\ufeffy,a,s\n1.0,1,é\n2.0,0,é\n3.0,1,ü\n4.0,0,ü\n".encode("utf-8"))
+    assert load_csv(path).strata_labels == ("é", "ü")
+
+
 @pytest.mark.parametrize(
     "body",
     [

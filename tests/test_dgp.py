@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from carqte import DgpSpec, QuantileGrid, cached_true_qte, generate, true_qte_oracle
+from carqte import (
+    DataValidationError,
+    DgpSpec,
+    QuantileGrid,
+    cached_true_qte,
+    generate,
+    true_qte_oracle,
+)
 from carqte.dgp import (
     _oracle_from_sampler,
     dgp1_outcomes,
@@ -60,6 +67,15 @@ def test_dgphd_toeplitz_correlation():
     assert abs(r - 0.25) < 3 * se
 
 
+def test_dgphd_covariates_are_norm_cdf_of_the_same_draws():
+    n = 3000
+    data = generate(DgpSpec("dgphd", n), np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    rng.beta(2.0, 2.0, size=n)  # z
+    w = rng.standard_normal((n, 20)) @ np.linalg.cholesky(toeplitz_omega(20)).T
+    assert np.array_equal(data.x, norm.cdf(w))
+
+
 def test_toeplitz_omega_is_spd():
     omega = toeplitz_omega(20)
     assert np.array_equal(omega, omega.T)
@@ -72,6 +88,23 @@ def test_oracle_deterministic():
     a = true_qte_oracle(spec, grid, mc_n=500, mc_reps=2, rng=np.random.default_rng(9))
     b = true_qte_oracle(spec, grid, mc_n=500, mc_reps=2, rng=np.random.default_rng(9))
     assert np.array_equal(a, b)
+
+
+# Oracle truths recorded while the oracle still drew through ``generate``.
+# The oracle must draw the same stream: cached truths are keyed on the seed.
+PINNED_ORACLE = {
+    "dgp1": [-0.5726797423406345, 0.952437697814912, 2.4431684228973687],
+    "dgp2": [2.5788682551278086, 2.838902117267934, 3.5022611288581884],
+    "dgphd": [4.025651516040924, 4.16505160180943, 4.445179658752668],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_ORACLE))
+def test_oracle_truth_is_pinned(kind):
+    grid = QuantileGrid.of([0.25, 0.5, 0.75])
+    got = true_qte_oracle(DgpSpec(kind, 400), grid, mc_n=2000, mc_reps=5,
+                          rng=np.random.default_rng(11))
+    assert got.tolist() == PINNED_ORACLE[kind]
 
 
 def test_oracle_constant_shift_recovers_shift():
@@ -107,3 +140,35 @@ def test_cached_oracle_round_trip(tmp_path):
     second = cached_true_qte(spec, grid, mc_n=300, mc_reps=3, seed=1, cache_path=str(cache))
     assert second[0] == 123.0
     assert first[0] != 123.0
+
+
+@pytest.mark.parametrize(
+    "content,match",
+    [
+        (b"{not json", "cannot read truth cache"),
+        (b"[1,2]", "must hold a JSON object"),
+        (b"\xff", "cannot read truth cache"),
+    ],
+)
+def test_unreadable_truth_cache_is_a_data_error_and_kept(tmp_path, content, match):
+    cache = tmp_path / "truth.json"
+    cache.write_bytes(content)
+    with pytest.raises(DataValidationError, match=match):
+        cached_true_qte(DgpSpec("dgp1", 300), QuantileGrid.of([0.5]), mc_n=300,
+                        mc_reps=3, seed=1, cache_path=str(cache))
+    assert cache.read_bytes() == content
+
+
+@pytest.mark.parametrize("entry", ["abc", [1.0, 2.0], [None], [float("nan")], {"a": 1}])
+def test_bad_truth_cache_entry_is_a_data_error(tmp_path, entry):
+    cache = tmp_path / "truth.json"
+    spec, grid = DgpSpec("dgp1", 300), QuantileGrid.of([0.5])
+    cached_true_qte(spec, grid, mc_n=300, mc_reps=3, seed=1, cache_path=str(cache))
+    blob = json.loads(cache.read_text())
+    [key] = blob.keys()
+    blob[key] = entry
+    cache.write_text(json.dumps(blob))
+    before = cache.read_bytes()
+    with pytest.raises(DataValidationError, match="truth cache"):
+        cached_true_qte(spec, grid, mc_n=300, mc_reps=3, seed=1, cache_path=str(cache))
+    assert cache.read_bytes() == before
