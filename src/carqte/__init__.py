@@ -1,8 +1,6 @@
 """Regression-adjusted quantile treatment effects under covariate-adaptive
 randomization, with multiplier-bootstrap inference."""
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
 
 from .adjust import (
@@ -19,7 +17,6 @@ from .adjust import (
     fit_lpml,
     fit_ml,
     fit_none,
-    fit_np,
     hd_dictionary,
     logistic_features,
     raw_features,
@@ -40,7 +37,6 @@ from .data import (
     Dataset,
     QuantileGrid,
     StrataStats,
-    WeightVector,
     index_strata,
     load_csv,
 )
@@ -56,14 +52,7 @@ from .errors import (
     UnfittedTauError,
     UnknownStratumError,
 )
-from .estimator import (
-    ArmQuantileProblem,
-    PilotQuantiles,
-    QteEstimate,
-    pilot_quantiles,
-    qte,
-    solve_arm_quantile,
-)
+from .estimator import PilotQuantiles, QteEstimate, pilot_quantiles, qte
 from .harness import ScenarioResult, ScenarioSpec, emit_table, parse_table, run_scenario
 from .randomization import (
     SCHEME_KINDS,

@@ -77,33 +77,11 @@ class FeatureMap:
         return len(self.terms)
 
     @property
-    def has_intercept(self) -> bool:
-        return any(t[0] == "const" for t in self.terms)
-
-    @property
     def intercept_column(self) -> int | None:
         for i, t in enumerate(self.terms):
             if t[0] == "const":
                 return i
         return None
-
-    def names(self) -> tuple[str, ...]:
-        out = []
-        for t in self.terms:
-            tag = t[0]
-            if tag == "const":
-                out.append("1")
-            elif tag == "pow":
-                out.append(f"x{t[1] + 1}" if t[2] == 1 else f"x{t[1] + 1}^{t[2]}")
-            elif tag == "prod":
-                out.append(f"x{t[1] + 1}*x{t[2] + 1}")
-            elif tag == "thr":
-                out.append(f"x{t[1] + 1}>|{t[2]:g}")
-            elif tag == "thrprod":
-                out.append(f"x{t[1] + 1}>|{t[2]:g}*x{t[3] + 1}>|{t[4]:g}")
-            else:
-                out.append(f"(x{t[1] + 1}-{t[2]:g})+^{t[3]}")
-        return tuple(out)
 
     def build(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the map on an (n, d) covariate matrix."""
@@ -218,22 +196,25 @@ def build_sieve_map(x_matrix: np.ndarray, spec: SieveSpec) -> FeatureMap:
 class AdjustmentModel:
     """Fitted auxiliary regressions for every (arm, stratum, tau) cell.
 
-    ``coef`` maps ``(arm, stratum_code, tau_index)`` to a coefficient vector,
-    or ``None`` for a cell degraded to the zero adjustment.  The lpml family
-    additionally stores the underlying logistic coefficients and the per-cell
-    demeaning/scaling applied to the probability columns.
+    ``coef`` is a dense ``(arm, stratum, tau, p)`` array indexed by arm,
+    stratum code and tau index, and ``live`` the ``(arm, stratum, tau)``
+    mask of fitted cells; a cell outside it is degraded to the zero
+    adjustment and keeps zero coefficients.  The lpml family recombines two
+    logistic probability columns: ``base`` holds the logistic coefficients
+    in the same layout, and ``center``/``scale`` the ``(arm, stratum, tau,
+    2)`` cell means and standard deviations of the two columns.
     """
 
     method: str
     taus: tuple[float, ...]
-    n_strata: int | None
     feature_map: FeatureMap | None
-    coef: dict
-    ml_coef: dict | None = None
-    normalization: dict | None = None
+    coef: np.ndarray
+    live: np.ndarray
+    base: np.ndarray | None = None
+    center: np.ndarray | None = None
+    scale: np.ndarray | None = None
     support: dict | None = None
     diagnostics: dict = field(default_factory=dict)
-    hd_raw_mhat: bool = False
 
     def tau_index(self, tau: float) -> int:
         try:
@@ -241,64 +222,67 @@ class AdjustmentModel:
         except ValueError:
             raise UnfittedTauError(f"tau={tau} not in fitted grid {self.taus}") from None
 
-    def _check_stratum(self, s: int) -> None:
-        if self.n_strata is not None and not (0 <= s < self.n_strata):
-            raise UnknownStratumError(f"stratum code {s} outside fitted range")
+    def evaluate_all(self, grid, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """Adjustment values for every row of a dataset, at both arms.
 
-    def evaluate_all(self, arm: int, grid, dataset: Dataset) -> np.ndarray:
-        """Adjustment values for every row of a dataset at one arm.
-
-        Returns an ``(n, len(grid))`` matrix with one column per tau of
-        ``grid``.  The feature matrix is built once and each stratum's rows
-        are gathered once, for all taus.
+        Returns the pair of ``(n, len(grid))`` matrices indexed by arm
+        (control first), one column per tau of ``grid``.  The feature matrix
+        is built once, and each stratum's rows are gathered once for both
+        arms and all taus.
         """
         cols = [(self.tau_index(tau), float(tau)) for tau in grid]
-        out = np.zeros((dataset.n, len(cols)))
+        shape = (dataset.n, len(cols))
         if self.method == "na":
-            return out
-        if self.n_strata is not None and dataset.n_strata > self.n_strata:
+            return np.zeros(shape), np.zeros(shape)
+        if dataset.n_strata > self.live.shape[1]:
             raise UnknownStratumError("dataset has strata the model was not fitted on")
+        evaluate = _EVALUATORS[self.method]
+        # Features before outputs: the feature matrix can then reuse the block
+        # the fit freed, where outputs allocated first would split that block
+        # and add a feature matrix to the peak resident memory.
         H = self.feature_map.build(dataset.x)
+        out = np.zeros(shape), np.zeros(shape)
         for s in range(dataset.n_strata):
             rows = np.flatnonzero(dataset.s == s)
             if rows.size == 0:
                 continue
             H_s = H[rows]
             for j, (ti, tau) in enumerate(cols):
-                out[rows, j] = self._eval_cell(arm, s, ti, tau, H_s)
+                arms = np.flatnonzero(self.live[:, s, ti])
+                if arms.size == 0:
+                    continue
+                for arm, values in zip(arms, evaluate(self, H_s, s, ti, tau, arms)):
+                    out[arm][rows, j] = values
         return out
 
-    def evaluate(self, arm: int, tau: float, s: int, x_row: np.ndarray) -> float:
-        """Adjustment value at one point; 0 for degraded or ``na`` cells."""
-        ti = self.tau_index(tau)
-        if self.method == "na":
-            return 0.0
-        self._check_stratum(int(s))
-        H = self.feature_map.build(np.asarray(x_row, dtype=np.float64).reshape(1, -1))
-        return float(self._eval_cell(arm, int(s), ti, tau, H)[0])
 
-    def _eval_cell(self, arm: int, s: int, ti: int, tau: float, H: np.ndarray) -> np.ndarray:
-        theta = self.coef.get((arm, s, ti))
-        if theta is None:
-            return np.zeros(H.shape[0])
-        if self.method == "lp":
-            return tau - H @ theta
-        if self.method in ("ml", "mlx", "np"):
-            return tau - expit(H @ theta)
-        if self.method == "lasso":
-            p = expit(H @ theta)
-            return p if self.hd_raw_mhat else tau - p
-        if self.method in ("lpml", "lpmlx"):
-            th1 = self.ml_coef.get((1, s, ti))
-            th0 = self.ml_coef.get((0, s, ti))
-            if th1 is None or th0 is None:
-                return np.zeros(H.shape[0])
-            w = np.column_stack([expit(H @ th1), expit(H @ th0)])
-            mean, sd = self.normalization[(arm, s, ti)]
-            ok = sd > _ZERO_SD
-            wd = np.where(ok, (w - mean) / np.where(ok, sd, 1.0), 0.0)
-            return tau - wd @ theta
-        raise DataValidationError(f"unknown method {self.method!r}")  # pragma: no cover
+def _linear(model, H, s, ti, tau, arms):
+    """``tau - H theta`` for each arm: the linear probability family."""
+    return [tau - H @ model.coef[a, s, ti] for a in arms]
+
+
+def _logistic(model, H, s, ti, tau, arms):
+    """``tau - expit(H theta)`` for each arm: the logistic families."""
+    return [tau - expit(H @ model.coef[a, s, ti]) for a in arms]
+
+
+def _recombined(model, H, s, ti, tau, arms):
+    """lpml: both arms recombine the same two probability columns."""
+    w = np.column_stack([expit(H @ model.base[1, s, ti]), expit(H @ model.base[0, s, ti])])
+    out = []
+    for a in arms:
+        sd = model.scale[a, s, ti]
+        ok = sd > _ZERO_SD
+        wd = np.where(ok, (w - model.center[a, s, ti]) / np.where(ok, sd, 1.0), 0.0)
+        out.append(tau - wd @ model.coef[a, s, ti])
+    return out
+
+
+_EVALUATORS = {
+    "lp": _linear,
+    "ml": _logistic, "mlx": _logistic, "np": _logistic, "lasso": _logistic,
+    "lpml": _recombined, "lpmlx": _recombined,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +469,10 @@ def _cell_rows(dataset: Dataset, stats: StrataStats):
     return out
 
 
-def _degrade(coef: dict, a: int, s: int, n_taus: int) -> None:
-    for ti in range(n_taus):
-        coef[(a, s, ti)] = None
+def _cells(stats: StrataStats, taus: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero coefficients and an all-degraded mask for every (arm, stratum, tau) cell."""
+    shape = (2, stats.n_strata, len(taus))
+    return np.zeros(shape + (p,)), np.zeros(shape, dtype=bool)
 
 
 def _finish(model: AdjustmentModel, degraded: list) -> AdjustmentModel:
@@ -496,7 +481,7 @@ def _finish(model: AdjustmentModel, degraded: list) -> AdjustmentModel:
             f"{model.method}: {len(degraded)} cell(s) too small, degraded to zero adjustment",
             stacklevel=3,
         )
-        if all(v is None for v in model.coef.values()):
+        if not model.live.any():
             raise CellTooSmallError(f"{model.method}: every (arm, stratum) cell is too small")
     return model
 
@@ -508,8 +493,10 @@ def _finish(model: AdjustmentModel, degraded: list) -> AdjustmentModel:
 
 def fit_none(grid: QuantileGrid) -> AdjustmentModel:
     """The no-adjustment model: evaluates to zero everywhere."""
+    taus = tuple(grid)
     return AdjustmentModel(
-        method="na", taus=tuple(grid), n_strata=None, feature_map=None, coef={}
+        method="na", taus=taus, feature_map=None,
+        coef=np.zeros((2, 0, len(taus), 0)), live=np.zeros((2, 0, len(taus)), dtype=bool),
     )
 
 
@@ -525,29 +512,27 @@ def fit_lp(
     H = fm.build(dataset.x)
     p = fm.width
     taus = tuple(grid)
-    cells = _cell_rows(dataset, stats)
-    coef: dict = {}
+    coef, live = _cells(stats, taus, p)
     degraded: list = []
     singular: list = []
-    for (a, s), rows in cells.items():
+    for (a, s), rows in _cell_rows(dataset, stats).items():
         if rows.size < p + 2:
-            _degrade(coef, a, s, len(taus))
             degraded.append((a, s))
             continue
+        live[a, s] = True
         Hc = H[rows]
         wdot = Hc - Hc.mean(axis=0)
         for ti, tau in enumerate(taus):
             labels = (dataset.y[rows] <= pilot.q(a, tau)).astype(np.float64)
-            theta, _, rank, _ = np.linalg.lstsq(wdot, labels, rcond=None)
+            coef[a, s, ti], _, rank, _ = np.linalg.lstsq(wdot, labels, rcond=None)
             if rank < p:
                 singular.append((a, s, ti))
-            coef[(a, s, ti)] = theta
     model = AdjustmentModel(
         method="lp",
         taus=taus,
-        n_strata=stats.n_strata,
         feature_map=fm,
         coef=coef,
+        live=live,
         diagnostics={"degraded": tuple(degraded), "singular_gram": tuple(singular)},
     )
     if singular:
@@ -580,21 +565,18 @@ def _fit_logit_family(
             for a, _, rows in fitted
         ]
         theta, _, sep = _fit_logit_cells(H, [rows for _, _, rows in fitted], labels)
-    position = {(a, s): c for c, (a, s, _) in enumerate(fitted)}
-    coef: dict = {}
+    coef, live = _cells(stats, taus, p)
     separated: list = []
-    for a, s in cells:
-        c = position.get((a, s))
-        for ti in range(len(taus)):
-            coef[(a, s, ti)] = None if c is None else theta[c, ti]
-            if c is not None and sep[c, ti]:
-                separated.append((a, s, ti))
+    for c, (a, s, _) in enumerate(fitted):
+        coef[a, s] = theta[c]
+        live[a, s] = True
+        separated += [(a, s, ti) for ti in range(len(taus)) if sep[c, ti]]
     model = AdjustmentModel(
         method=method,
         taus=taus,
-        n_strata=stats.n_strata,
         feature_map=features,
         coef=coef,
+        live=live,
         diagnostics={"degraded": tuple(degraded), "separated": tuple(separated)},
     )
     return _finish(model, degraded)
@@ -608,20 +590,13 @@ def fit_ml(
     features: FeatureMap | None = None,
     method: str = "ml",
 ) -> AdjustmentModel:
-    """Logistic quasi-ML per cell on indicator labels below the pilot quantile."""
+    """Logistic quasi-ML per cell on indicator labels below the pilot quantile.
+
+    ``method`` names the result: ``ml`` and ``mlx`` on the logistic features
+    without and with interactions, ``np`` on a sieve map.
+    """
     fm = features if features is not None else logistic_features(dataset.n_covariates)
     return _fit_logit_family(dataset, stats, pilot, grid, fm, method)
-
-
-def fit_np(
-    dataset: Dataset,
-    stats: StrataStats,
-    pilot,
-    grid: QuantileGrid,
-    sieve_map: FeatureMap,
-) -> AdjustmentModel:
-    """Sieve logistic fit; identical machinery to ``ml`` on the sieve basis."""
-    return _fit_logit_family(dataset, stats, pilot, grid, sieve_map, "np")
 
 
 def fit_lpml(
@@ -647,26 +622,23 @@ def fit_lpml(
         raise DataValidationError("ml_model was fitted with a different feature map")
     H = fm.build(dataset.x)
     taus = tuple(grid)
-    cells = _cell_rows(dataset, stats)
     delta = 1.0 / dataset.n if ridge_delta is None else float(ridge_delta)
-    coef: dict = {}
-    norms: dict = {}
+    base = ml_model.coef
+    coef, live = _cells(stats, taus, 2)
+    center = np.zeros(coef.shape)
+    scale = np.zeros(coef.shape)
     degraded: list = []
     zero_var: list = []
-    for (a, s), rows in cells.items():
+    for (a, s), rows in _cell_rows(dataset, stats).items():
         if rows.size < 4:  # two coefficients plus the usual slack
-            _degrade(coef, a, s, len(taus))
             degraded.append((a, s))
             continue
         Hc = H[rows]
         yc = dataset.y[rows]
         for ti, tau in enumerate(taus):
-            th1 = ml_model.coef.get((1, s, ti))
-            th0 = ml_model.coef.get((0, s, ti))
-            if th1 is None or th0 is None:
-                coef[(a, s, ti)] = None
+            if not ml_model.live[:, s, ti].all():
                 continue
-            w = np.column_stack([expit(Hc @ th1), expit(Hc @ th0)])
+            w = np.column_stack([expit(Hc @ base[1, s, ti]), expit(Hc @ base[0, s, ti])])
             mean = w.mean(axis=0)
             sd = w.std(axis=0)
             ok = sd > _ZERO_SD
@@ -679,16 +651,19 @@ def fit_lpml(
             rhs = wd.T @ labels / nc
             theta = np.linalg.solve(gram, rhs)
             theta[~ok] = 0.0
-            coef[(a, s, ti)] = theta
-            norms[(a, s, ti)] = (mean, sd)
+            coef[a, s, ti] = theta
+            center[a, s, ti] = mean
+            scale[a, s, ti] = sd
+            live[a, s, ti] = True
     model = AdjustmentModel(
         method=method,
         taus=taus,
-        n_strata=stats.n_strata,
         feature_map=fm,
         coef=coef,
-        ml_coef=dict(ml_model.coef),
-        normalization=norms,
+        live=live,
+        base=base,
+        center=center,
+        scale=scale,
         diagnostics={"degraded": tuple(degraded), "zero_variance": tuple(zero_var)},
     )
     return _finish(model, degraded)
@@ -720,8 +695,8 @@ class LassoConfig:
     max_outer: int = 200
 
     def __post_init__(self) -> None:
-        if self.c <= 0.0 or self.loading_iterations < 1:
-            raise DataValidationError("lasso config needs c > 0 and K >= 1")
+        if not (np.isfinite(self.c) and self.c > 0.0) or self.loading_iterations < 1:
+            raise DataValidationError("lasso config needs a finite c > 0 and K >= 1")
         if self.penalty_form not in ("c31", "a9"):
             raise DataValidationError("penalty_form must be 'c31' or 'a9'")
 
@@ -803,7 +778,6 @@ def fit_hd_lasso(
     grid: QuantileGrid,
     dictionary: FeatureMap | None = None,
     config: LassoConfig | None = None,
-    hd_raw_mhat: bool = False,
 ) -> AdjustmentModel:
     """Penalized logistic per cell, then an unpenalized refit on the support.
 
@@ -820,8 +794,7 @@ def fit_hd_lasso(
     icol = fm.intercept_column
     pen_cols = np.array([j for j in range(p) if j != icol], dtype=np.int64)
     taus = tuple(grid)
-    cells = _cell_rows(dataset, stats)
-    coef: dict = {}
+    coef, live = _cells(stats, taus, p)
     support: dict = {}
     degraded: list = []
     kkt_diag: dict = {}
@@ -829,11 +802,11 @@ def fit_hd_lasso(
     hd_lam: dict = {}
     empty_support: list = []
     not_converged: list = []
-    for (a, s), rows in cells.items():
+    for (a, s), rows in _cell_rows(dataset, stats).items():
         if rows.size < 3:
-            _degrade(coef, a, s, len(taus))
             degraded.append((a, s))
             continue
+        live[a, s] = True
         Hc = H[rows]
         yc = dataset.y[rows]
         nc = rows.size
@@ -884,13 +857,9 @@ def fit_hd_lasso(
             cols = tuple(sorted(keep))
             if not cols:
                 empty_support.append((a, s, ti))
-                coef[(a, s, ti)] = np.zeros(p)
                 support[(a, s, ti)] = ()
                 continue
-            theta_post = fit_logit_cell(Hc[:, cols], labels)
-            full = np.zeros(p)
-            full[list(cols)] = theta_post
-            coef[(a, s, ti)] = full
+            coef[a, s, ti, list(cols)] = fit_logit_cell(Hc[:, cols], labels)
             support[(a, s, ti)] = cols
     if empty_support:
         warnings.warn(
@@ -907,9 +876,9 @@ def fit_hd_lasso(
     model = AdjustmentModel(
         method="lasso",
         taus=taus,
-        n_strata=stats.n_strata,
         feature_map=fm,
         coef=coef,
+        live=live,
         support=support,
         diagnostics={
             "degraded": tuple(degraded),
@@ -918,7 +887,6 @@ def fit_hd_lasso(
             "hd_lam": hd_lam,
             "empty_support": tuple(empty_support),
         },
-        hd_raw_mhat=hd_raw_mhat,
     )
     return _finish(model, degraded)
 
@@ -963,7 +931,7 @@ def fit_adjustment(
         )
     if method == "np":
         sieve = build_sieve_map(dataset.x, sieve_spec or SieveSpec("roster"))
-        return fit_np(dataset, stats, pilot, grid, sieve)
+        return fit_ml(dataset, stats, pilot, grid, sieve, method="np")
     if method == "lasso":
         cfg = lasso_config
         if cfg is None:

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtri
 
-from .data import Dataset, QuantileGrid, StrataStats, WeightVector, weighted_arm_counts
+from .data import Dataset, QuantileGrid, StrataStats, weighted_arm_counts
 from .errors import DataValidationError, DegenerateCellError, DegenerateWeightedCellError
 from .estimator import QteEstimate, _fixed_pis, _model_solver, _pi_by_stratum
 
@@ -115,11 +115,11 @@ class InferenceResult:
         return replace(self, reject=self.rejects(null_value), null_value=null_value)
 
 
-def draw_weights(n: int, rng: np.random.Generator) -> WeightVector:
+def draw_weights(n: int, rng: np.random.Generator) -> np.ndarray:
     """n iid standard-exponential bootstrap weights."""
     if n < 1:
         raise DataValidationError("need at least one weight")
-    return WeightVector(rng.exponential(scale=1.0, size=n), kind="bootstrap")
+    return rng.exponential(scale=1.0, size=n)
 
 
 def empirical_quantile(values: np.ndarray, nu) -> np.ndarray:
@@ -186,7 +186,7 @@ def run_bootstrap(
     streams = rng.spawn(B)
     for b, stream in enumerate(streams):
         for _attempt in range(_MAX_RESAMPLE + 1):
-            xi = draw_weights(n, stream).w
+            xi = draw_weights(n, stream)
             n1w, nw = weighted_arm_counts(dataset.s, af, xi, stats.n_strata)
             n0w = nw - n1w
             if np.all(n1w > floor) and np.all(n0w > floor):

@@ -68,6 +68,11 @@ def _parse_alpha(raw) -> float:
     return alpha
 
 
+def _check_finite(value: float, option: str) -> None:
+    if not np.isfinite(value):
+        raise DataValidationError(f"--{option} must be a finite number, got {value!r}")
+
+
 def _parse_pi(raw: str) -> tuple[str, float]:
     if raw == "estimated":
         return "estimated", 0.5
@@ -174,6 +179,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     grid = _parse_taus(args.taus)
     pi_source, fixed_pi = _parse_pi(args.pi)
     alpha = _parse_alpha(args.alpha)
+    _check_finite(args.null, "null")
     diff = _parse_diff(args.diff, grid) if args.diff else None
     dataset = load_csv(args.input)
     stats = index_strata(dataset, target_pi=args.target_pi)
@@ -268,6 +274,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     grid = _parse_taus(args.taus)
     pi_source, fixed_pi = _parse_pi(args.pi)
     alpha = _parse_alpha(args.alpha)
+    _check_finite(args.delta, "delta")
     raw_methods = args.methods
     if isinstance(raw_methods, str):
         raw_methods = [m.strip() for m in raw_methods.split(",")]

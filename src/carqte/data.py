@@ -1,9 +1,9 @@
 """Dataset container, quantile grid, and per-stratum bookkeeping.
 
 Holds the (outcome, treatment, stratum, covariates) tuples of a randomized
-experiment plus the weighted/unweighted stratum statistics every estimator in
-the package consumes.  All containers are immutable after construction and
-safe to share across workers.
+experiment plus the stratum statistics every estimator in the package
+consumes.  All containers are immutable after construction and safe to
+share across workers.
 """
 
 from __future__ import annotations
@@ -122,10 +122,6 @@ class QuantileGrid:
     def of(cls, taus: Iterable[float]) -> "QuantileGrid":
         return cls(tuple(float(t) for t in taus))
 
-    @classmethod
-    def uniform(cls, lo: float, hi: float, count: int) -> "QuantileGrid":
-        return cls(tuple(np.linspace(lo, hi, count)))
-
     def __iter__(self):
         return iter(self.taus)
 
@@ -140,41 +136,11 @@ class QuantileGrid:
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Nonnegative per-unit weights; ``kind`` is "unit" or "bootstrap"."""
-
-    w: np.ndarray
-    kind: str = "unit"
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=np.float64)
-        if w.ndim != 1:
-            raise DataValidationError("weights must be 1-D")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise DataValidationError("weights must be finite and nonnegative")
-        if self.kind not in ("unit", "bootstrap"):
-            raise DataValidationError("weight kind must be 'unit' or 'bootstrap'")
-        if self.kind == "unit" and not np.all(w == 1.0):
-            raise DataValidationError("unit weights must all equal 1")
-        object.__setattr__(self, "w", _readonly(w))
-
-    @classmethod
-    def unit(cls, n: int) -> "WeightVector":
-        return cls(np.ones(n), kind="unit")
-
-    @property
-    def n(self) -> int:
-        return self.w.shape[0]
-
-
-@dataclass(frozen=True)
 class StrataStats:
     """Per-stratum counts, treated fractions, and imbalances.
 
     Arrays are indexed by dense stratum code.  ``imbalance`` is
-    ``n1(s) - pi(s) * n(s)`` against the supplied target fraction.  The
-    weighted fields are computed from the weight vector passed to
-    :func:`index_strata`; with unit weights they coincide with the counts.
+    ``n1(s) - pi(s) * n(s)`` against the supplied target fraction.
     """
 
     labels: tuple
@@ -184,20 +150,11 @@ class StrataStats:
     pi_hat: np.ndarray
     target_pi: np.ndarray
     imbalance: np.ndarray
-    nw: np.ndarray
-    n1w: np.ndarray
-    n0w: np.ndarray
-    pi_hat_w: np.ndarray
     degenerate: tuple[int, ...]
-    weight_kind: str = "unit"
 
     @property
     def n_strata(self) -> int:
         return len(self.labels)
-
-    @property
-    def total(self) -> int:
-        return int(self.n.sum())
 
 
 def _per_stratum_targets(target_pi, labels: tuple) -> np.ndarray:
@@ -232,22 +189,14 @@ def weighted_arm_counts(
     return n1w, nw
 
 
-def index_strata(
-    dataset: Dataset,
-    weights: WeightVector | None = None,
-    target_pi=0.5,
-) -> StrataStats:
-    """Count units per stratum and arm, with weighted counterparts.
+def index_strata(dataset: Dataset, target_pi=0.5) -> StrataStats:
+    """Count units per stratum and arm.
 
-    Raises :class:`EmptyStratumError` when some stratum ends up with zero
-    weighted mass.  Degenerate cells (a stratum whose treated or control arm
-    is empty, in counts or in weighted mass) are recorded on the result, not
-    raised; estimation entry points decide what to do with them.
+    Raises :class:`EmptyStratumError` when some stratum label has no rows.
+    Degenerate cells (a stratum whose treated or control arm is empty) are
+    recorded on the result, not raised; estimation entry points decide what
+    to do with them.
     """
-    if weights is None:
-        weights = WeightVector.unit(dataset.n)
-    if weights.n != dataset.n:
-        raise DataValidationError("weight vector length does not match dataset")
     k = dataset.n_strata
     target = _per_stratum_targets(target_pi, dataset.strata_labels)
 
@@ -255,19 +204,15 @@ def index_strata(
     n1 = np.bincount(dataset.s, weights=dataset.a.astype(np.float64), minlength=k)
     n1 = n1.astype(np.int64)
     n0 = n - n1
-    af = dataset.a.astype(np.float64)
-    n1w, nw = weighted_arm_counts(dataset.s, af, weights.w, k)
-    n0w = nw - n1w
 
-    if np.any(nw == 0.0):
-        empty = [dataset.strata_labels[i] for i in np.flatnonzero(nw == 0.0)]
-        raise EmptyStratumError(f"strata with zero weighted mass: {empty}")
+    if np.any(n == 0):
+        empty = [dataset.strata_labels[i] for i in np.flatnonzero(n == 0)]
+        raise EmptyStratumError(f"strata without rows: {empty}")
 
     pi_hat = n1.astype(np.float64) / n.astype(np.float64)
-    pi_hat_w = n1w / nw
     imbalance = n1.astype(np.float64) - target * n.astype(np.float64)
 
-    degen = np.flatnonzero((n1 == 0) | (n0 == 0) | (n1w == 0.0) | (n0w == 0.0))
+    degen = np.flatnonzero((n1 == 0) | (n0 == 0))
     return StrataStats(
         labels=dataset.strata_labels,
         n=_readonly(n),
@@ -276,12 +221,7 @@ def index_strata(
         pi_hat=_readonly(pi_hat),
         target_pi=_readonly(target),
         imbalance=_readonly(imbalance),
-        nw=_readonly(nw),
-        n1w=_readonly(n1w),
-        n0w=_readonly(n0w),
-        pi_hat_w=_readonly(pi_hat_w),
         degenerate=tuple(int(i) for i in degen),
-        weight_kind=weights.kind,
     )
 
 

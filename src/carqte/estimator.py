@@ -3,8 +3,8 @@
 The per-arm problems are piecewise-linear in the candidate quantile, so the
 minimizer is an observed outcome of that arm found by a single sorted sweep
 over cumulative inverse-propensity weights; no iterative optimization is
-involved.  One solver core serves the unit-weight point estimator, the
-single-problem API and every multiplier-bootstrap draw of every model.
+involved.  One solver core serves the unit-weight point estimator and
+every multiplier-bootstrap draw of every model.
 """
 
 from __future__ import annotations
@@ -13,33 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, QuantileGrid, StrataStats, WeightVector, weighted_arm_counts
+from .data import Dataset, QuantileGrid, StrataStats, weighted_arm_counts
 from .errors import DataValidationError, DegenerateCellError, NumericalError
-
-
-@dataclass(frozen=True)
-class ArmQuantileProblem:
-    """One weighted per-arm quantile problem.
-
-    ``mhat_values`` holds the adjustment evaluated on every dataset row for
-    this arm and tau.  ``pi_source`` is "estimated" (weighted treated
-    fractions recomputed from ``weights``) or "fixed" (use ``fixed_pi``).
-    """
-
-    arm: int
-    tau: float
-    weights: WeightVector
-    mhat_values: np.ndarray
-    pi_source: str = "estimated"
-    fixed_pi: object = 0.5
-
-    def __post_init__(self) -> None:
-        if self.arm not in (0, 1):
-            raise DataValidationError("arm must be 0 or 1")
-        if not (0.0 < self.tau < 1.0):
-            raise DataValidationError("tau must lie strictly inside (0, 1)")
-        if self.pi_source not in ("estimated", "fixed"):
-            raise DataValidationError("pi_source must be 'estimated' or 'fixed'")
 
 
 @dataclass(frozen=True)
@@ -180,27 +155,9 @@ class _Solver:
 
 def _model_solver(dataset: Dataset, models, grid: QuantileGrid) -> _Solver:
     """Solver over the adjustments of ``models``, evaluated on every row."""
-    m_by_arm = {
-        arm: np.column_stack([m.evaluate_all(arm, grid, dataset) for m in models])
-        for arm in (1, 0)
-    }
+    values = [m.evaluate_all(grid, dataset) for m in models]
+    m_by_arm = {arm: np.column_stack([v[arm] for v in values]) for arm in (1, 0)}
     return _Solver(dataset, np.tile(tuple(grid), len(models)), m_by_arm)
-
-
-def solve_arm_quantile(
-    problem: ArmQuantileProblem, dataset: Dataset, stats: StrataStats
-) -> float:
-    """Solve one per-arm problem; returns an observed outcome of that arm."""
-    if problem.weights.n != dataset.n:
-        raise DataValidationError("weights length does not match dataset")
-    m = np.asarray(problem.mhat_values, dtype=np.float64)
-    if m.shape != (dataset.n,):
-        raise DataValidationError("mhat_values must have one entry per row")
-    pis = _pi_by_stratum(
-        dataset, problem.weights.w, problem.pi_source, problem.fixed_pi, stats.n_strata
-    )
-    solver = _Solver(dataset, np.array([problem.tau]), {problem.arm: m[:, None]})
-    return float(solver.solve(problem.weights.w, pis)[problem.arm][0])
 
 
 def qte(
@@ -208,24 +165,20 @@ def qte(
     stats: StrataStats,
     model,
     grid: QuantileGrid,
-    weights: WeightVector | None = None,
     pi_source: str = "estimated",
     fixed_pi=0.5,
 ) -> QteEstimate:
     """Adjusted QTE curve: per-tau difference of the two arm solutions.
 
-    The model is evaluated on the dataset rows once per arm; with
-    bootstrap weights the treated fractions are recomputed from the weights
-    while the fitted adjustment stays fixed.
+    The model is evaluated on the dataset rows once, for both arms, and the
+    arm problems are solved with unit weights.
     """
-    if weights is None:
-        weights = WeightVector.unit(dataset.n)
     degenerate = [stats.labels[i] for i in stats.degenerate]
     if degenerate:
         raise DegenerateCellError(degenerate)
     solver = _model_solver(dataset, (model,), grid)
-    pis = _pi_by_stratum(dataset, weights.w, pi_source, fixed_pi, stats.n_strata)
-    q = solver.solve(weights.w, pis)
+    unit = np.ones(dataset.n)
+    q = solver.solve(unit, _pi_by_stratum(dataset, unit, pi_source, fixed_pi, stats.n_strata))
     return QteEstimate(taus=tuple(grid), q1=q[1], q0=q[0])
 
 

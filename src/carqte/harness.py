@@ -60,6 +60,7 @@ class ScenarioSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise DataValidationError(f"unknown method {m!r}")
+        LassoConfig(c=self.lasso_c, loading_iterations=self.lasso_iters)  # checks both
 
     @property
     def n(self) -> int:

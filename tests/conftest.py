@@ -7,16 +7,10 @@ import csv
 import numpy as np
 from scipy.special import expit
 
-from carqte import (
-    ArmQuantileProblem,
-    Dataset,
-    DataValidationError,
-    WeightVector,
-    index_strata,
-    solve_arm_quantile,
-)
-from carqte.adjust import _SCORE_TOL, _SEPARATION_CAP
+from carqte import Dataset, DataValidationError
+from carqte.adjust import _SCORE_TOL, _SEPARATION_CAP, _ZERO_SD
 from carqte.data import weighted_arm_counts
+from carqte.estimator import _pi_by_stratum, _Solver
 
 
 def make_stratified_dataset(rng, n=40, k=2, d=1, y=None):
@@ -54,7 +48,14 @@ def brute_force_arm(arm, ds, xi, pis, mhat, tau):
     return float(cands[int(np.flatnonzero(vals <= vals.min())[0])])
 
 
-def check_sandwich(problem, ds, solution, tol=1e-10):
+def solve_arm(ds, arm, tau, xi, mhat, pi_source="estimated", fixed_pi=0.5):
+    """One arm problem through the solver core, as the estimator runs it."""
+    pis = _pi_by_stratum(ds, xi, pi_source, fixed_pi, ds.n_strata)
+    solver = _Solver(ds, np.array([tau]), {arm: np.asarray(mhat, float)[:, None]})
+    return float(solver.solve(xi, pis)[arm][0])
+
+
+def check_sandwich(ds, arm, tau, xi, mhat, solution, tol=1e-10):
     """Verify the subgradient inequalities at a proposed arm solution.
 
     Uses the grouped convention: the slack on the lower inequality is the
@@ -62,11 +63,7 @@ def check_sandwich(problem, ds, solution, tol=1e-10):
     to the single unit's weight when outcomes are distinct.  Targets outside
     the attainable mass range certify the endpoint candidates instead.
     """
-    arm, xi = problem.arm, problem.weights.w
-    if problem.pi_source == "fixed":
-        pis = np.broadcast_to(np.asarray(problem.fixed_pi, float), (ds.n_strata,))
-    else:
-        pis = estimated_pis(ds, xi)
+    pis = estimated_pis(ds, xi)
     pi_full = pis[ds.s]
     af = ds.a.astype(float)
     prop = pi_full if arm == 1 else 1.0 - pi_full
@@ -74,8 +71,8 @@ def check_sandwich(problem, ds, solution, tol=1e-10):
     cands = np.unique(ds.y[in_arm])
     mass_upto = np.array([np.sum((xi / prop)[in_arm & (ds.y <= c)]) for c in cands])
     total = mass_upto[-1]
-    residual = float(np.sum(xi * (af - pi_full) / prop * problem.mhat_values))
-    t = problem.tau * total + (-residual if arm == 1 else residual)
+    residual = float(np.sum(xi * (af - pi_full) / prop * mhat))
+    t = tau * total + (-residual if arm == 1 else residual)
     where = np.flatnonzero(cands == solution)
     if where.size != 1:
         return False
@@ -95,12 +92,9 @@ def estimated_pis(ds, xi):
     return n1w / nw
 
 
-def solve_both_ways(ds, xi, mhat, tau, arm, kind="bootstrap"):
+def solve_both_ways(ds, xi, mhat, tau, arm):
     """(solver output, brute-force output) for one arm problem."""
-    stats = index_strata(ds, target_pi=0.5)
-    wv = WeightVector(xi, kind=kind)
-    prob = ArmQuantileProblem(arm=arm, tau=tau, weights=wv, mhat_values=mhat)
-    got = solve_arm_quantile(prob, ds, stats)
+    got = solve_arm(ds, arm, tau, xi, mhat)
     want = brute_force_arm(arm, ds, xi, estimated_pis(ds, xi), mhat, tau)
     return got, want
 
@@ -115,8 +109,10 @@ class TableModel:
     def __init__(self, values):
         self.values = {(a, float(t)): np.asarray(v, float) for (a, t), v in values.items()}
 
-    def evaluate_all(self, arm, grid, dataset):
-        return np.column_stack([self.values[(arm, float(t))] for t in grid])
+    def evaluate_all(self, grid, dataset):
+        return tuple(
+            np.column_stack([self.values[(arm, float(t))] for t in grid]) for arm in (0, 1)
+        )
 
     def shifted(self, dataset, shifts):
         """New model with per-(arm, stratum) constants added."""
@@ -125,6 +121,47 @@ class TableModel:
             c = np.array([shifts[(a, int(s))] for s in dataset.s])
             out[(a, t)] = v + c
         return TableModel(out)
+
+
+def evaluate_reference(model, arm, grid, ds):
+    """One arm's adjustment matrix, cell by cell: the reference for
+    ``AdjustmentModel.evaluate_all``.
+
+    The per-cell evaluation of earlier releases: the coefficients are copied
+    into ``(arm, stratum, tau index)`` dicts, with None for a degraded cell,
+    the features are built for this arm alone, and each (stratum, tau) cell
+    dispatches on the method name.  lpml recomputes both probability columns.
+    """
+    out = np.zeros((ds.n, len(grid)))
+    if model.method == "na":
+        return out
+    coef = {
+        key: model.coef[key].copy() if model.live[key] else None
+        for key in np.ndindex(model.live.shape)
+    }
+    H = model.feature_map.build(ds.x)
+    for s in range(ds.n_strata):
+        rows = np.flatnonzero(ds.s == s)
+        if rows.size == 0:
+            continue
+        H_s = H[rows]
+        for j, tau in enumerate(grid):
+            ti = model.tau_index(tau)
+            theta = coef[(arm, s, ti)]
+            if theta is None:
+                continue
+            if model.method == "lp":
+                out[rows, j] = tau - H_s @ theta
+            elif model.method in ("ml", "mlx", "np", "lasso"):
+                out[rows, j] = tau - expit(H_s @ theta)
+            else:
+                th1, th0 = model.base[1, s, ti].copy(), model.base[0, s, ti].copy()
+                w = np.column_stack([expit(H_s @ th1), expit(H_s @ th0)])
+                mean, sd = model.center[arm, s, ti].copy(), model.scale[arm, s, ti].copy()
+                ok = sd > _ZERO_SD
+                wd = np.where(ok, (w - mean) / np.where(ok, sd, 1.0), 0.0)
+                out[rows, j] = tau - wd @ theta
+    return out
 
 
 def logit_newton(H, y, ridge=0.0, max_iter=200):

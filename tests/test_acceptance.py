@@ -11,18 +11,22 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import TableModel, brute_force_arm, estimated_pis, make_stratified_dataset
+from conftest import (
+    TableModel,
+    brute_force_arm,
+    estimated_pis,
+    make_stratified_dataset,
+    solve_arm,
+)
 from scipy.special import expit
 
 from carqte import (
-    ArmQuantileProblem,
     Dataset,
     DgpSpec,
     LassoConfig,
     QuantileGrid,
     ScenarioSpec,
     SchemeSpec,
-    WeightVector,
     bootstrap_se,
     fit_hd_lasso,
     fit_logit_cell,
@@ -34,7 +38,6 @@ from carqte import (
     qte,
     run_bootstrap,
     run_scenario,
-    solve_arm_quantile,
     true_qte_oracle,
     uniform_band,
 )
@@ -89,16 +92,11 @@ def test_criterion_1_solver_matches_brute_force_oracle():
         n = int(rng.integers(3 * k, 41))
         ds = make_stratified_dataset(rng, n=n, k=k)
         xi = rng.exponential(1.0, n) if trial % 3 == 0 else np.ones(n)
-        kind = "bootstrap" if trial % 3 == 0 else "unit"
         mhat = rng.normal(0.0, 1.5, n)
         tau = float(rng.choice(taus))
-        stats = index_strata(ds, target_pi=0.5)
         pis = estimated_pis(ds, xi)
         for arm in (0, 1):
-            prob = ArmQuantileProblem(
-                arm=arm, tau=tau, weights=WeightVector(xi, kind=kind), mhat_values=mhat
-            )
-            got = solve_arm_quantile(prob, ds, stats)
+            got = solve_arm(ds, arm, tau, xi, mhat)
             want = brute_force_arm(arm, ds, xi, pis, mhat, tau)
             failures += got != want
     elapsed = time.perf_counter() - start
@@ -330,7 +328,8 @@ def test_criterion_9_numerical_fit_properties():
     pilot = pilot_quantiles(ds, stats, GRID05)
     model = fit_lp(ds, stats, pilot, GRID05)
     worst_resid = 0.0
-    for (arm, s, ti), th in model.coef.items():
+    for arm, s, ti in zip(*np.nonzero(model.live)):
+        th = model.coef[arm, s, ti]
         rows = np.flatnonzero((ds.a == arm) & (ds.s == s))
         wdot = ds.x[rows] - ds.x[rows].mean(axis=0)
         labels = (ds.y[rows] <= pilot.q(arm, 0.5)).astype(float)

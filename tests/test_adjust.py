@@ -3,13 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import logit_fit_reference
+from conftest import evaluate_reference, logit_fit_reference
 from scipy.special import expit
 
 from carqte import (
+    METHODS,
     CellTooSmallError,
     Dataset,
     DataValidationError,
+    FeatureMap,
     LassoConfig,
     QuantileGrid,
     SieveSpec,
@@ -23,7 +25,6 @@ from carqte import (
     fit_lpml,
     fit_ml,
     fit_none,
-    fit_np,
     hd_dictionary,
     index_strata,
     logistic_features,
@@ -33,7 +34,7 @@ from carqte import (
 from carqte import adjust
 from carqte.adjust import _l1_kkt_residual
 from carqte.dgp import DgpSpec, generate
-from carqte.estimator import PilotQuantiles, qte
+from carqte.estimator import PilotQuantiles, _model_solver, qte
 from carqte.randomization import SchemeSpec, assign
 
 
@@ -58,9 +59,10 @@ GRID = QuantileGrid.of([0.5])
 
 
 def test_raw_and_logistic_maps():
-    assert raw_features(2).names() == ("x1", "x2")
+    assert raw_features(2).terms == (("pow", 0, 1), ("pow", 1, 1))
     fm = logistic_features(2, interactions=True)
-    assert fm.names() == ("1", "x1", "x2", "x1*x2")
+    assert fm.terms == (("const",), ("pow", 0, 1), ("pow", 1, 1), ("prod", 0, 1))
+    assert fm.intercept_column == 0 and raw_features(2).intercept_column is None
     x = np.array([[2.0, 3.0]])
     assert fm.build(x).tolist() == [[1.0, 2.0, 3.0, 6.0]]
 
@@ -69,9 +71,8 @@ def test_sieve_roster_five_terms_for_two_covariates():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     fm = build_sieve_map(x, SieveSpec("roster"))
     assert fm.width == 5
-    names = fm.names()
-    assert names[:4] == ("1", "x1", "x2", "x1*x2")
-    assert ">" in names[4]  # joint median-threshold product
+    assert fm.terms[:4] == (("const",), ("pow", 0, 1), ("pow", 1, 1), ("prod", 0, 1))
+    assert fm.terms[4] == ("thrprod", 0, 1.0, 1, 1.0)  # joint median-threshold product
     # thresholds frozen at the sample medians
     row = fm.build(np.array([[2.0, 2.0]]))[0]
     assert row[4] == 4.0  # both coordinates above their median 1.0
@@ -80,7 +81,7 @@ def test_sieve_roster_five_terms_for_two_covariates():
 
 def test_polynomial_map():
     fm = build_sieve_map(np.array([[1.0], [2.0]]), SieveSpec("polynomial", degree=2))
-    assert fm.names() == ("1", "x1", "x1^2")
+    assert fm.terms == (("const",), ("pow", 0, 1), ("pow", 0, 2))
     assert fm.build(np.array([[3.0]])).tolist() == [[1.0, 3.0, 9.0]]
 
 
@@ -180,7 +181,7 @@ def test_batched_logit_matches_per_problem_reference_on_mixed_batch():
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
     pilot = pilot_quantiles(ds, st, grid)
     fm = build_sieve_map(ds.x, SieveSpec("roster"))
-    model = _fit_quiet(fit_np, ds, st, pilot, grid, fm)
+    model = _fit_quiet(fit_ml, ds, st, pilot, grid, fm, method="np")
     H = fm.build(ds.x)
     zero_col = fm.terms.index(next(t for t in fm.terms if t[0] == "thrprod"))
     assert model.diagnostics["degraded"] == ((1, 2),)
@@ -189,8 +190,9 @@ def test_batched_logit_matches_per_problem_reference_on_mixed_batch():
         for a in (1, 0):
             rows = np.flatnonzero((ds.s == s) & (ds.a == a))
             if rows.size < fm.width + 2:
-                assert all(model.coef[(a, s, ti)] is None for ti in range(len(grid)))
+                assert not model.live[a, s].any() and not model.coef[a, s].any()
                 continue
+            assert model.live[a, s].all()
             Hc = H[rows]
             for ti, tau in enumerate(grid):
                 y = (ds.y[rows] <= pilot.q(a, tau)).astype(float)
@@ -198,7 +200,7 @@ def test_batched_logit_matches_per_problem_reference_on_mixed_batch():
                 assert converged
                 if sep:
                     separated.append((a, s, ti))
-                got = model.coef[(a, s, ti)]
+                got = model.coef[a, s, ti]
                 ridge = 1e-4 / rows.size if sep else 0.0
                 score = Hc.T @ (y - expit(Hc @ got)) / rows.size - ridge * got
                 assert np.max(np.abs(score)) <= 1e-8
@@ -208,7 +210,7 @@ def test_batched_logit_matches_per_problem_reference_on_mixed_batch():
     # The singular cell: its zero column keeps a zero (minimum-norm) coefficient.
     singular = np.flatnonzero((ds.s == 1) & (ds.a == 0))
     assert not H[singular, zero_col].any()
-    assert all(model.coef[(0, 1, ti)][zero_col] == 0.0 for ti in range(len(grid)))
+    assert np.all(model.coef[0, 1, :, zero_col] == 0.0)
 
 
 def test_fit_logit_cell_matches_per_problem_reference():
@@ -242,12 +244,11 @@ def test_batched_logit_coefficients_do_not_depend_on_chunking(monkeypatch, metho
             fits.append(_fit_quiet(fit_adjustment, method, ds, st, pilot, grid))
         small, large = fits
         assert small.diagnostics == large.diagnostics
-        assert small.coef.keys() == large.coef.keys()
-        for key, th in large.coef.items():
-            if th is None:
-                assert small.coef[key] is None
-            else:
-                assert np.max(np.abs(small.coef[key] - th)) <= 1e-12 * np.max(np.abs(th))
+        assert np.array_equal(small.live, large.live)
+        for key in zip(*np.nonzero(large.live)):
+            th = large.coef[key]
+            assert np.max(np.abs(small.coef[key] - th)) <= 1e-12 * np.max(np.abs(th))
+        assert not small.coef[~small.live].any() and not large.coef[~large.live].any()
 
 
 # -- LP ---------------------------------------------------------------------
@@ -259,8 +260,8 @@ def test_lp_constant_indicator_gives_zero_slope():
     # pilot far above every outcome: all labels are 1
     pilot = PilotQuantiles((0.5,), np.array([1e6]), np.array([1e6]))
     model = fit_lp(ds, index_strata(ds), pilot, GRID)
-    for th in model.coef.values():
-        assert np.max(np.abs(th)) < 1e-10
+    assert model.live.all()
+    assert np.max(np.abs(model.coef)) < 1e-10
 
 
 def test_lp_slope_by_hand():
@@ -272,7 +273,7 @@ def test_lp_slope_by_hand():
     ds = Dataset.from_arrays(y, a, np.zeros(8), x)
     pilot = PilotQuantiles((0.5,), np.array([0.0]), np.array([0.0]))
     model = fit_lp(ds, index_strata(ds), pilot, GRID)
-    assert model.coef[(1, 0, 0)][0] == pytest.approx(1.0)
+    assert model.coef[1, 0, 0, 0] == pytest.approx(1.0)
 
 
 def test_lp_residual_orthogonality():
@@ -286,7 +287,7 @@ def test_lp_residual_orthogonality():
             rows = np.flatnonzero((ds.a == arm) & (ds.s == s))
             wdot = ds.x[rows] - ds.x[rows].mean(axis=0)
             labels = (ds.y[rows] <= pilot.q(arm, 0.5)).astype(float)
-            resid = wdot.T @ (labels - wdot @ model.coef[(arm, s, 0)])
+            resid = wdot.T @ (labels - wdot @ model.coef[arm, s, 0])
             assert np.max(np.abs(resid)) <= 1e-8
 
 
@@ -299,7 +300,7 @@ def test_lp_singular_gram_uses_minimum_norm():
     st = index_strata(ds)
     with pytest.warns(UserWarning, match="singular"):
         model = fit_lp(ds, st, _median_pilot(ds.y, ds.a), GRID)
-    th = model.coef[(1, 0, 0)]
+    th = model.coef[1, 0, 0]
     assert np.all(np.isfinite(th))
     assert th[0] == pytest.approx(th[1])  # minimum-norm splits evenly
 
@@ -311,8 +312,8 @@ def test_lp_evaluate_matches_direct_formula():
     model = fit_lp(ds, st, _median_pilot(ds.y, ds.a), GRID)
     row = ds.x[5]
     s = int(ds.s[5])
-    assert model.evaluate(1, 0.5, s, row) == pytest.approx(
-        0.5 - row @ model.coef[(1, s, 0)]
+    assert model.evaluate_all(GRID, ds)[1][5, 0] == pytest.approx(
+        0.5 - row @ model.coef[1, s, 0]
     )
 
 
@@ -327,12 +328,13 @@ def test_ml_intercept_only_matches_cell_mean():
     fm = build_sieve_map(ds.x, SieveSpec("polynomial", degree=1))
     intercept_only = dataclasses.replace(fm, terms=(("const",),))
     model = fit_ml(ds, st, pilot, GRID, intercept_only)
+    values = model.evaluate_all(GRID, ds)
     for arm in (0, 1):
         for s in (0, 1):
             rows = np.flatnonzero((ds.a == arm) & (ds.s == s))
             mean = (ds.y[rows] <= pilot.q(arm, 0.5)).mean()
-            got = model.evaluate(arm, 0.5, s, ds.x[rows[0]])
-            assert got == pytest.approx(0.5 - mean, abs=1e-7)
+            got = values[arm][ds.s == s, 0]
+            assert got == pytest.approx(np.full(got.size, 0.5 - mean), abs=1e-7)
 
 
 def test_mlx_coefficient_layout():
@@ -341,7 +343,7 @@ def test_mlx_coefficient_layout():
     st = index_strata(ds)
     model = fit_adjustment("mlx", ds, st, _median_pilot(ds.y, ds.a), GRID)
     assert model.method == "mlx"
-    assert model.coef[(1, 0, 0)].shape == (4,)
+    assert model.coef.shape == (2, 2, 1, 4)  # (arm, stratum, tau, 1 + x1 + x2 + x1*x2)
 
 
 def test_mlx_reduces_to_ml_when_interactions_vanish():
@@ -354,9 +356,9 @@ def test_mlx_reduces_to_ml_when_interactions_vanish():
     pilot = _median_pilot(ds.y, ds.a)
     ml = fit_ml(ds, st, pilot, GRID, logistic_features(2))
     mlx = fit_ml(ds, st, pilot, GRID, logistic_features(2, True), method="mlx")
-    for key, th in ml.coef.items():
-        assert np.allclose(mlx.coef[key][:3], th, atol=1e-7)
-        assert abs(mlx.coef[key][3]) < 1e-10
+    assert np.array_equal(mlx.live, ml.live)
+    assert np.allclose(mlx.coef[..., :3], ml.coef, atol=1e-7)
+    assert np.all(np.abs(mlx.coef[..., 3]) < 1e-10)
 
 
 def test_np_equals_ml_on_same_features():
@@ -366,9 +368,10 @@ def test_np_equals_ml_on_same_features():
     pilot = _median_pilot(ds.y, ds.a)
     fm = logistic_features(2)
     ml = fit_ml(ds, st, pilot, GRID, fm)
-    np_ = fit_np(ds, st, pilot, GRID, fm)
-    for key, th in ml.coef.items():
-        assert np.array_equal(np_.coef[key], th)
+    np_ = fit_ml(ds, st, pilot, GRID, fm, method="np")
+    assert np_.method == "np"
+    assert np.array_equal(np_.live, ml.live)
+    assert np.array_equal(np_.coef, ml.coef)
 
 
 def test_np_all_cells_too_small_raises():
@@ -381,7 +384,7 @@ def test_np_all_cells_too_small_raises():
     pilot = _median_pilot(ds.y, ds.a)
     wide = build_sieve_map(ds.x, SieveSpec("polynomial", degree=6))  # 13 terms > cell - 2
     with pytest.raises(CellTooSmallError):
-        fit_np(ds, st, pilot, GRID, wide)
+        fit_ml(ds, st, pilot, GRID, wide, method="np")
 
 
 def test_partial_small_cells_degrade_with_warning():
@@ -395,9 +398,11 @@ def test_partial_small_cells_degrade_with_warning():
     pilot = _median_pilot(ds.y, ds.a)
     with pytest.warns(UserWarning, match="degraded"):
         model = fit_ml(ds, st, pilot, GRID)
-    assert model.coef[(1, 1, 0)] is None
-    assert model.evaluate(1, 0.5, 1, x[0]) == 0.0  # degraded cell adjusts by zero
-    assert model.coef[(1, 0, 0)] is not None
+    assert not model.live[1, 1, 0]
+    treated = model.evaluate_all(GRID, ds)[1]
+    assert np.all(treated[s == 1] == 0.0)  # degraded cell adjusts by zero
+    assert model.live[1, 0, 0]
+    assert np.all(treated[s == 0] != 0.0)
 
 
 def test_np_fitted_cdf_not_monotone_in_tau():
@@ -415,10 +420,10 @@ def test_np_fitted_cdf_not_monotone_in_tau():
     sieve = build_sieve_map(ds.x, SieveSpec("roster"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = fit_np(ds, st, pilot, grid, sieve)
+        model = fit_ml(ds, st, pilot, grid, sieve, method="np")
     H = sieve.build(ds.x)
-    p_lo = expit(H @ model.coef[(1, 0, 0)])
-    p_hi = expit(H @ model.coef[(1, 0, 1)])
+    p_lo = expit(H @ model.coef[1, 0, 0])
+    p_hi = expit(H @ model.coef[1, 0, 1])
     assert np.any(p_lo > p_hi + 1e-9)
 
 
@@ -432,12 +437,9 @@ def test_lpml_handles_collinear_probability_columns():
     pilot = _median_pilot(ds.y, ds.a)
     ml = fit_ml(ds, st, pilot, GRID)
     # identical coefficients in both arms: the two columns coincide
-    dup = dataclasses.replace(
-        ml, coef={key: ml.coef[(1, key[1], key[2])] for key in ml.coef}
-    )
+    dup = dataclasses.replace(ml, coef=ml.coef[[1, 1]])
     model = fit_lpml(ds, st, pilot, GRID, ml_model=dup)
-    for th in model.coef.values():
-        assert th is not None and np.all(np.isfinite(th))
+    assert model.live.all() and np.all(np.isfinite(model.coef))
 
 
 def test_lpml_ridge_matches_ols_when_delta_zero():
@@ -448,13 +450,15 @@ def test_lpml_ridge_matches_ols_when_delta_zero():
     ml = fit_ml(ds, st, pilot, GRID)
     model = fit_lpml(ds, st, pilot, GRID, ml_model=ml, ridge_delta=0.0)
     H = logistic_features(2).build(ds.x)
-    for (arm, s, ti), th in model.coef.items():
+    assert model.live.all()
+    for arm, s, ti in np.ndindex(model.live.shape):
+        th = model.coef[arm, s, ti]
         rows = np.flatnonzero((ds.a == arm) & (ds.s == s))
         w = np.column_stack(
-            [expit(H[rows] @ ml.coef[(1, s, ti)]), expit(H[rows] @ ml.coef[(0, s, ti)])]
+            [expit(H[rows] @ ml.coef[1, s, ti]), expit(H[rows] @ ml.coef[0, s, ti])]
         )
-        mean, sd = model.normalization[(arm, s, ti)]
-        wd = (w - mean) / sd
+        assert np.array_equal(model.base[:, s, ti], ml.coef[:, s, ti])
+        wd = (w - model.center[arm, s, ti]) / model.scale[arm, s, ti]
         labels = (ds.y[rows] <= pilot.q(arm, 0.5)).astype(float)
         ols = np.linalg.solve(wd.T @ wd / rows.size, wd.T @ labels / rows.size)
         assert np.allclose(th, ols, atol=1e-12)
@@ -474,9 +478,7 @@ def test_lpml_ridge_bias_is_continuous_and_vanishing_in_delta():
     diffs = []
     for delta in (1e-2, 1e-3, 1e-4):
         ridged = fit_lpml(ds, st, pilot, GRID, ml_model=ml, ridge_delta=delta)
-        diffs.append(
-            max(np.max(np.abs(ridged.coef[k] - plain.coef[k])) for k in ridged.coef)
-        )
+        diffs.append(np.max(np.abs(ridged.coef - plain.coef)))
     assert diffs[1] < 0.5 * diffs[0]
     assert diffs[2] < 0.5 * diffs[1]
     assert diffs[2] < 0.05
@@ -488,19 +490,15 @@ def test_lpml_zero_variance_column_coefficient_forced_zero():
     st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
     ml = fit_ml(ds, st, pilot, GRID)
-    flat = dataclasses.replace(
-        ml,
-        coef={
-            key: (ml.coef[key] if key[0] == 1 else np.zeros_like(ml.coef[key]))
-            for key in ml.coef
-        },
-    )  # control column is identically 0.5: zero variance
+    coef = ml.coef.copy()
+    coef[0] = 0.0
+    flat = dataclasses.replace(ml, coef=coef)  # control column is identically 0.5: zero variance
     model = fit_lpml(ds, st, pilot, GRID, ml_model=flat)
-    for th in model.coef.values():
-        assert th[1] == 0.0
-    out = model.evaluate_all(1, GRID, ds)
-    assert out.shape == (ds.n, len(GRID))
-    assert np.all(np.isfinite(out))
+    assert model.live.all()
+    assert np.all(model.coef[..., 1] == 0.0)
+    for out in model.evaluate_all(GRID, ds):
+        assert out.shape == (ds.n, len(GRID))
+        assert np.all(np.isfinite(out))
 
 
 @pytest.mark.parametrize("seed,method,base", [(2, "lpml", "ml"), (3, "lpmlx", "mlx")])
@@ -517,10 +515,7 @@ def test_lpml_qte_ignores_rounding_size_changes_of_logistic_coefficients(seed, m
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ml = fit_adjustment(base, ds, st, pilot, grid)
-        bumped = dataclasses.replace(
-            ml,
-            coef={k: None if th is None else th * (1.0 + 1e-13) for k, th in ml.coef.items()},
-        )
+        bumped = dataclasses.replace(ml, coef=ml.coef * (1.0 + 1e-13))
         model = fit_adjustment(method, ds, st, pilot, grid, ml_model=ml)
         moved = fit_adjustment(method, ds, st, pilot, grid, ml_model=bumped)
     assert model.diagnostics["zero_variance"]
@@ -542,18 +537,10 @@ def test_lpml_reusing_fitted_logistic_model_equals_standalone_fit():
         )
         assert reused.method == alone.method
         assert reused.diagnostics == alone.diagnostics
-        for got, want in ((reused.coef, alone.coef), (reused.ml_coef, alone.ml_coef)):
-            assert got.keys() == want.keys()
-            for key, th in want.items():
-                assert np.array_equal(got[key], th)
-        assert reused.normalization.keys() == alone.normalization.keys()
-        for key, (mean, sd) in alone.normalization.items():
-            assert np.array_equal(reused.normalization[key][0], mean)
-            assert np.array_equal(reused.normalization[key][1], sd)
-        for arm in (0, 1):
-            assert np.array_equal(
-                reused.evaluate_all(arm, grid, ds), alone.evaluate_all(arm, grid, ds)
-            )
+        for field in ("live", "coef", "base", "center", "scale"):
+            assert np.array_equal(getattr(reused, field), getattr(alone, field)), field
+        for got, want in zip(reused.evaluate_all(grid, ds), alone.evaluate_all(grid, ds)):
+            assert np.array_equal(got, want)
     ml = fit_adjustment("ml", ds, st, pilot, grid)
     with pytest.raises(DataValidationError, match="different feature map"):
         fit_adjustment("lpmlx", ds, st, pilot, grid, ml_model=ml)
@@ -623,7 +610,8 @@ def test_lasso_post_support_contains_forced():
     for arm in (0, 1):
         sup = model.support[(arm, 0, 0)]
         assert 7 in sup
-        assert model.coef[(arm, 0, 0)].shape == (21,)
+        assert model.coef[arm, 0, 0].shape == (21,)
+        assert np.flatnonzero(model.coef[arm, 0, 0]).tolist() == list(sup)
 
 
 def test_lasso_empty_support_falls_back():
@@ -637,8 +625,8 @@ def test_lasso_empty_support_falls_back():
                          hd_dictionary(4), cfg)
     for arm in (0, 1):
         assert set(model.support[(arm, 0, 0)]) == {0}  # intercept only
-    theta0 = model.coef[(1, 0, 0)][0]
-    assert model.evaluate(1, 0.5, 0, x[0]) == pytest.approx(0.5 - expit(theta0))
+    theta0 = model.coef[1, 0, 0, 0]
+    assert model.evaluate_all(GRID, ds)[1][0, 0] == pytest.approx(0.5 - expit(theta0))
 
 
 def test_lasso_mhat_sign_convention_and_debug_flag():
@@ -646,10 +634,10 @@ def test_lasso_mhat_sign_convention_and_debug_flag():
     st = index_strata(ds)
     model = fit_hd_lasso(ds, st, pilot, GRID, hd_dictionary(20), LassoConfig())
     H = hd_dictionary(20).build(ds.x[:1])
-    prob = float(expit(H @ model.coef[(1, 0, 0)])[0])
-    assert model.evaluate(1, 0.5, 0, ds.x[0]) == pytest.approx(0.5 - prob)
-    raw = dataclasses.replace(model, hd_raw_mhat=True)
-    assert raw.evaluate(1, 0.5, 0, ds.x[0]) == pytest.approx(prob)
+    prob = float(expit(H @ model.coef[1, 0, 0])[0])
+    assert model.evaluate_all(GRID, ds)[1][0, 0] == pytest.approx(0.5 - prob)
+    # The raw-probability debug flag is gone: tau - p is the only convention.
+    assert "hd_raw_mhat" not in {f.name for f in dataclasses.fields(model)}
 
 
 def test_lasso_support_cap_trims_selection():
@@ -691,15 +679,63 @@ def test_penalty_level_equals_norm_ppf_formula(form, n_cell, p):
     assert penalty_level(n_cell, p, cfg) == want
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
+def test_lasso_config_needs_finite_positive_c(c):
+    with pytest.raises(DataValidationError, match="finite c > 0"):
+        LassoConfig(c=c)
+
+
 # -- container semantics ----------------------------------------------------
+
+
+def _evaluation_datasets():
+    """The mixed batch with one cell cut to two rows, which every method
+    degrades, and a dgp1 sample whose lpml fits have zero-variance columns."""
+    ds = _mixed_logit_dataset()
+    cut = np.flatnonzero((ds.s == 2) & (ds.a == 1))[2:]
+    keep = np.setdiff1d(np.arange(ds.n), cut)
+    mixed = Dataset.from_arrays(ds.y[keep], ds.a[keep], ds.s[keep], ds.x[keep])
+    latent = generate(DgpSpec("dgp1", 400), np.random.default_rng(2))
+    a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(102))
+    return mixed, Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_evaluate_all_matches_per_cell_reference(method):
+    grid = QuantileGrid.of([0.25, 0.5, 0.75])
+    degraded, zero_variance = [], []
+    for ds in _evaluation_datasets():
+        st = index_strata(ds)
+        pilot = pilot_quantiles(ds, st, grid)
+        model = _fit_quiet(fit_adjustment, method, ds, st, pilot, grid)
+        values = model.evaluate_all(grid, ds)
+        for arm in (0, 1):
+            assert np.array_equal(values[arm], evaluate_reference(model, arm, grid, ds))
+        degraded.append(not model.live.all())
+        zero_variance.append(bool(model.diagnostics.get("zero_variance")))
+    assert degraded[0] == (method != "na")
+    assert zero_variance[1] == (method in ("lpml", "lpmlx"))
+
+
+def test_model_solver_builds_features_once_per_model(monkeypatch):
+    ds = _two_strata_dataset(np.random.default_rng(20), n=160)
+    st = index_strata(ds)
+    grid = QuantileGrid.of([0.25, 0.5, 0.75])
+    pilot = pilot_quantiles(ds, st, grid)
+    models = [_fit_quiet(fit_adjustment, m, ds, st, pilot, grid) for m in METHODS]
+    calls = []
+    build = FeatureMap.build
+    monkeypatch.setattr(FeatureMap, "build", lambda fm, x: calls.append(fm.kind) or build(fm, x))
+    _model_solver(ds, models, grid)
+    assert len(calls) == len(METHODS) - 1  # na has no features
 
 
 def test_na_model_evaluates_to_zero_everywhere():
     model = fit_none(GRID)
-    assert model.evaluate(1, 0.5, 3, np.array([1.0, 2.0])) == 0.0
     rng = np.random.default_rng(17)
     ds = _two_strata_dataset(rng)
-    assert np.array_equal(model.evaluate_all(0, GRID, ds), np.zeros((ds.n, len(GRID))))
+    for out in model.evaluate_all(GRID, ds):
+        assert np.array_equal(out, np.zeros((ds.n, len(GRID))))
 
 
 def test_ml_zero_coefficients_give_tau_minus_half():
@@ -707,10 +743,9 @@ def test_ml_zero_coefficients_give_tau_minus_half():
     ds = _two_strata_dataset(rng)
     st = index_strata(ds)
     model = fit_ml(ds, st, _median_pilot(ds.y, ds.a), GRID)
-    zeroed = dataclasses.replace(
-        model, coef={k: np.zeros_like(v) for k, v in model.coef.items()}
-    )
-    assert zeroed.evaluate(1, 0.5, 0, ds.x[0]) == pytest.approx(0.0)  # 0.5 - lambda(0)
+    zeroed = dataclasses.replace(model, coef=np.zeros_like(model.coef))
+    for out in zeroed.evaluate_all(GRID, ds):
+        assert np.all(out == 0.0)  # 0.5 - lambda(0)
 
 
 def test_evaluate_errors():
@@ -718,9 +753,10 @@ def test_evaluate_errors():
     ds = _two_strata_dataset(rng)
     st = index_strata(ds)
     model = fit_lp(ds, st, _median_pilot(ds.y, ds.a), GRID)
+    wider = Dataset.from_arrays(ds.y, ds.a, np.arange(ds.n) % 3, ds.x)
     with pytest.raises(UnknownStratumError):
-        model.evaluate(1, 0.5, 9, ds.x[0])
+        model.evaluate_all(GRID, wider)
     with pytest.raises(UnfittedTauError):
-        model.evaluate(1, 0.25, 0, ds.x[0])
+        model.evaluate_all(QuantileGrid.of([0.25]), ds)
     with pytest.raises(DataValidationError):
         fit_adjustment("probit", ds, st, _median_pilot(ds.y, ds.a), GRID)

@@ -87,6 +87,26 @@ def test_cli_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_public_surface_is_pinned():
+    assert sorted(carqte.__all__) == [
+        "AdjustmentModel", "BootstrapDrawSet", "BootstrapDraws", "CarqteError",
+        "CellTooSmallError", "DataValidationError", "Dataset", "DegenerateCellError",
+        "DegenerateWeightedCellError", "DgpSpec", "EmptyStratumError", "FeatureMap",
+        "InferenceResult", "LassoConfig", "METHODS", "NumericalError", "PilotQuantiles",
+        "PotentialData", "QteEstimate", "QuantileGrid", "SCHEME_KINDS", "ScenarioResult",
+        "ScenarioSpec", "SchemeSpec", "SieveSpec", "StrataStats", "UnfittedTauError",
+        "UnknownStratumError", "adjust", "assign", "assign_bcd",
+        "assign_sbr", "assign_srs", "assign_wei", "bootstrap", "bootstrap_se",
+        "build_sieve_map", "cached_true_qte", "data", "dgp", "difference_test",
+        "draw_weights", "emit_table", "empirical_quantile", "errors", "estimator",
+        "fit_adjustment", "fit_hd_lasso", "fit_logit_cell", "fit_lp", "fit_lpml", "fit_ml",
+        "fit_none", "generate", "harness", "hd_dictionary", "index_strata", "load_csv",
+        "logistic_features", "parse_table", "pilot_quantiles", "pointwise_test", "qte",
+        "randomization", "raw_features", "run_bootstrap", "run_scenario",
+        "true_qte_oracle", "uniform_band",
+    ]
+
+
 def test_config_that_is_not_utf8_is_a_data_error(experiment_csv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(b"\xff\xfe")
@@ -274,6 +294,42 @@ def test_alpha_outside_unit_interval_is_data_error(experiment_csv, tmp_path, cap
     code = main(argv + ["--alpha", alpha, "--out", str(out)])
     assert code == 3
     assert "alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,option", [("estimate", "null"), ("simulate", "delta")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_non_finite_null_and_delta_are_data_errors(experiment_csv, tmp_path, capsys,
+                                                   command, option, value, via):
+    out = tmp_path / "r.out"
+    if command == "estimate":
+        argv = ["estimate", "--input", experiment_csv, "--B", "20"]
+    else:
+        argv = ["simulate", "--n", "80", "--reps", "2", "--B", "20", "--mc-reps", "2"]
+    if via == "flag":
+        argv += [f"--{option}={value}"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option: float(value)}))
+        argv += ["--config", str(cfg)]
+    code = main(argv + ["--out", str(out)])
+    assert code == 3
+    assert f"--{option} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+@pytest.mark.parametrize("c", ["nan", "inf", "0"])
+def test_lasso_c_must_be_finite_and_positive(experiment_csv, tmp_path, capsys, command, c):
+    out = tmp_path / "r.out"
+    if command == "estimate":
+        argv = ["estimate", "--input", experiment_csv, "--adjust", "lasso", "--B", "20"]
+    else:  # rejected before any replication runs, whatever the methods
+        argv = ["simulate", "--n", "80", "--reps", "2", "--B", "20", "--mc-reps", "2"]
+    code = main(argv + ["--lasso-c", c, "--out", str(out)])
+    assert code == 3
+    assert "finite c > 0" in capsys.readouterr().err
     assert not out.exists()
 
 

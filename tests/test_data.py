@@ -10,11 +10,13 @@ from carqte import (
     Dataset,
     DataValidationError,
     EmptyStratumError,
+    DegenerateCellError,
     QuantileGrid,
-    WeightVector,
     index_strata,
     load_csv,
 )
+from carqte.data import weighted_arm_counts
+from carqte.estimator import _pi_by_stratum
 from conftest import load_csv_reference
 
 
@@ -34,13 +36,18 @@ def test_direct_count_arithmetic():
     assert st_.imbalance[0] == pytest.approx(0.5)
 
 
+def _weighted(ds, w):
+    return weighted_arm_counts(ds.s, ds.a.astype(float), np.asarray(w, float), ds.n_strata)
+
+
 def test_weighted_counts_by_hand():
-    # n1w = 2, nw = 3, pi_hat_w = 2/3 for weights (2, 1)
+    # n1w = 2, nw = 3, weighted treated fraction 2/3 for weights (2, 1)
     ds = Dataset.from_arrays([1.0, 2.0], [1, 0], [1, 1], np.zeros((2, 1)))
-    st_ = index_strata(ds, WeightVector(np.array([2.0, 1.0]), kind="bootstrap"))
-    assert st_.n1w[0] == 2.0
-    assert st_.nw[0] == 3.0
-    assert st_.pi_hat_w[0] == pytest.approx(2 / 3)
+    n1w, nw = _weighted(ds, [2.0, 1.0])
+    assert n1w[0] == 2.0
+    assert nw[0] == 3.0
+    pis = _pi_by_stratum(ds, np.array([2.0, 1.0]), "estimated", 0.5, ds.n_strata)
+    assert pis[0] == pytest.approx(2 / 3)
 
 
 def test_validate_flags_degenerate_cells():
@@ -54,16 +61,17 @@ def test_validate_flags_degenerate_cells():
 
 def test_zero_weight_arm_is_flagged():
     ds = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0], [1, 1, 1, 1], np.zeros((4, 1)))
-    w = WeightVector(np.array([0.0, 1.0, 0.0, 1.0]), kind="bootstrap")
-    st_ = index_strata(ds, w)
-    assert st_.degenerate == (0,)
+    w = np.array([0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(DegenerateCellError, match="degenerate"):
+        _pi_by_stratum(ds, w, "estimated", 0.5, ds.n_strata)
 
 
 def test_empty_stratum_raises():
     ds = Dataset.from_arrays([1.0, 2.0, 3.0], [1, 0, 1], [1, 1, 2], np.zeros((3, 1)))
-    w = WeightVector(np.array([1.0, 1.0, 0.0]), kind="bootstrap")
+    # A label without rows can only come from the raw constructor.
+    extra = Dataset(ds.y, ds.a, ds.s, ds.x, ds.strata_labels + ("empty",))
     with pytest.raises(EmptyStratumError):
-        index_strata(ds, w)
+        index_strata(extra)
 
 
 @settings(deadline=None, max_examples=50)
@@ -74,19 +82,18 @@ def test_weighted_total_matches_weight_sum(data):
     ds = Dataset.from_arrays(
         rng.normal(size=n), rng.integers(0, 2, n), rng.integers(0, 3, n), np.zeros((n, 1))
     )
-    w = WeightVector(rng.exponential(1.0, n) + 1e-9, kind="bootstrap")
-    st_ = index_strata(ds, w)
-    assert np.sum(st_.nw) == pytest.approx(np.sum(w.w), rel=1e-10)
+    w = rng.exponential(1.0, n) + 1e-9
+    _, nw = _weighted(ds, w)
+    assert np.sum(nw) == pytest.approx(np.sum(w), rel=1e-10)
 
 
 def test_unit_weights_equal_all_ones_bootstrap():
     rng = np.random.default_rng(7)
     ds = Dataset.from_arrays(rng.normal(size=30), rng.integers(0, 2, 30), rng.integers(0, 3, 30), np.zeros((30, 1)))
-    a = index_strata(ds, WeightVector.unit(30))
-    b = index_strata(ds, WeightVector(np.ones(30), kind="bootstrap"))
-    for field in ("n", "n1", "n0", "pi_hat", "nw", "n1w", "pi_hat_w", "imbalance"):
-        assert np.array_equal(getattr(a, field), getattr(b, field))
-    assert a.degenerate == b.degenerate
+    st_ = index_strata(ds)
+    n1w, nw = _weighted(ds, np.ones(30))
+    assert np.array_equal(n1w, st_.n1) and np.array_equal(nw, st_.n)
+    assert np.array_equal(nw - n1w, st_.n0)
 
 
 def test_imbalance_vanishes_at_observed_fraction():
@@ -105,12 +112,12 @@ def test_stratum_totals_order_independent():
         rng.normal(size=n), rng.integers(0, 2, n), rng.integers(0, 4, n), np.zeros((n, 1))
     )
     w = rng.exponential(1.0, n)
-    st_a = index_strata(ds, WeightVector(w, kind="bootstrap"))
+    n1w_a, nw_a = _weighted(ds, w)
     perm = rng.permutation(n)
     ds_p = Dataset.from_arrays(ds.y[perm], ds.a[perm], ds.s[perm], ds.x[perm])
-    st_b = index_strata(ds_p, WeightVector(w[perm], kind="bootstrap"))
-    assert np.allclose(st_a.nw, st_b.nw, rtol=1e-12)
-    assert np.allclose(st_a.n1w, st_b.n1w, rtol=1e-12)
+    n1w_b, nw_b = _weighted(ds_p, w[perm])
+    assert np.allclose(nw_a, nw_b, rtol=1e-12)
+    assert np.allclose(n1w_a, n1w_b, rtol=1e-12)
 
 
 def test_stratum_labels_map_to_dense_codes():
@@ -148,10 +155,13 @@ def test_quantile_grid_validation():
 
 
 def test_unit_weights_must_be_ones():
-    with pytest.raises(DataValidationError):
-        WeightVector(np.array([1.0, 2.0]), kind="unit")
-    with pytest.raises(DataValidationError):
-        WeightVector(np.array([-0.1, 1.0]), kind="bootstrap")
+    # The point estimate's treated fractions are those of all-ones weights,
+    # which are the count fractions bit for bit.
+    rng = np.random.default_rng(5)
+    ds = Dataset.from_arrays(rng.normal(size=40), np.tile([0, 1], 20), rng.integers(0, 3, 40),
+                             np.zeros((40, 1)))
+    pis = _pi_by_stratum(ds, np.ones(40), "estimated", 0.5, ds.n_strata)
+    assert np.array_equal(pis, index_strata(ds).pi_hat)
 
 
 def test_csv_round_trip(tmp_path):

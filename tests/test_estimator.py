@@ -5,53 +5,46 @@ from conftest import (
     brute_force_arm,
     check_sandwich,
     make_stratified_dataset,
+    solve_arm,
     solve_both_ways,
 )
 
 from carqte import (
-    ArmQuantileProblem,
     Dataset,
     DataValidationError,
     DegenerateCellError,
     QuantileGrid,
-    WeightVector,
+    draw_weights,
     fit_none,
     index_strata,
     pilot_quantiles,
     qte,
     run_bootstrap,
-    solve_arm_quantile,
 )
 
 
-def _unit_problem(arm, tau, n, mhat=None):
-    return ArmQuantileProblem(
-        arm=arm, tau=tau, weights=WeightVector.unit(n),
-        mhat_values=np.zeros(n) if mhat is None else mhat,
-    )
+def _unit_solve(ds, arm, tau, mhat=None):
+    mhat = np.zeros(ds.n) if mhat is None else mhat
+    return solve_arm(ds, arm, tau, np.ones(ds.n), mhat)
 
 
 def test_single_candidate():
     ds = Dataset.from_arrays([5.0, 1.0, 2.0], [1, 0, 0], [1, 1, 1], np.zeros((3, 1)))
-    st = index_strata(ds)
     for tau in (0.1, 0.5, 0.9):
-        assert solve_arm_quantile(_unit_problem(1, tau, 3), ds, st) == 5.0
+        assert _unit_solve(ds, 1, tau) == 5.0
 
 
 def test_boundary_tie_returns_smaller_candidate():
     ds = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0], [1, 1, 1, 1], np.zeros((4, 1)))
-    st = index_strata(ds)
-    assert solve_arm_quantile(_unit_problem(1, 0.5, 4), ds, st) == 1.0
+    assert _unit_solve(ds, 1, 0.5) == 1.0
 
 
 def test_constant_adjustment_cancels():
     rng = np.random.default_rng(8)
     ds = make_stratified_dataset(rng, n=30, k=2)
-    st = index_strata(ds)
-    base = solve_arm_quantile(_unit_problem(1, 0.5, 30), ds, st)
+    base = _unit_solve(ds, 1, 0.5)
     for c in (-7.0, 0.3, 12.0):
-        got = solve_arm_quantile(_unit_problem(1, 0.5, 30, np.full(30, c)), ds, st)
-        assert got == base
+        assert _unit_solve(ds, 1, 0.5, np.full(30, c)) == base
 
 
 def test_solver_matches_brute_force():
@@ -61,11 +54,10 @@ def test_solver_matches_brute_force():
         n = int(rng.integers(3 * k, 41))
         ds = make_stratified_dataset(rng, n=n, k=k)
         xi = rng.exponential(1.0, n) if trial % 2 else np.ones(n)
-        kind = "bootstrap" if trial % 2 else "unit"
         mhat = rng.normal(0.0, 1.5, n)
         tau = float(rng.choice(np.arange(0.1, 0.95, 0.1)))
         for arm in (0, 1):
-            got, want = solve_both_ways(ds, xi, mhat, tau, arm, kind)
+            got, want = solve_both_ways(ds, xi, mhat, tau, arm)
             assert got == want
 
 
@@ -74,15 +66,11 @@ def test_sandwich_conditions_hold():
     for _ in range(100):
         n = int(rng.integers(6, 40))
         ds = make_stratified_dataset(rng, n=n, k=2)
-        st = index_strata(ds)
         xi = rng.exponential(1.0, n)
-        prob = ArmQuantileProblem(
-            arm=1, tau=float(rng.uniform(0.1, 0.9)),
-            weights=WeightVector(xi, kind="bootstrap"),
-            mhat_values=rng.normal(0, 1, n),
-        )
-        sol = solve_arm_quantile(prob, ds, st)
-        assert check_sandwich(prob, ds, sol)
+        tau = float(rng.uniform(0.1, 0.9))
+        mhat = rng.normal(0, 1, n)
+        sol = solve_arm(ds, 1, tau, xi, mhat)
+        assert check_sandwich(ds, 1, tau, xi, mhat, sol)
 
 
 def test_na_matches_classical_quantile_convention():
@@ -204,17 +192,16 @@ def test_qte_identity():
 
 
 def test_weight_length_mismatch():
-    ds = Dataset.from_arrays([1.0, 2.0], [1, 0], [1, 1], np.zeros((2, 1)))
-    st = index_strata(ds)
-    prob = ArmQuantileProblem(
-        arm=1, tau=0.5, weights=WeightVector.unit(3), mhat_values=np.zeros(3)
-    )
+    # The bootstrap draws one weight per row; there is no empty weight vector.
+    assert draw_weights(3, np.random.default_rng(0)).shape == (3,)
     with pytest.raises(DataValidationError):
-        solve_arm_quantile(prob, ds, st)
+        draw_weights(0, np.random.default_rng(0))
 
 
 def test_problem_validation():
-    with pytest.raises(DataValidationError):
-        ArmQuantileProblem(arm=2, tau=0.5, weights=WeightVector.unit(2), mhat_values=np.zeros(2))
-    with pytest.raises(DataValidationError):
-        ArmQuantileProblem(arm=1, tau=1.0, weights=WeightVector.unit(2), mhat_values=np.zeros(2))
+    ds = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0], [1, 1, 2, 2], np.zeros((4, 1)))
+    st = index_strata(ds)
+    grid = QuantileGrid.of([0.5])
+    for fixed_pi in (0.0, 1.0, [0.5, 0.5, 0.5]):
+        with pytest.raises(DataValidationError):
+            qte(ds, st, fit_none(grid), grid, pi_source="fixed", fixed_pi=fixed_pi)
