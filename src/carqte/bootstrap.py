@@ -18,9 +18,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtri
 
-from .data import Dataset, QuantileGrid, StrataStats, weighted_arm_counts
+from .data import Dataset, QuantileGrid, StrataStats
 from .errors import DataValidationError, DegenerateCellError, DegenerateWeightedCellError
-from .estimator import QteEstimate, _fixed_pis, _model_solver, _pi_by_stratum
+from .estimator import QteEstimate, _fixed_pis, _model_solver, _point
 
 # Spread of the standard normal between the 2.5% and 97.5% critical values.
 _NORMAL_SPREAD = ndtri(0.975) - ndtri(0.025)
@@ -29,6 +29,10 @@ _NORMAL_SPREAD = ndtri(0.975) - ndtri(0.025)
 # falls below this fraction of the stratum count.
 _DEGENERATE_FRACTION = 1e-8
 _MAX_RESAMPLE = 1000
+
+# Float budget of one block of replicates: b = max(1, _BLOCK_FLOATS // n)
+# weight vectors are solved per pass.
+_BLOCK_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -157,11 +161,15 @@ def run_bootstrap(
     Within a replicate every model sees the same weights, treated fractions
     and arm masses; only the adjusted targets differ, so all models are
     solved in one pass.  The same solver, with unit weights, gives each
-    model's point estimate, so the adjustments are evaluated once.  One
-    child RNG stream is spawned per replicate, so the draws do not depend on
-    execution order, and replicates run one at a time, so memory stays O(n)
-    whatever B is.  Draws in which some stratum's arm mass collapses are
-    resampled within their stream and counted.
+    model's point estimate, so the adjustments are evaluated once.
+
+    Replicates are solved in blocks of b = max(1, _BLOCK_FLOATS // n), so a
+    block's weights and temporaries stay within a fixed float budget
+    whatever B is.  One child RNG stream is spawned per replicate and each
+    weight vector is drawn from its own stream, so the draws do not depend
+    on the block size, the execution order or the worker count.  Draws in
+    which some stratum's arm mass collapses are redrawn from their own
+    stream and counted.
     """
     if B < 2:
         raise DataValidationError("need at least two bootstrap replicates")
@@ -173,39 +181,66 @@ def run_bootstrap(
     if not models:
         raise DataValidationError("need at least one model to bootstrap")
     n = dataset.n
+    n_strata = stats.n_strata
     n_taus = len(grid)
     solver = _model_solver(dataset, models, grid)
-    af = dataset.a.astype(np.float64)
     floor = _DEGENERATE_FRACTION * stats.n.astype(np.float64)
-    fixed_pis = _fixed_pis(fixed_pi, stats.n_strata) if pi_source == "fixed" else None
-    unit = np.ones(n)
-    q_unit = solver.solve(unit, _pi_by_stratum(dataset, unit, pi_source, fixed_pi, stats.n_strata))
+    fixed_pis = _fixed_pis(fixed_pi, n_strata)[None] if pi_source == "fixed" else None
+    q1_unit, q0_unit = _point(solver, dataset, pi_source, fixed_pi, n_strata)
+
+    size = min(B, max(1, _BLOCK_FLOATS // n))
+    # Row-major codes r*S + s over a full block, for all rows and for the
+    # treated rows: one bincount sums every row's per-stratum masses, each
+    # bin in row order, so a row's masses are bit for bit those of
+    # weighted_arm_counts on its vector (whose treated sum also adds the
+    # control rows' zeros, which change no bin).
+    treated = np.flatnonzero(dataset.a == 1)
+    offsets = np.arange(size)[:, None] * n_strata
+    codes = (offsets + dataset.s).ravel()
+    codes1 = (offsets + dataset.s[treated]).ravel()
+
+    def masses(xi):
+        b = xi.shape[0]
+        nw = np.bincount(codes[:b * n], weights=xi.ravel(), minlength=b * n_strata)
+        n1w = np.bincount(codes1[:b * treated.size], minlength=b * n_strata,
+                          weights=np.take(xi, treated, axis=1).ravel())
+        return n1w.reshape(b, n_strata), nw.reshape(b, n_strata)
+
+    def accepted(n1w, nw):
+        return np.all(n1w > floor, axis=-1) & np.all(nw - n1w > floor, axis=-1)
 
     draws = np.empty((len(models), B, n_taus))
     n_resampled = 0
-    streams = rng.spawn(B)
-    for b, stream in enumerate(streams):
-        for _attempt in range(_MAX_RESAMPLE + 1):
-            xi = draw_weights(n, stream)
-            n1w, nw = weighted_arm_counts(dataset.s, af, xi, stats.n_strata)
-            n0w = nw - n1w
-            if np.all(n1w > floor) and np.all(n0w > floor):
-                break
-            n_resampled += 1
-        else:
-            raise DegenerateWeightedCellError(
-                f"replicate {b}: bootstrap weights kept zeroing an arm in some stratum"
-            )
-        q = solver.solve(xi, n1w / nw if fixed_pis is None else fixed_pis)
-        draws[:, b] = (q[1] - q[0]).reshape(len(models), n_taus)
+    for start in range(0, B, size):
+        b = min(size, B - start)
+        streams = rng.spawn(b)
+        vectors = [draw_weights(n, stream) for stream in streams]
+        # A one-row block is a view of its draw, so large n copies nothing.
+        xi = vectors[0][None] if b == 1 else np.stack(vectors)
+        n1w, nw = masses(xi)
+        for r in np.flatnonzero(~accepted(n1w, nw)):
+            for _attempt in range(_MAX_RESAMPLE):
+                n_resampled += 1
+                w = draw_weights(n, streams[r])[None]
+                n1w[r], nw[r] = masses(w)
+                if accepted(n1w[r], nw[r]):
+                    break
+            else:
+                raise DegenerateWeightedCellError(
+                    f"replicate {start + r}: bootstrap weights kept zeroing an arm "
+                    "in some stratum"
+                )
+            xi[r] = w[0]
+        q1, q0 = solver.solve(xi, n1w / nw if fixed_pis is None else fixed_pis)
+        draws[:, start:start + b] = (q1 - q0).reshape(b, len(models), n_taus).transpose(1, 0, 2)
     taus = tuple(grid)
     per_model = tuple(
         BootstrapDraws(
             draws=d, grid=grid, n_resampled=n_resampled,
             point=QteEstimate(
                 taus=taus,
-                q1=q_unit[1][k * n_taus:(k + 1) * n_taus],
-                q0=q_unit[0][k * n_taus:(k + 1) * n_taus],
+                q1=q1_unit[k * n_taus:(k + 1) * n_taus],
+                q0=q0_unit[k * n_taus:(k + 1) * n_taus],
             ),
         )
         for k, d in enumerate(draws)

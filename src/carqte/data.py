@@ -171,6 +171,12 @@ def _per_stratum_targets(target_pi, labels: tuple) -> np.ndarray:
         out = np.asarray(target_pi, dtype=np.float64)
         if out.shape != (k,):
             raise DataValidationError("per-stratum target pi has wrong length")
+    return _checked_fractions(out)
+
+
+def _checked_fractions(values) -> np.ndarray:
+    """Target treated fractions as floats, each finite and strictly inside (0, 1)."""
+    out = np.asarray(values, dtype=np.float64)
     if not np.all((out > 0.0) & (out < 1.0)):
         raise DataValidationError("target fractions must lie strictly inside (0, 1)")
     return out

@@ -46,33 +46,36 @@ class PilotQuantiles:
         return float(self.q1[i] if arm == 1 else self.q0[i])
 
 
-@dataclass(frozen=True)
-class _ArmIndex:
-    """Sorted-outcome view of one arm, with distinct-value group ends."""
-
-    rows: np.ndarray
-    y_sorted: np.ndarray
-    s_sorted: np.ndarray
-    group_last: np.ndarray
-    y_distinct: np.ndarray
-
-
-def _arm_index(dataset: Dataset, arm: int) -> _ArmIndex:
+def _arm_rows(dataset: Dataset, arm: int) -> np.ndarray:
+    """Rows of one arm, ordered by outcome (ties keep row order)."""
     rows = np.flatnonzero(dataset.a == arm)
     if rows.size == 0:
         raise DegenerateCellError([], f"arm {arm} has no observations")
-    order = np.argsort(dataset.y[rows], kind="stable")
-    rows = rows[order]
-    ys = dataset.y[rows]
-    change = np.flatnonzero(np.diff(ys) != 0.0)
-    group_last = np.append(change, ys.size - 1)
-    return _ArmIndex(
-        rows=rows,
-        y_sorted=ys,
-        s_sorted=dataset.s[rows],
-        group_last=group_last,
-        y_distinct=ys[group_last],
-    )
+    return rows[np.argsort(dataset.y[rows], kind="stable")]
+
+
+def _search_left(cum: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.searchsorted(cum[r], targets[r], side="left")``.
+
+    ``cum`` is b x m with non-decreasing rows, ``targets`` b x C.  A
+    branchless binary search moves every (row, column) target at once, so a
+    block costs about log2(m) vectorised passes over b x C entries.  A probe
+    stops at ``cum >= t``, which no NaN target meets, so NaN sorts after
+    every entry as in searchsorted; ties resolve to the leftmost index.
+    """
+    b, m = cum.shape
+    flat = cum.ravel()
+    before_row = (np.arange(b) * m - 1)[:, None]
+    k = np.zeros(targets.shape, dtype=np.intp)
+    step = 1 << (m.bit_length() - 1)
+    while step:
+        probe = k + step
+        # A probe past its row reads a neighbour (clipped at the very end)
+        # and is discarded by ``probe > m``.
+        stop = (flat.take(before_row + probe, mode="clip") >= targets) | (probe > m)
+        k = np.where(stop, k, probe)
+        step >>= 1
+    return k
 
 
 def _fixed_pis(fixed_pi, n_strata: int) -> np.ndarray:
@@ -110,54 +113,81 @@ def _pi_by_stratum(
 class _Solver:
     """Both arm problems for K adjustments stacked over one quantile grid.
 
-    Built once per dataset from the n x (K*T) adjustment matrix of each arm
-    (model-major columns) and the tau of each column.  Each :meth:`solve`
-    takes one weight vector and the per-stratum treated fractions: the
-    inverse-propensity masses, their sorted cumulative sums and the residual
-    weights are computed once and shared by every model; only the adjusted
-    target masses differ, and they come from one product per arm followed by
-    one sorted search.
+    Built once per dataset.  The rows are permuted once into an arm-sorted
+    layout, [arm 1 sorted by y | arm 0 sorted by y], and each arm's
+    n x (K*T) adjustment matrix (model-major columns, one n x T block per
+    model) is stored in that row order, so a solve reads every row-indexed
+    array contiguously.  :meth:`solve` takes a b x n block of weight vectors
+    and their treated fractions; the unit-weight point estimate is a
+    one-row block.  Per block it gathers the weights once, forms the
+    inverse-propensity masses shared by every model, and per arm runs one
+    ``cumsum`` along the rows, one product against each half (treated and
+    control rows) of the adjustment matrix, and one exact sorted search.
     """
 
     def __init__(self, dataset: Dataset, column_taus: np.ndarray, m_by_arm: dict) -> None:
-        self._s = dataset.s
-        self._af = dataset.a.astype(np.float64)
-        self._arms = {arm: (_arm_index(dataset, arm), m) for arm, m in m_by_arm.items()}
+        rows1 = _arm_rows(dataset, 1)
+        self._perm = np.concatenate([rows1, _arm_rows(dataset, 0)])
+        self._n1 = rows1.size
+        # Column of each row in the [pi | 1 - pi] table: its arm's propensity.
+        arm_offset = np.repeat([0, dataset.n_strata], [self._n1, dataset.n - self._n1])
+        self._prop_col = dataset.s[self._perm] + arm_offset
+        self._y = dataset.y[self._perm]
+        self._m = {arm: np.take(np.hstack(m_by_arm[arm]), self._perm, axis=0) for arm in (1, 0)}
         self._taus = column_taus
 
-    def solve(self, xi: np.ndarray, pis: np.ndarray) -> dict:
-        """Arm -> smallest minimizer of the weighted check objective per column.
+    def solve(self, xi: np.ndarray, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(q1, q0), each b x (K*T): the smallest minimizer of the weighted
+        check objective for every row of ``xi`` and every column.
 
-        Implements the sandwich characterization: the solution is the first
-        distinct arm outcome whose cumulative weight reaches the adjusted
-        target mass.  Duplicate outcomes are grouped so the cumulative mass
-        jumps once per distinct value, and exact boundary ties resolve to the
-        smaller value.  Targets outside the attainable range clip to the
-        endpoint candidates, matching the argmin over observed arm outcomes.
+        ``xi`` is b x n in dataset row order; ``pis`` is b x S, or 1 x S when
+        every row shares the treated fractions.  Implements the sandwich
+        characterization: the solution is the first arm outcome, in sorted
+        order, whose cumulative weight reaches the adjusted target mass.
+        Searching the per-unit cumulative mass finds the same distinct value
+        as searching the mass at each distinct value's last unit, so
+        duplicate outcomes act as one candidate, and exact boundary ties
+        resolve to the smaller value.  Targets outside the attainable range
+        clip to the endpoint candidates, matching the argmin over observed
+        arm outcomes.
         """
-        pi_full = pis[self._s]
-        resid = xi * (self._af - pi_full)
-        out = {}
-        for arm, (index, m) in self._arms.items():
-            p_sorted = pis[index.s_sorted]
-            cum = np.cumsum(xi[index.rows] / (p_sorted if arm == 1 else 1.0 - p_sorted))
-            total = cum[-1]
-            if not np.isfinite(total) or total <= 0.0:
+        n1 = self._n1
+        xi = np.take(xi, self._perm, axis=1)
+        prop = np.take(np.concatenate([pis, 1.0 - pis], axis=1), self._prop_col, axis=1)
+        w = xi / prop
+        # The residual weights xi (a - pi) / pi of the arm-1 target are
+        # [w - xi | -xi] over [treated | control] rows, and those of the
+        # arm-0 target, xi (a - pi) / (1 - pi), are [xi | -(w - xi)].
+        excess = w - xi
+        m1, m0 = self._m[1], self._m[0]
+        slope1 = excess[:, :n1] @ m1[:n1] - xi[:, n1:] @ m1[n1:]
+        slope0 = xi[:, :n1] @ m0[:n1] - excess[:, n1:] @ m0[n1:]
+        out = []
+        for arm, rows, shift in ((1, slice(None, n1), -slope1), (0, slice(n1, None), slope0)):
+            cum = np.cumsum(w[:, rows], axis=1)
+            total = cum[:, -1:]
+            if not np.all(np.isfinite(total) & (total > 0.0)):
                 raise NumericalError(f"arm {arm} has no weighted mass")
-            if arm == 1:
-                targets = self._taus * total - (resid / pi_full) @ m
-            else:
-                targets = self._taus * total + (resid / (1.0 - pi_full)) @ m
-            k = np.searchsorted(cum[index.group_last], targets, side="left")
-            out[arm] = index.y_distinct[np.minimum(k, index.y_distinct.size - 1)]
-        return out
+            y = self._y[rows]
+            k = _search_left(cum, self._taus * total + shift)
+            out.append(y[np.minimum(k, y.size - 1)])
+        return out[0], out[1]
 
 
 def _model_solver(dataset: Dataset, models, grid: QuantileGrid) -> _Solver:
     """Solver over the adjustments of ``models``, evaluated on every row."""
     values = [m.evaluate_all(grid, dataset) for m in models]
-    m_by_arm = {arm: np.column_stack([v[arm] for v in values]) for arm in (1, 0)}
+    m_by_arm = {arm: [v[arm] for v in values] for arm in (1, 0)}
     return _Solver(dataset, np.tile(tuple(grid), len(models)), m_by_arm)
+
+
+def _point(solver: _Solver, dataset: Dataset, pi_source: str, fixed_pi,
+           n_strata: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q1, q0) per column at unit weights: the solve as a one-row block."""
+    unit = np.ones(dataset.n)
+    pis = _pi_by_stratum(dataset, unit, pi_source, fixed_pi, n_strata)
+    q1, q0 = solver.solve(unit[None], pis[None])
+    return q1[0], q0[0]
 
 
 def qte(
@@ -177,9 +207,8 @@ def qte(
     if degenerate:
         raise DegenerateCellError(degenerate)
     solver = _model_solver(dataset, (model,), grid)
-    unit = np.ones(dataset.n)
-    q = solver.solve(unit, _pi_by_stratum(dataset, unit, pi_source, fixed_pi, stats.n_strata))
-    return QteEstimate(taus=tuple(grid), q1=q[1], q0=q[0])
+    q1, q0 = _point(solver, dataset, pi_source, fixed_pi, stats.n_strata)
+    return QteEstimate(taus=tuple(grid), q1=q1, q0=q0)
 
 
 def pilot_quantiles(dataset: Dataset, stats: StrataStats, grid: QuantileGrid) -> PilotQuantiles:

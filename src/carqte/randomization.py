@@ -9,12 +9,13 @@ look at outcomes or covariates.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .data import _per_stratum_targets
+from .data import _checked_fractions, _per_stratum_targets
 from .errors import DataValidationError
 
 SCHEME_KINDS = ("srs", "wei", "bcd", "sbr")
@@ -43,6 +44,13 @@ class SchemeSpec:
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
             raise DataValidationError(f"unknown scheme kind {self.kind!r}")
+        # A scalar or mapping target is checked here, before any caller
+        # spends work on the scheme; a per-stratum sequence is checked
+        # against the strata when it is expanded.
+        if isinstance(self.pi, Mapping):
+            _checked_fractions(list(self.pi.values()))
+        elif np.isscalar(self.pi):
+            _checked_fractions(self.pi)
         if not (0.5 < self.bcd_lambda <= 1.0):
             raise DataValidationError("bcd lambda must lie in (0.5, 1]")
         if self.kind in ("wei", "bcd"):

@@ -48,11 +48,50 @@ def brute_force_arm(arm, ds, xi, pis, mhat, tau):
     return float(cands[int(np.flatnonzero(vals <= vals.min())[0])])
 
 
+def searchsorted_arm(arm, ds, xi, pis, mhat, tau):
+    """One arm problem by a per-vector sorted sweep: the reference for one
+    row of the block solve.
+
+    Sorts the arm's outcomes, takes the cumulative inverse-propensity mass
+    at the last unit of each distinct value, and ``np.searchsorted`` (left)
+    finds the first value whose mass reaches the adjusted target.
+    """
+    rows = np.flatnonzero(ds.a == arm)
+    rows = rows[np.argsort(ds.y[rows], kind="stable")]
+    pi_full = pis[ds.s]
+    prop = pi_full if arm == 1 else 1.0 - pi_full
+    cum = np.cumsum(xi[rows] / prop[rows])
+    ys = ds.y[rows]
+    last = np.append(np.flatnonzero(np.diff(ys) != 0.0), ys.size - 1)
+    slope = (xi * (ds.a - pi_full) / prop) @ np.asarray(mhat, float)
+    target = tau * cum[-1] - slope if arm == 1 else tau * cum[-1] + slope
+    k = int(np.searchsorted(cum[last], target, side="left"))
+    return float(ys[last][min(k, last.size - 1)])
+
+
 def solve_arm(ds, arm, tau, xi, mhat, pi_source="estimated", fixed_pi=0.5):
-    """One arm problem through the solver core, as the estimator runs it."""
-    pis = _pi_by_stratum(ds, xi, pi_source, fixed_pi, ds.n_strata)
-    solver = _Solver(ds, np.array([tau]), {arm: np.asarray(mhat, float)[:, None]})
-    return float(solver.solve(xi, pis)[arm][0])
+    """One arm problem through the solver core, as row 0 of a 3-row block.
+
+    The block stacks ``xi`` with unit weights and with ``xi`` reversed, so
+    every call runs the batched solve with b > 1 (with fixed pi, every row
+    shares one 1 x S row of treated fractions, as in the bootstrap).  Each
+    row is checked against the brute-force argmin and against
+    :func:`searchsorted_arm` before row 0 is returned.
+    """
+    xi = np.asarray(xi, float)
+    block = np.stack([xi, np.ones(ds.n), xi[::-1]])
+    if pi_source == "fixed":
+        pis = _pi_by_stratum(ds, xi, pi_source, fixed_pi, ds.n_strata)[None]
+    else:
+        pis = np.stack([_pi_by_stratum(ds, w, pi_source, fixed_pi, ds.n_strata) for w in block])
+    m = np.asarray(mhat, float)[:, None]
+    solver = _Solver(ds, np.array([tau]), {arm: [m], 1 - arm: [np.zeros_like(m)]})
+    q1, q0 = solver.solve(block, pis)
+    got = (q1 if arm == 1 else q0)[:, 0]
+    for w, p, g in zip(block, np.broadcast_to(pis, (3, ds.n_strata)), got):
+        assert g == brute_force_arm(arm, ds, w, p, mhat, tau)
+        assert g == searchsorted_arm(arm, ds, w, p, mhat, tau)
+    return float(got[0])
 
 
 def check_sandwich(ds, arm, tau, xi, mhat, solution, tol=1e-10):

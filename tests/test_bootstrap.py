@@ -134,16 +134,22 @@ PINNED_DRAWS = {
 }
 
 
-@pytest.mark.parametrize("pi_source", ["estimated", "fixed"])
-def test_shared_stream_draws_equal_single_model_draws(pi_source):
+def _pinned_design():
+    """The dgp1/sbr design of PINNED_DRAWS with every model fitted."""
     latent = generate(DgpSpec("dgp1", 200), np.random.default_rng(31))
     a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(32))
     ds = Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
     stt = index_strata(ds)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
     pilot = pilot_quantiles(ds, stt, grid)
+    models = [fit_adjustment(m, ds, stt, pilot, grid) for m in PINNED_DRAWS["estimated"]]
+    return ds, stt, grid, models
+
+
+@pytest.mark.parametrize("pi_source", ["estimated", "fixed"])
+def test_shared_stream_draws_equal_single_model_draws(pi_source):
+    ds, stt, grid, models = _pinned_design()
     methods = tuple(PINNED_DRAWS[pi_source])
-    models = [fit_adjustment(m, ds, stt, pilot, grid) for m in methods]
     kw = dict(pi_source=pi_source, fixed_pi=0.5)
     shared = run_bootstrap(ds, stt, models, grid, 40, np.random.default_rng(33), **kw)
     assert isinstance(shared, BootstrapDrawSet)
@@ -182,6 +188,65 @@ def test_shared_stream_counts_resampled_draws_once(monkeypatch):
     assert np.array_equal(shared[0].draws, shared[1].draws)
     with pytest.raises(DataValidationError):
         run_bootstrap(ds, stt, [], grid, 4, np.random.default_rng(2))
+
+
+# Block budgets giving b = 1, b = 7 (B = 25 leaves a last block of 4) and
+# one block of all B replicates.
+_BLOCK_BUDGETS = (1, 7 * 200, 2**30)
+
+
+@pytest.mark.parametrize("pi_source", ["estimated", "fixed"])
+def test_draws_do_not_depend_on_block_size(monkeypatch, pi_source):
+    ds, stt, grid, models = _pinned_design()
+    runs = []
+    for budget in _BLOCK_BUDGETS:
+        monkeypatch.setattr(bt, "_BLOCK_FLOATS", budget)
+        runs.append(run_bootstrap(ds, stt, models, grid, 25, np.random.default_rng(33),
+                                  pi_source=pi_source, fixed_pi=0.5))
+    for run in runs[1:]:
+        assert run.n_resampled == runs[0].n_resampled
+        for got, want in zip(run, runs[0]):
+            assert np.array_equal(got.draws, want.draws)
+            assert np.array_equal(got.point.q1, want.point.q1)
+            assert np.array_equal(got.point.q0, want.point.q0)
+            assert got.n_resampled == want.n_resampled
+
+
+def test_resampled_rows_of_later_blocks_do_not_depend_on_block_size(monkeypatch):
+    # The first draw of replicates 10, 11 and 24 zeroes the treated units of
+    # stratum 0.  With b = 7 they are rows 3 and 4 of the second block and
+    # row 3 of the partial last block; each is redrawn from its own stream.
+    ds, stt, grid, models = _pinned_design()
+    real = bt.draw_weights
+    zeroed = (ds.a == 1) & (ds.s == 0)
+    runs, calls = [], []
+    for budget in _BLOCK_BUDGETS:
+        seen = set()
+
+        def flaky(n, rng):
+            calls.append(n)
+            w = real(n, rng)
+            replicate = rng.bit_generator.seed_seq.spawn_key[-1]
+            if replicate in (10, 11, 24) and replicate not in seen:
+                seen.add(replicate)
+                w[zeroed] = 0.0
+            return w
+
+        monkeypatch.setattr(bt, "draw_weights", flaky)
+        monkeypatch.setattr(bt, "_BLOCK_FLOATS", budget)
+        calls.clear()
+        runs.append(run_bootstrap(ds, stt, models, grid, 25, np.random.default_rng(33)))
+        assert len(calls) == 25 + 3
+        assert runs[-1].n_resampled == 3
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.array_equal(got.draws, want.draws)
+    # The redrawn replicates differ from an undisturbed run; the others match.
+    monkeypatch.setattr(bt, "draw_weights", real)
+    plain = run_bootstrap(ds, stt, models, grid, 25, np.random.default_rng(33))
+    for got, want in zip(runs[0], plain):
+        same = np.all(got.draws == want.draws, axis=1)
+        assert same[[r for r in range(25) if r not in (10, 11, 24)]].all()
 
 
 def test_draw_spread_shrinks_with_root_n():

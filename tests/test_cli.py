@@ -107,6 +107,21 @@ def test_public_surface_is_pinned():
     ]
 
 
+@pytest.mark.parametrize("target_pi", ["1.5", "0", "1", "nan", "-inf"])
+def test_simulate_rejects_target_pi_before_the_oracle(tmp_path, capsys, monkeypatch, target_pi):
+    def no_oracle(spec):
+        raise AssertionError("the oracle ran before --target-pi was checked")
+
+    monkeypatch.setattr(carqte.harness, "scenario_truth", no_oracle)
+    cache, out = tmp_path / "truth.json", tmp_path / "sim.csv"
+    code = main(["simulate", f"--target-pi={target_pi}", "--methods", "na", "--n", "80",
+                 "--reps", "3", "--B", "20", "--workers", "1", "--truth-cache", str(cache),
+                 "--out", str(out)])
+    assert code == 3
+    assert "strictly inside (0, 1)" in capsys.readouterr().err
+    assert not cache.exists() and not out.exists()
+
+
 def test_config_that_is_not_utf8_is_a_data_error(experiment_csv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(b"\xff\xfe")

@@ -121,6 +121,13 @@ def test_sbr_floor_identity_random_configs():
             assert abs(np.sum(a[mask] - pi)) < 1.0
 
 
+@pytest.mark.parametrize("pi", [1.5, 0.0, 1.0, float("nan"), float("-inf"),
+                                {1: 0.3, 2: 1.0}, {1: float("nan")}])
+def test_target_outside_unit_interval_rejected_at_construction(pi):
+    with pytest.raises(DataValidationError, match=r"strictly inside \(0, 1\)"):
+        SchemeSpec("srs", pi=pi)
+
+
 def test_unknown_scheme_rejected():
     with pytest.raises(DataValidationError):
         SchemeSpec("pocock")
