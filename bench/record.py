@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 bench/record.py --pr 7 --parent 7702d6d --change HEAD \\
+    python3 bench/record.py --pr N --parent PARENT_REV --change CHANGE_REV \\
         --workload sim-paper=10 --workload estimate-large=5 --seeds 7,29 --seconds 45
 
 Each side is a ``git archive`` snapshot of its commit, unpacked into a
