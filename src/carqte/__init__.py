@@ -52,8 +52,8 @@ from .errors import (
     UnfittedTauError,
     UnknownStratumError,
 )
-from .estimator import PilotQuantiles, QteEstimate, pilot_quantiles, qte
-from .harness import ScenarioResult, ScenarioSpec, emit_table, parse_table, run_scenario
+from .estimator import QteEstimate, pilot_quantiles, qte
+from .harness import ScenarioResult, ScenarioSpec, emit_table, run_scenario
 from .randomization import (
     SCHEME_KINDS,
     SchemeSpec,

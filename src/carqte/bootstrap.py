@@ -151,8 +151,7 @@ def run_bootstrap(
     grid: QuantileGrid,
     B: int,
     rng: np.random.Generator,
-    pi_source: str = "estimated",
-    fixed_pi=0.5,
+    fixed_pi=None,
 ) -> BootstrapDraws | BootstrapDrawSet:
     """B multiplier-bootstrap QTE draws over the grid, for one or more models.
 
@@ -162,6 +161,9 @@ def run_bootstrap(
     and arm masses; only the adjusted targets differ, so all models are
     solved in one pass.  The same solver, with unit weights, gives each
     model's point estimate, so the adjustments are evaluated once.
+    ``fixed_pi`` None re-estimates the treated fractions from each draw's
+    weights; a scalar or per-stratum value in (0, 1) fixes them in every
+    draw, the naive variant.
 
     Replicates are solved in blocks of b = max(1, _BLOCK_FLOATS // n), so a
     block's weights and temporaries stay within a fixed float budget
@@ -185,15 +187,16 @@ def run_bootstrap(
     n_taus = len(grid)
     solver = _model_solver(dataset, models, grid)
     floor = _DEGENERATE_FRACTION * stats.n.astype(np.float64)
-    fixed_pis = _fixed_pis(fixed_pi, n_strata)[None] if pi_source == "fixed" else None
-    q1_unit, q0_unit = _point(solver, dataset, pi_source, fixed_pi, n_strata)
+    fixed_pis = None if fixed_pi is None else _fixed_pis(fixed_pi, n_strata)[None]
+    q1_unit, q0_unit = _point(solver, stats, fixed_pi)
 
     size = min(B, max(1, _BLOCK_FLOATS // n))
     # Row-major codes r*S + s over a full block, for all rows and for the
     # treated rows: one bincount sums every row's per-stratum masses, each
-    # bin in row order, so a row's masses are bit for bit those of
-    # weighted_arm_counts on its vector (whose treated sum also adds the
-    # control rows' zeros, which change no bin).
+    # bin in row order, so a row's masses are bit for bit those of a
+    # per-vector bincount of its weights (whose treated sum may also add the
+    # control rows' zeros, which change no bin).  This is the one weighted
+    # mass in the package; at unit weights it gives the count fractions.
     treated = np.flatnonzero(dataset.a == 1)
     offsets = np.arange(size)[:, None] * n_strata
     codes = (offsets + dataset.s).ravel()
@@ -253,7 +256,11 @@ def _normal_critical_values(alpha: float) -> tuple[float, float]:
     """(lower, upper) two-sided standard-normal critical values at level alpha."""
     if not (0.0 < alpha < 1.0):
         raise DataValidationError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    return ndtri(alpha / 2.0), ndtri(1.0 - alpha / 2.0)
+    z_lo, z_hi = ndtri(alpha / 2.0), ndtri(1.0 - alpha / 2.0)
+    if not (np.isfinite(z_lo) and np.isfinite(z_hi)):
+        # 1 - alpha/2 rounds to 1 for alpha below about 1.1e-16.
+        raise DataValidationError(f"alpha {alpha!r} is too small: its critical value is infinite")
+    return z_lo, z_hi
 
 
 def pointwise_test(

@@ -15,7 +15,9 @@ import numpy as np
 
 from . import __version__
 from .adjust import METHODS, LassoConfig, fit_adjustment
-from .bootstrap import difference_test, pointwise_test, run_bootstrap, uniform_band
+from .bootstrap import (
+    _normal_critical_values, difference_test, pointwise_test, run_bootstrap, uniform_band,
+)
 from .data import QuantileGrid, index_strata, load_csv
 from .dgp import DGP_KINDS, DgpSpec
 from .errors import CarqteError, DataValidationError, NumericalError
@@ -58,24 +60,15 @@ def _parse_diff(raw, grid: QuantileGrid) -> tuple[float, float]:
     return taus
 
 
-def _parse_alpha(raw) -> float:
-    try:
-        alpha = float(raw)
-    except (TypeError, ValueError):
-        raise DataValidationError(f"cannot parse alpha {raw!r}") from None
-    if not (0.0 < alpha < 1.0):
-        raise DataValidationError(f"alpha must lie strictly inside (0, 1), got {raw!r}")
-    return alpha
-
-
 def _check_finite(value: float, option: str) -> None:
     if not np.isfinite(value):
         raise DataValidationError(f"--{option} must be a finite number, got {value!r}")
 
 
-def _parse_pi(raw: str) -> tuple[str, float]:
+def _parse_pi(raw: str) -> float | None:
+    """None for 'estimated', the known treated fraction of 'fixed:<value>'."""
     if raw == "estimated":
-        return "estimated", 0.5
+        return None
     if raw.startswith("fixed:"):
         try:
             value = float(raw.split(":", 1)[1])
@@ -83,7 +76,7 @@ def _parse_pi(raw: str) -> tuple[str, float]:
             raise DataValidationError(f"cannot parse pi spec {raw!r}") from None
         if not (0.0 < value < 1.0):
             raise DataValidationError("fixed pi must lie strictly inside (0, 1)")
-        return "fixed", value
+        return value
     raise DataValidationError("--pi must be 'estimated' or 'fixed:<value>'")
 
 
@@ -177,12 +170,15 @@ def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPar
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     grid = _parse_taus(args.taus)
-    pi_source, fixed_pi = _parse_pi(args.pi)
-    alpha = _parse_alpha(args.alpha)
+    fixed_pi = _parse_pi(args.pi)
+    alpha = args.alpha
+    _normal_critical_values(alpha)  # alpha in (0, 1) with finite critical values
     _check_finite(args.null, "null")
+    if args.seed < 0:
+        raise DataValidationError(f"--seed must be a non-negative integer, got {args.seed}")
     diff = _parse_diff(args.diff, grid) if args.diff else None
     dataset = load_csv(args.input)
-    stats = index_strata(dataset, target_pi=args.target_pi)
+    stats = index_strata(dataset)
     if stats.degenerate:
         labels = [dataset.strata_labels[i] for i in stats.degenerate]
         raise DataValidationError(
@@ -197,10 +193,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     )
     model = fit_adjustment(args.adjust, dataset, stats, pilot, grid, lasso_config=lasso_cfg)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    draws = run_bootstrap(
-        dataset, stats, model, grid, args.B, rng,
-        pi_source=pi_source, fixed_pi=fixed_pi,
-    )
+    draws = run_bootstrap(dataset, stats, model, grid, args.B, rng, fixed_pi=fixed_pi)
     point = draws.point
     est = point.qte
     pointwise = []
@@ -272,8 +265,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     grid = _parse_taus(args.taus)
-    pi_source, fixed_pi = _parse_pi(args.pi)
-    alpha = _parse_alpha(args.alpha)
+    fixed_pi = _parse_pi(args.pi)
+    alpha = args.alpha  # checked by ScenarioSpec
     _check_finite(args.delta, "delta")
     raw_methods = args.methods
     if isinstance(raw_methods, str):
@@ -295,7 +288,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         delta=args.delta,
         alpha=alpha,
         seed=args.seed,
-        pi_source=pi_source,
         fixed_pi=fixed_pi,
         mc_n=args.mc_n,
         mc_reps=args.mc_reps,
@@ -354,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--null", type=float, default=0.0, help="null QTE value to test")
     est.add_argument("--pi", default="estimated", help="'estimated' or 'fixed:<value>'")
-    est.add_argument("--target-pi", type=float, default=0.5, dest="target_pi")
     est.add_argument("--lasso-c", type=float, default=1.1, dest="lasso_c")
     est.add_argument("--lasso-iters", type=int, default=2, dest="lasso_iters")
     est.add_argument("--diff", default=None, help="two taus 't1,t2' for a difference test")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -137,19 +137,13 @@ class QuantileGrid:
 
 @dataclass(frozen=True)
 class StrataStats:
-    """Per-stratum counts, treated fractions, and imbalances.
-
-    Arrays are indexed by dense stratum code.  ``imbalance`` is
-    ``n1(s) - pi(s) * n(s)`` against the supplied target fraction.
-    """
+    """Per-stratum counts and treated fractions, indexed by dense stratum code."""
 
     labels: tuple
     n: np.ndarray
     n1: np.ndarray
     n0: np.ndarray
     pi_hat: np.ndarray
-    target_pi: np.ndarray
-    imbalance: np.ndarray
     degenerate: tuple[int, ...]
 
     @property
@@ -157,45 +151,7 @@ class StrataStats:
         return len(self.labels)
 
 
-def _per_stratum_targets(target_pi, labels: tuple) -> np.ndarray:
-    """Expand a scalar / mapping / sequence target fraction to code order."""
-    k = len(labels)
-    if isinstance(target_pi, Mapping):
-        try:
-            out = np.array([float(target_pi[lab]) for lab in labels])
-        except KeyError as exc:
-            raise DataValidationError(f"target pi missing for stratum {exc.args[0]!r}") from None
-    elif np.isscalar(target_pi):
-        out = np.full(k, float(target_pi))
-    else:
-        out = np.asarray(target_pi, dtype=np.float64)
-        if out.shape != (k,):
-            raise DataValidationError("per-stratum target pi has wrong length")
-    return _checked_fractions(out)
-
-
-def _checked_fractions(values) -> np.ndarray:
-    """Target treated fractions as floats, each finite and strictly inside (0, 1)."""
-    out = np.asarray(values, dtype=np.float64)
-    if not np.all((out > 0.0) & (out < 1.0)):
-        raise DataValidationError("target fractions must lie strictly inside (0, 1)")
-    return out
-
-
-def weighted_arm_counts(
-    s_codes: np.ndarray, a: np.ndarray, w: np.ndarray, n_strata: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted (treated, total) mass per stratum.
-
-    Single accumulation path shared by point estimation and bootstrap so the
-    two agree bit for bit when handed identical weights.
-    """
-    nw = np.bincount(s_codes, weights=w, minlength=n_strata)
-    n1w = np.bincount(s_codes, weights=w * a, minlength=n_strata)
-    return n1w, nw
-
-
-def index_strata(dataset: Dataset, target_pi=0.5) -> StrataStats:
+def index_strata(dataset: Dataset) -> StrataStats:
     """Count units per stratum and arm.
 
     Raises :class:`EmptyStratumError` when some stratum label has no rows.
@@ -204,8 +160,6 @@ def index_strata(dataset: Dataset, target_pi=0.5) -> StrataStats:
     to do with them.
     """
     k = dataset.n_strata
-    target = _per_stratum_targets(target_pi, dataset.strata_labels)
-
     n = np.bincount(dataset.s, minlength=k).astype(np.int64)
     n1 = np.bincount(dataset.s, weights=dataset.a.astype(np.float64), minlength=k)
     n1 = n1.astype(np.int64)
@@ -216,8 +170,6 @@ def index_strata(dataset: Dataset, target_pi=0.5) -> StrataStats:
         raise EmptyStratumError(f"strata without rows: {empty}")
 
     pi_hat = n1.astype(np.float64) / n.astype(np.float64)
-    imbalance = n1.astype(np.float64) - target * n.astype(np.float64)
-
     degen = np.flatnonzero((n1 == 0) | (n0 == 0))
     return StrataStats(
         labels=dataset.strata_labels,
@@ -225,8 +177,6 @@ def index_strata(dataset: Dataset, target_pi=0.5) -> StrataStats:
         n1=_readonly(n1),
         n0=_readonly(n0),
         pi_hat=_readonly(pi_hat),
-        target_pi=_readonly(target),
-        imbalance=_readonly(imbalance),
         degenerate=tuple(int(i) for i in degen),
     )
 

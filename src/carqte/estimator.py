@@ -13,13 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, QuantileGrid, StrataStats, weighted_arm_counts
+from .data import Dataset, QuantileGrid, StrataStats
 from .errors import DataValidationError, DegenerateCellError, NumericalError
 
 
 @dataclass(frozen=True)
 class QteEstimate:
-    """Per-tau arm quantiles and their difference."""
+    """Per-tau arm quantiles and their difference.
+
+    The unadjusted pilot quantiles, which build the adjustment labels, are
+    one of these too.
+    """
 
     taus: tuple[float, ...]
     q1: np.ndarray
@@ -31,15 +35,6 @@ class QteEstimate:
 
     def at(self, tau: float) -> float:
         return float(self.qte[self.taus.index(float(tau))])
-
-
-@dataclass(frozen=True)
-class PilotQuantiles:
-    """Unadjusted per-arm quantiles used to build adjustment labels."""
-
-    taus: tuple[float, ...]
-    q1: np.ndarray
-    q0: np.ndarray
 
     def q(self, arm: int, tau: float) -> float:
         i = self.taus.index(float(tau))
@@ -79,6 +74,7 @@ def _search_left(cum: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _fixed_pis(fixed_pi, n_strata: int) -> np.ndarray:
+    """Known treated fractions, a scalar or one per stratum, strictly inside (0, 1)."""
     if np.isscalar(fixed_pi):
         pis = np.full(n_strata, float(fixed_pi))
     else:
@@ -88,26 +84,6 @@ def _fixed_pis(fixed_pi, n_strata: int) -> np.ndarray:
     if not np.all((pis > 0.0) & (pis < 1.0)):
         raise DataValidationError("fixed pi must lie strictly inside (0, 1)")
     return pis
-
-
-def _pi_by_stratum(
-    dataset: Dataset,
-    xi: np.ndarray,
-    pi_source: str,
-    fixed_pi,
-    n_strata: int,
-) -> np.ndarray:
-    if pi_source == "fixed":
-        return _fixed_pis(fixed_pi, n_strata)
-    n1w, nw = weighted_arm_counts(dataset.s, dataset.a.astype(np.float64), xi, n_strata)
-    bad = (nw <= 0.0) | (n1w <= 0.0) | (n1w >= nw)
-    if np.any(bad):
-        raise DegenerateCellError(
-            [dataset.strata_labels[i] for i in np.flatnonzero(bad)],
-            "weighted treated fraction is degenerate in strata "
-            f"{[dataset.strata_labels[i] for i in np.flatnonzero(bad)]}",
-        )
-    return n1w / nw
 
 
 class _Solver:
@@ -128,6 +104,7 @@ class _Solver:
     def __init__(self, dataset: Dataset, column_taus: np.ndarray, m_by_arm: dict) -> None:
         rows1 = _arm_rows(dataset, 1)
         self._perm = np.concatenate([rows1, _arm_rows(dataset, 0)])
+        self.n = dataset.n
         self._n1 = rows1.size
         # Column of each row in the [pi | 1 - pi] table: its arm's propensity.
         arm_offset = np.repeat([0, dataset.n_strata], [self._n1, dataset.n - self._n1])
@@ -181,12 +158,14 @@ def _model_solver(dataset: Dataset, models, grid: QuantileGrid) -> _Solver:
     return _Solver(dataset, np.tile(tuple(grid), len(models)), m_by_arm)
 
 
-def _point(solver: _Solver, dataset: Dataset, pi_source: str, fixed_pi,
-           n_strata: int) -> tuple[np.ndarray, np.ndarray]:
-    """(q1, q0) per column at unit weights: the solve as a one-row block."""
-    unit = np.ones(dataset.n)
-    pis = _pi_by_stratum(dataset, unit, pi_source, fixed_pi, n_strata)
-    q1, q0 = solver.solve(unit[None], pis[None])
+def _point(solver: _Solver, stats: StrataStats, fixed_pi) -> tuple[np.ndarray, np.ndarray]:
+    """(q1, q0) per column at unit weights: the solve as a one-row block.
+
+    Unit weights give the count fractions ``stats.pi_hat``, or the known
+    ``fixed_pi`` when one is given.
+    """
+    pis = stats.pi_hat if fixed_pi is None else _fixed_pis(fixed_pi, stats.n_strata)
+    q1, q0 = solver.solve(np.ones((1, solver.n)), pis[None])
     return q1[0], q0[0]
 
 
@@ -195,25 +174,25 @@ def qte(
     stats: StrataStats,
     model,
     grid: QuantileGrid,
-    pi_source: str = "estimated",
-    fixed_pi=0.5,
+    fixed_pi=None,
 ) -> QteEstimate:
     """Adjusted QTE curve: per-tau difference of the two arm solutions.
 
     The model is evaluated on the dataset rows once, for both arms, and the
-    arm problems are solved with unit weights.
+    arm problems are solved with unit weights.  ``fixed_pi`` None uses the
+    estimated treated fractions; a scalar or per-stratum value in (0, 1)
+    fixes them instead.
     """
     degenerate = [stats.labels[i] for i in stats.degenerate]
     if degenerate:
         raise DegenerateCellError(degenerate)
     solver = _model_solver(dataset, (model,), grid)
-    q1, q0 = _point(solver, dataset, pi_source, fixed_pi, stats.n_strata)
+    q1, q0 = _point(solver, stats, fixed_pi)
     return QteEstimate(taus=tuple(grid), q1=q1, q0=q0)
 
 
-def pilot_quantiles(dataset: Dataset, stats: StrataStats, grid: QuantileGrid) -> PilotQuantiles:
+def pilot_quantiles(dataset: Dataset, stats: StrataStats, grid: QuantileGrid) -> QteEstimate:
     """Unadjusted arm quantiles (zero adjustment, unit weights)."""
     from .adjust import fit_none
 
-    est = qte(dataset, stats, fit_none(grid), grid)
-    return PilotQuantiles(taus=est.taus, q1=est.q1, q0=est.q0)
+    return qte(dataset, stats, fit_none(grid), grid)

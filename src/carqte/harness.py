@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjust import LOGIT_BASE, METHODS, LassoConfig, fit_adjustment
-from .bootstrap import difference_test, pointwise_test, run_bootstrap, uniform_band
+from .bootstrap import (
+    _normal_critical_values, difference_test, pointwise_test, run_bootstrap, uniform_band,
+)
 from .data import Dataset, QuantileGrid, index_strata
 from .dgp import DgpSpec, cached_true_qte, generate
 from .errors import CarqteError, DataValidationError
@@ -33,7 +35,11 @@ _FAILURE_BUDGET = 0.01
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Everything needed to reproduce one Monte Carlo experiment."""
+    """Everything needed to reproduce one Monte Carlo experiment.
+
+    ``fixed_pi`` None estimates the treated fractions; a scalar or
+    per-stratum value in (0, 1) fixes them (the naive variant).
+    """
 
     dgp: DgpSpec
     scheme: SchemeSpec
@@ -44,8 +50,7 @@ class ScenarioSpec:
     delta: float = 1.5
     alpha: float = 0.05
     seed: int = 0
-    pi_source: str = "estimated"
-    fixed_pi: float = 0.5
+    fixed_pi: object = None
     mc_n: int = 10_000
     mc_reps: int = 1_000
     oracle_seed: int = 0
@@ -57,6 +62,9 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.reps < 1 or self.B < 2:
             raise DataValidationError("need reps >= 1 and B >= 2")
+        if self.seed < 0 or self.oracle_seed < 0:
+            raise DataValidationError("seeds must be non-negative integers")
+        _normal_critical_values(self.alpha)  # checks alpha
         for m in self.methods:
             if m not in METHODS:
                 raise DataValidationError(f"unknown method {m!r}")
@@ -99,7 +107,7 @@ def _run_one_rep(spec: ScenarioSpec, truth: np.ndarray, rep: int) -> dict:
         np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep, 1))),
     )
     dataset = Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
-    stats = index_strata(dataset, target_pi=spec.scheme.pi)
+    stats = index_strata(dataset)
     grid = spec.taus
     taus = tuple(grid)
     pilot = pilot_quantiles(dataset, stats, grid)
@@ -123,7 +131,7 @@ def _run_one_rep(spec: ScenarioSpec, truth: np.ndarray, rep: int) -> dict:
     boot_rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep, 2)))
     boot = run_bootstrap(
         dataset, stats, [models[m] for m in spec.methods], grid, spec.B, boot_rng,
-        pi_source=spec.pi_source, fixed_pi=spec.fixed_pi,
+        fixed_pi=spec.fixed_pi,
     )
     # Each inference result is computed once and decides both the size null
     # (the truth) and the power null (the truth shifted by delta).
@@ -190,8 +198,10 @@ def run_scenario(spec: ScenarioSpec, truth: np.ndarray | None = None) -> Scenari
 
     tasks = [(spec, truth, r) for r in range(spec.reps)]
     results: list[tuple[int, dict | None, str | None]] = []
-    workers = max(1, spec.workers)
-    if workers > 1 and spec.reps > 1:
+    # A fork pool starts all its workers at once, so never ask for more than
+    # there are replications or CPUs to run them.
+    workers = min(spec.workers, spec.reps, _available_cpus())
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_rep_worker, tasks, chunksize=8))
     else:
@@ -299,27 +309,11 @@ def emit_table(results, format: str = "csv") -> str:
     raise DataValidationError(f"unknown table format {format!r}")
 
 
-def parse_table(text: str) -> list[dict]:
-    """Inverse of ``emit_table(..., 'csv')``: exact round trip of the records."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        return []
-    int_cols = {"n", "B", "reps"}
-    str_cols = {"dgp", "scheme", "method", "test"}
-    out = []
-    for row in reader:
-        rec = {}
-        for name, cell in zip(header, row):
-            if name in str_cols:
-                rec[name] = cell
-            elif name in int_cols:
-                rec[name] = int(cell)
-            else:
-                rec[name] = float(cell)
-        out.append(rec)
-    return out
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def default_workers() -> int:

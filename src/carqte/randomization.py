@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .data import _checked_fractions, _per_stratum_targets
 from .errors import DataValidationError
 
 SCHEME_KINDS = ("srs", "wei", "bcd", "sbr")
@@ -68,6 +67,31 @@ class SchemeSpec:
                 raise DataValidationError(
                     "wei allocation function must be non-increasing with phi(-x) = 1 - phi(x)"
                 )
+
+
+def _checked_fractions(values) -> np.ndarray:
+    """Target treated fractions as floats, each finite and strictly inside (0, 1)."""
+    out = np.asarray(values, dtype=np.float64)
+    if not np.all((out > 0.0) & (out < 1.0)):
+        raise DataValidationError("target fractions must lie strictly inside (0, 1)")
+    return out
+
+
+def _per_stratum_targets(target_pi, labels: tuple) -> np.ndarray:
+    """Expand a scalar / mapping / sequence target fraction to code order."""
+    k = len(labels)
+    if isinstance(target_pi, Mapping):
+        try:
+            out = np.array([float(target_pi[lab]) for lab in labels])
+        except KeyError as exc:
+            raise DataValidationError(f"target pi missing for stratum {exc.args[0]!r}") from None
+    elif np.isscalar(target_pi):
+        out = np.full(k, float(target_pi))
+    else:
+        out = np.asarray(target_pi, dtype=np.float64)
+        if out.shape != (k,):
+            raise DataValidationError("per-stratum target pi has wrong length")
+    return _checked_fractions(out)
 
 
 def _targets_for(strata: np.ndarray, spec: SchemeSpec) -> tuple[np.ndarray, np.ndarray, list]:

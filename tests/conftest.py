@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 from scipy.special import expit
 
-from carqte import Dataset, DataValidationError
+from carqte import Dataset, DataValidationError, DegenerateCellError
 from carqte.adjust import _SCORE_TOL, _SEPARATION_CAP, _ZERO_SD
-from carqte.data import weighted_arm_counts
-from carqte.estimator import _pi_by_stratum, _Solver
+from carqte.estimator import _fixed_pis, _Solver
 
 
 def make_stratified_dataset(rng, n=40, k=2, d=1, y=None):
@@ -69,7 +69,34 @@ def searchsorted_arm(arm, ds, xi, pis, mhat, tau):
     return float(ys[last][min(k, last.size - 1)])
 
 
-def solve_arm(ds, arm, tau, xi, mhat, pi_source="estimated", fixed_pi=0.5):
+def weighted_arm_counts(ds, w):
+    """Weighted (treated, total) mass per stratum of one weight vector.
+
+    The per-vector reference for the bootstrap's block ``bincount``: at unit
+    weights it gives the arm counts, so ``n1w / nw`` is ``StrataStats.pi_hat``.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    nw = np.bincount(ds.s, weights=w, minlength=ds.n_strata)
+    n1w = np.bincount(ds.s, weights=w * ds.a.astype(np.float64), minlength=ds.n_strata)
+    return n1w, nw
+
+
+def pi_by_stratum(ds, xi, fixed_pi=None):
+    """Per-stratum treated fractions the solver is handed for weights ``xi``.
+
+    ``fixed_pi`` when given; otherwise the weighted fractions ``n1w / nw``,
+    raising :class:`DegenerateCellError` when one of them is 0 or 1.
+    """
+    if fixed_pi is not None:
+        return _fixed_pis(fixed_pi, ds.n_strata)
+    n1w, nw = weighted_arm_counts(ds, xi)
+    bad = [ds.strata_labels[i] for i in np.flatnonzero((nw <= 0.0) | (n1w <= 0.0) | (n1w >= nw))]
+    if bad:
+        raise DegenerateCellError(bad, f"weighted treated fraction is degenerate in strata {bad}")
+    return n1w / nw
+
+
+def solve_arm(ds, arm, tau, xi, mhat, fixed_pi=None):
     """One arm problem through the solver core, as row 0 of a 3-row block.
 
     The block stacks ``xi`` with unit weights and with ``xi`` reversed, so
@@ -80,10 +107,10 @@ def solve_arm(ds, arm, tau, xi, mhat, pi_source="estimated", fixed_pi=0.5):
     """
     xi = np.asarray(xi, float)
     block = np.stack([xi, np.ones(ds.n), xi[::-1]])
-    if pi_source == "fixed":
-        pis = _pi_by_stratum(ds, xi, pi_source, fixed_pi, ds.n_strata)[None]
+    if fixed_pi is not None:
+        pis = pi_by_stratum(ds, xi, fixed_pi)[None]
     else:
-        pis = np.stack([_pi_by_stratum(ds, w, pi_source, fixed_pi, ds.n_strata) for w in block])
+        pis = np.stack([pi_by_stratum(ds, w) for w in block])
     m = np.asarray(mhat, float)[:, None]
     solver = _Solver(ds, np.array([tau]), {arm: [m], 1 - arm: [np.zeros_like(m)]})
     q1, q0 = solver.solve(block, pis)
@@ -127,7 +154,7 @@ def check_sandwich(ds, arm, tau, xi, mhat, solution, tol=1e-10):
 
 
 def estimated_pis(ds, xi):
-    n1w, nw = weighted_arm_counts(ds.s, ds.a.astype(float), xi, ds.n_strata)
+    n1w, nw = weighted_arm_counts(ds, xi)
     return n1w / nw
 
 
@@ -306,3 +333,26 @@ def load_csv_reference(path):
         raise DataValidationError(f"{path}: no data rows")
     x = np.asarray(xs, dtype=np.float64) if x_cols else np.empty((len(ys), 0))
     return Dataset.from_arrays(np.asarray(ys), np.asarray(as_), np.asarray(ss, dtype=object), x)
+
+
+def parse_table(text):
+    """Inverse of ``emit_table(..., 'csv')``: exact round trip of the records."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        return []
+    int_cols = {"n", "B", "reps"}
+    str_cols = {"dgp", "scheme", "method", "test"}
+    out = []
+    for row in reader:
+        rec = {}
+        for name, cell in zip(header, row):
+            if name in str_cols:
+                rec[name] = cell
+            elif name in int_cols:
+                rec[name] = int(cell)
+            else:
+                rec[name] = float(cell)
+        out.append(rec)
+    return out

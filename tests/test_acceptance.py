@@ -43,7 +43,7 @@ from carqte import (
 )
 from carqte.adjust import _l1_kkt_residual
 from carqte.bootstrap import sup_critical_value
-from carqte.estimator import PilotQuantiles
+from carqte.estimator import QteEstimate
 from carqte.randomization import assign_bcd, assign_sbr, assign_srs, assign_wei
 
 SEED = 20260808
@@ -196,7 +196,6 @@ def test_criterion_6_fixed_pi_bootstrap_is_conservative(truth05, size_runs):
         B=200,
         taus=GRID05,
         seed=SEED,
-        pi_source="fixed",
         fixed_pi=0.5,
     )
     res = run_scenario(spec, truth05)
@@ -245,7 +244,7 @@ def test_criterion_7_lasso_correctness():
         arm_v = np.tile([0, 1], n // 2)
         y = 4.0 * x[:, 0] + 0.3 * rng.normal(0, 1, n)
         dsp = Dataset.from_arrays(y, arm_v, np.zeros(n, int), x)
-        pil = PilotQuantiles(
+        pil = QteEstimate(
             (0.5,), np.array([np.median(y[arm_v == 1])]), np.array([np.median(y[arm_v == 0])])
         )
         with warnings.catch_warnings():

@@ -34,12 +34,12 @@ from carqte import (
 from carqte import adjust
 from carqte.adjust import _l1_kkt_residual
 from carqte.dgp import DgpSpec, generate
-from carqte.estimator import PilotQuantiles, _model_solver, qte
+from carqte.estimator import QteEstimate, _model_solver, qte
 from carqte.randomization import SchemeSpec, assign
 
 
 def _median_pilot(y, a):
-    return PilotQuantiles(
+    return QteEstimate(
         (0.5,), np.array([np.median(y[a == 1])]), np.array([np.median(y[a == 0])])
     )
 
@@ -258,7 +258,7 @@ def test_lp_constant_indicator_gives_zero_slope():
     rng = np.random.default_rng(1)
     ds = _two_strata_dataset(rng)
     # pilot far above every outcome: all labels are 1
-    pilot = PilotQuantiles((0.5,), np.array([1e6]), np.array([1e6]))
+    pilot = QteEstimate((0.5,), np.array([1e6]), np.array([1e6]))
     model = fit_lp(ds, index_strata(ds), pilot, GRID)
     assert model.live.all()
     assert np.max(np.abs(model.coef)) < 1e-10
@@ -271,7 +271,7 @@ def test_lp_slope_by_hand():
     a = np.array([1, 1, 1, 1, 0, 0, 0, 0])
     x = np.array([[0.0], [0.0], [1.0], [1.0], [0.0], [0.0], [1.0], [1.0]])
     ds = Dataset.from_arrays(y, a, np.zeros(8), x)
-    pilot = PilotQuantiles((0.5,), np.array([0.0]), np.array([0.0]))
+    pilot = QteEstimate((0.5,), np.array([0.0]), np.array([0.0]))
     model = fit_lp(ds, index_strata(ds), pilot, GRID)
     assert model.coef[1, 0, 0, 0] == pytest.approx(1.0)
 

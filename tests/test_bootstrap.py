@@ -2,12 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import make_stratified_dataset
+from conftest import make_stratified_dataset, weighted_arm_counts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
 import carqte.bootstrap as bt
+import carqte.estimator as est
 from carqte import (
     BootstrapDrawSet,
     Dataset,
@@ -146,11 +147,15 @@ def _pinned_design():
     return ds, stt, grid, models
 
 
-@pytest.mark.parametrize("pi_source", ["estimated", "fixed"])
-def test_shared_stream_draws_equal_single_model_draws(pi_source):
+# How each pinned π mode calls the estimator: estimated, or fixed at 1/2.
+_PI_MODES = {"estimated": {}, "fixed": {"fixed_pi": 0.5}}
+
+
+@pytest.mark.parametrize("pi_mode", ["estimated", "fixed"])
+def test_shared_stream_draws_equal_single_model_draws(pi_mode):
     ds, stt, grid, models = _pinned_design()
-    methods = tuple(PINNED_DRAWS[pi_source])
-    kw = dict(pi_source=pi_source, fixed_pi=0.5)
+    methods = tuple(PINNED_DRAWS[pi_mode])
+    kw = _PI_MODES[pi_mode]
     shared = run_bootstrap(ds, stt, models, grid, 40, np.random.default_rng(33), **kw)
     assert isinstance(shared, BootstrapDrawSet)
     assert len(shared) == len(methods)
@@ -165,7 +170,7 @@ def test_shared_stream_draws_equal_single_model_draws(pi_source):
             assert got.taus == point.taus
             assert np.array_equal(got.q1, point.q1) and np.array_equal(got.q0, point.q0)
         digest = hashlib.sha256(np.ascontiguousarray(draws.draws).tobytes()).hexdigest()
-        assert digest == PINNED_DRAWS[pi_source][method], method
+        assert digest == PINNED_DRAWS[pi_mode][method], method
 
 
 def test_shared_stream_counts_resampled_draws_once(monkeypatch):
@@ -195,14 +200,14 @@ def test_shared_stream_counts_resampled_draws_once(monkeypatch):
 _BLOCK_BUDGETS = (1, 7 * 200, 2**30)
 
 
-@pytest.mark.parametrize("pi_source", ["estimated", "fixed"])
-def test_draws_do_not_depend_on_block_size(monkeypatch, pi_source):
+@pytest.mark.parametrize("pi_mode", ["estimated", "fixed"])
+def test_draws_do_not_depend_on_block_size(monkeypatch, pi_mode):
     ds, stt, grid, models = _pinned_design()
     runs = []
     for budget in _BLOCK_BUDGETS:
         monkeypatch.setattr(bt, "_BLOCK_FLOATS", budget)
         runs.append(run_bootstrap(ds, stt, models, grid, 25, np.random.default_rng(33),
-                                  pi_source=pi_source, fixed_pi=0.5))
+                                  **_PI_MODES[pi_mode]))
     for run in runs[1:]:
         assert run.n_resampled == runs[0].n_resampled
         for got, want in zip(run, runs[0]):
@@ -210,6 +215,40 @@ def test_draws_do_not_depend_on_block_size(monkeypatch, pi_source):
             assert np.array_equal(got.point.q1, want.point.q1)
             assert np.array_equal(got.point.q0, want.point.q0)
             assert got.n_resampled == want.n_resampled
+
+
+@pytest.mark.parametrize("budget", ["1", "7n", "2^30"])
+def test_each_replicate_is_solved_with_its_own_weighted_fractions(monkeypatch, budget):
+    # The block bincount must hand the solver, row by row, the treated
+    # fractions n1w / nw of that row's own weights, bit for bit, resampled
+    # rows included; the unit-weight point solve gets the count fractions.
+    ds, stt, grid = _fixture(seed=4, n=60, taus=(0.25, 0.5, 0.75))
+    real_solve, real_draw = est._Solver.solve, bt.draw_weights
+    seen, calls = [], []
+
+    def spy(self, xi, pis):
+        seen.append((xi.copy(), pis.copy()))
+        return real_solve(self, xi, pis)
+
+    def flaky(n, rng):  # the first try of some replicates zeroes every weight
+        calls.append(n)
+        w = real_draw(n, rng)
+        return np.zeros(n) if len(calls) % 5 == 1 else w
+
+    monkeypatch.setattr(est._Solver, "solve", spy)
+    monkeypatch.setattr(bt, "draw_weights", flaky)
+    monkeypatch.setattr(bt, "_BLOCK_FLOATS", {"1": 1, "7n": 7 * ds.n, "2^30": 2**30}[budget])
+    draws = run_bootstrap(ds, stt, fit_none(grid), grid, 25, np.random.default_rng(8))
+    assert draws.n_resampled > 0
+    (unit, unit_pis), *blocks = seen
+    assert np.array_equal(unit, np.ones((1, ds.n)))
+    assert np.array_equal(unit_pis, stt.pi_hat[None])
+    assert len(blocks) == {"1": 25, "7n": 4, "2^30": 1}[budget]
+    rows = [(x, p) for xi, pis in blocks for x, p in zip(xi, pis, strict=True)]
+    assert len(rows) == 25
+    for x, p in rows:
+        n1w, nw = weighted_arm_counts(ds, x)
+        assert np.array_equal(p, n1w / nw)
 
 
 def test_resampled_rows_of_later_blocks_do_not_depend_on_block_size(monkeypatch):
@@ -423,6 +462,16 @@ def test_empirical_quantile_convention():
     assert empirical_quantile(x, 0.25) == 2.0
     # interpolation between ranks
     assert empirical_quantile(x, 0.3) == pytest.approx(2.2)
+
+
+@pytest.mark.parametrize("alpha", [1e-16, 1e-300, 5e-324])
+def test_critical_values_reject_alpha_whose_critical_value_is_infinite(alpha):
+    # 1 - alpha/2 rounds to 1 here, and ndtri(1) is inf: an interval would
+    # be written as Infinity.
+    assert 1.0 - alpha / 2.0 == 1.0
+    with pytest.raises(DataValidationError, match="infinite"):
+        _normal_critical_values(alpha)
+    assert np.all(np.isfinite(_normal_critical_values(3e-16)))
 
 
 def test_critical_values_reject_alpha_outside_unit_interval():

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from conftest import parse_table
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import carqte
@@ -92,7 +93,7 @@ def test_public_surface_is_pinned():
         "AdjustmentModel", "BootstrapDrawSet", "BootstrapDraws", "CarqteError",
         "CellTooSmallError", "DataValidationError", "Dataset", "DegenerateCellError",
         "DegenerateWeightedCellError", "DgpSpec", "EmptyStratumError", "FeatureMap",
-        "InferenceResult", "LassoConfig", "METHODS", "NumericalError", "PilotQuantiles",
+        "InferenceResult", "LassoConfig", "METHODS", "NumericalError",
         "PotentialData", "QteEstimate", "QuantileGrid", "SCHEME_KINDS", "ScenarioResult",
         "ScenarioSpec", "SchemeSpec", "SieveSpec", "StrataStats", "UnfittedTauError",
         "UnknownStratumError", "adjust", "assign", "assign_bcd",
@@ -101,7 +102,7 @@ def test_public_surface_is_pinned():
         "draw_weights", "emit_table", "empirical_quantile", "errors", "estimator",
         "fit_adjustment", "fit_hd_lasso", "fit_logit_cell", "fit_lp", "fit_lpml", "fit_ml",
         "fit_none", "generate", "harness", "hd_dictionary", "index_strata", "load_csv",
-        "logistic_features", "parse_table", "pilot_quantiles", "pointwise_test", "qte",
+        "logistic_features", "pilot_quantiles", "pointwise_test", "qte",
         "randomization", "raw_features", "run_bootstrap", "run_scenario",
         "true_qte_oracle", "uniform_band",
     ]
@@ -335,6 +336,50 @@ def test_non_finite_null_and_delta_are_data_errors(experiment_csv, tmp_path, cap
 
 
 @pytest.mark.parametrize("command", ["estimate", "simulate"])
+@pytest.mark.parametrize("option,value", [("seed", -1), ("alpha", 1e-16)])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_negative_seed_and_vanishing_alpha_are_rejected_up_front(tmp_path, capsys, monkeypatch,
+                                                                 command, option, value, via):
+    # A negative seed has no SeedSequence, and at alpha = 1e-16, 1 - alpha/2
+    # rounds to 1, whose normal critical value is infinite.  Both exit 3
+    # before the CSV is read or the oracle runs.
+    def never(*args, **kwargs):
+        raise AssertionError(f"work started before --{option} was checked")
+
+    monkeypatch.setattr(carqte.cli, "load_csv", never)
+    monkeypatch.setattr(carqte.harness, "scenario_truth", never)
+    out = tmp_path / "r.out"
+    if command == "estimate":
+        argv = ["estimate", "--input", str(tmp_path / "unread.csv"), "--B", "20"]
+    else:
+        argv = ["simulate", "--n", "80", "--reps", "2", "--B", "20", "--workers", "1",
+                "--truth-cache", str(tmp_path / "truth.json")]
+    if via == "flag":
+        argv += [f"--{option}={value!r}"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option: value}))
+        argv += ["--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 3
+    assert option in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "truth.json").exists()
+
+
+def test_estimate_target_pi_is_gone(experiment_csv, tmp_path):
+    # The flag set a target that no estimate used; it is now unknown (exit 2),
+    # and a config key of that name is ignored like any other unknown key.
+    out = tmp_path / "r.json"
+    base = ["estimate", "--input", experiment_csv, "--taus", "0.5", "--B", "20"]
+    assert main(base + ["--target-pi", "0.3", "--out", str(out)]) == 2
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"target_pi": 7}))
+    assert main(base + ["--config", str(cfg), "--out", str(out)]) == 0
+    assert main(base + ["--out", str(tmp_path / "plain.json")]) == 0
+    assert out.read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
 @pytest.mark.parametrize("c", ["nan", "inf", "0"])
 def test_lasso_c_must_be_finite_and_positive(experiment_csv, tmp_path, capsys, command, c):
     out = tmp_path / "r.out"
@@ -416,5 +461,128 @@ def test_any_csv_body_ends_in_a_documented_exit(tmp_path, bom, body):
         report = _strict_json(out.read_text())
         for row in report["pointwise"]:
             assert row["ci"][0] <= row["estimate"] <= row["ci"][1]
+    else:
+        assert not out.exists()
+
+
+def _fuzzed_options(optional, required=None):
+    """Strategy for a list of (option, value, in config file) triples.
+
+    Options map to (good values, bad values).  Each ``optional`` option is
+    left out or set to a good value, each ``required`` one is always set to
+    one, and then up to two options, required or not, are set to a bad value
+    instead, so that many runs get as far as writing output.  Either way the
+    value goes on the command line or into a ``--config`` file.
+    """
+    options = {**optional, **(required or {})}
+
+    def setting(name, values):
+        return st.tuples(st.just(name), st.sampled_from(values), st.booleans())
+
+    good = [st.one_of(st.none(), setting(k, g)) for k, (g, _) in optional.items()]
+    good += [setting(k, g) for k, (g, _) in (required or {}).items()]
+    bad = st.lists(st.sampled_from([k for k, (_, b) in options.items() if b]).flatmap(
+        lambda k: setting(k, options[k][1])), max_size=2, unique_by=lambda o: o[0])
+
+    def merge(drawn):
+        good_ones, bad_ones = drawn
+        chosen = {o[0]: o for o in good_ones if o is not None}
+        chosen.update((o[0], o) for o in bad_ones)
+        return list(chosen.values())
+
+    return st.tuples(st.tuples(*good), bad).map(merge)
+
+
+def _fuzz_argv(argv, opts, tmp_path):
+    cfg = {}
+    for name, value, in_config in opts:
+        if in_config:
+            cfg[name] = value
+        else:
+            argv.append(f"--{name}" if value is True else f"--{name}={value}")
+    path = tmp_path / "fuzz.cfg.json"
+    path.unlink(missing_ok=True)
+    if cfg:
+        path.write_text(json.dumps(cfg))
+        argv += ["--config", str(path)]
+    return argv
+
+
+_SEEDS = (["0", "7", str(2**64), str(10**30)], ["-1", "-7", "x"])
+_TAUS = (["0.25,0.5,0.75", "0.25,0.75", "0.5", "1e-300,0.5"],
+         ["", ",", "0.75,0.25", "nan", "0.5,nan", "0,0.5", "0.3,0.3", "abc"])
+_ALPHAS = (["0.05", "0.5", "0.999", "1e-10"], ["1e-16", "5e-324", "0", "1", "-0.1", "nan", "x"])
+_PIS = (["estimated", "fixed:0.5", "fixed:0.3"],
+        ["fixed:0", "fixed:1", "fixed:nan", "fixed:", "fix"])
+_ESTIMATE_OPTIONS = {
+    "seed": _SEEDS, "taus": _TAUS, "alpha": _ALPHAS, "pi": _PIS,
+    "adjust": (["na", "lp", "ml"], ["ols"]),
+    "diff": (["0.75,0.25", "0.25,0.75"], ["0.5,0.5", "0.5", "0.1,0.2", "nan,0.5", "a,b", ""]),
+    "null": (["0", "1.5", "-2", "1e308"], ["nan", "inf", "x"]),
+    "uniform": ([True], []),
+}
+_SIMULATE_OPTIONS = {
+    "seed": _SEEDS, "taus": _TAUS, "alpha": _ALPHAS, "pi": _PIS,
+    "dgp": (["1", "2"], ["7"]), "scheme": (["srs", "sbr", "wei", "bcd"], ["none"]),
+    "methods": (["na", "na,lp"], ["ols"]), "delta": (["1.5", "0"], ["nan"]),
+    "target-pi": (["0.5", "0.45"], ["1.5", "nan"]),
+}
+# Kept small so a run takes milliseconds; --workers is always 1.
+_SIMULATE_SIZES = {
+    "n": (["60", "80"], ["0", "1"]), "reps": (["1", "3"], ["0"]),
+    "B": (["2", "20"], ["0", "1"]), "mc-n": (["1", "500"], ["0"]),
+    "mc-reps": (["1", "3"], ["0"]),
+}
+
+
+def _check_interval(block):
+    lower, upper = block["ci"] if "ci" in block else (block["lower"], block["upper"])
+    assert np.all(np.asarray(lower) <= np.asarray(block["estimate"]))
+    assert np.all(np.asarray(block["estimate"]) <= np.asarray(upper))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(opts=_fuzzed_options(_ESTIMATE_OPTIONS, {"B": (["2", "3", "20"], ["0", "1"])}),
+       removed_flag=st.sampled_from([False] * 7 + [True]))
+@example(opts=[("seed", "-1", False), ("B", "20", False)], removed_flag=False)
+@example(opts=[("alpha", "1e-16", True), ("B", "20", False)], removed_flag=False)
+def test_any_estimate_argv_ends_in_a_documented_exit(experiment_csv, tmp_path, opts,
+                                                     removed_flag):
+    out = tmp_path / "fuzz.json"
+    out.unlink(missing_ok=True)
+    argv = _fuzz_argv(["estimate", "--input", experiment_csv, "--out", str(out)], opts,
+                      tmp_path)
+    code = main(argv + (["--target-pi=0.3"] if removed_flag else []))
+    assert code in (0, 2, 3, 4)
+    if removed_flag:
+        assert code == 2
+    if code == 0:
+        report = _strict_json(out.read_text())
+        for block in report["pointwise"] + [report.get("difference")]:
+            if block is not None:
+                _check_interval(block)
+        if "uniform_band" in report:
+            _check_interval(report["uniform_band"])
+    else:
+        assert not out.exists()
+
+
+@settings(max_examples=25, deadline=None)
+@given(opts=_fuzzed_options(_SIMULATE_OPTIONS, _SIMULATE_SIZES))
+@example(opts=[("seed", "-1", False), ("n", "60", False), ("reps", "1", False),
+               ("B", "2", False), ("mc-n", "1", False), ("mc-reps", "1", False)])
+def test_any_simulate_argv_ends_in_a_documented_exit(tmp_path_factory, opts):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    out, cache = tmp_path / "fuzz.csv", tmp_path / "truth.json"
+    argv = _fuzz_argv(["simulate", "--workers", "1", "--truth-cache", str(cache),
+                       "--out", str(out)], opts, tmp_path)
+    code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        rows = parse_table(out.read_text())
+        assert rows
+        assert all(np.isfinite(v) for row in rows for v in row.values() if isinstance(v, float))
+        _strict_json(Path(str(out) + ".config.json").read_text())
     else:
         assert not out.exists()

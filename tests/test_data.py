@@ -15,38 +15,30 @@ from carqte import (
     index_strata,
     load_csv,
 )
-from carqte.data import weighted_arm_counts
-from carqte.estimator import _pi_by_stratum
-from conftest import load_csv_reference
+from conftest import load_csv_reference, pi_by_stratum, weighted_arm_counts
 
 
 def test_balanced_split_counts():
     ds = Dataset.from_arrays([9.0, 8.0, 7.0, 6.0], [1, 0, 1, 0], [1, 1, 2, 2], np.zeros((4, 1)))
-    st_ = index_strata(ds, target_pi=0.5)
+    st_ = index_strata(ds)
     assert st_.n.tolist() == [2, 2]
     assert st_.n1.tolist() == [1, 1]
     assert st_.pi_hat.tolist() == [0.5, 0.5]
-    assert st_.imbalance.tolist() == [0.0, 0.0]
 
 
 def test_direct_count_arithmetic():
     ds = Dataset.from_arrays([1.0, 2.0, 3.0], [1, 1, 0], [1, 1, 1], np.zeros((3, 1)))
-    st_ = index_strata(ds, target_pi=0.5)
+    st_ = index_strata(ds)
     assert st_.pi_hat[0] == pytest.approx(2 / 3)
-    assert st_.imbalance[0] == pytest.approx(0.5)
-
-
-def _weighted(ds, w):
-    return weighted_arm_counts(ds.s, ds.a.astype(float), np.asarray(w, float), ds.n_strata)
 
 
 def test_weighted_counts_by_hand():
     # n1w = 2, nw = 3, weighted treated fraction 2/3 for weights (2, 1)
     ds = Dataset.from_arrays([1.0, 2.0], [1, 0], [1, 1], np.zeros((2, 1)))
-    n1w, nw = _weighted(ds, [2.0, 1.0])
+    n1w, nw = weighted_arm_counts(ds, [2.0, 1.0])
     assert n1w[0] == 2.0
     assert nw[0] == 3.0
-    pis = _pi_by_stratum(ds, np.array([2.0, 1.0]), "estimated", 0.5, ds.n_strata)
+    pis = pi_by_stratum(ds, np.array([2.0, 1.0]))
     assert pis[0] == pytest.approx(2 / 3)
 
 
@@ -63,7 +55,7 @@ def test_zero_weight_arm_is_flagged():
     ds = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0], [1, 1, 1, 1], np.zeros((4, 1)))
     w = np.array([0.0, 1.0, 0.0, 1.0])
     with pytest.raises(DegenerateCellError, match="degenerate"):
-        _pi_by_stratum(ds, w, "estimated", 0.5, ds.n_strata)
+        pi_by_stratum(ds, w)
 
 
 def test_empty_stratum_raises():
@@ -83,7 +75,7 @@ def test_weighted_total_matches_weight_sum(data):
         rng.normal(size=n), rng.integers(0, 2, n), rng.integers(0, 3, n), np.zeros((n, 1))
     )
     w = rng.exponential(1.0, n) + 1e-9
-    _, nw = _weighted(ds, w)
+    _, nw = weighted_arm_counts(ds, w)
     assert np.sum(nw) == pytest.approx(np.sum(w), rel=1e-10)
 
 
@@ -91,18 +83,9 @@ def test_unit_weights_equal_all_ones_bootstrap():
     rng = np.random.default_rng(7)
     ds = Dataset.from_arrays(rng.normal(size=30), rng.integers(0, 2, 30), rng.integers(0, 3, 30), np.zeros((30, 1)))
     st_ = index_strata(ds)
-    n1w, nw = _weighted(ds, np.ones(30))
+    n1w, nw = weighted_arm_counts(ds, np.ones(30))
     assert np.array_equal(n1w, st_.n1) and np.array_equal(nw, st_.n)
     assert np.array_equal(nw - n1w, st_.n0)
-
-
-def test_imbalance_vanishes_at_observed_fraction():
-    rng = np.random.default_rng(3)
-    ds = Dataset.from_arrays(rng.normal(size=64), rng.integers(0, 2, 64), rng.integers(0, 2, 64), np.zeros((64, 1)))
-    st0 = index_strata(ds, target_pi=0.5)
-    st1 = index_strata(ds, target_pi=st0.pi_hat)
-    # Exactly zero whenever pi_hat is dyadic; tiny float dust otherwise.
-    assert np.all(np.abs(st1.imbalance) < 1e-12 * ds.n)
 
 
 def test_stratum_totals_order_independent():
@@ -112,10 +95,10 @@ def test_stratum_totals_order_independent():
         rng.normal(size=n), rng.integers(0, 2, n), rng.integers(0, 4, n), np.zeros((n, 1))
     )
     w = rng.exponential(1.0, n)
-    n1w_a, nw_a = _weighted(ds, w)
+    n1w_a, nw_a = weighted_arm_counts(ds, w)
     perm = rng.permutation(n)
     ds_p = Dataset.from_arrays(ds.y[perm], ds.a[perm], ds.s[perm], ds.x[perm])
-    n1w_b, nw_b = _weighted(ds_p, w[perm])
+    n1w_b, nw_b = weighted_arm_counts(ds_p, w[perm])
     assert np.allclose(nw_a, nw_b, rtol=1e-12)
     assert np.allclose(n1w_a, n1w_b, rtol=1e-12)
 
@@ -155,12 +138,12 @@ def test_quantile_grid_validation():
 
 
 def test_unit_weights_must_be_ones():
-    # The point estimate's treated fractions are those of all-ones weights,
-    # which are the count fractions bit for bit.
+    # The point solve reads the count fractions pi_hat: they are the
+    # weighted fractions of all-ones weights bit for bit.
     rng = np.random.default_rng(5)
     ds = Dataset.from_arrays(rng.normal(size=40), np.tile([0, 1], 20), rng.integers(0, 3, 40),
                              np.zeros((40, 1)))
-    pis = _pi_by_stratum(ds, np.ones(40), "estimated", 0.5, ds.n_strata)
+    pis = pi_by_stratum(ds, np.ones(40))
     assert np.array_equal(pis, index_strata(ds).pi_hat)
 
 

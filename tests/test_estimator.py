@@ -97,8 +97,7 @@ def test_block_solve_matches_oracles_on_hard_cases(case):
             xi = rng.exponential(1.0, n)
         mhat = rng.normal(0.0, 1.5, n)
         tau = float(rng.uniform(0.05, 0.95))
-        kw = {"pi_source": "fixed", "fixed_pi": float(rng.uniform(0.2, 0.8))} \
-            if case == "fixed_pi" else {}
+        kw = {"fixed_pi": float(rng.uniform(0.2, 0.8))} if case == "fixed_pi" else {}
         try:
             for arm in (0, 1):
                 solve_arm(ds, arm, tau, xi, mhat, **kw)
@@ -208,7 +207,7 @@ def test_fixed_pi_mode():
     values = {(a, 0.5): rng.normal(0, 1, 41) for a in (0, 1)}
     model = TableModel(values)
     est_estimated = qte(ds, st, model, grid)
-    est_fixed = qte(ds, st, model, grid, pi_source="fixed", fixed_pi=0.5)
+    est_fixed = qte(ds, st, model, grid, fixed_pi=0.5)
     xi = np.ones(41)
     want = brute_force_arm(1, ds, xi, np.full(2, 0.5), values[(1, 0.5)], 0.5)
     assert est_fixed.q1[0] == want
@@ -221,7 +220,7 @@ def test_fixed_pi_mode():
     st_b = index_strata(ds_b)
     m = TableModel({(0, 0.5): np.zeros(40), (1, 0.5): np.zeros(40)})
     assert qte(ds_b, st_b, m, grid).qte[0] == qte(
-        ds_b, st_b, m, grid, pi_source="fixed", fixed_pi=0.5
+        ds_b, st_b, m, grid, fixed_pi=0.5
     ).qte[0]
 
 
@@ -255,4 +254,4 @@ def test_problem_validation():
     grid = QuantileGrid.of([0.5])
     for fixed_pi in (0.0, 1.0, [0.5, 0.5, 0.5]):
         with pytest.raises(DataValidationError):
-            qte(ds, st, fit_none(grid), grid, pi_source="fixed", fixed_pi=fixed_pi)
+            qte(ds, st, fit_none(grid), grid, fixed_pi=fixed_pi)

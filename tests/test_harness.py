@@ -12,10 +12,10 @@ from carqte import (
     ScenarioSpec,
     SchemeSpec,
     emit_table,
-    parse_table,
     run_scenario,
 )
 from carqte.harness import _result_records
+from conftest import parse_table
 
 
 def _tiny_spec(**overrides):
@@ -89,6 +89,38 @@ def test_worker_count_does_not_change_results():
     assert emit_table(run_scenario(spec1, TRUTH2)) == emit_table(run_scenario(spec2, TRUTH2))
 
 
+@pytest.mark.parametrize(
+    "workers,reps,cpus,pool",
+    [(4000, 2, 8, 2), (4000, 5, 3, 3), (3, 5, 8, 3), (4000, 5, 1, None), (2, 1, 8, None)],
+)
+def test_worker_pool_is_capped_by_reps_and_cpus(monkeypatch, workers, reps, cpus, pool):
+    # A fork pool starts every worker it is asked for, so the harness asks
+    # for min(workers, reps, CPUs) and runs serially when that is 1.
+    assert harness._available_cpus() >= 1
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness, "_available_cpus", lambda: cpus)
+    spec = _tiny_spec(reps=reps, methods=("na",))
+    serial = emit_table(run_scenario(spec, TRUTH2))
+    pooled = run_scenario(_tiny_spec(reps=reps, methods=("na",), workers=workers), TRUTH2)
+    assert sizes == ([] if pool is None else [pool])
+    assert emit_table(pooled) == serial
+
+
 def test_recombination_reuses_logistic_fit_in_any_method_order(monkeypatch):
     real = harness.fit_adjustment
     seen = []
@@ -142,5 +174,8 @@ def test_spec_validation():
         _tiny_spec(methods=("na", "ols"))
     with pytest.raises(DataValidationError):
         _tiny_spec(reps=0)
+    for bad in ({"seed": -1}, {"oracle_seed": -1}, {"alpha": 1e-16}, {"alpha": 1.0}):
+        with pytest.raises(DataValidationError):
+            _tiny_spec(**bad)
     with pytest.raises(DataValidationError):
         run_scenario(_tiny_spec(), np.array([1.0, 2.0, 3.0]))
