@@ -8,7 +8,6 @@ from .adjust import (
     AdjustmentModel,
     FeatureMap,
     LassoConfig,
-    SieveSpec,
     build_sieve_map,
     fit_adjustment,
     fit_hd_lasso,
@@ -17,7 +16,6 @@ from .adjust import (
     fit_lpml,
     fit_ml,
     fit_none,
-    hd_dictionary,
     logistic_features,
     raw_features,
 )
@@ -49,8 +47,6 @@ from .errors import (
     DegenerateWeightedCellError,
     EmptyStratumError,
     NumericalError,
-    UnfittedTauError,
-    UnknownStratumError,
 )
 from .estimator import QteEstimate, pilot_quantiles, qte
 from .harness import ScenarioResult, ScenarioSpec, emit_table, run_scenario

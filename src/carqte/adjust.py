@@ -1,9 +1,10 @@
 """Auxiliary-regression working models for quantile adjustment.
 
 Every method fits, per (arm, stratum, tau) cell, a model of the probability
-that the outcome falls below the arm's pilot quantile, and exposes the
-adjustment value ``tau - fitted probability form`` through a single
-:class:`AdjustmentModel` container.  Methods:
+that the outcome falls below the arm's pilot quantile, and stores the fitted
+probabilities on the rows it was fitted on in a single
+:class:`AdjustmentModel`; the adjustment is ``tau - fitted probability``.
+Methods:
 
 * ``na``     zero adjustment,
 * ``lp``     linear probability with within-cell demeaned regressors,
@@ -19,18 +20,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 from scipy.special import expit, ndtri
 
 from .data import Dataset, QuantileGrid, StrataStats
-from .errors import (
-    CellTooSmallError,
-    DataValidationError,
-    UnfittedTauError,
-    UnknownStratumError,
-)
+from .errors import CellTooSmallError, DataValidationError
 
 METHODS = ("na", "lp", "ml", "lpml", "mlx", "lpmlx", "np", "lasso")
 # Recombination method -> the logistic method whose per-cell fits it recombines.
@@ -47,6 +42,12 @@ _BLOCK_FLOATS = 1 << 18
 # this is treated as constant: saturated logistic columns have an sd of
 # rounding size, and dividing by it would amplify rounding noise.
 _ZERO_SD = 1e-8
+# Lasso: the loading rounds stop once the loadings move by less than
+# _LOADING_TOL (relative); coordinate descent stops at a KKT residual of
+# _KKT_TOL or after _MAX_OUTER reweighting steps.
+_LOADING_TOL = 1e-4
+_KKT_TOL = 1e-8
+_MAX_OUTER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -58,15 +59,12 @@ _ZERO_SD = 1e-8
 class FeatureMap:
     """A fixed list of regressor terms evaluated on covariate rows.
 
-    Terms are tagged tuples; thresholds and knots are frozen at construction
-    so that the same map evaluates identically on new points:
+    Terms are tagged tuples; thresholds are frozen at construction:
 
     * ``("const",)``                    intercept
-    * ``("pow", j, k)``                 x_j ** k
+    * ``("x", j)``                      x_j
     * ``("prod", i, j)``                x_i * x_j
-    * ``("thr", j, t)``                 x_j * 1{x_j > t}
     * ``("thrprod", i, ti, j, tj)``     x_i 1{x_i > ti} * x_j 1{x_j > tj}
-    * ``("hinge", j, t, k)``            max(x_j - t, 0) ** k
     """
 
     kind: str
@@ -85,30 +83,18 @@ class FeatureMap:
 
     def build(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the map on an (n, d) covariate matrix."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
-        n = x.shape[0]
-        cols = np.empty((n, len(self.terms)))
+        cols = np.empty((x.shape[0], len(self.terms)))
         for c, t in enumerate(self.terms):
-            tag = t[0]
-            if tag == "const":
+            if t[0] == "const":
                 cols[:, c] = 1.0
-            elif tag == "pow":
-                cols[:, c] = x[:, t[1]] ** t[2]
-            elif tag == "prod":
+            elif t[0] == "x":
+                cols[:, c] = x[:, t[1]]
+            elif t[0] == "prod":
                 cols[:, c] = x[:, t[1]] * x[:, t[2]]
-            elif tag == "thr":
-                v = x[:, t[1]]
-                cols[:, c] = v * (v > t[2])
-            elif tag == "thrprod":
+            else:  # "thrprod"
                 vi = x[:, t[1]]
                 vj = x[:, t[3]]
                 cols[:, c] = vi * (vi > t[2]) * vj * (vj > t[4])
-            elif tag == "hinge":
-                cols[:, c] = np.maximum(x[:, t[1]] - t[2], 0.0) ** t[3]
-            else:  # pragma: no cover - construction guards against this
-                raise DataValidationError(f"unknown feature term {t!r}")
         return cols
 
 
@@ -116,74 +102,37 @@ def raw_features(d: int) -> FeatureMap:
     """The covariates themselves, no intercept (linear probability model)."""
     if d < 1:
         raise DataValidationError("raw feature map needs at least one covariate")
-    return FeatureMap("raw", tuple(("pow", j, 1) for j in range(d)))
+    return FeatureMap("raw", tuple(("x", j) for j in range(d)))
 
 
 def logistic_features(d: int, interactions: bool = False) -> FeatureMap:
-    """Intercept plus covariates; optionally all pairwise products."""
+    """Intercept plus covariates; optionally all pairwise products.
+
+    Without interactions this is also the lasso's dictionary.
+    """
     if d < 1:
         raise DataValidationError("logistic feature map needs at least one covariate")
     terms: list[tuple] = [("const",)]
-    terms += [("pow", j, 1) for j in range(d)]
+    terms += [("x", j) for j in range(d)]
     if interactions:
         terms += [("prod", i, j) for i in range(d) for j in range(i + 1, d)]
     return FeatureMap("with-interactions" if interactions else "logit-base", tuple(terms))
 
 
-def hd_dictionary(d: int) -> FeatureMap:
-    """Default high-dimensional dictionary: intercept plus raw covariates."""
-    if d < 1:
-        raise DataValidationError("dictionary needs at least one covariate")
-    return FeatureMap("hd-dictionary", tuple([("const",)] + [("pow", j, 1) for j in range(d)]))
-
-
-@dataclass(frozen=True)
-class SieveSpec:
-    """Which sieve basis to build.
-
-    ``roster``      intercept, covariates, pairwise products, and pairwise
-                    median-threshold products;
-    ``polynomial``  per-covariate powers 1..degree;
-    ``spline``      per-covariate truncated-power splines of the given order
-                    with ``knots`` interior knots at equally spaced quantiles.
-    """
-
-    kind: str = "roster"
-    degree: int = 2
-    spline_order: int = 2
-    knots: int = 1
-
-
-def build_sieve_map(x_matrix: np.ndarray, spec: SieveSpec) -> FeatureMap:
-    """Construct a sieve basis, freezing thresholds/knots from the sample."""
+def build_sieve_map(x_matrix: np.ndarray) -> FeatureMap:
+    """The np sieve: intercept, covariates, pairwise products, and pairwise
+    products of the covariates thresholded at their sample medians."""
     x = np.asarray(x_matrix, dtype=np.float64)
     d = x.shape[1]
+    t = np.median(x, axis=0)
     terms: list[tuple] = [("const",)]
-    if spec.kind == "roster":
-        t = np.median(x, axis=0)
-        terms += [("pow", j, 1) for j in range(d)]
-        terms += [("prod", i, j) for i in range(d) for j in range(i + 1, d)]
-        terms += [
-            ("thrprod", i, float(t[i]), j, float(t[j]))
-            for i in range(d)
-            for j in range(i + 1, d)
-        ]
-    elif spec.kind == "polynomial":
-        if spec.degree < 1:
-            raise DataValidationError("polynomial degree must be at least 1")
-        for j in range(d):
-            terms += [("pow", j, k) for k in range(1, spec.degree + 1)]
-    elif spec.kind == "spline":
-        r = spec.spline_order
-        if r < 2 or spec.knots < 1:
-            raise DataValidationError("spline needs order >= 2 and >= 1 knot")
-        qs = np.arange(1, spec.knots + 1) / (spec.knots + 1)
-        for j in range(d):
-            terms += [("pow", j, k) for k in range(1, r)]
-            for t in np.quantile(x[:, j], qs):
-                terms.append(("hinge", j, float(t), r - 1))
-    else:
-        raise DataValidationError(f"unknown sieve kind {spec.kind!r}")
+    terms += [("x", j) for j in range(d)]
+    terms += [("prod", i, j) for i in range(d) for j in range(i + 1, d)]
+    terms += [
+        ("thrprod", i, float(t[i]), j, float(t[j]))
+        for i in range(d)
+        for j in range(i + 1, d)
+    ]
     return FeatureMap("sieve", tuple(terms))
 
 
@@ -198,91 +147,53 @@ class AdjustmentModel:
 
     ``coef`` is a dense ``(arm, stratum, tau, p)`` array indexed by arm,
     stratum code and tau index, and ``live`` the ``(arm, stratum, tau)``
-    mask of fitted cells; a cell outside it is degraded to the zero
-    adjustment and keeps zero coefficients.  The lpml family recombines two
-    logistic probability columns: ``base`` holds the logistic coefficients
-    in the same layout, and ``center``/``scale`` the ``(arm, stratum, tau,
-    2)`` cell means and standard deviations of the two columns.
+    mask of fitted cells; a cell outside it keeps zero coefficients.
+    ``prob`` holds the ``(arm, row, tau)`` fitted probabilities on the rows
+    the model was fitted on, each row under its stratum's cell model, and
+    tau itself where that cell is not live, so that its adjustment is
+    exactly zero; it is None for ``na``.
     """
 
     method: str
     taus: tuple[float, ...]
-    feature_map: FeatureMap | None
     coef: np.ndarray
     live: np.ndarray
-    base: np.ndarray | None = None
-    center: np.ndarray | None = None
-    scale: np.ndarray | None = None
+    prob: np.ndarray | None
     support: dict | None = None
     diagnostics: dict = field(default_factory=dict)
 
-    def tau_index(self, tau: float) -> int:
-        try:
-            return self.taus.index(float(tau))
-        except ValueError:
-            raise UnfittedTauError(f"tau={tau} not in fitted grid {self.taus}") from None
-
     def evaluate_all(self, grid, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-        """Adjustment values for every row of a dataset, at both arms.
+        """Adjustment values ``tau - prob`` for every row, at both arms.
 
         Returns the pair of ``(n, len(grid))`` matrices indexed by arm
-        (control first), one column per tau of ``grid``.  The feature matrix
-        is built once, and each stratum's rows are gathered once for both
-        arms and all taus.
+        (control first).  The adjustment exists only in sample: ``grid`` and
+        ``dataset`` must be the ones the model was fitted on.
         """
-        cols = [(self.tau_index(tau), float(tau)) for tau in grid]
-        shape = (dataset.n, len(cols))
-        if self.method == "na":
-            return np.zeros(shape), np.zeros(shape)
-        if dataset.n_strata > self.live.shape[1]:
-            raise UnknownStratumError("dataset has strata the model was not fitted on")
-        evaluate = _EVALUATORS[self.method]
-        # Features before outputs: the feature matrix can then reuse the block
-        # the fit freed, where outputs allocated first would split that block
-        # and add a feature matrix to the peak resident memory.
-        H = self.feature_map.build(dataset.x)
-        out = np.zeros(shape), np.zeros(shape)
-        for s in range(dataset.n_strata):
-            rows = np.flatnonzero(dataset.s == s)
-            if rows.size == 0:
-                continue
-            H_s = H[rows]
-            for j, (ti, tau) in enumerate(cols):
-                arms = np.flatnonzero(self.live[:, s, ti])
-                if arms.size == 0:
-                    continue
-                for arm, values in zip(arms, evaluate(self, H_s, s, ti, tau, arms)):
-                    out[arm][rows, j] = values
-        return out
+        if tuple(grid) != self.taus:
+            raise DataValidationError(f"model was fitted on grid {self.taus}, not {tuple(grid)}")
+        if self.prob is None:
+            return np.zeros((dataset.n, len(self.taus))), np.zeros((dataset.n, len(self.taus)))
+        if dataset.n != self.prob.shape[1] or dataset.n_strata != self.live.shape[1]:
+            raise DataValidationError("model was fitted on another dataset")
+        taus = np.asarray(self.taus)
+        return taus - self.prob[0], taus - self.prob[1]
 
 
-def _linear(model, H, s, ti, tau, arms):
-    """``tau - H theta`` for each arm: the linear probability family."""
-    return [tau - H @ model.coef[a, s, ti] for a in arms]
-
-
-def _logistic(model, H, s, ti, tau, arms):
-    """``tau - expit(H theta)`` for each arm: the logistic families."""
-    return [tau - expit(H @ model.coef[a, s, ti]) for a in arms]
-
-
-def _recombined(model, H, s, ti, tau, arms):
-    """lpml: both arms recombine the same two probability columns."""
-    w = np.column_stack([expit(H @ model.base[1, s, ti]), expit(H @ model.base[0, s, ti])])
-    out = []
-    for a in arms:
-        sd = model.scale[a, s, ti]
-        ok = sd > _ZERO_SD
-        wd = np.where(ok, (w - model.center[a, s, ti]) / np.where(ok, sd, 1.0), 0.0)
-        out.append(tau - wd @ model.coef[a, s, ti])
-    return out
-
-
-_EVALUATORS = {
-    "lp": _linear,
-    "ml": _logistic, "mlx": _logistic, "np": _logistic, "lasso": _logistic,
-    "lpml": _recombined, "lpmlx": _recombined,
-}
+def _fitted_prob(dataset: Dataset, taus: tuple, live: np.ndarray, H, coef, link=None):
+    """``prob`` of a model fitted on ``H``: ``link(H_s @ theta)`` for every
+    live cell on all rows of its stratum (link None is the identity), tau
+    elsewhere."""
+    prob = np.empty((2, dataset.n, len(taus)))
+    prob[:] = np.asarray(taus)
+    for s in range(live.shape[1]):
+        rows = np.flatnonzero(dataset.s == s)
+        H_s = H[rows]
+        for ti in range(len(taus)):
+            for a in np.flatnonzero(live[:, s, ti]):
+                fit = H_s @ coef[a, s, ti]
+                prob[a, rows, ti] = fit if link is None else link(fit)
+        del H_s  # before the next gather: one stratum's block alive at a time
+    return prob
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +406,8 @@ def fit_none(grid: QuantileGrid) -> AdjustmentModel:
     """The no-adjustment model: evaluates to zero everywhere."""
     taus = tuple(grid)
     return AdjustmentModel(
-        method="na", taus=taus, feature_map=None,
-        coef=np.zeros((2, 0, len(taus), 0)), live=np.zeros((2, 0, len(taus)), dtype=bool),
+        method="na", taus=taus, coef=np.zeros((2, 0, len(taus), 0)),
+        live=np.zeros((2, 0, len(taus)), dtype=bool), prob=None,
     )
 
 
@@ -530,9 +441,9 @@ def fit_lp(
     model = AdjustmentModel(
         method="lp",
         taus=taus,
-        feature_map=fm,
         coef=coef,
         live=live,
+        prob=_fitted_prob(dataset, taus, live, H, coef),
         diagnostics={"degraded": tuple(degraded), "singular_gram": tuple(singular)},
     )
     if singular:
@@ -541,44 +452,6 @@ def fit_lp(
             "minimum-norm solution used",
             stacklevel=2,
         )
-    return _finish(model, degraded)
-
-
-def _fit_logit_family(
-    dataset: Dataset,
-    stats: StrataStats,
-    pilot,
-    grid: QuantileGrid,
-    features: FeatureMap,
-    method: str,
-) -> AdjustmentModel:
-    H = features.build(dataset.x)
-    p = features.width
-    taus = tuple(grid)
-    cells = _cell_rows(dataset, stats)
-    degraded = [(a, s) for (a, s), rows in cells.items() if rows.size < p + 2]
-    fitted = [(a, s, rows) for (a, s), rows in cells.items() if rows.size >= p + 2]
-    if fitted:
-        labels = [
-            (dataset.y[rows][:, None] <= np.array([pilot.q(a, tau) for tau in taus]))
-            .astype(np.float64)
-            for a, _, rows in fitted
-        ]
-        theta, _, sep = _fit_logit_cells(H, [rows for _, _, rows in fitted], labels)
-    coef, live = _cells(stats, taus, p)
-    separated: list = []
-    for c, (a, s, _) in enumerate(fitted):
-        coef[a, s] = theta[c]
-        live[a, s] = True
-        separated += [(a, s, ti) for ti in range(len(taus)) if sep[c, ti]]
-    model = AdjustmentModel(
-        method=method,
-        taus=taus,
-        feature_map=features,
-        coef=coef,
-        live=live,
-        diagnostics={"degraded": tuple(degraded), "separated": tuple(separated)},
-    )
     return _finish(model, degraded)
 
 
@@ -596,7 +469,35 @@ def fit_ml(
     without and with interactions, ``np`` on a sieve map.
     """
     fm = features if features is not None else logistic_features(dataset.n_covariates)
-    return _fit_logit_family(dataset, stats, pilot, grid, fm, method)
+    H = fm.build(dataset.x)
+    p = fm.width
+    taus = tuple(grid)
+    cells = _cell_rows(dataset, stats)
+    degraded = [(a, s) for (a, s), rows in cells.items() if rows.size < p + 2]
+    fitted = [(a, s, rows) for (a, s), rows in cells.items() if rows.size >= p + 2]
+    if fitted:
+        labels = [
+            (dataset.y[rows][:, None] <= np.array([pilot.q(a, tau) for tau in taus]))
+            .astype(np.float64)
+            for a, _, rows in fitted
+        ]
+        theta, _, sep = _fit_logit_cells(H, [rows for _, _, rows in fitted], labels)
+        del labels  # freed before ``prob`` is allocated, so it adds nothing to the peak
+    coef, live = _cells(stats, taus, p)
+    separated: list = []
+    for c, (a, s, _) in enumerate(fitted):
+        coef[a, s] = theta[c]
+        live[a, s] = True
+        separated += [(a, s, ti) for ti in range(len(taus)) if sep[c, ti]]
+    model = AdjustmentModel(
+        method=method,
+        taus=taus,
+        coef=coef,
+        live=live,
+        prob=_fitted_prob(dataset, taus, live, H, coef, expit),
+        diagnostics={"degraded": tuple(degraded), "separated": tuple(separated)},
+    )
+    return _finish(model, degraded)
 
 
 def fit_lpml(
@@ -604,66 +505,67 @@ def fit_lpml(
     stats: StrataStats,
     pilot,
     grid: QuantileGrid,
-    features: FeatureMap | None = None,
     ml_model: AdjustmentModel | None = None,
     method: str = "lpml",
-    ridge_delta: float | None = None,
 ) -> AdjustmentModel:
     """Optimal linear recombination of the two logistic probability columns.
 
+    The columns are the ``prob`` of the logistic model named by
+    ``LOGIT_BASE[method]``, fitted here unless ``ml_model`` hands it over.
     Per cell, the pair (treated-model probability, control-model probability)
     is demeaned, scaled by its cell standard deviation, and regressed on the
-    indicator label with a ridge of 1/n on the 2x2 system.
+    indicator label with a ridge of 1/n on the 2x2 system; a column of zero
+    cell sd gets a zero coefficient.
     """
-    fm = features if features is not None else logistic_features(dataset.n_covariates)
-    if ml_model is None:
-        ml_model = fit_ml(dataset, stats, pilot, grid, fm, method="ml")
-    if ml_model.feature_map is not fm and ml_model.feature_map.terms != fm.terms:
-        raise DataValidationError("ml_model was fitted with a different feature map")
-    H = fm.build(dataset.x)
     taus = tuple(grid)
-    delta = 1.0 / dataset.n if ridge_delta is None else float(ridge_delta)
-    base = ml_model.coef
+    base = LOGIT_BASE[method]
+    if ml_model is None:
+        fm = logistic_features(dataset.n_covariates, interactions=method == "lpmlx")
+        ml_model = fit_ml(dataset, stats, pilot, grid, fm, method=base)
+    elif ml_model.method != base:
+        raise DataValidationError(f"{method} recombines an {base} fit, not {ml_model.method}")
+    elif ml_model.taus != taus or ml_model.prob.shape[1] != dataset.n \
+            or ml_model.live.shape[1] != stats.n_strata:
+        raise DataValidationError("ml_model was fitted on other data or another grid")
+    ml_prob = ml_model.prob
+    delta = 1.0 / dataset.n
     coef, live = _cells(stats, taus, 2)
-    center = np.zeros(coef.shape)
-    scale = np.zeros(coef.shape)
+    prob = np.empty(ml_prob.shape)
+    prob[:] = np.asarray(taus)
     degraded: list = []
     zero_var: list = []
     for (a, s), rows in _cell_rows(dataset, stats).items():
         if rows.size < 4:  # two coefficients plus the usual slack
             degraded.append((a, s))
             continue
-        Hc = H[rows]
-        yc = dataset.y[rows]
+        stratum = np.flatnonzero(dataset.s == s)
+        in_cell = dataset.a[stratum] == a
+        nc = rows.size
         for ti, tau in enumerate(taus):
             if not ml_model.live[:, s, ti].all():
                 continue
-            w = np.column_stack([expit(Hc @ base[1, s, ti]), expit(Hc @ base[0, s, ti])])
-            mean = w.mean(axis=0)
-            sd = w.std(axis=0)
+            w = np.column_stack([ml_prob[1, stratum, ti], ml_prob[0, stratum, ti]])
+            cell = w[in_cell]
+            mean = cell.mean(axis=0)
+            sd = cell.std(axis=0)
             ok = sd > _ZERO_SD
             if not ok.all():
                 zero_var.append((a, s, ti))
             wd = np.where(ok, (w - mean) / np.where(ok, sd, 1.0), 0.0)
-            nc = rows.size
-            gram = wd.T @ wd / nc + delta * np.eye(2)
-            labels = (yc <= pilot.q(a, tau)).astype(np.float64)
-            rhs = wd.T @ labels / nc
-            theta = np.linalg.solve(gram, rhs)
+            wd_cell = wd[in_cell]
+            gram = wd_cell.T @ wd_cell / nc + delta * np.eye(2)
+            labels = (dataset.y[rows] <= pilot.q(a, tau)).astype(np.float64)
+            theta = np.linalg.solve(gram, wd_cell.T @ labels / nc)
             theta[~ok] = 0.0
             coef[a, s, ti] = theta
-            center[a, s, ti] = mean
-            scale[a, s, ti] = sd
             live[a, s, ti] = True
+            prob[a, stratum, ti] = wd @ theta
     model = AdjustmentModel(
         method=method,
         taus=taus,
-        feature_map=fm,
         coef=coef,
         live=live,
-        base=base,
-        center=center,
-        scale=scale,
+        prob=prob,
         diagnostics={"degraded": tuple(degraded), "zero_variance": tuple(zero_var)},
     )
     return _finish(model, degraded)
@@ -681,30 +583,21 @@ class LassoConfig:
     ``penalty_form`` selects how the penalty level depends on the cell size
     and dictionary width: "c31" uses Phi^-1(1 - 1/(p log n_cell)), "a9" uses
     Phi^-1(1 - 0.1/(4 log(n_cell) p)).  ``forced_support`` columns are always
-    included in the post-selection refit (a flat tuple, or a mapping keyed by
-    (arm, stratum)).  The intercept column is never penalized.
+    included in the post-selection refit; the default is the first covariate
+    column of (1, x), and a column past the dictionary is dropped.  The
+    intercept column is never penalized.
     """
 
     c: float = 1.1
     loading_iterations: int = 2
-    forced_support: object = ()
-    max_support_cap: int | None = None
+    forced_support: tuple[int, ...] = (1,)
     penalty_form: str = "c31"
-    loading_tol: float = 1e-4
-    kkt_tol: float = 1e-8
-    max_outer: int = 200
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.c) and self.c > 0.0) or self.loading_iterations < 1:
             raise DataValidationError("lasso config needs a finite c > 0 and K >= 1")
         if self.penalty_form not in ("c31", "a9"):
             raise DataValidationError("penalty_form must be 'c31' or 'a9'")
-
-    def forced_for(self, a: int, s: int) -> tuple[int, ...]:
-        fs = self.forced_support
-        if isinstance(fs, Mapping):
-            return tuple(fs.get((a, s), ()))
-        return tuple(fs)
 
 
 def penalty_level(n_cell: int, p_penalized: int, config: LassoConfig) -> float:
@@ -734,7 +627,7 @@ def _l1_kkt_residual(H, y, theta, lam):
     return float(np.max(res)) if res.size else 0.0
 
 
-def _l1_logit_cd(H, y, lam, theta0=None, max_outer=200, kkt_tol=1e-8):
+def _l1_logit_cd(H, y, lam, theta0=None):
     """Coordinate descent on iteratively reweighted quadratic majorizations.
 
     ``lam`` is the per-column penalty level on the mean negative
@@ -743,7 +636,7 @@ def _l1_logit_cd(H, y, lam, theta0=None, max_outer=200, kkt_tol=1e-8):
     n, p = H.shape
     theta = np.zeros(p) if theta0 is None else theta0.copy()
     col_sq = H**2
-    for _ in range(max_outer):
+    for _ in range(_MAX_OUTER):
         t = H @ theta
         prob = expit(t)
         w = np.maximum(prob * (1.0 - prob), 1e-6)
@@ -766,7 +659,7 @@ def _l1_logit_cd(H, y, lam, theta0=None, max_outer=200, kkt_tol=1e-8):
             if max_delta < 1e-12:
                 break
         kkt = _l1_kkt_residual(H, y, theta, lam)
-        if kkt <= kkt_tol:
+        if kkt <= _KKT_TOL:
             return theta, kkt, True
     return theta, _l1_kkt_residual(H, y, theta, lam), False
 
@@ -787,7 +680,7 @@ def fit_hd_lasso(
     with any forced columns (and the intercept), is refitted without penalty;
     evaluation uses the refitted coefficients.
     """
-    fm = dictionary if dictionary is not None else hd_dictionary(dataset.n_covariates)
+    fm = dictionary if dictionary is not None else logistic_features(dataset.n_covariates)
     cfg = config if config is not None else LassoConfig()
     H = fm.build(dataset.x)
     p = fm.width
@@ -811,7 +704,7 @@ def fit_hd_lasso(
         yc = dataset.y[rows]
         nc = rows.size
         rho = penalty_level(nc, max(pen_cols.size, 1), cfg)
-        forced = tuple(j for j in cfg.forced_for(a, s) if 0 <= j < p)
+        forced = tuple(j for j in cfg.forced_support if 0 <= j < p)
         for ti, tau in enumerate(taus):
             labels = (yc <= pilot.q(a, tau)).astype(np.float64)
             ybar = labels.mean()
@@ -823,10 +716,7 @@ def fit_hd_lasso(
                 lam = np.zeros(p)
                 lam[pen_cols] = rho * loadings[pen_cols] / nc
                 lam = np.maximum(lam, 0.0)
-                theta, kkt, ok = _l1_logit_cd(
-                    Hc, labels, lam, theta0=theta, max_outer=cfg.max_outer,
-                    kkt_tol=cfg.kkt_tol,
-                )
+                theta, kkt, ok = _l1_logit_cd(Hc, labels, lam, theta0=theta)
                 if not ok:
                     not_converged.append((a, s, ti, kkt))
                 resid = labels - expit(Hc @ theta)
@@ -835,16 +725,12 @@ def fit_hd_lasso(
                     np.abs(new_loadings - loadings) / np.maximum(np.abs(loadings), 1e-12)
                 )
                 loadings = new_loadings
-                if rel < cfg.loading_tol:
+                if rel < _LOADING_TOL:
                     break
             kkt_diag[(a, s, ti)] = kkt
             hd_theta[(a, s, ti)] = theta.copy()
             hd_lam[(a, s, ti)] = lam.copy()
-            selected = [j for j in pen_cols if theta[j] != 0.0]
-            if cfg.max_support_cap is not None and len(selected) > cfg.max_support_cap:
-                selected.sort(key=lambda j: -abs(theta[j]))
-                selected = selected[: cfg.max_support_cap]
-            keep = set(selected) | set(forced)
+            keep = {j for j in pen_cols if theta[j] != 0.0} | set(forced)
             if icol is not None:
                 keep.add(icol)
             # Refit must stay overdetermined within the cell.
@@ -876,9 +762,9 @@ def fit_hd_lasso(
     model = AdjustmentModel(
         method="lasso",
         taus=taus,
-        feature_map=fm,
         coef=coef,
         live=live,
+        prob=_fitted_prob(dataset, taus, live, H, coef, expit),
         support=support,
         diagnostics={
             "degraded": tuple(degraded),
@@ -903,14 +789,13 @@ def fit_adjustment(
     pilot,
     grid: QuantileGrid,
     lasso_config: LassoConfig | None = None,
-    sieve_spec: SieveSpec | None = None,
     ml_model: AdjustmentModel | None = None,
 ) -> AdjustmentModel:
     """Fit the named auxiliary regression with its standard feature roster.
 
     ``ml_model`` hands ``lpml`` (``lpmlx``) an already fitted ``ml``
-    (``mlx``) model, whose logistic cells the recombination then reuses
-    instead of refitting them; the result is identical either way.
+    (``mlx``) model, whose fitted probabilities the recombination then
+    reuses instead of refitting them; the result is identical either way.
     """
     d = dataset.n_covariates
     if ml_model is not None and method not in LOGIT_BASE:
@@ -919,23 +804,12 @@ def fit_adjustment(
         return fit_none(grid)
     if method == "lp":
         return fit_lp(dataset, stats, pilot, grid)
-    if method == "ml":
-        return fit_ml(dataset, stats, pilot, grid, logistic_features(d))
-    if method == "mlx":
-        return fit_ml(dataset, stats, pilot, grid, logistic_features(d, True), method="mlx")
-    if method == "lpml":
-        return fit_lpml(dataset, stats, pilot, grid, logistic_features(d), ml_model)
-    if method == "lpmlx":
-        return fit_lpml(
-            dataset, stats, pilot, grid, logistic_features(d, True), ml_model, method="lpmlx"
-        )
+    if method in ("ml", "mlx"):
+        return fit_ml(dataset, stats, pilot, grid, logistic_features(d, method == "mlx"), method)
+    if method in LOGIT_BASE:
+        return fit_lpml(dataset, stats, pilot, grid, ml_model, method)
     if method == "np":
-        sieve = build_sieve_map(dataset.x, sieve_spec or SieveSpec("roster"))
-        return fit_ml(dataset, stats, pilot, grid, sieve, method="np")
+        return fit_ml(dataset, stats, pilot, grid, build_sieve_map(dataset.x), method="np")
     if method == "lasso":
-        cfg = lasso_config
-        if cfg is None:
-            # Default forced support: the first covariate column of (1, x).
-            cfg = LassoConfig(forced_support=(1,) if d >= 1 else ())
-        return fit_hd_lasso(dataset, stats, pilot, grid, hd_dictionary(d), cfg)
+        return fit_hd_lasso(dataset, stats, pilot, grid, config=lasso_config)
     raise DataValidationError(f"unknown adjustment method {method!r}")

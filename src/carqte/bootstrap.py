@@ -185,6 +185,11 @@ def run_bootstrap(
     n = dataset.n
     n_strata = stats.n_strata
     n_taus = len(grid)
+    # Allocated first: a B too large to hold ends here, before any work.
+    try:
+        draws = np.empty((len(models), B, n_taus))
+    except MemoryError:
+        raise DataValidationError(f"B={B} bootstrap draws do not fit in memory") from None
     solver = _model_solver(dataset, models, grid)
     floor = _DEGENERATE_FRACTION * stats.n.astype(np.float64)
     fixed_pis = None if fixed_pi is None else _fixed_pis(fixed_pi, n_strata)[None]
@@ -212,7 +217,6 @@ def run_bootstrap(
     def accepted(n1w, nw):
         return np.all(n1w > floor, axis=-1) & np.all(nw - n1w > floor, axis=-1)
 
-    draws = np.empty((len(models), B, n_taus))
     n_resampled = 0
     for start in range(0, B, size):
         b = min(size, B - start)

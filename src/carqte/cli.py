@@ -186,11 +186,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "estimation would divide by a zero treated fraction"
         )
     pilot = pilot_quantiles(dataset, stats, grid)
-    lasso_cfg = LassoConfig(
-        c=args.lasso_c,
-        loading_iterations=args.lasso_iters,
-        forced_support=(1,) if dataset.n_covariates >= 1 else (),
-    )
+    lasso_cfg = LassoConfig(c=args.lasso_c, loading_iterations=args.lasso_iters)
     model = fit_adjustment(args.adjust, dataset, stats, pilot, grid, lasso_config=lasso_cfg)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     draws = run_bootstrap(dataset, stats, model, grid, args.B, rng, fixed_pi=fixed_pi)

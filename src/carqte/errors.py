@@ -33,14 +33,6 @@ class CellTooSmallError(DataValidationError):
     """Every (arm, stratum) cell is too small to fit the requested model."""
 
 
-class UnknownStratumError(CarqteError):
-    """Evaluation requested for a stratum the model was not fitted on."""
-
-
-class UnfittedTauError(CarqteError):
-    """Evaluation requested at a quantile index outside the fitted grid."""
-
-
 class NumericalError(CarqteError):
     """Numerical failure (solver breakdown, impossible bootstrap draws)."""
 

@@ -112,11 +112,7 @@ def _run_one_rep(spec: ScenarioSpec, truth: np.ndarray, rep: int) -> dict:
     taus = tuple(grid)
     pilot = pilot_quantiles(dataset, stats, grid)
 
-    lasso_cfg = LassoConfig(
-        c=spec.lasso_c,
-        loading_iterations=spec.lasso_iters,
-        forced_support=(1,) if dataset.n_covariates >= 1 else (),
-    )
+    lasso_cfg = LassoConfig(c=spec.lasso_c, loading_iterations=spec.lasso_iters)
     # Logistic fits come first so that lpml/lpmlx reuse them, whatever the
     # order of the requested methods.
     models: dict = {}

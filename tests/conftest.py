@@ -189,14 +189,16 @@ class TableModel:
         return TableModel(out)
 
 
-def evaluate_reference(model, arm, grid, ds):
-    """One arm's adjustment matrix, cell by cell: the reference for
-    ``AdjustmentModel.evaluate_all``.
+def evaluate_reference(model, arm, grid, ds, feature_map=None, ml_model=None):
+    """One arm's adjustment matrix, cell by cell, recomputed from the
+    coefficients: the reference for ``AdjustmentModel.evaluate_all``.
 
     The per-cell evaluation of earlier releases: the coefficients are copied
     into ``(arm, stratum, tau index)`` dicts, with None for a degraded cell,
-    the features are built for this arm alone, and each (stratum, tau) cell
-    dispatches on the method name.  lpml recomputes both probability columns.
+    ``feature_map`` is built for this arm alone, and each (stratum, tau)
+    cell dispatches on the method name.  lpml recomputes both probability
+    columns on the stratum's rows from the coefficients of ``ml_model``, and
+    their cell means and sds from the cell's rows of those columns.
     """
     out = np.zeros((ds.n, len(grid)))
     if model.method == "na":
@@ -205,14 +207,12 @@ def evaluate_reference(model, arm, grid, ds):
         key: model.coef[key].copy() if model.live[key] else None
         for key in np.ndindex(model.live.shape)
     }
-    H = model.feature_map.build(ds.x)
+    H = feature_map.build(ds.x)
     for s in range(ds.n_strata):
         rows = np.flatnonzero(ds.s == s)
-        if rows.size == 0:
-            continue
         H_s = H[rows]
         for j, tau in enumerate(grid):
-            ti = model.tau_index(tau)
+            ti = model.taus.index(float(tau))
             theta = coef[(arm, s, ti)]
             if theta is None:
                 continue
@@ -221,9 +221,10 @@ def evaluate_reference(model, arm, grid, ds):
             elif model.method in ("ml", "mlx", "np", "lasso"):
                 out[rows, j] = tau - expit(H_s @ theta)
             else:
-                th1, th0 = model.base[1, s, ti].copy(), model.base[0, s, ti].copy()
+                th1, th0 = ml_model.coef[1, s, ti].copy(), ml_model.coef[0, s, ti].copy()
                 w = np.column_stack([expit(H_s @ th1), expit(H_s @ th0)])
-                mean, sd = model.center[arm, s, ti].copy(), model.scale[arm, s, ti].copy()
+                cell = w[ds.a[rows] == arm]
+                mean, sd = cell.mean(axis=0), cell.std(axis=0)
                 ok = sd > _ZERO_SD
                 wd = np.where(ok, (w - mean) / np.where(ok, sd, 1.0), 0.0)
                 out[rows, j] = tau - wd @ theta

@@ -32,8 +32,8 @@ from carqte import (
     fit_logit_cell,
     fit_lp,
     generate,
-    hd_dictionary,
     index_strata,
+    logistic_features,
     pilot_quantiles,
     qte,
     run_bootstrap,
@@ -218,7 +218,7 @@ def test_criterion_7_lasso_correctness():
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
     pilot = pilot_quantiles(ds, stats, grid)
     cfg = LassoConfig(forced_support=(1,))
-    dictionary = hd_dictionary(20)
+    dictionary = logistic_features(20)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = fit_hd_lasso(ds, stats, pilot, grid, dictionary, cfg)
@@ -249,7 +249,7 @@ def test_criterion_7_lasso_correctness():
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            m = fit_hd_lasso(dsp, index_strata(dsp), pil, GRID05, hd_dictionary(p),
+            m = fit_hd_lasso(dsp, index_strata(dsp), pil, GRID05, logistic_features(p),
                              LassoConfig(forced_support=()))
         # dictionary columns 1 and 2 are the planted signal and its duplicate
         recovered += all({1, 2} & set(m.support[(arm, 0, 0)]) for arm in (0, 1))

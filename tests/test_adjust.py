@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import evaluate_reference, logit_fit_reference
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from carqte import (
     METHODS,
@@ -14,9 +14,6 @@ from carqte import (
     FeatureMap,
     LassoConfig,
     QuantileGrid,
-    SieveSpec,
-    UnfittedTauError,
-    UnknownStratumError,
     build_sieve_map,
     fit_adjustment,
     fit_hd_lasso,
@@ -25,14 +22,13 @@ from carqte import (
     fit_lpml,
     fit_ml,
     fit_none,
-    hd_dictionary,
     index_strata,
     logistic_features,
     pilot_quantiles,
     raw_features,
 )
 from carqte import adjust
-from carqte.adjust import _l1_kkt_residual
+from carqte.adjust import LOGIT_BASE, _l1_kkt_residual
 from carqte.dgp import DgpSpec, generate
 from carqte.estimator import QteEstimate, _model_solver, qte
 from carqte.randomization import SchemeSpec, assign
@@ -59,9 +55,9 @@ GRID = QuantileGrid.of([0.5])
 
 
 def test_raw_and_logistic_maps():
-    assert raw_features(2).terms == (("pow", 0, 1), ("pow", 1, 1))
+    assert raw_features(2).terms == (("x", 0), ("x", 1))
     fm = logistic_features(2, interactions=True)
-    assert fm.terms == (("const",), ("pow", 0, 1), ("pow", 1, 1), ("prod", 0, 1))
+    assert fm.terms == (("const",), ("x", 0), ("x", 1), ("prod", 0, 1))
     assert fm.intercept_column == 0 and raw_features(2).intercept_column is None
     x = np.array([[2.0, 3.0]])
     assert fm.build(x).tolist() == [[1.0, 2.0, 3.0, 6.0]]
@@ -69,31 +65,14 @@ def test_raw_and_logistic_maps():
 
 def test_sieve_roster_five_terms_for_two_covariates():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    fm = build_sieve_map(x, SieveSpec("roster"))
+    fm = build_sieve_map(x)
     assert fm.width == 5
-    assert fm.terms[:4] == (("const",), ("pow", 0, 1), ("pow", 1, 1), ("prod", 0, 1))
+    assert fm.terms[:4] == (("const",), ("x", 0), ("x", 1), ("prod", 0, 1))
     assert fm.terms[4] == ("thrprod", 0, 1.0, 1, 1.0)  # joint median-threshold product
     # thresholds frozen at the sample medians
     row = fm.build(np.array([[2.0, 2.0]]))[0]
     assert row[4] == 4.0  # both coordinates above their median 1.0
     assert fm.build(np.array([[0.5, 2.0]]))[0][4] == 0.0
-
-
-def test_polynomial_map():
-    fm = build_sieve_map(np.array([[1.0], [2.0]]), SieveSpec("polynomial", degree=2))
-    assert fm.terms == (("const",), ("pow", 0, 1), ("pow", 0, 2))
-    assert fm.build(np.array([[3.0]])).tolist() == [[1.0, 3.0, 9.0]]
-
-
-def test_spline_map_is_continuous_at_knot():
-    x = np.linspace(0, 1, 101).reshape(-1, 1)
-    fm = build_sieve_map(x, SieveSpec("spline", spline_order=2, knots=1))
-    assert fm.width == 3  # (1, x, hinge)
-    knot = fm.terms[2][2]
-    eps = 1e-9
-    lo = fm.build(np.array([[knot - eps]]))[0]
-    hi = fm.build(np.array([[knot + eps]]))[0]
-    assert np.allclose(lo, hi, atol=1e-6)
 
 
 # -- logistic cell ----------------------------------------------------------
@@ -180,7 +159,7 @@ def test_batched_logit_matches_per_problem_reference_on_mixed_batch():
     st = index_strata(ds)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
     pilot = pilot_quantiles(ds, st, grid)
-    fm = build_sieve_map(ds.x, SieveSpec("roster"))
+    fm = build_sieve_map(ds.x)
     model = _fit_quiet(fit_ml, ds, st, pilot, grid, fm, method="np")
     H = fm.build(ds.x)
     zero_col = fm.terms.index(next(t for t in fm.terms if t[0] == "thrprod"))
@@ -325,9 +304,7 @@ def test_ml_intercept_only_matches_cell_mean():
     ds = _two_strata_dataset(rng)
     st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
-    fm = build_sieve_map(ds.x, SieveSpec("polynomial", degree=1))
-    intercept_only = dataclasses.replace(fm, terms=(("const",),))
-    model = fit_ml(ds, st, pilot, GRID, intercept_only)
+    model = fit_ml(ds, st, pilot, GRID, FeatureMap("intercept", (("const",),)))
     values = model.evaluate_all(GRID, ds)
     for arm in (0, 1):
         for s in (0, 1):
@@ -382,7 +359,9 @@ def test_np_all_cells_too_small_raises():
     )
     st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
-    wide = build_sieve_map(ds.x, SieveSpec("polynomial", degree=6))  # 13 terms > cell - 2
+    # 7 terms > cell - 2
+    wide = FeatureMap("wide", (("const",), ("x", 0), ("x", 1), ("prod", 0, 0), ("prod", 1, 1),
+                               ("prod", 0, 1), ("thrprod", 0, 0.0, 1, 0.0)))
     with pytest.raises(CellTooSmallError):
         fit_ml(ds, st, pilot, GRID, wide, method="np")
 
@@ -417,7 +396,7 @@ def test_np_fitted_cdf_not_monotone_in_tau():
     st = index_strata(ds)
     grid = QuantileGrid.of([0.4, 0.6])
     pilot = pilot_quantiles(ds, st, grid)
-    sieve = build_sieve_map(ds.x, SieveSpec("roster"))
+    sieve = build_sieve_map(ds.x)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = fit_ml(ds, st, pilot, grid, sieve, method="np")
@@ -436,19 +415,21 @@ def test_lpml_handles_collinear_probability_columns():
     st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
     ml = fit_ml(ds, st, pilot, GRID)
-    # identical coefficients in both arms: the two columns coincide
-    dup = dataclasses.replace(ml, coef=ml.coef[[1, 1]])
+    # the treated-model column in both places: the two columns coincide, and
+    # the ridge splits the weight evenly between them
+    dup = dataclasses.replace(ml, prob=ml.prob[[1, 1]])
     model = fit_lpml(ds, st, pilot, GRID, ml_model=dup)
     assert model.live.all() and np.all(np.isfinite(model.coef))
+    assert np.allclose(model.coef[..., 0], model.coef[..., 1], rtol=1e-9)
 
 
-def test_lpml_ridge_matches_ols_when_delta_zero():
+def test_lpml_matches_ridge_reference():
     rng = np.random.default_rng(14)
     ds = _two_strata_dataset(rng, n=200)
     st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
     ml = fit_ml(ds, st, pilot, GRID)
-    model = fit_lpml(ds, st, pilot, GRID, ml_model=ml, ridge_delta=0.0)
+    model = fit_lpml(ds, st, pilot, GRID, ml_model=ml)
     H = logistic_features(2).build(ds.x)
     assert model.live.all()
     for arm, s, ti in np.ndindex(model.live.shape):
@@ -457,31 +438,11 @@ def test_lpml_ridge_matches_ols_when_delta_zero():
         w = np.column_stack(
             [expit(H[rows] @ ml.coef[1, s, ti]), expit(H[rows] @ ml.coef[0, s, ti])]
         )
-        assert np.array_equal(model.base[:, s, ti], ml.coef[:, s, ti])
-        wd = (w - model.center[arm, s, ti]) / model.scale[arm, s, ti]
+        wd = (w - w.mean(axis=0)) / w.std(axis=0)
         labels = (ds.y[rows] <= pilot.q(arm, 0.5)).astype(float)
-        ols = np.linalg.solve(wd.T @ wd / rows.size, wd.T @ labels / rows.size)
-        assert np.allclose(th, ols, atol=1e-12)
-
-
-def test_lpml_ridge_bias_is_continuous_and_vanishing_in_delta():
-    n = 2000
-    rng = np.random.default_rng(15)
-    a = np.tile([0, 1], n // 2)
-    x = rng.normal(0, 1, (n, 2))
-    y = x[:, 0] + rng.normal(0, 1, n)
-    ds = Dataset.from_arrays(y, a, np.zeros(n, int), x)
-    st = index_strata(ds)
-    pilot = _median_pilot(ds.y, ds.a)
-    ml = fit_ml(ds, st, pilot, GRID)
-    plain = fit_lpml(ds, st, pilot, GRID, ml_model=ml, ridge_delta=0.0)
-    diffs = []
-    for delta in (1e-2, 1e-3, 1e-4):
-        ridged = fit_lpml(ds, st, pilot, GRID, ml_model=ml, ridge_delta=delta)
-        diffs.append(np.max(np.abs(ridged.coef - plain.coef)))
-    assert diffs[1] < 0.5 * diffs[0]
-    assert diffs[2] < 0.5 * diffs[1]
-    assert diffs[2] < 0.05
+        gram = wd.T @ wd / rows.size + np.eye(2) / ds.n
+        ridge = np.linalg.solve(gram, wd.T @ labels / rows.size)
+        assert np.allclose(th, ridge, rtol=1e-9, atol=1e-12)
 
 
 def test_lpml_zero_variance_column_coefficient_forced_zero():
@@ -490,12 +451,16 @@ def test_lpml_zero_variance_column_coefficient_forced_zero():
     st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
     ml = fit_ml(ds, st, pilot, GRID)
-    coef = ml.coef.copy()
-    coef[0] = 0.0
-    flat = dataclasses.replace(ml, coef=coef)  # control column is identically 0.5: zero variance
-    model = fit_lpml(ds, st, pilot, GRID, ml_model=flat)
+    # The control column is 0.5 up to rounding-size noise, as a saturated
+    # logistic column is: its cell sd is far below 1e-8, so it counts as
+    # constant and gets a zero coefficient.
+    prob = ml.prob.copy()
+    prob[0] = 0.5 + 1e-14 * rng.standard_normal(prob[0].shape)
+    model = fit_lpml(ds, st, pilot, GRID, ml_model=dataclasses.replace(ml, prob=prob))
     assert model.live.all()
+    assert len(model.diagnostics["zero_variance"]) == model.live.size
     assert np.all(model.coef[..., 1] == 0.0)
+    assert np.any(model.coef[..., 0] != 0.0)
     for out in model.evaluate_all(GRID, ds):
         assert out.shape == (ds.n, len(GRID))
         assert np.all(np.isfinite(out))
@@ -505,7 +470,8 @@ def test_lpml_zero_variance_column_coefficient_forced_zero():
 def test_lpml_qte_ignores_rounding_size_changes_of_logistic_coefficients(seed, method, base):
     # Saturated probability columns have a cell sd of rounding size; before
     # such columns counted as constant, dividing by that sd let a 1e-13
-    # relative change of the logistic coefficients move these estimates.
+    # relative change of the logistic fit move these estimates.  The change
+    # scales the linear predictors behind the probabilities it reads.
     latent = generate(DgpSpec("dgp1", 400), np.random.default_rng(seed))
     a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(100 + seed))
     ds = Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
@@ -515,7 +481,7 @@ def test_lpml_qte_ignores_rounding_size_changes_of_logistic_coefficients(seed, m
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ml = fit_adjustment(base, ds, st, pilot, grid)
-        bumped = dataclasses.replace(ml, coef=ml.coef * (1.0 + 1e-13))
+        bumped = dataclasses.replace(ml, prob=expit(logit(ml.prob) * (1.0 + 1e-13)))
         model = fit_adjustment(method, ds, st, pilot, grid, ml_model=ml)
         moved = fit_adjustment(method, ds, st, pilot, grid, ml_model=bumped)
     assert model.diagnostics["zero_variance"]
@@ -537,15 +503,22 @@ def test_lpml_reusing_fitted_logistic_model_equals_standalone_fit():
         )
         assert reused.method == alone.method
         assert reused.diagnostics == alone.diagnostics
-        for field in ("live", "coef", "base", "center", "scale"):
+        for field in ("live", "coef", "prob"):
             assert np.array_equal(getattr(reused, field), getattr(alone, field)), field
         for got, want in zip(reused.evaluate_all(grid, ds), alone.evaluate_all(grid, ds)):
             assert np.array_equal(got, want)
     ml = fit_adjustment("ml", ds, st, pilot, grid)
-    with pytest.raises(DataValidationError, match="different feature map"):
+    with pytest.raises(DataValidationError, match="recombines an mlx fit"):
         fit_adjustment("lpmlx", ds, st, pilot, grid, ml_model=ml)
     with pytest.raises(DataValidationError, match="does not reuse"):
         fit_adjustment("lp", ds, st, pilot, grid, ml_model=ml)
+    # an ml fit on other rows or another grid is refused
+    half = Dataset.from_arrays(ds.y[:80], ds.a[:80], ds.s[:80], ds.x[:80])
+    half_st = index_strata(half)
+    for other in (fit_adjustment("ml", half, half_st, pilot_quantiles(half, half_st, grid), grid),
+                  fit_adjustment("ml", ds, st, _median_pilot(ds.y, ds.a), GRID)):
+        with pytest.raises(DataValidationError, match="other data or another grid"):
+            fit_adjustment("lpml", ds, st, pilot, grid, ml_model=other)
 
 
 # -- lasso ------------------------------------------------------------------
@@ -565,7 +538,8 @@ def test_lasso_recovers_planted_signal():
     for seed in range(5):
         ds, pilot = _signal_dataset(seed)
         model = fit_hd_lasso(
-            ds, index_strata(ds), pilot, GRID, hd_dictionary(20), LassoConfig()
+            ds, index_strata(ds), pilot, GRID, logistic_features(20),
+            LassoConfig(forced_support=()),
         )
         for arm in (0, 1):
             # dictionary columns: 0 intercept, 1 signal, 2 its duplicate
@@ -583,7 +557,7 @@ def test_lasso_null_design_selects_little():
         ds = Dataset.from_arrays(y, a, np.zeros(n, int), x)
         model = fit_hd_lasso(
             ds, index_strata(ds), _median_pilot(y, a), GRID,
-            hd_dictionary(p), LassoConfig(forced_support=()),
+            logistic_features(p), LassoConfig(forced_support=()),
         )
         for arm in (0, 1):
             sizes.append(len(model.support[(arm, 0, 0)]) - 1)  # minus intercept
@@ -593,8 +567,9 @@ def test_lasso_null_design_selects_little():
 def test_lasso_kkt_conditions_verified_independently():
     ds, pilot = _signal_dataset(0)
     st = index_strata(ds)
-    model = fit_hd_lasso(ds, st, pilot, GRID, hd_dictionary(20), LassoConfig())
-    H = hd_dictionary(20).build(ds.x)
+    model = fit_hd_lasso(ds, st, pilot, GRID, logistic_features(20),
+                         LassoConfig(forced_support=()))
+    H = logistic_features(20).build(ds.x)
     for arm in (0, 1):
         rows = np.flatnonzero(ds.a == arm)
         labels = (ds.y[rows] <= pilot.q(arm, 0.5)).astype(float)
@@ -606,7 +581,7 @@ def test_lasso_kkt_conditions_verified_independently():
 def test_lasso_post_support_contains_forced():
     ds, pilot = _signal_dataset(3)
     cfg = LassoConfig(forced_support=(7,))
-    model = fit_hd_lasso(ds, index_strata(ds), pilot, GRID, hd_dictionary(20), cfg)
+    model = fit_hd_lasso(ds, index_strata(ds), pilot, GRID, logistic_features(20), cfg)
     for arm in (0, 1):
         sup = model.support[(arm, 0, 0)]
         assert 7 in sup
@@ -622,7 +597,7 @@ def test_lasso_empty_support_falls_back():
     ds = Dataset.from_arrays(y, np.tile([0, 1], n // 2), np.zeros(n, int), x)
     cfg = LassoConfig(c=50.0, forced_support=())  # penalty so heavy nothing enters
     model = fit_hd_lasso(ds, index_strata(ds), _median_pilot(y, ds.a), GRID,
-                         hd_dictionary(4), cfg)
+                         logistic_features(4), cfg)
     for arm in (0, 1):
         assert set(model.support[(arm, 0, 0)]) == {0}  # intercept only
     theta0 = model.coef[1, 0, 0, 0]
@@ -632,29 +607,13 @@ def test_lasso_empty_support_falls_back():
 def test_lasso_mhat_sign_convention_and_debug_flag():
     ds, pilot = _signal_dataset(4)
     st = index_strata(ds)
-    model = fit_hd_lasso(ds, st, pilot, GRID, hd_dictionary(20), LassoConfig())
-    H = hd_dictionary(20).build(ds.x[:1])
+    model = fit_hd_lasso(ds, st, pilot, GRID, logistic_features(20),
+                         LassoConfig(forced_support=()))
+    H = logistic_features(20).build(ds.x[:1])
     prob = float(expit(H @ model.coef[1, 0, 0])[0])
     assert model.evaluate_all(GRID, ds)[1][0, 0] == pytest.approx(0.5 - prob)
     # The raw-probability debug flag is gone: tau - p is the only convention.
     assert "hd_raw_mhat" not in {f.name for f in dataclasses.fields(model)}
-
-
-def test_lasso_support_cap_trims_selection():
-    rng = np.random.default_rng(5)
-    n, p = 200, 12
-    x = rng.normal(0, 1, (n, p))
-    a = np.tile([0, 1], n // 2)
-    y = x[:, :6] @ np.full(6, 2.0) + 0.5 * rng.normal(0, 1, n)  # many active signals
-    ds = Dataset.from_arrays(y, a, np.zeros(n, int), x)
-    uncapped = fit_hd_lasso(ds, index_strata(ds), _median_pilot(y, a), GRID,
-                            hd_dictionary(p), LassoConfig(forced_support=()))
-    capped = fit_hd_lasso(ds, index_strata(ds), _median_pilot(y, a), GRID,
-                          hd_dictionary(p),
-                          LassoConfig(forced_support=(), max_support_cap=2))
-    for arm in (0, 1):
-        assert len(uncapped.support[(arm, 0, 0)]) > 3
-        assert len(capped.support[(arm, 0, 0)]) <= 3  # intercept + 2 selected
 
 
 def test_penalty_forms_both_exposed():
@@ -700,6 +659,16 @@ def _evaluation_datasets():
     return mixed, Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
 
 
+def _feature_map(method, ds):
+    """The feature map ``fit_adjustment`` fits ``method`` on."""
+    d = ds.n_covariates
+    if method == "lp":
+        return raw_features(d)
+    if method == "np":
+        return build_sieve_map(ds.x)
+    return logistic_features(d, method in ("mlx", "lpmlx"))
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_evaluate_all_matches_per_cell_reference(method):
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
@@ -707,17 +676,22 @@ def test_evaluate_all_matches_per_cell_reference(method):
     for ds in _evaluation_datasets():
         st = index_strata(ds)
         pilot = pilot_quantiles(ds, st, grid)
-        model = _fit_quiet(fit_adjustment, method, ds, st, pilot, grid)
+        ml = None
+        if method in LOGIT_BASE:
+            ml = _fit_quiet(fit_adjustment, LOGIT_BASE[method], ds, st, pilot, grid)
+        model = _fit_quiet(fit_adjustment, method, ds, st, pilot, grid, ml_model=ml)
         values = model.evaluate_all(grid, ds)
+        fm = None if method == "na" else _feature_map(method, ds)
         for arm in (0, 1):
-            assert np.array_equal(values[arm], evaluate_reference(model, arm, grid, ds))
+            want = evaluate_reference(model, arm, grid, ds, fm, ml)
+            assert np.array_equal(values[arm], want)
         degraded.append(not model.live.all())
         zero_variance.append(bool(model.diagnostics.get("zero_variance")))
     assert degraded[0] == (method != "na")
     assert zero_variance[1] == (method in ("lpml", "lpmlx"))
 
 
-def test_model_solver_builds_features_once_per_model(monkeypatch):
+def test_model_solver_builds_no_features(monkeypatch):
     ds = _two_strata_dataset(np.random.default_rng(20), n=160)
     st = index_strata(ds)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
@@ -727,7 +701,7 @@ def test_model_solver_builds_features_once_per_model(monkeypatch):
     build = FeatureMap.build
     monkeypatch.setattr(FeatureMap, "build", lambda fm, x: calls.append(fm.kind) or build(fm, x))
     _model_solver(ds, models, grid)
-    assert len(calls) == len(METHODS) - 1  # na has no features
+    assert calls == []  # every model holds its in-sample fit
 
 
 def test_na_model_evaluates_to_zero_everywhere():
@@ -743,9 +717,14 @@ def test_ml_zero_coefficients_give_tau_minus_half():
     ds = _two_strata_dataset(rng)
     st = index_strata(ds)
     model = fit_ml(ds, st, _median_pilot(ds.y, ds.a), GRID)
+    assert np.all((model.prob > 0.0) & (model.prob < 1.0))
     zeroed = dataclasses.replace(model, coef=np.zeros_like(model.coef))
-    for out in zeroed.evaluate_all(GRID, ds):
-        assert np.all(out == 0.0)  # 0.5 - lambda(0)
+    for arm in (0, 1):
+        ref = evaluate_reference(zeroed, arm, GRID, ds, logistic_features(2))
+        assert np.all(ref == 0.0)  # 0.5 - lambda(0)
+    half = dataclasses.replace(model, prob=np.full_like(model.prob, 0.5))
+    for out in half.evaluate_all(GRID, ds):
+        assert np.all(out == 0.0)
 
 
 def test_evaluate_errors():
@@ -753,10 +732,16 @@ def test_evaluate_errors():
     ds = _two_strata_dataset(rng)
     st = index_strata(ds)
     model = fit_lp(ds, st, _median_pilot(ds.y, ds.a), GRID)
+    # The adjustment exists in sample only: another dataset or grid is refused.
     wider = Dataset.from_arrays(ds.y, ds.a, np.arange(ds.n) % 3, ds.x)
-    with pytest.raises(UnknownStratumError):
-        model.evaluate_all(GRID, wider)
-    with pytest.raises(UnfittedTauError):
-        model.evaluate_all(QuantileGrid.of([0.25]), ds)
+    fewer = Dataset.from_arrays(ds.y[:40], ds.a[:40], ds.s[:40], ds.x[:40])
+    for other in (wider, fewer):
+        with pytest.raises(DataValidationError, match="another dataset"):
+            model.evaluate_all(GRID, other)
+    for grid in (QuantileGrid.of([0.25]), QuantileGrid.of([0.5, 0.75])):
+        with pytest.raises(DataValidationError, match="grid"):
+            model.evaluate_all(grid, ds)
+        with pytest.raises(DataValidationError, match="grid"):
+            fit_none(GRID).evaluate_all(grid, ds)
     with pytest.raises(DataValidationError):
         fit_adjustment("probit", ds, st, _median_pilot(ds.y, ds.a), GRID)

@@ -95,13 +95,12 @@ def test_public_surface_is_pinned():
         "DegenerateWeightedCellError", "DgpSpec", "EmptyStratumError", "FeatureMap",
         "InferenceResult", "LassoConfig", "METHODS", "NumericalError",
         "PotentialData", "QteEstimate", "QuantileGrid", "SCHEME_KINDS", "ScenarioResult",
-        "ScenarioSpec", "SchemeSpec", "SieveSpec", "StrataStats", "UnfittedTauError",
-        "UnknownStratumError", "adjust", "assign", "assign_bcd",
+        "ScenarioSpec", "SchemeSpec", "StrataStats", "adjust", "assign", "assign_bcd",
         "assign_sbr", "assign_srs", "assign_wei", "bootstrap", "bootstrap_se",
         "build_sieve_map", "cached_true_qte", "data", "dgp", "difference_test",
         "draw_weights", "emit_table", "empirical_quantile", "errors", "estimator",
         "fit_adjustment", "fit_hd_lasso", "fit_logit_cell", "fit_lp", "fit_lpml", "fit_ml",
-        "fit_none", "generate", "harness", "hd_dictionary", "index_strata", "load_csv",
+        "fit_none", "generate", "harness", "index_strata", "load_csv",
         "logistic_features", "pilot_quantiles", "pointwise_test", "qte",
         "randomization", "raw_features", "run_bootstrap", "run_scenario",
         "true_qte_oracle", "uniform_band",
@@ -363,6 +362,20 @@ def test_negative_seed_and_vanishing_alpha_are_rejected_up_front(tmp_path, capsy
     assert main(argv + ["--out", str(out)]) == 3
     assert option in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "truth.json").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_bootstrap_size_beyond_memory_is_a_data_error(experiment_csv, tmp_path, capsys, command):
+    # numpy refuses an array of 10**15 draws at once, so nothing is allocated.
+    out = tmp_path / "r.out"
+    if command == "estimate":
+        argv = ["estimate", "--input", experiment_csv]
+    else:
+        argv = ["simulate", "--n", "80", "--reps", "2", "--mc-n", "500", "--mc-reps", "3",
+                "--workers", "1", "--truth-cache", str(tmp_path / "truth.json")]
+    assert main(argv + ["--B", str(10**15), "--out", str(out)]) == 3
+    assert "do not fit in memory" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_estimate_target_pi_is_gone(experiment_csv, tmp_path):
