@@ -148,10 +148,12 @@ class AdjustmentModel:
     ``coef`` is a dense ``(arm, stratum, tau, p)`` array indexed by arm,
     stratum code and tau index, and ``live`` the ``(arm, stratum, tau)``
     mask of fitted cells; a cell outside it keeps zero coefficients.
-    ``prob`` holds the ``(arm, row, tau)`` fitted probabilities on the rows
-    the model was fitted on, each row under its stratum's cell model, and
-    tau itself where that cell is not live, so that its adjustment is
-    exactly zero; it is None for ``na``.
+    ``prob`` holds the ``(arm, row, tau)`` fitted values that the adjustment
+    subtracts from tau, on the rows the model was fitted on, each row under
+    its stratum's cell model: probabilities for the logistic methods, the
+    linear fit for ``lp`` and the centred recombination for ``lpml``.  It
+    holds tau itself where a cell is not live, so that its adjustment is
+    exactly zero, and is None for ``na``.
     """
 
     method: str
