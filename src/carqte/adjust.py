@@ -25,11 +25,12 @@ import numpy as np
 from scipy.special import expit, ndtri
 
 from .data import Dataset, QuantileGrid, StrataStats
-from .errors import CellTooSmallError, DataValidationError
+from .errors import CarqteError, CellTooSmallError, DataValidationError
 
 METHODS = ("na", "lp", "ml", "lpml", "mlx", "lpmlx", "np", "lasso")
 # Recombination method -> the logistic method whose per-cell fits it recombines.
 LOGIT_BASE = {"lpml": "ml", "lpmlx": "mlx"}
+LOGIT_METHODS = ("ml", "mlx", "np")  # the methods of :func:`fit_ml`
 
 # Coefficient magnitude beyond which a logistic fit is treated as separated.
 _SEPARATION_CAP = 30.0
@@ -303,19 +304,19 @@ def _chunks(sizes, width):
         yield chunk
 
 
-def _fit_logit_cells(H, cell_rows, labels, ridge=0.0):
+def _fit_logit_cells(cells, labels, ridge=0.0):
     """Logistic quasi-ML for every (cell, tau) problem, in padded batches.
 
-    ``cell_rows[c]`` indexes the rows of ``H`` in cell c and ``labels[c]``
-    holds its (n_c, T) 0/1 labels, one column per tau.  Problems that
-    separate without ridge are refitted from zero with ridge
+    ``cells[c]`` is ``(H, rows)``, the cell's rows of its own feature matrix,
+    so cells of several datasets share a solve unstacked.  ``labels[c]`` holds its (n_c, T) 0/1 labels, one column per tau.
+    Problems that separate without ridge are refitted from zero with ridge
     ``max(ridge, 1e-4 / n_c)`` in a second batched pass.  Returns theta
     (C, T, p) and the converged and separated masks (C, T).
     """
-    C = len(cell_rows)
-    p = H.shape[1]
+    C = len(cells)
+    p = cells[0][0].shape[1]
     T = labels[0].shape[1]
-    sizes = [rows.size for rows in cell_rows]
+    sizes = [rows.size for _, rows in cells]
     theta = np.zeros((C, T, p))
     converged = np.zeros((C, T), dtype=bool)
     separated = np.zeros((C, T), dtype=bool)
@@ -324,7 +325,8 @@ def _fit_logit_cells(H, cell_rows, labels, ridge=0.0):
         Hb = np.zeros((len(chunk), N, p))
         Yb = np.zeros((len(chunk), N, T))
         for k, c in enumerate(chunk):
-            Hb[k, : sizes[c]] = H[cell_rows[c]]
+            H, rows = cells[c]
+            Hb[k, : sizes[c]] = H[rows]
             Yb[k, : sizes[c]] = labels[c]
         n = np.array([sizes[c] for c in chunk], dtype=np.float64)
         valid = (np.arange(N) < n[:, None])[:, None, :].astype(np.float64)
@@ -359,7 +361,7 @@ def fit_logit_cell(features_matrix: np.ndarray, labels: np.ndarray, ridge: float
     if H.ndim != 2 or y.ndim != 1 or H.shape[0] != y.shape[0] or H.shape[0] < 1:
         raise DataValidationError("bad cell shapes for logistic fit")
     theta, converged, separated = _fit_logit_cells(
-        H, [np.arange(H.shape[0])], [y[:, None]], ridge
+        [(H, np.arange(H.shape[0]))], [y[:, None]], ridge
     )
     if separated[0, 0]:
         warnings.warn("separated logistic cell; refitting with small ridge", stacklevel=2)
@@ -458,48 +460,61 @@ def fit_lp(
 
 
 def fit_ml(
-    dataset: Dataset,
-    stats: StrataStats,
-    pilot,
+    items,
     grid: QuantileGrid,
     features: FeatureMap | None = None,
     method: str = "ml",
-) -> AdjustmentModel:
-    """Logistic quasi-ML per cell on indicator labels below the pilot quantile.
+) -> list:
+    """Logistic quasi-ML per cell on indicator labels below the pilot quantile,
+    for a group of ``(dataset, stats, pilot)`` items in one batched solve.
 
-    ``method`` names the result: ``ml`` and ``mlx`` on the logistic features
-    without and with interactions, ``np`` on a sieve map.
+    ``method`` names the results and picks each item's feature map: the
+    logistic features without (``ml``) and with (``mlx``) interactions, or
+    the sieve map at that dataset's own medians (``np``); ``features``, if
+    given, serves every item.  The maps must share one width.  Returns one
+    entry per item: its model, or the :class:`CarqteError` that failed it.
     """
-    fm = features if features is not None else logistic_features(dataset.n_covariates)
-    H = fm.build(dataset.x)
-    p = fm.width
     taus = tuple(grid)
-    cells = _cell_rows(dataset, stats)
-    degraded = [(a, s) for (a, s), rows in cells.items() if rows.size < p + 2]
-    fitted = [(a, s, rows) for (a, s), rows in cells.items() if rows.size >= p + 2]
-    if fitted:
-        labels = [
-            (dataset.y[rows][:, None] <= np.array([pilot.q(a, tau) for tau in taus]))
-            .astype(np.float64)
-            for a, _, rows in fitted
-        ]
-        theta, _, sep = _fit_logit_cells(H, [rows for _, _, rows in fitted], labels)
-        del labels  # freed before ``prob`` is allocated, so it adds nothing to the peak
-    coef, live = _cells(stats, taus, p)
-    separated: list = []
-    for c, (a, s, _) in enumerate(fitted):
-        coef[a, s] = theta[c]
-        live[a, s] = True
-        separated += [(a, s, ti) for ti in range(len(taus)) if sep[c, ti]]
-    model = AdjustmentModel(
-        method=method,
-        taus=taus,
-        coef=coef,
-        live=live,
-        prob=_fitted_prob(dataset, taus, live, H, coef, expit),
-        diagnostics={"degraded": tuple(degraded), "separated": tuple(separated)},
-    )
-    return _finish(model, degraded)
+    prepared, cells, labels = [], [], []
+    for dataset, stats, pilot in items:
+        fm = features if features is not None else (
+            build_sieve_map(dataset.x) if method == "np"
+            else logistic_features(dataset.n_covariates, interactions=method == "mlx"))
+        H = fm.build(dataset.x)
+        rows_of = _cell_rows(dataset, stats)
+        degraded = [(a, s) for (a, s), rows in rows_of.items() if rows.size < fm.width + 2]
+        fitted = [(a, s, rows) for (a, s), rows in rows_of.items() if rows.size >= fm.width + 2]
+        cutoffs = [np.array([pilot.q(a, tau) for tau in taus]) for a in (0, 1)]
+        cells += [(H, rows) for _, _, rows in fitted]
+        labels += [(dataset.y[rows][:, None] <= cutoffs[a]).astype(np.float64)
+                   for a, _, rows in fitted]
+        prepared.append((H, fitted, degraded))
+    fits = iter(())  # (theta, separated) of each fitted cell, in item order
+    if cells:
+        theta, _, sep = _fit_logit_cells(cells, labels)
+        fits = zip(theta, sep)
+    del cells, labels  # freed before ``prob`` is allocated, so they add nothing to the peak
+    out: list = []
+    for (dataset, stats, _), (H, fitted, degraded) in zip(items, prepared):
+        coef, live = _cells(stats, taus, H.shape[1])
+        separated: list = []
+        for a, s, _ in fitted:
+            coef[a, s], sep_c = next(fits)
+            live[a, s] = True
+            separated += [(a, s, ti) for ti in range(len(taus)) if sep_c[ti]]
+        model = AdjustmentModel(
+            method=method,
+            taus=taus,
+            coef=coef,
+            live=live,
+            prob=_fitted_prob(dataset, taus, live, H, coef, expit),
+            diagnostics={"degraded": tuple(degraded), "separated": tuple(separated)},
+        )
+        try:
+            out.append(_finish(model, degraded))
+        except CarqteError as exc:
+            out.append(exc)
+    return out
 
 
 def fit_lpml(
@@ -522,8 +537,7 @@ def fit_lpml(
     taus = tuple(grid)
     base = LOGIT_BASE[method]
     if ml_model is None:
-        fm = logistic_features(dataset.n_covariates, interactions=method == "lpmlx")
-        ml_model = fit_ml(dataset, stats, pilot, grid, fm, method=base)
+        ml_model = fit_adjustment(base, dataset, stats, pilot, grid)
     elif ml_model.method != base:
         raise DataValidationError(f"{method} recombines an {base} fit, not {ml_model.method}")
     elif ml_model.taus != taus or ml_model.prob.shape[1] != dataset.n \
@@ -799,19 +813,19 @@ def fit_adjustment(
     (``mlx``) model, whose fitted probabilities the recombination then
     reuses instead of refitting them; the result is identical either way.
     """
-    d = dataset.n_covariates
     if ml_model is not None and method not in LOGIT_BASE:
         raise DataValidationError(f"method {method!r} does not reuse a logistic fit")
     if method == "na":
         return fit_none(grid)
     if method == "lp":
         return fit_lp(dataset, stats, pilot, grid)
-    if method in ("ml", "mlx"):
-        return fit_ml(dataset, stats, pilot, grid, logistic_features(d, method == "mlx"), method)
+    if method in LOGIT_METHODS:
+        (model,) = fit_ml([(dataset, stats, pilot)], grid, method=method)
+        if isinstance(model, CarqteError):
+            raise model
+        return model
     if method in LOGIT_BASE:
         return fit_lpml(dataset, stats, pilot, grid, ml_model, method)
-    if method == "np":
-        return fit_ml(dataset, stats, pilot, grid, build_sieve_map(dataset.x), method="np")
     if method == "lasso":
         return fit_hd_lasso(dataset, stats, pilot, grid, config=lasso_config)
     raise DataValidationError(f"unknown adjustment method {method!r}")

@@ -48,10 +48,6 @@ class BootstrapDraws:
     n_resampled: int = 0
     point: QteEstimate | None = None
 
-    @property
-    def B(self) -> int:
-        return self.draws.shape[0]
-
     def at(self, tau: float) -> np.ndarray:
         return self.draws[:, self.grid.index_of(tau)]
 
@@ -127,21 +123,31 @@ def draw_weights(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def empirical_quantile(values: np.ndarray, nu) -> np.ndarray:
-    """Order statistics with linear interpolation at rank nu*(B-1)+1.
+    """Per-column order statistics with linear interpolation at rank nu*(B-1)+1.
 
     This single convention is shared by the standard-error, difference-test,
     and uniform-band constructions.
     """
-    return np.quantile(np.asarray(values, dtype=np.float64), nu, method="linear")
+    return np.quantile(np.asarray(values, dtype=np.float64), nu, axis=0, method="linear")
 
 
-def bootstrap_se(draws_at_tau: np.ndarray) -> float:
-    """Normal-scaled interquantile spread of the bootstrap draws."""
-    d = np.asarray(draws_at_tau, dtype=np.float64)
-    if d.size < 2:
+def bootstrap_se(draws: np.ndarray):
+    """Normal-scaled interquantile spread of the bootstrap draws: a float for
+    one column of B draws, the k column SEs of a B x k matrix in one call."""
+    d = np.asarray(draws, dtype=np.float64)
+    if d.ndim == 0 or d.shape[0] < 2:
         raise DataValidationError("need at least two bootstrap draws")
     lo, hi = empirical_quantile(d, [0.025, 0.975])
-    return float((hi - lo) / _NORMAL_SPREAD)
+    se = (hi - lo) / _NORMAL_SPREAD
+    return float(se) if d.ndim == 1 else se
+
+
+def _draw_matrix(k: int, B: int, n_taus: int) -> np.ndarray:
+    """The empty (k, B, n_taus) draw array; a B too large to hold is a data error."""
+    try:
+        return np.empty((k, B, n_taus))
+    except MemoryError:
+        raise DataValidationError(f"B={B} bootstrap draws do not fit in memory") from None
 
 
 def run_bootstrap(
@@ -186,10 +192,7 @@ def run_bootstrap(
     n_strata = stats.n_strata
     n_taus = len(grid)
     # Allocated first: a B too large to hold ends here, before any work.
-    try:
-        draws = np.empty((len(models), B, n_taus))
-    except MemoryError:
-        raise DataValidationError(f"B={B} bootstrap draws do not fit in memory") from None
+    draws = _draw_matrix(len(models), B, n_taus)
     solver = _model_solver(dataset, models, grid)
     floor = _DEGENERATE_FRACTION * stats.n.astype(np.float64)
     fixed_pis = None if fixed_pi is None else _fixed_pis(fixed_pi, n_strata)[None]
@@ -278,16 +281,21 @@ def pointwise_test(
     With a zero bootstrap standard error the test degenerates to an equality
     check of the estimate against the null.
     """
-    se = bootstrap_se(draws_at_tau)
+    return _wald(estimate, bootstrap_se(draws_at_tau), alpha)._tested(null_value)
+
+
+def _wald(estimate: float, se: float, alpha: float) -> InferenceResult:
+    """The Wald interval of ``estimate`` at bootstrap standard error ``se``."""
+    se = float(se)
     z_lo, z_hi = _normal_critical_values(alpha)
     if se == 0.0:
-        se, lower, upper = 0.0, float(estimate), float(estimate)
+        lower, upper = float(estimate), float(estimate)
     else:
         lower, upper = float(estimate + z_lo * se), float(estimate + z_hi * se)
     return InferenceResult(
         estimate=float(estimate), se=se, ci_lower=lower, ci_upper=upper,
         critical_value=float(z_hi), alpha=alpha,
-    )._tested(null_value)
+    )
 
 
 def difference_test(
@@ -335,7 +343,7 @@ def uniform_band(
         raise DataValidationError("draws must be B x len(estimates)")
     if d.shape[0] < 2:
         raise DataValidationError("need at least two bootstrap draws")
-    se = np.array([bootstrap_se(d[:, j]) for j in range(d.shape[1])])
+    se = bootstrap_se(d)
     ok = se > 0.0
     if not ok.any():
         crit = 0.0
@@ -346,7 +354,7 @@ def uniform_band(
                 "excluded from the sup",
                 stacklevel=2,
             )
-        center = np.quantile(d[:, ok], 0.5, axis=0, method="linear")
+        center = empirical_quantile(d[:, ok], 0.5)
         stud = np.abs((d[:, ok] - center) / se[ok])
         crit = sup_critical_value(stud.max(axis=1), alpha)
     return InferenceResult(

@@ -293,7 +293,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         lasso_iters=args.lasso_iters,
     )
     result = run_scenario(spec)
-    table = emit_table(result, "csv")
+    table = emit_table(result)
     if args.out is None or args.out == "-":
         sys.stdout.write(table)
     else:

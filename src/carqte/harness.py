@@ -5,8 +5,9 @@ list of adjustment methods.  Every replication draws fresh potential data,
 assigns treatment, fits each method on the shared draw, point-estimates and
 bootstraps all methods together over one stream of weights, and tests
 against the cached truth (size) and the truth shifted by ``delta`` (power).
-Replication seeds derive from (master seed, replication index), so results
-do not depend on the worker count.
+Replications run in groups of consecutive indices that share each logistic
+fit; seeds derive from (master seed, replication index) and groups from the
+index alone, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjust import LOGIT_BASE, METHODS, LassoConfig, fit_adjustment
+from .adjust import LOGIT_BASE, LOGIT_METHODS, METHODS, LassoConfig, fit_adjustment, fit_ml
 from .bootstrap import (
-    _normal_critical_values, difference_test, pointwise_test, run_bootstrap, uniform_band,
+    _draw_matrix, _normal_critical_values, _wald, bootstrap_se, run_bootstrap, uniform_band,
 )
 from .data import Dataset, QuantileGrid, index_strata
 from .dgp import DgpSpec, cached_true_qte, generate
@@ -31,6 +32,8 @@ from .estimator import pilot_quantiles, qte  # noqa: F401 - perfbench traces har
 from .randomization import SchemeSpec, assign
 
 _FAILURE_BUDGET = 0.01
+# Replications per task: each logistic method is fitted once per group.
+_REP_GROUP = 8
 
 
 @dataclass(frozen=True)
@@ -84,9 +87,6 @@ class ScenarioResult:
     rows: dict
     failures: int
 
-    def row(self, method: str, test: str) -> dict:
-        return self.rows[(method, test)]
-
 
 def _test_names(grid: QuantileGrid) -> list[str]:
     names = [f"pointwise@{tau:g}" for tau in grid]
@@ -97,8 +97,8 @@ def _test_names(grid: QuantileGrid) -> list[str]:
     return names
 
 
-def _run_one_rep(spec: ScenarioSpec, truth: np.ndarray, rep: int) -> dict:
-    """One replication; returns (method, test) -> (reject0, reject1, bias, se)."""
+def _prepare(spec: ScenarioSpec, rep: int) -> tuple:
+    """Replication ``rep``'s data: the ``(dataset, stats, pilot)`` fit item."""
     latent = generate(
         spec.dgp, np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep, 0)))
     )
@@ -108,64 +108,92 @@ def _run_one_rep(spec: ScenarioSpec, truth: np.ndarray, rep: int) -> dict:
     )
     dataset = Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
     stats = index_strata(dataset)
-    grid = spec.taus
-    taus = tuple(grid)
-    pilot = pilot_quantiles(dataset, stats, grid)
+    return dataset, stats, pilot_quantiles(dataset, stats, spec.taus)
 
+
+def _finish_rep(spec: ScenarioSpec, truth: np.ndarray, rep: int, item, models) -> dict:
+    """Fit the methods the group did not, bootstrap and test one replication.
+
+    ``models`` holds the replication's logistic fits; lpml/lpmlx reuse them.
+    """
+    dataset, stats, pilot = item
     lasso_cfg = LassoConfig(c=spec.lasso_c, loading_iterations=spec.lasso_iters)
-    # Logistic fits come first so that lpml/lpmlx reuse them, whatever the
-    # order of the requested methods.
-    models: dict = {}
-    for method in sorted(spec.methods, key=lambda m: m in LOGIT_BASE):
-        models[method] = fit_adjustment(
-            method, dataset, stats, pilot, grid, lasso_config=lasso_cfg,
-            ml_model=models.get(LOGIT_BASE.get(method)),
-        )
+    for method in spec.methods:
+        if method not in models:
+            models[method] = fit_adjustment(
+                method, dataset, stats, pilot, spec.taus, lasso_config=lasso_cfg,
+                ml_model=models.get(LOGIT_BASE.get(method)),
+            )
     # One stream for all methods: every method sees identical bootstrap
     # weights, so method comparisons are paired.  The same solve gives the
     # point estimates.
     boot_rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep, 2)))
     boot = run_bootstrap(
-        dataset, stats, [models[m] for m in spec.methods], grid, spec.B, boot_rng,
+        dataset, stats, [models[m] for m in spec.methods], spec.taus, spec.B, boot_rng,
         fixed_pi=spec.fixed_pi,
     )
+    return _inference(spec, truth, boot)
+
+
+def _inference(spec: ScenarioSpec, truth: np.ndarray, boot) -> dict:
+    """(method, test) -> (reject0, reject1, bias, se) from the methods' draws."""
+    # The Wald tests: pointwise at each tau, then (from two taus) the difference.
+    names = _test_names(spec.taus)[:len(spec.taus) + 1]
+    nulls = np.append(truth, truth[-1] - truth[0])
     # Each inference result is computed once and decides both the size null
     # (the truth) and the power null (the truth shifted by delta).
     out: dict = {}
     for method, draws in zip(spec.methods, boot):
-        est = draws.point.qte
-        for j, tau in enumerate(taus):
-            res = pointwise_test(est[j], draws.draws[:, j], None, spec.alpha)
-            out[(method, f"pointwise@{tau:g}")] = (
-                float(res.rejects(truth[j])), float(res.rejects(truth[j] + spec.delta)),
-                float(est[j] - truth[j]), res.se,
+        point, d = draws.point.qte, draws.draws
+        est = np.append(point, point[-1] - point[0])
+        # The pointwise and difference SEs come from one quantile call.
+        d = np.column_stack([d, d[:, -1] - d[:, 0]])
+        for name, e, null, se in zip(names, est, nulls, bootstrap_se(d)):
+            res = _wald(e, se, spec.alpha)
+            out[(method, name)] = (
+                float(res.rejects(null)), float(res.rejects(null + spec.delta)),
+                float(e - null), res.se,
             )
-        if len(taus) >= 2:
-            dname = f"diff({taus[-1]:g},{taus[0]:g})"
-            dtruth = truth[-1] - truth[0]
-            d = difference_test(
-                est[-1], est[0], draws.draws[:, -1], draws.draws[:, 0], None, spec.alpha,
-            )
-            out[(method, dname)] = (
-                float(d.rejects(dtruth)), float(d.rejects(dtruth + spec.delta)),
-                float((est[-1] - est[0]) - dtruth), d.se,
-            )
-            u = uniform_band(est, draws.draws, spec.alpha)
+        if len(spec.taus) >= 2:
+            u = uniform_band(point, draws.draws, spec.alpha)
             out[(method, "uniform")] = (
                 float(u.rejects(truth)), float(u.rejects(truth + spec.delta)),
-                float(np.mean(est - truth)), float(np.mean(u.se)),
+                float(np.mean(point - truth)), float(np.mean(u.se)),
             )
     return out
 
 
-def _rep_worker(args) -> tuple[int, dict | None, str | None]:
-    spec, truth, rep = args
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return rep, _run_one_rep(spec, truth, rep), None
-    except CarqteError as exc:
-        return rep, None, f"rep {rep}: {exc}"
+def _run_group(args) -> list:
+    """One group of replications; returns (rep, payload, message) per rep.
+
+    Each logistic method is fitted once for the whole group.  A replication
+    that fails leaves the group, and its group-mates go on.
+    """
+    spec, truth, reps = args
+    items, failed, payloads = {}, {}, {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for rep in reps:
+            try:
+                items[rep] = _prepare(spec, rep)
+            except CarqteError as exc:
+                failed[rep] = exc
+        models: dict = {rep: {} for rep in items}
+        wanted = {LOGIT_BASE.get(m, m) for m in spec.methods}
+        for method in (m for m in LOGIT_METHODS if m in wanted):
+            live = [rep for rep in items if rep not in failed]
+            for rep, fit in zip(live, fit_ml([items[r] for r in live], spec.taus, method=method)):
+                if isinstance(fit, CarqteError):
+                    failed[rep] = fit
+                else:
+                    models[rep][method] = fit
+        for rep in [r for r in items if r not in failed]:
+            try:
+                payloads[rep] = _finish_rep(spec, truth, rep, items[rep], models[rep])
+            except CarqteError as exc:
+                failed[rep] = exc
+    return [(rep, payloads.get(rep), f"rep {rep}: {failed[rep]}" if rep in failed else None)
+            for rep in reps]
 
 
 def scenario_truth(spec: ScenarioSpec) -> np.ndarray:
@@ -186,23 +214,28 @@ def run_scenario(spec: ScenarioSpec, truth: np.ndarray | None = None) -> Scenari
     Per-replication failures are tolerated up to a 1% budget and excluded
     from the averages; beyond the budget the scenario raises.
     """
+    # A B too large to hold fails here, before the truth and any replication.
+    _draw_matrix(len(spec.methods), spec.B, len(spec.taus))
     if truth is None:
         truth = scenario_truth(spec)
     truth = np.asarray(truth, dtype=np.float64)
     if truth.shape != (len(spec.taus),):
         raise DataValidationError("truth vector must match the quantile grid")
 
-    tasks = [(spec, truth, r) for r in range(spec.reps)]
-    results: list[tuple[int, dict | None, str | None]] = []
+    # Groups are fixed by rep index, never by the worker that runs them.
+    tasks = [
+        (spec, truth, range(start, min(start + _REP_GROUP, spec.reps)))
+        for start in range(0, spec.reps, _REP_GROUP)
+    ]
     # A fork pool starts all its workers at once, so never ask for more than
-    # there are replications or CPUs to run them.
-    workers = min(spec.workers, spec.reps, _available_cpus())
+    # there are groups or CPUs to run them.
+    workers = min(spec.workers, len(tasks), _available_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_rep_worker, tasks, chunksize=8))
+            groups = list(pool.map(_run_group, tasks))
     else:
-        results = [_rep_worker(t) for t in tasks]
-    results.sort(key=lambda item: item[0])
+        groups = [_run_group(t) for t in tasks]
+    results = [item for group in groups for item in group]
 
     messages = [msg for _, _, msg in results if msg is not None]
     if len(messages) > max(_FAILURE_BUDGET * spec.reps, 0.0):
@@ -248,61 +281,39 @@ _TABLE_COLUMNS = (
 )
 
 
-def _result_records(results) -> list[dict]:
-    if isinstance(results, ScenarioResult):
-        results = [results]
+def _result_records(res: ScenarioResult) -> list[dict]:
     records = []
-    for res in results:
-        for (method, test), row in sorted(res.rows.items()):
-            records.append(
-                {
-                    "dgp": res.spec.dgp.kind,
-                    "scheme": res.spec.scheme.kind,
-                    "n": res.spec.n,
-                    "B": res.spec.B,
-                    "method": method,
-                    "test": test,
-                    "reps": row["reps"],
-                    "size": row["size"],
-                    "size_mcse": row["size_mcse"],
-                    "power": row["power"],
-                    "power_mcse": row["power_mcse"],
-                    "bias": row["bias"],
-                    "mean_se": row["mean_se"],
-                }
-            )
+    for (method, test), row in sorted(res.rows.items()):
+        records.append(
+            {
+                "dgp": res.spec.dgp.kind,
+                "scheme": res.spec.scheme.kind,
+                "n": res.spec.n,
+                "B": res.spec.B,
+                "method": method,
+                "test": test,
+                "reps": row["reps"],
+                "size": row["size"],
+                "size_mcse": row["size_mcse"],
+                "power": row["power"],
+                "power_mcse": row["power_mcse"],
+                "bias": row["bias"],
+                "mean_se": row["mean_se"],
+            }
+        )
     return records
 
 
-def emit_table(results, format: str = "csv") -> str:
-    """Render scenario results as CSV (full precision) or aligned text."""
-    records = _result_records(results)
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_TABLE_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [repr(rec[c]) if isinstance(rec[c], float) else rec[c] for c in _TABLE_COLUMNS]
-            )
-        return buf.getvalue()
-    if format == "text":
-        fmt = {
-            "size": "{:.3f}", "size_mcse": "{:.3f}", "power": "{:.3f}",
-            "power_mcse": "{:.3f}", "bias": "{:+.3f}", "mean_se": "{:.3f}",
-        }
-        cells = [
-            [fmt.get(c, "{}").format(rec[c]) for c in _TABLE_COLUMNS] for rec in records
-        ]
-        widths = [
-            max(len(c), *(len(row[i]) for row in cells)) if cells else len(c)
-            for i, c in enumerate(_TABLE_COLUMNS)
-        ]
-        lines = ["  ".join(c.ljust(w) for c, w in zip(_TABLE_COLUMNS, widths)).rstrip()]
-        for row in cells:
-            lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-        return "\n".join(lines) + "\n"
-    raise DataValidationError(f"unknown table format {format!r}")
+def emit_table(result: ScenarioResult) -> str:
+    """Render one scenario result as CSV, floats at full precision."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_TABLE_COLUMNS)
+    for rec in _result_records(result):
+        writer.writerow(
+            [repr(rec[c]) if isinstance(rec[c], float) else rec[c] for c in _TABLE_COLUMNS]
+        )
+    return buf.getvalue()
 
 
 def _available_cpus() -> int:

@@ -148,6 +148,14 @@ def _mixed_logit_dataset(seed=0):
     return Dataset.from_arrays(y, a, s, x)
 
 
+def _fit_ml(ds, st, pilot, grid, features=None, method="ml"):
+    """``fit_ml`` on a one-item group; raises the item's failure."""
+    (model,) = fit_ml([(ds, st, pilot)], grid, features, method)
+    if isinstance(model, Exception):
+        raise model
+    return model
+
+
 def _fit_quiet(fit, *args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -160,7 +168,7 @@ def test_batched_logit_matches_per_problem_reference_on_mixed_batch():
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
     pilot = pilot_quantiles(ds, st, grid)
     fm = build_sieve_map(ds.x)
-    model = _fit_quiet(fit_ml, ds, st, pilot, grid, fm, method="np")
+    model = _fit_quiet(_fit_ml, ds, st, pilot, grid, fm, method="np")
     H = fm.build(ds.x)
     zero_col = fm.terms.index(next(t for t in fm.terms if t[0] == "thrprod"))
     assert model.diagnostics["degraded"] == ((1, 2),)
@@ -228,6 +236,36 @@ def test_batched_logit_coefficients_do_not_depend_on_chunking(monkeypatch, metho
             th = large.coef[key]
             assert np.max(np.abs(small.coef[key] - th)) <= 1e-12 * np.max(np.abs(th))
         assert not small.coef[~small.live].any() and not large.coef[~large.live].any()
+
+
+@pytest.mark.parametrize("method", ["ml", "mlx", "np"])
+def test_grouped_logit_fit_matches_each_items_solo_fit(method):
+    # One solve over the cells of a dgp1 dataset and of the mixed dataset,
+    # whose singular cell sends every Hessian of its stack to lstsq, plus an
+    # item too small to fit, which fails alone.
+    latent = generate(DgpSpec("dgp1", 400), np.random.default_rng(12))
+    a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(13))
+    grid = QuantileGrid.of([0.25, 0.5, 0.75])
+    tiny = Dataset.from_arrays(
+        np.arange(8.0), np.tile([0, 1], 4), np.zeros(8), np.random.default_rng(3).normal(0, 1, (8, 2))
+    )
+    items = []
+    for ds in (Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x), tiny,
+               _mixed_logit_dataset()):
+        st = index_strata(ds)
+        items.append((ds, st, pilot_quantiles(ds, st, grid)))
+    grouped = _fit_quiet(fit_ml, items, grid, method=method)
+    assert isinstance(grouped[1], CellTooSmallError)
+    for item, got in zip(items[::2], grouped[::2]):
+        want = _fit_quiet(_fit_ml, *item, grid, method=method)
+        assert got.method == method
+        assert got.diagnostics == want.diagnostics
+        assert np.array_equal(got.live, want.live)
+        for key in zip(*np.nonzero(want.live)):
+            th = want.coef[key]
+            assert np.max(np.abs(got.coef[key] - th)) <= 1e-12 * np.max(np.abs(th))
+        assert not got.coef[~got.live].any()
+        assert np.all(np.abs(got.prob - want.prob) <= 1e-12 * np.abs(want.prob))
 
 
 # -- LP ---------------------------------------------------------------------
@@ -304,7 +342,7 @@ def test_ml_intercept_only_matches_cell_mean():
     ds = _two_strata_dataset(rng)
     st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
-    model = fit_ml(ds, st, pilot, GRID, FeatureMap("intercept", (("const",),)))
+    model = _fit_ml(ds, st, pilot, GRID, FeatureMap("intercept", (("const",),)))
     values = model.evaluate_all(GRID, ds)
     for arm in (0, 1):
         for s in (0, 1):
@@ -331,8 +369,8 @@ def test_mlx_reduces_to_ml_when_interactions_vanish():
     ds = Dataset.from_arrays(y, np.tile([0, 1], n // 2), np.zeros(n), x)
     st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
-    ml = fit_ml(ds, st, pilot, GRID, logistic_features(2))
-    mlx = fit_ml(ds, st, pilot, GRID, logistic_features(2, True), method="mlx")
+    ml = _fit_ml(ds, st, pilot, GRID, logistic_features(2))
+    mlx = _fit_ml(ds, st, pilot, GRID, logistic_features(2, True), method="mlx")
     assert np.array_equal(mlx.live, ml.live)
     assert np.allclose(mlx.coef[..., :3], ml.coef, atol=1e-7)
     assert np.all(np.abs(mlx.coef[..., 3]) < 1e-10)
@@ -344,8 +382,8 @@ def test_np_equals_ml_on_same_features():
     st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
     fm = logistic_features(2)
-    ml = fit_ml(ds, st, pilot, GRID, fm)
-    np_ = fit_ml(ds, st, pilot, GRID, fm, method="np")
+    ml = _fit_ml(ds, st, pilot, GRID, fm)
+    np_ = _fit_ml(ds, st, pilot, GRID, fm, method="np")
     assert np_.method == "np"
     assert np.array_equal(np_.live, ml.live)
     assert np.array_equal(np_.coef, ml.coef)
@@ -363,7 +401,7 @@ def test_np_all_cells_too_small_raises():
     wide = FeatureMap("wide", (("const",), ("x", 0), ("x", 1), ("prod", 0, 0), ("prod", 1, 1),
                                ("prod", 0, 1), ("thrprod", 0, 0.0, 1, 0.0)))
     with pytest.raises(CellTooSmallError):
-        fit_ml(ds, st, pilot, GRID, wide, method="np")
+        _fit_ml(ds, st, pilot, GRID, wide, method="np")
 
 
 def test_partial_small_cells_degrade_with_warning():
@@ -376,7 +414,7 @@ def test_partial_small_cells_degrade_with_warning():
     st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
     with pytest.warns(UserWarning, match="degraded"):
-        model = fit_ml(ds, st, pilot, GRID)
+        model = _fit_ml(ds, st, pilot, GRID)
     assert not model.live[1, 1, 0]
     treated = model.evaluate_all(GRID, ds)[1]
     assert np.all(treated[s == 1] == 0.0)  # degraded cell adjusts by zero
@@ -399,7 +437,7 @@ def test_np_fitted_cdf_not_monotone_in_tau():
     sieve = build_sieve_map(ds.x)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = fit_ml(ds, st, pilot, grid, sieve, method="np")
+        model = _fit_ml(ds, st, pilot, grid, sieve, method="np")
     H = sieve.build(ds.x)
     p_lo = expit(H @ model.coef[1, 0, 0])
     p_hi = expit(H @ model.coef[1, 0, 1])
@@ -414,7 +452,7 @@ def test_lpml_handles_collinear_probability_columns():
     ds = _two_strata_dataset(rng)
     st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
-    ml = fit_ml(ds, st, pilot, GRID)
+    ml = _fit_ml(ds, st, pilot, GRID)
     # the treated-model column in both places: the two columns coincide, and
     # the ridge splits the weight evenly between them
     dup = dataclasses.replace(ml, prob=ml.prob[[1, 1]])
@@ -428,7 +466,7 @@ def test_lpml_matches_ridge_reference():
     ds = _two_strata_dataset(rng, n=200)
     st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
-    ml = fit_ml(ds, st, pilot, GRID)
+    ml = _fit_ml(ds, st, pilot, GRID)
     model = fit_lpml(ds, st, pilot, GRID, ml_model=ml)
     H = logistic_features(2).build(ds.x)
     assert model.live.all()
@@ -450,7 +488,7 @@ def test_lpml_zero_variance_column_coefficient_forced_zero():
     ds = _two_strata_dataset(rng)
     st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
-    ml = fit_ml(ds, st, pilot, GRID)
+    ml = _fit_ml(ds, st, pilot, GRID)
     # The control column is 0.5 up to rounding-size noise, as a saturated
     # logistic column is: its cell sd is far below 1e-8, so it counts as
     # constant and gets a zero coefficient.
@@ -716,7 +754,7 @@ def test_ml_zero_coefficients_give_tau_minus_half():
     rng = np.random.default_rng(18)
     ds = _two_strata_dataset(rng)
     st = index_strata(ds)
-    model = fit_ml(ds, st, _median_pilot(ds.y, ds.a), GRID)
+    model = _fit_ml(ds, st, _median_pilot(ds.y, ds.a), GRID)
     assert np.all((model.prob > 0.0) & (model.prob < 1.0))
     zeroed = dataclasses.replace(model, coef=np.zeros_like(model.coef))
     for arm in (0, 1):

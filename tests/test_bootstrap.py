@@ -304,6 +304,22 @@ def test_draw_spread_shrinks_with_root_n():
     assert 0.4 <= np.mean(ratios) <= 0.6  # n^{-1/2} rate: expect about 0.5
 
 
+@pytest.mark.parametrize("B", [2, 3, 40, 201, 400])
+def test_bootstrap_se_of_a_matrix_is_the_per_column_loop(B):
+    rng = np.random.default_rng(B)
+    d = np.column_stack([
+        rng.normal(size=B),
+        np.round(rng.normal(size=B), 1),  # ties
+        np.full(B, 2.5),  # constant: zero SE
+        rng.integers(0, 3, B).astype(float),  # mostly ties
+        rng.standard_cauchy(B) * 1e6,
+    ])
+    got = bootstrap_se(d)
+    assert got.shape == (d.shape[1],)
+    assert got.tolist() == [bootstrap_se(d[:, j]) for j in range(d.shape[1])]
+    assert got[2] == 0.0
+
+
 def test_bootstrap_se_normal_oracle():
     draws = np.random.default_rng(5).standard_normal(1_000_000)
     assert bootstrap_se(draws) == pytest.approx(1.0, abs=0.01)

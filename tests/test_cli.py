@@ -378,6 +378,21 @@ def test_bootstrap_size_beyond_memory_is_a_data_error(experiment_csv, tmp_path, 
     assert not out.exists()
 
 
+def test_simulate_checks_bootstrap_size_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the oracle or a replication ran before --B was checked")
+
+    monkeypatch.setattr(carqte.harness, "scenario_truth", no_work)
+    monkeypatch.setattr(carqte.harness, "generate", no_work)
+    cache, out = tmp_path / "truth.json", tmp_path / "sim.csv"
+    code = main(["simulate", "--n", "400", "--reps", "20", "--B", str(10**15), "--mc-n", "500",
+                 "--mc-reps", "3", "--workers", "1", "--truth-cache", str(cache),
+                 "--out", str(out)])
+    assert code == 3
+    assert "do not fit in memory" in capsys.readouterr().err
+    assert not out.exists() and not cache.exists() and not (tmp_path / "sim.csv.config.json").exists()
+
+
 def test_estimate_target_pi_is_gone(experiment_csv, tmp_path):
     # The flag set a target that no estimate used; it is now unknown (exit 2),
     # and a config key of that name is ignored like any other unknown key.

@@ -6,6 +6,7 @@ import pytest
 import carqte.harness as harness
 
 from carqte import (
+    CellTooSmallError,
     DataValidationError,
     DgpSpec,
     QuantileGrid,
@@ -65,38 +66,29 @@ def test_rates_are_decision_means_with_mcse():
 
 def test_emit_parse_round_trip():
     res = run_scenario(_tiny_spec(), TRUTH2)
-    text = emit_table(res, "csv")
+    text = emit_table(res)
     assert parse_table(text) == _result_records(res)
     assert parse_table("") == []
 
 
-def test_emit_text_renders_rows():
-    res = run_scenario(_tiny_spec(reps=2), TRUTH2)
-    text = emit_table(res, "text")
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("dgp")
-    assert len(lines) == 1 + len(res.rows)
-
-
-def test_empty_results_render_header_only():
-    assert emit_table([], "csv").strip().split(",")[0] == "dgp"
-    assert len(emit_table([], "csv").strip().splitlines()) == 1
-
-
 def test_worker_count_does_not_change_results():
-    spec1 = _tiny_spec(reps=4)
-    spec2 = _tiny_spec(reps=4, workers=2)
+    # Three groups, the last one partial: the grouping is fixed by rep index.
+    reps = 2 * harness._REP_GROUP + 1
+    spec1 = _tiny_spec(reps=reps, methods=("na", "lp", "ml", "lpml"))
+    spec2 = _tiny_spec(reps=reps, methods=("na", "lp", "ml", "lpml"), workers=2)
     assert emit_table(run_scenario(spec1, TRUTH2)) == emit_table(run_scenario(spec2, TRUTH2))
 
 
 @pytest.mark.parametrize(
-    "workers,reps,cpus,pool",
+    "workers,groups,cpus,pool",
     [(4000, 2, 8, 2), (4000, 5, 3, 3), (3, 5, 8, 3), (4000, 5, 1, None), (2, 1, 8, None)],
 )
-def test_worker_pool_is_capped_by_reps_and_cpus(monkeypatch, workers, reps, cpus, pool):
+def test_worker_pool_is_capped_by_reps_and_cpus(monkeypatch, workers, groups, cpus, pool):
     # A fork pool starts every worker it is asked for, so the harness asks
-    # for min(workers, reps, CPUs) and runs serially when that is 1.
+    # for min(workers, groups of replications, CPUs) and runs serially when
+    # that is 1.  The last group is partial.
     assert harness._available_cpus() >= 1
+    reps = groups * harness._REP_GROUP - 3
     sizes = []
 
     class SerialPool:
@@ -109,7 +101,7 @@ def test_worker_pool_is_capped_by_reps_and_cpus(monkeypatch, workers, reps, cpus
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
+        def map(self, fn, tasks):
             return map(fn, tasks)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
@@ -122,7 +114,7 @@ def test_worker_pool_is_capped_by_reps_and_cpus(monkeypatch, workers, reps, cpus
 
 
 def test_recombination_reuses_logistic_fit_in_any_method_order(monkeypatch):
-    real = harness.fit_adjustment
+    real, real_group = harness.fit_adjustment, harness.fit_ml
     seen = []
 
     def recording(method, *args, **kwargs):
@@ -130,7 +122,12 @@ def test_recombination_reuses_logistic_fit_in_any_method_order(monkeypatch):
         seen.append((method, None if base is None else base.method))
         return real(method, *args, **kwargs)
 
+    def recording_group(items, grid, method):
+        seen.append((method, None))
+        return real_group(items, grid, method=method)
+
     monkeypatch.setattr(harness, "fit_adjustment", recording)
+    monkeypatch.setattr(harness, "fit_ml", recording_group)
     orders = (("lpmlx", "lpml", "na", "mlx", "ml"), ("ml", "mlx", "na", "lpml", "lpmlx"))
     rows = []
     for methods in orders:
@@ -140,6 +137,43 @@ def test_recombination_reuses_logistic_fit_in_any_method_order(monkeypatch):
             [("na", None), ("ml", None), ("mlx", None), ("lpml", "ml"), ("lpmlx", "mlx")]
         )
     assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("stage", ["prepare", "fit"])
+def test_a_failing_replication_leaves_its_group_mates_reporting(monkeypatch, stage):
+    spec = _tiny_spec(reps=harness._REP_GROUP, methods=("na", "lp", "ml", "lpml"))
+    clean = harness._run_group((spec, TRUTH2, range(spec.reps)))
+    if stage == "prepare":
+        real = harness._prepare
+
+        def failing(spec, rep):
+            if rep == 2:
+                raise DataValidationError("boom")
+            return real(spec, rep)
+
+        monkeypatch.setattr(harness, "_prepare", failing)
+    else:
+        real = harness.fit_ml
+
+        def failing(items, grid, method):
+            out = real(items, grid, method=method)
+            out[2] = CellTooSmallError("boom")  # rep 2 fails inside the grouped fit
+            return out
+
+        monkeypatch.setattr(harness, "fit_ml", failing)
+    results = harness._run_group((spec, TRUTH2, range(spec.reps)))
+    assert [rep for rep, _, _ in results] == list(range(spec.reps))
+    assert results[2][1:] == (None, "rep 2: boom")
+    for (rep, payload, message), (_, want, _) in zip(results, clean):
+        if rep != 2:
+            assert message is None and payload.keys() == want.keys()
+            # Leaving the group may move the logistic fits of the others by
+            # ulps; the other methods do not depend on the group.
+            assert {k: v for k, v in payload.items() if k[0] in ("na", "lp")} == {
+                k: v for k, v in want.items() if k[0] in ("na", "lp")
+            }
+    with pytest.raises(DataValidationError, match="^1 of 8 replications failed; first: rep 2: boom$"):
+        run_scenario(spec, TRUTH2)
 
 
 def test_smoke_scenario_within_time_budget():
