@@ -25,6 +25,7 @@ from .adjust import LOGIT_BASE, LOGIT_METHODS, METHODS, LassoConfig, fit_adjustm
 from .bootstrap import (
     _draw_matrix, _normal_critical_values, _wald, bootstrap_se, run_bootstrap, uniform_band,
 )
+from .bootstrap import difference_test, pointwise_test  # noqa: F401 - perfbench traces them
 from .data import Dataset, QuantileGrid, index_strata
 from .dgp import DgpSpec, cached_true_qte, generate
 from .errors import CarqteError, DataValidationError
