@@ -441,6 +441,33 @@ def test_simulate_paper_methods_table_is_pinned(tmp_path, workers):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_TABLE_SHA256
 
 
+# sha256 of each report below with its "input" line (the temporary CSV path)
+# removed, so that the bytes of the whole report are pinned.
+ESTIMATE_REPORT_SHA256 = {
+    "lpmlx": "84f02eba957d1d1246da681758da431060bb33d8c600b07657fcd11bd222d6eb",
+    "lpml": "0b821f5eb2b064d77badd311379ce10d9d6ef2e8243157720c2d680e60b52080",
+    "na": "c64dd2691c72c6976eb12a6ce6bd3b07e75b97badaf2269e5eef8a956b187418",
+}
+_ESTIMATE_PIN_ARGS = {
+    "lpmlx": ["--taus", "0.25,0.5,0.75", "--diff", "0.75,0.25", "--uniform", "--B", "200"],
+    "lpml": ["--pi", "fixed:0.5"],
+    "na": ["--taus", "0.5"],
+}
+
+
+@pytest.mark.parametrize("method", sorted(_ESTIMATE_PIN_ARGS))
+def test_estimate_report_bytes_are_pinned(experiment_csv, tmp_path, method):
+    out = tmp_path / "r.json"
+    code = main(["estimate", "--input", experiment_csv, "--adjust", method,
+                 *_ESTIMATE_PIN_ARGS[method], "--out", str(out)])
+    assert code == 0
+    input_line = f'    "input": {json.dumps(experiment_csv)},\n'.encode()
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert lines.count(input_line) == 1
+    body = b"".join(line for line in lines if line != input_line)
+    assert hashlib.sha256(body).hexdigest() == ESTIMATE_REPORT_SHA256[method]
+
+
 # -- fuzzing the CSV boundary ---------------------------------------------------
 
 _ROWS = st.tuples(
