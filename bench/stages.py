@@ -9,8 +9,9 @@ randomization, n=400, the seven low-dimensional methods, B=200 and taus
 0.25/0.5/0.75, 10 replications on one worker.  The scenario runs through
 ``carqte.harness.run_scenario`` with the harness's own stage functions
 wrapped by timers: ``prepare`` (generate, assign, strata, pilot),
-``fit:<method>`` (a grouped ``fit_ml`` call or a ``fit_adjustment`` call),
-``bootstrap`` and ``inference``; ``other`` is the rest of the call.
+``fit:<method>`` (a grouped ``fit_ml`` call, or a ``fit_adjustment`` call
+of ``harness._fit_and_bootstrap``), ``bootstrap`` and ``inference``;
+``other`` is the rest of the call.
 
 Two layouts of the same work run alternately in each repeat:
 

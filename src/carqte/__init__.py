@@ -11,7 +11,6 @@ from .adjust import (
     build_sieve_map,
     fit_adjustment,
     fit_hd_lasso,
-    fit_logit_cell,
     fit_lp,
     fit_lpml,
     fit_ml,
@@ -41,11 +40,8 @@ from .data import (
 from .dgp import DgpSpec, PotentialData, cached_true_qte, generate, true_qte_oracle
 from .errors import (
     CarqteError,
-    CellTooSmallError,
     DataValidationError,
     DegenerateCellError,
-    DegenerateWeightedCellError,
-    EmptyStratumError,
     NumericalError,
 )
 from .estimator import QteEstimate, pilot_quantiles, qte

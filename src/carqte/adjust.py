@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit, ndtri
 
 from .data import Dataset, QuantileGrid, StrataStats
-from .errors import CarqteError, CellTooSmallError, DataValidationError
+from .errors import CarqteError, DataValidationError
 
 METHODS = ("na", "lp", "ml", "lpml", "mlx", "lpmlx", "np", "lasso")
 # Recombination method -> the logistic method whose per-cell fits it recombines.
@@ -348,7 +348,7 @@ def _fit_logit_cells(cells, labels, ridge=0.0):
     return theta, converged, separated
 
 
-def fit_logit_cell(features_matrix: np.ndarray, labels: np.ndarray, ridge: float = 0.0) -> np.ndarray:
+def _fit_logit_cell(H: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Logistic likelihood maximization on one cell by Newton iteration.
 
     Separation (coefficients running away) is detected via a magnitude cap
@@ -356,13 +356,7 @@ def fit_logit_cell(features_matrix: np.ndarray, labels: np.ndarray, ridge: float
     the refit is flagged with a warning.  This is the one-problem call of the
     batched core behind every logistic adjustment.
     """
-    H = np.asarray(features_matrix, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if H.ndim != 2 or y.ndim != 1 or H.shape[0] != y.shape[0] or H.shape[0] < 1:
-        raise DataValidationError("bad cell shapes for logistic fit")
-    theta, converged, separated = _fit_logit_cells(
-        [(H, np.arange(H.shape[0]))], [y[:, None]], ridge
-    )
+    theta, converged, separated = _fit_logit_cells([(H, np.arange(H.shape[0]))], [y[:, None]])
     if separated[0, 0]:
         warnings.warn("separated logistic cell; refitting with small ridge", stacklevel=2)
     if not converged[0, 0]:
@@ -397,7 +391,7 @@ def _finish(model: AdjustmentModel, degraded: list) -> AdjustmentModel:
             stacklevel=3,
         )
         if not model.live.any():
-            raise CellTooSmallError(f"{model.method}: every (arm, stratum) cell is too small")
+            raise DataValidationError(f"{model.method}: every (arm, stratum) cell is too small")
     return model
 
 
@@ -761,7 +755,7 @@ def fit_hd_lasso(
                 empty_support.append((a, s, ti))
                 support[(a, s, ti)] = ()
                 continue
-            coef[a, s, ti, list(cols)] = fit_logit_cell(Hc[:, cols], labels)
+            coef[a, s, ti, list(cols)] = _fit_logit_cell(Hc[:, cols], labels)
             support[(a, s, ti)] = cols
     if empty_support:
         warnings.warn(

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .data import Dataset, QuantileGrid, StrataStats
-from .errors import DataValidationError, DegenerateCellError, DegenerateWeightedCellError
+from .errors import DataValidationError, NumericalError
 from .estimator import QteEstimate, _fixed_pis, _model_solver, _point
 
 # Spread of the standard normal between the 2.5% and 97.5% critical values.
@@ -37,7 +37,7 @@ _BLOCK_FLOATS = 1 << 15
 
 @dataclass(frozen=True)
 class BootstrapDraws:
-    """B x len(grid) matrix of bootstrap QTE estimates.
+    """B x len(grid) matrix of bootstrap QTE estimates of one model.
 
     ``point`` is the unit-weight estimate from the same solve, the value
     :func:`~carqte.estimator.qte` returns for the model.
@@ -45,20 +45,17 @@ class BootstrapDraws:
 
     draws: np.ndarray
     grid: QuantileGrid
-    n_resampled: int = 0
-    point: QteEstimate | None = None
-
-    def at(self, tau: float) -> np.ndarray:
-        return self.draws[:, self.grid.index_of(tau)]
+    point: QteEstimate
 
 
 @dataclass(frozen=True)
 class BootstrapDrawSet:
-    """Per-model draws of several models bootstrapped over one weight stream.
+    """Per-model draws of models bootstrapped over one weight stream.
 
     Item k is the :class:`BootstrapDraws` of the k-th model, equal to what a
-    single-model :func:`run_bootstrap` call with the same generator returns.
-    ``n_resampled`` counts the resampled weight draws of the shared stream.
+    :func:`run_bootstrap` call on that model alone with the same generator
+    returns.  ``n_resampled`` counts the resampled weight draws of the
+    shared stream.
     """
 
     per_model: tuple[BootstrapDraws, ...]
@@ -153,16 +150,16 @@ def _draw_matrix(k: int, B: int, n_taus: int) -> np.ndarray:
 def run_bootstrap(
     dataset: Dataset,
     stats: StrataStats,
-    model,
+    models,
     grid: QuantileGrid,
     B: int,
     rng: np.random.Generator,
     fixed_pi=None,
-) -> BootstrapDraws | BootstrapDrawSet:
-    """B multiplier-bootstrap QTE draws over the grid, for one or more models.
+) -> BootstrapDrawSet:
+    """B multiplier-bootstrap QTE draws over the grid for each fitted model.
 
-    ``model`` is one fitted adjustment, which yields :class:`BootstrapDraws`,
-    or a list or tuple of them, which yields a :class:`BootstrapDrawSet`.
+    ``models`` is a sequence of fitted adjustments; draws of a lone model
+    unpack as ``(draws,) = run_bootstrap(..., [model], ...)``.
     Within a replicate every model sees the same weights, treated fractions
     and arm masses; only the adjusted targets differ, so all models are
     solved in one pass.  The same solver, with unit weights, gives each
@@ -181,11 +178,6 @@ def run_bootstrap(
     """
     if B < 2:
         raise DataValidationError("need at least two bootstrap replicates")
-    degenerate = [stats.labels[i] for i in stats.degenerate]
-    if degenerate:
-        raise DegenerateCellError(degenerate)
-    single = not isinstance(model, (list, tuple))
-    models = (model,) if single else tuple(model)
     if not models:
         raise DataValidationError("need at least one model to bootstrap")
     n = dataset.n
@@ -193,7 +185,7 @@ def run_bootstrap(
     n_taus = len(grid)
     # Allocated first: a B too large to hold ends here, before any work.
     draws = _draw_matrix(len(models), B, n_taus)
-    solver = _model_solver(dataset, models, grid)
+    solver = _model_solver(dataset, stats, models, grid)
     floor = _DEGENERATE_FRACTION * stats.n.astype(np.float64)
     fixed_pis = None if fixed_pi is None else _fixed_pis(fixed_pi, n_strata)[None]
     q1_unit, q0_unit = _point(solver, stats, fixed_pi)
@@ -236,7 +228,7 @@ def run_bootstrap(
                 if accepted(n1w[r], nw[r]):
                     break
             else:
-                raise DegenerateWeightedCellError(
+                raise NumericalError(
                     f"replicate {start + r}: bootstrap weights kept zeroing an arm "
                     "in some stratum"
                 )
@@ -246,7 +238,7 @@ def run_bootstrap(
     taus = tuple(grid)
     per_model = tuple(
         BootstrapDraws(
-            draws=d, grid=grid, n_resampled=n_resampled,
+            draws=d, grid=grid,
             point=QteEstimate(
                 taus=taus,
                 q1=q1_unit[k * n_taus:(k + 1) * n_taus],
@@ -255,7 +247,7 @@ def run_bootstrap(
         )
         for k, d in enumerate(draws)
     )
-    return per_model[0] if single else BootstrapDrawSet(per_model, n_resampled)
+    return BootstrapDrawSet(per_model, n_resampled)
 
 
 @lru_cache(maxsize=32)

@@ -14,15 +14,19 @@ import sys
 import numpy as np
 
 from . import __version__
-from .adjust import METHODS, LassoConfig, fit_adjustment
-from .bootstrap import (
+# perfbench/child.py wraps the names this module imports; fit_adjustment,
+# run_bootstrap, the inference functions and qte are imported for it only.
+from .adjust import METHODS, LassoConfig, fit_adjustment  # noqa: F401
+from .bootstrap import (  # noqa: F401
     _normal_critical_values, difference_test, pointwise_test, run_bootstrap, uniform_band,
 )
-from .data import QuantileGrid, index_strata, load_csv
+from .data import QuantileGrid, _checked_fractions, index_strata, load_csv
 from .dgp import DGP_KINDS, DgpSpec
 from .errors import CarqteError, DataValidationError, NumericalError
-from .estimator import pilot_quantiles, qte  # noqa: F401 - perfbench traces cli.qte
-from .harness import ScenarioSpec, default_workers, emit_table, run_scenario
+from .estimator import pilot_quantiles, qte  # noqa: F401
+from .harness import (
+    ScenarioSpec, _fit_and_bootstrap, _wald_tests, default_workers, emit_table, run_scenario,
+)
 from .randomization import SCHEME_KINDS, SchemeSpec
 
 _EXIT_OK = 0
@@ -36,8 +40,6 @@ class _UsageError(Exception):
 
 
 def _parse_taus(raw) -> QuantileGrid:
-    if isinstance(raw, QuantileGrid):
-        return raw
     try:
         if isinstance(raw, (list, tuple)):
             return QuantileGrid.of(float(v) for v in raw)
@@ -74,8 +76,7 @@ def _parse_pi(raw: str) -> float | None:
             value = float(raw.split(":", 1)[1])
         except ValueError:
             raise DataValidationError(f"cannot parse pi spec {raw!r}") from None
-        if not (0.0 < value < 1.0):
-            raise DataValidationError("fixed pi must lie strictly inside (0, 1)")
+        _checked_fractions(value, "fixed pi")
         return value
     raise DataValidationError("--pi must be 'estimated' or 'fixed:<value>'")
 
@@ -168,6 +169,11 @@ def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPar
         setattr(args, name, _config_value(options[name], key, value))
 
 
+def _wald_row(res, null: float) -> dict:
+    return {"estimate": res.estimate, "se": res.se, "ci": [res.ci_lower, res.ci_upper],
+            "reject": res.rejects(null), "null": null}
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
     grid = _parse_taus(args.taus)
     fixed_pi = _parse_pi(args.pi)
@@ -177,34 +183,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise DataValidationError(f"--seed must be a non-negative integer, got {args.seed}")
     diff = _parse_diff(args.diff, grid) if args.diff else None
+    if args.uniform and len(grid) < 2:
+        raise DataValidationError("uniform band needs a grid of at least two taus")
     dataset = load_csv(args.input)
     stats = index_strata(dataset)
-    if stats.degenerate:
-        labels = [dataset.strata_labels[i] for i in stats.degenerate]
-        raise DataValidationError(
-            f"strata without treated or control units: {labels}; "
-            "estimation would divide by a zero treated fraction"
-        )
     pilot = pilot_quantiles(dataset, stats, grid)
     lasso_cfg = LassoConfig(c=args.lasso_c, loading_iterations=args.lasso_iters)
-    model = fit_adjustment(args.adjust, dataset, stats, pilot, grid, lasso_config=lasso_cfg)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    draws = run_bootstrap(dataset, stats, model, grid, args.B, rng, fixed_pi=fixed_pi)
-    point = draws.point
-    est = point.qte
-    pointwise = []
-    for j, tau in enumerate(grid):
-        res = pointwise_test(est[j], draws.draws[:, j], args.null, alpha)
-        pointwise.append(
-            {
-                "tau": tau,
-                "estimate": res.estimate,
-                "se": res.se,
-                "ci": [res.ci_lower, res.ci_upper],
-                "reject": res.reject,
-                "null": args.null,
-            }
-        )
+    boot = _fit_and_bootstrap(dataset, stats, pilot, (args.adjust,), grid, args.B, rng,
+                              fixed_pi, lasso_cfg, {})
+    (draws,) = boot
+    pairs = [tuple(grid.index_of(t) for t in diff)] if diff is not None else []
+    results = _wald_tests(draws.point.qte, draws.draws, alpha, pairs, args.uniform)
     report = {
         "version": __version__,
         "schema": 1,
@@ -225,28 +215,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "B": args.B,
         "alpha": alpha,
         "seed": args.seed,
-        "bootstrap_resampled": draws.n_resampled,
-        "pointwise": pointwise,
+        "bootstrap_resampled": boot.n_resampled,
+        "pointwise": [{"tau": tau, **_wald_row(res, args.null)}
+                      for tau, res in zip(grid, results)],
     }
     if diff is not None:
         t1, t2 = diff
-        res = difference_test(
-            point.at(t1), point.at(t2),
-            draws.at(t1), draws.at(t2), args.null, alpha,
-        )
-        report["difference"] = {
-            "tau1": t1,
-            "tau2": t2,
-            "estimate": res.estimate,
-            "se": res.se,
-            "ci": [res.ci_lower, res.ci_upper],
-            "reject": res.reject,
-            "null": args.null,
-        }
+        report["difference"] = {"tau1": t1, "tau2": t2,
+                                **_wald_row(results[len(grid)], args.null)}
     if args.uniform:
-        if len(grid) < 2:
-            raise DataValidationError("uniform band needs a grid of at least two taus")
-        band = uniform_band(est, draws.draws, alpha)
+        band = results[-1]
         report["uniform_band"] = {
             "taus": list(grid),
             "estimate": [float(v) for v in band.estimate],

@@ -15,12 +15,20 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataValidationError, EmptyStratumError
+from .errors import DataValidationError
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _checked_fractions(values, what: str) -> np.ndarray:
+    """``values`` as floats, each strictly inside (0, 1); ``what`` names them."""
+    out = np.asarray(values, dtype=np.float64)
+    if not np.all((out > 0.0) & (out < 1.0)):
+        raise DataValidationError(f"{what} must lie strictly inside (0, 1)")
+    return out
 
 
 def _check_finite(y: np.ndarray, x: np.ndarray) -> None:
@@ -112,8 +120,7 @@ class QuantileGrid:
         t = np.asarray(self.taus, dtype=np.float64)
         if t.ndim != 1 or t.size < 1:
             raise DataValidationError("quantile grid must be a non-empty 1-D sequence")
-        if not np.all((t > 0.0) & (t < 1.0)):
-            raise DataValidationError("quantile indices must lie strictly inside (0, 1)")
+        _checked_fractions(t, "quantile indices")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
             raise DataValidationError("quantile indices must be strictly increasing")
         object.__setattr__(self, "taus", tuple(float(v) for v in t))
@@ -154,7 +161,7 @@ class StrataStats:
 def index_strata(dataset: Dataset) -> StrataStats:
     """Count units per stratum and arm.
 
-    Raises :class:`EmptyStratumError` when some stratum label has no rows.
+    Raises :class:`DataValidationError` when some stratum label has no rows.
     Degenerate cells (a stratum whose treated or control arm is empty) are
     recorded on the result, not raised; estimation entry points decide what
     to do with them.
@@ -167,7 +174,7 @@ def index_strata(dataset: Dataset) -> StrataStats:
 
     if np.any(n == 0):
         empty = [dataset.strata_labels[i] for i in np.flatnonzero(n == 0)]
-        raise EmptyStratumError(f"strata without rows: {empty}")
+        raise DataValidationError(f"strata without rows: {empty}")
 
     pi_hat = n1.astype(np.float64) / n.astype(np.float64)
     degen = np.flatnonzero((n1 == 0) | (n0 == 0))

@@ -15,10 +15,6 @@ class DataValidationError(CarqteError):
     """Malformed input data (bad CSV schema, missing values, bad shapes)."""
 
 
-class EmptyStratumError(DataValidationError):
-    """A stratum carries zero (weighted) observations."""
-
-
 class DegenerateCellError(DataValidationError):
     """A stratum has no treated or no control units, so pi_hat is 0 or 1."""
 
@@ -29,13 +25,5 @@ class DegenerateCellError(DataValidationError):
         super().__init__(message)
 
 
-class CellTooSmallError(DataValidationError):
-    """Every (arm, stratum) cell is too small to fit the requested model."""
-
-
 class NumericalError(CarqteError):
     """Numerical failure (solver breakdown, impossible bootstrap draws)."""
-
-
-class DegenerateWeightedCellError(NumericalError):
-    """Bootstrap weights repeatedly zeroed out an arm within a stratum."""

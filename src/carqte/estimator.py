@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, QuantileGrid, StrataStats
+from .data import Dataset, QuantileGrid, StrataStats, _checked_fractions
 from .errors import DataValidationError, DegenerateCellError, NumericalError
 
 
@@ -32,9 +32,6 @@ class QteEstimate:
     @property
     def qte(self) -> np.ndarray:
         return self.q1 - self.q0
-
-    def at(self, tau: float) -> float:
-        return float(self.qte[self.taus.index(float(tau))])
 
     def q(self, arm: int, tau: float) -> float:
         i = self.taus.index(float(tau))
@@ -81,9 +78,7 @@ def _fixed_pis(fixed_pi, n_strata: int) -> np.ndarray:
         pis = np.asarray(fixed_pi, dtype=np.float64)
         if pis.shape != (n_strata,):
             raise DataValidationError("fixed pi has wrong per-stratum length")
-    if not np.all((pis > 0.0) & (pis < 1.0)):
-        raise DataValidationError("fixed pi must lie strictly inside (0, 1)")
-    return pis
+    return _checked_fractions(pis, "fixed pi")
 
 
 class _Solver:
@@ -151,8 +146,12 @@ class _Solver:
         return out[0], out[1]
 
 
-def _model_solver(dataset: Dataset, models, grid: QuantileGrid) -> _Solver:
-    """Solver over the adjustments of ``models``, evaluated on every row."""
+def _model_solver(dataset: Dataset, stats: StrataStats, models, grid: QuantileGrid) -> _Solver:
+    """Solver over the adjustments of ``models``, evaluated on every row; every
+    estimate and draw passes here, so it refuses degenerate strata."""
+    degenerate = [stats.labels[i] for i in stats.degenerate]
+    if degenerate:
+        raise DegenerateCellError(degenerate)
     values = [m.evaluate_all(grid, dataset) for m in models]
     m_by_arm = {arm: [v[arm] for v in values] for arm in (1, 0)}
     return _Solver(dataset, np.tile(tuple(grid), len(models)), m_by_arm)
@@ -183,10 +182,7 @@ def qte(
     estimated treated fractions; a scalar or per-stratum value in (0, 1)
     fixes them instead.
     """
-    degenerate = [stats.labels[i] for i in stats.degenerate]
-    if degenerate:
-        raise DegenerateCellError(degenerate)
-    solver = _model_solver(dataset, (model,), grid)
+    solver = _model_solver(dataset, stats, (model,), grid)
     q1, q0 = _point(solver, stats, fixed_pi)
     return QteEstimate(taus=tuple(grid), q1=q1, q0=q0)
 

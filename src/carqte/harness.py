@@ -112,54 +112,61 @@ def _prepare(spec: ScenarioSpec, rep: int) -> tuple:
     return dataset, stats, pilot_quantiles(dataset, stats, spec.taus)
 
 
-def _finish_rep(spec: ScenarioSpec, truth: np.ndarray, rep: int, item, models) -> dict:
-    """Fit the methods the group did not, bootstrap and test one replication.
+# The pipeline of ``carqte estimate`` and of one Monte Carlo replication
+# lives here, not in ``cli``: the benchmark's tracer (perfbench/child.py)
+# wraps the names that ``carqte.cli`` and ``carqte.harness`` import, so the
+# fits, the bootstrap and the band stay traced when called through this
+# module's globals.
 
-    ``models`` holds the replication's logistic fits; lpml/lpmlx reuse them.
+
+def _fit_and_bootstrap(dataset, stats, pilot, methods, grid, B, rng, fixed_pi, lasso_cfg,
+                       models: dict):
+    """Fit every method missing from ``models``, then bootstrap them all.
+
+    lpml/lpmlx reuse the ml/mlx fit in ``models``; without one they fit
+    their own base.  One stream for all methods: every method sees identical
+    bootstrap weights, so method comparisons are paired.  The same solve
+    gives the point estimates.
     """
-    dataset, stats, pilot = item
-    lasso_cfg = LassoConfig(c=spec.lasso_c, loading_iterations=spec.lasso_iters)
-    for method in spec.methods:
+    for method in methods:
         if method not in models:
             models[method] = fit_adjustment(
-                method, dataset, stats, pilot, spec.taus, lasso_config=lasso_cfg,
+                method, dataset, stats, pilot, grid, lasso_config=lasso_cfg,
                 ml_model=models.get(LOGIT_BASE.get(method)),
             )
-    # One stream for all methods: every method sees identical bootstrap
-    # weights, so method comparisons are paired.  The same solve gives the
-    # point estimates.
-    boot_rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep, 2)))
-    boot = run_bootstrap(
-        dataset, stats, [models[m] for m in spec.methods], spec.taus, spec.B, boot_rng,
-        fixed_pi=spec.fixed_pi,
-    )
-    return _inference(spec, truth, boot)
+    return run_bootstrap(dataset, stats, [models[m] for m in methods], grid, B, rng,
+                         fixed_pi=fixed_pi)
+
+
+def _wald_tests(point, draws, alpha: float, pairs, band: bool) -> list:
+    """The Wald test of each tau, then of each difference q(tau_i) - q(tau_j)
+    for (i, j) in ``pairs``, then the uniform band if ``band``.
+
+    The Wald SEs come from one quantile call on [draws | d_i - d_j ...].
+    Each result decides any null through ``rejects``.
+    """
+    est = np.append(point, [point[i] - point[j] for i, j in pairs])
+    d = np.column_stack([draws] + [draws[:, i] - draws[:, j] for i, j in pairs])
+    out = [_wald(e, se, alpha) for e, se in zip(est, bootstrap_se(d))]
+    return out + [uniform_band(point, draws, alpha)] if band else out
 
 
 def _inference(spec: ScenarioSpec, truth: np.ndarray, boot) -> dict:
-    """(method, test) -> (reject0, reject1, bias, se) from the methods' draws."""
-    # The Wald tests: pointwise at each tau, then (from two taus) the difference.
-    names = _test_names(spec.taus)[:len(spec.taus) + 1]
-    nulls = np.append(truth, truth[-1] - truth[0])
-    # Each inference result is computed once and decides both the size null
-    # (the truth) and the power null (the truth shifted by delta).
+    """(method, test) -> (reject0, reject1, bias, se) from the methods' draws.
+
+    Each result decides both the size null (the truth) and the power null
+    (the truth shifted by delta).
+    """
+    two = len(spec.taus) >= 2
+    pairs = [(len(spec.taus) - 1, 0)] if two else []
+    nulls = [*truth, truth[-1] - truth[0], truth]
     out: dict = {}
     for method, draws in zip(spec.methods, boot):
-        point, d = draws.point.qte, draws.draws
-        est = np.append(point, point[-1] - point[0])
-        # The pointwise and difference SEs come from one quantile call.
-        d = np.column_stack([d, d[:, -1] - d[:, 0]])
-        for name, e, null, se in zip(names, est, nulls, bootstrap_se(d)):
-            res = _wald(e, se, spec.alpha)
+        results = _wald_tests(draws.point.qte, draws.draws, spec.alpha, pairs, two)
+        for name, res, null in zip(_test_names(spec.taus), results, nulls):
             out[(method, name)] = (
                 float(res.rejects(null)), float(res.rejects(null + spec.delta)),
-                float(e - null), res.se,
-            )
-        if len(spec.taus) >= 2:
-            u = uniform_band(point, draws.draws, spec.alpha)
-            out[(method, "uniform")] = (
-                float(u.rejects(truth)), float(u.rejects(truth + spec.delta)),
-                float(np.mean(point - truth)), float(np.mean(u.se)),
+                float(np.mean(res.estimate - null)), float(np.mean(res.se)),
             )
     return out
 
@@ -188,9 +195,14 @@ def _run_group(args) -> list:
                     failed[rep] = fit
                 else:
                     models[rep][method] = fit
+        # The other methods are fitted per replication, reusing these fits.
+        lasso_cfg = LassoConfig(c=spec.lasso_c, loading_iterations=spec.lasso_iters)
         for rep in [r for r in items if r not in failed]:
+            rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep, 2)))
             try:
-                payloads[rep] = _finish_rep(spec, truth, rep, items[rep], models[rep])
+                boot = _fit_and_bootstrap(*items[rep], spec.methods, spec.taus, spec.B, rng,
+                                          spec.fixed_pi, lasso_cfg, models[rep])
+                payloads[rep] = _inference(spec, truth, boot)
             except CarqteError as exc:
                 failed[rep] = exc
     return [(rep, payloads.get(rep), f"rep {rep}: {failed[rep]}" if rep in failed else None)
@@ -283,26 +295,9 @@ _TABLE_COLUMNS = (
 
 
 def _result_records(res: ScenarioResult) -> list[dict]:
-    records = []
-    for (method, test), row in sorted(res.rows.items()):
-        records.append(
-            {
-                "dgp": res.spec.dgp.kind,
-                "scheme": res.spec.scheme.kind,
-                "n": res.spec.n,
-                "B": res.spec.B,
-                "method": method,
-                "test": test,
-                "reps": row["reps"],
-                "size": row["size"],
-                "size_mcse": row["size_mcse"],
-                "power": row["power"],
-                "power_mcse": row["power_mcse"],
-                "bias": row["bias"],
-                "mean_se": row["mean_se"],
-            }
-        )
-    return records
+    design = {"dgp": res.spec.dgp.kind, "scheme": res.spec.scheme.kind, "n": res.spec.n,
+              "B": res.spec.B}
+    return [{**design, **row} for _, row in sorted(res.rows.items())]
 
 
 def emit_table(result: ScenarioResult) -> str:

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .data import _checked_fractions
 from .errors import DataValidationError
 
 SCHEME_KINDS = ("srs", "wei", "bcd", "sbr")
@@ -47,9 +48,9 @@ class SchemeSpec:
         # spends work on the scheme; a per-stratum sequence is checked
         # against the strata when it is expanded.
         if isinstance(self.pi, Mapping):
-            _checked_fractions(list(self.pi.values()))
+            _checked_fractions(list(self.pi.values()), "target fractions")
         elif np.isscalar(self.pi):
-            _checked_fractions(self.pi)
+            _checked_fractions(self.pi, "target fractions")
         if not (0.5 < self.bcd_lambda <= 1.0):
             raise DataValidationError("bcd lambda must lie in (0.5, 1]")
         if self.kind in ("wei", "bcd"):
@@ -69,14 +70,6 @@ class SchemeSpec:
                 )
 
 
-def _checked_fractions(values) -> np.ndarray:
-    """Target treated fractions as floats, each finite and strictly inside (0, 1)."""
-    out = np.asarray(values, dtype=np.float64)
-    if not np.all((out > 0.0) & (out < 1.0)):
-        raise DataValidationError("target fractions must lie strictly inside (0, 1)")
-    return out
-
-
 def _per_stratum_targets(target_pi, labels: tuple) -> np.ndarray:
     """Expand a scalar / mapping / sequence target fraction to code order."""
     k = len(labels)
@@ -91,7 +84,7 @@ def _per_stratum_targets(target_pi, labels: tuple) -> np.ndarray:
         out = np.asarray(target_pi, dtype=np.float64)
         if out.shape != (k,):
             raise DataValidationError("per-stratum target pi has wrong length")
-    return _checked_fractions(out)
+    return _checked_fractions(out, "target fractions")
 
 
 def _targets_for(strata: np.ndarray, spec: SchemeSpec) -> tuple[np.ndarray, np.ndarray, list]:

@@ -29,7 +29,6 @@ from carqte import (
     SchemeSpec,
     bootstrap_se,
     fit_hd_lasso,
-    fit_logit_cell,
     fit_lp,
     generate,
     index_strata,
@@ -41,7 +40,7 @@ from carqte import (
     true_qte_oracle,
     uniform_band,
 )
-from carqte.adjust import _l1_kkt_residual
+from carqte.adjust import _fit_logit_cell, _l1_kkt_residual
 from carqte.bootstrap import sup_critical_value
 from carqte.estimator import QteEstimate
 from carqte.randomization import assign_bcd, assign_sbr, assign_srs, assign_wei
@@ -120,8 +119,8 @@ def test_criterion_2_location_shift_invariance():
         shifted = model.shifted(ds, shifts)
         base = qte(ds, stats, model, grid)
         moved = qte(ds, stats, shifted, grid)
-        d1 = run_bootstrap(ds, stats, model, grid, 25, np.random.default_rng(7))
-        d2 = run_bootstrap(ds, stats, shifted, grid, 25, np.random.default_rng(7))
+        (d1,) = run_bootstrap(ds, stats, [model], grid, 25, np.random.default_rng(7))
+        (d2,) = run_bootstrap(ds, stats, [shifted], grid, 25, np.random.default_rng(7))
         if not (np.array_equal(base.qte, moved.qte) and np.array_equal(d1.draws, d2.draws)):
             mismatches += 1
     _gate(
@@ -316,7 +315,7 @@ def test_criterion_9_numerical_fit_properties():
         y = (rng.uniform(size=n) < expit(H @ rng.normal(0, 0.7, 3))).astype(float)
         if y.min() == y.max():
             continue
-        th = fit_logit_cell(H, y)
+        th = _fit_logit_cell(H, y)
         score = np.max(np.abs(H.T @ (y - expit(H @ th)) / n))
         worst_score = max(worst_score, score)
         score_ok &= score <= 1e-8

@@ -8,7 +8,6 @@ from scipy.special import expit, logit
 
 from carqte import (
     METHODS,
-    CellTooSmallError,
     Dataset,
     DataValidationError,
     FeatureMap,
@@ -17,7 +16,6 @@ from carqte import (
     build_sieve_map,
     fit_adjustment,
     fit_hd_lasso,
-    fit_logit_cell,
     fit_lp,
     fit_lpml,
     fit_ml,
@@ -28,7 +26,7 @@ from carqte import (
     raw_features,
 )
 from carqte import adjust
-from carqte.adjust import LOGIT_BASE, _l1_kkt_residual
+from carqte.adjust import LOGIT_BASE, _fit_logit_cell, _l1_kkt_residual
 from carqte.dgp import DgpSpec, generate
 from carqte.estimator import QteEstimate, _model_solver, qte
 from carqte.randomization import SchemeSpec, assign
@@ -79,19 +77,19 @@ def test_sieve_roster_five_terms_for_two_covariates():
 
 
 def test_intercept_only_half_labels_zero():
-    th = fit_logit_cell(np.ones((8, 1)), np.array([1, 1, 1, 1, 0, 0, 0, 0.0]))
+    th = _fit_logit_cell(np.ones((8, 1)), np.array([1, 1, 1, 1, 0, 0, 0, 0.0]))
     assert abs(th[0]) < 1e-9
 
 
 def test_intercept_only_quarter_labels():
-    th = fit_logit_cell(np.ones((8, 1)), np.array([1, 0, 0, 0, 1, 0, 0, 0.0]))
+    th = _fit_logit_cell(np.ones((8, 1)), np.array([1, 0, 0, 0, 1, 0, 0, 0.0]))
     assert th[0] == pytest.approx(np.log(1 / 3), abs=1e-8)
 
 
 def test_separated_cell_takes_ridge_path():
     H = np.column_stack([np.ones(2), [0.0, 1.0]])
     with pytest.warns(UserWarning, match="separated"):
-        th = fit_logit_cell(H, np.array([0.0, 1.0]))
+        th = _fit_logit_cell(H, np.array([0.0, 1.0]))
     assert np.all(np.isfinite(th))
     p = expit(H @ th)
     assert np.all((p > 0.0) & (p < 1.0))
@@ -101,7 +99,7 @@ def test_constant_labels_yield_interior_probabilities():
     H = np.column_stack([np.ones(6), np.arange(6.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        th = fit_logit_cell(H, np.ones(6))
+        th = _fit_logit_cell(H, np.ones(6))
     p = expit(H @ th)
     assert np.all((p > 0.0) & (p < 1.0))
 
@@ -112,7 +110,7 @@ def test_score_tolerance_on_random_cells():
         n = int(rng.integers(30, 80))
         H = np.column_stack([np.ones(n), rng.normal(0, 1, (n, 2))])
         y = (rng.uniform(size=n) < expit(H @ np.array([0.2, 0.8, -0.5]))).astype(float)
-        th = fit_logit_cell(H, y)
+        th = _fit_logit_cell(H, y)
         score = H.T @ (y - expit(H @ th)) / n
         assert np.max(np.abs(score)) <= 1e-8
 
@@ -209,7 +207,7 @@ def test_fit_logit_cell_matches_per_problem_reference():
             want, converged, separated = logit_fit_reference(H, y)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                got = fit_logit_cell(H, y)
+                got = _fit_logit_cell(H, y)
             messages = [str(w.message) for w in caught]
             assert any("separated" in m for m in messages) == separated
             assert any("score tolerance" in m for m in messages) == (not converged)
@@ -255,7 +253,8 @@ def test_grouped_logit_fit_matches_each_items_solo_fit(method):
         st = index_strata(ds)
         items.append((ds, st, pilot_quantiles(ds, st, grid)))
     grouped = _fit_quiet(fit_ml, items, grid, method=method)
-    assert isinstance(grouped[1], CellTooSmallError)
+    assert isinstance(grouped[1], DataValidationError)
+    assert "every (arm, stratum) cell is too small" in str(grouped[1])
     for item, got in zip(items[::2], grouped[::2]):
         want = _fit_quiet(_fit_ml, *item, grid, method=method)
         assert got.method == method
@@ -400,7 +399,7 @@ def test_np_all_cells_too_small_raises():
     # 7 terms > cell - 2
     wide = FeatureMap("wide", (("const",), ("x", 0), ("x", 1), ("prod", 0, 0), ("prod", 1, 1),
                                ("prod", 0, 1), ("thrprod", 0, 0.0, 1, 0.0)))
-    with pytest.raises(CellTooSmallError):
+    with pytest.raises(DataValidationError, match=r"np: every \(arm, stratum\) cell is too small"):
         _fit_ml(ds, st, pilot, GRID, wide, method="np")
 
 
@@ -738,7 +737,7 @@ def test_model_solver_builds_no_features(monkeypatch):
     calls = []
     build = FeatureMap.build
     monkeypatch.setattr(FeatureMap, "build", lambda fm, x: calls.append(fm.kind) or build(fm, x))
-    _model_solver(ds, models, grid)
+    _model_solver(ds, st, models, grid)
     assert calls == []  # every model holds its in-sample fit
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import parse_table
+from conftest import make_stratified_dataset, parse_table
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -91,20 +92,39 @@ def test_cli_import_does_not_load_scipy_stats():
 def test_public_surface_is_pinned():
     assert sorted(carqte.__all__) == [
         "AdjustmentModel", "BootstrapDrawSet", "BootstrapDraws", "CarqteError",
-        "CellTooSmallError", "DataValidationError", "Dataset", "DegenerateCellError",
-        "DegenerateWeightedCellError", "DgpSpec", "EmptyStratumError", "FeatureMap",
+        "DataValidationError", "Dataset", "DegenerateCellError", "DgpSpec", "FeatureMap",
         "InferenceResult", "LassoConfig", "METHODS", "NumericalError",
         "PotentialData", "QteEstimate", "QuantileGrid", "SCHEME_KINDS", "ScenarioResult",
         "ScenarioSpec", "SchemeSpec", "StrataStats", "adjust", "assign", "assign_bcd",
         "assign_sbr", "assign_srs", "assign_wei", "bootstrap", "bootstrap_se",
         "build_sieve_map", "cached_true_qte", "data", "dgp", "difference_test",
         "draw_weights", "emit_table", "empirical_quantile", "errors", "estimator",
-        "fit_adjustment", "fit_hd_lasso", "fit_logit_cell", "fit_lp", "fit_lpml", "fit_ml",
+        "fit_adjustment", "fit_hd_lasso", "fit_lp", "fit_lpml", "fit_ml",
         "fit_none", "generate", "harness", "index_strata", "load_csv",
         "logistic_features", "pilot_quantiles", "pointwise_test", "qte",
         "randomization", "raw_features", "run_bootstrap", "run_scenario",
         "true_qte_oracle", "uniform_band",
     ]
+
+
+def test_names_the_benchmark_tracer_wraps_exist():
+    # perfbench/child.py wraps these by name; a missing one only drops its
+    # spans from the traced metrics, so nothing else would fail.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for module, names in ((carqte.cli, child._CLI_NAMES),
+                          (carqte.harness, child._HARNESS_NAMES)):
+        assert [n for n in names if not callable(getattr(module, n, None))] == []
+    assert callable(carqte.adjust.AdjustmentModel.evaluate_all)
+    assert callable(carqte.bootstrap.draw_weights)
+    # The resampled-draw count is read off run_bootstrap's return value.
+    ds = make_stratified_dataset(np.random.default_rng(0), n=30)
+    grid = carqte.QuantileGrid.of([0.5])
+    boot = carqte.run_bootstrap(ds, carqte.index_strata(ds), [carqte.fit_none(grid)], grid, 4,
+                                np.random.default_rng(0))
+    assert isinstance(boot.n_resampled, int)
 
 
 @pytest.mark.parametrize("target_pi", ["1.5", "0", "1", "nan", "-inf"])

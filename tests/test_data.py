@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from carqte import (
     Dataset,
     DataValidationError,
-    EmptyStratumError,
     DegenerateCellError,
     QuantileGrid,
     index_strata,
@@ -62,7 +61,7 @@ def test_empty_stratum_raises():
     ds = Dataset.from_arrays([1.0, 2.0, 3.0], [1, 0, 1], [1, 1, 2], np.zeros((3, 1)))
     # A label without rows can only come from the raw constructor.
     extra = Dataset(ds.y, ds.a, ds.s, ds.x, ds.strata_labels + ("empty",))
-    with pytest.raises(EmptyStratumError):
+    with pytest.raises(DataValidationError, match=r"strata without rows: \['empty'\]"):
         index_strata(extra)
 
 

@@ -194,8 +194,8 @@ def test_location_shift_invariance_bitwise():
         est = qte(ds, st, model, grid)
         est_s = qte(ds, st, shifted, grid)
         assert np.array_equal(est.qte, est_s.qte)
-        d1 = run_bootstrap(ds, st, model, grid, 20, np.random.default_rng(123))
-        d2 = run_bootstrap(ds, st, shifted, grid, 20, np.random.default_rng(123))
+        (d1,) = run_bootstrap(ds, st, [model], grid, 20, np.random.default_rng(123))
+        (d2,) = run_bootstrap(ds, st, [shifted], grid, 20, np.random.default_rng(123))
         assert np.array_equal(d1.draws, d2.draws)
 
 

@@ -6,7 +6,6 @@ import pytest
 import carqte.harness as harness
 
 from carqte import (
-    CellTooSmallError,
     DataValidationError,
     DgpSpec,
     QuantileGrid,
@@ -157,7 +156,7 @@ def test_a_failing_replication_leaves_its_group_mates_reporting(monkeypatch, sta
 
         def failing(items, grid, method):
             out = real(items, grid, method=method)
-            out[2] = CellTooSmallError("boom")  # rep 2 fails inside the grouped fit
+            out[2] = DataValidationError("boom")  # rep 2 fails inside the grouped fit
             return out
 
         monkeypatch.setattr(harness, "fit_ml", failing)
