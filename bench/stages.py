@@ -16,8 +16,8 @@ of ``harness._fit_and_bootstrap``), ``bootstrap`` and ``inference``;
 Two layouts of the same work run alternately in each repeat:
 
 * ``grouped``, the harness as it is: each logistic method fitted once per
-  group of ``harness._REP_GROUP`` replications, and the pointwise and
-  difference standard errors of a method from one quantile call;
+  group of ``harness._REP_GROUP`` replications, and every Wald standard
+  error and band centre of a replication from one quantile call;
 * ``per_rep``, the layout before grouping: groups of one replication, and
   inference through ``pointwise_test``, ``difference_test`` and
   ``uniform_band``, one call per test.  Its inference results are checked

@@ -335,7 +335,19 @@ def uniform_band(
         raise DataValidationError("draws must be B x len(estimates)")
     if d.shape[0] < 2:
         raise DataValidationError("need at least two bootstrap draws")
-    se = bootstrap_se(d)
+    return _band(est, d, *_se_and_center(d), alpha)._tested(null_values)
+
+
+def _se_and_center(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column bootstrap SEs and medians of ``d`` from one quantile call;
+    each SE is bit for bit the column's :func:`bootstrap_se`."""
+    lo, center, hi = empirical_quantile(d, [0.025, 0.5, 0.975])
+    return (hi - lo) / _NORMAL_SPREAD, center
+
+
+def _band(est, d, se, center, alpha: float) -> InferenceResult:
+    """The uniform band of ``est`` from draws ``d`` with their per-column
+    SEs and medians."""
     ok = se > 0.0
     if not ok.any():
         crit = 0.0
@@ -344,10 +356,9 @@ def uniform_band(
             warnings.warn(
                 "uniform band: zero bootstrap SE at some grid points; "
                 "excluded from the sup",
-                stacklevel=2,
+                stacklevel=3,
             )
-        center = empirical_quantile(d[:, ok], 0.5)
-        stud = np.abs((d[:, ok] - center) / se[ok])
+        stud = np.abs((d[:, ok] - center[ok]) / se[ok])
         crit = sup_critical_value(stud.max(axis=1), alpha)
     return InferenceResult(
         estimate=est,
@@ -356,4 +367,4 @@ def uniform_band(
         ci_upper=est + crit * se,
         critical_value=float(crit),
         alpha=alpha,
-    )._tested(null_values)
+    )

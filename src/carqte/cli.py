@@ -192,9 +192,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     boot = _fit_and_bootstrap(dataset, stats, pilot, (args.adjust,), grid, args.B, rng,
                               fixed_pi, lasso_cfg, {})
-    (draws,) = boot
     pairs = [tuple(grid.index_of(t) for t in diff)] if diff is not None else []
-    results = _wald_tests(draws.point.qte, draws.draws, alpha, pairs, args.uniform)
+    (results,) = _wald_tests(boot, alpha, pairs, args.uniform)
     report = {
         "version": __version__,
         "schema": 1,

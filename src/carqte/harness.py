@@ -23,9 +23,10 @@ import numpy as np
 
 from .adjust import LOGIT_BASE, LOGIT_METHODS, METHODS, LassoConfig, fit_adjustment, fit_ml
 from .bootstrap import (
-    _draw_matrix, _normal_critical_values, _wald, bootstrap_se, run_bootstrap, uniform_band,
+    _band, _draw_matrix, _normal_critical_values, _se_and_center, _wald, run_bootstrap,
 )
-from .bootstrap import difference_test, pointwise_test  # noqa: F401 - perfbench traces them
+# perfbench traces these by name; the harness no longer calls them.
+from .bootstrap import difference_test, pointwise_test, uniform_band  # noqa: F401
 from .data import Dataset, QuantileGrid, index_strata
 from .dgp import DgpSpec, cached_true_qte, generate
 from .errors import CarqteError, DataValidationError
@@ -138,17 +139,31 @@ def _fit_and_bootstrap(dataset, stats, pilot, methods, grid, B, rng, fixed_pi, l
                          fixed_pi=fixed_pi)
 
 
-def _wald_tests(point, draws, alpha: float, pairs, band: bool) -> list:
-    """The Wald test of each tau, then of each difference q(tau_i) - q(tau_j)
-    for (i, j) in ``pairs``, then the uniform band if ``band``.
+def _wald_tests(boot, alpha: float, pairs, band: bool) -> list:
+    """Per model of ``boot``: the Wald test of each tau, then of each
+    difference q(tau_i) - q(tau_j) for (i, j) in ``pairs``, then the uniform
+    band if ``band``.
 
-    The Wald SEs come from one quantile call on [draws | d_i - d_j ...].
-    Each result decides any null through ``rejects``.
+    Every Wald SE and band centre comes from one quantile call over
+    [draws | d_i - d_j ...] of every model.  Each result decides any null
+    through ``rejects``.
     """
-    est = np.append(point, [point[i] - point[j] for i, j in pairs])
-    d = np.column_stack([draws] + [draws[:, i] - draws[:, j] for i, j in pairs])
-    out = [_wald(e, se, alpha) for e, se in zip(est, bootstrap_se(d))]
-    return out + [uniform_band(point, draws, alpha)] if band else out
+    width = boot[0].draws.shape[1] + len(pairs)
+    se, center = _se_and_center(np.hstack([
+        np.column_stack([b.draws] + [b.draws[:, i] - b.draws[:, j] for i, j in pairs])
+        for b in boot
+    ]))
+    out = []
+    for k, b in enumerate(boot):
+        point = b.point.qte
+        est = np.append(point, [point[i] - point[j] for i, j in pairs])
+        cols = slice(k * width, (k + 1) * width)
+        res = [_wald(e, v, alpha) for e, v in zip(est, se[cols])]
+        if band:
+            n = point.size
+            res.append(_band(point, b.draws, se[cols][:n], center[cols][:n], alpha))
+        out.append(res)
+    return out
 
 
 def _inference(spec: ScenarioSpec, truth: np.ndarray, boot) -> dict:
@@ -161,8 +176,7 @@ def _inference(spec: ScenarioSpec, truth: np.ndarray, boot) -> dict:
     pairs = [(len(spec.taus) - 1, 0)] if two else []
     nulls = [*truth, truth[-1] - truth[0], truth]
     out: dict = {}
-    for method, draws in zip(spec.methods, boot):
-        results = _wald_tests(draws.point.qte, draws.draws, spec.alpha, pairs, two)
+    for method, results in zip(spec.methods, _wald_tests(boot, spec.alpha, pairs, two)):
         for name, res, null in zip(_test_names(spec.taus), results, nulls):
             out[(method, name)] = (
                 float(res.rejects(null)), float(res.rejects(null + spec.delta)),

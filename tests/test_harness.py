@@ -1,4 +1,6 @@
 import time
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +13,11 @@ from carqte import (
     QuantileGrid,
     ScenarioSpec,
     SchemeSpec,
+    difference_test,
     emit_table,
+    pointwise_test,
     run_scenario,
+    uniform_band,
 )
 from carqte.harness import _result_records
 from conftest import parse_table
@@ -212,3 +217,33 @@ def test_spec_validation():
             _tiny_spec(**bad)
     with pytest.raises(DataValidationError):
         run_scenario(_tiny_spec(), np.array([1.0, 2.0, 3.0]))
+
+
+def test_wald_tests_of_every_model_equal_the_per_test_functions():
+    # One quantile pass over every model's draws and differences must give,
+    # bit for bit, the SEs, intervals and band of the public per-test
+    # functions.  Rounded draws make ties; the second model has a constant
+    # column (a zero SE, which warns) and the third is constant throughout.
+    rng = np.random.default_rng(3)
+    boot = []
+    for scale in ([1.0, 1.0, 1.0], [0.1, 0.0, 0.1], [0.0, 0.0, 0.0]):
+        draws = np.round(rng.normal(size=(201, 3)) * scale, 2)
+        point = np.round(rng.normal(size=3), 3)
+        boot.append(SimpleNamespace(draws=draws, point=SimpleNamespace(qte=point)))
+    pairs = [(2, 0), (1, 0)]
+    with pytest.warns(UserWarning, match="zero bootstrap SE"):
+        got = harness._wald_tests(boot, 0.05, pairs, True)
+
+    def fields(res):
+        return [np.asarray(getattr(res, f)).tolist()
+                for f in ("estimate", "se", "ci_lower", "ci_upper", "critical_value")]
+
+    for results, b in zip(got, boot, strict=True):
+        est, d = b.point.qte, b.draws
+        want = [pointwise_test(est[j], d[:, j], None, 0.05) for j in range(3)]
+        want += [difference_test(est[i], est[j], d[:, i], d[:, j], None, 0.05)
+                 for i, j in pairs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want.append(uniform_band(est, d, 0.05))
+        assert [fields(r) for r in results] == [fields(w) for w in want]
