@@ -40,11 +40,11 @@ class BootstrapDraws:
     """B x len(grid) matrix of bootstrap QTE estimates of one model.
 
     ``point`` is the unit-weight estimate from the same solve, the value
-    :func:`~carqte.estimator.qte` returns for the model.
+    :func:`~carqte.estimator.qte` returns for the model; its ``taus`` are
+    the grid.
     """
 
     draws: np.ndarray
-    grid: QuantileGrid
     point: QteEstimate
 
 
@@ -134,8 +134,7 @@ def bootstrap_se(draws: np.ndarray):
     d = np.asarray(draws, dtype=np.float64)
     if d.ndim == 0 or d.shape[0] < 2:
         raise DataValidationError("need at least two bootstrap draws")
-    lo, hi = empirical_quantile(d, [0.025, 0.975])
-    se = (hi - lo) / _NORMAL_SPREAD
+    se = _se_and_center(d)[0]
     return float(se) if d.ndim == 1 else se
 
 
@@ -170,11 +169,13 @@ def run_bootstrap(
 
     Replicates are solved in blocks of b = max(1, _BLOCK_FLOATS // n), so a
     block's weights and temporaries stay within a fixed float budget
-    whatever B is.  One child RNG stream is spawned per replicate and each
-    weight vector is drawn from its own stream, so the draws do not depend
-    on the block size, the execution order or the worker count.  Draws in
-    which some stratum's arm mass collapses are redrawn from their own
-    stream and counted.
+    whatever B is.  A block is the next b * n exponentials of ``rng``, one
+    row per replicate, each row laid out as the solver's columns [treated
+    sorted by y | control sorted by y]; so the draws do not depend on the
+    block size, the execution order, the worker count or the order of the
+    dataset's rows.  A draw in which some stratum's arm mass collapses is
+    redrawn, and counted, from one child stream spawned at the first such
+    draw, in replicate order.
     """
     if B < 2:
         raise DataValidationError("need at least two bootstrap replicates")
@@ -191,63 +192,43 @@ def run_bootstrap(
     q1_unit, q0_unit = _point(solver, stats, fixed_pi)
 
     size = min(B, max(1, _BLOCK_FLOATS // n))
-    # Row-major codes r*S + s over a full block, for all rows and for the
-    # treated rows: one bincount sums every row's per-stratum masses, each
-    # bin in row order, so a row's masses are bit for bit those of a
-    # per-vector bincount of its weights (whose treated sum may also add the
-    # control rows' zeros, which change no bin).  This is the one weighted
-    # mass in the package; at unit weights it gives the count fractions.
-    treated = np.flatnonzero(dataset.a == 1)
-    offsets = np.arange(size)[:, None] * n_strata
-    codes = (offsets + dataset.s).ravel()
-    codes1 = (offsets + dataset.s[treated]).ravel()
+    # Each column's (arm, stratum) cell, s or S + s, offset by 2S per block
+    # row: one bincount sums every row's treated and control masses, each
+    # bin in column order, so a row's masses are bit for bit those of a
+    # one-row block.  This is the one weighted mass in the package.
+    codes = (np.arange(size)[:, None] * (2 * n_strata) + solver._prop_col).ravel()
 
-    def masses(xi):
-        b = xi.shape[0]
-        nw = np.bincount(codes[:b * n], weights=xi.ravel(), minlength=b * n_strata)
-        n1w = np.bincount(codes1[:b * treated.size], minlength=b * n_strata,
-                          weights=np.take(xi, treated, axis=1).ravel())
-        return n1w.reshape(b, n_strata), nw.reshape(b, n_strata)
+    def masses(xi):  # b x 2 x S masses, and whether each row's clear the floor
+        nw = np.bincount(codes[:xi.size], weights=xi.ravel(), minlength=2 * n_strata * len(xi))
+        nw = nw.reshape(-1, 2, n_strata)
+        return nw, np.all(nw > floor, axis=(1, 2))
 
-    def accepted(n1w, nw):
-        return np.all(n1w > floor, axis=-1) & np.all(nw - n1w > floor, axis=-1)
-
-    n_resampled = 0
+    n_resampled, redraws = 0, None
     for start in range(0, B, size):
-        b = min(size, B - start)
-        streams = rng.spawn(b)
-        vectors = [draw_weights(n, stream) for stream in streams]
-        # A one-row block is a view of its draw, so large n copies nothing.
-        xi = vectors[0][None] if b == 1 else np.stack(vectors)
-        n1w, nw = masses(xi)
-        for r in np.flatnonzero(~accepted(n1w, nw)):
+        xi = draw_weights(min(size, B - start) * n, rng).reshape(-1, n)
+        nw, ok = masses(xi)
+        for r in np.flatnonzero(~ok):
+            redraws = redraws or rng.spawn(1)[0]
             for _attempt in range(_MAX_RESAMPLE):
                 n_resampled += 1
-                w = draw_weights(n, streams[r])[None]
-                n1w[r], nw[r] = masses(w)
-                if accepted(n1w[r], nw[r]):
+                xi[r] = draw_weights(n, redraws)
+                nw[r:r + 1], ok[r:r + 1] = masses(xi[r:r + 1])
+                if ok[r]:
                     break
             else:
                 raise NumericalError(
                     f"replicate {start + r}: bootstrap weights kept zeroing an arm "
                     "in some stratum"
                 )
-            xi[r] = w[0]
-        q1, q0 = solver.solve(xi, n1w / nw if fixed_pis is None else fixed_pis)
-        draws[:, start:start + b] = (q1 - q0).reshape(b, len(models), n_taus).transpose(1, 0, 2)
-    taus = tuple(grid)
-    per_model = tuple(
-        BootstrapDraws(
-            draws=d, grid=grid,
-            point=QteEstimate(
-                taus=taus,
-                q1=q1_unit[k * n_taus:(k + 1) * n_taus],
-                q0=q0_unit[k * n_taus:(k + 1) * n_taus],
-            ),
-        )
-        for k, d in enumerate(draws)
-    )
-    return BootstrapDrawSet(per_model, n_resampled)
+        n1w, n0w = nw[:, 0], nw[:, 1]
+        q1, q0 = solver.solve(xi, n1w / (n1w + n0w) if fixed_pis is None else fixed_pis)
+        draws[:, start:start + len(xi)] = (
+            (q1 - q0).reshape(len(xi), len(models), n_taus).transpose(1, 0, 2))
+    points = zip(q1_unit.reshape(-1, n_taus), q0_unit.reshape(-1, n_taus))
+    return BootstrapDrawSet(tuple(
+        BootstrapDraws(draws=d, point=QteEstimate(tuple(grid), q1, q0))
+        for d, (q1, q0) in zip(draws, points)
+    ), n_resampled)
 
 
 @lru_cache(maxsize=32)
@@ -339,8 +320,7 @@ def uniform_band(
 
 
 def _se_and_center(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column bootstrap SEs and medians of ``d`` from one quantile call;
-    each SE is bit for bit the column's :func:`bootstrap_se`."""
+    """Per-column bootstrap SEs and medians of ``d`` from one quantile call."""
     lo, center, hi = empirical_quantile(d, [0.025, 0.5, 0.975])
     return (hi - lo) / _NORMAL_SPREAD, center
 

@@ -89,11 +89,11 @@ class _Solver:
     n x (K*T) adjustment matrix (model-major columns, one n x T block per
     model) is stored in that row order, so a solve reads every row-indexed
     array contiguously.  :meth:`solve` takes a b x n block of weight vectors
-    and their treated fractions; the unit-weight point estimate is a
-    one-row block.  Per block it gathers the weights once, forms the
-    inverse-propensity masses shared by every model, and per arm runs one
-    ``cumsum`` along the rows, one product against each half (treated and
-    control rows) of the adjustment matrix, and one exact sorted search.
+    in that layout and their treated fractions; the unit-weight point
+    estimate is a one-row block.  Per block it forms the inverse-propensity
+    masses shared by every model, and per arm runs one ``cumsum`` along the
+    rows, one product against each half (treated and control rows) of the
+    adjustment matrix, and one exact sorted search.
     """
 
     def __init__(self, dataset: Dataset, column_taus: np.ndarray, m_by_arm: dict) -> None:
@@ -112,19 +112,19 @@ class _Solver:
         """(q1, q0), each b x (K*T): the smallest minimizer of the weighted
         check objective for every row of ``xi`` and every column.
 
-        ``xi`` is b x n in dataset row order; ``pis`` is b x S, or 1 x S when
-        every row shares the treated fractions.  Implements the sandwich
-        characterization: the solution is the first arm outcome, in sorted
-        order, whose cumulative weight reaches the adjusted target mass.
-        Searching the per-unit cumulative mass finds the same distinct value
-        as searching the mass at each distinct value's last unit, so
-        duplicate outcomes act as one candidate, and exact boundary ties
-        resolve to the smaller value.  Targets outside the attainable range
-        clip to the endpoint candidates, matching the argmin over observed
-        arm outcomes.
+        ``xi`` is b x n in the solver's layout, where column j weighs dataset
+        row ``self._perm[j]`` (pass weights in row order as ``xi[:, _perm]``);
+        ``pis`` is b x S, or 1 x S when all rows share the treated fractions.
+        Implements the sandwich characterization: the solution is the first
+        arm outcome, in sorted order, whose cumulative weight reaches the
+        adjusted target mass.  Searching the per-unit cumulative mass finds
+        the same distinct value as searching the mass at each distinct
+        value's last unit, so duplicate outcomes act as one candidate, and
+        exact boundary ties resolve to the smaller value.  Targets outside
+        the attainable range clip to the endpoint candidates, matching the
+        argmin over observed arm outcomes.
         """
         n1 = self._n1
-        xi = np.take(xi, self._perm, axis=1)
         prop = np.take(np.concatenate([pis, 1.0 - pis], axis=1), self._prop_col, axis=1)
         w = xi / prop
         # The residual weights xi (a - pi) / pi of the arm-1 target are

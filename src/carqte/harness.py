@@ -148,21 +148,16 @@ def _wald_tests(boot, alpha: float, pairs, band: bool) -> list:
     [draws | d_i - d_j ...] of every model.  Each result decides any null
     through ``rejects``.
     """
-    width = boot[0].draws.shape[1] + len(pairs)
-    se, center = _se_and_center(np.hstack([
+    se, center = (v.reshape(len(boot), -1) for v in _se_and_center(np.hstack([
         np.column_stack([b.draws] + [b.draws[:, i] - b.draws[:, j] for i, j in pairs])
         for b in boot
-    ]))
+    ])))
     out = []
-    for k, b in enumerate(boot):
-        point = b.point.qte
+    for b, s, c in zip(boot, se, center):
+        point, n = b.point.qte, b.draws.shape[1]
         est = np.append(point, [point[i] - point[j] for i, j in pairs])
-        cols = slice(k * width, (k + 1) * width)
-        res = [_wald(e, v, alpha) for e, v in zip(est, se[cols])]
-        if band:
-            n = point.size
-            res.append(_band(point, b.draws, se[cols][:n], center[cols][:n], alpha))
-        out.append(res)
+        res = [_wald(e, v, alpha) for e, v in zip(est, s)]
+        out.append(res + [_band(point, b.draws, s[:n], c[:n], alpha)] if band else res)
     return out
 
 

@@ -56,8 +56,7 @@ def searchsorted_arm(arm, ds, xi, pis, mhat, tau):
     at the last unit of each distinct value, and ``np.searchsorted`` (left)
     finds the first value whose mass reaches the adjusted target.
     """
-    rows = np.flatnonzero(ds.a == arm)
-    rows = rows[np.argsort(ds.y[rows], kind="stable")]
+    rows = arm_sorted_rows(ds, arm)
     pi_full = pis[ds.s]
     prop = pi_full if arm == 1 else 1.0 - pi_full
     cum = np.cumsum(xi[rows] / prop[rows])
@@ -69,16 +68,27 @@ def searchsorted_arm(arm, ds, xi, pis, mhat, tau):
     return float(ys[last][min(k, last.size - 1)])
 
 
+def arm_sorted_rows(ds, arm):
+    """Rows of one arm, stably sorted by outcome: one half of the solver's
+    column layout [treated sorted by y | control sorted by y]."""
+    rows = np.flatnonzero(ds.a == arm)
+    return rows[np.argsort(ds.y[rows], kind="stable")]
+
+
 def weighted_arm_counts(ds, w):
     """Weighted (treated, total) mass per stratum of one weight vector.
 
-    The per-vector reference for the bootstrap's block ``bincount``: at unit
-    weights it gives the arm counts, so ``n1w / nw`` is ``StrataStats.pi_hat``.
+    The per-vector reference for the bootstrap's block ``bincount``, which
+    sums each arm's weights in outcome order and takes the total as treated
+    plus control mass: at unit weights it gives the arm counts, so
+    ``n1w / nw`` is ``StrataStats.pi_hat``.
     """
     w = np.asarray(w, dtype=np.float64)
-    nw = np.bincount(ds.s, weights=w, minlength=ds.n_strata)
-    n1w = np.bincount(ds.s, weights=w * ds.a.astype(np.float64), minlength=ds.n_strata)
-    return n1w, nw
+    n1w, n0w = (
+        np.bincount(ds.s[rows], weights=w[rows], minlength=ds.n_strata)
+        for rows in (arm_sorted_rows(ds, 1), arm_sorted_rows(ds, 0))
+    )
+    return n1w, n1w + n0w
 
 
 def pi_by_stratum(ds, xi, fixed_pi=None):
@@ -113,7 +123,7 @@ def solve_arm(ds, arm, tau, xi, mhat, fixed_pi=None):
         pis = np.stack([pi_by_stratum(ds, w) for w in block])
     m = np.asarray(mhat, float)[:, None]
     solver = _Solver(ds, np.array([tau]), {arm: [m], 1 - arm: [np.zeros_like(m)]})
-    q1, q0 = solver.solve(block, pis)
+    q1, q0 = solver.solve(block[:, solver._perm], pis)
     got = (q1 if arm == 1 else q0)[:, 0]
     for w, p, g in zip(block, np.broadcast_to(pis, (3, ds.n_strata)), got):
         assert g == brute_force_arm(arm, ds, w, p, mhat, tau)

@@ -82,55 +82,75 @@ def test_all_ones_weights_reproduce_point_estimate(monkeypatch):
 
 
 def test_na_bootstrap_matches_from_scratch_rederivation():
-    # Independent implementation of the unadjusted weighted bootstrap: for
-    # each draw, recompute weighted treated fractions and take the smallest
-    # arm outcome whose cumulative inverse-propensity mass reaches tau*total.
+    # Independent implementation of the unadjusted weighted bootstrap: the
+    # B x n block is the first B*n exponentials of the stream, and each row
+    # weighs the units in arm-sorted order [treated by y | control by y].
+    # For each draw, recompute the weighted treated fractions and take the
+    # smallest arm outcome whose cumulative inverse-propensity mass reaches
+    # tau*total.
     ds, stt, grid = _fixture(seed=21, n=50, taus=(0.25, 0.5, 0.75))
     model = fit_none(grid)
     B = 8
-    (draws,) = run_bootstrap(ds, stt, [model], grid, B, np.random.default_rng(17))
-    streams = np.random.default_rng(17).spawn(B)
-    for b, stream in enumerate(streams):
-        xi = stream.exponential(1.0, ds.n)
-        n1w = np.bincount(ds.s, weights=xi * ds.a, minlength=stt.n_strata)
-        nw = np.bincount(ds.s, weights=xi, minlength=stt.n_strata)
-        piw = n1w / nw
+    boot = run_bootstrap(ds, stt, [model], grid, B, np.random.default_rng(17))
+    assert boot.n_resampled == 0
+    (draws,) = boot
+    block = np.random.default_rng(17).exponential(1.0, B * ds.n).reshape(B, ds.n)
+    by_arm = {}
+    for arm in (1, 0):
+        rows = np.flatnonzero(ds.a == arm)
+        by_arm[arm] = rows[np.argsort(ds.y[rows], kind="stable")]
+    layout = np.concatenate([by_arm[1], by_arm[0]])
+    for b, row in enumerate(block):
+        xi = np.empty(ds.n)
+        xi[layout] = row
+        n1w, n0w = (np.bincount(ds.s[by_arm[arm]], weights=xi[by_arm[arm]],
+                                minlength=stt.n_strata) for arm in (1, 0))
+        piw = n1w / (n1w + n0w)
         for j, tau in enumerate(grid):
             qs = []
             for arm in (1, 0):
-                rows = np.flatnonzero(ds.a == arm)
+                rows = by_arm[arm]
                 denom = piw[ds.s[rows]] if arm == 1 else 1.0 - piw[ds.s[rows]]
-                w = xi[rows] / denom
-                order = np.argsort(ds.y[rows])
-                cum = np.cumsum(w[order])
+                cum = np.cumsum(xi[rows] / denom)
                 k = int(np.searchsorted(cum, tau * cum[-1], side="left"))
-                qs.append(ds.y[rows][order][min(k, len(rows) - 1)])
+                qs.append(ds.y[rows][min(k, len(rows) - 1)])
             assert draws.draws[b, j] == qs[0] - qs[1]
 
 
+def test_a_block_of_weights_is_successive_draws_of_one_stream():
+    # A b x n block is the next b*n exponentials of the stream, so it equals
+    # b successive n-draws, and the stream goes on from the same state.
+    n, b = 37, 5
+    one, many = np.random.default_rng(4), np.random.default_rng(4)
+    block = draw_weights(b * n, one).reshape(b, n)
+    rows = np.stack([draw_weights(n, many) for _ in range(b)])
+    assert np.array_equal(block, rows)
+    assert np.array_equal(draw_weights(n, one), draw_weights(n, many))
+
+
 # sha256 of each model's B=40 draw matrix from single-model run_bootstrap
-# calls on the design below, recorded before the models shared one solve pass
-# (numpy 2.4, scipy 1.17, OpenBLAS 0.3.31).  The lpml/lpmlx values were
-# re-recorded when probability columns with a cell sd <= 1e-8 started to
-# count as constant (adjust._ZERO_SD); the other methods keep their values.
+# calls on the design below, recorded when the weights came to be drawn as
+# one stream of B x n exponentials laid out in the solver's arm-sorted column
+# order (numpy 2.4, scipy 1.17, OpenBLAS 0.3.31).  Every draw moved then; the
+# models still share one solve pass and give their single-model draws.
 PINNED_DRAWS = {
     "estimated": {
-        "na": "1022dfad5644df22a7f9ef2eb180624af2edadb6030570e7dbe1982050173cb2",
-        "lp": "d5956aeebd56fbdf28c0a55ccf12aca6220f56e011d93be43b6aadeae73e872b",
-        "ml": "d85b6f62f48feee1220ef43505d63ddad5523b6ed55d8c0d2024b60e8abb4e3c",
-        "lpml": "d23f8c3965fa8e5ea4bdad467c30141621f324dfa331578b8f50a0b978879765",
-        "mlx": "4bf21bf633df2d81b2dde64aa016998dd29f5ea24022982c0156a1d7b510e3f5",
-        "lpmlx": "3ea0dfa1d93f3d22ac9f0c9b049508f35a08e6b34d7f9b27e47a5eb398e9ab69",
-        "np": "01989ca1a9f11e8f203e803621f14a76e6a62e8599646f5643a600c3856c6906",
+        "na": "8db35ca4f9aa788079224055f1238c5d8234a608f41d4cbbf7072036e5ad385d",
+        "lp": "f78377346aded312089b964842f41efe4998fb356edc214792bc971f41a4456a",
+        "ml": "744e7db11bc28f6332d7aa7dda33a3f75987b4a65851432bc960b5ea1fc58889",
+        "lpml": "5efd0002584b85fe121f51739253d7917d8e211cc149839936e411b0004e6450",
+        "mlx": "77cff690e52049787b2cea0264cffb940a3c7d3a558c5b238e15f08171f5a94c",
+        "lpmlx": "be7af0866b1ffe030a3617f9241f8eefedded081f321f5b9b5c4801d550a3d00",
+        "np": "274e00dc0f09b9bc22583335417c55aa1670fcf64685dd748a6a474829034087",
     },
     "fixed": {
-        "na": "0f9b4cc4aae52d3de9f6b0c15bf7f5494a0d85de07478b9aaa0116997a621b09",
-        "lp": "110fafcabf9fd08dcbefc91ebb4f233f9fdabb1e4153dbd8932f457365156fe0",
-        "ml": "83429b8d95ede52f00c2c4dc51e19a179f4ccad8cf88383b12cbafa761b575eb",
-        "lpml": "4e10474dfb31674e27c66facc40e1027bb294d274839a1e2cf0db76da2c2435e",
-        "mlx": "91824838d980f49a9ec3294d7addcd8b2fe72e53f91f7745ae4ce6f521ec59f3",
-        "lpmlx": "11bbd31449bd1c0c478190e53114ca6e637ae2a47638ab0a59710c728d494c5b",
-        "np": "3475ea000878502ed00978a44c789df1eb5418b8a75659d74df67f923eecc424",
+        "na": "9cf712bee0fc4d879fc7f5dd5b0d3335a66902b0574df4161344a8677d75553b",
+        "lp": "c62541e43261b771218a97082e499bd8a207849c7a0adfd53d31da5eb89dc273",
+        "ml": "8267fff70f212131a3634ce390d40d8cc0d169e8e590c5ba2a7906a83a62b95d",
+        "lpml": "f15ee8dbda6ccff8db9655ee33293f80ea83ef8602ba4844764ccada0e80f489",
+        "mlx": "fc5da511fe05dfb8bfbf67a80ea1fb4a40e56f1544e54d779edbc5a5ffcddee0",
+        "lpmlx": "3e750aae0638533d092fe0b3c906de1ead93843dd213c3a64d9242fe60e59ee5",
+        "np": "5ccc435dbe3c2d2d38bb14d20fcf6cf36fd96db84f801fc1e7803b7f652557d2",
     },
 }
 
@@ -182,15 +202,17 @@ def test_shared_stream_counts_resampled_draws_once(monkeypatch):
     def flaky(n, rng):
         calls.append(n)
         w = real(n, rng)
-        if len(calls) % 3 == 1:  # first try of some replicates zeroes every weight
+        if len(calls) % 3 == 1:  # some draws zero every weight
             return np.zeros(n)
         return w
 
     monkeypatch.setattr(bt, "draw_weights", flaky)
     model = fit_none(grid)
     shared = run_bootstrap(ds, stt, [model, model], grid, 4, np.random.default_rng(2))
-    assert shared.n_resampled == 2
-    assert len(calls) == 6  # 4 replicates plus 2 resamples, shared by both models
+    # One block of 4 replicates, all zeroed; then one redraw each, the third
+    # of which is zeroed and redrawn again: shared by both models.
+    assert shared.n_resampled == 5
+    assert calls == [4 * ds.n] + [ds.n] * 5
     assert np.array_equal(shared[0].draws, shared[1].draws)
     with pytest.raises(DataValidationError):
         run_bootstrap(ds, stt, [], grid, 4, np.random.default_rng(2))
@@ -222,15 +244,16 @@ def test_each_replicate_is_solved_with_its_own_weighted_fractions(monkeypatch, b
     # The block bincount must hand the solver, row by row, the treated
     # fractions n1w / nw of that row's own weights, bit for bit, resampled
     # rows included; the unit-weight point solve gets the count fractions.
+    # A row is in the solver's layout: column j weighs dataset row perm[j].
     ds, stt, grid = _fixture(seed=4, n=60, taus=(0.25, 0.5, 0.75))
     real_solve, real_draw = est._Solver.solve, bt.draw_weights
     seen, calls = [], []
 
     def spy(self, xi, pis):
-        seen.append((xi.copy(), pis.copy()))
+        seen.append((xi.copy(), pis.copy(), self._perm))
         return real_solve(self, xi, pis)
 
-    def flaky(n, rng):  # the first try of some replicates zeroes every weight
+    def flaky(n, rng):  # some draws, whole blocks or redraws, zero every weight
         calls.append(n)
         w = real_draw(n, rng)
         return np.zeros(n) if len(calls) % 5 == 1 else w
@@ -240,42 +263,52 @@ def test_each_replicate_is_solved_with_its_own_weighted_fractions(monkeypatch, b
     monkeypatch.setattr(bt, "_BLOCK_FLOATS", {"1": 1, "7n": 7 * ds.n, "2^30": 2**30}[budget])
     boot = run_bootstrap(ds, stt, [fit_none(grid)], grid, 25, np.random.default_rng(8))
     assert boot.n_resampled > 0
-    (unit, unit_pis), *blocks = seen
+    (unit, unit_pis, _), *blocks = seen
     assert np.array_equal(unit, np.ones((1, ds.n)))
     assert np.array_equal(unit_pis, stt.pi_hat[None])
     assert len(blocks) == {"1": 25, "7n": 4, "2^30": 1}[budget]
-    rows = [(x, p) for xi, pis in blocks for x, p in zip(xi, pis, strict=True)]
+    rows = [(x, p, perm) for xi, pis, perm in blocks for x, p in zip(xi, pis, strict=True)]
     assert len(rows) == 25
-    for x, p in rows:
-        n1w, nw = weighted_arm_counts(ds, x)
+    for x, p, perm in rows:
+        w = np.empty(ds.n)
+        w[perm] = x
+        n1w, nw = weighted_arm_counts(ds, w)
         assert np.array_equal(p, n1w / nw)
 
 
 def test_resampled_rows_of_later_blocks_do_not_depend_on_block_size(monkeypatch):
     # The first draw of replicates 10, 11 and 24 zeroes the treated units of
     # stratum 0.  With b = 7 they are rows 3 and 4 of the second block and
-    # row 3 of the partial last block; each is redrawn from its own stream.
+    # row 3 of the partial last block; each is redrawn, in replicate order,
+    # from the one child stream.
     ds, stt, grid, models = _pinned_design()
     real = bt.draw_weights
-    zeroed = (ds.a == 1) & (ds.s == 0)
-    runs, calls = [], []
+    treated = np.flatnonzero(ds.a == 1)
+    treated = treated[np.argsort(ds.y[treated], kind="stable")]
+    zeroed = np.flatnonzero(ds.s[treated] == 0)  # layout columns: treated come first
+    runs, redraws = [], []
     for budget in _BLOCK_BUDGETS:
-        seen = set()
+        main = np.random.default_rng(33)
+        drawn = [0]  # replicates drawn from the main stream so far
 
         def flaky(n, rng):
-            calls.append(n)
             w = real(n, rng)
-            replicate = rng.bit_generator.seed_seq.spawn_key[-1]
-            if replicate in (10, 11, 24) and replicate not in seen:
-                seen.add(replicate)
-                w[zeroed] = 0.0
+            if rng is not main:
+                redraws.append(n)
+                return w
+            block = w.reshape(-1, ds.n)
+            for i in range(len(block)):
+                if drawn[0] + i in (10, 11, 24):
+                    block[i, zeroed] = 0.0
+            drawn[0] += len(block)
             return w
 
         monkeypatch.setattr(bt, "draw_weights", flaky)
         monkeypatch.setattr(bt, "_BLOCK_FLOATS", budget)
-        calls.clear()
-        runs.append(run_bootstrap(ds, stt, models, grid, 25, np.random.default_rng(33)))
-        assert len(calls) == 25 + 3
+        redraws.clear()
+        runs.append(run_bootstrap(ds, stt, models, grid, 25, main))
+        assert drawn == [25]
+        assert redraws == [ds.n] * 3
         assert runs[-1].n_resampled == 3
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):
@@ -286,6 +319,7 @@ def test_resampled_rows_of_later_blocks_do_not_depend_on_block_size(monkeypatch)
     for got, want in zip(runs[0], plain):
         same = np.all(got.draws == want.draws, axis=1)
         assert same[[r for r in range(25) if r not in (10, 11, 24)]].all()
+        assert not same[[10, 11, 24]].any()
 
 
 def test_draw_spread_shrinks_with_root_n():

@@ -441,11 +441,11 @@ def test_lasso_c_must_be_finite_and_positive(experiment_csv, tmp_path, capsys, c
     assert not out.exists()
 
 
-# sha256 of the table written by the command below before all methods shared
-# one bootstrap pass per replication (numpy 2.4, scipy 1.17, OpenBLAS 0.3.31),
-# re-recorded when lpml/lpmlx started to treat probability columns with a
-# cell sd <= 1e-8 as constant.
-PAPER_TABLE_SHA256 = "f1f26e726bc146893ad154e54b4ddffd655506cb2c2008a21865a54312c209d2"
+# sha256 of the table written by the command below (numpy 2.4, scipy 1.17,
+# OpenBLAS 0.3.31), re-recorded when each replication's bootstrap weights
+# came to be drawn as one stream laid out in the solver's arm-sorted column
+# order; workers 1 and 2 write the same bytes.
+PAPER_TABLE_SHA256 = "5c6df2cbce897e7b310801b95ac0be516c27301b293fe47cc3f58366ebd6df87"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -462,11 +462,13 @@ def test_simulate_paper_methods_table_is_pinned(tmp_path, workers):
 
 
 # sha256 of each report below with its "input" line (the temporary CSV path)
-# removed, so that the bytes of the whole report are pinned.
+# removed, so that the bytes of the whole report are pinned; re-recorded when
+# the bootstrap weights came to be drawn as one stream laid out in the
+# solver's arm-sorted column order.
 ESTIMATE_REPORT_SHA256 = {
-    "lpmlx": "84f02eba957d1d1246da681758da431060bb33d8c600b07657fcd11bd222d6eb",
-    "lpml": "0b821f5eb2b064d77badd311379ce10d9d6ef2e8243157720c2d680e60b52080",
-    "na": "c64dd2691c72c6976eb12a6ce6bd3b07e75b97badaf2269e5eef8a956b187418",
+    "lpmlx": "f3f2220b42214d2bc36e6619e1dcf14fd29e2d37be0da75065a10fefd5275f22",
+    "lpml": "589d244d5836f453954b7e6a5b2622eeeb754bff96a7e93cacc01d43d8753aab",
+    "na": "adf0e8553b0823d0a4641ba2d926c5acc7b3b2134a1995dbbe3e2efd5fb2f98c",
 }
 _ESTIMATE_PIN_ARGS = {
     "lpmlx": ["--taus", "0.25,0.5,0.75", "--diff", "0.75,0.25", "--uniform", "--B", "200"],

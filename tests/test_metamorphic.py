@@ -4,8 +4,9 @@ Each test transforms a dataset in a way that leaves the estimator's answer
 known in advance and compares every point estimate and bootstrap draw with
 the untransformed run, bit for bit.  The designs are dgp1 and dgp2 under
 stratified block randomization at n=400 with the taus 0.25/0.5/0.75 and
-B=50; at much larger n a cell's Newton chunk follows stratum order, so the
-bit-identities are pinned at this n only.
+B=50, for the seven low-dimensional methods; at much larger n a cell's
+Newton chunk follows stratum order, so the bit-identities are pinned at this
+n only.
 """
 
 import numpy as np
@@ -63,3 +64,13 @@ def test_relabelling_the_strata_changes_no_estimate_or_draw(kind, seed):
     assert any(k != v for k, v in relabel.items())
     moved = np.array([relabel[v] for v in s])
     _assert_same(_run(y, a, moved, x), _run(y, a, s, x))
+
+
+@pytest.mark.parametrize("kind,seed", [("dgp1", 7), ("dgp2", 8)])
+def test_shuffling_the_rows_changes_no_estimate_or_draw(kind, seed):
+    # The weights are drawn in the solver's arm-sorted layout, so with
+    # tie-free outcomes each unit gets the same weight in any row order.
+    y, a, s, x = _design(kind, seed)
+    assert np.unique(y).size == N
+    order = np.random.default_rng(seed).permutation(N)
+    _assert_same(_run(y[order], a[order], s[order], x[order]), _run(y, a, s, x))
