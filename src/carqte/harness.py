@@ -148,10 +148,9 @@ def _wald_tests(boot, alpha: float, pairs, band: bool) -> list:
     [draws | d_i - d_j ...] of every model.  Each result decides any null
     through ``rejects``.
     """
-    se, center = (v.reshape(len(boot), -1) for v in _se_and_center(np.hstack([
-        np.column_stack([b.draws] + [b.draws[:, i] - b.draws[:, j] for i, j in pairs])
-        for b in boot
-    ])))
+    d = np.hstack([np.column_stack([b.draws] + [b.draws[:, i] - b.draws[:, j] for i, j in pairs])
+                   for b in boot])
+    se, center = (v.reshape(len(boot), -1) for v in _se_and_center(d))
     out = []
     for b, s, c in zip(boot, se, center):
         point, n = b.point.qte, b.draws.shape[1]

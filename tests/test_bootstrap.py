@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import make_stratified_dataset, weighted_arm_counts
+from conftest import arm_sorted_rows, make_stratified_dataset, weighted_arm_counts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
@@ -283,9 +283,8 @@ def test_resampled_rows_of_later_blocks_do_not_depend_on_block_size(monkeypatch)
     # from the one child stream.
     ds, stt, grid, models = _pinned_design()
     real = bt.draw_weights
-    treated = np.flatnonzero(ds.a == 1)
-    treated = treated[np.argsort(ds.y[treated], kind="stable")]
-    zeroed = np.flatnonzero(ds.s[treated] == 0)  # layout columns: treated come first
+    # Layout columns of stratum 0's treated units: the treated come first.
+    zeroed = np.flatnonzero(ds.s[arm_sorted_rows(ds, 1)] == 0)
     runs, redraws = [], []
     for budget in _BLOCK_BUDGETS:
         main = np.random.default_rng(33)
