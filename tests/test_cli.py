@@ -18,20 +18,23 @@ from carqte.cli import main
 from carqte.randomization import SchemeSpec, assign
 
 
-@pytest.fixture
-def experiment_csv(tmp_path):
-    data = generate(DgpSpec("dgp1", 160), np.random.default_rng(0))
+def _write_experiment_csv(path, kind, n, d):
+    """An sbr experiment on ``kind`` at size ``n`` with its first ``d``
+    covariates, written with round-trip floats."""
+    data = generate(DgpSpec(kind, n), np.random.default_rng(0))
     a = assign(data.s, SchemeSpec("sbr"), np.random.default_rng(1))
-    path = tmp_path / "exp.csv"
-    lines = ["y,a,s,x1,x2"]
+    lines = ["y,a,s," + ",".join(f"x{j + 1}" for j in range(d))]
     y = data.observed(a)
-    for i in range(160):
-        lines.append(
-            f"{float(y[i])!r},{int(a[i])},{int(data.s[i])},"
-            f"{float(data.x[i, 0])!r},{float(data.x[i, 1])!r}"
-        )
+    for i in range(n):
+        xs = ",".join(repr(float(v)) for v in data.x[i, :d])
+        lines.append(f"{float(y[i])!r},{int(a[i])},{int(data.s[i])},{xs}")
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+@pytest.fixture
+def experiment_csv(tmp_path):
+    return _write_experiment_csv(tmp_path / "exp.csv", "dgp1", 160, 2)
 
 
 def test_estimate_deterministic_report(experiment_csv, tmp_path):
@@ -462,32 +465,49 @@ def test_simulate_paper_methods_table_is_pinned(tmp_path, workers):
 
 
 # sha256 of each report below with its "input" line (the temporary CSV path)
-# removed, so that the bytes of the whole report are pinned; re-recorded when
-# the bootstrap weights came to be drawn as one stream laid out in the
-# solver's arm-sorted column order.
+# removed, so that the bytes of the whole report are pinned.  The first three
+# were re-recorded when the bootstrap weights came to be drawn as one stream
+# laid out in the solver's arm-sorted column order, and the rest recorded on
+# that code.  A key "<method>-d4" runs the method on a 4-covariate file
+# (dgphd, n=600, sbr, its first four covariates): at d=2 there is one
+# covariate pair, so only there can a slip in the order of the product or
+# threshold columns show.
 ESTIMATE_REPORT_SHA256 = {
     "lpmlx": "f3f2220b42214d2bc36e6619e1dcf14fd29e2d37be0da75065a10fefd5275f22",
     "lpml": "589d244d5836f453954b7e6a5b2622eeeb754bff96a7e93cacc01d43d8753aab",
     "na": "adf0e8553b0823d0a4641ba2d926c5acc7b3b2134a1995dbbe3e2efd5fb2f98c",
+    "lp": "eedd373d7a27086e9e5d34159101b9d67462853e4a592b57a16546e8d83ef627",
+    "ml": "2718c518d99988c31cec88f70d7d374f8a7bacd7729ca73245a0da5e9e5a930d",
+    "mlx": "020229977048e82887af39ca2b9323d1e6410ea5de9564671e269217cced84b6",
+    "np": "8c220bddc1ae747e4462778e88e8bc452765e3165fe5f75297ad1e328b04e57e",
+    "lasso": "f7c6dd6d6ef2b608f50ed28ab6be7a0e557d4b337baea7e97e26345f670a4a43",
+    "mlx-d4": "65ba7000b209ff04fbe45cc487e3f90bc7a368963f5950de61eb31d9b28edca0",
+    "np-d4": "21119894ed8ea88b2d2562d510deeb490c0fcc0daebced4320729838dbfae403",
+    "lasso-d4": "05c59a5020413120052e5999224113622b9a5e0b6f0be72199786b77198b3252",
 }
+_FULL_REPORT = ["--taus", "0.25,0.5,0.75", "--diff", "0.75,0.25", "--uniform", "--B", "200"]
 _ESTIMATE_PIN_ARGS = {
-    "lpmlx": ["--taus", "0.25,0.5,0.75", "--diff", "0.75,0.25", "--uniform", "--B", "200"],
+    "lpmlx": _FULL_REPORT,
     "lpml": ["--pi", "fixed:0.5"],
     "na": ["--taus", "0.5"],
+    **{key: _FULL_REPORT for key in ("lp", "ml", "mlx", "np", "lasso",
+                                     "mlx-d4", "np-d4", "lasso-d4")},
 }
 
 
-@pytest.mark.parametrize("method", sorted(_ESTIMATE_PIN_ARGS))
-def test_estimate_report_bytes_are_pinned(experiment_csv, tmp_path, method):
+@pytest.mark.parametrize("key", sorted(_ESTIMATE_PIN_ARGS))
+def test_estimate_report_bytes_are_pinned(experiment_csv, tmp_path, key):
+    method, _, wide = key.partition("-")
+    path = _write_experiment_csv(tmp_path / "exp4.csv", "dgphd", 600, 4) if wide else experiment_csv
     out = tmp_path / "r.json"
-    code = main(["estimate", "--input", experiment_csv, "--adjust", method,
-                 *_ESTIMATE_PIN_ARGS[method], "--out", str(out)])
+    code = main(["estimate", "--input", path, "--adjust", method,
+                 *_ESTIMATE_PIN_ARGS[key], "--out", str(out)])
     assert code == 0
-    input_line = f'    "input": {json.dumps(experiment_csv)},\n'.encode()
+    input_line = f'    "input": {json.dumps(path)},\n'.encode()
     lines = out.read_bytes().splitlines(keepends=True)
     assert lines.count(input_line) == 1
     body = b"".join(line for line in lines if line != input_line)
-    assert hashlib.sha256(body).hexdigest() == ESTIMATE_REPORT_SHA256[method]
+    assert hashlib.sha256(body).hexdigest() == ESTIMATE_REPORT_SHA256[key]
 
 
 # -- fuzzing the CSV boundary ---------------------------------------------------
