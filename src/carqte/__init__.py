@@ -6,17 +6,13 @@ __version__ = "0.1.0"
 from .adjust import (
     METHODS,
     AdjustmentModel,
-    FeatureMap,
     LassoConfig,
-    build_sieve_map,
     fit_adjustment,
     fit_hd_lasso,
     fit_lp,
     fit_lpml,
     fit_ml,
     fit_none,
-    logistic_features,
-    raw_features,
 )
 from .bootstrap import (
     BootstrapDraws,

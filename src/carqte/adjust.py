@@ -11,7 +11,7 @@ Methods:
 * ``ml``     logistic quasi-ML; ``mlx`` adds pairwise interactions,
 * ``lpml``   optimal linear recombination of the two logistic probability
              columns, ridge-stabilized; ``lpmlx`` with interactions,
-* ``np``     logistic on a sieve basis with frozen median thresholds,
+* ``np``     logistic on a sieve basis thresholded at the covariate medians,
 * ``lasso``  l1-penalized logistic with iterated penalty loadings and a
              post-selection refit.
 """
@@ -52,89 +52,35 @@ _MAX_OUTER = 200
 
 
 # ---------------------------------------------------------------------------
-# Feature maps
+# Regressors
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FeatureMap:
-    """A fixed list of regressor terms evaluated on covariate rows.
+def _features(method: str, x: np.ndarray) -> np.ndarray:
+    """The (n, p) regressor matrix of ``method`` on the covariates ``x``.
 
-    Terms are tagged tuples; thresholds are frozen at construction:
-
-    * ``("const",)``                    intercept
-    * ``("x", j)``                      x_j
-    * ``("prod", i, j)``                x_i * x_j
-    * ``("thrprod", i, ti, j, tj)``     x_i 1{x_i > ti} * x_j 1{x_j > tj}
+    ``lp``: x itself.  ``ml``, ``lpml`` and ``lasso``: [1 | x].  ``mlx`` and
+    ``lpmlx``: those columns, then x_i x_j for every i < j.  ``np``: the
+    ``mlx`` columns, then x_i 1{x_i > t_i} x_j 1{x_j > t_j} for every i < j,
+    at the column medians t (without covariates, the intercept alone).
     """
-
-    kind: str
-    terms: tuple[tuple, ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.terms)
-
-    @property
-    def intercept_column(self) -> int | None:
-        for i, t in enumerate(self.terms):
-            if t[0] == "const":
-                return i
-        return None
-
-    def build(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the map on an (n, d) covariate matrix."""
-        cols = np.empty((x.shape[0], len(self.terms)))
-        for c, t in enumerate(self.terms):
-            if t[0] == "const":
-                cols[:, c] = 1.0
-            elif t[0] == "x":
-                cols[:, c] = x[:, t[1]]
-            elif t[0] == "prod":
-                cols[:, c] = x[:, t[1]] * x[:, t[2]]
-            else:  # "thrprod"
-                vi = x[:, t[1]]
-                vj = x[:, t[3]]
-                cols[:, c] = vi * (vi > t[2]) * vj * (vj > t[4])
-        return cols
-
-
-def raw_features(d: int) -> FeatureMap:
-    """The covariates themselves, no intercept (linear probability model)."""
-    if d < 1:
-        raise DataValidationError("raw feature map needs at least one covariate")
-    return FeatureMap("raw", tuple(("x", j) for j in range(d)))
-
-
-def logistic_features(d: int, interactions: bool = False) -> FeatureMap:
-    """Intercept plus covariates; optionally all pairwise products.
-
-    Without interactions this is also the lasso's dictionary.
-    """
-    if d < 1:
-        raise DataValidationError("logistic feature map needs at least one covariate")
-    terms: list[tuple] = [("const",)]
-    terms += [("x", j) for j in range(d)]
-    if interactions:
-        terms += [("prod", i, j) for i in range(d) for j in range(i + 1, d)]
-    return FeatureMap("with-interactions" if interactions else "logit-base", tuple(terms))
-
-
-def build_sieve_map(x_matrix: np.ndarray) -> FeatureMap:
-    """The np sieve: intercept, covariates, pairwise products, and pairwise
-    products of the covariates thresholded at their sample medians."""
-    x = np.asarray(x_matrix, dtype=np.float64)
-    d = x.shape[1]
-    t = np.median(x, axis=0)
-    terms: list[tuple] = [("const",)]
-    terms += [("x", j) for j in range(d)]
-    terms += [("prod", i, j) for i in range(d) for j in range(i + 1, d)]
-    terms += [
-        ("thrprod", i, float(t[i]), j, float(t[j]))
-        for i in range(d)
-        for j in range(i + 1, d)
-    ]
-    return FeatureMap("sieve", tuple(terms))
+    n, d = x.shape
+    if d < 1 and method != "np":
+        raise DataValidationError(f"{method} needs at least one covariate")
+    interact = method in ("mlx", "lpmlx", "np")
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)] if interact else []
+    lead = 0 if method == "lp" else 1
+    start = lead + d
+    H = np.empty((n, start + len(pairs) * (2 if method == "np" else 1)))
+    H[:, :lead] = 1.0
+    H[:, lead:start] = x
+    for c, (i, j) in enumerate(pairs, start):
+        H[:, c] = x[:, i] * x[:, j]
+    if method == "np":
+        t = np.median(x, axis=0)
+        for c, (i, j) in enumerate(pairs, start + len(pairs)):
+            H[:, c] = x[:, i] * (x[:, i] > t[i]) * x[:, j] * (x[:, j] > t[j])
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +360,10 @@ def fit_lp(
     stats: StrataStats,
     pilot,
     grid: QuantileGrid,
-    features: FeatureMap | None = None,
 ) -> AdjustmentModel:
     """Within-cell least squares of the outcome indicator on demeaned regressors."""
-    fm = features if features is not None else raw_features(dataset.n_covariates)
-    H = fm.build(dataset.x)
-    p = fm.width
+    H = _features("lp", dataset.x)
+    p = H.shape[1]
     taus = tuple(grid)
     coef, live = _cells(stats, taus, p)
     degraded: list = []
@@ -453,31 +397,23 @@ def fit_lp(
     return _finish(model, degraded)
 
 
-def fit_ml(
-    items,
-    grid: QuantileGrid,
-    features: FeatureMap | None = None,
-    method: str = "ml",
-) -> list:
+def fit_ml(items, grid: QuantileGrid, method: str = "ml") -> list:
     """Logistic quasi-ML per cell on indicator labels below the pilot quantile,
     for a group of ``(dataset, stats, pilot)`` items in one batched solve.
 
-    ``method`` names the results and picks each item's feature map: the
-    logistic features without (``ml``) and with (``mlx``) interactions, or
-    the sieve map at that dataset's own medians (``np``); ``features``, if
-    given, serves every item.  The maps must share one width.  Returns one
-    entry per item: its model, or the :class:`CarqteError` that failed it.
+    ``method`` (``ml``, ``mlx`` or ``np``) names the results and picks each
+    item's regressors, the sieve at that dataset's own medians for ``np``.
+    The items must share one covariate count.  Returns one entry per item:
+    its model, or the :class:`CarqteError` that failed it.
     """
     taus = tuple(grid)
     prepared, cells, labels = [], [], []
     for dataset, stats, pilot in items:
-        fm = features if features is not None else (
-            build_sieve_map(dataset.x) if method == "np"
-            else logistic_features(dataset.n_covariates, interactions=method == "mlx"))
-        H = fm.build(dataset.x)
+        H = _features(method, dataset.x)
+        p = H.shape[1]
         rows_of = _cell_rows(dataset, stats)
-        degraded = [(a, s) for (a, s), rows in rows_of.items() if rows.size < fm.width + 2]
-        fitted = [(a, s, rows) for (a, s), rows in rows_of.items() if rows.size >= fm.width + 2]
+        degraded = [(a, s) for (a, s), rows in rows_of.items() if rows.size < p + 2]
+        fitted = [(a, s, rows) for (a, s), rows in rows_of.items() if rows.size >= p + 2]
         cutoffs = [np.array([pilot.q(a, tau) for tau in taus]) for a in (0, 1)]
         cells += [(H, rows) for _, _, rows in fitted]
         labels += [(dataset.y[rows][:, None] <= cutoffs[a]).astype(np.float64)
@@ -590,34 +526,24 @@ def fit_lpml(
 class LassoConfig:
     """Tuning constants for the penalized logistic fit.
 
-    ``penalty_form`` selects how the penalty level depends on the cell size
-    and dictionary width: "c31" uses Phi^-1(1 - 1/(p log n_cell)), "a9" uses
-    Phi^-1(1 - 0.1/(4 log(n_cell) p)).  ``forced_support`` columns are always
-    included in the post-selection refit; the default is the first covariate
-    column of (1, x), and a column past the dictionary is dropped.  The
-    intercept column is never penalized.
+    ``forced_support`` columns are always included in the post-selection
+    refit; the default is the first covariate column of (1, x), and a column
+    past the dictionary is dropped.  The intercept column is never penalized.
     """
 
     c: float = 1.1
     loading_iterations: int = 2
     forced_support: tuple[int, ...] = (1,)
-    penalty_form: str = "c31"
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.c) and self.c > 0.0) or self.loading_iterations < 1:
             raise DataValidationError("lasso config needs a finite c > 0 and K >= 1")
-        if self.penalty_form not in ("c31", "a9"):
-            raise DataValidationError("penalty_form must be 'c31' or 'a9'")
 
 
 def penalty_level(n_cell: int, p_penalized: int, config: LassoConfig) -> float:
-    """Cell-level penalty c * sqrt(n) * Phi^-1(...) for the chosen form."""
+    """Cell-level penalty c * sqrt(n) * Phi^-1(1 - 1/(p log n)), its tail capped at 1/2."""
     logn = max(np.log(n_cell), 1.0)
-    if config.penalty_form == "c31":
-        tail = 1.0 / (p_penalized * logn)
-    else:
-        tail = 0.1 / (4.0 * logn * p_penalized)
-    tail = min(tail, 0.5)
+    tail = min(1.0 / (p_penalized * logn), 0.5)
     return config.c * np.sqrt(n_cell) * ndtri(1.0 - tail)
 
 
@@ -679,23 +605,21 @@ def fit_hd_lasso(
     stats: StrataStats,
     pilot,
     grid: QuantileGrid,
-    dictionary: FeatureMap | None = None,
     config: LassoConfig | None = None,
 ) -> AdjustmentModel:
-    """Penalized logistic per cell, then an unpenalized refit on the support.
+    """Penalized logistic per cell on the dictionary [1 | x], then an
+    unpenalized refit on the support.
 
     Penalty loadings start from the second moments of the centered indicator
     label times each squared column and are refreshed from fitted residuals
     over ``config.loading_iterations`` rounds.  The selected support, joined
-    with any forced columns (and the intercept), is refitted without penalty;
-    evaluation uses the refitted coefficients.
+    with any forced columns and the intercept (column 0, never penalized), is
+    refitted without penalty; evaluation uses the refitted coefficients.
     """
-    fm = dictionary if dictionary is not None else logistic_features(dataset.n_covariates)
     cfg = config if config is not None else LassoConfig()
-    H = fm.build(dataset.x)
-    p = fm.width
-    icol = fm.intercept_column
-    pen_cols = np.array([j for j in range(p) if j != icol], dtype=np.int64)
+    H = _features("lasso", dataset.x)
+    p = H.shape[1]
+    pen_cols = np.arange(1, p)
     taus = tuple(grid)
     coef, live = _cells(stats, taus, p)
     support: dict = {}
@@ -703,7 +627,6 @@ def fit_hd_lasso(
     kkt_diag: dict = {}
     hd_theta: dict = {}
     hd_lam: dict = {}
-    empty_support: list = []
     not_converged: list = []
     for (a, s), rows in _cell_rows(dataset, stats).items():
         if rows.size < 3:
@@ -713,7 +636,7 @@ def fit_hd_lasso(
         Hc = H[rows]
         yc = dataset.y[rows]
         nc = rows.size
-        rho = penalty_level(nc, max(pen_cols.size, 1), cfg)
+        rho = penalty_level(nc, pen_cols.size, cfg)
         forced = tuple(j for j in cfg.forced_support if 0 <= j < p)
         for ti, tau in enumerate(taus):
             labels = (yc <= pilot.q(a, tau)).astype(np.float64)
@@ -740,28 +663,17 @@ def fit_hd_lasso(
             kkt_diag[(a, s, ti)] = kkt
             hd_theta[(a, s, ti)] = theta.copy()
             hd_lam[(a, s, ti)] = lam.copy()
-            keep = {j for j in pen_cols if theta[j] != 0.0} | set(forced)
-            if icol is not None:
-                keep.add(icol)
+            keep = {j for j in pen_cols if theta[j] != 0.0} | set(forced) | {0}
             # Refit must stay overdetermined within the cell.
             cap = max(nc - 2, 1)
             if len(keep) > cap:
                 ordered = sorted(
-                    keep, key=lambda j: (j not in forced, j != icol, -abs(theta[j]))
+                    keep, key=lambda j: (j not in forced, j != 0, -abs(theta[j]))
                 )
                 keep = set(ordered[:cap]) | set(forced)
             cols = tuple(sorted(keep))
-            if not cols:
-                empty_support.append((a, s, ti))
-                support[(a, s, ti)] = ()
-                continue
             coef[a, s, ti, list(cols)] = _fit_logit_cell(Hc[:, cols], labels)
             support[(a, s, ti)] = cols
-    if empty_support:
-        warnings.warn(
-            f"lasso: empty support in {len(empty_support)} cell(s); zero coefficients kept",
-            stacklevel=2,
-        )
     if not_converged:
         worst = max(item[3] for item in not_converged)
         warnings.warn(
@@ -781,7 +693,6 @@ def fit_hd_lasso(
             "kkt": kkt_diag,
             "hd_theta": hd_theta,
             "hd_lam": hd_lam,
-            "empty_support": tuple(empty_support),
         },
     )
     return _finish(model, degraded)
@@ -801,7 +712,7 @@ def fit_adjustment(
     lasso_config: LassoConfig | None = None,
     ml_model: AdjustmentModel | None = None,
 ) -> AdjustmentModel:
-    """Fit the named auxiliary regression with its standard feature roster.
+    """Fit the named auxiliary regression on its regressors (:func:`_features`).
 
     ``ml_model`` hands ``lpml`` (``lpmlx``) an already fitted ``ml``
     (``mlx``) model, whose fitted probabilities the recombination then

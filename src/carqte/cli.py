@@ -306,11 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="carqte",
         description="Regression-adjusted QTE estimation and multiplier-bootstrap "
         "inference under covariate-adaptive randomization.",
+        allow_abbrev=False,  # a prefix would escape the explicit-flag scan in main()
     )
     parser.add_argument("--version", action="version", version=f"carqte {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    est = sub.add_parser("estimate", help="estimate QTEs from a CSV experiment file")
+    est = sub.add_parser("estimate", help="estimate QTEs from a CSV experiment file",
+                         allow_abbrev=False)
     est.add_argument("--input", required=True, help="CSV with columns y, a, s, x1..xd")
     est.add_argument("--adjust", default="na", choices=METHODS)
     est.add_argument("--taus", default="0.25,0.5,0.75")
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--out", default=None, help="report path (default stdout)")
     est.set_defaults(func=cmd_estimate)
 
-    sim = sub.add_parser("simulate", help="run a Monte Carlo scenario")
+    sim = sub.add_parser("simulate", help="run a Monte Carlo scenario", allow_abbrev=False)
     sim.add_argument("--dgp", default="1", help="1, 2, or hd")
     sim.add_argument("--scheme", default="srs", choices=SCHEME_KINDS)
     sim.add_argument("--methods", default="na")

@@ -199,14 +199,48 @@ class TableModel:
         return TableModel(out)
 
 
-def evaluate_reference(model, arm, grid, ds, feature_map=None, ml_model=None):
+def features_reference(method, x):
+    """Each method's regressors built entry by entry from its term roster:
+    the reference for ``adjust._features``.
+
+    The roster is ``("const",)`` (absent for ``lp``), ``("x", j)`` for every
+    covariate, then for ``mlx``/``lpmlx``/``np`` ``("prod", i, j)`` for every
+    pair i < j, and for ``np`` also ``("thrprod", i, j)``, the product of
+    x_i and x_j each zeroed unless strictly above its column median.
+    """
+    n, d = x.shape
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    terms = [] if method == "lp" else [("const",)]
+    terms += [("x", j) for j in range(d)]
+    if method in ("mlx", "lpmlx", "np"):
+        terms += [("prod", i, j) for i, j in pairs]
+    if method == "np":
+        terms += [("thrprod", i, j) for i, j in pairs]
+    medians = [np.median(x[:, j]) for j in range(d)]
+    H = np.zeros((n, len(terms)))
+    for r in range(n):
+        for c, term in enumerate(terms):
+            if term[0] == "const":
+                H[r, c] = 1.0
+            elif term[0] == "x":
+                H[r, c] = x[r, term[1]]
+            elif term[0] == "prod":
+                H[r, c] = x[r, term[1]] * x[r, term[2]]
+            else:
+                i, j = term[1:]
+                if x[r, i] > medians[i] and x[r, j] > medians[j]:
+                    H[r, c] = x[r, i] * x[r, j]
+    return H
+
+
+def evaluate_reference(model, arm, grid, ds, H=None, ml_model=None):
     """One arm's adjustment matrix, cell by cell, recomputed from the
     coefficients: the reference for ``AdjustmentModel.evaluate_all``.
 
     The per-cell evaluation of earlier releases: the coefficients are copied
     into ``(arm, stratum, tau index)`` dicts, with None for a degraded cell,
-    ``feature_map`` is built for this arm alone, and each (stratum, tau)
-    cell dispatches on the method name.  lpml recomputes both probability
+    ``H`` is the model's regressor matrix, and each (stratum, tau) cell
+    dispatches on the method name.  lpml recomputes both probability
     columns on the stratum's rows from the coefficients of ``ml_model``, and
     their cell means and sds from the cell's rows of those columns.
     """
@@ -217,7 +251,6 @@ def evaluate_reference(model, arm, grid, ds, feature_map=None, ml_model=None):
         key: model.coef[key].copy() if model.live[key] else None
         for key in np.ndindex(model.live.shape)
     }
-    H = feature_map.build(ds.x)
     for s in range(ds.n_strata):
         rows = np.flatnonzero(ds.s == s)
         H_s = H[rows]

@@ -15,6 +15,7 @@ from conftest import (
     TableModel,
     brute_force_arm,
     estimated_pis,
+    features_reference,
     make_stratified_dataset,
     solve_arm,
 )
@@ -32,7 +33,6 @@ from carqte import (
     fit_lp,
     generate,
     index_strata,
-    logistic_features,
     pilot_quantiles,
     qte,
     run_bootstrap,
@@ -217,11 +217,10 @@ def test_criterion_7_lasso_correctness():
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
     pilot = pilot_quantiles(ds, stats, grid)
     cfg = LassoConfig(forced_support=(1,))
-    dictionary = logistic_features(20)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = fit_hd_lasso(ds, stats, pilot, grid, dictionary, cfg)
-    H = dictionary.build(ds.x)
+        model = fit_hd_lasso(ds, stats, pilot, grid, cfg)
+    H = features_reference("lasso", ds.x)
     worst = 0.0
     n_cells = 0
     forced_ok = True
@@ -248,8 +247,7 @@ def test_criterion_7_lasso_correctness():
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            m = fit_hd_lasso(dsp, index_strata(dsp), pil, GRID05, logistic_features(p),
-                             LassoConfig(forced_support=()))
+            m = fit_hd_lasso(dsp, index_strata(dsp), pil, GRID05, LassoConfig(forced_support=()))
         # dictionary columns 1 and 2 are the planted signal and its duplicate
         recovered += all({1, 2} & set(m.support[(arm, 0, 0)]) for arm in (0, 1))
     _gate(

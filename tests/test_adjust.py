@@ -3,17 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import evaluate_reference, logit_fit_reference
+from conftest import evaluate_reference, features_reference, logit_fit_reference
 from scipy.special import expit, logit
 
 from carqte import (
     METHODS,
     Dataset,
     DataValidationError,
-    FeatureMap,
     LassoConfig,
     QuantileGrid,
-    build_sieve_map,
     fit_adjustment,
     fit_hd_lasso,
     fit_lp,
@@ -21,12 +19,17 @@ from carqte import (
     fit_ml,
     fit_none,
     index_strata,
-    logistic_features,
     pilot_quantiles,
-    raw_features,
 )
 from carqte import adjust
-from carqte.adjust import LOGIT_BASE, _fit_logit_cell, _l1_kkt_residual
+from carqte.adjust import (
+    LOGIT_BASE,
+    _features,
+    _fit_logit_cell,
+    _fit_logit_cells,
+    _l1_kkt_residual,
+    penalty_level,
+)
 from carqte.dgp import DgpSpec, generate
 from carqte.estimator import QteEstimate, _model_solver, qte
 from carqte.randomization import SchemeSpec, assign
@@ -53,24 +56,39 @@ GRID = QuantileGrid.of([0.5])
 
 
 def test_raw_and_logistic_maps():
-    assert raw_features(2).terms == (("x", 0), ("x", 1))
-    fm = logistic_features(2, interactions=True)
-    assert fm.terms == (("const",), ("x", 0), ("x", 1), ("prod", 0, 1))
-    assert fm.intercept_column == 0 and raw_features(2).intercept_column is None
     x = np.array([[2.0, 3.0]])
-    assert fm.build(x).tolist() == [[1.0, 2.0, 3.0, 6.0]]
+    assert _features("lp", x).tolist() == [[2.0, 3.0]]
+    for method in ("ml", "lpml", "lasso"):
+        assert _features(method, x).tolist() == [[1.0, 2.0, 3.0]]
+    for method in ("mlx", "lpmlx"):
+        assert _features(method, x).tolist() == [[1.0, 2.0, 3.0, 6.0]]
 
 
 def test_sieve_roster_five_terms_for_two_covariates():
-    x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    fm = build_sieve_map(x)
-    assert fm.width == 5
-    assert fm.terms[:4] == (("const",), ("x", 0), ("x", 1), ("prod", 0, 1))
-    assert fm.terms[4] == ("thrprod", 0, 1.0, 1, 1.0)  # joint median-threshold product
-    # thresholds frozen at the sample medians
-    row = fm.build(np.array([[2.0, 2.0]]))[0]
-    assert row[4] == 4.0  # both coordinates above their median 1.0
-    assert fm.build(np.array([[0.5, 2.0]]))[0][4] == 0.0
+    x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [2.0, 0.5]])
+    H = _features("np", x)
+    assert H.shape == (4, 5)
+    assert np.array_equal(H[:, :4], _features("mlx", x))
+    # The joint product thresholded at the medians 1.5 and 0.75: only the
+    # third row has both coordinates strictly above them.
+    assert H[:, 4].tolist() == [0.0, 0.0, 4.0, 0.0]
+
+
+def _tied_covariates(d, n=41):
+    """Integer-valued covariates, so that many entries equal their column
+    median and the strict ``>`` of the threshold products is exercised; the
+    columns are shifted apart, so that each has its own nonzero median."""
+    x = np.random.default_rng(d).integers(-3, 4, (n, d)) + 2.0 * np.arange(1, d + 1)
+    medians = np.median(x, axis=0)
+    assert np.all((x == medians).sum(axis=0) > 1) and np.unique(medians).size == d
+    return x
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("method", [m for m in METHODS if m != "na"])
+def test_features_match_the_term_roster_reference(method, d):
+    x = _tied_covariates(d)
+    assert np.array_equal(_features(method, x), features_reference(method, x))
 
 
 # -- logistic cell ----------------------------------------------------------
@@ -146,9 +164,9 @@ def _mixed_logit_dataset(seed=0):
     return Dataset.from_arrays(y, a, s, x)
 
 
-def _fit_ml(ds, st, pilot, grid, features=None, method="ml"):
+def _fit_ml(ds, st, pilot, grid, method="ml"):
     """``fit_ml`` on a one-item group; raises the item's failure."""
-    (model,) = fit_ml([(ds, st, pilot)], grid, features, method)
+    (model,) = fit_ml([(ds, st, pilot)], grid, method)
     if isinstance(model, Exception):
         raise model
     return model
@@ -165,16 +183,15 @@ def test_batched_logit_matches_per_problem_reference_on_mixed_batch():
     st = index_strata(ds)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
     pilot = pilot_quantiles(ds, st, grid)
-    fm = build_sieve_map(ds.x)
-    model = _fit_quiet(_fit_ml, ds, st, pilot, grid, fm, method="np")
-    H = fm.build(ds.x)
-    zero_col = fm.terms.index(next(t for t in fm.terms if t[0] == "thrprod"))
+    model = _fit_quiet(_fit_ml, ds, st, pilot, grid, method="np")
+    H = features_reference("np", ds.x)
+    zero_col = 4  # the threshold product of the two covariates
     assert model.diagnostics["degraded"] == ((1, 2),)
     separated = []
     for s in range(st.n_strata):
         for a in (1, 0):
             rows = np.flatnonzero((ds.s == s) & (ds.a == a))
-            if rows.size < fm.width + 2:
+            if rows.size < H.shape[1] + 2:
                 assert not model.live[a, s].any() and not model.coef[a, s].any()
                 continue
             assert model.live[a, s].all()
@@ -337,18 +354,21 @@ def test_lp_evaluate_matches_direct_formula():
 
 
 def test_ml_intercept_only_matches_cell_mean():
+    # Every (arm, stratum) cell of one batched solve on an all-ones H.
     rng = np.random.default_rng(7)
     ds = _two_strata_dataset(rng)
-    st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
-    model = _fit_ml(ds, st, pilot, GRID, FeatureMap("intercept", (("const",),)))
-    values = model.evaluate_all(GRID, ds)
+    H = np.ones((ds.n, 1))
+    cells, labels = [], []
     for arm in (0, 1):
         for s in (0, 1):
             rows = np.flatnonzero((ds.a == arm) & (ds.s == s))
-            mean = (ds.y[rows] <= pilot.q(arm, 0.5)).mean()
-            got = values[arm][ds.s == s, 0]
-            assert got == pytest.approx(np.full(got.size, 0.5 - mean), abs=1e-7)
+            cells.append((H, rows))
+            labels.append((ds.y[rows] <= pilot.q(arm, 0.5)).astype(float)[:, None])
+    theta, converged, separated = _fit_logit_cells(cells, labels)
+    assert converged.all() and not separated.any()
+    for th, y in zip(theta, labels):
+        assert expit(th[0, 0]) == pytest.approx(y.mean(), abs=1e-7)
 
 
 def test_mlx_coefficient_layout():
@@ -368,39 +388,24 @@ def test_mlx_reduces_to_ml_when_interactions_vanish():
     ds = Dataset.from_arrays(y, np.tile([0, 1], n // 2), np.zeros(n), x)
     st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
-    ml = _fit_ml(ds, st, pilot, GRID, logistic_features(2))
-    mlx = _fit_ml(ds, st, pilot, GRID, logistic_features(2, True), method="mlx")
+    ml = _fit_ml(ds, st, pilot, GRID)
+    mlx = _fit_ml(ds, st, pilot, GRID, method="mlx")
     assert np.array_equal(mlx.live, ml.live)
     assert np.allclose(mlx.coef[..., :3], ml.coef, atol=1e-7)
     assert np.all(np.abs(mlx.coef[..., 3]) < 1e-10)
 
 
-def test_np_equals_ml_on_same_features():
-    rng = np.random.default_rng(10)
-    ds = _two_strata_dataset(rng)
-    st = index_strata(ds)
-    pilot = _median_pilot(ds.y, ds.a)
-    fm = logistic_features(2)
-    ml = _fit_ml(ds, st, pilot, GRID, fm)
-    np_ = _fit_ml(ds, st, pilot, GRID, fm, method="np")
-    assert np_.method == "np"
-    assert np.array_equal(np_.live, ml.live)
-    assert np.array_equal(np_.coef, ml.coef)
-
-
 def test_np_all_cells_too_small_raises():
     rng = np.random.default_rng(11)
-    n = 16
+    n = 12
     ds = Dataset.from_arrays(
         rng.normal(size=n), np.tile([0, 1], n // 2), np.zeros(n), rng.normal(0, 1, (n, 2))
     )
     st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
-    # 7 terms > cell - 2
-    wide = FeatureMap("wide", (("const",), ("x", 0), ("x", 1), ("prod", 0, 0), ("prod", 1, 1),
-                               ("prod", 0, 1), ("thrprod", 0, 0.0, 1, 0.0)))
+    # 6-row cells: the 5-term sieve of two covariates needs at least 7
     with pytest.raises(DataValidationError, match=r"np: every \(arm, stratum\) cell is too small"):
-        _fit_ml(ds, st, pilot, GRID, wide, method="np")
+        _fit_ml(ds, st, pilot, GRID, method="np")
 
 
 def test_partial_small_cells_degrade_with_warning():
@@ -433,11 +438,10 @@ def test_np_fitted_cdf_not_monotone_in_tau():
     st = index_strata(ds)
     grid = QuantileGrid.of([0.4, 0.6])
     pilot = pilot_quantiles(ds, st, grid)
-    sieve = build_sieve_map(ds.x)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = _fit_ml(ds, st, pilot, grid, sieve, method="np")
-    H = sieve.build(ds.x)
+        model = _fit_ml(ds, st, pilot, grid, method="np")
+    H = features_reference("np", ds.x)
     p_lo = expit(H @ model.coef[1, 0, 0])
     p_hi = expit(H @ model.coef[1, 0, 1])
     assert np.any(p_lo > p_hi + 1e-9)
@@ -467,7 +471,7 @@ def test_lpml_matches_ridge_reference():
     pilot = _median_pilot(ds.y, ds.a)
     ml = _fit_ml(ds, st, pilot, GRID)
     model = fit_lpml(ds, st, pilot, GRID, ml_model=ml)
-    H = logistic_features(2).build(ds.x)
+    H = features_reference("ml", ds.x)
     assert model.live.all()
     for arm, s, ti in np.ndindex(model.live.shape):
         th = model.coef[arm, s, ti]
@@ -575,8 +579,7 @@ def test_lasso_recovers_planted_signal():
     for seed in range(5):
         ds, pilot = _signal_dataset(seed)
         model = fit_hd_lasso(
-            ds, index_strata(ds), pilot, GRID, logistic_features(20),
-            LassoConfig(forced_support=()),
+            ds, index_strata(ds), pilot, GRID, LassoConfig(forced_support=()),
         )
         for arm in (0, 1):
             # dictionary columns: 0 intercept, 1 signal, 2 its duplicate
@@ -593,8 +596,7 @@ def test_lasso_null_design_selects_little():
         y = rng.normal(0, 1, n)
         ds = Dataset.from_arrays(y, a, np.zeros(n, int), x)
         model = fit_hd_lasso(
-            ds, index_strata(ds), _median_pilot(y, a), GRID,
-            logistic_features(p), LassoConfig(forced_support=()),
+            ds, index_strata(ds), _median_pilot(y, a), GRID, LassoConfig(forced_support=()),
         )
         for arm in (0, 1):
             sizes.append(len(model.support[(arm, 0, 0)]) - 1)  # minus intercept
@@ -604,9 +606,8 @@ def test_lasso_null_design_selects_little():
 def test_lasso_kkt_conditions_verified_independently():
     ds, pilot = _signal_dataset(0)
     st = index_strata(ds)
-    model = fit_hd_lasso(ds, st, pilot, GRID, logistic_features(20),
-                         LassoConfig(forced_support=()))
-    H = logistic_features(20).build(ds.x)
+    model = fit_hd_lasso(ds, st, pilot, GRID, LassoConfig(forced_support=()))
+    H = features_reference("lasso", ds.x)
     for arm in (0, 1):
         rows = np.flatnonzero(ds.a == arm)
         labels = (ds.y[rows] <= pilot.q(arm, 0.5)).astype(float)
@@ -618,7 +619,7 @@ def test_lasso_kkt_conditions_verified_independently():
 def test_lasso_post_support_contains_forced():
     ds, pilot = _signal_dataset(3)
     cfg = LassoConfig(forced_support=(7,))
-    model = fit_hd_lasso(ds, index_strata(ds), pilot, GRID, logistic_features(20), cfg)
+    model = fit_hd_lasso(ds, index_strata(ds), pilot, GRID, cfg)
     for arm in (0, 1):
         sup = model.support[(arm, 0, 0)]
         assert 7 in sup
@@ -633,8 +634,7 @@ def test_lasso_empty_support_falls_back():
     y = rng.normal(0, 1, n)
     ds = Dataset.from_arrays(y, np.tile([0, 1], n // 2), np.zeros(n, int), x)
     cfg = LassoConfig(c=50.0, forced_support=())  # penalty so heavy nothing enters
-    model = fit_hd_lasso(ds, index_strata(ds), _median_pilot(y, ds.a), GRID,
-                         logistic_features(4), cfg)
+    model = fit_hd_lasso(ds, index_strata(ds), _median_pilot(y, ds.a), GRID, cfg)
     for arm in (0, 1):
         assert set(model.support[(arm, 0, 0)]) == {0}  # intercept only
     theta0 = model.coef[1, 0, 0, 0]
@@ -644,33 +644,20 @@ def test_lasso_empty_support_falls_back():
 def test_lasso_mhat_sign_convention_and_debug_flag():
     ds, pilot = _signal_dataset(4)
     st = index_strata(ds)
-    model = fit_hd_lasso(ds, st, pilot, GRID, logistic_features(20),
-                         LassoConfig(forced_support=()))
-    H = logistic_features(20).build(ds.x[:1])
+    model = fit_hd_lasso(ds, st, pilot, GRID, LassoConfig(forced_support=()))
+    H = features_reference("lasso", ds.x[:1])
     prob = float(expit(H @ model.coef[1, 0, 0])[0])
     assert model.evaluate_all(GRID, ds)[1][0, 0] == pytest.approx(0.5 - prob)
     # The raw-probability debug flag is gone: tau - p is the only convention.
     assert "hd_raw_mhat" not in {f.name for f in dataclasses.fields(model)}
 
 
-def test_penalty_forms_both_exposed():
-    from carqte.adjust import penalty_level
-
-    a = penalty_level(100, 20, LassoConfig(penalty_form="c31"))
-    b = penalty_level(100, 20, LassoConfig(penalty_form="a9"))
-    assert a > 0 and b > 0 and a != b
-
-
-@pytest.mark.parametrize("form", ["c31", "a9"])
 @pytest.mark.parametrize("n_cell,p", [(2, 1), (40, 3), (100, 20), (5000, 400)])
-def test_penalty_level_equals_norm_ppf_formula(form, n_cell, p):
+def test_penalty_level_equals_norm_ppf_formula(n_cell, p):
     from scipy.stats import norm
 
-    from carqte.adjust import penalty_level
-
-    cfg = LassoConfig(c=1.1, penalty_form=form)
-    logn = max(np.log(n_cell), 1.0)
-    tail = 1.0 / (p * logn) if form == "c31" else 0.1 / (4.0 * logn * p)
+    cfg = LassoConfig(c=1.1)
+    tail = 1.0 / (p * max(np.log(n_cell), 1.0))
     want = cfg.c * np.sqrt(n_cell) * norm.ppf(1.0 - min(tail, 0.5))
     assert penalty_level(n_cell, p, cfg) == want
 
@@ -696,16 +683,6 @@ def _evaluation_datasets():
     return mixed, Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
 
 
-def _feature_map(method, ds):
-    """The feature map ``fit_adjustment`` fits ``method`` on."""
-    d = ds.n_covariates
-    if method == "lp":
-        return raw_features(d)
-    if method == "np":
-        return build_sieve_map(ds.x)
-    return logistic_features(d, method in ("mlx", "lpmlx"))
-
-
 @pytest.mark.parametrize("method", METHODS)
 def test_evaluate_all_matches_per_cell_reference(method):
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
@@ -718,9 +695,9 @@ def test_evaluate_all_matches_per_cell_reference(method):
             ml = _fit_quiet(fit_adjustment, LOGIT_BASE[method], ds, st, pilot, grid)
         model = _fit_quiet(fit_adjustment, method, ds, st, pilot, grid, ml_model=ml)
         values = model.evaluate_all(grid, ds)
-        fm = None if method == "na" else _feature_map(method, ds)
+        H = None if method == "na" else features_reference(method, ds.x)
         for arm in (0, 1):
-            want = evaluate_reference(model, arm, grid, ds, fm, ml)
+            want = evaluate_reference(model, arm, grid, ds, H, ml)
             assert np.array_equal(values[arm], want)
         degraded.append(not model.live.all())
         zero_variance.append(bool(model.diagnostics.get("zero_variance")))
@@ -735,8 +712,7 @@ def test_model_solver_builds_no_features(monkeypatch):
     pilot = pilot_quantiles(ds, st, grid)
     models = [_fit_quiet(fit_adjustment, m, ds, st, pilot, grid) for m in METHODS]
     calls = []
-    build = FeatureMap.build
-    monkeypatch.setattr(FeatureMap, "build", lambda fm, x: calls.append(fm.kind) or build(fm, x))
+    monkeypatch.setattr(adjust, "_features", lambda method, x: calls.append(method))
     _model_solver(ds, st, models, grid)
     assert calls == []  # every model holds its in-sample fit
 
@@ -757,7 +733,7 @@ def test_ml_zero_coefficients_give_tau_minus_half():
     assert np.all((model.prob > 0.0) & (model.prob < 1.0))
     zeroed = dataclasses.replace(model, coef=np.zeros_like(model.coef))
     for arm in (0, 1):
-        ref = evaluate_reference(zeroed, arm, GRID, ds, logistic_features(2))
+        ref = evaluate_reference(zeroed, arm, GRID, ds, features_reference("ml", ds.x))
         assert np.all(ref == 0.0)  # 0.5 - lambda(0)
     half = dataclasses.replace(model, prob=np.full_like(model.prob, 0.5))
     for out in half.evaluate_all(GRID, ds):

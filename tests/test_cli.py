@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -95,19 +97,38 @@ def test_cli_import_does_not_load_scipy_stats():
 def test_public_surface_is_pinned():
     assert sorted(carqte.__all__) == [
         "AdjustmentModel", "BootstrapDrawSet", "BootstrapDraws", "CarqteError",
-        "DataValidationError", "Dataset", "DegenerateCellError", "DgpSpec", "FeatureMap",
+        "DataValidationError", "Dataset", "DegenerateCellError", "DgpSpec",
         "InferenceResult", "LassoConfig", "METHODS", "NumericalError",
         "PotentialData", "QteEstimate", "QuantileGrid", "SCHEME_KINDS", "ScenarioResult",
         "ScenarioSpec", "SchemeSpec", "StrataStats", "adjust", "assign", "assign_bcd",
         "assign_sbr", "assign_srs", "assign_wei", "bootstrap", "bootstrap_se",
-        "build_sieve_map", "cached_true_qte", "data", "dgp", "difference_test",
+        "cached_true_qte", "data", "dgp", "difference_test",
         "draw_weights", "emit_table", "empirical_quantile", "errors", "estimator",
         "fit_adjustment", "fit_hd_lasso", "fit_lp", "fit_lpml", "fit_ml",
         "fit_none", "generate", "harness", "index_strata", "load_csv",
-        "logistic_features", "pilot_quantiles", "pointwise_test", "qte",
-        "randomization", "raw_features", "run_bootstrap", "run_scenario",
+        "pilot_quantiles", "pointwise_test", "qte",
+        "randomization", "run_bootstrap", "run_scenario",
         "true_qte_oracle", "uniform_band",
     ]
+
+
+def test_fitter_options_are_pinned():
+    # A new fitter option or config field shows up here as a test diff.
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    adjust = carqte.adjust
+    assert params(adjust.fit_adjustment) == [
+        "method", "dataset", "stats", "pilot", "grid", "lasso_config", "ml_model"]
+    assert params(adjust.fit_lp) == ["dataset", "stats", "pilot", "grid"]
+    assert params(adjust.fit_ml) == ["items", "grid", "method"]
+    assert params(adjust.fit_lpml) == ["dataset", "stats", "pilot", "grid", "ml_model", "method"]
+    assert params(adjust.fit_hd_lasso) == ["dataset", "stats", "pilot", "grid", "config"]
+    assert params(adjust.penalty_level) == ["n_cell", "p_penalized", "config"]
+    fields = [f.name for f in dataclasses.fields(adjust.LassoConfig)]
+    assert fields == ["c", "loading_iterations", "forced_support"]
+    fields = [f.name for f in dataclasses.fields(adjust.AdjustmentModel)]
+    assert fields == ["method", "taus", "coef", "live", "prob", "support", "diagnostics"]
 
 
 def test_names_the_benchmark_tracer_wraps_exist():
@@ -188,6 +209,23 @@ def test_config_file_with_flag_precedence(experiment_csv, tmp_path):
     report = json.loads(open(out).read())
     assert report["B"] == 30      # flag wins
     assert report["seed"] == 9    # config fills the gap
+
+
+def test_abbreviated_flag_is_a_usage_error_and_a_full_one_beats_config(experiment_csv, tmp_path,
+                                                                       capsys):
+    # A prefix such as --se would otherwise set seed while the config's seed
+    # still won, since explicit options are read from the literal tokens.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 9, "taus": [0.5], "B": 20}))
+    out = tmp_path / "r.json"
+    base = ["estimate", "--input", experiment_csv, "--config", str(cfg), "--out", str(out)]
+    for flag in (["--se", "5"], ["--se=5"]):
+        assert main(base + flag) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["simulate", "--rep", "1"]) == 2
+    assert main(base + ["--seed", "5"]) == 0
+    assert json.loads(out.read_text())["seed"] == 5
 
 
 @pytest.mark.parametrize("key", ["func", "command", "config"])

@@ -4,7 +4,7 @@ Each test transforms a dataset in a way that leaves the estimator's answer
 known in advance and compares every point estimate and bootstrap draw with
 the untransformed run, bit for bit.  The designs are dgp1 and dgp2 under
 stratified block randomization at n=400 with the taus 0.25/0.5/0.75 and
-B=50, for the seven low-dimensional methods; at much larger n a cell's
+B=50, for every method, the lasso included; at much larger n a cell's
 Newton chunk follows stratum order, so the bit-identities are pinned at this
 n only.
 """
@@ -19,9 +19,6 @@ from carqte.harness import _fit_and_bootstrap
 
 N = 400
 GRID = QuantileGrid.of([0.25, 0.5, 0.75])
-# The low-dimensional methods; lasso, which targets the high-dimensional
-# design, is left to its own tests.
-LOW_DIM = tuple(m for m in METHODS if m != "lasso")
 
 
 def _design(kind, seed):
@@ -30,19 +27,19 @@ def _design(kind, seed):
     return latent.observed(a), a, latent.s, latent.x
 
 
-def _run(y, a, s, x, methods=LOW_DIM):
+def _run(y, a, s, x):
     """Every method's point estimate and draws, from one pipeline call."""
     ds = Dataset.from_arrays(y, a, s, x)
     stats = index_strata(ds)
     pilot = pilot_quantiles(ds, stats, GRID)
-    boot = _fit_and_bootstrap(ds, stats, pilot, methods, GRID, 50,
+    boot = _fit_and_bootstrap(ds, stats, pilot, METHODS, GRID, 50,
                               np.random.default_rng(np.random.SeedSequence(9)), None,
                               LassoConfig(), {})
     return [(b.point.q1, b.point.q0, b.draws) for b in boot]
 
 
 def _assert_same(got, want, scale=1.0):
-    for method, g, w in zip(LOW_DIM, got, want, strict=True):
+    for method, g, w in zip(METHODS, got, want, strict=True):
         for g_arr, w_arr in zip(g, w, strict=True):
             assert np.array_equal(g_arr, scale * w_arr), method
 
