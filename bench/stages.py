@@ -58,14 +58,13 @@ def per_test_inference(spec, truth, boot) -> dict:
     for method, draws in zip(spec.methods, boot):
         est = draws.point.qte
         for j, tau in enumerate(taus):
-            res = pointwise_test(est[j], draws.draws[:, j], None, spec.alpha)
+            res = pointwise_test(est[j], draws.draws[:, j], spec.alpha)
             out[(method, f"pointwise@{tau:g}")] = (
                 float(res.rejects(truth[j])), float(res.rejects(truth[j] + spec.delta)),
                 float(est[j] - truth[j]), res.se,
             )
         dtruth = truth[-1] - truth[0]
-        d = difference_test(est[-1], est[0], draws.draws[:, -1], draws.draws[:, 0], None,
-                            spec.alpha)
+        d = difference_test(est[-1], est[0], draws.draws[:, -1], draws.draws[:, 0], spec.alpha)
         out[(method, f"diff({taus[-1]:g},{taus[0]:g})")] = (
             float(d.rejects(dtruth)), float(d.rejects(dtruth + spec.delta)),
             float((est[-1] - est[0]) - dtruth), d.se,

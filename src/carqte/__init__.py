@@ -30,7 +30,6 @@ from .data import (
     Dataset,
     QuantileGrid,
     StrataStats,
-    index_strata,
     load_csv,
 )
 from .dgp import DgpSpec, PotentialData, cached_true_qte, generate, true_qte_oracle

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, ndtri
 
-from .data import Dataset, QuantileGrid, StrataStats
+from .data import Dataset, QuantileGrid
 from .errors import CarqteError, DataValidationError
 
 METHODS = ("na", "lp", "ml", "lpml", "mlx", "lpmlx", "np", "lasso")
@@ -62,10 +62,10 @@ def _features(method: str, x: np.ndarray) -> np.ndarray:
     ``lp``: x itself.  ``ml``, ``lpml`` and ``lasso``: [1 | x].  ``mlx`` and
     ``lpmlx``: those columns, then x_i x_j for every i < j.  ``np``: the
     ``mlx`` columns, then x_i 1{x_i > t_i} x_j 1{x_j > t_j} for every i < j,
-    at the column medians t (without covariates, the intercept alone).
+    at the column medians t.
     """
     n, d = x.shape
-    if d < 1 and method != "np":
+    if d < 1:
         raise DataValidationError(f"{method} needs at least one covariate")
     interact = method in ("mlx", "lpmlx", "np")
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)] if interact else []
@@ -315,18 +315,18 @@ def _fit_logit_cell(H: np.ndarray, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cell_rows(dataset: Dataset, stats: StrataStats):
+def _cell_rows(dataset: Dataset):
     out = {}
-    for s in range(stats.n_strata):
+    for s in range(dataset.n_strata):
         in_s = dataset.s == s
         out[(1, s)] = np.flatnonzero(in_s & (dataset.a == 1))
         out[(0, s)] = np.flatnonzero(in_s & (dataset.a == 0))
     return out
 
 
-def _cells(stats: StrataStats, taus: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _cells(dataset: Dataset, taus: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Zero coefficients and an all-degraded mask for every (arm, stratum, tau) cell."""
-    shape = (2, stats.n_strata, len(taus))
+    shape = (2, dataset.n_strata, len(taus))
     return np.zeros(shape + (p,)), np.zeros(shape, dtype=bool)
 
 
@@ -355,20 +355,15 @@ def fit_none(grid: QuantileGrid) -> AdjustmentModel:
     )
 
 
-def fit_lp(
-    dataset: Dataset,
-    stats: StrataStats,
-    pilot,
-    grid: QuantileGrid,
-) -> AdjustmentModel:
+def fit_lp(dataset: Dataset, pilot, grid: QuantileGrid) -> AdjustmentModel:
     """Within-cell least squares of the outcome indicator on demeaned regressors."""
     H = _features("lp", dataset.x)
     p = H.shape[1]
     taus = tuple(grid)
-    coef, live = _cells(stats, taus, p)
+    coef, live = _cells(dataset, taus, p)
     degraded: list = []
     singular: list = []
-    for (a, s), rows in _cell_rows(dataset, stats).items():
+    for (a, s), rows in _cell_rows(dataset).items():
         if rows.size < p + 2:
             degraded.append((a, s))
             continue
@@ -399,7 +394,7 @@ def fit_lp(
 
 def fit_ml(items, grid: QuantileGrid, method: str = "ml") -> list:
     """Logistic quasi-ML per cell on indicator labels below the pilot quantile,
-    for a group of ``(dataset, stats, pilot)`` items in one batched solve.
+    for a group of ``(dataset, pilot)`` items in one batched solve.
 
     ``method`` (``ml``, ``mlx`` or ``np``) names the results and picks each
     item's regressors, the sieve at that dataset's own medians for ``np``.
@@ -408,10 +403,10 @@ def fit_ml(items, grid: QuantileGrid, method: str = "ml") -> list:
     """
     taus = tuple(grid)
     prepared, cells, labels = [], [], []
-    for dataset, stats, pilot in items:
+    for dataset, pilot in items:
         H = _features(method, dataset.x)
         p = H.shape[1]
-        rows_of = _cell_rows(dataset, stats)
+        rows_of = _cell_rows(dataset)
         degraded = [(a, s) for (a, s), rows in rows_of.items() if rows.size < p + 2]
         fitted = [(a, s, rows) for (a, s), rows in rows_of.items() if rows.size >= p + 2]
         cutoffs = [np.array([pilot.q(a, tau) for tau in taus]) for a in (0, 1)]
@@ -425,8 +420,8 @@ def fit_ml(items, grid: QuantileGrid, method: str = "ml") -> list:
         fits = zip(theta, sep)
     del cells, labels  # freed before ``prob`` is allocated, so they add nothing to the peak
     out: list = []
-    for (dataset, stats, _), (H, fitted, degraded) in zip(items, prepared):
-        coef, live = _cells(stats, taus, H.shape[1])
+    for (dataset, _), (H, fitted, degraded) in zip(items, prepared):
+        coef, live = _cells(dataset, taus, H.shape[1])
         separated: list = []
         for a, s, _ in fitted:
             coef[a, s], sep_c = next(fits)
@@ -449,7 +444,6 @@ def fit_ml(items, grid: QuantileGrid, method: str = "ml") -> list:
 
 def fit_lpml(
     dataset: Dataset,
-    stats: StrataStats,
     pilot,
     grid: QuantileGrid,
     ml_model: AdjustmentModel | None = None,
@@ -466,21 +460,23 @@ def fit_lpml(
     """
     taus = tuple(grid)
     base = LOGIT_BASE[method]
+    if dataset.x.shape[1] < 1:
+        raise DataValidationError(f"{method} needs at least one covariate")
     if ml_model is None:
-        ml_model = fit_adjustment(base, dataset, stats, pilot, grid)
+        ml_model = fit_adjustment(base, dataset, pilot, grid)
     elif ml_model.method != base:
         raise DataValidationError(f"{method} recombines an {base} fit, not {ml_model.method}")
     elif ml_model.taus != taus or ml_model.prob.shape[1] != dataset.n \
-            or ml_model.live.shape[1] != stats.n_strata:
+            or ml_model.live.shape[1] != dataset.n_strata:
         raise DataValidationError("ml_model was fitted on other data or another grid")
     ml_prob = ml_model.prob
     delta = 1.0 / dataset.n
-    coef, live = _cells(stats, taus, 2)
+    coef, live = _cells(dataset, taus, 2)
     prob = np.empty(ml_prob.shape)
     prob[:] = np.asarray(taus)
     degraded: list = []
     zero_var: list = []
-    for (a, s), rows in _cell_rows(dataset, stats).items():
+    for (a, s), rows in _cell_rows(dataset).items():
         if rows.size < 4:  # two coefficients plus the usual slack
             degraded.append((a, s))
             continue
@@ -602,7 +598,6 @@ def _l1_logit_cd(H, y, lam, theta0=None):
 
 def fit_hd_lasso(
     dataset: Dataset,
-    stats: StrataStats,
     pilot,
     grid: QuantileGrid,
     config: LassoConfig | None = None,
@@ -621,14 +616,14 @@ def fit_hd_lasso(
     p = H.shape[1]
     pen_cols = np.arange(1, p)
     taus = tuple(grid)
-    coef, live = _cells(stats, taus, p)
+    coef, live = _cells(dataset, taus, p)
     support: dict = {}
     degraded: list = []
     kkt_diag: dict = {}
     hd_theta: dict = {}
     hd_lam: dict = {}
     not_converged: list = []
-    for (a, s), rows in _cell_rows(dataset, stats).items():
+    for (a, s), rows in _cell_rows(dataset).items():
         if rows.size < 3:
             degraded.append((a, s))
             continue
@@ -706,7 +701,6 @@ def fit_hd_lasso(
 def fit_adjustment(
     method: str,
     dataset: Dataset,
-    stats: StrataStats,
     pilot,
     grid: QuantileGrid,
     lasso_config: LassoConfig | None = None,
@@ -723,14 +717,14 @@ def fit_adjustment(
     if method == "na":
         return fit_none(grid)
     if method == "lp":
-        return fit_lp(dataset, stats, pilot, grid)
+        return fit_lp(dataset, pilot, grid)
     if method in LOGIT_METHODS:
-        (model,) = fit_ml([(dataset, stats, pilot)], grid, method=method)
+        (model,) = fit_ml([(dataset, pilot)], grid, method=method)
         if isinstance(model, CarqteError):
             raise model
         return model
     if method in LOGIT_BASE:
-        return fit_lpml(dataset, stats, pilot, grid, ml_model, method)
+        return fit_lpml(dataset, pilot, grid, ml_model, method)
     if method == "lasso":
-        return fit_hd_lasso(dataset, stats, pilot, grid, config=lasso_config)
+        return fit_hd_lasso(dataset, pilot, grid, config=lasso_config)
     raise DataValidationError(f"unknown adjustment method {method!r}")

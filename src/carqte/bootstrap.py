@@ -12,13 +12,13 @@ tests, and uniform bands.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
 
-from .data import Dataset, QuantileGrid, StrataStats
+from .data import Dataset, QuantileGrid
 from .errors import DataValidationError, NumericalError
 from .estimator import QteEstimate, _fixed_pis, _model_solver, _point
 
@@ -73,11 +73,10 @@ class BootstrapDrawSet:
 
 @dataclass(frozen=True)
 class InferenceResult:
-    """Point estimate with bootstrap standard error, CI/band, and decision.
+    """Point estimate with bootstrap standard error and CI/band.
 
     Fields are scalars for pointwise/difference tests and per-tau arrays for
-    the uniform band.  ``reject`` is None when no null value was supplied;
-    :meth:`rejects` decides any other null from the same result.
+    the uniform band.  :meth:`rejects` decides any null from the same result.
     """
 
     estimate: object
@@ -86,11 +85,9 @@ class InferenceResult:
     ci_upper: object
     critical_value: float
     alpha: float
-    reject: object = None
-    null_value: object = None
 
-    def rejects(self, null_value) -> bool:
-        """Whether the test rejects ``null_value``.
+    def rejects(self, null) -> bool:
+        """Whether the test rejects ``null``.
 
         A scalar test is a Wald test, which at a zero standard error reduces
         to an equality check of the estimate; a band rejects a null function
@@ -98,18 +95,12 @@ class InferenceResult:
         """
         if np.ndim(self.estimate) == 0:
             if self.se == 0.0:
-                return bool(self.estimate != null_value)
-            return bool(abs(self.estimate - null_value) / self.se >= self.critical_value)
-        nv = np.asarray(null_value, dtype=np.float64)
+                return bool(self.estimate != null)
+            return bool(abs(self.estimate - null) / self.se >= self.critical_value)
+        nv = np.asarray(null, dtype=np.float64)
         if nv.shape != np.shape(self.estimate):
             raise DataValidationError("null function must match the grid length")
         return bool(np.any((nv < self.ci_lower) | (nv > self.ci_upper)))
-
-    def _tested(self, null_value) -> "InferenceResult":
-        """This result with its decision on ``null_value`` (none when None)."""
-        if null_value is None:
-            return self
-        return replace(self, reject=self.rejects(null_value), null_value=null_value)
 
 
 def draw_weights(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -148,7 +139,6 @@ def _draw_matrix(k: int, B: int, n_taus: int) -> np.ndarray:
 
 def run_bootstrap(
     dataset: Dataset,
-    stats: StrataStats,
     models,
     grid: QuantileGrid,
     B: int,
@@ -182,14 +172,14 @@ def run_bootstrap(
     if not models:
         raise DataValidationError("need at least one model to bootstrap")
     n = dataset.n
-    n_strata = stats.n_strata
+    n_strata = dataset.n_strata
     n_taus = len(grid)
     # Allocated first: a B too large to hold ends here, before any work.
     draws = _draw_matrix(len(models), B, n_taus)
-    solver = _model_solver(dataset, stats, models, grid)
-    floor = _DEGENERATE_FRACTION * stats.n.astype(np.float64)
+    solver = _model_solver(dataset, models, grid)
+    floor = _DEGENERATE_FRACTION * dataset.strata.n.astype(np.float64)
     fixed_pis = None if fixed_pi is None else _fixed_pis(fixed_pi, n_strata)[None]
-    q1_unit, q0_unit = _point(solver, stats, fixed_pi)
+    q1_unit, q0_unit = _point(solver, dataset, fixed_pi)
 
     size = min(B, max(1, _BLOCK_FLOATS // n))
     # Each column's (arm, stratum) cell, s or S + s, offset by 2S per block
@@ -244,17 +234,14 @@ def _normal_critical_values(alpha: float) -> tuple[float, float]:
 
 
 def pointwise_test(
-    estimate: float,
-    draws_at_tau: np.ndarray,
-    null_value: float | None = None,
-    alpha: float = 0.05,
+    estimate: float, draws_at_tau: np.ndarray, alpha: float = 0.05,
 ) -> InferenceResult:
-    """Normal-critical-value CI around the estimate, and a Wald decision.
+    """Normal-critical-value CI around the estimate, for a Wald decision.
 
     With a zero bootstrap standard error the test degenerates to an equality
     check of the estimate against the null.
     """
-    return _wald(estimate, bootstrap_se(draws_at_tau), alpha)._tested(null_value)
+    return _wald(estimate, bootstrap_se(draws_at_tau), alpha)
 
 
 def _wald(estimate: float, se: float, alpha: float) -> InferenceResult:
@@ -276,7 +263,6 @@ def difference_test(
     estimate_2: float,
     draws_at_tau1: np.ndarray,
     draws_at_tau2: np.ndarray,
-    null_value: float | None = None,
     alpha: float = 0.05,
 ) -> InferenceResult:
     """Test q(tau1) - q(tau2) using per-draw differences of the estimates."""
@@ -284,7 +270,7 @@ def difference_test(
     d2 = np.asarray(draws_at_tau2, dtype=np.float64)
     if d1.shape != d2.shape:
         raise DataValidationError("draw columns must have equal length")
-    return pointwise_test(estimate_1 - estimate_2, d1 - d2, null_value, alpha)
+    return pointwise_test(estimate_1 - estimate_2, d1 - d2, alpha)
 
 
 def sup_critical_value(sups: np.ndarray, alpha: float) -> float:
@@ -296,12 +282,7 @@ def sup_critical_value(sups: np.ndarray, alpha: float) -> float:
     return float(s[k - 1])
 
 
-def uniform_band(
-    estimates: np.ndarray,
-    draws: np.ndarray,
-    alpha: float = 0.05,
-    null_values: np.ndarray | None = None,
-) -> InferenceResult:
+def uniform_band(estimates: np.ndarray, draws: np.ndarray, alpha: float = 0.05) -> InferenceResult:
     """Simultaneous confidence band over the quantile grid.
 
     Per-tau standard errors come from the shared interquantile convention;
@@ -316,7 +297,7 @@ def uniform_band(
         raise DataValidationError("draws must be B x len(estimates)")
     if d.shape[0] < 2:
         raise DataValidationError("need at least two bootstrap draws")
-    return _band(est, d, *_se_and_center(d), alpha)._tested(null_values)
+    return _band(est, d, *_se_and_center(d), alpha)
 
 
 def _se_and_center(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,12 +15,13 @@ import numpy as np
 
 from . import __version__
 # perfbench/child.py wraps the names this module imports; fit_adjustment,
-# run_bootstrap, the inference functions and qte are imported for it only.
+# run_bootstrap, the inference functions, index_strata and qte are imported
+# for it only.
 from .adjust import METHODS, LassoConfig, fit_adjustment  # noqa: F401
 from .bootstrap import (  # noqa: F401
     _normal_critical_values, difference_test, pointwise_test, run_bootstrap, uniform_band,
 )
-from .data import QuantileGrid, _checked_fractions, index_strata, load_csv
+from .data import QuantileGrid, _checked_fractions, index_strata, load_csv  # noqa: F401
 from .dgp import DGP_KINDS, DgpSpec
 from .errors import CarqteError, DataValidationError, NumericalError
 from .estimator import pilot_quantiles, qte  # noqa: F401
@@ -186,12 +187,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.uniform and len(grid) < 2:
         raise DataValidationError("uniform band needs a grid of at least two taus")
     dataset = load_csv(args.input)
-    stats = index_strata(dataset)
-    pilot = pilot_quantiles(dataset, stats, grid)
+    pilot = pilot_quantiles(dataset, grid)
     lasso_cfg = LassoConfig(c=args.lasso_c, loading_iterations=args.lasso_iters)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    boot = _fit_and_bootstrap(dataset, stats, pilot, (args.adjust,), grid, args.B, rng,
-                              fixed_pi, lasso_cfg, {})
+    boot = _fit_and_bootstrap(dataset, pilot, (args.adjust,), grid, args.B, rng, fixed_pi,
+                              lasso_cfg, {})
     pairs = [tuple(grid.index_of(t) for t in diff)] if diff is not None else []
     (results,) = _wald_tests(boot, alpha, pairs, args.uniform)
     report = {

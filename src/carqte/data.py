@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -105,9 +106,10 @@ class Dataset:
     def n_strata(self) -> int:
         return len(self.strata_labels)
 
-    @property
-    def n_covariates(self) -> int:
-        return self.x.shape[1]
+    @cached_property
+    def strata(self) -> StrataStats:
+        """Per-stratum counts (:func:`index_strata`), computed on first read."""
+        return index_strata(self)
 
 
 @dataclass(frozen=True)
@@ -146,20 +148,15 @@ class QuantileGrid:
 class StrataStats:
     """Per-stratum counts and treated fractions, indexed by dense stratum code."""
 
-    labels: tuple
     n: np.ndarray
     n1: np.ndarray
     n0: np.ndarray
     pi_hat: np.ndarray
     degenerate: tuple[int, ...]
 
-    @property
-    def n_strata(self) -> int:
-        return len(self.labels)
-
 
 def index_strata(dataset: Dataset) -> StrataStats:
-    """Count units per stratum and arm.
+    """Count units per stratum and arm: the body of :attr:`Dataset.strata`.
 
     Raises :class:`DataValidationError` when some stratum label has no rows.
     Degenerate cells (a stratum whose treated or control arm is empty) are
@@ -179,7 +176,6 @@ def index_strata(dataset: Dataset) -> StrataStats:
     pi_hat = n1.astype(np.float64) / n.astype(np.float64)
     degen = np.flatnonzero((n1 == 0) | (n0 == 0))
     return StrataStats(
-        labels=dataset.strata_labels,
         n=_readonly(n),
         n1=_readonly(n1),
         n0=_readonly(n0),

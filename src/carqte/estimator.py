@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, QuantileGrid, StrataStats, _checked_fractions
+from .data import Dataset, QuantileGrid, _checked_fractions
 from .errors import DataValidationError, DegenerateCellError, NumericalError
 
 
@@ -146,10 +146,10 @@ class _Solver:
         return out[0], out[1]
 
 
-def _model_solver(dataset: Dataset, stats: StrataStats, models, grid: QuantileGrid) -> _Solver:
+def _model_solver(dataset: Dataset, models, grid: QuantileGrid) -> _Solver:
     """Solver over the adjustments of ``models``, evaluated on every row; every
     estimate and draw passes here, so it refuses degenerate strata."""
-    degenerate = [stats.labels[i] for i in stats.degenerate]
+    degenerate = [dataset.strata_labels[i] for i in dataset.strata.degenerate]
     if degenerate:
         raise DegenerateCellError(degenerate)
     values = [m.evaluate_all(grid, dataset) for m in models]
@@ -157,24 +157,18 @@ def _model_solver(dataset: Dataset, stats: StrataStats, models, grid: QuantileGr
     return _Solver(dataset, np.tile(tuple(grid), len(models)), m_by_arm)
 
 
-def _point(solver: _Solver, stats: StrataStats, fixed_pi) -> tuple[np.ndarray, np.ndarray]:
+def _point(solver: _Solver, dataset: Dataset, fixed_pi) -> tuple[np.ndarray, np.ndarray]:
     """(q1, q0) per column at unit weights: the solve as a one-row block.
 
-    Unit weights give the count fractions ``stats.pi_hat``, or the known
-    ``fixed_pi`` when one is given.
+    Unit weights give the count fractions ``dataset.strata.pi_hat``, or the
+    known ``fixed_pi`` when one is given.
     """
-    pis = stats.pi_hat if fixed_pi is None else _fixed_pis(fixed_pi, stats.n_strata)
+    pis = dataset.strata.pi_hat if fixed_pi is None else _fixed_pis(fixed_pi, dataset.n_strata)
     q1, q0 = solver.solve(np.ones((1, solver.n)), pis[None])
     return q1[0], q0[0]
 
 
-def qte(
-    dataset: Dataset,
-    stats: StrataStats,
-    model,
-    grid: QuantileGrid,
-    fixed_pi=None,
-) -> QteEstimate:
+def qte(dataset: Dataset, model, grid: QuantileGrid, fixed_pi=None) -> QteEstimate:
     """Adjusted QTE curve: per-tau difference of the two arm solutions.
 
     The model is evaluated on the dataset rows once, for both arms, and the
@@ -182,13 +176,13 @@ def qte(
     estimated treated fractions; a scalar or per-stratum value in (0, 1)
     fixes them instead.
     """
-    solver = _model_solver(dataset, stats, (model,), grid)
-    q1, q0 = _point(solver, stats, fixed_pi)
+    solver = _model_solver(dataset, (model,), grid)
+    q1, q0 = _point(solver, dataset, fixed_pi)
     return QteEstimate(taus=tuple(grid), q1=q1, q0=q0)
 
 
-def pilot_quantiles(dataset: Dataset, stats: StrataStats, grid: QuantileGrid) -> QteEstimate:
+def pilot_quantiles(dataset: Dataset, grid: QuantileGrid) -> QteEstimate:
     """Unadjusted arm quantiles (zero adjustment, unit weights)."""
     from .adjust import fit_none
 
-    return qte(dataset, stats, fit_none(grid), grid)
+    return qte(dataset, fit_none(grid), grid)

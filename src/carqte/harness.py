@@ -27,7 +27,7 @@ from .bootstrap import (
 )
 # perfbench traces these by name; the harness no longer calls them.
 from .bootstrap import difference_test, pointwise_test, uniform_band  # noqa: F401
-from .data import Dataset, QuantileGrid, index_strata
+from .data import Dataset, QuantileGrid, index_strata  # noqa: F401 - perfbench traces it
 from .dgp import DgpSpec, cached_true_qte, generate
 from .errors import CarqteError, DataValidationError
 from .estimator import pilot_quantiles, qte  # noqa: F401 - perfbench traces harness.qte
@@ -100,7 +100,7 @@ def _test_names(grid: QuantileGrid) -> list[str]:
 
 
 def _prepare(spec: ScenarioSpec, rep: int) -> tuple:
-    """Replication ``rep``'s data: the ``(dataset, stats, pilot)`` fit item."""
+    """Replication ``rep``'s data: the ``(dataset, pilot)`` fit item."""
     latent = generate(
         spec.dgp, np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep, 0)))
     )
@@ -109,8 +109,7 @@ def _prepare(spec: ScenarioSpec, rep: int) -> tuple:
         np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep, 1))),
     )
     dataset = Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
-    stats = index_strata(dataset)
-    return dataset, stats, pilot_quantiles(dataset, stats, spec.taus)
+    return dataset, pilot_quantiles(dataset, spec.taus)
 
 
 # The pipeline of ``carqte estimate`` and of one Monte Carlo replication
@@ -120,8 +119,7 @@ def _prepare(spec: ScenarioSpec, rep: int) -> tuple:
 # module's globals.
 
 
-def _fit_and_bootstrap(dataset, stats, pilot, methods, grid, B, rng, fixed_pi, lasso_cfg,
-                       models: dict):
+def _fit_and_bootstrap(dataset, pilot, methods, grid, B, rng, fixed_pi, lasso_cfg, models: dict):
     """Fit every method missing from ``models``, then bootstrap them all.
 
     lpml/lpmlx reuse the ml/mlx fit in ``models``; without one they fit
@@ -132,11 +130,10 @@ def _fit_and_bootstrap(dataset, stats, pilot, methods, grid, B, rng, fixed_pi, l
     for method in methods:
         if method not in models:
             models[method] = fit_adjustment(
-                method, dataset, stats, pilot, grid, lasso_config=lasso_cfg,
+                method, dataset, pilot, grid, lasso_config=lasso_cfg,
                 ml_model=models.get(LOGIT_BASE.get(method)),
             )
-    return run_bootstrap(dataset, stats, [models[m] for m in methods], grid, B, rng,
-                         fixed_pi=fixed_pi)
+    return run_bootstrap(dataset, [models[m] for m in methods], grid, B, rng, fixed_pi=fixed_pi)
 
 
 def _wald_tests(boot, alpha: float, pairs, band: bool) -> list:

@@ -32,7 +32,6 @@ from carqte import (
     fit_hd_lasso,
     fit_lp,
     generate,
-    index_strata,
     pilot_quantiles,
     qte,
     run_bootstrap,
@@ -113,14 +112,13 @@ def test_criterion_2_location_shift_invariance():
     mismatches = 0
     for _ in range(200):
         ds = make_stratified_dataset(rng, n=50, k=2)
-        stats = index_strata(ds)
         model = TableModel({(a, t): rng.normal(0, 1, 50) for a in (0, 1) for t in grid})
         shifts = {(a, s): float(rng.normal(0, 5)) for a in (0, 1) for s in range(2)}
         shifted = model.shifted(ds, shifts)
-        base = qte(ds, stats, model, grid)
-        moved = qte(ds, stats, shifted, grid)
-        (d1,) = run_bootstrap(ds, stats, [model], grid, 25, np.random.default_rng(7))
-        (d2,) = run_bootstrap(ds, stats, [shifted], grid, 25, np.random.default_rng(7))
+        base = qte(ds, model, grid)
+        moved = qte(ds, shifted, grid)
+        (d1,) = run_bootstrap(ds, [model], grid, 25, np.random.default_rng(7))
+        (d2,) = run_bootstrap(ds, [shifted], grid, 25, np.random.default_rng(7))
         if not (np.array_equal(base.qte, moved.qte) and np.array_equal(d1.draws, d2.draws)):
             mismatches += 1
     _gate(
@@ -213,13 +211,12 @@ def test_criterion_7_lasso_correctness():
     latent = generate(DgpSpec("dgphd", 400), np.random.default_rng(SEED + 2))
     a = assign_sbr(latent.s, SchemeSpec("sbr"), np.random.default_rng(SEED + 3))
     ds = Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
-    stats = index_strata(ds)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
-    pilot = pilot_quantiles(ds, stats, grid)
+    pilot = pilot_quantiles(ds, grid)
     cfg = LassoConfig(forced_support=(1,))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = fit_hd_lasso(ds, stats, pilot, grid, cfg)
+        model = fit_hd_lasso(ds, pilot, grid, cfg)
     H = features_reference("lasso", ds.x)
     worst = 0.0
     n_cells = 0
@@ -247,7 +244,7 @@ def test_criterion_7_lasso_correctness():
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            m = fit_hd_lasso(dsp, index_strata(dsp), pil, GRID05, LassoConfig(forced_support=()))
+            m = fit_hd_lasso(dsp, pil, GRID05, LassoConfig(forced_support=()))
         # dictionary columns 1 and 2 are the planted signal and its duplicate
         recovered += all({1, 2} & set(m.support[(arm, 0, 0)]) for arm in (0, 1))
     _gate(
@@ -320,9 +317,8 @@ def test_criterion_9_numerical_fit_properties():
 
     # LP normal equations on every cell of a realistic fit
     ds = make_stratified_dataset(rng, n=160, k=2, d=2)
-    stats = index_strata(ds)
-    pilot = pilot_quantiles(ds, stats, GRID05)
-    model = fit_lp(ds, stats, pilot, GRID05)
+    pilot = pilot_quantiles(ds, GRID05)
+    model = fit_lp(ds, pilot, GRID05)
     worst_resid = 0.0
     for arm, s, ti in zip(*np.nonzero(model.live)):
         th = model.coef[arm, s, ti]

@@ -18,7 +18,6 @@ from carqte import (
     fit_lpml,
     fit_ml,
     fit_none,
-    index_strata,
     pilot_quantiles,
 )
 from carqte import adjust
@@ -164,9 +163,9 @@ def _mixed_logit_dataset(seed=0):
     return Dataset.from_arrays(y, a, s, x)
 
 
-def _fit_ml(ds, st, pilot, grid, method="ml"):
+def _fit_ml(ds, pilot, grid, method="ml"):
     """``fit_ml`` on a one-item group; raises the item's failure."""
-    (model,) = fit_ml([(ds, st, pilot)], grid, method)
+    (model,) = fit_ml([(ds, pilot)], grid, method)
     if isinstance(model, Exception):
         raise model
     return model
@@ -180,15 +179,14 @@ def _fit_quiet(fit, *args, **kwargs):
 
 def test_batched_logit_matches_per_problem_reference_on_mixed_batch():
     ds = _mixed_logit_dataset()
-    st = index_strata(ds)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
-    pilot = pilot_quantiles(ds, st, grid)
-    model = _fit_quiet(_fit_ml, ds, st, pilot, grid, method="np")
+    pilot = pilot_quantiles(ds, grid)
+    model = _fit_quiet(_fit_ml, ds, pilot, grid, method="np")
     H = features_reference("np", ds.x)
     zero_col = 4  # the threshold product of the two covariates
     assert model.diagnostics["degraded"] == ((1, 2),)
     separated = []
-    for s in range(st.n_strata):
+    for s in range(ds.n_strata):
         for a in (1, 0):
             rows = np.flatnonzero((ds.s == s) & (ds.a == a))
             if rows.size < H.shape[1] + 2:
@@ -238,12 +236,11 @@ def test_batched_logit_coefficients_do_not_depend_on_chunking(monkeypatch, metho
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
     for ds in (Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x),
                _mixed_logit_dataset()):
-        st = index_strata(ds)
-        pilot = pilot_quantiles(ds, st, grid)
+        pilot = pilot_quantiles(ds, grid)
         fits = []
         for budget in (1, 1 << 30):  # one cell per block; every cell in one block
             monkeypatch.setattr(adjust, "_BLOCK_FLOATS", budget)
-            fits.append(_fit_quiet(fit_adjustment, method, ds, st, pilot, grid))
+            fits.append(_fit_quiet(fit_adjustment, method, ds, pilot, grid))
         small, large = fits
         assert small.diagnostics == large.diagnostics
         assert np.array_equal(small.live, large.live)
@@ -267,8 +264,7 @@ def test_grouped_logit_fit_matches_each_items_solo_fit(method):
     items = []
     for ds in (Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x), tiny,
                _mixed_logit_dataset()):
-        st = index_strata(ds)
-        items.append((ds, st, pilot_quantiles(ds, st, grid)))
+        items.append((ds, pilot_quantiles(ds, grid)))
     grouped = _fit_quiet(fit_ml, items, grid, method=method)
     assert isinstance(grouped[1], DataValidationError)
     assert "every (arm, stratum) cell is too small" in str(grouped[1])
@@ -292,7 +288,7 @@ def test_lp_constant_indicator_gives_zero_slope():
     ds = _two_strata_dataset(rng)
     # pilot far above every outcome: all labels are 1
     pilot = QteEstimate((0.5,), np.array([1e6]), np.array([1e6]))
-    model = fit_lp(ds, index_strata(ds), pilot, GRID)
+    model = fit_lp(ds, pilot, GRID)
     assert model.live.all()
     assert np.max(np.abs(model.coef)) < 1e-10
 
@@ -305,16 +301,15 @@ def test_lp_slope_by_hand():
     x = np.array([[0.0], [0.0], [1.0], [1.0], [0.0], [0.0], [1.0], [1.0]])
     ds = Dataset.from_arrays(y, a, np.zeros(8), x)
     pilot = QteEstimate((0.5,), np.array([0.0]), np.array([0.0]))
-    model = fit_lp(ds, index_strata(ds), pilot, GRID)
+    model = fit_lp(ds, pilot, GRID)
     assert model.coef[1, 0, 0, 0] == pytest.approx(1.0)
 
 
 def test_lp_residual_orthogonality():
     rng = np.random.default_rng(2)
     ds = _two_strata_dataset(rng)
-    st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
-    model = fit_lp(ds, st, pilot, GRID)
+    model = fit_lp(ds, pilot, GRID)
     for arm in (0, 1):
         for s in (0, 1):
             rows = np.flatnonzero((ds.a == arm) & (ds.s == s))
@@ -330,9 +325,8 @@ def test_lp_singular_gram_uses_minimum_norm():
     x1 = rng.normal(0, 1, n)
     x = np.column_stack([x1, x1])  # duplicated column: singular Gram
     ds = Dataset.from_arrays(x1 + rng.normal(0, 1, n), np.tile([0, 1], n // 2), np.zeros(n), x)
-    st = index_strata(ds)
     with pytest.warns(UserWarning, match="singular"):
-        model = fit_lp(ds, st, _median_pilot(ds.y, ds.a), GRID)
+        model = fit_lp(ds, _median_pilot(ds.y, ds.a), GRID)
     th = model.coef[1, 0, 0]
     assert np.all(np.isfinite(th))
     assert th[0] == pytest.approx(th[1])  # minimum-norm splits evenly
@@ -341,8 +335,7 @@ def test_lp_singular_gram_uses_minimum_norm():
 def test_lp_evaluate_matches_direct_formula():
     rng = np.random.default_rng(4)
     ds = _two_strata_dataset(rng)
-    st = index_strata(ds)
-    model = fit_lp(ds, st, _median_pilot(ds.y, ds.a), GRID)
+    model = fit_lp(ds, _median_pilot(ds.y, ds.a), GRID)
     row = ds.x[5]
     s = int(ds.s[5])
     assert model.evaluate_all(GRID, ds)[1][5, 0] == pytest.approx(
@@ -374,8 +367,7 @@ def test_ml_intercept_only_matches_cell_mean():
 def test_mlx_coefficient_layout():
     rng = np.random.default_rng(8)
     ds = _two_strata_dataset(rng)
-    st = index_strata(ds)
-    model = fit_adjustment("mlx", ds, st, _median_pilot(ds.y, ds.a), GRID)
+    model = fit_adjustment("mlx", ds, _median_pilot(ds.y, ds.a), GRID)
     assert model.method == "mlx"
     assert model.coef.shape == (2, 2, 1, 4)  # (arm, stratum, tau, 1 + x1 + x2 + x1*x2)
 
@@ -386,10 +378,9 @@ def test_mlx_reduces_to_ml_when_interactions_vanish():
     x = np.column_stack([rng.normal(0, 1, n), np.zeros(n)])  # x1*x2 == 0
     y = x[:, 0] + rng.normal(0, 1, n)
     ds = Dataset.from_arrays(y, np.tile([0, 1], n // 2), np.zeros(n), x)
-    st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
-    ml = _fit_ml(ds, st, pilot, GRID)
-    mlx = _fit_ml(ds, st, pilot, GRID, method="mlx")
+    ml = _fit_ml(ds, pilot, GRID)
+    mlx = _fit_ml(ds, pilot, GRID, method="mlx")
     assert np.array_equal(mlx.live, ml.live)
     assert np.allclose(mlx.coef[..., :3], ml.coef, atol=1e-7)
     assert np.all(np.abs(mlx.coef[..., 3]) < 1e-10)
@@ -401,11 +392,10 @@ def test_np_all_cells_too_small_raises():
     ds = Dataset.from_arrays(
         rng.normal(size=n), np.tile([0, 1], n // 2), np.zeros(n), rng.normal(0, 1, (n, 2))
     )
-    st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
     # 6-row cells: the 5-term sieve of two covariates needs at least 7
     with pytest.raises(DataValidationError, match=r"np: every \(arm, stratum\) cell is too small"):
-        _fit_ml(ds, st, pilot, GRID, method="np")
+        _fit_ml(ds, pilot, GRID, method="np")
 
 
 def test_partial_small_cells_degrade_with_warning():
@@ -415,10 +405,9 @@ def test_partial_small_cells_degrade_with_warning():
     a = np.concatenate([np.tile([0, 1], 30), np.array([0, 1, 0, 1, 0, 1])])
     x = rng.normal(0, 1, (n, 2))
     ds = Dataset.from_arrays(rng.normal(size=n), a, s, x)
-    st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
     with pytest.warns(UserWarning, match="degraded"):
-        model = _fit_ml(ds, st, pilot, GRID)
+        model = _fit_ml(ds, pilot, GRID)
     assert not model.live[1, 1, 0]
     treated = model.evaluate_all(GRID, ds)[1]
     assert np.all(treated[s == 1] == 0.0)  # degraded cell adjusts by zero
@@ -435,12 +424,11 @@ def test_np_fitted_cdf_not_monotone_in_tau():
     x = rng.normal(0, 1, (n, 2))
     y = x[:, 0] * x[:, 1] + rng.normal(0, 1.5, n)
     ds = Dataset.from_arrays(y, a, np.zeros(n, int), x)
-    st = index_strata(ds)
     grid = QuantileGrid.of([0.4, 0.6])
-    pilot = pilot_quantiles(ds, st, grid)
+    pilot = pilot_quantiles(ds, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = _fit_ml(ds, st, pilot, grid, method="np")
+        model = _fit_ml(ds, pilot, grid, method="np")
     H = features_reference("np", ds.x)
     p_lo = expit(H @ model.coef[1, 0, 0])
     p_hi = expit(H @ model.coef[1, 0, 1])
@@ -453,13 +441,12 @@ def test_np_fitted_cdf_not_monotone_in_tau():
 def test_lpml_handles_collinear_probability_columns():
     rng = np.random.default_rng(13)
     ds = _two_strata_dataset(rng)
-    st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
-    ml = _fit_ml(ds, st, pilot, GRID)
+    ml = _fit_ml(ds, pilot, GRID)
     # the treated-model column in both places: the two columns coincide, and
     # the ridge splits the weight evenly between them
     dup = dataclasses.replace(ml, prob=ml.prob[[1, 1]])
-    model = fit_lpml(ds, st, pilot, GRID, ml_model=dup)
+    model = fit_lpml(ds, pilot, GRID, ml_model=dup)
     assert model.live.all() and np.all(np.isfinite(model.coef))
     assert np.allclose(model.coef[..., 0], model.coef[..., 1], rtol=1e-9)
 
@@ -467,10 +454,9 @@ def test_lpml_handles_collinear_probability_columns():
 def test_lpml_matches_ridge_reference():
     rng = np.random.default_rng(14)
     ds = _two_strata_dataset(rng, n=200)
-    st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
-    ml = _fit_ml(ds, st, pilot, GRID)
-    model = fit_lpml(ds, st, pilot, GRID, ml_model=ml)
+    ml = _fit_ml(ds, pilot, GRID)
+    model = fit_lpml(ds, pilot, GRID, ml_model=ml)
     H = features_reference("ml", ds.x)
     assert model.live.all()
     for arm, s, ti in np.ndindex(model.live.shape):
@@ -489,15 +475,14 @@ def test_lpml_matches_ridge_reference():
 def test_lpml_zero_variance_column_coefficient_forced_zero():
     rng = np.random.default_rng(16)
     ds = _two_strata_dataset(rng)
-    st = index_strata(ds)
     pilot = _median_pilot(ds.y, ds.a)
-    ml = _fit_ml(ds, st, pilot, GRID)
+    ml = _fit_ml(ds, pilot, GRID)
     # The control column is 0.5 up to rounding-size noise, as a saturated
     # logistic column is: its cell sd is far below 1e-8, so it counts as
     # constant and gets a zero coefficient.
     prob = ml.prob.copy()
     prob[0] = 0.5 + 1e-14 * rng.standard_normal(prob[0].shape)
-    model = fit_lpml(ds, st, pilot, GRID, ml_model=dataclasses.replace(ml, prob=prob))
+    model = fit_lpml(ds, pilot, GRID, ml_model=dataclasses.replace(ml, prob=prob))
     assert model.live.all()
     assert len(model.diagnostics["zero_variance"]) == model.live.size
     assert np.all(model.coef[..., 1] == 0.0)
@@ -516,31 +501,29 @@ def test_lpml_qte_ignores_rounding_size_changes_of_logistic_coefficients(seed, m
     latent = generate(DgpSpec("dgp1", 400), np.random.default_rng(seed))
     a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(100 + seed))
     ds = Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
-    st = index_strata(ds)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
-    pilot = pilot_quantiles(ds, st, grid)
+    pilot = pilot_quantiles(ds, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ml = fit_adjustment(base, ds, st, pilot, grid)
+        ml = fit_adjustment(base, ds, pilot, grid)
         bumped = dataclasses.replace(ml, prob=expit(logit(ml.prob) * (1.0 + 1e-13)))
-        model = fit_adjustment(method, ds, st, pilot, grid, ml_model=ml)
-        moved = fit_adjustment(method, ds, st, pilot, grid, ml_model=bumped)
+        model = fit_adjustment(method, ds, pilot, grid, ml_model=ml)
+        moved = fit_adjustment(method, ds, pilot, grid, ml_model=bumped)
     assert model.diagnostics["zero_variance"]
     assert model.diagnostics == moved.diagnostics
-    assert np.array_equal(qte(ds, st, model, grid).qte, qte(ds, st, moved, grid).qte)
+    assert np.array_equal(qte(ds, model, grid).qte, qte(ds, moved, grid).qte)
 
 
 def test_lpml_reusing_fitted_logistic_model_equals_standalone_fit():
     rng = np.random.default_rng(17)
     ds = _two_strata_dataset(rng, n=160)
-    st = index_strata(ds)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
-    pilot = pilot_quantiles(ds, st, grid)
+    pilot = pilot_quantiles(ds, grid)
     for method, base in (("lpml", "ml"), ("lpmlx", "mlx")):
-        alone = fit_adjustment(method, ds, st, pilot, grid)
+        alone = fit_adjustment(method, ds, pilot, grid)
         reused = fit_adjustment(
-            method, ds, st, pilot, grid,
-            ml_model=fit_adjustment(base, ds, st, pilot, grid),
+            method, ds, pilot, grid,
+            ml_model=fit_adjustment(base, ds, pilot, grid),
         )
         assert reused.method == alone.method
         assert reused.diagnostics == alone.diagnostics
@@ -548,18 +531,17 @@ def test_lpml_reusing_fitted_logistic_model_equals_standalone_fit():
             assert np.array_equal(getattr(reused, field), getattr(alone, field)), field
         for got, want in zip(reused.evaluate_all(grid, ds), alone.evaluate_all(grid, ds)):
             assert np.array_equal(got, want)
-    ml = fit_adjustment("ml", ds, st, pilot, grid)
+    ml = fit_adjustment("ml", ds, pilot, grid)
     with pytest.raises(DataValidationError, match="recombines an mlx fit"):
-        fit_adjustment("lpmlx", ds, st, pilot, grid, ml_model=ml)
+        fit_adjustment("lpmlx", ds, pilot, grid, ml_model=ml)
     with pytest.raises(DataValidationError, match="does not reuse"):
-        fit_adjustment("lp", ds, st, pilot, grid, ml_model=ml)
+        fit_adjustment("lp", ds, pilot, grid, ml_model=ml)
     # an ml fit on other rows or another grid is refused
     half = Dataset.from_arrays(ds.y[:80], ds.a[:80], ds.s[:80], ds.x[:80])
-    half_st = index_strata(half)
-    for other in (fit_adjustment("ml", half, half_st, pilot_quantiles(half, half_st, grid), grid),
-                  fit_adjustment("ml", ds, st, _median_pilot(ds.y, ds.a), GRID)):
+    for other in (fit_adjustment("ml", half, pilot_quantiles(half, grid), grid),
+                  fit_adjustment("ml", ds, _median_pilot(ds.y, ds.a), GRID)):
         with pytest.raises(DataValidationError, match="other data or another grid"):
-            fit_adjustment("lpml", ds, st, pilot, grid, ml_model=other)
+            fit_adjustment("lpml", ds, pilot, grid, ml_model=other)
 
 
 # -- lasso ------------------------------------------------------------------
@@ -578,9 +560,7 @@ def _signal_dataset(seed, n=200, p=20):
 def test_lasso_recovers_planted_signal():
     for seed in range(5):
         ds, pilot = _signal_dataset(seed)
-        model = fit_hd_lasso(
-            ds, index_strata(ds), pilot, GRID, LassoConfig(forced_support=()),
-        )
+        model = fit_hd_lasso(ds, pilot, GRID, LassoConfig(forced_support=()))
         for arm in (0, 1):
             # dictionary columns: 0 intercept, 1 signal, 2 its duplicate
             assert {1, 2} & set(model.support[(arm, 0, 0)])
@@ -595,9 +575,7 @@ def test_lasso_null_design_selects_little():
         a = np.tile([0, 1], n // 2)
         y = rng.normal(0, 1, n)
         ds = Dataset.from_arrays(y, a, np.zeros(n, int), x)
-        model = fit_hd_lasso(
-            ds, index_strata(ds), _median_pilot(y, a), GRID, LassoConfig(forced_support=()),
-        )
+        model = fit_hd_lasso(ds, _median_pilot(y, a), GRID, LassoConfig(forced_support=()))
         for arm in (0, 1):
             sizes.append(len(model.support[(arm, 0, 0)]) - 1)  # minus intercept
     assert np.mean([v <= 5 for v in sizes]) >= 0.9
@@ -605,8 +583,7 @@ def test_lasso_null_design_selects_little():
 
 def test_lasso_kkt_conditions_verified_independently():
     ds, pilot = _signal_dataset(0)
-    st = index_strata(ds)
-    model = fit_hd_lasso(ds, st, pilot, GRID, LassoConfig(forced_support=()))
+    model = fit_hd_lasso(ds, pilot, GRID, LassoConfig(forced_support=()))
     H = features_reference("lasso", ds.x)
     for arm in (0, 1):
         rows = np.flatnonzero(ds.a == arm)
@@ -619,7 +596,7 @@ def test_lasso_kkt_conditions_verified_independently():
 def test_lasso_post_support_contains_forced():
     ds, pilot = _signal_dataset(3)
     cfg = LassoConfig(forced_support=(7,))
-    model = fit_hd_lasso(ds, index_strata(ds), pilot, GRID, cfg)
+    model = fit_hd_lasso(ds, pilot, GRID, cfg)
     for arm in (0, 1):
         sup = model.support[(arm, 0, 0)]
         assert 7 in sup
@@ -634,7 +611,7 @@ def test_lasso_empty_support_falls_back():
     y = rng.normal(0, 1, n)
     ds = Dataset.from_arrays(y, np.tile([0, 1], n // 2), np.zeros(n, int), x)
     cfg = LassoConfig(c=50.0, forced_support=())  # penalty so heavy nothing enters
-    model = fit_hd_lasso(ds, index_strata(ds), _median_pilot(y, ds.a), GRID, cfg)
+    model = fit_hd_lasso(ds, _median_pilot(y, ds.a), GRID, cfg)
     for arm in (0, 1):
         assert set(model.support[(arm, 0, 0)]) == {0}  # intercept only
     theta0 = model.coef[1, 0, 0, 0]
@@ -643,8 +620,7 @@ def test_lasso_empty_support_falls_back():
 
 def test_lasso_mhat_sign_convention_and_debug_flag():
     ds, pilot = _signal_dataset(4)
-    st = index_strata(ds)
-    model = fit_hd_lasso(ds, st, pilot, GRID, LassoConfig(forced_support=()))
+    model = fit_hd_lasso(ds, pilot, GRID, LassoConfig(forced_support=()))
     H = features_reference("lasso", ds.x[:1])
     prob = float(expit(H @ model.coef[1, 0, 0])[0])
     assert model.evaluate_all(GRID, ds)[1][0, 0] == pytest.approx(0.5 - prob)
@@ -688,12 +664,11 @@ def test_evaluate_all_matches_per_cell_reference(method):
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
     degraded, zero_variance = [], []
     for ds in _evaluation_datasets():
-        st = index_strata(ds)
-        pilot = pilot_quantiles(ds, st, grid)
+        pilot = pilot_quantiles(ds, grid)
         ml = None
         if method in LOGIT_BASE:
-            ml = _fit_quiet(fit_adjustment, LOGIT_BASE[method], ds, st, pilot, grid)
-        model = _fit_quiet(fit_adjustment, method, ds, st, pilot, grid, ml_model=ml)
+            ml = _fit_quiet(fit_adjustment, LOGIT_BASE[method], ds, pilot, grid)
+        model = _fit_quiet(fit_adjustment, method, ds, pilot, grid, ml_model=ml)
         values = model.evaluate_all(grid, ds)
         H = None if method == "na" else features_reference(method, ds.x)
         for arm in (0, 1):
@@ -707,13 +682,12 @@ def test_evaluate_all_matches_per_cell_reference(method):
 
 def test_model_solver_builds_no_features(monkeypatch):
     ds = _two_strata_dataset(np.random.default_rng(20), n=160)
-    st = index_strata(ds)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
-    pilot = pilot_quantiles(ds, st, grid)
-    models = [_fit_quiet(fit_adjustment, m, ds, st, pilot, grid) for m in METHODS]
+    pilot = pilot_quantiles(ds, grid)
+    models = [_fit_quiet(fit_adjustment, m, ds, pilot, grid) for m in METHODS]
     calls = []
     monkeypatch.setattr(adjust, "_features", lambda method, x: calls.append(method))
-    _model_solver(ds, st, models, grid)
+    _model_solver(ds, models, grid)
     assert calls == []  # every model holds its in-sample fit
 
 
@@ -728,8 +702,7 @@ def test_na_model_evaluates_to_zero_everywhere():
 def test_ml_zero_coefficients_give_tau_minus_half():
     rng = np.random.default_rng(18)
     ds = _two_strata_dataset(rng)
-    st = index_strata(ds)
-    model = _fit_ml(ds, st, _median_pilot(ds.y, ds.a), GRID)
+    model = _fit_ml(ds, _median_pilot(ds.y, ds.a), GRID)
     assert np.all((model.prob > 0.0) & (model.prob < 1.0))
     zeroed = dataclasses.replace(model, coef=np.zeros_like(model.coef))
     for arm in (0, 1):
@@ -743,8 +716,7 @@ def test_ml_zero_coefficients_give_tau_minus_half():
 def test_evaluate_errors():
     rng = np.random.default_rng(19)
     ds = _two_strata_dataset(rng)
-    st = index_strata(ds)
-    model = fit_lp(ds, st, _median_pilot(ds.y, ds.a), GRID)
+    model = fit_lp(ds, _median_pilot(ds.y, ds.a), GRID)
     # The adjustment exists in sample only: another dataset or grid is refused.
     wider = Dataset.from_arrays(ds.y, ds.a, np.arange(ds.n) % 3, ds.x)
     fewer = Dataset.from_arrays(ds.y[:40], ds.a[:40], ds.s[:40], ds.x[:40])
@@ -757,4 +729,4 @@ def test_evaluate_errors():
         with pytest.raises(DataValidationError, match="grid"):
             fit_none(GRID).evaluate_all(grid, ds)
     with pytest.raises(DataValidationError):
-        fit_adjustment("probit", ds, st, _median_pilot(ds.y, ds.a), GRID)
+        fit_adjustment("probit", ds, _median_pilot(ds.y, ds.a), GRID)

@@ -23,7 +23,6 @@ from carqte import (
     fit_adjustment,
     fit_none,
     generate,
-    index_strata,
     pilot_quantiles,
     pointwise_test,
     qte,
@@ -52,29 +51,28 @@ def test_weight_moments():
 def _fixture(seed=0, n=60, taus=(0.3, 0.7)):
     rng = np.random.default_rng(seed)
     ds = make_stratified_dataset(rng, n=n, k=2)
-    stt = index_strata(ds)
     grid = QuantileGrid.of(taus)
-    return ds, stt, grid
+    return ds, grid
 
 
 def test_run_bootstrap_deterministic():
-    ds, stt, grid = _fixture()
+    ds, grid = _fixture()
     model = fit_none(grid)
-    (d1,) = run_bootstrap(ds, stt, [model], grid, 3, np.random.default_rng(11))
-    (d2,) = run_bootstrap(ds, stt, [model], grid, 3, np.random.default_rng(11))
+    (d1,) = run_bootstrap(ds, [model], grid, 3, np.random.default_rng(11))
+    (d2,) = run_bootstrap(ds, [model], grid, 3, np.random.default_rng(11))
     assert d1.draws.shape == (3, 2)
     assert np.array_equal(d1.draws, d2.draws)
 
 
 def test_all_ones_weights_reproduce_point_estimate(monkeypatch):
-    ds, stt, grid = _fixture()
+    ds, grid = _fixture()
     model = fit_none(grid)
-    point = qte(ds, stt, model, grid)
+    point = qte(ds, model, grid)
     monkeypatch.setattr(bt, "draw_weights", lambda n, rng: np.ones(n))
-    (draws,) = run_bootstrap(ds, stt, [model], grid, 5, np.random.default_rng(0))
+    (draws,) = run_bootstrap(ds, [model], grid, 5, np.random.default_rng(0))
     assert np.array_equal(draws.draws, np.tile(point.qte, (5, 1)))
     # every inference product collapses to zero width
-    res = pointwise_test(point.qte[0], draws.draws[:, 0], None, 0.05)
+    res = pointwise_test(point.qte[0], draws.draws[:, 0], 0.05)
     assert res.se == 0.0 and res.ci_lower == res.ci_upper
     band = uniform_band(point.qte, draws.draws, 0.05)
     assert band.critical_value == 0.0
@@ -88,10 +86,10 @@ def test_na_bootstrap_matches_from_scratch_rederivation():
     # For each draw, recompute the weighted treated fractions and take the
     # smallest arm outcome whose cumulative inverse-propensity mass reaches
     # tau*total.
-    ds, stt, grid = _fixture(seed=21, n=50, taus=(0.25, 0.5, 0.75))
+    ds, grid = _fixture(seed=21, n=50, taus=(0.25, 0.5, 0.75))
     model = fit_none(grid)
     B = 8
-    boot = run_bootstrap(ds, stt, [model], grid, B, np.random.default_rng(17))
+    boot = run_bootstrap(ds, [model], grid, B, np.random.default_rng(17))
     assert boot.n_resampled == 0
     (draws,) = boot
     block = np.random.default_rng(17).exponential(1.0, B * ds.n).reshape(B, ds.n)
@@ -104,7 +102,7 @@ def test_na_bootstrap_matches_from_scratch_rederivation():
         xi = np.empty(ds.n)
         xi[layout] = row
         n1w, n0w = (np.bincount(ds.s[by_arm[arm]], weights=xi[by_arm[arm]],
-                                minlength=stt.n_strata) for arm in (1, 0))
+                                minlength=ds.n_strata) for arm in (1, 0))
         piw = n1w / (n1w + n0w)
         for j, tau in enumerate(grid):
             qs = []
@@ -160,11 +158,10 @@ def _pinned_design():
     latent = generate(DgpSpec("dgp1", 200), np.random.default_rng(31))
     a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(32))
     ds = Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
-    stt = index_strata(ds)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
-    pilot = pilot_quantiles(ds, stt, grid)
-    models = [fit_adjustment(m, ds, stt, pilot, grid) for m in PINNED_DRAWS["estimated"]]
-    return ds, stt, grid, models
+    pilot = pilot_quantiles(ds, grid)
+    models = [fit_adjustment(m, ds, pilot, grid) for m in PINNED_DRAWS["estimated"]]
+    return ds, grid, models
 
 
 # How each pinned π mode calls the estimator: estimated, or fixed at 1/2.
@@ -173,20 +170,20 @@ _PI_MODES = {"estimated": {}, "fixed": {"fixed_pi": 0.5}}
 
 @pytest.mark.parametrize("pi_mode", ["estimated", "fixed"])
 def test_shared_stream_draws_equal_single_model_draws(pi_mode):
-    ds, stt, grid, models = _pinned_design()
+    ds, grid, models = _pinned_design()
     methods = tuple(PINNED_DRAWS[pi_mode])
     kw = _PI_MODES[pi_mode]
-    shared = run_bootstrap(ds, stt, models, grid, 40, np.random.default_rng(33), **kw)
+    shared = run_bootstrap(ds, models, grid, 40, np.random.default_rng(33), **kw)
     assert isinstance(shared, BootstrapDrawSet)
     assert len(shared) == len(methods)
     assert shared.n_resampled == 0
     for method, model, draws in zip(methods, models, shared):
-        solo = run_bootstrap(ds, stt, [model], grid, 40, np.random.default_rng(33), **kw)
+        solo = run_bootstrap(ds, [model], grid, 40, np.random.default_rng(33), **kw)
         (alone,) = solo
         assert draws.draws.shape == (40, 3)
         assert np.array_equal(draws.draws, alone.draws)
         assert solo.n_resampled == shared.n_resampled
-        point = qte(ds, stt, model, grid, **kw)  # what the draws carry as .point
+        point = qte(ds, model, grid, **kw)  # what the draws carry as .point
         for got in (draws.point, alone.point):
             assert got.taus == point.taus
             assert np.array_equal(got.q1, point.q1) and np.array_equal(got.q0, point.q0)
@@ -195,7 +192,7 @@ def test_shared_stream_draws_equal_single_model_draws(pi_mode):
 
 
 def test_shared_stream_counts_resampled_draws_once(monkeypatch):
-    ds, stt, grid = _fixture()
+    ds, grid = _fixture()
     real = bt.draw_weights
     calls = []
 
@@ -208,14 +205,14 @@ def test_shared_stream_counts_resampled_draws_once(monkeypatch):
 
     monkeypatch.setattr(bt, "draw_weights", flaky)
     model = fit_none(grid)
-    shared = run_bootstrap(ds, stt, [model, model], grid, 4, np.random.default_rng(2))
+    shared = run_bootstrap(ds, [model, model], grid, 4, np.random.default_rng(2))
     # One block of 4 replicates, all zeroed; then one redraw each, the third
     # of which is zeroed and redrawn again: shared by both models.
     assert shared.n_resampled == 5
     assert calls == [4 * ds.n] + [ds.n] * 5
     assert np.array_equal(shared[0].draws, shared[1].draws)
     with pytest.raises(DataValidationError):
-        run_bootstrap(ds, stt, [], grid, 4, np.random.default_rng(2))
+        run_bootstrap(ds, [], grid, 4, np.random.default_rng(2))
 
 
 # Block budgets giving b = 1, b = 7 (B = 25 leaves a last block of 4) and
@@ -225,11 +222,11 @@ _BLOCK_BUDGETS = (1, 7 * 200, 2**30)
 
 @pytest.mark.parametrize("pi_mode", ["estimated", "fixed"])
 def test_draws_do_not_depend_on_block_size(monkeypatch, pi_mode):
-    ds, stt, grid, models = _pinned_design()
+    ds, grid, models = _pinned_design()
     runs = []
     for budget in _BLOCK_BUDGETS:
         monkeypatch.setattr(bt, "_BLOCK_FLOATS", budget)
-        runs.append(run_bootstrap(ds, stt, models, grid, 25, np.random.default_rng(33),
+        runs.append(run_bootstrap(ds, models, grid, 25, np.random.default_rng(33),
                                   **_PI_MODES[pi_mode]))
     for run in runs[1:]:
         assert run.n_resampled == runs[0].n_resampled
@@ -245,7 +242,7 @@ def test_each_replicate_is_solved_with_its_own_weighted_fractions(monkeypatch, b
     # fractions n1w / nw of that row's own weights, bit for bit, resampled
     # rows included; the unit-weight point solve gets the count fractions.
     # A row is in the solver's layout: column j weighs dataset row perm[j].
-    ds, stt, grid = _fixture(seed=4, n=60, taus=(0.25, 0.5, 0.75))
+    ds, grid = _fixture(seed=4, n=60, taus=(0.25, 0.5, 0.75))
     real_solve, real_draw = est._Solver.solve, bt.draw_weights
     seen, calls = [], []
 
@@ -261,11 +258,11 @@ def test_each_replicate_is_solved_with_its_own_weighted_fractions(monkeypatch, b
     monkeypatch.setattr(est._Solver, "solve", spy)
     monkeypatch.setattr(bt, "draw_weights", flaky)
     monkeypatch.setattr(bt, "_BLOCK_FLOATS", {"1": 1, "7n": 7 * ds.n, "2^30": 2**30}[budget])
-    boot = run_bootstrap(ds, stt, [fit_none(grid)], grid, 25, np.random.default_rng(8))
+    boot = run_bootstrap(ds, [fit_none(grid)], grid, 25, np.random.default_rng(8))
     assert boot.n_resampled > 0
     (unit, unit_pis, _), *blocks = seen
     assert np.array_equal(unit, np.ones((1, ds.n)))
-    assert np.array_equal(unit_pis, stt.pi_hat[None])
+    assert np.array_equal(unit_pis, ds.strata.pi_hat[None])
     assert len(blocks) == {"1": 25, "7n": 4, "2^30": 1}[budget]
     rows = [(x, p, perm) for xi, pis, perm in blocks for x, p in zip(xi, pis, strict=True)]
     assert len(rows) == 25
@@ -281,7 +278,7 @@ def test_resampled_rows_of_later_blocks_do_not_depend_on_block_size(monkeypatch)
     # stratum 0.  With b = 7 they are rows 3 and 4 of the second block and
     # row 3 of the partial last block; each is redrawn, in replicate order,
     # from the one child stream.
-    ds, stt, grid, models = _pinned_design()
+    ds, grid, models = _pinned_design()
     real = bt.draw_weights
     # Layout columns of stratum 0's treated units: the treated come first.
     zeroed = np.flatnonzero(ds.s[arm_sorted_rows(ds, 1)] == 0)
@@ -305,7 +302,7 @@ def test_resampled_rows_of_later_blocks_do_not_depend_on_block_size(monkeypatch)
         monkeypatch.setattr(bt, "draw_weights", flaky)
         monkeypatch.setattr(bt, "_BLOCK_FLOATS", budget)
         redraws.clear()
-        runs.append(run_bootstrap(ds, stt, models, grid, 25, main))
+        runs.append(run_bootstrap(ds, models, grid, 25, main))
         assert drawn == [25]
         assert redraws == [ds.n] * 3
         assert runs[-1].n_resampled == 3
@@ -314,7 +311,7 @@ def test_resampled_rows_of_later_blocks_do_not_depend_on_block_size(monkeypatch)
             assert np.array_equal(got.draws, want.draws)
     # The redrawn replicates differ from an undisturbed run; the others match.
     monkeypatch.setattr(bt, "draw_weights", real)
-    plain = run_bootstrap(ds, stt, models, grid, 25, np.random.default_rng(33))
+    plain = run_bootstrap(ds, models, grid, 25, np.random.default_rng(33))
     for got, want in zip(runs[0], plain):
         same = np.all(got.draws == want.draws, axis=1)
         assert same[[r for r in range(25) if r not in (10, 11, 24)]].all()
@@ -329,9 +326,7 @@ def test_draw_spread_shrinks_with_root_n():
         for n in (200, 800):
             rng = np.random.default_rng(1000 * rep + n)
             ds = make_stratified_dataset(rng, n=n, k=2, y=rng.normal(0, 1, n))
-            stt = index_strata(ds)
-            (draws,) = run_bootstrap(ds, stt, [fit_none(grid)], grid, 60,
-                                  np.random.default_rng(rep))
+            (draws,) = run_bootstrap(ds, [fit_none(grid)], grid, 60, np.random.default_rng(rep))
             sds.append(draws.draws[:, 0].std())
         ratios.append(sds[1] / sds[0])
     assert 0.4 <= np.mean(ratios) <= 0.6  # n^{-1/2} rate: expect about 0.5
@@ -378,54 +373,51 @@ def test_bootstrap_se_affine_equivariance(a, b, seed):
 
 def test_pointwise_null_at_estimate_never_rejects():
     draws = np.random.default_rng(8).standard_normal(200)
-    res = pointwise_test(1.7, draws, 1.7, 0.05)
-    assert res.reject is False
+    res = pointwise_test(1.7, draws, 0.05)
+    assert res.rejects(1.7) is False
 
 
 def test_pointwise_statistic_beyond_critical_rejects():
     draws = np.random.default_rng(9).standard_normal(400)
     se = bootstrap_se(draws)
     est = 0.0
-    res = pointwise_test(est, draws, est - 2.5 * se, 0.05)
-    assert res.reject is True  # 2.5 > 1.959964
-    res2 = pointwise_test(est, draws, est - 1.5 * se, 0.05)
-    assert res2.reject is False
+    res = pointwise_test(est, draws, 0.05)
+    assert res.rejects(est - 2.5 * se) is True  # 2.5 > 1.959964
+    assert res.rejects(est - 1.5 * se) is False
 
 
 def test_pointwise_ci_symmetric_about_estimate():
     draws = np.random.default_rng(10).standard_normal(300)
-    res = pointwise_test(2.0, draws, None, 0.05)
+    res = pointwise_test(2.0, draws, 0.05)
     assert res.ci_lower + res.ci_upper == pytest.approx(4.0, abs=1e-10)
-    assert res.reject is None
 
 
 def test_pointwise_zero_se_equality_branch():
-    res = pointwise_test(1.0, np.full(20, 9.9), 1.0, 0.05)
-    assert res.reject is False and res.se == 0.0
-    res2 = pointwise_test(1.0, np.full(20, 9.9), 1.1, 0.05)
-    assert res2.reject is True
+    res = pointwise_test(1.0, np.full(20, 9.9), 0.05)
+    assert res.rejects(1.0) is False and res.se == 0.0
+    assert res.rejects(1.1) is True
 
 
 def test_difference_same_tau_degenerates():
     draws = np.random.default_rng(11).standard_normal(100)
-    res = difference_test(1.0, 1.0, draws, draws, 0.0, 0.05)
+    res = difference_test(1.0, 1.0, draws, draws, 0.05)
     assert res.estimate == 0.0 and res.se == 0.0
-    assert res.reject is False
+    assert res.rejects(0.0) is False
 
 
 def test_difference_of_shifted_copies_has_near_zero_se():
     draws = np.random.default_rng(12).standard_normal(100)
-    res = difference_test(2.0, 1.0, draws, draws - 1.0, None, 0.05)
+    res = difference_test(2.0, 1.0, draws, draws - 1.0, 0.05)
     assert res.se == pytest.approx(0.0, abs=1e-14)  # only float cancellation dust
 
 
 def test_difference_reduces_to_pointwise_on_difference_series():
     rng = np.random.default_rng(13)
     d1, d2 = rng.standard_normal(200), rng.standard_normal(200)
-    a = difference_test(3.0, 1.0, d1, d2, 1.5, 0.05)
-    b = pointwise_test(2.0, d1 - d2, 1.5, 0.05)
-    assert (a.estimate, a.se, a.ci_lower, a.ci_upper, a.reject) == (
-        b.estimate, b.se, b.ci_lower, b.ci_upper, b.reject,
+    a = difference_test(3.0, 1.0, d1, d2, 0.05)
+    b = pointwise_test(2.0, d1 - d2, 0.05)
+    assert (a.estimate, a.se, a.ci_lower, a.ci_upper, a.rejects(1.5)) == (
+        b.estimate, b.se, b.ci_lower, b.ci_upper, b.rejects(1.5),
     )
 
 
@@ -458,12 +450,12 @@ def test_uniform_band_reject_shift_invariance():
     draws = rng.standard_normal((300, 4))
     est = rng.normal(0, 1, 4)
     null = est + rng.normal(0, 0.5, 4)
-    r1 = uniform_band(est, draws, 0.05, null).reject
-    r2 = uniform_band(est + 7.0, draws + 7.0, 0.05, null + 7.0).reject
+    r1 = uniform_band(est, draws, 0.05).rejects(null)
+    r2 = uniform_band(est + 7.0, draws + 7.0, 0.05).rejects(null + 7.0)
     assert r1 == r2
     # pointwise reject decisions are shift invariant too
-    p1 = pointwise_test(est[0], draws[:, 0], null[0], 0.05).reject
-    p2 = pointwise_test(est[0] + 7.0, draws[:, 0] + 7.0, null[0] + 7.0, 0.05).reject
+    p1 = pointwise_test(est[0], draws[:, 0], 0.05).rejects(null[0])
+    p2 = pointwise_test(est[0] + 7.0, draws[:, 0] + 7.0, 0.05).rejects(null[0] + 7.0)
     assert p1 == p2
 
 
@@ -480,10 +472,9 @@ def test_uniform_band_null_function_decision():
     rng = np.random.default_rng(18)
     draws = rng.standard_normal((500, 3))
     est = np.zeros(3)
-    inside = uniform_band(est, draws, 0.05, np.array([0.1, -0.1, 0.0]))
-    far = uniform_band(est, draws, 0.05, np.array([0.0, 0.0, 50.0]))
-    assert inside.reject is False
-    assert far.reject is True
+    band = uniform_band(est, draws, 0.05)
+    assert band.rejects(np.array([0.1, -0.1, 0.0])) is False
+    assert band.rejects(np.array([0.0, 0.0, 50.0])) is True
 
 
 def test_one_result_decides_each_null_as_its_own_test_would():
@@ -491,16 +482,17 @@ def test_one_result_decides_each_null_as_its_own_test_would():
     draws = rng.standard_normal((300, 3))
     est = np.array([0.1, -0.2, 0.3])
     for j in range(3):
-        res = pointwise_test(est[j], draws[:, j], None, 0.05)
-        assert res.reject is None
+        res = pointwise_test(est[j], draws[:, j], 0.05)
         edge = est[j] + res.critical_value * res.se
         for null in (est[j], est[j] + 0.1, est[j] - 5.0 * res.se, edge):
-            assert res.rejects(null) == pointwise_test(est[j], draws[:, j], null, 0.05).reject
-    flat = pointwise_test(1.0, np.full(20, 9.9), None, 0.05)  # zero SE: equality check
+            wald = abs(est[j] - null) / bootstrap_se(draws[:, j]) >= res.critical_value
+            assert res.rejects(null) == wald
+    flat = pointwise_test(1.0, np.full(20, 9.9), 0.05)  # zero SE: equality check
     assert (flat.rejects(1.0), flat.rejects(1.1)) == (False, True)
     band = uniform_band(est, draws, 0.05)
     for null in (est, est + 0.05, est + np.array([0.0, 0.0, 10.0])):
-        assert band.rejects(null) == uniform_band(est, draws, 0.05, null).reject
+        outside = np.any((null < band.ci_lower) | (null > band.ci_upper))
+        assert band.rejects(null) == outside
     with pytest.raises(DataValidationError, match="grid length"):
         band.rejects(np.zeros(2))
 
@@ -528,7 +520,7 @@ def test_critical_values_reject_alpha_outside_unit_interval():
     draws = np.random.default_rng(19).standard_normal(50)
     for alpha in (0.0, 1.0, 2.0, -0.1, float("nan")):
         with pytest.raises(DataValidationError, match="alpha"):
-            pointwise_test(0.0, draws, 0.0, alpha)
+            pointwise_test(0.0, draws, alpha)
 
 
 @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9, 1e-10])
@@ -542,8 +534,8 @@ def test_normal_quantiles_equal_scipy_stats_norm(alpha):
 
 
 def test_run_bootstrap_validation():
-    ds, stt, grid = _fixture()
+    ds, grid = _fixture()
     with pytest.raises(DataValidationError):
-        run_bootstrap(ds, stt, [fit_none(grid)], grid, 1, np.random.default_rng(0))
+        run_bootstrap(ds, [fit_none(grid)], grid, 1, np.random.default_rng(0))
     with pytest.raises(DataValidationError):
         bootstrap_se(np.array([1.0]))

@@ -85,6 +85,21 @@ def test_estimate_missing_file_exit_code(tmp_path):
     assert main(["estimate", "--input", str(tmp_path / "nope.csv")]) == 3
 
 
+@pytest.mark.parametrize("method", carqte.METHODS)
+def test_every_adjusting_method_needs_a_covariate(tmp_path, capsys, method):
+    # 18 rows of y, a, s only; both strata hold both arms.
+    path = tmp_path / "bare.csv"
+    rows = [f"{0.5 * i!r},{(i // 2) % 2},{i % 2}" for i in range(18)]
+    path.write_text("y,a,s\n" + "\n".join(rows) + "\n")
+    code = main(["estimate", "--input", str(path), "--adjust", method, "--taus", "0.5",
+                 "--B", "10", "--out", str(tmp_path / "r.json")])
+    if method == "na":
+        assert code == 0
+    else:
+        assert code == 3
+        assert f"{method} needs at least one covariate" in capsys.readouterr().err
+
+
 def test_cli_import_does_not_load_scipy_stats():
     # scipy.stats costs about half of the start-up of a fresh process.
     code = "import sys, carqte, carqte.cli; print('scipy.stats' in sys.modules)"
@@ -105,7 +120,7 @@ def test_public_surface_is_pinned():
         "cached_true_qte", "data", "dgp", "difference_test",
         "draw_weights", "emit_table", "empirical_quantile", "errors", "estimator",
         "fit_adjustment", "fit_hd_lasso", "fit_lp", "fit_lpml", "fit_ml",
-        "fit_none", "generate", "harness", "index_strata", "load_csv",
+        "fit_none", "generate", "harness", "load_csv",
         "pilot_quantiles", "pointwise_test", "qte",
         "randomization", "run_bootstrap", "run_scenario",
         "true_qte_oracle", "uniform_band",
@@ -119,12 +134,25 @@ def test_fitter_options_are_pinned():
 
     adjust = carqte.adjust
     assert params(adjust.fit_adjustment) == [
-        "method", "dataset", "stats", "pilot", "grid", "lasso_config", "ml_model"]
-    assert params(adjust.fit_lp) == ["dataset", "stats", "pilot", "grid"]
+        "method", "dataset", "pilot", "grid", "lasso_config", "ml_model"]
+    assert params(adjust.fit_lp) == ["dataset", "pilot", "grid"]
     assert params(adjust.fit_ml) == ["items", "grid", "method"]
-    assert params(adjust.fit_lpml) == ["dataset", "stats", "pilot", "grid", "ml_model", "method"]
-    assert params(adjust.fit_hd_lasso) == ["dataset", "stats", "pilot", "grid", "config"]
+    assert params(adjust.fit_lpml) == ["dataset", "pilot", "grid", "ml_model", "method"]
+    assert params(adjust.fit_hd_lasso) == ["dataset", "pilot", "grid", "config"]
     assert params(adjust.penalty_level) == ["n_cell", "p_penalized", "config"]
+    # A dataset carries its strata, and a result decides any null itself.
+    assert params(carqte.qte) == ["dataset", "model", "grid", "fixed_pi"]
+    assert params(carqte.pilot_quantiles) == ["dataset", "grid"]
+    assert params(carqte.run_bootstrap) == [
+        "dataset", "models", "grid", "B", "rng", "fixed_pi"]
+    assert params(carqte.pointwise_test) == ["estimate", "draws_at_tau", "alpha"]
+    assert params(carqte.difference_test) == [
+        "estimate_1", "estimate_2", "draws_at_tau1", "draws_at_tau2", "alpha"]
+    assert params(carqte.uniform_band) == ["estimates", "draws", "alpha"]
+    fields = [f.name for f in dataclasses.fields(carqte.StrataStats)]
+    assert fields == ["n", "n1", "n0", "pi_hat", "degenerate"]
+    fields = [f.name for f in dataclasses.fields(carqte.InferenceResult)]
+    assert fields == ["estimate", "se", "ci_lower", "ci_upper", "critical_value", "alpha"]
     fields = [f.name for f in dataclasses.fields(adjust.LassoConfig)]
     assert fields == ["c", "loading_iterations", "forced_support"]
     fields = [f.name for f in dataclasses.fields(adjust.AdjustmentModel)]
@@ -146,8 +174,7 @@ def test_names_the_benchmark_tracer_wraps_exist():
     # The resampled-draw count is read off run_bootstrap's return value.
     ds = make_stratified_dataset(np.random.default_rng(0), n=30)
     grid = carqte.QuantileGrid.of([0.5])
-    boot = carqte.run_bootstrap(ds, carqte.index_strata(ds), [carqte.fit_none(grid)], grid, 4,
-                                np.random.default_rng(0))
+    boot = carqte.run_bootstrap(ds, [carqte.fit_none(grid)], grid, 4, np.random.default_rng(0))
     assert isinstance(boot.n_resampled, int)
 
 

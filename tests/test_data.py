@@ -11,15 +11,15 @@ from carqte import (
     DataValidationError,
     DegenerateCellError,
     QuantileGrid,
-    index_strata,
     load_csv,
 )
+from carqte.data import index_strata
 from conftest import load_csv_reference, pi_by_stratum, weighted_arm_counts
 
 
 def test_balanced_split_counts():
     ds = Dataset.from_arrays([9.0, 8.0, 7.0, 6.0], [1, 0, 1, 0], [1, 1, 2, 2], np.zeros((4, 1)))
-    st_ = index_strata(ds)
+    st_ = ds.strata
     assert st_.n.tolist() == [2, 2]
     assert st_.n1.tolist() == [1, 1]
     assert st_.pi_hat.tolist() == [0.5, 0.5]
@@ -27,7 +27,7 @@ def test_balanced_split_counts():
 
 def test_direct_count_arithmetic():
     ds = Dataset.from_arrays([1.0, 2.0, 3.0], [1, 1, 0], [1, 1, 1], np.zeros((3, 1)))
-    st_ = index_strata(ds)
+    st_ = ds.strata
     assert st_.pi_hat[0] == pytest.approx(2 / 3)
 
 
@@ -43,11 +43,11 @@ def test_weighted_counts_by_hand():
 
 def test_validate_flags_degenerate_cells():
     ds = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 1], ["a", "a", "b", "b"], np.zeros((4, 1)))
-    st_ = index_strata(ds)
+    st_ = ds.strata
     assert st_.degenerate == (1,)  # stratum "b" has no controls
 
     healthy = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0], ["a", "a", "b", "b"], np.zeros((4, 1)))
-    assert index_strata(healthy).degenerate == ()
+    assert healthy.strata.degenerate == ()
 
 
 def test_zero_weight_arm_is_flagged():
@@ -62,7 +62,17 @@ def test_empty_stratum_raises():
     # A label without rows can only come from the raw constructor.
     extra = Dataset(ds.y, ds.a, ds.s, ds.x, ds.strata_labels + ("empty",))
     with pytest.raises(DataValidationError, match=r"strata without rows: \['empty'\]"):
-        index_strata(extra)
+        extra.strata
+
+
+def test_strata_is_computed_once_and_equals_index_strata():
+    ds = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0, 5.0], [1, 0, 1, 1, 0], ["b", "a", "a", "b", "b"],
+                             np.zeros((5, 1)))
+    assert ds.strata is ds.strata
+    fresh = index_strata(ds)
+    for name in ("n", "n1", "n0", "pi_hat"):
+        assert np.array_equal(getattr(ds.strata, name), getattr(fresh, name))
+    assert ds.strata.degenerate == fresh.degenerate
 
 
 @settings(deadline=None, max_examples=50)
@@ -81,7 +91,7 @@ def test_weighted_total_matches_weight_sum(data):
 def test_unit_weights_equal_all_ones_bootstrap():
     rng = np.random.default_rng(7)
     ds = Dataset.from_arrays(rng.normal(size=30), rng.integers(0, 2, 30), rng.integers(0, 3, 30), np.zeros((30, 1)))
-    st_ = index_strata(ds)
+    st_ = ds.strata
     n1w, nw = weighted_arm_counts(ds, np.ones(30))
     assert np.array_equal(n1w, st_.n1) and np.array_equal(nw, st_.n)
     assert np.array_equal(nw - n1w, st_.n0)
@@ -143,7 +153,7 @@ def test_unit_weights_must_be_ones():
     ds = Dataset.from_arrays(rng.normal(size=40), np.tile([0, 1], 20), rng.integers(0, 3, 40),
                              np.zeros((40, 1)))
     pis = pi_by_stratum(ds, np.ones(40))
-    assert np.array_equal(pis, index_strata(ds).pi_hat)
+    assert np.array_equal(pis, ds.strata.pi_hat)
 
 
 def test_csv_round_trip(tmp_path):

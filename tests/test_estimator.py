@@ -16,7 +16,6 @@ from carqte import (
     QuantileGrid,
     draw_weights,
     fit_none,
-    index_strata,
     pilot_quantiles,
     qte,
     run_bootstrap,
@@ -132,9 +131,8 @@ def test_na_matches_classical_quantile_convention():
         y = np.concatenate([rng.normal(0, 1, m), rng.normal(0, 1, m)])
         a = np.array([1] * m + [0] * m)
         ds = Dataset.from_arrays(y, a, np.ones(2 * m), np.zeros((2 * m, 1)))
-        st = index_strata(ds)
         grid = QuantileGrid.of([0.1, 0.3, 0.5, 0.7, 0.9])
-        est = qte(ds, st, fit_none(grid), grid)
+        est = qte(ds, fit_none(grid), grid)
         for j, tau in enumerate(grid):
             assert est.q1[j] == np.quantile(y[a == 1], tau, method="inverted_cdf")
             assert est.q0[j] == np.quantile(y[a == 0], tau, method="inverted_cdf")
@@ -144,10 +142,9 @@ def test_swapping_arms_negates_qte():
     rng = np.random.default_rng(44)
     ds = make_stratified_dataset(rng, n=60, k=3)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
-    st = index_strata(ds)
-    est = qte(ds, st, fit_none(grid), grid)
+    est = qte(ds, fit_none(grid), grid)
     flipped = Dataset.from_arrays(ds.y, 1 - ds.a, ds.s, ds.x)
-    est2 = qte(flipped, index_strata(flipped), fit_none(grid), grid)
+    est2 = qte(flipped, fit_none(grid), grid)
     assert np.array_equal(est2.qte, -est.qte)
 
 
@@ -158,24 +155,22 @@ def test_constant_shift_recovered():
     a = (rng.uniform(size=n) < 0.5).astype(int)
     y = np.where(a == 1, y0 + 3.0, y0)
     ds = Dataset.from_arrays(y, a, np.ones(n), np.zeros((n, 1)))
-    st = index_strata(ds)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
-    est = qte(ds, st, fit_none(grid), grid)
+    est = qte(ds, fit_none(grid), grid)
     assert np.all(np.abs(est.qte - 3.0) < 0.3)
 
 
 def test_pilot_matches_na_and_is_monotone():
     rng = np.random.default_rng(66)
     ds = make_stratified_dataset(rng, n=80, k=2)
-    st = index_strata(ds)
     grid = QuantileGrid.of([0.1, 0.25, 0.5, 0.75, 0.9])
-    pilot = pilot_quantiles(ds, st, grid)
-    est = qte(ds, st, fit_none(grid), grid)
+    pilot = pilot_quantiles(ds, grid)
+    est = qte(ds, fit_none(grid), grid)
     assert np.array_equal(pilot.q1, est.q1)
     assert np.array_equal(pilot.q0, est.q0)
     assert np.all(np.diff(pilot.q1) >= 0)
     assert np.all(np.diff(pilot.q0) >= 0)
-    again = pilot_quantiles(ds, st, grid)
+    again = pilot_quantiles(ds, grid)
     assert np.array_equal(again.q1, pilot.q1)
 
 
@@ -184,30 +179,28 @@ def test_location_shift_invariance_bitwise():
     grid = QuantileGrid.of([0.3, 0.7])
     for _ in range(30):
         ds = make_stratified_dataset(rng, n=60, k=2)
-        st = index_strata(ds)
         values = {
             (a, t): rng.normal(0, 1, 60) for a in (0, 1) for t in grid
         }
         model = TableModel(values)
         shifts = {(a, s): float(rng.normal(0, 5)) for a in (0, 1) for s in range(2)}
         shifted = model.shifted(ds, shifts)
-        est = qte(ds, st, model, grid)
-        est_s = qte(ds, st, shifted, grid)
+        est = qte(ds, model, grid)
+        est_s = qte(ds, shifted, grid)
         assert np.array_equal(est.qte, est_s.qte)
-        (d1,) = run_bootstrap(ds, st, [model], grid, 20, np.random.default_rng(123))
-        (d2,) = run_bootstrap(ds, st, [shifted], grid, 20, np.random.default_rng(123))
+        (d1,) = run_bootstrap(ds, [model], grid, 20, np.random.default_rng(123))
+        (d2,) = run_bootstrap(ds, [shifted], grid, 20, np.random.default_rng(123))
         assert np.array_equal(d1.draws, d2.draws)
 
 
 def test_fixed_pi_mode():
     rng = np.random.default_rng(88)
     ds = make_stratified_dataset(rng, n=41, k=2)  # odd n: pi_hat != 0.5
-    st = index_strata(ds)
     grid = QuantileGrid.of([0.5])
     values = {(a, 0.5): rng.normal(0, 1, 41) for a in (0, 1)}
     model = TableModel(values)
-    est_estimated = qte(ds, st, model, grid)
-    est_fixed = qte(ds, st, model, grid, fixed_pi=0.5)
+    est_estimated = qte(ds, model, grid)
+    est_fixed = qte(ds, model, grid, fixed_pi=0.5)
     xi = np.ones(41)
     want = brute_force_arm(1, ds, xi, np.full(2, 0.5), values[(1, 0.5)], 0.5)
     assert est_fixed.q1[0] == want
@@ -217,27 +210,22 @@ def test_fixed_pi_mode():
     y_b = rng_b.normal(size=40)
     a_b = np.tile([0, 1], 20)
     ds_b = Dataset.from_arrays(y_b, a_b, np.ones(40), np.zeros((40, 1)))
-    st_b = index_strata(ds_b)
     m = TableModel({(0, 0.5): np.zeros(40), (1, 0.5): np.zeros(40)})
-    assert qte(ds_b, st_b, m, grid).qte[0] == qte(
-        ds_b, st_b, m, grid, fixed_pi=0.5
-    ).qte[0]
+    assert qte(ds_b, m, grid).qte[0] == qte(ds_b, m, grid, fixed_pi=0.5).qte[0]
 
 
 def test_degenerate_cell_hard_error():
     ds = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 0], [1, 1, 2, 2], np.zeros((4, 1)))
-    st = index_strata(ds)
     grid = QuantileGrid.of([0.5])
     with pytest.raises(DegenerateCellError):
-        qte(ds, st, fit_none(grid), grid)
+        qte(ds, fit_none(grid), grid)
 
 
 def test_qte_identity():
     rng = np.random.default_rng(10)
     ds = make_stratified_dataset(rng, n=50, k=2)
-    st = index_strata(ds)
     grid = QuantileGrid.of([0.25, 0.75])
-    est = qte(ds, st, fit_none(grid), grid)
+    est = qte(ds, fit_none(grid), grid)
     assert np.array_equal(est.qte, est.q1 - est.q0)
 
 
@@ -250,8 +238,7 @@ def test_weight_length_mismatch():
 
 def test_problem_validation():
     ds = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0], [1, 1, 2, 2], np.zeros((4, 1)))
-    st = index_strata(ds)
     grid = QuantileGrid.of([0.5])
     for fixed_pi in (0.0, 1.0, [0.5, 0.5, 0.5]):
         with pytest.raises(DataValidationError):
-            qte(ds, st, fit_none(grid), grid, fixed_pi=fixed_pi)
+            qte(ds, fit_none(grid), grid, fixed_pi=fixed_pi)

@@ -240,9 +240,8 @@ def test_wald_tests_of_every_model_equal_the_per_test_functions():
 
     for results, b in zip(got, boot, strict=True):
         est, d = b.point.qte, b.draws
-        want = [pointwise_test(est[j], d[:, j], None, 0.05) for j in range(3)]
-        want += [difference_test(est[i], est[j], d[:, i], d[:, j], None, 0.05)
-                 for i, j in pairs]
+        want = [pointwise_test(est[j], d[:, j], 0.05) for j in range(3)]
+        want += [difference_test(est[i], est[j], d[:, i], d[:, j], 0.05) for i, j in pairs]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             want.append(uniform_band(est, d, 0.05))

@@ -12,7 +12,7 @@ n only.
 import numpy as np
 import pytest
 
-from carqte import Dataset, DgpSpec, QuantileGrid, SchemeSpec, assign, generate, index_strata
+from carqte import Dataset, DgpSpec, QuantileGrid, SchemeSpec, assign, generate
 from carqte.adjust import METHODS, LassoConfig
 from carqte.estimator import pilot_quantiles
 from carqte.harness import _fit_and_bootstrap
@@ -30,9 +30,8 @@ def _design(kind, seed):
 def _run(y, a, s, x):
     """Every method's point estimate and draws, from one pipeline call."""
     ds = Dataset.from_arrays(y, a, s, x)
-    stats = index_strata(ds)
-    pilot = pilot_quantiles(ds, stats, GRID)
-    boot = _fit_and_bootstrap(ds, stats, pilot, METHODS, GRID, 50,
+    pilot = pilot_quantiles(ds, GRID)
+    boot = _fit_and_bootstrap(ds, pilot, METHODS, GRID, 50,
                               np.random.default_rng(np.random.SeedSequence(9)), None,
                               LassoConfig(), {})
     return [(b.point.q1, b.point.q0, b.draws) for b in boot]
