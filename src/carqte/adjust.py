@@ -294,34 +294,9 @@ def _fit_logit_cells(cells, labels, ridge=0.0):
     return theta, converged, separated
 
 
-def _fit_logit_cell(H: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Logistic likelihood maximization on one cell by Newton iteration.
-
-    Separation (coefficients running away) is detected via a magnitude cap
-    and resolved by refitting with a small ridge penalty scaled as 1e-4 / n;
-    the refit is flagged with a warning.  This is the one-problem call of the
-    batched core behind every logistic adjustment.
-    """
-    theta, converged, separated = _fit_logit_cells([(H, np.arange(H.shape[0]))], [y[:, None]])
-    if separated[0, 0]:
-        warnings.warn("separated logistic cell; refitting with small ridge", stacklevel=2)
-    if not converged[0, 0]:
-        warnings.warn("logistic fit did not reach score tolerance", stacklevel=2)
-    return theta[0, 0]
-
-
 # ---------------------------------------------------------------------------
-# Cell iteration helpers
+# Cells
 # ---------------------------------------------------------------------------
-
-
-def _cell_rows(dataset: Dataset):
-    out = {}
-    for s in range(dataset.n_strata):
-        in_s = dataset.s == s
-        out[(1, s)] = np.flatnonzero(in_s & (dataset.a == 1))
-        out[(0, s)] = np.flatnonzero(in_s & (dataset.a == 0))
-    return out
 
 
 def _cells(dataset: Dataset, taus: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -330,15 +305,38 @@ def _cells(dataset: Dataset, taus: tuple, p: int) -> tuple[np.ndarray, np.ndarra
     return np.zeros(shape + (p,)), np.zeros(shape, dtype=bool)
 
 
-def _finish(model: AdjustmentModel, degraded: list) -> AdjustmentModel:
+def _cell_problems(dataset: Dataset, pilot, taus: tuple, min_rows: int) -> tuple:
+    """The (arm, stratum) cells with at least ``min_rows`` rows, and the others.
+
+    Cells run stratum-major, treated arm first.  The first result yields each
+    fitted cell as ``(a, s, rows, labels)``, with its (n_c, T) labels
+    1{y <= q_a(tau)}, the one target every method fits, built only as the
+    cell is reached; the second lists the other cells as ``(a, s)``.  A
+    per-tau fit reads the rows of ``labels.T.copy()``: on a strided column,
+    a matrix product can sum in another order.
+    """
+    cutoffs = [np.array([pilot.q(a, tau) for tau in taus]) for a in (0, 1)]
+    cells = [(a, s, np.flatnonzero((dataset.s == s) & (dataset.a == a)))
+             for s in range(dataset.n_strata) for a in (1, 0)]
+    fitted = ((a, s, rows, (dataset.y[rows][:, None] <= cutoffs[a]).astype(np.float64))
+              for a, s, rows in cells if rows.size >= min_rows)
+    return fitted, [(a, s) for a, s, rows in cells if rows.size < min_rows]
+
+
+def _model(method, taus, coef, live, prob, degraded, support=None, **diagnostics):
+    """The fitted :class:`AdjustmentModel`, with ``degraded`` under its diagnostics.
+
+    Warns when a cell adjusts by zero, and raises when no cell is live.
+    """
     if degraded:
         warnings.warn(
-            f"{model.method}: {len(degraded)} cell(s) too small, degraded to zero adjustment",
+            f"{method}: {len(degraded)} cell(s) too small, degraded to zero adjustment",
             stacklevel=3,
         )
-        if not model.live.any():
-            raise DataValidationError(f"{model.method}: every (arm, stratum) cell is too small")
-    return model
+        if not live.any():
+            raise DataValidationError(f"{method}: every (arm, stratum) cell is too small")
+    return AdjustmentModel(method, taus, coef, live, prob, support,
+                           {"degraded": tuple(degraded), **diagnostics})
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +347,8 @@ def _finish(model: AdjustmentModel, degraded: list) -> AdjustmentModel:
 def fit_none(grid: QuantileGrid) -> AdjustmentModel:
     """The no-adjustment model: evaluates to zero everywhere."""
     taus = tuple(grid)
-    return AdjustmentModel(
-        method="na", taus=taus, coef=np.zeros((2, 0, len(taus), 0)),
-        live=np.zeros((2, 0, len(taus)), dtype=bool), prob=None,
-    )
+    coef, live = np.zeros((2, 0, len(taus), 0)), np.zeros((2, 0, len(taus)), dtype=bool)
+    return _model("na", taus, coef, live, None, [])
 
 
 def fit_lp(dataset: Dataset, pilot, grid: QuantileGrid) -> AdjustmentModel:
@@ -361,35 +357,24 @@ def fit_lp(dataset: Dataset, pilot, grid: QuantileGrid) -> AdjustmentModel:
     p = H.shape[1]
     taus = tuple(grid)
     coef, live = _cells(dataset, taus, p)
-    degraded: list = []
+    fitted, degraded = _cell_problems(dataset, pilot, taus, p + 2)
     singular: list = []
-    for (a, s), rows in _cell_rows(dataset).items():
-        if rows.size < p + 2:
-            degraded.append((a, s))
-            continue
+    for a, s, rows, labels in fitted:
         live[a, s] = True
         Hc = H[rows]
         wdot = Hc - Hc.mean(axis=0)
-        for ti, tau in enumerate(taus):
-            labels = (dataset.y[rows] <= pilot.q(a, tau)).astype(np.float64)
-            coef[a, s, ti], _, rank, _ = np.linalg.lstsq(wdot, labels, rcond=None)
+        for ti, y_t in enumerate(labels.T.copy()):  # one contiguous vector per tau
+            coef[a, s, ti], _, rank, _ = np.linalg.lstsq(wdot, y_t, rcond=None)
             if rank < p:
                 singular.append((a, s, ti))
-    model = AdjustmentModel(
-        method="lp",
-        taus=taus,
-        coef=coef,
-        live=live,
-        prob=_fitted_prob(dataset, taus, live, H, coef),
-        diagnostics={"degraded": tuple(degraded), "singular_gram": tuple(singular)},
-    )
     if singular:
         warnings.warn(
             f"lp: singular within-cell Gram in {len(singular)} cell(s); "
             "minimum-norm solution used",
             stacklevel=2,
         )
-    return _finish(model, degraded)
+    prob = _fitted_prob(dataset, taus, live, H, coef)
+    return _model("lp", taus, coef, live, prob, degraded, singular_gram=tuple(singular))
 
 
 def fit_ml(items, grid: QuantileGrid, method: str = "ml") -> list:
@@ -405,14 +390,11 @@ def fit_ml(items, grid: QuantileGrid, method: str = "ml") -> list:
     prepared, cells, labels = [], [], []
     for dataset, pilot in items:
         H = _features(method, dataset.x)
-        p = H.shape[1]
-        rows_of = _cell_rows(dataset)
-        degraded = [(a, s) for (a, s), rows in rows_of.items() if rows.size < p + 2]
-        fitted = [(a, s, rows) for (a, s), rows in rows_of.items() if rows.size >= p + 2]
-        cutoffs = [np.array([pilot.q(a, tau) for tau in taus]) for a in (0, 1)]
-        cells += [(H, rows) for _, _, rows in fitted]
-        labels += [(dataset.y[rows][:, None] <= cutoffs[a]).astype(np.float64)
-                   for a, _, rows in fitted]
+        fitted, degraded = _cell_problems(dataset, pilot, taus, H.shape[1] + 2)
+        fitted = list(fitted)
+        cells += [(H, rows) for _, _, rows, _ in fitted]
+        labels += [cell_labels for *_, cell_labels in fitted]
+        fitted = [(a, s) for a, s, *_ in fitted]  # no reference to the labels kept
         prepared.append((H, fitted, degraded))
     fits = iter(())  # (theta, separated) of each fitted cell, in item order
     if cells:
@@ -423,20 +405,14 @@ def fit_ml(items, grid: QuantileGrid, method: str = "ml") -> list:
     for (dataset, _), (H, fitted, degraded) in zip(items, prepared):
         coef, live = _cells(dataset, taus, H.shape[1])
         separated: list = []
-        for a, s, _ in fitted:
+        for a, s in fitted:
             coef[a, s], sep_c = next(fits)
             live[a, s] = True
             separated += [(a, s, ti) for ti in range(len(taus)) if sep_c[ti]]
-        model = AdjustmentModel(
-            method=method,
-            taus=taus,
-            coef=coef,
-            live=live,
-            prob=_fitted_prob(dataset, taus, live, H, coef, expit),
-            diagnostics={"degraded": tuple(degraded), "separated": tuple(separated)},
-        )
+        prob = _fitted_prob(dataset, taus, live, H, coef, expit)
         try:
-            out.append(_finish(model, degraded))
+            out.append(_model(method, taus, coef, live, prob, degraded,
+                              separated=tuple(separated)))
         except CarqteError as exc:
             out.append(exc)
     return out
@@ -474,18 +450,19 @@ def fit_lpml(
     coef, live = _cells(dataset, taus, 2)
     prob = np.empty(ml_prob.shape)
     prob[:] = np.asarray(taus)
-    degraded: list = []
+    # Two coefficients plus the usual slack; a cell also adjusts by zero when
+    # its stratum's base fit is not live on both arms.
+    fitted, degraded = _cell_problems(dataset, pilot, taus, 4)
     zero_var: list = []
-    for (a, s), rows in _cell_rows(dataset).items():
-        if rows.size < 4:  # two coefficients plus the usual slack
+    for a, s, rows, labels in fitted:
+        if not ml_model.live[:, s].all():
             degraded.append((a, s))
             continue
+        live[a, s] = True
         stratum = np.flatnonzero(dataset.s == s)
         in_cell = dataset.a[stratum] == a
         nc = rows.size
-        for ti, tau in enumerate(taus):
-            if not ml_model.live[:, s, ti].all():
-                continue
+        for ti, y_t in enumerate(labels.T.copy()):  # one contiguous vector per tau
             w = np.column_stack([ml_prob[1, stratum, ti], ml_prob[0, stratum, ti]])
             cell = w[in_cell]
             mean = cell.mean(axis=0)
@@ -496,21 +473,12 @@ def fit_lpml(
             wd = np.where(ok, (w - mean) / np.where(ok, sd, 1.0), 0.0)
             wd_cell = wd[in_cell]
             gram = wd_cell.T @ wd_cell / nc + delta * np.eye(2)
-            labels = (dataset.y[rows] <= pilot.q(a, tau)).astype(np.float64)
-            theta = np.linalg.solve(gram, wd_cell.T @ labels / nc)
+            theta = np.linalg.solve(gram, wd_cell.T @ y_t / nc)
             theta[~ok] = 0.0
             coef[a, s, ti] = theta
-            live[a, s, ti] = True
             prob[a, stratum, ti] = wd @ theta
-    model = AdjustmentModel(
-        method=method,
-        taus=taus,
-        coef=coef,
-        live=live,
-        prob=prob,
-        diagnostics={"degraded": tuple(degraded), "zero_variance": tuple(zero_var)},
-    )
-    return _finish(model, degraded)
+    degraded.sort(key=lambda cell: (cell[1], -cell[0]))  # back into cell order
+    return _model(method, taus, coef, live, prob, degraded, zero_variance=tuple(zero_var))
 
 
 # ---------------------------------------------------------------------------
@@ -615,39 +583,36 @@ def fit_hd_lasso(
     H = _features("lasso", dataset.x)
     p = H.shape[1]
     pen_cols = np.arange(1, p)
+    forced = tuple(j for j in cfg.forced_support if 0 <= j < p)
     taus = tuple(grid)
     coef, live = _cells(dataset, taus, p)
+    fitted, degraded = _cell_problems(dataset, pilot, taus, 3)
     support: dict = {}
-    degraded: list = []
     kkt_diag: dict = {}
     hd_theta: dict = {}
     hd_lam: dict = {}
     not_converged: list = []
-    for (a, s), rows in _cell_rows(dataset).items():
-        if rows.size < 3:
-            degraded.append((a, s))
-            continue
+    separated: list = []
+    short_refits = 0  # refits that stopped short of the score tolerance
+    for a, s, rows, labels in fitted:
         live[a, s] = True
         Hc = H[rows]
-        yc = dataset.y[rows]
         nc = rows.size
         rho = penalty_level(nc, pen_cols.size, cfg)
-        forced = tuple(j for j in cfg.forced_support if 0 <= j < p)
-        for ti, tau in enumerate(taus):
-            labels = (yc <= pilot.q(a, tau)).astype(np.float64)
-            ybar = labels.mean()
+        for ti, y_t in enumerate(labels.T.copy()):  # one contiguous vector per tau
+            ybar = y_t.mean()
             # Initial loadings: centered-label second moments (no square root).
-            sig = ((labels - ybar) ** 2)[:, None] * (Hc**2)
+            sig = ((y_t - ybar) ** 2)[:, None] * (Hc**2)
             loadings = sig.mean(axis=0)
             theta = None
             for _k in range(cfg.loading_iterations + 1):
                 lam = np.zeros(p)
                 lam[pen_cols] = rho * loadings[pen_cols] / nc
                 lam = np.maximum(lam, 0.0)
-                theta, kkt, ok = _l1_logit_cd(Hc, labels, lam, theta0=theta)
+                theta, kkt, ok = _l1_logit_cd(Hc, y_t, lam, theta0=theta)
                 if not ok:
                     not_converged.append((a, s, ti, kkt))
-                resid = labels - expit(Hc @ theta)
+                resid = y_t - expit(Hc @ theta)
                 new_loadings = np.sqrt(((Hc * resid[:, None]) ** 2).mean(axis=0))
                 rel = np.max(
                     np.abs(new_loadings - loadings) / np.maximum(np.abs(loadings), 1e-12)
@@ -667,8 +632,17 @@ def fit_hd_lasso(
                 )
                 keep = set(ordered[:cap]) | set(forced)
             cols = tuple(sorted(keep))
-            coef[a, s, ti, list(cols)] = _fit_logit_cell(Hc[:, cols], labels)
+            refit, conv, sep = _fit_logit_cells([(Hc[:, cols], np.arange(nc))], [y_t[:, None]])
+            coef[a, s, ti, list(cols)] = refit[0, 0]
             support[(a, s, ti)] = cols
+            if sep[0, 0]:
+                separated.append((a, s, ti))
+            short_refits += not conv[0, 0]
+    if short_refits:
+        warnings.warn(
+            f"lasso: post-selection refit did not reach score tolerance in {short_refits} fit(s)",
+            stacklevel=2,
+        )
     if not_converged:
         worst = max(item[3] for item in not_converged)
         warnings.warn(
@@ -676,21 +650,9 @@ def fit_hd_lasso(
             f"worst KKT residual {worst:.3e}",
             stacklevel=2,
         )
-    model = AdjustmentModel(
-        method="lasso",
-        taus=taus,
-        coef=coef,
-        live=live,
-        prob=_fitted_prob(dataset, taus, live, H, coef, expit),
-        support=support,
-        diagnostics={
-            "degraded": tuple(degraded),
-            "kkt": kkt_diag,
-            "hd_theta": hd_theta,
-            "hd_lam": hd_lam,
-        },
-    )
-    return _finish(model, degraded)
+    prob = _fitted_prob(dataset, taus, live, H, coef, expit)
+    return _model("lasso", taus, coef, live, prob, degraded, support,
+                  separated=tuple(separated), kkt=kkt_diag, hd_theta=hd_theta, hd_lam=hd_lam)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtri
 
-from .data import Dataset, QuantileGrid
+from .data import Dataset, QuantileGrid, _per_stratum
 from .errors import DataValidationError, NumericalError
-from .estimator import QteEstimate, _fixed_pis, _model_solver, _point
+from .estimator import QteEstimate, _model_solver, _point
 
 # Spread of the standard normal between the 2.5% and 97.5% critical values.
 _NORMAL_SPREAD = ndtri(0.975) - ndtri(0.025)
@@ -178,7 +178,7 @@ def run_bootstrap(
     draws = _draw_matrix(len(models), B, n_taus)
     solver = _model_solver(dataset, models, grid)
     floor = _DEGENERATE_FRACTION * dataset.strata.n.astype(np.float64)
-    fixed_pis = None if fixed_pi is None else _fixed_pis(fixed_pi, n_strata)[None]
+    fixed_pis = None if fixed_pi is None else _per_stratum(fixed_pi, n_strata, "fixed pi")[None]
     q1_unit, q0_unit = _point(solver, dataset, fixed_pi)
 
     size = min(B, max(1, _BLOCK_FLOATS // n))

@@ -32,6 +32,14 @@ def _checked_fractions(values, what: str) -> np.ndarray:
     return out
 
 
+def _per_stratum(values, n_strata: int, what: str) -> np.ndarray:
+    """``values``, a scalar or one per stratum, as ``n_strata`` checked fractions."""
+    out = np.full(n_strata, float(values)) if np.isscalar(values) else np.asarray(values, float)
+    if out.shape != (n_strata,):
+        raise DataValidationError(f"{what}: expected a scalar or one value per stratum")
+    return _checked_fractions(out, what)
+
+
 def _check_finite(y: np.ndarray, x: np.ndarray) -> None:
     if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
         raise DataValidationError("non-finite values in y or x")

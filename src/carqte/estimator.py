@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, QuantileGrid, _checked_fractions
-from .errors import DataValidationError, DegenerateCellError, NumericalError
+from .data import Dataset, QuantileGrid, _per_stratum
+from .errors import DegenerateCellError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -68,17 +68,6 @@ def _search_left(cum: np.ndarray, targets: np.ndarray) -> np.ndarray:
         k = np.where(stop, k, probe)
         step >>= 1
     return k
-
-
-def _fixed_pis(fixed_pi, n_strata: int) -> np.ndarray:
-    """Known treated fractions, a scalar or one per stratum, strictly inside (0, 1)."""
-    if np.isscalar(fixed_pi):
-        pis = np.full(n_strata, float(fixed_pi))
-    else:
-        pis = np.asarray(fixed_pi, dtype=np.float64)
-        if pis.shape != (n_strata,):
-            raise DataValidationError("fixed pi has wrong per-stratum length")
-    return _checked_fractions(pis, "fixed pi")
 
 
 class _Solver:
@@ -163,7 +152,8 @@ def _point(solver: _Solver, dataset: Dataset, fixed_pi) -> tuple[np.ndarray, np.
     Unit weights give the count fractions ``dataset.strata.pi_hat``, or the
     known ``fixed_pi`` when one is given.
     """
-    pis = dataset.strata.pi_hat if fixed_pi is None else _fixed_pis(fixed_pi, dataset.n_strata)
+    pis = (dataset.strata.pi_hat if fixed_pi is None
+           else _per_stratum(fixed_pi, dataset.n_strata, "fixed pi"))
     q1, q0 = solver.solve(np.ones((1, solver.n)), pis[None])
     return q1[0], q0[0]
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import _checked_fractions
+from .data import _checked_fractions, _per_stratum
 from .errors import DataValidationError
 
 SCHEME_KINDS = ("srs", "wei", "bcd", "sbr")
@@ -72,19 +72,12 @@ class SchemeSpec:
 
 def _per_stratum_targets(target_pi, labels: tuple) -> np.ndarray:
     """Expand a scalar / mapping / sequence target fraction to code order."""
-    k = len(labels)
     if isinstance(target_pi, Mapping):
         try:
-            out = np.array([float(target_pi[lab]) for lab in labels])
+            target_pi = [float(target_pi[lab]) for lab in labels]
         except KeyError as exc:
             raise DataValidationError(f"target pi missing for stratum {exc.args[0]!r}") from None
-    elif np.isscalar(target_pi):
-        out = np.full(k, float(target_pi))
-    else:
-        out = np.asarray(target_pi, dtype=np.float64)
-        if out.shape != (k,):
-            raise DataValidationError("per-stratum target pi has wrong length")
-    return _checked_fractions(out, "target fractions")
+    return _per_stratum(target_pi, len(labels), "target fractions")
 
 
 def _targets_for(strata: np.ndarray, spec: SchemeSpec) -> tuple[np.ndarray, np.ndarray, list]:

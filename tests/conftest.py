@@ -9,8 +9,9 @@ import numpy as np
 from scipy.special import expit
 
 from carqte import Dataset, DataValidationError, DegenerateCellError
-from carqte.adjust import _SCORE_TOL, _SEPARATION_CAP, _ZERO_SD
-from carqte.estimator import _fixed_pis, _Solver
+from carqte.adjust import _SCORE_TOL, _SEPARATION_CAP, _ZERO_SD, _fit_logit_cells
+from carqte.data import _per_stratum
+from carqte.estimator import _Solver
 
 
 def make_stratified_dataset(rng, n=40, k=2, d=1, y=None):
@@ -98,7 +99,7 @@ def pi_by_stratum(ds, xi, fixed_pi=None):
     raising :class:`DegenerateCellError` when one of them is 0 or 1.
     """
     if fixed_pi is not None:
-        return _fixed_pis(fixed_pi, ds.n_strata)
+        return _per_stratum(fixed_pi, ds.n_strata, "fixed pi")
     n1w, nw = weighted_arm_counts(ds, xi)
     bad = [ds.strata_labels[i] for i in np.flatnonzero((nw <= 0.0) | (n1w <= 0.0) | (n1w >= nw))]
     if bad:
@@ -312,6 +313,13 @@ def logit_newton(H, y, ridge=0.0, max_iter=200):
         if ridge == 0.0 and np.max(np.abs(theta)) > _SEPARATION_CAP:
             return theta, False, True
     return theta, False, False
+
+
+def fit_logit_cell(H, y):
+    """(theta, converged, separated) of one cell: a one-problem call of the
+    batched logistic core."""
+    theta, converged, separated = _fit_logit_cells([(H, np.arange(H.shape[0]))], [y[:, None]])
+    return theta[0, 0], bool(converged[0, 0]), bool(separated[0, 0])
 
 
 def logit_fit_reference(H, y):

@@ -16,6 +16,7 @@ from conftest import (
     brute_force_arm,
     estimated_pis,
     features_reference,
+    fit_logit_cell,
     make_stratified_dataset,
     solve_arm,
 )
@@ -39,7 +40,7 @@ from carqte import (
     true_qte_oracle,
     uniform_band,
 )
-from carqte.adjust import _fit_logit_cell, _l1_kkt_residual
+from carqte.adjust import _l1_kkt_residual
 from carqte.bootstrap import sup_critical_value
 from carqte.estimator import QteEstimate
 from carqte.randomization import assign_bcd, assign_sbr, assign_srs, assign_wei
@@ -310,7 +311,7 @@ def test_criterion_9_numerical_fit_properties():
         y = (rng.uniform(size=n) < expit(H @ rng.normal(0, 0.7, 3))).astype(float)
         if y.min() == y.max():
             continue
-        th = _fit_logit_cell(H, y)
+        th, _, _ = fit_logit_cell(H, y)
         score = np.max(np.abs(H.T @ (y - expit(H @ th)) / n))
         worst_score = max(worst_score, score)
         score_ok &= score <= 1e-8

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import evaluate_reference, features_reference, logit_fit_reference
+from conftest import evaluate_reference, features_reference, fit_logit_cell, logit_fit_reference
 from scipy.special import expit, logit
 
 from carqte import (
@@ -24,7 +24,6 @@ from carqte import adjust
 from carqte.adjust import (
     LOGIT_BASE,
     _features,
-    _fit_logit_cell,
     _fit_logit_cells,
     _l1_kkt_residual,
     penalty_level,
@@ -94,19 +93,19 @@ def test_features_match_the_term_roster_reference(method, d):
 
 
 def test_intercept_only_half_labels_zero():
-    th = _fit_logit_cell(np.ones((8, 1)), np.array([1, 1, 1, 1, 0, 0, 0, 0.0]))
+    th, _, _ = fit_logit_cell(np.ones((8, 1)), np.array([1, 1, 1, 1, 0, 0, 0, 0.0]))
     assert abs(th[0]) < 1e-9
 
 
 def test_intercept_only_quarter_labels():
-    th = _fit_logit_cell(np.ones((8, 1)), np.array([1, 0, 0, 0, 1, 0, 0, 0.0]))
+    th, _, _ = fit_logit_cell(np.ones((8, 1)), np.array([1, 0, 0, 0, 1, 0, 0, 0.0]))
     assert th[0] == pytest.approx(np.log(1 / 3), abs=1e-8)
 
 
 def test_separated_cell_takes_ridge_path():
     H = np.column_stack([np.ones(2), [0.0, 1.0]])
-    with pytest.warns(UserWarning, match="separated"):
-        th = _fit_logit_cell(H, np.array([0.0, 1.0]))
+    th, converged, separated = fit_logit_cell(H, np.array([0.0, 1.0]))
+    assert separated and converged
     assert np.all(np.isfinite(th))
     p = expit(H @ th)
     assert np.all((p > 0.0) & (p < 1.0))
@@ -114,9 +113,7 @@ def test_separated_cell_takes_ridge_path():
 
 def test_constant_labels_yield_interior_probabilities():
     H = np.column_stack([np.ones(6), np.arange(6.0)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        th = _fit_logit_cell(H, np.ones(6))
+    th, _, _ = fit_logit_cell(H, np.ones(6))
     p = expit(H @ th)
     assert np.all((p > 0.0) & (p < 1.0))
 
@@ -127,7 +124,7 @@ def test_score_tolerance_on_random_cells():
         n = int(rng.integers(30, 80))
         H = np.column_stack([np.ones(n), rng.normal(0, 1, (n, 2))])
         y = (rng.uniform(size=n) < expit(H @ np.array([0.2, 0.8, -0.5]))).astype(float)
-        th = _fit_logit_cell(H, y)
+        th, _, _ = fit_logit_cell(H, y)
         score = H.T @ (y - expit(H @ th)) / n
         assert np.max(np.abs(score)) <= 1e-8
 
@@ -220,12 +217,8 @@ def test_fit_logit_cell_matches_per_problem_reference():
         for y in ((rng.uniform(size=n) < expit(H[:, 1])).astype(float),
                   (H[:, 1] > 0.0).astype(float)):
             want, converged, separated = logit_fit_reference(H, y)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                got = _fit_logit_cell(H, y)
-            messages = [str(w.message) for w in caught]
-            assert any("separated" in m for m in messages) == separated
-            assert any("score tolerance" in m for m in messages) == (not converged)
+            got, got_converged, got_separated = fit_logit_cell(H, y)
+            assert (got_converged, got_separated) == (converged, separated)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
@@ -413,6 +406,49 @@ def test_partial_small_cells_degrade_with_warning():
     assert np.all(treated[s == 1] == 0.0)  # degraded cell adjusts by zero
     assert model.live[1, 0, 0]
     assert np.all(treated[s == 0] != 0.0)
+
+
+def _straddling_dataset():
+    """Seven strata of 30 control rows and 2, 3, 4, 5, 6, 7 or 30 treated
+    rows, d = 2: every row minimum (3 for the lasso, 4 for the
+    recombinations, p + 2 for lp, ml, mlx and np) falls between two of them."""
+    rng = np.random.default_rng(21)
+    sizes = (2, 3, 4, 5, 6, 7, 30)
+    s = np.concatenate([np.full(k + 30, stratum) for stratum, k in enumerate(sizes)])
+    a = np.concatenate([np.r_[np.ones(k, int), np.zeros(30, int)] for k in sizes])
+    x = rng.normal(0, 1, (s.size, 2))
+    return Dataset.from_arrays(x @ [1.0, 0.5] + rng.normal(0, 1, s.size), a, s, x)
+
+
+@pytest.mark.parametrize("method,count", [
+    ("lasso", 1), ("lp", 2), ("ml", 3), ("mlx", 4), ("np", 5), ("lpml", 6), ("lpmlx", 8),
+])
+def test_degraded_lists_exactly_the_cells_left_at_zero(method, count):
+    ds = _straddling_dataset()
+    grid = QuantileGrid.of([0.25, 0.5, 0.75])
+    model = _fit_quiet(fit_adjustment, method, ds, pilot_quantiles(ds, grid), grid)
+    degraded = model.diagnostics["degraded"]
+    dead = {(a, s) for a in (0, 1) for s in range(ds.n_strata) if not model.live[a, s].any()}
+    assert set(degraded) == dead and len(degraded) == count
+    assert list(degraded) == sorted(degraded, key=lambda cell: (cell[1], -cell[0]))
+
+
+@pytest.mark.parametrize("method", ["lpml", "lpmlx"])
+def test_recombination_degrades_both_arms_of_a_stratum_without_a_live_base(method):
+    rng = np.random.default_rng(22)
+    s = np.repeat([0, 1], [24, 40])
+    a = np.concatenate([np.r_[np.ones(20, int), np.zeros(4, int)], np.tile([0, 1], 20)])
+    x = rng.normal(0, 1, (s.size, 2))
+    ds = Dataset.from_arrays(x[:, 0] + rng.normal(0, 1, s.size), a, s, x)
+    pilot = _median_pilot(ds.y, ds.a)
+    # Stratum 0's 4 control rows are too few for the base fit, not for lpml.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = fit_adjustment(method, ds, pilot, GRID)
+    assert f"{method}: 2 cell(s) too small" in str(caught[-1].message)
+    assert model.diagnostics["degraded"] == ((1, 0), (0, 0))
+    assert model.live[:, 1].all()
+    assert all(np.all(adj[s == 0] == 0.0) for adj in model.evaluate_all(GRID, ds))
 
 
 def test_np_fitted_cdf_not_monotone_in_tau():
@@ -616,6 +652,29 @@ def test_lasso_empty_support_falls_back():
         assert set(model.support[(arm, 0, 0)]) == {0}  # intercept only
     theta0 = model.coef[1, 0, 0, 0]
     assert model.evaluate_all(GRID, ds)[1][0, 0] == pytest.approx(0.5 - expit(theta0))
+
+
+def test_lasso_lists_separated_refits():
+    # The treated outcome is the forced column x1 itself, so x1 splits every
+    # treated label vector and each refit on a support holding x1 separates.
+    rng = np.random.default_rng(4)
+    n = 80
+    a = np.tile([0, 1], n // 2)
+    x = rng.normal(0, 1, (n, 2))
+    ds = Dataset.from_arrays(np.where(a == 1, x[:, 0], x[:, 0] + rng.normal(0, 1, n)), a,
+                             np.zeros(n, int), x)
+    taus = (0.25, 0.5, 0.75)
+    pilot = pilot_quantiles(ds, QuantileGrid.of(taus))
+    model = fit_hd_lasso(ds, pilot, QuantileGrid.of(taus))
+    H = features_reference("lasso", ds.x)
+    want = []
+    for (arm, s, ti), cols in model.support.items():
+        rows = np.flatnonzero((ds.a == arm) & (ds.s == s))
+        labels = (ds.y[rows] <= pilot.q(arm, taus[ti])).astype(float)
+        if logit_fit_reference(H[np.ix_(rows, cols)], labels)[2]:
+            want.append((arm, s, ti))
+    assert model.diagnostics["separated"] == tuple(want)
+    assert [key for key in want if key[0] == 1] == [(1, 0, 0), (1, 0, 1), (1, 0, 2)]
 
 
 def test_lasso_mhat_sign_convention_and_debug_flag():

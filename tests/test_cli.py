@@ -100,6 +100,26 @@ def test_every_adjusting_method_needs_a_covariate(tmp_path, capsys, method):
         assert f"{method} needs at least one covariate" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:.*too small")
+@pytest.mark.parametrize("method", ["lpml", "lpmlx"])
+def test_recombination_without_a_live_base_stratum_exits_3(tmp_path, capsys, method):
+    # 48 rows, d = 2: stratum 0 holds 4 control rows and stratum 1 holds 4
+    # treated rows, too few for the base fit, so no stratum has a live base
+    # fit on both arms and no lpml cell can be fitted.
+    rng = np.random.default_rng(5)
+    a = np.array([1] * 20 + [0] * 4 + [1] * 4 + [0] * 20)
+    x = rng.normal(0, 1, (48, 2))
+    y = x[:, 0] + rng.normal(0, 1, 48)
+    path = tmp_path / "thin.csv"
+    path.write_text("y,a,s,x1,x2\n" + "".join(
+        f"{float(y[i])!r},{a[i]},{i // 24},{float(x[i, 0])!r},{float(x[i, 1])!r}\n"
+        for i in range(48)))
+    code = main(["estimate", "--input", str(path), "--adjust", method, "--B", "10",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    assert f"{method}: every (arm, stratum) cell is too small" in capsys.readouterr().err
+
+
 def test_cli_import_does_not_load_scipy_stats():
     # scipy.stats costs about half of the start-up of a fresh process.
     code = "import sys, carqte, carqte.cli; print('scipy.stats' in sys.modules)"

@@ -13,7 +13,7 @@ from carqte import (
     QuantileGrid,
     load_csv,
 )
-from carqte.data import index_strata
+from carqte.data import _per_stratum, index_strata
 from conftest import load_csv_reference, pi_by_stratum, weighted_arm_counts
 
 
@@ -63,6 +63,18 @@ def test_empty_stratum_raises():
     extra = Dataset(ds.y, ds.a, ds.s, ds.x, ds.strata_labels + ("empty",))
     with pytest.raises(DataValidationError, match=r"strata without rows: \['empty'\]"):
         extra.strata
+
+
+@pytest.mark.parametrize("values,match", [
+    ([0.5] * 3, "one value per stratum"),
+    (np.array(0.5), "one value per stratum"),
+    ([0.5, 1.0], "strictly inside"),
+])
+def test_per_stratum_fractions_are_checked(values, match):
+    assert _per_stratum(0.3, 2, "fixed pi").tolist() == [0.3, 0.3]
+    assert _per_stratum([0.2, 0.7], 2, "fixed pi").tolist() == [0.2, 0.7]
+    with pytest.raises(DataValidationError, match=f"fixed pi.*{match}"):
+        _per_stratum(values, 2, "fixed pi")
 
 
 def test_strata_is_computed_once_and_equals_index_strata():
