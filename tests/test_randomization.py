@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,30 @@ def test_wei_rejects_invalid_allocation_function():
     with pytest.raises(DataValidationError):
         SchemeSpec("wei", phi=lambda x: 0.4 - x / 4)  # asymmetric
     SchemeSpec("wei", phi=lambda x: (1 - x**3) / 2)  # valid alternative
+
+
+# sha256 of assign's int64 output on 300 units of three strata, labelled by
+# ints, by strings in another sorted order, and by negative ints (numpy 2.4).
+# A bcd key carries its lambda.  Only sbr walks the strata in label order,
+# so only its str pin differs.
+PINNED_ASSIGNMENTS = {
+    "srs": "75e2024e92cbcf80e4d1f1952b3f39b4108c711c5b45a70b0c5bee0fe20ebfbc",
+    "wei": "6b9749d51b58383b224926b382570223d4f55cf68a7d8d32901bf62b93edcafc",
+    "bcd-0.75": "0303cd1809605babccfc0554bc9b54c5fc15e3ed8de3ad9c1b932486f05d952e",
+    "bcd-1.0": "57efe50fdc57b974b5a4e243ffd378660533de7bf1fee423703a87c0045c19e9",
+    "sbr": "bb5d18c040d334974d3d0672ae78fc554deb79d20d418b0379bfc6a22c24845c",
+}
+PINNED_SBR_STR = "6e39ec0928aba1ff3ffe996e22cf211d4726410919d3ff841384d1b27bc78512"
+
+
+@pytest.mark.parametrize("scheme", list(PINNED_ASSIGNMENTS))
+@pytest.mark.parametrize("labels", ["int", "str", "negative"])
+def test_assignments_are_pinned(scheme, labels):
+    codes = np.random.default_rng(7).integers(0, 3, 300)
+    strata = {"int": codes + 1, "str": np.array(["b", "a", "c"])[codes],
+              "negative": codes - 2}[labels]
+    kind, _, lam = scheme.partition("-")
+    a = assign(strata, SchemeSpec(kind, bcd_lambda=float(lam or 0.75)), np.random.default_rng(8))
+    assert a.dtype == np.int64
+    want = PINNED_SBR_STR if (kind, labels) == ("sbr", "str") else PINNED_ASSIGNMENTS[scheme]
+    assert hashlib.sha256(a.tobytes()).hexdigest() == want
