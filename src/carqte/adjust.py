@@ -35,6 +35,7 @@ LOGIT_METHODS = ("ml", "mlx", "np")  # the methods of :func:`fit_ml`
 # Coefficient magnitude beyond which a logistic fit is treated as separated.
 _SEPARATION_CAP = 30.0
 _SCORE_TOL = 1e-8
+_MAX_NEWTON = 200
 # The batched logistic solve pads cells into blocks of at most about this many
 # floats (cells x rows x features x taus); a cell larger than that is a block
 # of its own.
@@ -159,18 +160,18 @@ def _batch_objective(t, Y, valid, n, ridge, theta):
     return nll + 0.5 * ridge[:, None] * np.sum(theta * theta, axis=1)
 
 
-def _newton_pass(H, Y, valid, n, ridge, active, max_iter=200):
+def _newton_pass(H, Y, valid, n, ridge, active):
     """Damped Newton iteration on a block of padded cells.
 
     ``H`` is (C, N, p) with zero rows past each cell's ``n`` rows (``valid``
     masks them out of the objective), ``Y`` is (C, N, T) with tau along the
     columns, ``ridge`` is per cell and ``active`` (C, T) selects the problems
-    to fit.  A problem is frozen once its score is within tolerance
-    (converged) or, without ridge, once a coefficient passes the separation
-    cap (separated); an iteration works only on the tau columns that still
-    have a live problem.  Steps solve each Hessian exactly; if some Hessian
-    of the stack is singular, that iteration falls back to per-problem
-    minimum norm least squares.  Backtracking halves a problem's step while
+    to fit, for at most ``_MAX_NEWTON`` iterations.  A problem is frozen
+    once its score is within tolerance (converged) or, without ridge, once a
+    coefficient passes the separation cap (separated); an iteration works
+    only on the tau columns that still have a live problem.  Steps solve
+    each Hessian exactly; if some Hessian of the stack is singular, that
+    iteration falls back to per-problem minimum norm least squares.  Backtracking halves a problem's step while
     its objective rises by more than 1e-14.  Returns theta (C, p, T) and the
     converged and separated masks.
     """
@@ -185,7 +186,7 @@ def _newton_pass(H, Y, valid, n, ridge, active, max_iter=200):
     t = np.zeros(Y.shape)
     obj = _batch_objective(t, Y, valid, n, ridge, theta)
     eye = np.eye(p)
-    for _ in range(max_iter):
+    for _ in range(_MAX_NEWTON):
         cols = np.flatnonzero(active.any(axis=0))
         if cols.size == 0:
             break
@@ -250,14 +251,14 @@ def _chunks(sizes, width):
         yield chunk
 
 
-def _fit_logit_cells(cells, labels, ridge=0.0):
+def _fit_logit_cells(cells, labels):
     """Logistic quasi-ML for every (cell, tau) problem, in padded batches.
 
     ``cells[c]`` is ``(H, rows)``, the cell's rows of its own feature matrix,
     so cells of several datasets share a solve unstacked.  ``labels[c]`` holds its (n_c, T) 0/1 labels, one column per tau.
-    Problems that separate without ridge are refitted from zero with ridge
-    ``max(ridge, 1e-4 / n_c)`` in a second batched pass.  Returns theta
-    (C, T, p) and the converged and separated masks (C, T).
+    The first pass has no ridge; problems that separate in it are refitted
+    from zero with ridge ``1e-4 / n_c`` in a second batched pass.  Returns
+    theta (C, T, p) and the converged and separated masks (C, T).
     """
     C = len(cells)
     p = cells[0][0].shape[1]
@@ -276,14 +277,12 @@ def _fit_logit_cells(cells, labels, ridge=0.0):
             Yb[k, : sizes[c]] = labels[c]
         n = np.array([sizes[c] for c in chunk], dtype=np.float64)
         valid = (np.arange(N) < n[:, None])[:, None, :].astype(np.float64)
-        ridges = np.full(len(chunk), float(ridge))
         active = np.ones((len(chunk), T), dtype=bool)
-        th, conv, sep = _newton_pass(Hb, Yb, valid, n, ridges, active)
+        th, conv, sep = _newton_pass(Hb, Yb, valid, n, np.zeros(len(chunk)), active)
         redo = np.flatnonzero(sep.any(axis=1))
         if redo.size:
-            refit_ridge = np.maximum(ridges[redo], 1e-4 / n[redo])
             th2, conv2, _ = _newton_pass(
-                Hb[redo], Yb[redo], valid[redo], n[redo], refit_ridge, sep[redo]
+                Hb[redo], Yb[redo], valid[redo], n[redo], 1e-4 / n[redo], sep[redo]
             )
             mask = sep[redo]
             th[redo] = np.where(mask[:, None], th2, th[redo])
@@ -323,18 +322,21 @@ def _cell_problems(dataset: Dataset, pilot, taus: tuple, min_rows: int) -> tuple
     return fitted, [(a, s) for a, s, rows in cells if rows.size < min_rows]
 
 
-def _model(method, taus, coef, live, prob, degraded, support=None, **diagnostics):
+def _model(method, taus, coef, live, prob, degraded, support=None, unfit=(), **diagnostics):
     """The fitted :class:`AdjustmentModel`, with ``degraded`` under its diagnostics.
 
-    Warns when a cell adjusts by zero, and raises when no cell is live.
+    ``unfit`` lists the cells of ``degraded`` in a stratum whose base fit is
+    not live on both arms; the others are too small.  Warns with both counts
+    when a cell adjusts by zero, and raises when no cell is live.
     """
     if degraded:
-        warnings.warn(
-            f"{method}: {len(degraded)} cell(s) too small, degraded to zero adjustment",
-            stacklevel=3,
-        )
+        why = f"{len(degraded) - len(unfit)} cell(s) too small"
+        if unfit:
+            why += f" and {len(unfit)} in a stratum without a live {LOGIT_BASE[method]} fit"
+        warnings.warn(f"{method}: {why}, degraded to zero adjustment", stacklevel=3)
         if not live.any():
-            raise DataValidationError(f"{method}: every (arm, stratum) cell is too small")
+            raise DataValidationError(f"{method}: no cell is live: {why}" if unfit
+                                      else f"{method}: every (arm, stratum) cell is too small")
     return AdjustmentModel(method, taus, coef, live, prob, support,
                            {"degraded": tuple(degraded), **diagnostics})
 
@@ -453,10 +455,11 @@ def fit_lpml(
     # Two coefficients plus the usual slack; a cell also adjusts by zero when
     # its stratum's base fit is not live on both arms.
     fitted, degraded = _cell_problems(dataset, pilot, taus, 4)
+    unfit: list = []
     zero_var: list = []
     for a, s, rows, labels in fitted:
         if not ml_model.live[:, s].all():
-            degraded.append((a, s))
+            unfit.append((a, s))
             continue
         live[a, s] = True
         stratum = np.flatnonzero(dataset.s == s)
@@ -477,8 +480,9 @@ def fit_lpml(
             theta[~ok] = 0.0
             coef[a, s, ti] = theta
             prob[a, stratum, ti] = wd @ theta
-    degraded.sort(key=lambda cell: (cell[1], -cell[0]))  # back into cell order
-    return _model(method, taus, coef, live, prob, degraded, zero_variance=tuple(zero_var))
+    degraded = sorted(degraded + unfit, key=lambda cell: (cell[1], -cell[0]))  # cell order
+    return _model(method, taus, coef, live, prob, degraded, unfit=unfit,
+                  zero_variance=tuple(zero_var))
 
 
 # ---------------------------------------------------------------------------

@@ -142,10 +142,9 @@ def _config_value(action: argparse.Action, key: str, value):
     return value
 
 
-def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill unset options from a JSON config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
+def _set_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Make the values of the JSON config file ``args.config`` the defaults
+    of the subcommand ``args.command``."""
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -154,20 +153,16 @@ def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPar
     if not isinstance(cfg, dict):
         raise DataValidationError("config file must hold a JSON object")
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    options = {
-        a.dest: a
-        for a in commands.choices[args.command]._actions
-        if a.default != argparse.SUPPRESS
-    }
+    command = commands.choices[args.command]
+    options = {a.dest: a for a in command._actions if a.default != argparse.SUPPRESS}
+    defaults = {}
     for key, value in cfg.items():
         name = key.replace("-", "_")
         if name in _RESERVED_CONFIG_KEYS:
             raise DataValidationError(f"config key {key!r} is reserved")
-        if name not in options:
-            continue  # schema tolerance: ignore unknown fields
-        if name in args._explicit:  # noqa: SLF001 - set below in main()
-            continue
-        setattr(args, name, _config_value(options[name], key, value))
+        if name in options:  # schema tolerance: unknown fields are ignored
+            defaults[name] = _config_value(options[name], key, value)
+    command.set_defaults(**defaults)
 
 
 def _wald_row(res, null: float) -> dict:
@@ -306,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="carqte",
         description="Regression-adjusted QTE estimation and multiplier-bootstrap "
         "inference under covariate-adaptive randomization.",
-        allow_abbrev=False,  # a prefix would escape the explicit-flag scan in main()
+        allow_abbrev=False,  # a prefix would change meaning when an option is added
     )
     parser.add_argument("--version", action="version", version=f"carqte {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -362,28 +357,20 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else _EXIT_OK
-    # Options typed on the command line take priority over config-file values.
-    args._explicit = {  # noqa: SLF001
-        opt.split("=", 1)[0].lstrip("-").replace("-", "_")
-        for opt in argv
-        if opt.startswith("--")
-    }
     try:
-        _load_config_defaults(args, parser)
+        if args.config:
+            # Config values become defaults, so options typed on the command
+            # line win when argv is parsed again.
+            _set_config_defaults(args, parser)
+            args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"carqte: usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except DataValidationError as exc:
-        print(f"carqte: {exc}", file=sys.stderr)
-        return _EXIT_DATA
     except NumericalError as exc:
         print(f"carqte: numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
-    except CarqteError as exc:
-        print(f"carqte: {exc}", file=sys.stderr)
-        return _EXIT_DATA
-    except OSError as exc:
+    except (CarqteError, OSError) as exc:
         print(f"carqte: {exc}", file=sys.stderr)
         return _EXIT_DATA
 

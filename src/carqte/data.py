@@ -40,6 +40,21 @@ def _per_stratum(values, n_strata: int, what: str) -> np.ndarray:
     return _checked_fractions(out, what)
 
 
+def _dense_codes(values: list) -> tuple[np.ndarray, list]:
+    """(codes, labels): the distinct ``values`` in sorted order, or in
+    first-appearance order when they do not sort (mixed types), and each
+    value's index into them.  NaN, equal to no label, is rejected."""
+    labels = list(dict.fromkeys(values))
+    if any(lab != lab for lab in labels):
+        raise DataValidationError("stratum labels must not be NaN")
+    try:
+        labels = sorted(labels)
+    except TypeError:
+        pass
+    code_of = {lab: k for k, lab in enumerate(labels)}
+    return np.fromiter((code_of[v] for v in values), dtype=np.int64, count=len(values)), labels
+
+
 def _check_finite(y: np.ndarray, x: np.ndarray) -> None:
     if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
         raise DataValidationError("non-finite values in y or x")
@@ -79,31 +94,20 @@ class Dataset:
         a_f = np.asarray(a, dtype=np.float64)
         if not np.all((a_f == 0.0) | (a_f == 1.0)):
             raise DataValidationError("treatment indicator a must be exactly 0 or 1")
-        labels = list(dict.fromkeys(s_in.tolist()))
-        code_of = {lab: k for k, lab in enumerate(labels)}
-        codes = np.fromiter((code_of[v] for v in s_in.tolist()), dtype=np.int64, count=n)
+        codes, labels = _dense_codes(s_in.tolist())
         return cls._from_codes(y.copy(), a_f.astype(np.int64), codes, labels, x.copy())
 
     @classmethod
     def _from_codes(cls, y, a, codes, labels, x) -> "Dataset":
-        """Dataset from stratum codes in first-appearance order of ``labels``.
-
-        The codes are renumbered so that labels come in sorted order; labels
-        of mixed types that do not sort keep their first-appearance order.
-        The arrays are taken over, not copied.
-        """
-        try:
-            order = sorted(range(len(labels)), key=labels.__getitem__)
-        except TypeError:
-            order = list(range(len(labels)))
-        rank = np.empty(len(labels), dtype=np.int64)
-        rank[order] = np.arange(len(labels))
+        """Dataset from stratum codes into the distinct ``labels``, renumbered
+        into :func:`_dense_codes` order.  The arrays are taken over, not copied."""
+        rank, labels = _dense_codes(labels)
         return cls(
             y=_readonly(y),
             a=_readonly(a),
             s=_readonly(rank[codes]),
             x=_readonly(x),
-            strata_labels=tuple(labels[k] for k in order),
+            strata_labels=tuple(labels),
         )
 
     @property

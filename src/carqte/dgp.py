@@ -21,6 +21,8 @@ from .errors import DataValidationError
 
 DGP_KINDS = ("dgp1", "dgp2", "dgphd")
 
+# Coefficient of Z in every design's outcomes.  The truth cache keys carry it.
+_GAMMA = 4.0
 _SQRT20 = np.sqrt(20.0)
 _SQRT5 = np.sqrt(5.0)
 
@@ -34,11 +36,10 @@ _CUTS = {
 
 @dataclass(frozen=True)
 class DgpSpec:
-    """Which design to draw from, the sample size, and the Z coefficient."""
+    """Which design to draw from, and the sample size."""
 
     kind: str
     n: int
-    gamma: float = 4.0
 
     def __post_init__(self) -> None:
         if self.kind not in DGP_KINDS:
@@ -73,36 +74,36 @@ def _standardized_beta22(rng: np.random.Generator, n: int) -> np.ndarray:
     return (rng.beta(2.0, 2.0, size=n) - 0.5) * _SQRT20
 
 
-def dgp1_outcomes(z, x, eps1, eps2, gamma: float = 4.0):
+def dgp1_outcomes(z, x, eps1, eps2):
     """Potential outcomes of the first design given all latent draws."""
     x1, x2 = x[:, 0], x[:, 1]
-    base = (1.0 + x2) + gamma * z
+    base = (1.0 + x2) + _GAMMA * z
     y1 = base + (1.0 + 3.0 * x1 + 3.0 * x2) + (0.25 + x1**2) * eps1
     y0 = base + eps2
     return y1, y0
 
 
-def dgp2_outcomes(z, x, eps1, eps2, gamma: float = 4.0):
+def dgp2_outcomes(z, x, eps1, eps2):
     """Potential outcomes of the second design given all latent draws."""
     x1, x2 = x[:, 0], x[:, 1]
-    base = (1.0 + x1 + x2) + gamma * z
+    base = (1.0 + x1 + x2) + _GAMMA * z
     mu = 1.0 + x1 + x2 + 0.25 * (2.0 * x1 + 2.0 * x2) ** 2
     y1 = base + mu + 2.0 * (1.0 + z**2) * eps1
     y0 = base + (1.0 + z**2) * eps2
     return y1, y0
 
 
-def toeplitz_omega(d: int = 20, rho: float = 0.5) -> np.ndarray:
-    """Correlation matrix with entries rho^|i-j|."""
-    idx = np.arange(d)
-    return rho ** np.abs(idx[:, None] - idx[None, :])
+def toeplitz_omega() -> np.ndarray:
+    """The 20 x 20 correlation matrix of dgphd's covariates, entries 0.5^|i-j|."""
+    idx = np.arange(20)
+    return 0.5 ** np.abs(idx[:, None] - idx[None, :])
 
 
-def dgphd_outcomes(z, x, eps1, eps2, gamma: float = 4.0):
+def dgphd_outcomes(z, x, eps1, eps2):
     """Potential outcomes of the high-dimensional design."""
     k = np.arange(1, x.shape[1] + 1, dtype=np.float64)
     beta = 4.0 / k**2
-    base = 1.0 + gamma * z
+    base = 1.0 + _GAMMA * z
     y1 = base + (1.0 + x @ beta) + 2.0 * eps1
     y0 = base + eps2
     return y1, y0
@@ -116,22 +117,22 @@ def _draw(spec: DgpSpec, rng: np.random.Generator):
         x = np.column_stack([rng.uniform(-2.0, 2.0, size=n), rng.standard_normal(n)])
         eps1 = rng.standard_normal(n)
         eps2 = rng.standard_normal(n)
-        y1, y0 = dgp1_outcomes(z, x, eps1, eps2, spec.gamma)
+        y1, y0 = dgp1_outcomes(z, x, eps1, eps2)
     elif spec.kind == "dgp2":
         z = rng.uniform(-2.0, 2.0, size=n)
         x = np.column_stack([rng.uniform(-2.0, 2.0, size=n), rng.standard_normal(n)])
         # t(5) scaled to unit variance.
         eps1 = rng.standard_t(5, size=n) / _SQRT5
         eps2 = rng.standard_t(5, size=n) / _SQRT5
-        y1, y0 = dgp2_outcomes(z, x, eps1, eps2, spec.gamma)
+        y1, y0 = dgp2_outcomes(z, x, eps1, eps2)
     else:
         z = _standardized_beta22(rng, n)
-        chol = np.linalg.cholesky(toeplitz_omega(20))
+        chol = np.linalg.cholesky(toeplitz_omega())
         w = rng.standard_normal((n, 20)) @ chol.T
         x = ndtr(w)
         eps1 = rng.standard_normal(n)
         eps2 = rng.standard_normal(n)
-        y1, y0 = dgphd_outcomes(z, x, eps1, eps2, spec.gamma)
+        y1, y0 = dgphd_outcomes(z, x, eps1, eps2)
     return z, x, y1, y0
 
 
@@ -176,7 +177,7 @@ def true_qte_oracle(
         raise DataValidationError("mc_n and mc_reps must be at least 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    inner = DgpSpec(spec.kind, mc_n, spec.gamma)
+    inner = DgpSpec(spec.kind, mc_n)
 
     def sampler(r: np.random.Generator):
         return _draw(inner, r)[2:]
@@ -184,9 +185,11 @@ def true_qte_oracle(
     return _oracle_from_sampler(sampler, tuple(grid), mc_reps, rng)
 
 
-def _oracle_key(spec: DgpSpec, grid: QuantileGrid, mc_n: int, mc_reps: int, seed: int) -> str:
+def _oracle_key(spec: DgpSpec, grid: QuantileGrid, mc_n: int, mc_reps: int) -> str:
+    # The constants gamma and the oracle seed stay in the key, so that caches
+    # written while they were parameters still hit.
     taus = ",".join(repr(t) for t in grid)
-    return f"{spec.kind}|gamma={spec.gamma!r}|mc_n={mc_n}|mc_reps={mc_reps}|seed={seed}|taus={taus}"
+    return f"{spec.kind}|gamma={_GAMMA!r}|mc_n={mc_n}|mc_reps={mc_reps}|seed=0|taus={taus}"
 
 
 def cached_true_qte(
@@ -194,22 +197,22 @@ def cached_true_qte(
     grid: QuantileGrid,
     mc_n: int = 10_000,
     mc_reps: int = 1_000,
-    seed: int = 0,
     cache_path: str | None = None,
 ) -> np.ndarray:
-    """Oracle truths with a small JSON sidecar cache keyed by all parameters.
+    """Oracle truths at seed 0, with a small JSON sidecar cache keyed by all
+    parameters.
 
     A cache file that is not a UTF-8 JSON object, or whose entry for these
     parameters is not one finite number per tau, raises DataValidationError
     and is left as it is.
     """
-    key = _oracle_key(spec, grid, mc_n, mc_reps, seed)
+    key = _oracle_key(spec, grid, mc_n, mc_reps)
     cache: dict = {}
     if cache_path and os.path.exists(cache_path):
         cache = _read_truth_cache(cache_path)
         if key in cache:
             return _cached_truth(cache_path, cache[key], len(grid))
-    truth = true_qte_oracle(spec, grid, mc_n, mc_reps, np.random.default_rng(seed))
+    truth = true_qte_oracle(spec, grid, mc_n, mc_reps, np.random.default_rng(0))
     if cache_path:
         cache[key] = [float(v) for v in truth]
         tmp = f"{cache_path}.tmp"

@@ -58,7 +58,6 @@ class ScenarioSpec:
     fixed_pi: object = None
     mc_n: int = 10_000
     mc_reps: int = 1_000
-    oracle_seed: int = 0
     truth_cache: str | None = None
     workers: int = 1
     lasso_c: float = 1.1
@@ -67,7 +66,7 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.reps < 1 or self.B < 2:
             raise DataValidationError("need reps >= 1 and B >= 2")
-        if self.seed < 0 or self.oracle_seed < 0:
+        if self.seed < 0:
             raise DataValidationError("seeds must be non-negative integers")
         _normal_critical_values(self.alpha)  # checks alpha
         for m in self.methods:
@@ -215,13 +214,12 @@ def _run_group(args) -> list:
 
 
 def scenario_truth(spec: ScenarioSpec) -> np.ndarray:
-    """Oracle QTE truths for the scenario's design and grid."""
+    """Oracle QTE truths for the scenario's design and grid, at oracle seed 0."""
     return cached_true_qte(
-        DgpSpec(spec.dgp.kind, spec.mc_n, spec.dgp.gamma),
+        spec.dgp,
         spec.taus,
         mc_n=spec.mc_n,
         mc_reps=spec.mc_reps,
-        seed=spec.oracle_seed,
         cache_path=spec.truth_cache,
     )
 

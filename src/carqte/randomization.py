@@ -15,15 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .data import _checked_fractions, _per_stratum
+from .data import _checked_fractions, _dense_codes, _per_stratum
 from .errors import DataValidationError
 
 SCHEME_KINDS = ("srs", "wei", "bcd", "sbr")
-
-
-def default_phi(x: float) -> float:
-    """Wei's allocation function (1 - x) / 2 on [-1, 1]."""
-    return (1.0 - x) / 2.0
 
 
 @dataclass(frozen=True)
@@ -32,14 +27,12 @@ class SchemeSpec:
 
     ``pi`` is the per-stratum target treated fraction (scalar or mapping by
     stratum label).  ``bcd_lambda`` is the biased-coin push probability, in
-    (0.5, 1].  ``phi`` is Wei's allocation function, non-increasing with
-    phi(-x) = 1 - phi(x).
+    (0.5, 1].
     """
 
     kind: str
     pi: object = 0.5
     bcd_lambda: float = 0.75
-    phi: Callable[[float], float] = default_phi
 
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
@@ -60,14 +53,6 @@ class SchemeSpec:
             scalar = np.isscalar(pi) and float(pi) == 0.5
             if not scalar:
                 raise DataValidationError(f"{self.kind} is defined for pi = 0.5 only")
-        if self.kind == "wei":
-            probe = np.linspace(0.0, 1.0, 9)
-            vals = np.array([float(self.phi(x)) for x in probe])
-            mirror = np.array([float(self.phi(-x)) for x in probe])
-            if np.any(np.diff(vals) > 1e-12) or not np.allclose(mirror, 1.0 - vals, atol=1e-8):
-                raise DataValidationError(
-                    "wei allocation function must be non-increasing with phi(-x) = 1 - phi(x)"
-                )
 
 
 def _per_stratum_targets(target_pi, labels: tuple) -> np.ndarray:
@@ -81,14 +66,7 @@ def _per_stratum_targets(target_pi, labels: tuple) -> np.ndarray:
 
 
 def _targets_for(strata: np.ndarray, spec: SchemeSpec) -> tuple[np.ndarray, np.ndarray, list]:
-    s_in = np.asarray(strata)
-    labels = list(dict.fromkeys(s_in.tolist()))
-    try:
-        labels = sorted(labels)
-    except TypeError:
-        pass
-    code_of = {lab: k for k, lab in enumerate(labels)}
-    codes = np.fromiter((code_of[v] for v in s_in.tolist()), dtype=np.int64, count=s_in.shape[0])
+    codes, labels = _dense_codes(np.asarray(strata).tolist())
     target = _per_stratum_targets(spec.pi, tuple(labels))
     return codes, target, labels
 
@@ -100,13 +78,14 @@ def assign_srs(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray
     return (u < target[codes]).astype(np.int64)
 
 
-def wei_probability(d_prev: float, n_prev: int, phi: Callable[[float], float]) -> float:
+def wei_probability(d_prev: float, n_prev: int) -> float:
     """Treatment probability for the next unit of a stratum under WEI.
 
-    The imbalance ratio for a stratum with no history is taken to be zero.
+    Wei's allocation function phi(x) = (1 - x) / 2 at the imbalance ratio
+    x = 2 d_prev / n_prev, taken to be zero for a stratum with no history.
     """
     ratio = 0.0 if n_prev == 0 else 2.0 * d_prev / n_prev
-    return float(phi(ratio))
+    return (1.0 - ratio) / 2.0
 
 
 def bcd_probability(d_prev: float, lam: float) -> float:
@@ -116,40 +95,35 @@ def bcd_probability(d_prev: float, lam: float) -> float:
     return lam if d_prev < 0.0 else 1.0 - lam
 
 
-def assign_wei(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray:
-    """Wei's adaptive biased-coin design, processing units in row order."""
+def _assign_sequential(strata, spec: SchemeSpec, rng: np.random.Generator,
+                       probability: Callable[[float, int], float]) -> np.ndarray:
+    """Units in row order, each treated with ``probability(d, m)`` of its
+    stratum's imbalance ``d`` (treated minus half its units) and its ``m``
+    units so far.  All n uniforms are drawn up front."""
     codes, _, labels = _targets_for(strata, spec)
     n = codes.shape[0]
     u = rng.uniform(size=n)
     d = np.zeros(len(labels))
     m = np.zeros(len(labels), dtype=np.int64)
     out = np.zeros(n, dtype=np.int64)
-    phi = spec.phi
     for k in range(n):
         s = codes[k]
-        p = wei_probability(d[s], int(m[s]), phi)
-        a = 1 if u[k] < p else 0
+        a = 1 if u[k] < probability(d[s], int(m[s])) else 0
         out[k] = a
         d[s] += a - 0.5
         m[s] += 1
     return out
 
 
+def assign_wei(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray:
+    """Wei's adaptive biased-coin design, processing units in row order."""
+    return _assign_sequential(strata, spec, rng, wei_probability)
+
+
 def assign_bcd(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray:
     """Efron-style biased-coin design, processing units in row order."""
-    codes, _, labels = _targets_for(strata, spec)
-    n = codes.shape[0]
-    u = rng.uniform(size=n)
-    d = np.zeros(len(labels))
-    out = np.zeros(n, dtype=np.int64)
     lam = spec.bcd_lambda
-    for k in range(n):
-        s = codes[k]
-        p = bcd_probability(d[s], lam)
-        a = 1 if u[k] < p else 0
-        out[k] = a
-        d[s] += a - 0.5
-    return out
+    return _assign_sequential(strata, spec, rng, lambda d, _m: bcd_probability(d, lam))
 
 
 def assign_sbr(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray:

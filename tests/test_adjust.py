@@ -445,7 +445,9 @@ def test_recombination_degrades_both_arms_of_a_stratum_without_a_live_base(metho
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         model = fit_adjustment(method, ds, pilot, GRID)
-    assert f"{method}: 2 cell(s) too small" in str(caught[-1].message)
+    base = {"lpml": "ml", "lpmlx": "mlx"}[method]
+    assert str(caught[-1].message) == (f"{method}: 0 cell(s) too small and 2 in a stratum "
+                                       f"without a live {base} fit, degraded to zero adjustment")
     assert model.diagnostics["degraded"] == ((1, 0), (0, 0))
     assert model.live[:, 1].all()
     assert all(np.all(adj[s == 0] == 0.0) for adj in model.evaluate_all(GRID, ds))

@@ -100,7 +100,7 @@ def test_every_adjusting_method_needs_a_covariate(tmp_path, capsys, method):
         assert f"{method} needs at least one covariate" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:.*too small")
+@pytest.mark.filterwarnings("ignore:.*degraded to zero adjustment")
 @pytest.mark.parametrize("method", ["lpml", "lpmlx"])
 def test_recombination_without_a_live_base_stratum_exits_3(tmp_path, capsys, method):
     # 48 rows, d = 2: stratum 0 holds 4 control rows and stratum 1 holds 4
@@ -117,7 +117,9 @@ def test_recombination_without_a_live_base_stratum_exits_3(tmp_path, capsys, met
     code = main(["estimate", "--input", str(path), "--adjust", method, "--B", "10",
                  "--out", str(tmp_path / "r.json")])
     assert code == 3
-    assert f"{method}: every (arm, stratum) cell is too small" in capsys.readouterr().err
+    base = {"lpml": "ml", "lpmlx": "mlx"}[method]
+    assert (f"{method}: no cell is live: 0 cell(s) too small and 4 in a stratum without a "
+            f"live {base} fit") in capsys.readouterr().err
 
 
 def test_cli_import_does_not_load_scipy_stats():
@@ -177,6 +179,14 @@ def test_fitter_options_are_pinned():
     assert fields == ["c", "loading_iterations", "forced_support"]
     fields = [f.name for f in dataclasses.fields(adjust.AdjustmentModel)]
     assert fields == ["method", "taus", "coef", "live", "prob", "support", "diagnostics"]
+    # Wei's allocation function, the design's Z coefficient and the oracle
+    # seed are constants: (1 - x) / 2, 4.0 and 0.
+    assert [f.name for f in dataclasses.fields(carqte.SchemeSpec)] == ["kind", "pi", "bcd_lambda"]
+    assert [f.name for f in dataclasses.fields(carqte.DgpSpec)] == ["kind", "n"]
+    fields = [f.name for f in dataclasses.fields(carqte.ScenarioSpec)]
+    assert fields == ["dgp", "scheme", "methods", "reps", "B", "taus", "delta", "alpha", "seed",
+                      "fixed_pi", "mc_n", "mc_reps", "truth_cache", "workers", "lasso_c",
+                      "lasso_iters"]
 
 
 def test_names_the_benchmark_tracer_wraps_exist():
@@ -260,8 +270,6 @@ def test_config_file_with_flag_precedence(experiment_csv, tmp_path):
 
 def test_abbreviated_flag_is_a_usage_error_and_a_full_one_beats_config(experiment_csv, tmp_path,
                                                                        capsys):
-    # A prefix such as --se would otherwise set seed while the config's seed
-    # still won, since explicit options are read from the literal tokens.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 9, "taus": [0.5], "B": 20}))
     out = tmp_path / "r.json"
@@ -273,6 +281,20 @@ def test_abbreviated_flag_is_a_usage_error_and_a_full_one_beats_config(experimen
     assert main(["simulate", "--rep", "1"]) == 2
     assert main(base + ["--seed", "5"]) == 0
     assert json.loads(out.read_text())["seed"] == 5
+
+
+def test_bad_config_value_is_a_data_error_even_when_the_flag_is_given(experiment_csv, tmp_path,
+                                                                     capsys):
+    # Every config value is converted before the command line is parsed
+    # over it, so a value the flag overrides is still checked.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"B": 2.5, "taus": [0.5]}))
+    out = tmp_path / "r.json"
+    code = main(["estimate", "--input", experiment_csv, "--config", str(cfg), "--B", "20",
+                 "--out", str(out)])
+    assert code == 3
+    assert "config key 'B': invalid value 2.5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["func", "command", "config"])

@@ -136,6 +136,7 @@ def test_stratum_labels_map_to_dense_codes():
         ([1.0, np.nan], [1, 0], [1, 1]),
         ([1.0, 2.0], [1, 2], [1, 1]),
         ([1.0, 2.0], [1], [1, 1]),
+        ([1.0, 2.0], [1, 0], [1.0, np.nan]),  # a NaN label equals no other label
     ],
 )
 def test_bad_inputs_rejected(y, a, s):

@@ -91,12 +91,12 @@ def test_dgphd_covariates_are_norm_cdf_of_the_same_draws():
     data = generate(DgpSpec("dgphd", n), np.random.default_rng(8))
     rng = np.random.default_rng(8)
     rng.beta(2.0, 2.0, size=n)  # z
-    w = rng.standard_normal((n, 20)) @ np.linalg.cholesky(toeplitz_omega(20)).T
+    w = rng.standard_normal((n, 20)) @ np.linalg.cholesky(toeplitz_omega()).T
     assert np.array_equal(data.x, norm.cdf(w))
 
 
 def test_toeplitz_omega_is_spd():
-    omega = toeplitz_omega(20)
+    omega = toeplitz_omega()
     assert np.array_equal(omega, omega.T)
     np.linalg.cholesky(omega)  # raises if not positive definite
 
@@ -151,12 +151,14 @@ def test_cached_oracle_round_trip(tmp_path):
     cache = tmp_path / "truth.json"
     spec = DgpSpec("dgp1", 300)
     grid = QuantileGrid.of([0.5])
-    first = cached_true_qte(spec, grid, mc_n=300, mc_reps=3, seed=1, cache_path=str(cache))
+    first = cached_true_qte(spec, grid, mc_n=300, mc_reps=3, cache_path=str(cache))
     blob = json.loads(cache.read_text())
     [key] = blob.keys()
+    # The key text of caches written when gamma and the seed were parameters.
+    assert key == "dgp1|gamma=4.0|mc_n=300|mc_reps=3|seed=0|taus=0.5"
     blob[key] = [123.0]  # prove the next call is a cache hit
     cache.write_text(json.dumps(blob))
-    second = cached_true_qte(spec, grid, mc_n=300, mc_reps=3, seed=1, cache_path=str(cache))
+    second = cached_true_qte(spec, grid, mc_n=300, mc_reps=3, cache_path=str(cache))
     assert second[0] == 123.0
     assert first[0] != 123.0
 
@@ -174,7 +176,7 @@ def test_unreadable_truth_cache_is_a_data_error_and_kept(tmp_path, content, matc
     cache.write_bytes(content)
     with pytest.raises(DataValidationError, match=match):
         cached_true_qte(DgpSpec("dgp1", 300), QuantileGrid.of([0.5]), mc_n=300,
-                        mc_reps=3, seed=1, cache_path=str(cache))
+                        mc_reps=3, cache_path=str(cache))
     assert cache.read_bytes() == content
 
 
@@ -182,12 +184,12 @@ def test_unreadable_truth_cache_is_a_data_error_and_kept(tmp_path, content, matc
 def test_bad_truth_cache_entry_is_a_data_error(tmp_path, entry):
     cache = tmp_path / "truth.json"
     spec, grid = DgpSpec("dgp1", 300), QuantileGrid.of([0.5])
-    cached_true_qte(spec, grid, mc_n=300, mc_reps=3, seed=1, cache_path=str(cache))
+    cached_true_qte(spec, grid, mc_n=300, mc_reps=3, cache_path=str(cache))
     blob = json.loads(cache.read_text())
     [key] = blob.keys()
     blob[key] = entry
     cache.write_text(json.dumps(blob))
     before = cache.read_bytes()
     with pytest.raises(DataValidationError, match="truth cache"):
-        cached_true_qte(spec, grid, mc_n=300, mc_reps=3, seed=1, cache_path=str(cache))
+        cached_true_qte(spec, grid, mc_n=300, mc_reps=3, cache_path=str(cache))
     assert cache.read_bytes() == before

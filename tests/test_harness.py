@@ -212,7 +212,7 @@ def test_spec_validation():
         _tiny_spec(methods=("na", "ols"))
     with pytest.raises(DataValidationError):
         _tiny_spec(reps=0)
-    for bad in ({"seed": -1}, {"oracle_seed": -1}, {"alpha": 1e-16}, {"alpha": 1.0}):
+    for bad in ({"seed": -1}, {"alpha": 1e-16}, {"alpha": 1.0}):
         with pytest.raises(DataValidationError):
             _tiny_spec(**bad)
     with pytest.raises(DataValidationError):

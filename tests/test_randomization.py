@@ -10,7 +10,6 @@ from carqte.randomization import (
     assign_srs,
     assign_wei,
     bcd_probability,
-    default_phi,
     wei_probability,
 )
 
@@ -52,17 +51,18 @@ def test_srs_per_stratum_targets():
 
 
 def test_wei_first_unit_probability_is_half():
-    assert wei_probability(0.0, 0, default_phi) == 0.5  # 0/0 ratio treated as zero
+    assert wei_probability(0.0, 0) == 0.5  # 0/0 ratio treated as zero
 
 
 def test_wei_all_treated_history_forces_control():
-    # ratio 1 under the default allocation function: next treated w.p. 0
-    assert wei_probability(5.0, 10, default_phi) == 0.0
+    # ratio 1 under the allocation function (1 - x) / 2: next treated w.p. 0
+    assert wei_probability(5.0, 10) == 0.0
 
 
-def test_wei_phi_symmetry_on_sampled_points():
-    for x in np.linspace(0, 1, 11):
-        assert default_phi(-x) == pytest.approx(1 - default_phi(x))
+def test_wei_probability_symmetry_on_sampled_points():
+    # phi(-x) = 1 - phi(x): an imbalance pushes as hard as its mirror image.
+    for d in np.linspace(0, 5, 11):
+        assert wei_probability(-d, 10) == pytest.approx(1 - wei_probability(d, 10))
 
 
 def test_wei_imbalance_shrinks():
@@ -135,12 +135,10 @@ def test_unknown_scheme_rejected():
         SchemeSpec("pocock")
 
 
-def test_wei_rejects_invalid_allocation_function():
-    with pytest.raises(DataValidationError):
-        SchemeSpec("wei", phi=lambda x: (1 + x) / 2)  # increasing
-    with pytest.raises(DataValidationError):
-        SchemeSpec("wei", phi=lambda x: 0.4 - x / 4)  # asymmetric
-    SchemeSpec("wei", phi=lambda x: (1 - x**3) / 2)  # valid alternative
+@pytest.mark.parametrize("kind", ["srs", "wei", "bcd", "sbr"])
+def test_nan_stratum_label_rejected(kind):
+    with pytest.raises(DataValidationError, match="NaN"):
+        assign(np.array([1.0, np.nan, 1.0]), SchemeSpec(kind), np.random.default_rng(0))
 
 
 # sha256 of assign's int64 output on 300 units of three strata, labelled by
