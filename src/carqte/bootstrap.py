@@ -4,14 +4,16 @@ Each replicate perturbs unit contributions with iid standard-exponential
 weights, recomputes the weighted treated fractions, and re-solves the two
 arm problems from the subgradient conditions; the fitted adjustment is never
 re-estimated.  Several models bootstrap over one shared stream of weights,
-solved together in one pass per replicate.  From the resulting draw matrix
-we build pointwise confidence intervals and Wald tests, quantile-difference
-tests, and uniform bands.
+solved together in one pass per block of replicates, and one helper thread
+solves each block while the calling thread draws the next.  From the
+resulting draw matrix we build pointwise confidence intervals and Wald
+tests, quantile-difference tests, and uniform bands.
 """
 
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -166,6 +168,15 @@ def run_bootstrap(
     dataset's rows.  A draw in which some stratum's arm mass collapses is
     redrawn, and counted, from one child stream spawned at the first such
     draw, in replicate order.
+
+    The blocks run as a two-stage pipeline: while one helper thread solves
+    block k, the calling thread draws block k + 1 into the other of two
+    weight buffers, resamples it and forms its treated fractions.  Every
+    draw from ``rng`` stays on the calling thread, in replicate order, so
+    the draws do not depend on the overlap.  Blocks are stored in order,
+    so a failed solve of block k is raised before any resampling error of
+    block k + 1, and the helper thread ends before the call returns or
+    raises.
     """
     if B < 2:
         raise DataValidationError("need at least two bootstrap replicates")
@@ -193,9 +204,14 @@ def run_bootstrap(
         nw = nw.reshape(-1, 2, n_strata)
         return nw, np.all(nw > floor, axis=(1, 2))
 
+    # Block k is drawn into one buffer while the helper thread solves block
+    # k - 1 from the other.
+    buffers = np.empty((2, size, n))
     n_resampled, redraws = 0, None
-    for start in range(0, B, size):
-        xi = draw_weights(min(size, B - start) * n, rng).reshape(-1, n)
+
+    def draw_block(xi, start):  # fills xi; returns the rows' treated fractions
+        nonlocal n_resampled, redraws
+        xi[...] = draw_weights(xi.size, rng).reshape(xi.shape)
         nw, ok = masses(xi)
         for r in np.flatnonzero(~ok):
             redraws = redraws or rng.spawn(1)[0]
@@ -211,9 +227,25 @@ def run_bootstrap(
                     "in some stratum"
                 )
         n1w, n0w = nw[:, 0], nw[:, 1]
-        q1, q0 = solver.solve(xi, n1w / (n1w + n0w) if fixed_pis is None else fixed_pis)
-        draws[:, start:start + len(xi)] = (
-            (q1 - q0).reshape(len(xi), len(models), n_taus).transpose(1, 0, 2))
+        return n1w / (n1w + n0w) if fixed_pis is None else fixed_pis
+
+    def store(start, solved):  # a solved block's draws, or its solve's error
+        q1, q0 = solved.result()
+        draws[:, start:start + len(q1)] = (
+            (q1 - q0).reshape(len(q1), len(models), n_taus).transpose(1, 0, 2))
+
+    with ThreadPoolExecutor(1) as pool:
+        pending = None
+        for k, start in enumerate(range(0, B, size)):
+            xi = buffers[k % 2, :min(size, B - start)]
+            try:
+                pis = draw_block(xi, start)
+            finally:
+                # Block k - 1 is stored first, so its error comes before block k's.
+                if pending is not None:
+                    store(*pending)
+            pending = start, pool.submit(solver.solve, xi, pis)
+        store(*pending)
     points = zip(q1_unit.reshape(-1, n_taus), q0_unit.reshape(-1, n_taus))
     return BootstrapDrawSet(tuple(
         BootstrapDraws(draws=d, point=QteEstimate(tuple(grid), q1, q0))

@@ -142,6 +142,12 @@ def _config_value(action: argparse.Action, key: str, value):
     return value
 
 
+def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """The subcommand parser of ``name``."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices[name]
+
+
 def _set_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Make the values of the JSON config file ``args.config`` the defaults
     of the subcommand ``args.command``."""
@@ -152,8 +158,7 @@ def _set_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPars
         raise DataValidationError(f"cannot read config {args.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise DataValidationError("config file must hold a JSON object")
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = commands.choices[args.command]
+    command = _command_parser(parser, args.command)
     options = {a.dest: a for a in command._actions if a.default != argparse.SUPPRESS}
     defaults = {}
     for key, value in cfg.items():
@@ -308,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate QTEs from a CSV experiment file",
                          allow_abbrev=False)
-    est.add_argument("--input", required=True, help="CSV with columns y, a, s, x1..xd")
+    est.add_argument("--input", default=None, help="CSV with columns y, a, s, x1..xd")
     est.add_argument("--adjust", default="na", choices=METHODS)
     est.add_argument("--taus", default="0.25,0.5,0.75")
     est.add_argument("--B", type=int, default=1000)
@@ -355,15 +360,18 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else _EXIT_OK
-    try:
         if args.config:
             # Config values become defaults, so options typed on the command
             # line win when argv is parsed again.
             _set_config_defaults(args, parser)
             args = parser.parse_args(argv)
+        if args.command == "estimate" and args.input is None:
+            # Checked here, not by argparse, because the config may give it.
+            _command_parser(parser, "estimate").error(
+                "the following arguments are required: --input")
         return args.func(args)
+    except SystemExit as exc:  # argparse's --help, --version and usage errors
+        return int(exc.code) if exc.code else _EXIT_OK
     except _UsageError as exc:
         print(f"carqte: usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -123,6 +123,13 @@ class Dataset:
         """Per-stratum counts (:func:`index_strata`), computed on first read."""
         return index_strata(self)
 
+    @cached_property
+    def arm_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of each arm, item ``a`` for arm ``a``, ordered by outcome with
+        ties in row order; computed on first read."""
+        return tuple(_readonly(rows[np.argsort(self.y[rows], kind="stable")])
+                     for rows in (np.flatnonzero(self.a == arm) for arm in (0, 1)))
+
 
 @dataclass(frozen=True)
 class QuantileGrid:

@@ -40,10 +40,10 @@ class QteEstimate:
 
 def _arm_rows(dataset: Dataset, arm: int) -> np.ndarray:
     """Rows of one arm, ordered by outcome (ties keep row order)."""
-    rows = np.flatnonzero(dataset.a == arm)
+    rows = dataset.arm_rows[arm]
     if rows.size == 0:
         raise DegenerateCellError([], f"arm {arm} has no observations")
-    return rows[np.argsort(dataset.y[rows], kind="stable")]
+    return rows
 
 
 def _search_left(cum: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -83,6 +83,10 @@ class _Solver:
     masses shared by every model, and per arm runs one ``cumsum`` along the
     rows, one product against each half (treated and control rows) of the
     adjustment matrix, and one exact sorted search.
+
+    The n-length temporaries of a solve live in one workspace, allocated at
+    the first solve and again only when a block outgrows it, so a solver
+    runs one solve at a time.
     """
 
     def __init__(self, dataset: Dataset, column_taus: np.ndarray, m_by_arm: dict) -> None:
@@ -96,6 +100,17 @@ class _Solver:
         self._y = dataset.y[self._perm]
         self._m = {arm: np.take(np.hstack(m_by_arm[arm]), self._perm, axis=0) for arm in (1, 0)}
         self._taus = column_taus
+        self._work = None
+
+    def _workspace(self, b: int) -> list[np.ndarray]:
+        """b-row views of the workspace: a b x n scratch (the propensities,
+        then the excess masses), the b x n masses, and the b x n1 and b x n0
+        cumulative masses of the two arms."""
+        if self._work is None or len(self._work[0]) < b:
+            n1 = self._n1
+            self._work = (np.empty((b, self.n)), np.empty((b, self.n)),
+                          np.empty((b, n1)), np.empty((b, self.n - n1)))
+        return [a[:b] for a in self._work]
 
     def solve(self, xi: np.ndarray, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(q1, q0), each b x (K*T): the smallest minimizer of the weighted
@@ -114,18 +129,22 @@ class _Solver:
         argmin over observed arm outcomes.
         """
         n1 = self._n1
-        prop = np.take(np.concatenate([pis, 1.0 - pis], axis=1), self._prop_col, axis=1)
-        w = xi / prop
+        scratch, w, cum1, cum0 = self._workspace(len(xi))
+        # mode="clip" lets take write straight into ``out``; every index is valid.
+        prop = np.take(np.concatenate([pis, 1.0 - pis], axis=1), self._prop_col, axis=1,
+                       out=scratch[:len(pis)], mode="clip")
+        np.divide(xi, prop, out=w)
         # The residual weights xi (a - pi) / pi of the arm-1 target are
         # [w - xi | -xi] over [treated | control] rows, and those of the
         # arm-0 target, xi (a - pi) / (1 - pi), are [xi | -(w - xi)].
-        excess = w - xi
+        excess = np.subtract(w, xi, out=scratch)  # prop is spent
         m1, m0 = self._m[1], self._m[0]
         slope1 = excess[:, :n1] @ m1[:n1] - xi[:, n1:] @ m1[n1:]
         slope0 = xi[:, :n1] @ m0[:n1] - excess[:, n1:] @ m0[n1:]
         out = []
-        for arm, rows, shift in ((1, slice(None, n1), -slope1), (0, slice(n1, None), slope0)):
-            cum = np.cumsum(w[:, rows], axis=1)
+        for arm, rows, shift, cum in ((1, slice(None, n1), -slope1, cum1),
+                                      (0, slice(n1, None), slope0, cum0)):
+            np.cumsum(w[:, rows], axis=1, out=cum)
             total = cum[:, -1:]
             if not np.all(np.isfinite(total) & (total > 0.0)):
                 raise NumericalError(f"arm {arm} has no weighted mass")
@@ -141,6 +160,12 @@ def _model_solver(dataset: Dataset, models, grid: QuantileGrid) -> _Solver:
     degenerate = [dataset.strata_labels[i] for i in dataset.strata.degenerate]
     if degenerate:
         raise DegenerateCellError(degenerate)
+    # The arm-sorted rows are cached on the dataset, so sort them before the
+    # adjustments are evaluated: a cache allocated above those temporaries
+    # would keep their memory from returning to the system (peak RSS +12%
+    # on a 200k-row estimate).
+    for arm in (1, 0):
+        _arm_rows(dataset, arm)
     values = [m.evaluate_all(grid, dataset) for m in models]
     m_by_arm = {arm: [v[arm] for v in values] for arm in (1, 0)}
     return _Solver(dataset, np.tile(tuple(grid), len(models)), m_by_arm)

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from carqte import (
     Dataset,
     DataValidationError,
     DgpSpec,
+    NumericalError,
     QuantileGrid,
     SchemeSpec,
     assign,
@@ -316,6 +319,105 @@ def test_resampled_rows_of_later_blocks_do_not_depend_on_block_size(monkeypatch)
         same = np.all(got.draws == want.draws, axis=1)
         assert same[[r for r in range(25) if r not in (10, 11, 24)]].all()
         assert not same[[10, 11, 24]].any()
+
+
+@pytest.mark.parametrize("budget", ["1", "7n", "2^30"])
+def test_pipelined_draws_equal_a_serial_solve_of_the_same_blocks(monkeypatch, budget):
+    # The reference draws each block of the stream, forms its treated
+    # fractions row by row and solves it before drawing the next, on the
+    # calling thread.  A short switch interval makes the helper thread
+    # interleave with the next block's draw as often as it can.
+    ds, grid, models = _pinned_design()
+    B, n = 25, ds.n
+    floats = {"1": 1, "7n": 7 * n, "2^30": 2**30}[budget]
+    monkeypatch.setattr(bt, "_BLOCK_FLOATS", floats)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        boot = run_bootstrap(ds, models, grid, B, np.random.default_rng(33))
+    finally:
+        sys.setswitchinterval(interval)
+    assert boot.n_resampled == 0
+    solver = est._model_solver(ds, models, grid)
+    rng, size = np.random.default_rng(33), min(B, max(1, floats // n))
+    want = []
+    for start in range(0, B, size):
+        xi = rng.exponential(1.0, min(size, B - start) * n).reshape(-1, n)
+        pis = []
+        for row in xi:
+            w = np.empty(n)
+            w[solver._perm] = row
+            n1w, nw = weighted_arm_counts(ds, w)
+            pis.append(n1w / nw)
+        q1, q0 = solver.solve(xi, np.array(pis))
+        want.append((q1 - q0).reshape(len(xi), len(models), len(grid)))
+    want = np.concatenate(want).transpose(1, 0, 2)
+    for got, ref in zip(boot, want, strict=True):
+        assert np.array_equal(got.draws, ref)
+
+
+def _failing_solve(monkeypatch, block):
+    """Make the solve of bootstrap block ``block`` (0-based) raise."""
+    real, calls = est._Solver.solve, []
+
+    def solve(self, xi, pis):
+        calls.append(len(xi))
+        if len(calls) == block + 2:  # the unit-weight point solve comes first
+            raise NumericalError(f"solve of block {block}")
+        return real(self, xi, pis)
+
+    monkeypatch.setattr(est._Solver, "solve", solve)
+
+
+def _collapsing_draws(monkeypatch, replicate):
+    """Make every draw of ``replicate``, the first and each redraw, zero
+    every weight; one replicate per block."""
+    real, drawn = bt.draw_weights, [0]
+
+    def draw(n, rng):
+        w = real(n, rng)
+        if drawn[0] < replicate:
+            drawn[0] += 1
+            return w
+        return np.zeros(n)
+
+    monkeypatch.setattr(bt, "draw_weights", draw)
+
+
+@pytest.mark.parametrize("failure", ["solve", "resample"])
+def test_no_helper_thread_outlives_run_bootstrap(monkeypatch, failure):
+    # A solve failing on block 2, or a draw collapsing at replicate 3, ends
+    # the call; the threads alive before it are the threads alive after.
+    ds, grid = _fixture()
+    model = fit_none(grid)
+    monkeypatch.setattr(bt, "_BLOCK_FLOATS", 1)
+    before = threading.active_count()
+    run_bootstrap(ds, [model], grid, 6, np.random.default_rng(5))
+    assert threading.active_count() == before
+    if failure == "solve":
+        _failing_solve(monkeypatch, 2)
+    else:
+        _collapsing_draws(monkeypatch, 3)
+    with pytest.raises(NumericalError, match={"solve": "solve of block 2",
+                                              "resample": "replicate 3"}[failure]):
+        run_bootstrap(ds, [model], grid, 6, np.random.default_rng(5))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("solve_block, resample_replicate", [(2, 3), (3, 2)])
+def test_the_first_failing_replicate_is_reported(monkeypatch, solve_block, resample_replicate):
+    # While block k is solved, block k + 1 is drawn: whichever of the two
+    # fails first in replicate order is the error raised.
+    ds, grid = _fixture()
+    monkeypatch.setattr(bt, "_BLOCK_FLOATS", 1)
+    _failing_solve(monkeypatch, solve_block)
+    _collapsing_draws(monkeypatch, resample_replicate)
+    with pytest.raises(NumericalError) as err:
+        run_bootstrap(ds, [fit_none(grid)], grid, 6, np.random.default_rng(5))
+    if solve_block < resample_replicate:
+        assert str(err.value) == f"solve of block {solve_block}"
+    else:
+        assert str(err.value).startswith(f"replicate {resample_replicate}:")
 
 
 def test_draw_spread_shrinks_with_root_n():

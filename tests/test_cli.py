@@ -268,6 +268,28 @@ def test_config_file_with_flag_precedence(experiment_csv, tmp_path):
     assert report["seed"] == 9    # config fills the gap
 
 
+def test_config_alone_can_give_the_input(experiment_csv, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": experiment_csv, "B": 20, "taus": [0.5]}))
+    by_flag, by_config = tmp_path / "flag.json", tmp_path / "config.json"
+    assert main(["estimate", "--input", experiment_csv, "--B", "20", "--taus", "0.5",
+                 "--out", str(by_flag)]) == 0
+    assert main(["estimate", "--config", str(cfg), "--out", str(by_config)]) == 0
+    assert by_config.read_bytes() == by_flag.read_bytes()
+
+
+def test_an_input_from_neither_flag_nor_config_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"B": 20}))
+    out = tmp_path / "r.json"
+    for config in ([], ["--config", str(cfg)]):
+        assert main(["estimate", *config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: carqte estimate")
+        assert "the following arguments are required: --input" in err
+        assert not out.exists()
+
+
 def test_abbreviated_flag_is_a_usage_error_and_a_full_one_beats_config(experiment_csv, tmp_path,
                                                                        capsys):
     cfg = tmp_path / "cfg.json"
