@@ -105,10 +105,13 @@ class InferenceResult:
         return bool(np.any((nv < self.ci_lower) | (nv > self.ci_upper)))
 
 
-def draw_weights(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n iid standard-exponential bootstrap weights."""
+def draw_weights(n: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+    """n iid standard-exponential bootstrap weights, written into the
+    n-length ``out`` when given; the stream is the same either way."""
     if n < 1:
         raise DataValidationError("need at least one weight")
+    if out is not None:
+        return rng.standard_exponential(out=out)
     return rng.exponential(scale=1.0, size=n)
 
 
@@ -209,9 +212,9 @@ def run_bootstrap(
     buffers = np.empty((2, size, n))
     n_resampled, redraws = 0, None
 
-    def draw_block(xi, start):  # fills xi; returns the rows' treated fractions
+    def draw_block(buffer, start):  # the block's weights and treated fractions
         nonlocal n_resampled, redraws
-        xi[...] = draw_weights(xi.size, rng).reshape(xi.shape)
+        xi = draw_weights(buffer.size, rng, out=buffer.reshape(-1)).reshape(buffer.shape)
         nw, ok = masses(xi)
         for r in np.flatnonzero(~ok):
             redraws = redraws or rng.spawn(1)[0]
@@ -227,7 +230,7 @@ def run_bootstrap(
                     "in some stratum"
                 )
         n1w, n0w = nw[:, 0], nw[:, 1]
-        return n1w / (n1w + n0w) if fixed_pis is None else fixed_pis
+        return xi, (n1w / (n1w + n0w) if fixed_pis is None else fixed_pis)
 
     def store(start, solved):  # a solved block's draws, or its solve's error
         q1, q0 = solved.result()
@@ -237,9 +240,8 @@ def run_bootstrap(
     with ThreadPoolExecutor(1) as pool:
         pending = None
         for k, start in enumerate(range(0, B, size)):
-            xi = buffers[k % 2, :min(size, B - start)]
             try:
-                pis = draw_block(xi, start)
+                xi, pis = draw_block(buffers[k % 2, :min(size, B - start)], start)
             finally:
                 # Block k - 1 is stored first, so its error comes before block k's.
                 if pending is not None:

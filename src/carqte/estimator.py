@@ -56,6 +56,8 @@ def _search_left(cum: np.ndarray, targets: np.ndarray) -> np.ndarray:
     every entry as in searchsorted; ties resolve to the leftmost index.
     """
     b, m = cum.shape
+    if b == 1:  # one call in place of log2(m) small ones that hold the GIL
+        return np.searchsorted(cum[0], targets[0], side="left")[None]
     flat = cum.ravel()
     before_row = (np.arange(b) * m - 1)[:, None]
     k = np.zeros(targets.shape, dtype=np.intp)
@@ -138,13 +140,19 @@ class _Solver:
         # [w - xi | -xi] over [treated | control] rows, and those of the
         # arm-0 target, xi (a - pi) / (1 - pi), are [xi | -(w - xi)].
         excess = np.subtract(w, xi, out=scratch)  # prop is spent
+        # np.dot, unlike matmul on one product, and a 1-D cumsum, unlike one
+        # along an axis, release the GIL, so the bootstrap's draw runs beside
+        # them; the sums are the same.
         m1, m0 = self._m[1], self._m[0]
-        slope1 = excess[:, :n1] @ m1[:n1] - xi[:, n1:] @ m1[n1:]
-        slope0 = xi[:, :n1] @ m0[:n1] - excess[:, n1:] @ m0[n1:]
+        slope1 = np.dot(excess[:, :n1], m1[:n1]) - np.dot(xi[:, n1:], m1[n1:])
+        slope0 = np.dot(xi[:, :n1], m0[:n1]) - np.dot(excess[:, n1:], m0[n1:])
         out = []
         for arm, rows, shift, cum in ((1, slice(None, n1), -slope1, cum1),
                                       (0, slice(n1, None), slope0, cum0)):
-            np.cumsum(w[:, rows], axis=1, out=cum)
+            if len(w) == 1:
+                np.cumsum(w[0, rows], out=cum[0])
+            else:
+                np.cumsum(w[:, rows], axis=1, out=cum)
             total = cum[:, -1:]
             if not np.all(np.isfinite(total) & (total > 0.0)):
                 raise NumericalError(f"arm {arm} has no weighted mass")

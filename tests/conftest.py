@@ -114,7 +114,8 @@ def solve_arm(ds, arm, tau, xi, mhat, fixed_pi=None):
     every call runs the batched solve with b > 1 (with fixed pi, every row
     shares one 1 x S row of treated fractions, as in the bootstrap).  Each
     row is checked against the brute-force argmin and against
-    :func:`searchsorted_arm` before row 0 is returned.
+    :func:`searchsorted_arm`, and solved again alone as a one-row block, the
+    solver's other path, before row 0 is returned.
     """
     xi = np.asarray(xi, float)
     block = np.stack([xi, np.ones(ds.n), xi[::-1]])
@@ -129,6 +130,8 @@ def solve_arm(ds, arm, tau, xi, mhat, fixed_pi=None):
     for w, p, g in zip(block, np.broadcast_to(pis, (3, ds.n_strata)), got):
         assert g == brute_force_arm(arm, ds, w, p, mhat, tau)
         assert g == searchsorted_arm(arm, ds, w, p, mhat, tau)
+        one = solver.solve(w[solver._perm][None], p[None])
+        assert (one[0] if arm == 1 else one[1])[0, 0] == g
     return float(got[0])
 
 

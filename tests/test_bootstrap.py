@@ -71,7 +71,7 @@ def test_all_ones_weights_reproduce_point_estimate(monkeypatch):
     ds, grid = _fixture()
     model = fit_none(grid)
     point = qte(ds, model, grid)
-    monkeypatch.setattr(bt, "draw_weights", lambda n, rng: np.ones(n))
+    monkeypatch.setattr(bt, "draw_weights", lambda n, rng, out=None: np.ones(n))
     (draws,) = run_bootstrap(ds, [model], grid, 5, np.random.default_rng(0))
     assert np.array_equal(draws.draws, np.tile(point.qte, (5, 1)))
     # every inference product collapses to zero width
@@ -127,6 +127,11 @@ def test_a_block_of_weights_is_successive_draws_of_one_stream():
     rows = np.stack([draw_weights(n, many) for _ in range(b)])
     assert np.array_equal(block, rows)
     assert np.array_equal(draw_weights(n, one), draw_weights(n, many))
+    # Drawn into a buffer, the stream is the same, call after call.
+    into, buf = np.random.default_rng(4), np.empty(n)
+    for want in draw_weights(7 * n, np.random.default_rng(4)).reshape(7, n):
+        assert draw_weights(n, into, out=buf) is buf
+        assert np.array_equal(buf, want)
 
 
 # sha256 of each model's B=40 draw matrix from single-model run_bootstrap
@@ -199,9 +204,9 @@ def test_shared_stream_counts_resampled_draws_once(monkeypatch):
     real = bt.draw_weights
     calls = []
 
-    def flaky(n, rng):
+    def flaky(n, rng, out=None):
         calls.append(n)
-        w = real(n, rng)
+        w = real(n, rng, out=out)
         if len(calls) % 3 == 1:  # some draws zero every weight
             return np.zeros(n)
         return w
@@ -253,9 +258,9 @@ def test_each_replicate_is_solved_with_its_own_weighted_fractions(monkeypatch, b
         seen.append((xi.copy(), pis.copy(), self._perm))
         return real_solve(self, xi, pis)
 
-    def flaky(n, rng):  # some draws, whole blocks or redraws, zero every weight
+    def flaky(n, rng, out=None):  # some draws, whole blocks or redraws, zero every weight
         calls.append(n)
-        w = real_draw(n, rng)
+        w = real_draw(n, rng, out=out)
         return np.zeros(n) if len(calls) % 5 == 1 else w
 
     monkeypatch.setattr(est._Solver, "solve", spy)
@@ -290,8 +295,8 @@ def test_resampled_rows_of_later_blocks_do_not_depend_on_block_size(monkeypatch)
         main = np.random.default_rng(33)
         drawn = [0]  # replicates drawn from the main stream so far
 
-        def flaky(n, rng):
-            w = real(n, rng)
+        def flaky(n, rng, out=None):
+            w = real(n, rng, out=out)
             if rng is not main:
                 redraws.append(n)
                 return w
@@ -374,8 +379,8 @@ def _collapsing_draws(monkeypatch, replicate):
     every weight; one replicate per block."""
     real, drawn = bt.draw_weights, [0]
 
-    def draw(n, rng):
-        w = real(n, rng)
+    def draw(n, rng, out=None):
+        w = real(n, rng, out=out)
         if drawn[0] < replicate:
             drawn[0] += 1
             return w

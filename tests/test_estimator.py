@@ -20,6 +20,7 @@ from carqte import (
     qte,
     run_bootstrap,
 )
+from carqte.estimator import _search_left
 
 
 def _unit_solve(ds, arm, tau, mhat=None):
@@ -58,6 +59,22 @@ def test_solver_matches_brute_force():
         for arm in (0, 1):
             got, want = solve_both_ways(ds, xi, mhat, tau, arm)
             assert got == want
+
+
+@pytest.mark.parametrize("b", [1, 2, 5])
+def test_block_search_is_row_wise_searchsorted(b):
+    # Ties, targets outside each row's range and NaN targets, on rows of
+    # lengths 1..40; one row goes through searchsorted itself, several
+    # through the vectorised binary search.
+    rng = np.random.default_rng(b)
+    for _ in range(200):
+        m = int(rng.integers(1, 41))
+        cum = np.cumsum(rng.choice([0.0, 0.5, 1.0], (b, m)), axis=1)
+        targets = rng.uniform(-1.0, cum[:, -1:].max() + 1.0, (b, 7))
+        targets[:, 0] = cum[:, :1][:, 0]  # an exact tie with the first entry
+        targets[rng.random((b, 7)) < 0.1] = np.nan
+        want = np.stack([np.searchsorted(c, t, side="left") for c, t in zip(cum, targets)])
+        assert np.array_equal(_search_left(cum, targets), want)
 
 
 def _single_unit_cells(rng, k):
