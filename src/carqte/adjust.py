@@ -19,6 +19,8 @@ Methods:
 from __future__ import annotations
 
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,13 +59,13 @@ _MAX_OUTER = 200
 # ---------------------------------------------------------------------------
 
 
-def _features(method: str, x: np.ndarray) -> np.ndarray:
+def _features(method: str, x: np.ndarray, medians: np.ndarray | None = None) -> np.ndarray:
     """The (n, p) regressor matrix of ``method`` on the covariates ``x``.
 
     ``lp``: x itself.  ``ml``, ``lpml`` and ``lasso``: [1 | x].  ``mlx`` and
     ``lpmlx``: those columns, then x_i x_j for every i < j.  ``np``: the
     ``mlx`` columns, then x_i 1{x_i > t_i} x_j 1{x_j > t_j} for every i < j,
-    at the column medians t.
+    at the column medians t of ``x``, or at ``medians`` when given.
     """
     n, d = x.shape
     if d < 1:
@@ -78,10 +80,29 @@ def _features(method: str, x: np.ndarray) -> np.ndarray:
     for c, (i, j) in enumerate(pairs, start):
         H[:, c] = x[:, i] * x[:, j]
     if method == "np":
-        t = np.median(x, axis=0)
+        t = np.median(x, axis=0) if medians is None else medians
         for c, (i, j) in enumerate(pairs, start + len(pairs)):
             H[:, c] = x[:, i] * (x[:, i] > t[i]) * x[:, j] * (x[:, j] > t[j])
     return H
+
+
+class _RowFeatures:
+    """The (n, p) regressors of ``method`` on a dataset's covariates ``x``,
+    built only for the rows asked for.
+
+    ``self[rows]`` is ``_features(method, x)[rows]`` bit for bit: each entry
+    is the same elementwise product, and ``np`` thresholds at the whole
+    dataset's medians, not at those of the rows.  A fit builds one cell or
+    stratum at a time, never the whole matrix.
+    """
+
+    def __init__(self, method: str, x: np.ndarray):
+        self.method, self.x = method, x
+        self.medians = np.median(x, axis=0) if method == "np" else None
+        self.shape = (x.shape[0], _features(method, x[:0], self.medians).shape[1])
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return _features(self.method, self.x[rows], self.medians)
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +151,9 @@ class AdjustmentModel:
 
 
 def _fitted_prob(dataset: Dataset, taus: tuple, live: np.ndarray, H, coef, link=None):
-    """``prob`` of a model fitted on ``H``: ``link(H_s @ theta)`` for every
-    live cell on all rows of its stratum (link None is the identity), tau
-    elsewhere."""
+    """``prob`` of a model fitted on ``H`` (a :class:`_RowFeatures`):
+    ``link(H_s @ theta)`` for every live cell on all rows of its stratum
+    (link None is the identity), tau elsewhere."""
     prob = np.empty((2, dataset.n, len(taus)))
     prob[:] = np.asarray(taus)
     for s in range(live.shape[1]):
@@ -142,7 +163,7 @@ def _fitted_prob(dataset: Dataset, taus: tuple, live: np.ndarray, H, coef, link=
             for a in np.flatnonzero(live[:, s, ti]):
                 fit = H_s @ coef[a, s, ti]
                 prob[a, rows, ti] = fit if link is None else link(fit)
-        del H_s  # before the next gather: one stratum's block alive at a time
+        del H_s  # before the next build: one stratum's block alive at a time
     return prob
 
 
@@ -151,12 +172,13 @@ def _fitted_prob(dataset: Dataset, taus: tuple, live: np.ndarray, H, coef, link=
 # ---------------------------------------------------------------------------
 
 
-def _batch_objective(t, Y, valid, n, ridge, theta):
-    """Per-problem penalized mean negative log-likelihood, shape (C, T)."""
+def _batch_objective(t, Y, valid, n, ridge, theta, mm):
+    """Per-problem penalized mean negative log-likelihood, shape (C, T);
+    ``mm`` is the row product of :func:`_newton_pass`."""
     # log(1 + e^t) - y t over each cell's valid rows, spelled out because
     # np.logaddexp costs several times as much.
     f = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))) - Y * t
-    nll = (valid @ f)[:, 0] / n[:, None]
+    nll = mm(valid, f)[:, 0] / n[:, None]
     return nll + 0.5 * ridge[:, None] * np.sum(theta * theta, axis=1)
 
 
@@ -171,12 +193,18 @@ def _newton_pass(H, Y, valid, n, ridge, active):
     coefficient passes the separation cap (separated); an iteration works
     only on the tau columns that still have a live problem.  Steps solve
     each Hessian exactly; if some Hessian of the stack is singular, that
-    iteration falls back to per-problem minimum norm least squares.  Backtracking halves a problem's step while
-    its objective rises by more than 1e-14.  Returns theta (C, p, T) and the
-    converged and separated masks.
+    iteration falls back to per-problem minimum norm least squares.
+    Backtracking halves a problem's step while its objective rises by more
+    than 1e-14.  Returns theta (C, p, T) and the converged and separated
+    masks.
+
+    The products over the N rows are 2-D ``np.dot`` calls for a lone cell,
+    which release the GIL (a stacked matmul of one cell holds it), and
+    stacked matmuls over a block of several cells.
     """
     C, _, p = H.shape
     T = Y.shape[2]
+    mm = np.matmul if C > 1 else lambda a, b: np.dot(a[0], b[0])[None]
     active = active.copy()
     converged = np.zeros((C, T), dtype=bool)
     separated = np.zeros((C, T), dtype=bool)
@@ -184,7 +212,7 @@ def _newton_pass(H, Y, valid, n, ridge, active):
     HT = H.transpose(0, 2, 1)
     theta = np.zeros((C, p, T))
     t = np.zeros(Y.shape)
-    obj = _batch_objective(t, Y, valid, n, ridge, theta)
+    obj = _batch_objective(t, Y, valid, n, ridge, theta, mm)
     eye = np.eye(p)
     for _ in range(_MAX_NEWTON):
         cols = np.flatnonzero(active.any(axis=0))
@@ -194,18 +222,19 @@ def _newton_pass(H, Y, valid, n, ridge, active):
             cols = slice(None)  # every column live: views, no copies
         Yc, tc, th, oc = Y[:, :, cols], t[:, :, cols], theta[:, :, cols], obj[:, cols]
         prob = expit(tc)
-        score = HT @ (Yc - prob) / n[:, None, None] - ridge[:, None, None] * th
+        score = mm(HT, Yc - prob) / n[:, None, None] - ridge[:, None, None] * th
         done = active[:, cols] & (np.max(np.abs(score), axis=1) <= _SCORE_TOL)
         converged[:, cols] |= done
         live = active[:, cols] & ~done
         active[:, cols] = live
         if not live.any():
             break
-        # Hessians as a (C, T', p, p) stack, one product per cell; only live
-        # problems take a step.
+        # Hessians as a (C, T', p, p) stack, one product per tau column, so
+        # no temporary holds more than one column's (C, p, N) weighted rows;
+        # only live problems take a step.
         w = (prob * (1.0 - prob)).transpose(0, 2, 1)
         k = w.shape[1]
-        hess = ((HT[:, None] * w[:, :, None, :]).reshape(C, k * p, -1) @ H).reshape(C, k, p, p)
+        hess = np.stack([mm(HT * w[:, j, None, :], H) for j in range(k)], axis=1)
         hess = hess / n[:, None, None, None] + ridge[:, None, None, None] * eye
         hess, rhs = hess[live], score.transpose(0, 2, 1)[live]
         try:
@@ -217,14 +246,14 @@ def _newton_pass(H, Y, valid, n, ridge, active):
         step = step.transpose(0, 2, 1)
         eta = np.ones(live.shape)
         cand = th + step
-        t_cand = H @ cand
-        obj_cand = _batch_objective(t_cand, Yc, valid, n, ridge, cand)
+        t_cand = mm(H, cand)
+        obj_cand = _batch_objective(t_cand, Yc, valid, n, ridge, cand, mm)
         halve = live & (obj_cand > oc + 1e-14)
         while halve.any():
             eta[halve] *= 0.5
             cand = np.where(halve[:, None], th + eta[:, None] * step, cand)
-            t_cand = np.where(halve[:, None], H @ cand, t_cand)
-            obj_new = _batch_objective(t_cand, Yc, valid, n, ridge, cand)
+            t_cand = np.where(halve[:, None], mm(H, cand), t_cand)
+            obj_new = _batch_objective(t_cand, Yc, valid, n, ridge, cand, mm)
             obj_cand = np.where(halve, obj_new, obj_cand)
             halve &= (obj_cand > oc + 1e-14) & (eta > 1e-10)
         th = np.where(live[:, None], cand, th)
@@ -254,11 +283,20 @@ def _chunks(sizes, width):
 def _fit_logit_cells(cells, labels):
     """Logistic quasi-ML for every (cell, tau) problem, in padded batches.
 
-    ``cells[c]`` is ``(H, rows)``, the cell's rows of its own feature matrix,
-    so cells of several datasets share a solve unstacked.  ``labels[c]`` holds its (n_c, T) 0/1 labels, one column per tau.
-    The first pass has no ridge; problems that separate in it are refitted
-    from zero with ridge ``1e-4 / n_c`` in a second batched pass.  Returns
-    theta (C, T, p) and the converged and separated masks (C, T).
+    ``cells[c]`` is ``(H, rows)``, the cell's rows of its own feature matrix
+    (an array or a :class:`_RowFeatures`), so cells of several datasets
+    share a solve unstacked.  ``labels[c]`` holds its (n_c, T) 0/1 labels,
+    one column per tau.  The first pass has no ridge; problems that separate
+    in it are refitted from zero with ridge ``1e-4 / n_c`` in a second
+    batched pass.  Returns theta (C, T, p) and the converged and separated
+    masks (C, T).
+
+    A call of several chunks solves them on two lanes, the calling thread
+    and one helper thread, which take chunks from one shared queue; each
+    chunk builds its own features and writes only its own rows of the
+    results, so nothing depends on which lane solved it.  A one-chunk call
+    starts no thread.  The helper ends before the call returns or raises,
+    and an error is a failing chunk's own.
     """
     C = len(cells)
     p = cells[0][0].shape[1]
@@ -267,7 +305,8 @@ def _fit_logit_cells(cells, labels):
     theta = np.zeros((C, T, p))
     converged = np.zeros((C, T), dtype=bool)
     separated = np.zeros((C, T), dtype=bool)
-    for chunk in _chunks(sizes, p * T):
+
+    def solve(chunk):
         N = max(sizes[c] for c in chunk)
         Hb = np.zeros((len(chunk), N, p))
         Yb = np.zeros((len(chunk), N, T))
@@ -290,6 +329,28 @@ def _fit_logit_cells(cells, labels):
         theta[chunk] = th.transpose(0, 2, 1)
         converged[chunk] = conv
         separated[chunk] = sep
+
+    pending = deque(_chunks(sizes, p * T))
+
+    def lane():  # solves chunks off the shared queue until it is empty
+        while True:
+            try:
+                chunk = pending.popleft()
+            except IndexError:
+                return
+            try:
+                solve(chunk)
+            except BaseException:
+                pending.clear()  # the other lane stops after its current chunk
+                raise
+
+    if len(pending) == 1:
+        lane()
+    else:
+        with ThreadPoolExecutor(1) as pool:
+            helper = pool.submit(lane)
+            lane()
+            helper.result()
     return theta, converged, separated
 
 
@@ -355,7 +416,7 @@ def fit_none(grid: QuantileGrid) -> AdjustmentModel:
 
 def fit_lp(dataset: Dataset, pilot, grid: QuantileGrid) -> AdjustmentModel:
     """Within-cell least squares of the outcome indicator on demeaned regressors."""
-    H = _features("lp", dataset.x)
+    H = _RowFeatures("lp", dataset.x)
     p = H.shape[1]
     taus = tuple(grid)
     coef, live = _cells(dataset, taus, p)
@@ -391,7 +452,7 @@ def fit_ml(items, grid: QuantileGrid, method: str = "ml") -> list:
     taus = tuple(grid)
     prepared, cells, labels = [], [], []
     for dataset, pilot in items:
-        H = _features(method, dataset.x)
+        H = _RowFeatures(method, dataset.x)
         fitted, degraded = _cell_problems(dataset, pilot, taus, H.shape[1] + 2)
         fitted = list(fitted)
         cells += [(H, rows) for _, _, rows, _ in fitted]
@@ -584,7 +645,7 @@ def fit_hd_lasso(
     refitted without penalty; evaluation uses the refitted coefficients.
     """
     cfg = config if config is not None else LassoConfig()
-    H = _features("lasso", dataset.x)
+    H = _RowFeatures("lasso", dataset.x)
     p = H.shape[1]
     pen_cols = np.arange(1, p)
     forced = tuple(j for j in cfg.forced_support if 0 <= j < p)

@@ -1,5 +1,8 @@
 import dataclasses
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from carqte import (
     Dataset,
     DataValidationError,
     LassoConfig,
+    NumericalError,
     QuantileGrid,
     fit_adjustment,
     fit_hd_lasso,
@@ -25,6 +29,7 @@ from carqte.adjust import (
     LOGIT_BASE,
     _features,
     _fit_logit_cells,
+    _RowFeatures,
     _l1_kkt_residual,
     penalty_level,
 )
@@ -87,6 +92,21 @@ def _tied_covariates(d, n=41):
 def test_features_match_the_term_roster_reference(method, d):
     x = _tied_covariates(d)
     assert np.array_equal(_features(method, x), features_reference(method, x))
+
+
+@pytest.mark.parametrize("method", ["lp", "ml", "mlx", "np", "lasso"])
+def test_a_cells_features_are_the_rows_of_the_datasets_features(method):
+    x = _tied_covariates(3, n=61)
+    whole = _features(method, x)
+    H = _RowFeatures(method, x)
+    assert H.shape == whole.shape
+    # A cell above the first covariate's median: its own medians differ.
+    cell = np.flatnonzero(x[:, 0] > np.median(x[:, 0]))
+    for rows in (cell, np.arange(x.shape[0]), np.array([7]), cell[:0]):
+        got, want = H[rows], whole[rows]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if method == "np":  # the sieve thresholds at the dataset's medians, not the cell's
+        assert not np.array_equal(_features("np", x[cell]), whole[cell])
 
 
 # -- logistic cell ----------------------------------------------------------
@@ -273,6 +293,100 @@ def test_grouped_logit_fit_matches_each_items_solo_fit(method):
         assert np.all(np.abs(got.prob - want.prob) <= 1e-12 * np.abs(want.prob))
 
 
+def _logit_cells():
+    """The np-roster cells of the mixed dataset and of a dgp1 sample, as
+    ``_fit_logit_cells`` takes them: converged, separated and singular
+    problems of several sizes, each with three tau columns."""
+    latent = generate(DgpSpec("dgp1", 400), np.random.default_rng(12))
+    a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(13))
+    grid = QuantileGrid.of([0.25, 0.5, 0.75])
+    cells, labels = [], []
+    for ds in (_mixed_logit_dataset(), Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)):
+        H = _RowFeatures("np", ds.x)
+        fitted, _ = adjust._cell_problems(ds, pilot_quantiles(ds, grid), tuple(grid), H.shape[1] + 2)
+        for *_, rows, y in fitted:
+            cells.append((H, rows))
+            labels.append(y)
+    return cells, labels
+
+
+def _fit_cells_switching(cells, labels):
+    """``_fit_logit_cells`` with the interpreter switching threads every
+    microsecond, so that the two lanes interleave as finely as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return _fit_logit_cells(cells, labels)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("budget", [1, 2000])  # one cell per chunk; one or two
+def test_two_lane_fit_equals_each_chunk_solved_alone(monkeypatch, budget):
+    cells, labels = _logit_cells()
+    monkeypatch.setattr(adjust, "_BLOCK_FLOATS", budget)
+    p, T = cells[0][0].shape[1], labels[0].shape[1]
+    chunks = list(adjust._chunks([rows.size for _, rows in cells], p * T))
+    assert len(chunks) > 2 and any(len(chunk) > 1 for chunk in chunks) == (budget > 1)
+    got = _fit_cells_switching(cells, labels)
+    want = [_fit_logit_cells([cells[c] for c in chunk], [labels[c] for c in chunk])
+            for chunk in chunks]
+    for got_part, want_parts in zip(got, zip(*want), strict=True):
+        assert np.array_equal(got_part, np.concatenate(want_parts))
+    assert got[2].any() and got[1].all()  # some problem separated; every one converged
+
+
+class _CountedFeatures:
+    """A cell's feature rows, counting the requests; ``fail`` makes every
+    request raise, like a chunk that fails."""
+
+    def __init__(self, H, cell, requests, fail):
+        self.H, self.shape, self.cell, self.requests, self.fail = H, H.shape, cell, requests, fail
+
+    def __getitem__(self, rows):
+        self.requests.append(self.cell)
+        if self.fail:
+            raise NumericalError(f"cell {self.cell}")
+        return self.H[rows]
+
+
+@pytest.mark.parametrize("fail", [None, 0, 1, -1])
+def test_no_helper_thread_outlives_the_logit_fit(monkeypatch, fail):
+    cells, labels = _logit_cells()
+    monkeypatch.setattr(adjust, "_BLOCK_FLOATS", 1)  # every cell a chunk of its own
+    failing = None if fail is None else range(len(cells))[fail]
+    requests: list = []
+    cells = [(_CountedFeatures(H, c, requests, c == failing), rows)
+             for c, (H, rows) in enumerate(cells)]
+    before = threading.active_count()
+    if fail is None:
+        _fit_cells_switching(cells, labels)
+        assert sorted(requests) == list(range(len(cells)))
+    else:
+        with pytest.raises(NumericalError, match=f"^cell {failing}$"):
+            _fit_cells_switching(cells, labels)
+    assert threading.active_count() == before
+    if fail == 0:  # the other lane stops after the chunk it holds
+        assert len(requests) < len(cells)
+
+
+def test_a_one_chunk_fit_starts_no_thread(monkeypatch):
+    started = []
+
+    class Spy(ThreadPoolExecutor):
+        def __init__(self, *args):
+            started.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(adjust, "ThreadPoolExecutor", Spy)
+    cells, labels = _logit_cells()
+    _fit_logit_cells(cells, labels)  # at the default budget, every cell is in one block
+    assert started == []
+    monkeypatch.setattr(adjust, "_BLOCK_FLOATS", 1)
+    _fit_logit_cells(cells, labels)
+    assert started == [(1,)]
+
+
 # -- LP ---------------------------------------------------------------------
 
 
@@ -387,7 +501,8 @@ def test_np_all_cells_too_small_raises():
     )
     pilot = _median_pilot(ds.y, ds.a)
     # 6-row cells: the 5-term sieve of two covariates needs at least 7
-    with pytest.raises(DataValidationError, match=r"np: every \(arm, stratum\) cell is too small"):
+    with pytest.raises(DataValidationError, match=r"np: every \(arm, stratum\) cell is too small"), \
+            pytest.warns(UserWarning, match=r"np: 2 cell\(s\) too small"):
         _fit_ml(ds, pilot, GRID, method="np")
 
 
