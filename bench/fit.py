@@ -6,17 +6,21 @@ Usage (from the repository root)::
 
 For each n in 10k and 200k the script writes the benchmark's "large" design
 (``perfbench/inputs.py``: 5 covariates, 8 strata, blocks of 4 within
-strata) to a temporary CSV.  For each method in mlx and lpmlx one fresh
-interpreter loads that file, forms the pilot quantiles on taus
-0.25/0.5/0.75 and times ``fit_adjustment`` ``--repeats`` times after a
-warm-up call; only the fit is timed.  The child runs with
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS at
-``--blas-threads`` (1 by default; ``default`` leaves them as they are) and
-reports its VmHWM, the peak resident set, once after loading the file and
-once after the last fit, so a fit that raises the peak shows.  The JSON
-holds, per (n, method), the median and quartiles of the fit time, both
-VmHWM readings, and a sha256 of the fitted ``prob``, which must not change
-between repeats or between two commits that claim the same fits.
+strata) to a temporary CSV.  For each case one fresh interpreter loads that
+file, forms the pilot quantiles on taus 0.25/0.5/0.75 and times
+``fit_adjustment`` ``--repeats`` times after a warm-up call; only the fit is
+timed.  The cases are the whole mlx and lpmlx fits, and the lpml and lpmlx
+recombinations alone: ``fit_adjustment("lpmlx", ..., ml_model=<mlx model>)``
+with the mlx model fitted once before the timing, and the same for lpml on
+ml, so that the recombination's time shows apart from the logistic solve's.
+The child runs with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS at ``--blas-threads`` (1 by default; ``default`` leaves them
+as they are) and reports its VmHWM, the peak resident set, once after
+loading the file (and fitting the handed-over model) and once after the last
+fit, so a fit that raises the peak shows.  The JSON holds, per (n, case),
+the median and quartiles of the fit time, both VmHWM readings, and a sha256
+of the fitted ``prob``, which must not change between repeats or between
+two commits that claim the same fits.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import inputs  # noqa: E402
 
 SIZES = (10_000, 200_000)
-METHODS = ("mlx", "lpmlx")
+# (method, the logistic model handed to it as ``ml_model``, or None)
+CASES = (("mlx", None), ("lpmlx", None), ("lpml", "ml"), ("lpmlx", "mlx"))
 TAUS = (0.25, 0.5, 0.75)
 
 
@@ -52,18 +57,20 @@ def vmhwm_mb() -> float:
     return kb / 1024.0
 
 
-def time_case(path: str, method: str, repeats: int) -> dict:
-    """Fit times of ``method`` on the file at ``path``; runs in the child."""
+def time_case(path: str, method: str, base: str | None, repeats: int) -> dict:
+    """Fit times of ``method`` on the file at ``path``, handed a fitted
+    ``base`` model when ``base`` is given; runs in the child."""
     from carqte import QuantileGrid, fit_adjustment, load_csv, pilot_quantiles
 
     ds = load_csv(path)
     grid = QuantileGrid.of(TAUS)
     pilot = pilot_quantiles(ds, grid)
+    ml_model = None if base is None else fit_adjustment(base, ds, pilot, grid)
     loaded_mb = vmhwm_mb()
     digests, seconds = set(), []
     for k in range(repeats + 1):
         t0 = time.perf_counter()
-        model = fit_adjustment(method, ds, pilot, grid)
+        model = fit_adjustment(method, ds, pilot, grid, ml_model=ml_model)
         elapsed = time.perf_counter() - t0
         digests.add(hashlib.sha256(model.prob.tobytes()).hexdigest())
         if k:  # the first call is a warm-up
@@ -77,12 +84,13 @@ def time_case(path: str, method: str, repeats: int) -> dict:
             "prob_sha256": digests.pop()}
 
 
-def run_child(path: str, method: str, repeats: int, blas_threads: str) -> dict:
+def run_child(path: str, method: str, base: str | None, repeats: int, blas_threads: str) -> dict:
     env = dict(os.environ)
     if blas_threads != "default":
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = blas_threads
     argv = [sys.executable, __file__, "--child", path, method, "--repeats", str(repeats)]
+    argv += [] if base is None else ["--ml-model", base]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{method} on {path} exited {proc.returncode}: {proc.stderr[-2000:]}")
@@ -97,9 +105,10 @@ def main(argv=None) -> int:
                     help="BLAS threads of each child, or 'default' to leave them unset")
     ap.add_argument("--out", type=Path, default=None)
     ap.add_argument("--child", nargs=2, metavar=("CSV", "METHOD"), help=argparse.SUPPRESS)
+    ap.add_argument("--ml-model", default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        print(json.dumps(time_case(*args.child, args.repeats)))
+        print(json.dumps(time_case(*args.child, args.ml_model, args.repeats)))
         return 0
     if args.repeats < 5:
         ap.error("--repeats must be at least 5: the record is a median")
@@ -110,16 +119,19 @@ def main(argv=None) -> int:
         for n in SIZES:
             path = str(Path(tmp) / f"large{n}.csv")
             sha = inputs.generate_csv(inputs.Design("large", n), args.seed, path)
-            for method in METHODS:
-                row = run_child(path, method, args.repeats, args.blas_threads)
-                cases.append({"n": n, "method": method, "input_sha256": sha, **row})
+            for method, base in CASES:
+                row = run_child(path, method, base, args.repeats, args.blas_threads)
+                cases.append({"n": n, "method": method, "ml_model": base,
+                              "input_sha256": sha, **row})
                 r = row["fit_s"]
-                print(f"n={n:>7} {method:<6} {r['median']:8.4f} s  (q1 {r['q1']:.4f}, "
+                name = method if base is None else f"{method}({base})"
+                print(f"n={n:>7} {name:<11} {r['median']:8.4f} s  (q1 {r['q1']:.4f}, "
                       f"q3 {r['q3']:.4f})  VmHWM {row['vmhwm_loaded_mb']:.1f} -> "
                       f"{row['vmhwm_mb']:.1f} MB  prob {row['prob_sha256'][:12]}",
                       file=sys.stderr)
     doc = {
-        "design": {"design": "large", "methods": list(METHODS), "taus": list(TAUS),
+        "design": {"design": "large", "cases": [list(case) for case in CASES],
+                   "taus": list(TAUS),
                    "seed": args.seed, "blas_threads": args.blas_threads},
         "repeats": args.repeats,
         "machine": {"python": platform.python_version(), "numpy": np.__version__,

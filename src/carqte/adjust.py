@@ -153,17 +153,23 @@ class AdjustmentModel:
 def _fitted_prob(dataset: Dataset, taus: tuple, live: np.ndarray, H, coef, link=None):
     """``prob`` of a model fitted on ``H`` (a :class:`_RowFeatures`):
     ``link(H_s @ theta)`` for every live cell on all rows of its stratum
-    (link None is the identity), tau elsewhere."""
+    (link None is the identity), tau elsewhere.  Strata run on
+    :func:`_two_lanes` in tasks of the solve's float budget (:func:`_chunks`),
+    each writing only its own rows, so a one-task call starts no thread."""
     prob = np.empty((2, dataset.n, len(taus)))
     prob[:] = np.asarray(taus)
-    for s in range(live.shape[1]):
-        rows = np.flatnonzero(dataset.s == s)
-        H_s = H[rows]
-        for ti in range(len(taus)):
-            for a in np.flatnonzero(live[:, s, ti]):
-                fit = H_s @ coef[a, s, ti]
-                prob[a, rows, ti] = fit if link is None else link(fit)
-        del H_s  # before the next build: one stratum's block alive at a time
+
+    def fill(strata):
+        for s in strata:
+            rows = np.flatnonzero(dataset.s == s)
+            H_s = H[rows]
+            for ti in range(len(taus)):
+                for a in np.flatnonzero(live[:, s, ti]):
+                    fit = np.dot(H_s, coef[a, s, ti])
+                    prob[a, rows, ti] = fit if link is None else link(fit)
+            del H_s  # before the next build: one stratum's block alive per lane
+
+    _two_lanes(_chunks(dataset.strata.n, H.shape[1] * len(taus)), fill)
     return prob
 
 
@@ -280,6 +286,36 @@ def _chunks(sizes, width):
         yield chunk
 
 
+def _two_lanes(tasks, run):
+    """``run(task)`` for every task on two lanes, the calling thread and one
+    helper thread scoped to the call, which take tasks from one shared queue;
+    a one-task call starts no thread.  A failure clears the queue, so the
+    other lane stops after its current task; the error raised is the failing
+    task's own, and the helper has ended before the call returns or raises.
+    """
+    pending = deque(tasks)
+
+    def lane():
+        while True:
+            try:
+                task = pending.popleft()
+            except IndexError:
+                return
+            try:
+                run(task)
+            except BaseException:
+                pending.clear()
+                raise
+
+    if len(pending) <= 1:
+        lane()
+    else:
+        with ThreadPoolExecutor(1) as pool:
+            helper = pool.submit(lane)
+            lane()
+            helper.result()
+
+
 def _fit_logit_cells(cells, labels):
     """Logistic quasi-ML for every (cell, tau) problem, in padded batches.
 
@@ -291,12 +327,9 @@ def _fit_logit_cells(cells, labels):
     batched pass.  Returns theta (C, T, p) and the converged and separated
     masks (C, T).
 
-    A call of several chunks solves them on two lanes, the calling thread
-    and one helper thread, which take chunks from one shared queue; each
-    chunk builds its own features and writes only its own rows of the
-    results, so nothing depends on which lane solved it.  A one-chunk call
-    starts no thread.  The helper ends before the call returns or raises,
-    and an error is a failing chunk's own.
+    The chunks run on :func:`_two_lanes`; each builds its own features and
+    writes only its own rows of the results, so nothing depends on which
+    lane solved it.
     """
     C = len(cells)
     p = cells[0][0].shape[1]
@@ -330,27 +363,7 @@ def _fit_logit_cells(cells, labels):
         converged[chunk] = conv
         separated[chunk] = sep
 
-    pending = deque(_chunks(sizes, p * T))
-
-    def lane():  # solves chunks off the shared queue until it is empty
-        while True:
-            try:
-                chunk = pending.popleft()
-            except IndexError:
-                return
-            try:
-                solve(chunk)
-            except BaseException:
-                pending.clear()  # the other lane stops after its current chunk
-                raise
-
-    if len(pending) == 1:
-        lane()
-    else:
-        with ThreadPoolExecutor(1) as pool:
-            helper = pool.submit(lane)
-            lane()
-            helper.result()
+    _two_lanes(_chunks(sizes, p * T), solve)
     return theta, converged, separated
 
 
@@ -495,7 +508,9 @@ def fit_lpml(
     Per cell, the pair (treated-model probability, control-model probability)
     is demeaned, scaled by its cell standard deviation, and regressed on the
     indicator label with a ridge of 1/n on the 2x2 system; a column of zero
-    cell sd gets a zero coefficient.
+    cell sd gets a zero coefficient.  A stratum's columns are gathered for
+    every tau at once, and strata run on :func:`_two_lanes` as in
+    :func:`_fitted_prob`, each task writing only its strata's cells.
     """
     taus = tuple(grid)
     base = LOGIT_BASE[method]
@@ -518,30 +533,41 @@ def fit_lpml(
     fitted, degraded = _cell_problems(dataset, pilot, taus, 4)
     unfit: list = []
     zero_var: list = []
-    for a, s, rows, labels in fitted:
-        if not ml_model.live[:, s].all():
+    cells: list = [[] for _ in range(dataset.n_strata)]  # (a, (T, n_c) labels) by stratum
+    for a, s, _, labels in fitted:
+        if ml_model.live[:, s].all():
+            live[a, s] = True
+            cells[s].append((a, labels.T == 1.0))  # kept as bools: 1/8 of the floats
+        else:
             unfit.append((a, s))
-            continue
-        live[a, s] = True
-        stratum = np.flatnonzero(dataset.s == s)
-        in_cell = dataset.a[stratum] == a
-        nc = rows.size
-        for ti, y_t in enumerate(labels.T.copy()):  # one contiguous vector per tau
-            w = np.column_stack([ml_prob[1, stratum, ti], ml_prob[0, stratum, ti]])
-            cell = w[in_cell]
-            mean = cell.mean(axis=0)
-            sd = cell.std(axis=0)
-            ok = sd > _ZERO_SD
-            if not ok.all():
-                zero_var.append((a, s, ti))
-            wd = np.where(ok, (w - mean) / np.where(ok, sd, 1.0), 0.0)
-            wd_cell = wd[in_cell]
-            gram = wd_cell.T @ wd_cell / nc + delta * np.eye(2)
-            theta = np.linalg.solve(gram, wd_cell.T @ y_t / nc)
-            theta[~ok] = 0.0
-            coef[a, s, ti] = theta
-            prob[a, stratum, ti] = wd @ theta
+
+    def recombine(strata):
+        for s in strata:
+            stratum = np.flatnonzero(dataset.s == s)
+            # (n_s, T, 2): the treated-model, then the control-model column
+            w = np.stack([ml_prob[1, stratum], ml_prob[0, stratum]], axis=2)
+            for a, labels in cells[s]:
+                in_cell = dataset.a[stratum] == a
+                cell = w[in_cell]
+                mean, sd = cell.mean(axis=0), cell.std(axis=0)
+                ok = sd > _ZERO_SD
+                wd = w - mean  # standardised in place: one (n_s, T, 2) block per lane
+                wd /= np.where(ok, sd, 1.0)
+                wd[:, ~ok] = 0.0
+                wd_cell = wd[in_cell]
+                zero_var.extend((a, s, ti) for ti in range(len(ok)) if not ok[ti].all())
+                for ti, y_t in enumerate(labels):  # contiguous copies per tau
+                    wd_t, wd_ct = wd[:, ti].copy(), wd_cell[:, ti].copy()
+                    gram = np.dot(wd_ct.T, wd_ct) / len(cell) + delta * np.eye(2)
+                    rhs = np.dot(wd_ct.T, y_t.astype(np.float64)) / len(cell)
+                    theta = np.linalg.solve(gram, rhs)
+                    theta[~ok[ti]] = 0.0
+                    coef[a, s, ti] = theta
+                    prob[a, stratum, ti] = np.dot(wd_t, theta)
+
+    _two_lanes(_chunks(dataset.strata.n, 2 * len(taus)), recombine)
     degraded = sorted(degraded + unfit, key=lambda cell: (cell[1], -cell[0]))  # cell order
+    zero_var.sort(key=lambda cell: (cell[1], -cell[0], cell[2]))
     return _model(method, taus, coef, live, prob, degraded, unfit=unfit,
                   zero_variance=tuple(zero_var))
 

@@ -310,13 +310,13 @@ def _logit_cells():
     return cells, labels
 
 
-def _fit_cells_switching(cells, labels):
-    """``_fit_logit_cells`` with the interpreter switching threads every
-    microsecond, so that the two lanes interleave as finely as they can."""
+def _switching(fit, *args, **kwargs):
+    """``fit`` with the interpreter switching threads every microsecond, so
+    that the two lanes interleave as finely as they can."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        return _fit_logit_cells(cells, labels)
+        return _fit_quiet(fit, *args, **kwargs)
     finally:
         sys.setswitchinterval(interval)
 
@@ -328,7 +328,7 @@ def test_two_lane_fit_equals_each_chunk_solved_alone(monkeypatch, budget):
     p, T = cells[0][0].shape[1], labels[0].shape[1]
     chunks = list(adjust._chunks([rows.size for _, rows in cells], p * T))
     assert len(chunks) > 2 and any(len(chunk) > 1 for chunk in chunks) == (budget > 1)
-    got = _fit_cells_switching(cells, labels)
+    got = _switching(_fit_logit_cells, cells, labels)
     want = [_fit_logit_cells([cells[c] for c in chunk], [labels[c] for c in chunk])
             for chunk in chunks]
     for got_part, want_parts in zip(got, zip(*want), strict=True):
@@ -360,11 +360,11 @@ def test_no_helper_thread_outlives_the_logit_fit(monkeypatch, fail):
              for c, (H, rows) in enumerate(cells)]
     before = threading.active_count()
     if fail is None:
-        _fit_cells_switching(cells, labels)
+        _switching(_fit_logit_cells, cells, labels)
         assert sorted(requests) == list(range(len(cells)))
     else:
         with pytest.raises(NumericalError, match=f"^cell {failing}$"):
-            _fit_cells_switching(cells, labels)
+            _switching(_fit_logit_cells, cells, labels)
     assert threading.active_count() == before
     if fail == 0:  # the other lane stops after the chunk it holds
         assert len(requests) < len(cells)
@@ -385,6 +385,173 @@ def test_a_one_chunk_fit_starts_no_thread(monkeypatch):
     monkeypatch.setattr(adjust, "_BLOCK_FLOATS", 1)
     _fit_logit_cells(cells, labels)
     assert started == [(1,)]
+
+
+# -- the per-stratum passes on two lanes -------------------------------------
+
+
+def _dgp1_sample(seed):
+    latent = generate(DgpSpec("dgp1", 400), np.random.default_rng(seed))
+    a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(100 + seed))
+    ds = Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
+    grid = QuantileGrid.of([0.25, 0.5, 0.75])
+    return ds, pilot_quantiles(ds, grid), grid
+
+
+def _stratum_tasks(ds, width):
+    return list(adjust._chunks(ds.strata.n, width))
+
+
+@pytest.mark.parametrize("method", ["lp", "ml", "mlx", "np", "lasso"])
+def test_prob_pass_in_stratum_tasks_equals_one_task(monkeypatch, method):
+    ds, pilot, grid = _dgp1_sample(3)
+    model = _fit_quiet(fit_adjustment, method, ds, pilot, grid)
+    H = _RowFeatures(method, ds.x)
+    link = None if method == "lp" else expit
+    width = H.shape[1] * len(grid)
+    assert len(_stratum_tasks(ds, width)) == 1  # the model's own pass was one task
+    monkeypatch.setattr(adjust, "_BLOCK_FLOATS", 1)
+    assert len(_stratum_tasks(ds, width)) == ds.n_strata > 2
+    got = _switching(adjust._fitted_prob, ds, tuple(grid), model.live, H, model.coef, link)
+    assert np.array_equal(got, model.prob)
+    want = np.empty_like(got)  # one matrix-vector product per live (cell, tau)
+    want[:] = np.asarray(tuple(grid))
+    for a, s, ti in zip(*np.nonzero(model.live)):
+        rows = np.flatnonzero(ds.s == s)
+        fit = H[rows] @ model.coef[a, s, ti]
+        want[a, rows, ti] = fit if link is None else link(fit)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed,method", [(2, "lpml"), (3, "lpmlx")])
+def test_recombination_in_stratum_tasks_equals_one_task(monkeypatch, seed, method):
+    ds, pilot, grid = _dgp1_sample(seed)
+    base = _fit_quiet(fit_adjustment, LOGIT_BASE[method], ds, pilot, grid)
+    one = _fit_quiet(fit_adjustment, method, ds, pilot, grid, ml_model=base)
+    assert len(_stratum_tasks(ds, 2 * len(grid))) == 1
+    monkeypatch.setattr(adjust, "_BLOCK_FLOATS", 1)
+    assert len(_stratum_tasks(ds, 2 * len(grid))) == ds.n_strata
+    many = _switching(fit_adjustment, method, ds, pilot, grid, ml_model=base)
+    assert one.diagnostics["zero_variance"] and many.diagnostics == one.diagnostics
+    for name in ("live", "coef", "prob"):
+        assert np.array_equal(getattr(many, name), getattr(one, name)), name
+
+
+def _recombination_per_tau(ds, pilot, grid, ml):
+    """The recombination's coef and prob, one (cell, tau) problem at a time
+    on its own (n_s, 2) columns."""
+    taus = tuple(grid)
+    coef, prob = np.zeros(ml.live.shape + (2,)), np.empty(ml.prob.shape)
+    prob[:] = np.asarray(taus)
+    for a, s, rows, labels in adjust._cell_problems(ds, pilot, taus, 4)[0]:
+        stratum = np.flatnonzero(ds.s == s)
+        in_cell = ds.a[stratum] == a
+        for ti, y_t in enumerate(labels.T.copy()):
+            w = np.column_stack([ml.prob[1, stratum, ti], ml.prob[0, stratum, ti]])
+            cell = w[in_cell]
+            ok = cell.std(axis=0) > adjust._ZERO_SD
+            wd = np.where(ok, (w - cell.mean(axis=0)) / np.where(ok, cell.std(axis=0), 1.0), 0.0)
+            wd_cell = wd[in_cell]
+            gram = wd_cell.T @ wd_cell / rows.size + np.eye(2) / ds.n
+            theta = np.linalg.solve(gram, wd_cell.T @ y_t / rows.size)
+            theta[~ok] = 0.0
+            coef[a, s, ti] = theta
+            prob[a, stratum, ti] = wd @ theta
+    return coef, prob
+
+
+@pytest.mark.parametrize("budget", [1, None])  # one stratum per task; the default
+@pytest.mark.parametrize("seed,method", [(2, "lpml"), (3, "lpmlx")])
+def test_recombination_over_every_tau_equals_the_per_tau_loop(monkeypatch, budget, seed,
+                                                              method):
+    ds, pilot, grid = _dgp1_sample(seed)
+    base = _fit_quiet(fit_adjustment, LOGIT_BASE[method], ds, pilot, grid)
+    assert base.live.all()
+    if budget is not None:
+        monkeypatch.setattr(adjust, "_BLOCK_FLOATS", budget)
+    model = _switching(fit_adjustment, method, ds, pilot, grid, ml_model=base)
+    coef, prob = _recombination_per_tau(ds, pilot, grid, base)
+    assert model.diagnostics["zero_variance"]
+    assert np.array_equal(model.coef, coef) and np.array_equal(model.prob, prob)
+
+
+class _FailingStratum:
+    """A model's feature rows whose request for stratum ``fail`` raises."""
+
+    def __init__(self, H, s, fail):
+        self.H, self.shape, self.s, self.fail = H, H.shape, s, fail
+
+    def __getitem__(self, rows):
+        if self.s[rows[0]] == self.fail:
+            raise NumericalError(f"stratum {self.fail}")
+        return self.H[rows]
+
+
+class _FailingColumns(np.ndarray):
+    """Probability columns whose gather for one stratum's rows raises."""
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and np.array_equal(key[-1], getattr(self, "fail_rows", ())):
+            raise NumericalError(f"stratum {self.fail}")
+        return np.asarray(self)[key]
+
+
+@pytest.mark.parametrize("method", ["mlx", "lpmlx"])
+@pytest.mark.parametrize("fail", [None, 0, -1])
+def test_no_helper_thread_outlives_a_stratum_pass(monkeypatch, method, fail):
+    ds, pilot, grid = _dgp1_sample(3)
+    base = _fit_quiet(fit_adjustment, "mlx", ds, pilot, grid)
+    monkeypatch.setattr(adjust, "_BLOCK_FLOATS", 1)  # every stratum a task of its own
+    failing = None if fail is None else range(ds.n_strata)[fail]
+    if method == "mlx":
+        H = _FailingStratum(_RowFeatures("mlx", ds.x), ds.s, failing)
+        call = (adjust._fitted_prob, ds, tuple(grid), base.live, H, base.coef, expit)
+    else:
+        prob = base.prob.view(_FailingColumns)
+        prob.fail, prob.fail_rows = failing, np.flatnonzero(ds.s == failing)
+        call = (fit_lpml, ds, pilot, grid, dataclasses.replace(base, prob=prob), "lpmlx")
+    before = threading.active_count()
+    if fail is None:
+        _switching(*call)
+    else:
+        with pytest.raises(NumericalError, match=f"^stratum {failing}$"):
+            _switching(*call)
+    assert threading.active_count() == before
+
+
+def test_a_one_task_fit_starts_no_thread(monkeypatch):
+    started = []
+
+    class Spy(ThreadPoolExecutor):
+        def __init__(self, *args):
+            started.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(adjust, "ThreadPoolExecutor", Spy)
+    ds, pilot, grid = _dgp1_sample(3)
+    for method in METHODS:
+        _fit_quiet(fit_adjustment, method, ds, pilot, grid)
+    assert started == []
+    base = _fit_quiet(fit_adjustment, "ml", ds, pilot, grid)
+    monkeypatch.setattr(adjust, "_BLOCK_FLOATS", 1)
+    _fit_quiet(fit_adjustment, "lpml", ds, pilot, grid, ml_model=base)
+    assert started == [(1,)]
+
+
+def test_zero_variance_lists_cells_in_order_across_stratum_tasks(monkeypatch):
+    ds, pilot, grid = _dgp1_sample(5)
+    ml = _fit_quiet(fit_adjustment, "ml", ds, pilot, grid)
+    # The control column is constant up to rounding noise in strata 1 and 3.
+    prob = ml.prob.copy()
+    flat = np.isin(ds.s, [1, 3])
+    prob[0, flat] = 0.5 + 1e-14 * np.random.default_rng(5).standard_normal(prob[0, flat].shape)
+    ml = dataclasses.replace(ml, prob=prob)
+    monkeypatch.setattr(adjust, "_BLOCK_FLOATS", 1)
+    model = _switching(fit_lpml, ds, pilot, grid, ml_model=ml)
+    want = [(a, s, ti) for s in (1, 3) for a in (1, 0) for ti in range(len(grid))]
+    got = model.diagnostics["zero_variance"]
+    assert [cell for cell in got if cell[1] in (1, 3)] == want
+    assert list(got) == sorted(got, key=lambda cell: (cell[1], -cell[0], cell[2]))
 
 
 # -- LP ---------------------------------------------------------------------

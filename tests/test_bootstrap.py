@@ -409,6 +409,26 @@ def test_no_helper_thread_outlives_run_bootstrap(monkeypatch, failure):
     assert threading.active_count() == before
 
 
+def test_a_one_block_bootstrap_starts_no_thread(monkeypatch):
+    started = []
+
+    class Spy(bt.ThreadPoolExecutor):
+        def __init__(self, *args):
+            started.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(bt, "ThreadPoolExecutor", Spy)
+    ds, grid = _fixture()
+    B = 6
+    monkeypatch.setattr(bt, "_BLOCK_FLOATS", B * ds.n)  # B fits in one block
+    one = run_bootstrap(ds, [fit_none(grid)], grid, B, np.random.default_rng(5))
+    assert started == []
+    monkeypatch.setattr(bt, "_BLOCK_FLOATS", (B - 1) * ds.n)  # two blocks
+    two = run_bootstrap(ds, [fit_none(grid)], grid, B, np.random.default_rng(5))
+    assert started == [(1,)]
+    assert np.array_equal(one[0].draws, two[0].draws)
+
+
 @pytest.mark.parametrize("solve_block, resample_replicate", [(2, 3), (3, 2)])
 def test_the_first_failing_replicate_is_reported(monkeypatch, solve_block, resample_replicate):
     # While block k is solved, block k + 1 is drawn: whichever of the two
