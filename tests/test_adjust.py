@@ -423,20 +423,6 @@ def test_prob_pass_in_stratum_tasks_equals_one_task(monkeypatch, method):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("seed,method", [(2, "lpml"), (3, "lpmlx")])
-def test_recombination_in_stratum_tasks_equals_one_task(monkeypatch, seed, method):
-    ds, pilot, grid = _dgp1_sample(seed)
-    base = _fit_quiet(fit_adjustment, LOGIT_BASE[method], ds, pilot, grid)
-    one = _fit_quiet(fit_adjustment, method, ds, pilot, grid, ml_model=base)
-    assert len(_stratum_tasks(ds, 2 * len(grid))) == 1
-    monkeypatch.setattr(adjust, "_BLOCK_FLOATS", 1)
-    assert len(_stratum_tasks(ds, 2 * len(grid))) == ds.n_strata
-    many = _switching(fit_adjustment, method, ds, pilot, grid, ml_model=base)
-    assert one.diagnostics["zero_variance"] and many.diagnostics == one.diagnostics
-    for name in ("live", "coef", "prob"):
-        assert np.array_equal(getattr(many, name), getattr(one, name)), name
-
-
 def _recombination_per_tau(ds, pilot, grid, ml):
     """The recombination's coef and prob, one (cell, tau) problem at a time
     on its own (n_s, 2) columns."""
@@ -460,19 +446,20 @@ def _recombination_per_tau(ds, pilot, grid, ml):
     return coef, prob
 
 
-@pytest.mark.parametrize("budget", [1, None])  # one stratum per task; the default
 @pytest.mark.parametrize("seed,method", [(2, "lpml"), (3, "lpmlx")])
-def test_recombination_over_every_tau_equals_the_per_tau_loop(monkeypatch, budget, seed,
-                                                              method):
+def test_recombination_in_stratum_tasks_equals_the_per_tau_loop(monkeypatch, seed, method):
     ds, pilot, grid = _dgp1_sample(seed)
     base = _fit_quiet(fit_adjustment, LOGIT_BASE[method], ds, pilot, grid)
     assert base.live.all()
-    if budget is not None:
-        monkeypatch.setattr(adjust, "_BLOCK_FLOATS", budget)
-    model = _switching(fit_adjustment, method, ds, pilot, grid, ml_model=base)
     coef, prob = _recombination_per_tau(ds, pilot, grid, base)
-    assert model.diagnostics["zero_variance"]
-    assert np.array_equal(model.coef, coef) and np.array_equal(model.prob, prob)
+    one = _fit_quiet(fit_adjustment, method, ds, pilot, grid, ml_model=base)
+    assert len(_stratum_tasks(ds, 2 * len(grid))) == 1
+    monkeypatch.setattr(adjust, "_BLOCK_FLOATS", 1)
+    assert len(_stratum_tasks(ds, 2 * len(grid))) == ds.n_strata
+    many = _switching(fit_adjustment, method, ds, pilot, grid, ml_model=base)
+    assert one.diagnostics["zero_variance"] and many.diagnostics == one.diagnostics
+    for model in (one, many):
+        assert np.array_equal(model.coef, coef) and np.array_equal(model.prob, prob)
 
 
 class _FailingStratum:
