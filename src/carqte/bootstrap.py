@@ -4,17 +4,17 @@ Each replicate perturbs unit contributions with iid standard-exponential
 weights, recomputes the weighted treated fractions, and re-solves the two
 arm problems from the subgradient conditions; the fitted adjustment is never
 re-estimated.  Several models bootstrap over one shared stream of weights,
-solved together in one pass per block of replicates; when there are
-several blocks, one helper thread solves each while the calling thread
-draws the next.  From the
-resulting draw matrix we build pointwise confidence intervals and Wald
-tests, quantile-difference tests, and uniform bands.
+solved together in one pass per block of replicates; one helper thread
+solves each block but the last while the calling thread draws the next.
+From the resulting draw matrix we build pointwise confidence intervals and
+Wald tests, quantile-difference tests, and uniform bands.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -180,8 +180,9 @@ def run_bootstrap(
     the draws do not depend on the overlap.  Blocks are stored in order,
     so a failed solve of block k is raised before any resampling error of
     block k + 1, and the helper thread ends before the call returns or
-    raises.  When B fits in one block, the call draws, solves and stores it
-    on the calling thread and starts no thread.  An estimate's adjustment
+    raises.  The calling thread solves the last block itself, after storing
+    the one before it, so a call whose B fits in one block starts no
+    thread.  An estimate's adjustment
     fit runs its own helpers (:func:`~carqte.adjust._two_lanes`), joined
     before this call starts one, so at most one helper runs at a time.
     """
@@ -212,8 +213,8 @@ def run_bootstrap(
         return nw, np.all(nw > floor, axis=(1, 2))
 
     # Block k is drawn into one buffer while the helper thread solves block
-    # k - 1 from the other; one block needs one buffer.
-    buffers = np.empty((1 if B == size else 2, size, n))
+    # k - 1 from the other.
+    buffers = np.empty((2, size, n))
     n_resampled, redraws = 0, None
 
     def draw_block(buffer, start):  # the block's weights and treated fractions
@@ -240,20 +241,21 @@ def run_bootstrap(
         draws[:, start:start + len(q1)] = (
             (q1 - q0).reshape(len(q1), len(models), n_taus).transpose(1, 0, 2))
 
-    if B == size:  # one block: draw, solve and store on this thread
-        store(0, *solver.solve(*draw_block(buffers[0], 0)))
-    else:
-        with ThreadPoolExecutor(1) as pool:
-            pending = None
-            for k, start in enumerate(range(0, B, size)):
-                try:
-                    xi, pis = draw_block(buffers[k % 2, :min(size, B - start)], start)
-                finally:
-                    # Block k - 1 is stored first, so its error comes before block k's.
-                    if pending is not None:
-                        store(pending[0], *pending[1].result())
+    # The calling thread solves the last block itself, so the helper starts
+    # only when some block comes before it.
+    with ThreadPoolExecutor(1) if size < B else nullcontext() as pool:
+        pending = None
+        for k, start in enumerate(range(0, B, size)):
+            try:
+                xi, pis = draw_block(buffers[k % 2, :min(size, B - start)], start)
+            finally:
+                # Block k - 1 is stored first, so its error comes before block k's.
+                if pending is not None:
+                    store(pending[0], *pending[1].result())
+            if start + size < B:
                 pending = start, pool.submit(solver.solve, xi, pis)
-            store(pending[0], *pending[1].result())
+            else:
+                store(start, *solver.solve(xi, pis))
     points = zip(q1_unit.reshape(-1, n_taus), q0_unit.reshape(-1, n_taus))
     return BootstrapDrawSet(tuple(
         BootstrapDraws(draws=d, point=QteEstimate(tuple(grid), q1, q0))

@@ -316,7 +316,7 @@ def _switching(fit, *args, **kwargs):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        return _fit_quiet(fit, *args, **kwargs)
+        return fit(*args, **kwargs)
     finally:
         sys.setswitchinterval(interval)
 
