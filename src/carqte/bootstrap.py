@@ -4,17 +4,16 @@ Each replicate perturbs unit contributions with iid standard-exponential
 weights, recomputes the weighted treated fractions, and re-solves the two
 arm problems from the subgradient conditions; the fitted adjustment is never
 re-estimated.  Several models bootstrap over one shared stream of weights,
-solved together in one pass per block of replicates; one helper thread
-solves each block but the last while the calling thread draws the next.
-From the resulting draw matrix we build pointwise confidence intervals and
-Wald tests, quantile-difference tests, and uniform bands.
+solved together in one pass per block of replicates, and one helper thread
+solves each block while the calling thread draws the next.  From the
+resulting draw matrix we build pointwise confidence intervals and Wald
+tests, quantile-difference tests, and uniform bands.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -180,11 +179,9 @@ def run_bootstrap(
     the draws do not depend on the overlap.  Blocks are stored in order,
     so a failed solve of block k is raised before any resampling error of
     block k + 1, and the helper thread ends before the call returns or
-    raises.  The calling thread solves the last block itself, after storing
-    the one before it, so a call whose B fits in one block starts no
-    thread.  An estimate's adjustment
-    fit runs its own helpers (:func:`~carqte.adjust._two_lanes`), joined
-    before this call starts one, so at most one helper runs at a time.
+    raises.  An estimate's adjustment fit runs its own helpers
+    (:func:`~carqte.adjust._two_lanes`), joined before this call starts
+    one, so at most one helper runs at a time.
     """
     if B < 2:
         raise DataValidationError("need at least two bootstrap replicates")
@@ -237,13 +234,12 @@ def run_bootstrap(
         n1w, n0w = nw[:, 0], nw[:, 1]
         return xi, (n1w / (n1w + n0w) if fixed_pis is None else fixed_pis)
 
-    def store(start, q1, q0):  # a solved block's draws
+    def store(start, solved):  # a solved block's draws, or its solve's error
+        q1, q0 = solved.result()
         draws[:, start:start + len(q1)] = (
             (q1 - q0).reshape(len(q1), len(models), n_taus).transpose(1, 0, 2))
 
-    # The calling thread solves the last block itself, so the helper starts
-    # only when some block comes before it.
-    with ThreadPoolExecutor(1) if size < B else nullcontext() as pool:
+    with ThreadPoolExecutor(1) as pool:
         pending = None
         for k, start in enumerate(range(0, B, size)):
             try:
@@ -251,11 +247,9 @@ def run_bootstrap(
             finally:
                 # Block k - 1 is stored first, so its error comes before block k's.
                 if pending is not None:
-                    store(pending[0], *pending[1].result())
-            if start + size < B:
-                pending = start, pool.submit(solver.solve, xi, pis)
-            else:
-                store(start, *solver.solve(xi, pis))
+                    store(*pending)
+            pending = start, pool.submit(solver.solve, xi, pis)
+        store(*pending)
     points = zip(q1_unit.reshape(-1, n_taus), q0_unit.reshape(-1, n_taus))
     return BootstrapDrawSet(tuple(
         BootstrapDraws(draws=d, point=QteEstimate(tuple(grid), q1, q0))

@@ -409,35 +409,6 @@ def test_no_helper_thread_outlives_run_bootstrap(monkeypatch, failure):
     assert threading.active_count() == before
 
 
-def test_a_one_block_bootstrap_starts_no_thread(monkeypatch):
-    # The calling thread solves the last block itself, so only a block
-    # before the last starts the helper.
-    started, solved_on = [], []
-    real_solve = est._Solver.solve
-
-    class Spy(bt.ThreadPoolExecutor):
-        def __init__(self, *args):
-            started.append(args)
-            super().__init__(*args)
-
-    def solve(self, xi, pis):
-        solved_on.append(threading.current_thread() is threading.main_thread())
-        return real_solve(self, xi, pis)
-
-    monkeypatch.setattr(bt, "ThreadPoolExecutor", Spy)
-    monkeypatch.setattr(est._Solver, "solve", solve)
-    ds, grid = _fixture()
-    B = 6
-    monkeypatch.setattr(bt, "_BLOCK_FLOATS", B * ds.n)  # B fits in one block
-    one = run_bootstrap(ds, [fit_none(grid)], grid, B, np.random.default_rng(5))
-    assert started == [] and solved_on == [True, True]  # the point solve, then the block
-    solved_on.clear()
-    monkeypatch.setattr(bt, "_BLOCK_FLOATS", (B - 1) * ds.n)  # two blocks
-    two = run_bootstrap(ds, [fit_none(grid)], grid, B, np.random.default_rng(5))
-    assert started == [(1,)] and solved_on == [True, False, True]
-    assert np.array_equal(one[0].draws, two[0].draws)
-
-
 @pytest.mark.parametrize("solve_block, resample_replicate", [(2, 3), (3, 2)])
 def test_the_first_failing_replicate_is_reported(monkeypatch, solve_block, resample_replicate):
     # While block k is solved, block k + 1 is drawn: whichever of the two
