@@ -11,21 +11,14 @@ randomization, n=400, the seven low-dimensional methods, B=200 and taus
 wrapped by timers: ``prepare`` (generate, assign, strata, pilot),
 ``fit:<method>`` (a grouped ``fit_ml`` call, or a ``fit_adjustment`` call
 of ``harness._fit_and_bootstrap``), ``bootstrap`` and ``inference``;
-``other`` is the rest of the call.
+``other`` is the rest of the call.  The harness runs as it is: each
+logistic method fitted once per group of ``harness._REP_GROUP``
+replications, and every Wald standard error and band centre of a
+replication from one quantile call.
 
-Two layouts of the same work run alternately in each repeat:
-
-* ``grouped``, the harness as it is: each logistic method fitted once per
-  group of ``harness._REP_GROUP`` replications, and every Wald standard
-  error and band centre of a replication from one quantile call;
-* ``per_rep``, the layout before grouping: groups of one replication, and
-  inference through ``pointwise_test``, ``difference_test`` and
-  ``uniform_band``, one call per test.  Its inference results are checked
-  against the harness's own, which must agree exactly.
-
-For each layout and stage the JSON holds the median and quartiles over the
-repeats of the stage's total time in a call, plus ``fits`` (every
-``fit:*`` stage) and ``call``.
+For each stage the JSON holds, under ``stages.grouped``, the median and
+quartiles over the repeats of the stage's total time in a call, plus
+``fits`` (every ``fit:*`` stage) and ``call``.
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from carqte import harness  # noqa: E402
-from carqte.bootstrap import difference_test, pointwise_test, uniform_band  # noqa: E402
 from carqte.data import QuantileGrid  # noqa: E402
 from carqte.dgp import DgpSpec  # noqa: E402
 from carqte.randomization import SchemeSpec  # noqa: E402
@@ -51,38 +43,11 @@ from carqte.randomization import SchemeSpec  # noqa: E402
 METHODS = ("na", "lp", "ml", "lpml", "mlx", "lpmlx", "np")
 
 
-def per_test_inference(spec, truth, boot) -> dict:
-    """The harness's inference through the public tests, one call per test."""
-    taus = tuple(spec.taus)
-    out: dict = {}
-    for method, draws in zip(spec.methods, boot):
-        est = draws.point.qte
-        for j, tau in enumerate(taus):
-            res = pointwise_test(est[j], draws.draws[:, j], spec.alpha)
-            out[(method, f"pointwise@{tau:g}")] = (
-                float(res.rejects(truth[j])), float(res.rejects(truth[j] + spec.delta)),
-                float(est[j] - truth[j]), res.se,
-            )
-        dtruth = truth[-1] - truth[0]
-        d = difference_test(est[-1], est[0], draws.draws[:, -1], draws.draws[:, 0], spec.alpha)
-        out[(method, f"diff({taus[-1]:g},{taus[0]:g})")] = (
-            float(d.rejects(dtruth)), float(d.rejects(dtruth + spec.delta)),
-            float((est[-1] - est[0]) - dtruth), d.se,
-        )
-        u = uniform_band(est, draws.draws, spec.alpha)
-        out[(method, "uniform")] = (
-            float(u.rejects(truth)), float(u.rejects(truth + spec.delta)),
-            float(np.mean(est - truth)), float(np.mean(u.se)),
-        )
-    return out
-
-
-def run_layout(spec, truth, layout: str) -> dict:
-    """One scenario call under ``layout``; returns its per-stage seconds."""
+def run_once(spec, truth) -> dict:
+    """One scenario call; returns its per-stage seconds."""
     times: dict = defaultdict(float)
     originals = {name: getattr(harness, name) for name in
-                 ("_prepare", "fit_ml", "fit_adjustment", "run_bootstrap", "_inference",
-                  "_REP_GROUP")}
+                 ("_prepare", "fit_ml", "fit_adjustment", "run_bootstrap", "_inference")}
 
     def timed(label, fn):
         def wrapper(*args, **kwargs):
@@ -93,25 +58,15 @@ def run_layout(spec, truth, layout: str) -> dict:
                 times[label(args, kwargs)] += time.perf_counter() - t0
         return wrapper
 
-    def checked_inference(spec, truth, boot):
-        out = timed(lambda a, k: "inference", per_test_inference)(spec, truth, boot)
-        if timed(lambda a, k: "_check", originals["_inference"])(spec, truth, boot) != out:
-            raise AssertionError("grouped and per-test inference disagree")
-        return out
-
     harness._prepare = timed(lambda a, k: "prepare", originals["_prepare"])
     harness.fit_ml = timed(lambda a, k: f"fit:{k['method']}", originals["fit_ml"])
     harness.fit_adjustment = timed(lambda a, k: f"fit:{a[0]}", originals["fit_adjustment"])
     harness.run_bootstrap = timed(lambda a, k: "bootstrap", originals["run_bootstrap"])
-    if layout == "per_rep":
-        harness._REP_GROUP = 1
-        harness._inference = checked_inference
-    else:
-        harness._inference = timed(lambda a, k: "inference", originals["_inference"])
+    harness._inference = timed(lambda a, k: "inference", originals["_inference"])
     try:
         t0 = time.perf_counter()
         harness.run_scenario(spec, truth)
-        call = time.perf_counter() - t0 - times.pop("_check", 0.0)
+        call = time.perf_counter() - t0
     finally:
         for name, value in originals.items():
             setattr(harness, name, value)
@@ -142,12 +97,8 @@ def main(argv=None) -> int:
     # The tests only compare against the truth, so a fixed vector stands in
     # for the oracle, whose cost is not a replication stage.
     truth = np.array([1.0, 1.5, 2.0])
-    layouts = ("grouped", "per_rep")
-    runs: dict = {layout: [] for layout in layouts}
-    run_layout(spec, truth, "grouped")  # warm-up: imports, caches
-    for k in range(args.repeats):
-        for layout in layouts if k % 2 == 0 else layouts[::-1]:
-            runs[layout].append(run_layout(spec, truth, layout))
+    run_once(spec, truth)  # warm-up: imports, caches
+    runs = [run_once(spec, truth) for _ in range(args.repeats)]
     import scipy
 
     doc = {
@@ -157,18 +108,16 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "scipy": scipy.__version__, "arch": platform.machine()},
-        "stages": {layout: {stage: summary([r.get(stage, 0.0) for r in rs])
-                            for stage in sorted(set().union(*rs))}
-                   for layout, rs in runs.items()},
+        "stages": {"grouped": {stage: summary([r.get(stage, 0.0) for r in runs])
+                               for stage in sorted(set().union(*runs))}},
     }
     text = json.dumps(doc, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
         args.out.write_text(text, encoding="utf-8")
-    for stage in sorted(doc["stages"]["grouped"]):
-        g, p = (doc["stages"][layout][stage]["median"] for layout in ("grouped", "per_rep"))
-        print(f"{stage:>14}  per_rep {p:8.4f} s  grouped {g:8.4f} s", file=sys.stderr)
+    for stage, times in doc["stages"]["grouped"].items():
+        print(f"{stage:>14}  {times['median']:8.4f} s", file=sys.stderr)
     return 0
 
 

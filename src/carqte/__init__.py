@@ -8,11 +8,7 @@ from .adjust import (
     AdjustmentModel,
     LassoConfig,
     fit_adjustment,
-    fit_hd_lasso,
-    fit_lp,
-    fit_lpml,
     fit_ml,
-    fit_none,
 )
 from .bootstrap import (
     BootstrapDraws,
@@ -21,7 +17,6 @@ from .bootstrap import (
     bootstrap_se,
     difference_test,
     draw_weights,
-    empirical_quantile,
     pointwise_test,
     run_bootstrap,
     uniform_band,
@@ -32,7 +27,7 @@ from .data import (
     StrataStats,
     load_csv,
 )
-from .dgp import DgpSpec, PotentialData, cached_true_qte, generate, true_qte_oracle
+from .dgp import DgpSpec, PotentialData, cached_true_qte, generate
 from .errors import (
     CarqteError,
     DataValidationError,
@@ -41,14 +36,6 @@ from .errors import (
 )
 from .estimator import QteEstimate, pilot_quantiles, qte
 from .harness import ScenarioResult, ScenarioSpec, emit_table, run_scenario
-from .randomization import (
-    SCHEME_KINDS,
-    SchemeSpec,
-    assign,
-    assign_bcd,
-    assign_sbr,
-    assign_srs,
-    assign_wei,
-)
+from .randomization import SCHEME_KINDS, SchemeSpec, assign
 
 __all__ = [name for name in dir() if not name.startswith("_")]

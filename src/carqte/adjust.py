@@ -420,14 +420,14 @@ def _model(method, taus, coef, live, prob, degraded, support=None, unfit=(), **d
 # ---------------------------------------------------------------------------
 
 
-def fit_none(grid: QuantileGrid) -> AdjustmentModel:
+def _fit_none(grid: QuantileGrid) -> AdjustmentModel:
     """The no-adjustment model: evaluates to zero everywhere."""
     taus = tuple(grid)
     coef, live = np.zeros((2, 0, len(taus), 0)), np.zeros((2, 0, len(taus)), dtype=bool)
     return _model("na", taus, coef, live, None, [])
 
 
-def fit_lp(dataset: Dataset, pilot, grid: QuantileGrid) -> AdjustmentModel:
+def _fit_lp(dataset: Dataset, pilot, grid: QuantileGrid) -> AdjustmentModel:
     """Within-cell least squares of the outcome indicator on demeaned regressors."""
     H = _RowFeatures("lp", dataset.x)
     p = H.shape[1]
@@ -494,7 +494,7 @@ def fit_ml(items, grid: QuantileGrid, method: str = "ml") -> list:
     return out
 
 
-def fit_lpml(
+def _fit_lpml(
     dataset: Dataset,
     pilot,
     grid: QuantileGrid,
@@ -655,7 +655,7 @@ def _l1_logit_cd(H, y, lam, theta0=None):
     return theta, _l1_kkt_residual(H, y, theta, lam), False
 
 
-def fit_hd_lasso(
+def _fit_hd_lasso(
     dataset: Dataset,
     pilot,
     grid: QuantileGrid,
@@ -768,16 +768,16 @@ def fit_adjustment(
     if ml_model is not None and method not in LOGIT_BASE:
         raise DataValidationError(f"method {method!r} does not reuse a logistic fit")
     if method == "na":
-        return fit_none(grid)
+        return _fit_none(grid)
     if method == "lp":
-        return fit_lp(dataset, pilot, grid)
+        return _fit_lp(dataset, pilot, grid)
     if method in LOGIT_METHODS:
         (model,) = fit_ml([(dataset, pilot)], grid, method=method)
         if isinstance(model, CarqteError):
             raise model
         return model
     if method in LOGIT_BASE:
-        return fit_lpml(dataset, pilot, grid, ml_model, method)
+        return _fit_lpml(dataset, pilot, grid, ml_model, method)
     if method == "lasso":
-        return fit_hd_lasso(dataset, pilot, grid, config=lasso_config)
+        return _fit_hd_lasso(dataset, pilot, grid, config=lasso_config)
     raise DataValidationError(f"unknown adjustment method {method!r}")

@@ -110,12 +110,10 @@ def draw_weights(n: int, rng: np.random.Generator, out: np.ndarray | None = None
     n-length ``out`` when given; the stream is the same either way."""
     if n < 1:
         raise DataValidationError("need at least one weight")
-    if out is not None:
-        return rng.standard_exponential(out=out)
-    return rng.exponential(scale=1.0, size=n)
+    return rng.standard_exponential(n, out=out)
 
 
-def empirical_quantile(values: np.ndarray, nu) -> np.ndarray:
+def _empirical_quantile(values: np.ndarray, nu) -> np.ndarray:
     """Per-column order statistics with linear interpolation at rank nu*(B-1)+1.
 
     This single convention is shared by the standard-error, difference-test,
@@ -222,7 +220,7 @@ def run_bootstrap(
             redraws = redraws or rng.spawn(1)[0]
             for _attempt in range(_MAX_RESAMPLE):
                 n_resampled += 1
-                xi[r] = draw_weights(n, redraws)
+                draw_weights(n, redraws, out=xi[r])
                 nw[r:r + 1], ok[r:r + 1] = masses(xi[r:r + 1])
                 if ok[r]:
                     break
@@ -338,7 +336,7 @@ def uniform_band(estimates: np.ndarray, draws: np.ndarray, alpha: float = 0.05) 
 
 def _se_and_center(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column bootstrap SEs and medians of ``d`` from one quantile call."""
-    lo, center, hi = empirical_quantile(d, [0.025, 0.5, 0.975])
+    lo, center, hi = _empirical_quantile(d, [0.025, 0.5, 0.975])
     return (hi - lo) / _NORMAL_SPREAD, center
 
 

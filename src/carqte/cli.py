@@ -1,8 +1,16 @@
 """Command line entry points: ``estimate`` on a CSV and ``simulate``.
 
 Exit codes: 0 success, 2 usage error, 3 data validation failure, 4 numerical
-failure.  All outputs embed the resolved configuration and seed; identical
-configurations produce byte-identical reports.
+failure.  Identical configurations produce byte-identical outputs.
+
+Each output echoes its configuration in a ``config`` object (the
+``estimate`` report's, and the ``simulate`` results' sidecar), built by one
+helper from the parsed options: every option of the subcommand, whether
+given as a flag, in the ``--config`` file or by default, except ``config``
+and ``out``; ``simulate`` also leaves out ``workers`` and ``truth_cache``,
+which change no result.  ``taus``, ``diff``, ``methods`` and ``dgp`` are
+written resolved: the grid as numbers, the difference test's two taus (or
+null), the list of methods and the design's kind.
 """
 
 from __future__ import annotations
@@ -25,9 +33,7 @@ from .data import QuantileGrid, _checked_fractions, index_strata, load_csv  # no
 from .dgp import DGP_KINDS, DgpSpec
 from .errors import CarqteError, DataValidationError, NumericalError
 from .estimator import pilot_quantiles, qte  # noqa: F401
-from .harness import (
-    ScenarioSpec, _fit_and_bootstrap, _wald_tests, default_workers, emit_table, run_scenario,
-)
+from .harness import ScenarioSpec, _fit_and_bootstrap, _wald_tests, emit_table, run_scenario
 from .randomization import SCHEME_KINDS, SchemeSpec
 
 _EXIT_OK = 0
@@ -170,6 +176,13 @@ def _set_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPars
     command.set_defaults(**defaults)
 
 
+def _config_echo(args: argparse.Namespace, resolved: dict, omit: tuple = ()) -> dict:
+    """The ``config`` object of an output: each option of ``args`` but
+    ``config``, ``out`` and ``omit``, at its ``resolved`` value if it has one."""
+    skip = (*_RESERVED_CONFIG_KEYS, "out", *omit)
+    return {k: resolved.get(k, v) for k, v in vars(args).items() if k not in skip}
+
+
 def _wald_row(res, null: float) -> dict:
     return {"estimate": res.estimate, "se": res.se, "ci": [res.ci_lower, res.ci_upper],
             "reject": res.rejects(null), "null": null}
@@ -198,16 +211,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "version": __version__,
         "schema": 1,
         "command": "estimate",
-        "config": {
-            "input": args.input,
-            "adjust": args.adjust,
-            "taus": list(grid),
-            "B": args.B,
-            "alpha": alpha,
-            "seed": args.seed,
-            "pi": args.pi,
-            "null": args.null,
-        },
+        "config": _config_echo(args, {"taus": list(grid),
+                                      "diff": None if diff is None else list(diff)}),
         "n": dataset.n,
         "n_strata": dataset.n_strata,
         "method": args.adjust,
@@ -280,20 +285,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "version": __version__,
             "command": "simulate",
             "seed": args.seed,
-            "config": {
-                "dgp": dgp_kind,
-                "scheme": args.scheme,
-                "methods": list(methods),
-                "n": args.n,
-                "reps": args.reps,
-                "B": args.B,
-                "taus": list(grid),
-                "delta": args.delta,
-                "alpha": alpha,
-                "pi": args.pi,
-                "mc_n": args.mc_n,
-                "mc_reps": args.mc_reps,
-            },
+            "config": _config_echo(
+                args, {"dgp": dgp_kind, "methods": list(methods), "taus": list(grid)},
+                omit=("workers", "truth_cache"),
+            ),
             "truth": list(result.truth),
             "failures": result.failures,
         }
@@ -348,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--mc-n", type=int, default=10_000, dest="mc_n")
     sim.add_argument("--mc-reps", type=int, default=300, dest="mc_reps")
     sim.add_argument("--truth-cache", default=None, dest="truth_cache")
-    sim.add_argument("--workers", type=int, default=default_workers())
+    sim.add_argument("--workers", type=int, default=1)
     sim.add_argument("--config", default=None, help="JSON config file; flags win")
     sim.add_argument("--out", default=None, help="results CSV path (default stdout)")
     sim.set_defaults(func=cmd_simulate)

@@ -161,22 +161,17 @@ def _oracle_from_sampler(
     return acc / mc_reps
 
 
-def true_qte_oracle(
-    spec: DgpSpec,
-    grid: QuantileGrid,
-    mc_n: int = 10_000,
-    mc_reps: int = 1_000,
-    rng: np.random.Generator | None = None,
+def _true_qte_oracle(
+    spec: DgpSpec, grid: QuantileGrid, mc_n: int, mc_reps: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Monte Carlo truth for the QTE curve of a design.
+    """Monte Carlo truth for the QTE curve of a design, the step of
+    :func:`cached_true_qte` that computes it.
 
     Draws ``mc_reps`` independent samples of size ``mc_n`` and averages the
     per-sample differences of marginal empirical quantiles.
     """
     if mc_n < 1 or mc_reps < 1:
         raise DataValidationError("mc_n and mc_reps must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
     inner = DgpSpec(spec.kind, mc_n)
 
     def sampler(r: np.random.Generator):
@@ -212,7 +207,7 @@ def cached_true_qte(
         cache = _read_truth_cache(cache_path)
         if key in cache:
             return _cached_truth(cache_path, cache[key], len(grid))
-    truth = true_qte_oracle(spec, grid, mc_n, mc_reps, np.random.default_rng(0))
+    truth = _true_qte_oracle(spec, grid, mc_n, mc_reps, np.random.default_rng(0))
     if cache_path:
         cache[key] = [float(v) for v in truth]
         tmp = f"{cache_path}.tmp"

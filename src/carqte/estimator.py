@@ -206,6 +206,6 @@ def qte(dataset: Dataset, model, grid: QuantileGrid, fixed_pi=None) -> QteEstima
 
 def pilot_quantiles(dataset: Dataset, grid: QuantileGrid) -> QteEstimate:
     """Unadjusted arm quantiles (zero adjustment, unit weights)."""
-    from .adjust import fit_none
+    from .adjust import _fit_none
 
-    return qte(dataset, fit_none(grid), grid)
+    return qte(dataset, _fit_none(grid), grid)

@@ -64,8 +64,8 @@ class ScenarioSpec:
     lasso_iters: int = 2
 
     def __post_init__(self) -> None:
-        if self.reps < 1 or self.B < 2:
-            raise DataValidationError("need reps >= 1 and B >= 2")
+        if self.reps < 1 or self.B < 2 or self.workers < 1:
+            raise DataValidationError("need reps >= 1, B >= 2 and workers >= 1")
         if self.seed < 0:
             raise DataValidationError("seeds must be non-negative integers")
         _normal_critical_values(self.alpha)  # checks alpha
@@ -320,12 +320,3 @@ def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):  # not on every platform
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def default_workers() -> int:
-    """Worker count from the CARQTE_WORKERS environment variable (default 1)."""
-    raw = os.environ.get("CARQTE_WORKERS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -71,7 +71,7 @@ def _targets_for(strata: np.ndarray, spec: SchemeSpec) -> tuple[np.ndarray, np.n
     return codes, target, labels
 
 
-def assign_srs(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray:
+def _assign_srs(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray:
     """Independent Bernoulli(pi(s)) draws."""
     codes, target, _ = _targets_for(strata, spec)
     u = rng.uniform(size=codes.shape[0])
@@ -115,18 +115,18 @@ def _assign_sequential(strata, spec: SchemeSpec, rng: np.random.Generator,
     return out
 
 
-def assign_wei(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray:
+def _assign_wei(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray:
     """Wei's adaptive biased-coin design, processing units in row order."""
     return _assign_sequential(strata, spec, rng, wei_probability)
 
 
-def assign_bcd(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray:
+def _assign_bcd(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray:
     """Efron-style biased-coin design, processing units in row order."""
     lam = spec.bcd_lambda
     return _assign_sequential(strata, spec, rng, lambda d, _m: bcd_probability(d, lam))
 
 
-def assign_sbr(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray:
+def _assign_sbr(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray:
     """Stratified block randomization: exactly floor(pi(s) n(s)) treated."""
     codes, target, labels = _targets_for(strata, spec)
     out = np.zeros(codes.shape[0], dtype=np.int64)
@@ -139,10 +139,10 @@ def assign_sbr(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray
 
 
 _ASSIGNERS = {
-    "srs": assign_srs,
-    "wei": assign_wei,
-    "bcd": assign_bcd,
-    "sbr": assign_sbr,
+    "srs": _assign_srs,
+    "wei": _assign_wei,
+    "bcd": _assign_bcd,
+    "sbr": _assign_sbr,
 }
 
 

@@ -29,21 +29,19 @@ from carqte import (
     QuantileGrid,
     ScenarioSpec,
     SchemeSpec,
+    assign,
     bootstrap_se,
-    fit_hd_lasso,
-    fit_lp,
     generate,
     pilot_quantiles,
     qte,
     run_bootstrap,
     run_scenario,
-    true_qte_oracle,
     uniform_band,
 )
-from carqte.adjust import _l1_kkt_residual
+from carqte.adjust import _fit_hd_lasso, _fit_lp, _l1_kkt_residual
 from carqte.bootstrap import sup_critical_value
+from carqte.dgp import _true_qte_oracle
 from carqte.estimator import QteEstimate
-from carqte.randomization import assign_bcd, assign_sbr, assign_srs, assign_wei
 
 SEED = 20260808
 GRID05 = QuantileGrid.of([0.5])
@@ -57,7 +55,7 @@ def _gate(number: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def truth05():
     rng = np.random.default_rng(0)
-    truth = true_qte_oracle(DgpSpec("dgp1", 10_000), GRID05, mc_n=10_000, mc_reps=300, rng=rng)
+    truth = _true_qte_oracle(DgpSpec("dgp1", 10_000), GRID05, mc_n=10_000, mc_reps=300, rng=rng)
     return truth
 
 
@@ -210,14 +208,14 @@ def test_criterion_6_fixed_pi_bootstrap_is_conservative(truth05, size_runs):
 def test_criterion_7_lasso_correctness():
     # (a) KKT residuals on every cell of a high-dimensional run
     latent = generate(DgpSpec("dgphd", 400), np.random.default_rng(SEED + 2))
-    a = assign_sbr(latent.s, SchemeSpec("sbr"), np.random.default_rng(SEED + 3))
+    a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(SEED + 3))
     ds = Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
     pilot = pilot_quantiles(ds, grid)
     cfg = LassoConfig(forced_support=(1,))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = fit_hd_lasso(ds, pilot, grid, cfg)
+        model = _fit_hd_lasso(ds, pilot, grid, cfg)
     H = features_reference("lasso", ds.x)
     worst = 0.0
     n_cells = 0
@@ -245,7 +243,7 @@ def test_criterion_7_lasso_correctness():
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            m = fit_hd_lasso(dsp, pil, GRID05, LassoConfig(forced_support=()))
+            m = _fit_hd_lasso(dsp, pil, GRID05, LassoConfig(forced_support=()))
         # dictionary columns 1 and 2 are the planted signal and its duplicate
         recovered += all({1, 2} & set(m.support[(arm, 0, 0)]) for arm in (0, 1))
     _gate(
@@ -264,19 +262,19 @@ def test_criterion_8_scheme_invariants():
         n = int(rng.integers(3, 300))
         strata = rng.integers(0, 4, n)
         pi = float(rng.uniform(0.2, 0.8))
-        a = assign_sbr(strata, SchemeSpec("sbr", pi=pi), rng)
+        a = assign(strata, SchemeSpec("sbr", pi=pi), rng)
         for s in np.unique(strata):
             mask = strata == s
             sbr_ok &= abs(float(np.sum(a[mask] - pi))) < 1.0
 
     # WEI and BCD: mean |D_n(s)/n(s)| at n=5000 over 100 seeds below 0.05
     means = {}
-    for name, fn in (("wei", assign_wei), ("bcd", assign_bcd)):
+    for name in ("wei", "bcd"):
         spec = SchemeSpec(name)
         vals = []
         for seed in range(100):
             strata = np.random.default_rng(10_000 + seed).integers(0, 2, 5000)
-            a = fn(strata, spec, np.random.default_rng(seed))
+            a = assign(strata, spec, np.random.default_rng(seed))
             for s in (0, 1):
                 mask = strata == s
                 vals.append(abs(np.sum(a[mask] - 0.5)) / mask.sum())
@@ -284,10 +282,10 @@ def test_criterion_8_scheme_invariants():
 
     # SRS: realized fractions within 3 binomial SEs of the targets
     n = 100_000
-    a = assign_srs(np.zeros(n, int), SchemeSpec("srs"), np.random.default_rng(SEED + 5))
+    a = assign(np.zeros(n, int), SchemeSpec("srs"), np.random.default_rng(SEED + 5))
     srs_ok = abs(a.mean() - 0.5) < 3 * np.sqrt(0.25 / n)
     strata2 = np.random.default_rng(SEED + 6).integers(0, 2, 40_000)
-    a2 = assign_srs(strata2, SchemeSpec("srs", pi={0: 0.3, 1: 0.7}), np.random.default_rng(SEED + 7))
+    a2 = assign(strata2, SchemeSpec("srs", pi={0: 0.3, 1: 0.7}), np.random.default_rng(SEED + 7))
     for s, target in ((0, 0.3), (1, 0.7)):
         mask = strata2 == s
         srs_ok &= abs(a2[mask].mean() - target) < 3 * np.sqrt(target * (1 - target) / mask.sum())
@@ -319,7 +317,7 @@ def test_criterion_9_numerical_fit_properties():
     # LP normal equations on every cell of a realistic fit
     ds = make_stratified_dataset(rng, n=160, k=2, d=2)
     pilot = pilot_quantiles(ds, GRID05)
-    model = fit_lp(ds, pilot, GRID05)
+    model = _fit_lp(ds, pilot, GRID05)
     worst_resid = 0.0
     for arm, s, ti in zip(*np.nonzero(model.live)):
         th = model.coef[arm, s, ti]

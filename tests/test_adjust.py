@@ -17,18 +17,18 @@ from carqte import (
     NumericalError,
     QuantileGrid,
     fit_adjustment,
-    fit_hd_lasso,
-    fit_lp,
-    fit_lpml,
     fit_ml,
-    fit_none,
     pilot_quantiles,
 )
 from carqte import adjust
 from carqte.adjust import (
     LOGIT_BASE,
     _features,
+    _fit_hd_lasso,
     _fit_logit_cells,
+    _fit_lp,
+    _fit_lpml,
+    _fit_none,
     _RowFeatures,
     _l1_kkt_residual,
     penalty_level,
@@ -496,7 +496,7 @@ def test_no_helper_thread_outlives_a_stratum_pass(monkeypatch, method, fail):
     else:
         prob = base.prob.view(_FailingColumns)
         prob.fail, prob.fail_rows = failing, np.flatnonzero(ds.s == failing)
-        call = (fit_lpml, ds, pilot, grid, dataclasses.replace(base, prob=prob), "lpmlx")
+        call = (_fit_lpml, ds, pilot, grid, dataclasses.replace(base, prob=prob), "lpmlx")
     before = threading.active_count()
     if fail is None:
         _switching(*call)
@@ -534,7 +534,7 @@ def test_zero_variance_lists_cells_in_order_across_stratum_tasks(monkeypatch):
     prob[0, flat] = 0.5 + 1e-14 * np.random.default_rng(5).standard_normal(prob[0, flat].shape)
     ml = dataclasses.replace(ml, prob=prob)
     monkeypatch.setattr(adjust, "_BLOCK_FLOATS", 1)
-    model = _switching(fit_lpml, ds, pilot, grid, ml_model=ml)
+    model = _switching(_fit_lpml, ds, pilot, grid, ml_model=ml)
     want = [(a, s, ti) for s in (1, 3) for a in (1, 0) for ti in range(len(grid))]
     got = model.diagnostics["zero_variance"]
     assert [cell for cell in got if cell[1] in (1, 3)] == want
@@ -549,7 +549,7 @@ def test_lp_constant_indicator_gives_zero_slope():
     ds = _two_strata_dataset(rng)
     # pilot far above every outcome: all labels are 1
     pilot = QteEstimate((0.5,), np.array([1e6]), np.array([1e6]))
-    model = fit_lp(ds, pilot, GRID)
+    model = _fit_lp(ds, pilot, GRID)
     assert model.live.all()
     assert np.max(np.abs(model.coef)) < 1e-10
 
@@ -562,7 +562,7 @@ def test_lp_slope_by_hand():
     x = np.array([[0.0], [0.0], [1.0], [1.0], [0.0], [0.0], [1.0], [1.0]])
     ds = Dataset.from_arrays(y, a, np.zeros(8), x)
     pilot = QteEstimate((0.5,), np.array([0.0]), np.array([0.0]))
-    model = fit_lp(ds, pilot, GRID)
+    model = _fit_lp(ds, pilot, GRID)
     assert model.coef[1, 0, 0, 0] == pytest.approx(1.0)
 
 
@@ -570,7 +570,7 @@ def test_lp_residual_orthogonality():
     rng = np.random.default_rng(2)
     ds = _two_strata_dataset(rng)
     pilot = _median_pilot(ds.y, ds.a)
-    model = fit_lp(ds, pilot, GRID)
+    model = _fit_lp(ds, pilot, GRID)
     for arm in (0, 1):
         for s in (0, 1):
             rows = np.flatnonzero((ds.a == arm) & (ds.s == s))
@@ -587,7 +587,7 @@ def test_lp_singular_gram_uses_minimum_norm():
     x = np.column_stack([x1, x1])  # duplicated column: singular Gram
     ds = Dataset.from_arrays(x1 + rng.normal(0, 1, n), np.tile([0, 1], n // 2), np.zeros(n), x)
     with pytest.warns(UserWarning, match="singular"):
-        model = fit_lp(ds, _median_pilot(ds.y, ds.a), GRID)
+        model = _fit_lp(ds, _median_pilot(ds.y, ds.a), GRID)
     th = model.coef[1, 0, 0]
     assert np.all(np.isfinite(th))
     assert th[0] == pytest.approx(th[1])  # minimum-norm splits evenly
@@ -596,7 +596,7 @@ def test_lp_singular_gram_uses_minimum_norm():
 def test_lp_evaluate_matches_direct_formula():
     rng = np.random.default_rng(4)
     ds = _two_strata_dataset(rng)
-    model = fit_lp(ds, _median_pilot(ds.y, ds.a), GRID)
+    model = _fit_lp(ds, _median_pilot(ds.y, ds.a), GRID)
     row = ds.x[5]
     s = int(ds.s[5])
     assert model.evaluate_all(GRID, ds)[1][5, 0] == pytest.approx(
@@ -753,7 +753,7 @@ def test_lpml_handles_collinear_probability_columns():
     # the treated-model column in both places: the two columns coincide, and
     # the ridge splits the weight evenly between them
     dup = dataclasses.replace(ml, prob=ml.prob[[1, 1]])
-    model = fit_lpml(ds, pilot, GRID, ml_model=dup)
+    model = _fit_lpml(ds, pilot, GRID, ml_model=dup)
     assert model.live.all() and np.all(np.isfinite(model.coef))
     assert np.allclose(model.coef[..., 0], model.coef[..., 1], rtol=1e-9)
 
@@ -763,7 +763,7 @@ def test_lpml_matches_ridge_reference():
     ds = _two_strata_dataset(rng, n=200)
     pilot = _median_pilot(ds.y, ds.a)
     ml = _fit_ml(ds, pilot, GRID)
-    model = fit_lpml(ds, pilot, GRID, ml_model=ml)
+    model = _fit_lpml(ds, pilot, GRID, ml_model=ml)
     H = features_reference("ml", ds.x)
     assert model.live.all()
     for arm, s, ti in np.ndindex(model.live.shape):
@@ -789,7 +789,7 @@ def test_lpml_zero_variance_column_coefficient_forced_zero():
     # constant and gets a zero coefficient.
     prob = ml.prob.copy()
     prob[0] = 0.5 + 1e-14 * rng.standard_normal(prob[0].shape)
-    model = fit_lpml(ds, pilot, GRID, ml_model=dataclasses.replace(ml, prob=prob))
+    model = _fit_lpml(ds, pilot, GRID, ml_model=dataclasses.replace(ml, prob=prob))
     assert model.live.all()
     assert len(model.diagnostics["zero_variance"]) == model.live.size
     assert np.all(model.coef[..., 1] == 0.0)
@@ -867,7 +867,7 @@ def _signal_dataset(seed, n=200, p=20):
 def test_lasso_recovers_planted_signal():
     for seed in range(5):
         ds, pilot = _signal_dataset(seed)
-        model = fit_hd_lasso(ds, pilot, GRID, LassoConfig(forced_support=()))
+        model = _fit_hd_lasso(ds, pilot, GRID, LassoConfig(forced_support=()))
         for arm in (0, 1):
             # dictionary columns: 0 intercept, 1 signal, 2 its duplicate
             assert {1, 2} & set(model.support[(arm, 0, 0)])
@@ -882,7 +882,7 @@ def test_lasso_null_design_selects_little():
         a = np.tile([0, 1], n // 2)
         y = rng.normal(0, 1, n)
         ds = Dataset.from_arrays(y, a, np.zeros(n, int), x)
-        model = fit_hd_lasso(ds, _median_pilot(y, a), GRID, LassoConfig(forced_support=()))
+        model = _fit_hd_lasso(ds, _median_pilot(y, a), GRID, LassoConfig(forced_support=()))
         for arm in (0, 1):
             sizes.append(len(model.support[(arm, 0, 0)]) - 1)  # minus intercept
     assert np.mean([v <= 5 for v in sizes]) >= 0.9
@@ -890,7 +890,7 @@ def test_lasso_null_design_selects_little():
 
 def test_lasso_kkt_conditions_verified_independently():
     ds, pilot = _signal_dataset(0)
-    model = fit_hd_lasso(ds, pilot, GRID, LassoConfig(forced_support=()))
+    model = _fit_hd_lasso(ds, pilot, GRID, LassoConfig(forced_support=()))
     H = features_reference("lasso", ds.x)
     for arm in (0, 1):
         rows = np.flatnonzero(ds.a == arm)
@@ -903,7 +903,7 @@ def test_lasso_kkt_conditions_verified_independently():
 def test_lasso_post_support_contains_forced():
     ds, pilot = _signal_dataset(3)
     cfg = LassoConfig(forced_support=(7,))
-    model = fit_hd_lasso(ds, pilot, GRID, cfg)
+    model = _fit_hd_lasso(ds, pilot, GRID, cfg)
     for arm in (0, 1):
         sup = model.support[(arm, 0, 0)]
         assert 7 in sup
@@ -918,7 +918,7 @@ def test_lasso_empty_support_falls_back():
     y = rng.normal(0, 1, n)
     ds = Dataset.from_arrays(y, np.tile([0, 1], n // 2), np.zeros(n, int), x)
     cfg = LassoConfig(c=50.0, forced_support=())  # penalty so heavy nothing enters
-    model = fit_hd_lasso(ds, _median_pilot(y, ds.a), GRID, cfg)
+    model = _fit_hd_lasso(ds, _median_pilot(y, ds.a), GRID, cfg)
     for arm in (0, 1):
         assert set(model.support[(arm, 0, 0)]) == {0}  # intercept only
     theta0 = model.coef[1, 0, 0, 0]
@@ -936,7 +936,7 @@ def test_lasso_lists_separated_refits():
                              np.zeros(n, int), x)
     taus = (0.25, 0.5, 0.75)
     pilot = pilot_quantiles(ds, QuantileGrid.of(taus))
-    model = fit_hd_lasso(ds, pilot, QuantileGrid.of(taus))
+    model = _fit_hd_lasso(ds, pilot, QuantileGrid.of(taus))
     H = features_reference("lasso", ds.x)
     want = []
     for (arm, s, ti), cols in model.support.items():
@@ -950,7 +950,7 @@ def test_lasso_lists_separated_refits():
 
 def test_lasso_mhat_sign_convention_and_debug_flag():
     ds, pilot = _signal_dataset(4)
-    model = fit_hd_lasso(ds, pilot, GRID, LassoConfig(forced_support=()))
+    model = _fit_hd_lasso(ds, pilot, GRID, LassoConfig(forced_support=()))
     H = features_reference("lasso", ds.x[:1])
     prob = float(expit(H @ model.coef[1, 0, 0])[0])
     assert model.evaluate_all(GRID, ds)[1][0, 0] == pytest.approx(0.5 - prob)
@@ -1022,7 +1022,7 @@ def test_model_solver_builds_no_features(monkeypatch):
 
 
 def test_na_model_evaluates_to_zero_everywhere():
-    model = fit_none(GRID)
+    model = _fit_none(GRID)
     rng = np.random.default_rng(17)
     ds = _two_strata_dataset(rng)
     for out in model.evaluate_all(GRID, ds):
@@ -1046,7 +1046,7 @@ def test_ml_zero_coefficients_give_tau_minus_half():
 def test_evaluate_errors():
     rng = np.random.default_rng(19)
     ds = _two_strata_dataset(rng)
-    model = fit_lp(ds, _median_pilot(ds.y, ds.a), GRID)
+    model = _fit_lp(ds, _median_pilot(ds.y, ds.a), GRID)
     # The adjustment exists in sample only: another dataset or grid is refused.
     wider = Dataset.from_arrays(ds.y, ds.a, np.arange(ds.n) % 3, ds.x)
     fewer = Dataset.from_arrays(ds.y[:40], ds.a[:40], ds.s[:40], ds.x[:40])
@@ -1057,6 +1057,6 @@ def test_evaluate_errors():
         with pytest.raises(DataValidationError, match="grid"):
             model.evaluate_all(grid, ds)
         with pytest.raises(DataValidationError, match="grid"):
-            fit_none(GRID).evaluate_all(grid, ds)
+            _fit_none(GRID).evaluate_all(grid, ds)
     with pytest.raises(DataValidationError):
         fit_adjustment("probit", ds, _median_pilot(ds.y, ds.a), GRID)

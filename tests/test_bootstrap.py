@@ -24,7 +24,6 @@ from carqte import (
     difference_test,
     draw_weights,
     fit_adjustment,
-    fit_none,
     generate,
     pilot_quantiles,
     pointwise_test,
@@ -32,7 +31,8 @@ from carqte import (
     run_bootstrap,
     uniform_band,
 )
-from carqte.bootstrap import _normal_critical_values, empirical_quantile, sup_critical_value
+from carqte.adjust import _fit_none
+from carqte.bootstrap import _empirical_quantile, _normal_critical_values, sup_critical_value
 
 
 def test_weights_nonnegative_and_reproducible():
@@ -60,7 +60,7 @@ def _fixture(seed=0, n=60, taus=(0.3, 0.7)):
 
 def test_run_bootstrap_deterministic():
     ds, grid = _fixture()
-    model = fit_none(grid)
+    model = _fit_none(grid)
     (d1,) = run_bootstrap(ds, [model], grid, 3, np.random.default_rng(11))
     (d2,) = run_bootstrap(ds, [model], grid, 3, np.random.default_rng(11))
     assert d1.draws.shape == (3, 2)
@@ -69,7 +69,7 @@ def test_run_bootstrap_deterministic():
 
 def test_all_ones_weights_reproduce_point_estimate(monkeypatch):
     ds, grid = _fixture()
-    model = fit_none(grid)
+    model = _fit_none(grid)
     point = qte(ds, model, grid)
     monkeypatch.setattr(bt, "draw_weights", lambda n, rng, out=None: np.ones(n))
     (draws,) = run_bootstrap(ds, [model], grid, 5, np.random.default_rng(0))
@@ -90,7 +90,7 @@ def test_na_bootstrap_matches_from_scratch_rederivation():
     # smallest arm outcome whose cumulative inverse-propensity mass reaches
     # tau*total.
     ds, grid = _fixture(seed=21, n=50, taus=(0.25, 0.5, 0.75))
-    model = fit_none(grid)
+    model = _fit_none(grid)
     B = 8
     boot = run_bootstrap(ds, [model], grid, B, np.random.default_rng(17))
     assert boot.n_resampled == 0
@@ -132,6 +132,17 @@ def test_a_block_of_weights_is_successive_draws_of_one_stream():
     for want in draw_weights(7 * n, np.random.default_rng(4)).reshape(7, n):
         assert draw_weights(n, into, out=buf) is buf
         assert np.array_equal(buf, want)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_weights_are_the_exponential_stream_with_or_without_out(seed):
+    # Both forms of draw_weights draw the stream of rng.exponential(1.0, n).
+    n = 101
+    plain = draw_weights(n, np.random.default_rng(seed))
+    buf = np.empty(n)
+    into = draw_weights(n, np.random.default_rng(seed), out=buf)
+    want = np.random.default_rng(seed).exponential(1.0, n)
+    assert np.array_equal(plain, want) and np.array_equal(into, want)
 
 
 # sha256 of each model's B=40 draw matrix from single-model run_bootstrap
@@ -208,11 +219,11 @@ def test_shared_stream_counts_resampled_draws_once(monkeypatch):
         calls.append(n)
         w = real(n, rng, out=out)
         if len(calls) % 3 == 1:  # some draws zero every weight
-            return np.zeros(n)
+            w[:] = 0.0
         return w
 
     monkeypatch.setattr(bt, "draw_weights", flaky)
-    model = fit_none(grid)
+    model = _fit_none(grid)
     shared = run_bootstrap(ds, [model, model], grid, 4, np.random.default_rng(2))
     # One block of 4 replicates, all zeroed; then one redraw each, the third
     # of which is zeroed and redrawn again: shared by both models.
@@ -261,12 +272,14 @@ def test_each_replicate_is_solved_with_its_own_weighted_fractions(monkeypatch, b
     def flaky(n, rng, out=None):  # some draws, whole blocks or redraws, zero every weight
         calls.append(n)
         w = real_draw(n, rng, out=out)
-        return np.zeros(n) if len(calls) % 5 == 1 else w
+        if len(calls) % 5 == 1:
+            w[:] = 0.0
+        return w
 
     monkeypatch.setattr(est._Solver, "solve", spy)
     monkeypatch.setattr(bt, "draw_weights", flaky)
     monkeypatch.setattr(bt, "_BLOCK_FLOATS", {"1": 1, "7n": 7 * ds.n, "2^30": 2**30}[budget])
-    boot = run_bootstrap(ds, [fit_none(grid)], grid, 25, np.random.default_rng(8))
+    boot = run_bootstrap(ds, [_fit_none(grid)], grid, 25, np.random.default_rng(8))
     assert boot.n_resampled > 0
     (unit, unit_pis, _), *blocks = seen
     assert np.array_equal(unit, np.ones((1, ds.n)))
@@ -383,8 +396,9 @@ def _collapsing_draws(monkeypatch, replicate):
         w = real(n, rng, out=out)
         if drawn[0] < replicate:
             drawn[0] += 1
-            return w
-        return np.zeros(n)
+        else:
+            w[:] = 0.0
+        return w
 
     monkeypatch.setattr(bt, "draw_weights", draw)
 
@@ -394,7 +408,7 @@ def test_no_helper_thread_outlives_run_bootstrap(monkeypatch, failure):
     # A solve failing on block 2, or a draw collapsing at replicate 3, ends
     # the call; the threads alive before it are the threads alive after.
     ds, grid = _fixture()
-    model = fit_none(grid)
+    model = _fit_none(grid)
     monkeypatch.setattr(bt, "_BLOCK_FLOATS", 1)
     before = threading.active_count()
     run_bootstrap(ds, [model], grid, 6, np.random.default_rng(5))
@@ -418,7 +432,7 @@ def test_the_first_failing_replicate_is_reported(monkeypatch, solve_block, resam
     _failing_solve(monkeypatch, solve_block)
     _collapsing_draws(monkeypatch, resample_replicate)
     with pytest.raises(NumericalError) as err:
-        run_bootstrap(ds, [fit_none(grid)], grid, 6, np.random.default_rng(5))
+        run_bootstrap(ds, [_fit_none(grid)], grid, 6, np.random.default_rng(5))
     if solve_block < resample_replicate:
         assert str(err.value) == f"solve of block {solve_block}"
     else:
@@ -433,7 +447,7 @@ def test_draw_spread_shrinks_with_root_n():
         for n in (200, 800):
             rng = np.random.default_rng(1000 * rep + n)
             ds = make_stratified_dataset(rng, n=n, k=2, y=rng.normal(0, 1, n))
-            (draws,) = run_bootstrap(ds, [fit_none(grid)], grid, 60, np.random.default_rng(rep))
+            (draws,) = run_bootstrap(ds, [_fit_none(grid)], grid, 60, np.random.default_rng(rep))
             sds.append(draws.draws[:, 0].std())
         ratios.append(sds[1] / sds[0])
     assert 0.4 <= np.mean(ratios) <= 0.6  # n^{-1/2} rate: expect about 0.5
@@ -540,7 +554,7 @@ def test_uniform_band_single_tau_matches_sup_rule():
     draws = np.random.default_rng(14).standard_normal((400, 1))
     band = uniform_band(np.array([0.0]), draws, 0.05)
     se = bootstrap_se(draws[:, 0])
-    center = empirical_quantile(draws[:, 0], 0.5)
+    center = _empirical_quantile(draws[:, 0], 0.5)
     sups = np.abs((draws[:, 0] - center) / se)
     assert band.critical_value == sup_critical_value(sups, 0.05)
 
@@ -607,9 +621,9 @@ def test_one_result_decides_each_null_as_its_own_test_would():
 def test_empirical_quantile_convention():
     x = np.arange(1.0, 6.0)  # ranks 1..5
     # rank nu*(B-1)+1 = 0.25*4+1 = 2 exactly: second order statistic
-    assert empirical_quantile(x, 0.25) == 2.0
+    assert _empirical_quantile(x, 0.25) == 2.0
     # interpolation between ranks
-    assert empirical_quantile(x, 0.3) == pytest.approx(2.2)
+    assert _empirical_quantile(x, 0.3) == pytest.approx(2.2)
 
 
 @pytest.mark.parametrize("alpha", [1e-16, 1e-300, 5e-324])
@@ -643,6 +657,6 @@ def test_normal_quantiles_equal_scipy_stats_norm(alpha):
 def test_run_bootstrap_validation():
     ds, grid = _fixture()
     with pytest.raises(DataValidationError):
-        run_bootstrap(ds, [fit_none(grid)], grid, 1, np.random.default_rng(0))
+        run_bootstrap(ds, [_fit_none(grid)], grid, 1, np.random.default_rng(0))
     with pytest.raises(DataValidationError):
         bootstrap_se(np.array([1.0]))

@@ -1,9 +1,11 @@
+import argparse
 import dataclasses
 import hashlib
 import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 import carqte
 from carqte import DgpSpec, generate
-from carqte.cli import main
+from carqte.cli import build_parser, main
 from carqte.randomization import SchemeSpec, assign
 
 
@@ -138,16 +140,37 @@ def test_public_surface_is_pinned():
         "DataValidationError", "Dataset", "DegenerateCellError", "DgpSpec",
         "InferenceResult", "LassoConfig", "METHODS", "NumericalError",
         "PotentialData", "QteEstimate", "QuantileGrid", "SCHEME_KINDS", "ScenarioResult",
-        "ScenarioSpec", "SchemeSpec", "StrataStats", "adjust", "assign", "assign_bcd",
-        "assign_sbr", "assign_srs", "assign_wei", "bootstrap", "bootstrap_se",
-        "cached_true_qte", "data", "dgp", "difference_test",
-        "draw_weights", "emit_table", "empirical_quantile", "errors", "estimator",
-        "fit_adjustment", "fit_hd_lasso", "fit_lp", "fit_lpml", "fit_ml",
-        "fit_none", "generate", "harness", "load_csv",
+        "ScenarioSpec", "SchemeSpec", "StrataStats", "adjust", "assign",
+        "bootstrap", "bootstrap_se", "cached_true_qte", "data", "dgp", "difference_test",
+        "draw_weights", "emit_table", "errors", "estimator",
+        "fit_adjustment", "fit_ml", "generate", "harness", "load_csv",
         "pilot_quantiles", "pointwise_test", "qte",
-        "randomization", "run_bootstrap", "run_scenario",
-        "true_qte_oracle", "uniform_band",
+        "randomization", "run_bootstrap", "run_scenario", "uniform_band",
     ]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # A public name that only the tests and its own module use is a step of
+    # an entry point, and goes private.  Uses count in another module of the
+    # package, in bench/ or perfbench/, or in README.md.
+    root = Path(carqte.__file__).resolve().parents[2]
+    package = Path(carqte.__file__).parent
+    sources = {p: p.read_text(encoding="utf-8") for p in package.glob("*.py")
+               if p.name != "__init__.py"}
+    elsewhere = [p.read_text(encoding="utf-8") for d in ("bench", "perfbench")
+                 for p in sorted((root / d).glob("*.py"))]
+    elsewhere.append((root / "README.md").read_text(encoding="utf-8"))
+    unused = []
+    for name in carqte.__all__:
+        if inspect.ismodule(getattr(carqte, name)):
+            continue
+        defined = re.compile(rf"^(?:def|class) {name}\b|^{name}\s*[:=]", re.M)
+        [home] = [p for p, text in sources.items() if defined.search(text)]
+        used = re.compile(rf"\b{name}\b")
+        texts = [text for p, text in sources.items() if p != home] + elsewhere
+        if not any(used.search(text) for text in texts):
+            unused.append(name)
+    assert unused == []
 
 
 def test_fitter_options_are_pinned():
@@ -158,10 +181,10 @@ def test_fitter_options_are_pinned():
     adjust = carqte.adjust
     assert params(adjust.fit_adjustment) == [
         "method", "dataset", "pilot", "grid", "lasso_config", "ml_model"]
-    assert params(adjust.fit_lp) == ["dataset", "pilot", "grid"]
+    assert params(adjust._fit_lp) == ["dataset", "pilot", "grid"]
     assert params(adjust.fit_ml) == ["items", "grid", "method"]
-    assert params(adjust.fit_lpml) == ["dataset", "pilot", "grid", "ml_model", "method"]
-    assert params(adjust.fit_hd_lasso) == ["dataset", "pilot", "grid", "config"]
+    assert params(adjust._fit_lpml) == ["dataset", "pilot", "grid", "ml_model", "method"]
+    assert params(adjust._fit_hd_lasso) == ["dataset", "pilot", "grid", "config"]
     assert params(adjust.penalty_level) == ["n_cell", "p_penalized", "config"]
     # A dataset carries its strata, and a result decides any null itself.
     assert params(carqte.qte) == ["dataset", "model", "grid", "fixed_pi"]
@@ -205,7 +228,8 @@ def test_names_the_benchmark_tracer_wraps_exist():
     # The resampled-draw count is read off run_bootstrap's return value.
     ds = make_stratified_dataset(np.random.default_rng(0), n=30)
     grid = carqte.QuantileGrid.of([0.5])
-    boot = carqte.run_bootstrap(ds, [carqte.fit_none(grid)], grid, 4, np.random.default_rng(0))
+    boot = carqte.run_bootstrap(ds, [carqte.adjust._fit_none(grid)], grid, 4,
+                                np.random.default_rng(0))
     assert isinstance(boot.n_resampled, int)
 
 
@@ -432,6 +456,74 @@ def test_simulate_reruns_byte_identical(tmp_path):
     assert open(o1, "rb").read() == open(o2, "rb").read()
 
 
+def _parser_options(command):
+    parser = carqte.cli._command_parser(build_parser(), command)
+    return {a.dest for a in parser._actions if a.default != argparse.SUPPRESS}
+
+
+_TINY_SIMULATE = ["simulate", "--n", "60", "--reps", "1", "--B", "2", "--mc-n", "1",
+                  "--mc-reps", "1", "--taus", "0.25,0.5"]
+
+
+def test_config_echo_holds_every_option_but_the_documented_ones(experiment_csv, tmp_path):
+    # A new option is echoed unless it is added to these exclusions.
+    out = tmp_path / "r.json"
+    assert main(["estimate", "--input", experiment_csv, "--taus", "0.25,0.50", "--B", "20",
+                 "--diff", "0.50,0.25", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert set(config) == _parser_options("estimate") - {"config", "out"}
+    assert config["taus"] == [0.25, 0.5] and config["diff"] == [0.5, 0.25]
+    assert config["uniform"] is False and config["lasso_c"] == 1.1
+
+    out = tmp_path / "sim.csv"
+    assert main([*_TINY_SIMULATE, "--dgp", "2", "--methods", "na, lp,", "--out", str(out)]) == 0
+    config = json.loads((tmp_path / "sim.csv.config.json").read_text())["config"]
+    assert set(config) == _parser_options("simulate") - {"config", "out", "workers",
+                                                         "truth_cache"}
+    assert config["dgp"] == "dgp2" and config["methods"] == ["na", "lp"]
+    assert config["taus"] == [0.25, 0.5] and config["seed"] == 0
+
+
+def test_options_that_change_results_change_the_config_echo(experiment_csv, tmp_path):
+    reports = []
+    for c in ("1.1", "3.0"):
+        out = tmp_path / f"lasso-{c}.json"
+        assert main(["estimate", "--input", experiment_csv, "--adjust", "lasso", "--taus", "0.5",
+                     "--B", "20", "--lasso-c", c, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text())["config"])
+    assert [r.pop("lasso_c") for r in reports] == [1.1, 3.0]
+    assert reports[0] == reports[1]
+
+    sidecars = []
+    for target in ("0.4", "0.6"):
+        out = tmp_path / f"sim-{target}.csv"
+        assert main([*_TINY_SIMULATE, "--scheme", "sbr", "--target-pi", target,
+                     "--out", str(out)]) == 0
+        sidecars.append(json.loads(Path(f"{out}.config.json").read_text())["config"])
+    assert [c.pop("target_pi") for c in sidecars] == [0.4, 0.6]
+    assert sidecars[0] == sidecars[1]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_simulate_workers_below_one_is_a_data_error(tmp_path, capsys, monkeypatch, workers, via):
+    def no_oracle(spec):
+        raise AssertionError("the oracle ran before --workers was checked")
+
+    monkeypatch.setattr(carqte.harness, "scenario_truth", no_oracle)
+    out = tmp_path / "sim.csv"
+    argv = [*_TINY_SIMULATE, "--out", str(out)]
+    if via == "flag":
+        argv.append(f"--workers={workers}")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": workers}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 3
+    assert "workers >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_unknown_method_usage_error():
     assert main(["simulate", "--methods", "na,banana", "--reps", "2"]) == 2
 
@@ -595,25 +687,24 @@ def test_simulate_paper_methods_table_is_pinned(tmp_path, workers):
 
 
 # sha256 of each report below with its "input" line (the temporary CSV path)
-# removed, so that the bytes of the whole report are pinned.  The first three
-# were re-recorded when the bootstrap weights came to be drawn as one stream
-# laid out in the solver's arm-sorted column order, and the rest recorded on
-# that code.  A key "<method>-d4" runs the method on a 4-covariate file
-# (dgphd, n=600, sbr, its first four covariates): at d=2 there is one
-# covariate pair, so only there can a slip in the order of the product or
-# threshold columns show.
+# removed, so that the bytes of the whole report are pinned.  Re-recorded
+# when the config echo came to hold every option of the command; only lines
+# inside "config" changed then.  A key "<method>-d4" runs the method on a
+# 4-covariate file (dgphd, n=600, sbr, its first four covariates): at d=2
+# there is one covariate pair, so only there can a slip in the order of the
+# product or threshold columns show.
 ESTIMATE_REPORT_SHA256 = {
-    "lpmlx": "f3f2220b42214d2bc36e6619e1dcf14fd29e2d37be0da75065a10fefd5275f22",
-    "lpml": "589d244d5836f453954b7e6a5b2622eeeb754bff96a7e93cacc01d43d8753aab",
-    "na": "adf0e8553b0823d0a4641ba2d926c5acc7b3b2134a1995dbbe3e2efd5fb2f98c",
-    "lp": "eedd373d7a27086e9e5d34159101b9d67462853e4a592b57a16546e8d83ef627",
-    "ml": "2718c518d99988c31cec88f70d7d374f8a7bacd7729ca73245a0da5e9e5a930d",
-    "mlx": "020229977048e82887af39ca2b9323d1e6410ea5de9564671e269217cced84b6",
-    "np": "8c220bddc1ae747e4462778e88e8bc452765e3165fe5f75297ad1e328b04e57e",
-    "lasso": "f7c6dd6d6ef2b608f50ed28ab6be7a0e557d4b337baea7e97e26345f670a4a43",
-    "mlx-d4": "65ba7000b209ff04fbe45cc487e3f90bc7a368963f5950de61eb31d9b28edca0",
-    "np-d4": "21119894ed8ea88b2d2562d510deeb490c0fcc0daebced4320729838dbfae403",
-    "lasso-d4": "05c59a5020413120052e5999224113622b9a5e0b6f0be72199786b77198b3252",
+    "lpmlx": "8e439e5d4fca6028cd4a55063dbcc7aa38cb6d253ada16e4a777ef0d14c400ec",
+    "lpml": "6d7e869cf44b3369459b4453d9a124e9c03a5ac2e1fa982238966a18f1ffe931",
+    "na": "0ff8c9ce151caa10b42c2f5446cebe0a2e6d5d0f047bacf021d50144d8d686c0",
+    "lp": "81417db831f67ebc94e6e4d665b58d2f4b97f553fa77a4cabb292b5eedfdbffe",
+    "ml": "2b253f401db8bf905f16baa7fd9836c03f6023f812df1def8a530373dcb25222",
+    "mlx": "47a896154dd19c62517ab854175822e32a791081242621fd1e3c3950335aad17",
+    "np": "50daef094f00ff36d5cfc5f8dd99c38b2c4ade3a7e03894f7e2f67a79c15662e",
+    "lasso": "7eb5c1b9b0bfd49a7e8ee110d7b661dbc843ebb27418c0fdce4659cce9b29aad",
+    "mlx-d4": "73e02b3b50e39b137ded5c5de0d3d7164461271e39cb9f2d6d906edcbbc04702",
+    "np-d4": "cfc9a7776c4fb5b972067d5bd786178f7f14c89445c5a5264d5129d1c13f9217",
+    "lasso-d4": "d8e4f242ad8b47b6af57be66c5d3abc9b61af682842ed2ba1172e651a5221398",
 }
 _FULL_REPORT = ["--taus", "0.25,0.5,0.75", "--diff", "0.75,0.25", "--uniform", "--B", "200"]
 _ESTIMATE_PIN_ARGS = {
@@ -672,20 +763,47 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def _run_estimate(argv, out):
+    """The exit code of ``main(argv)`` and, on exit 0, its strict-JSON report.
+
+    A band over a grid point whose draws do not spread warns.  That warning
+    is allowed only with exit 0 and a zero among the band's SEs; any other
+    warning is passed on as it came.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        code = main(argv)
+    band = [w for w in caught if "uniform band: zero bootstrap SE" in str(w.message)]
+    for w in caught:
+        if w not in band:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    report = _strict_json(out.read_text()) if code == 0 else None
+    if band:
+        assert code == 0 and 0.0 in report["uniform_band"]["se"]
+    return code, report
+
+
+# Two thirds of each arm's outcomes are 0, so every draw's 0.25 quantile is 0
+# in both arms: the band below has a zero-SE grid point, and warns.
+_BAND_WARNING_BODY = b"\n".join(
+    b"%s,%d,u,0.1" % (y, i % 2)
+    for i, y in enumerate([b"0"] * 16 + [b"3", b"7", b"2.25", b"1e2", b"0.5", b"4", b"-1", b"1"])
+)
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(bom=st.booleans(), body=_BODIES)
+@example(bom=False, body=_BAND_WARNING_BODY)
 def test_any_csv_body_ends_in_a_documented_exit(tmp_path, bom, body):
     # Arbitrary body bytes, invalid UTF-8 and NUL included, end in exit 0
     # with strict JSON, 3 (bad data) or 4 (numerical failure).
     path, out = tmp_path / "fuzz.csv", tmp_path / "fuzz.json"
     path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + b"y,a,s,x1\n" + body)
     out.unlink(missing_ok=True)
-    code = main(["estimate", "--input", str(path), "--taus", "0.25,0.5", "--B", "20",
-                 "--uniform", "--out", str(out)])
+    code, report = _run_estimate(["estimate", "--input", str(path), "--taus", "0.25,0.5",
+                                  "--B", "20", "--uniform", "--out", str(out)], out)
     assert code in (0, 3, 4)
     if code == 0:
-        report = _strict_json(out.read_text())
         for row in report["pointwise"]:
             assert row["ci"][0] <= row["estimate"] <= row["ci"][1]
     else:
@@ -782,19 +900,11 @@ def test_any_estimate_argv_ends_in_a_documented_exit(experiment_csv, tmp_path, o
     out.unlink(missing_ok=True)
     argv = _fuzz_argv(["estimate", "--input", experiment_csv, "--out", str(out)], opts,
                       tmp_path)
-    with warnings.catch_warnings(record=True) as caught:
-        code = main(argv + (["--target-pi=0.3"] if removed_flag else []))
-    # A band over a grid point whose draws do not spread warns; it is the
-    # one warning expected here, and any other is passed on as it came.
-    band = [w for w in caught if "uniform band: zero bootstrap SE" in str(w.message)]
-    for w in caught:
-        if w not in band:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    code, report = _run_estimate(argv + (["--target-pi=0.3"] if removed_flag else []), out)
     assert code in (0, 2, 3, 4)
     if removed_flag:
         assert code == 2
     if code == 0:
-        report = _strict_json(out.read_text())
         for block in report["pointwise"] + [report.get("difference")]:
             if block is not None:
                 _check_interval(block)
@@ -802,8 +912,6 @@ def test_any_estimate_argv_ends_in_a_documented_exit(experiment_csv, tmp_path, o
             _check_interval(report["uniform_band"])
     else:
         assert not out.exists()
-    if band:
-        assert code == 0 and 0.0 in report["uniform_band"]["se"]
 
 
 @settings(max_examples=25, deadline=None)

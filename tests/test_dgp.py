@@ -11,10 +11,10 @@ from carqte import (
     QuantileGrid,
     cached_true_qte,
     generate,
-    true_qte_oracle,
 )
 from carqte.dgp import (
     _oracle_from_sampler,
+    _true_qte_oracle,
     dgp1_outcomes,
     dgp2_outcomes,
     strata_from_z,
@@ -104,8 +104,8 @@ def test_toeplitz_omega_is_spd():
 def test_oracle_deterministic():
     spec = DgpSpec("dgp1", 500)
     grid = QuantileGrid.of([0.25, 0.5])
-    a = true_qte_oracle(spec, grid, mc_n=500, mc_reps=2, rng=np.random.default_rng(9))
-    b = true_qte_oracle(spec, grid, mc_n=500, mc_reps=2, rng=np.random.default_rng(9))
+    a = _true_qte_oracle(spec, grid, mc_n=500, mc_reps=2, rng=np.random.default_rng(9))
+    b = _true_qte_oracle(spec, grid, mc_n=500, mc_reps=2, rng=np.random.default_rng(9))
     assert np.array_equal(a, b)
 
 
@@ -121,8 +121,8 @@ PINNED_ORACLE = {
 @pytest.mark.parametrize("kind", sorted(PINNED_ORACLE))
 def test_oracle_truth_is_pinned(kind):
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
-    got = true_qte_oracle(DgpSpec(kind, 400), grid, mc_n=2000, mc_reps=5,
-                          rng=np.random.default_rng(11))
+    got = _true_qte_oracle(DgpSpec(kind, 400), grid, mc_n=2000, mc_reps=5,
+                           rng=np.random.default_rng(11))
     assert got.tolist() == PINNED_ORACLE[kind]
 
 
@@ -142,8 +142,8 @@ def test_dgp1_median_qte_is_one():
     # Every term of both potential outcomes is symmetric, so the medians are
     # the intercepts 2 and 1.
     grid = QuantileGrid.of([0.5])
-    got = true_qte_oracle(DgpSpec("dgp1", 4000), grid, mc_n=4000, mc_reps=60,
-                          rng=np.random.default_rng(21))
+    got = _true_qte_oracle(DgpSpec("dgp1", 4000), grid, mc_n=4000, mc_reps=60,
+                           rng=np.random.default_rng(21))
     assert got[0] == pytest.approx(1.0, abs=0.05)
 
 

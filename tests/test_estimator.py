@@ -15,11 +15,11 @@ from carqte import (
     DegenerateCellError,
     QuantileGrid,
     draw_weights,
-    fit_none,
     pilot_quantiles,
     qte,
     run_bootstrap,
 )
+from carqte.adjust import _fit_none
 from carqte.estimator import _search_left
 
 
@@ -149,7 +149,7 @@ def test_na_matches_classical_quantile_convention():
         a = np.array([1] * m + [0] * m)
         ds = Dataset.from_arrays(y, a, np.ones(2 * m), np.zeros((2 * m, 1)))
         grid = QuantileGrid.of([0.1, 0.3, 0.5, 0.7, 0.9])
-        est = qte(ds, fit_none(grid), grid)
+        est = qte(ds, _fit_none(grid), grid)
         for j, tau in enumerate(grid):
             assert est.q1[j] == np.quantile(y[a == 1], tau, method="inverted_cdf")
             assert est.q0[j] == np.quantile(y[a == 0], tau, method="inverted_cdf")
@@ -159,9 +159,9 @@ def test_swapping_arms_negates_qte():
     rng = np.random.default_rng(44)
     ds = make_stratified_dataset(rng, n=60, k=3)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
-    est = qte(ds, fit_none(grid), grid)
+    est = qte(ds, _fit_none(grid), grid)
     flipped = Dataset.from_arrays(ds.y, 1 - ds.a, ds.s, ds.x)
-    est2 = qte(flipped, fit_none(grid), grid)
+    est2 = qte(flipped, _fit_none(grid), grid)
     assert np.array_equal(est2.qte, -est.qte)
 
 
@@ -173,7 +173,7 @@ def test_constant_shift_recovered():
     y = np.where(a == 1, y0 + 3.0, y0)
     ds = Dataset.from_arrays(y, a, np.ones(n), np.zeros((n, 1)))
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
-    est = qte(ds, fit_none(grid), grid)
+    est = qte(ds, _fit_none(grid), grid)
     assert np.all(np.abs(est.qte - 3.0) < 0.3)
 
 
@@ -182,7 +182,7 @@ def test_pilot_matches_na_and_is_monotone():
     ds = make_stratified_dataset(rng, n=80, k=2)
     grid = QuantileGrid.of([0.1, 0.25, 0.5, 0.75, 0.9])
     pilot = pilot_quantiles(ds, grid)
-    est = qte(ds, fit_none(grid), grid)
+    est = qte(ds, _fit_none(grid), grid)
     assert np.array_equal(pilot.q1, est.q1)
     assert np.array_equal(pilot.q0, est.q0)
     assert np.all(np.diff(pilot.q1) >= 0)
@@ -235,14 +235,14 @@ def test_degenerate_cell_hard_error():
     ds = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 0], [1, 1, 2, 2], np.zeros((4, 1)))
     grid = QuantileGrid.of([0.5])
     with pytest.raises(DegenerateCellError):
-        qte(ds, fit_none(grid), grid)
+        qte(ds, _fit_none(grid), grid)
 
 
 def test_qte_identity():
     rng = np.random.default_rng(10)
     ds = make_stratified_dataset(rng, n=50, k=2)
     grid = QuantileGrid.of([0.25, 0.75])
-    est = qte(ds, fit_none(grid), grid)
+    est = qte(ds, _fit_none(grid), grid)
     assert np.array_equal(est.qte, est.q1 - est.q0)
 
 
@@ -258,4 +258,4 @@ def test_problem_validation():
     grid = QuantileGrid.of([0.5])
     for fixed_pi in (0.0, 1.0, [0.5, 0.5, 0.5]):
         with pytest.raises(DataValidationError):
-            qte(ds, fit_none(grid), grid, fixed_pi=fixed_pi)
+            qte(ds, _fit_none(grid), grid, fixed_pi=fixed_pi)

@@ -5,10 +5,6 @@ import pytest
 
 from carqte import DataValidationError, SchemeSpec, assign
 from carqte.randomization import (
-    assign_bcd,
-    assign_sbr,
-    assign_srs,
-    assign_wei,
     bcd_probability,
     wei_probability,
 )
@@ -33,7 +29,7 @@ def test_same_seed_same_assignment(kind):
 def test_srs_fraction_within_binomial_band():
     n = 100_000
     strata = np.zeros(n, dtype=int)
-    a = assign_srs(strata, SchemeSpec("srs"), np.random.default_rng(1))
+    a = assign(strata, SchemeSpec("srs"), np.random.default_rng(1))
     se = np.sqrt(0.25 / n)
     assert abs(a.mean() - 0.5) < 3 * se
 
@@ -43,7 +39,7 @@ def test_srs_per_stratum_targets():
     rng = np.random.default_rng(2)
     strata = rng.integers(1, 3, n)
     spec = SchemeSpec("srs", pi={1: 0.3, 2: 0.7})
-    a = assign_srs(strata, spec, rng)
+    a = assign(strata, spec, rng)
     for lab, target in ((1, 0.3), (2, 0.7)):
         mask = strata == lab
         se = np.sqrt(target * (1 - target) / mask.sum())
@@ -71,7 +67,7 @@ def test_wei_imbalance_shrinks():
     ratios = []
     for seed in range(10):
         strata = np.random.default_rng(100 + seed).integers(0, 2, 2000)
-        a = assign_wei(strata, spec, np.random.default_rng(seed))
+        a = assign(strata, spec, np.random.default_rng(seed))
         for stratum in (0, 1):
             mask = strata == stratum
             ratios.append(abs(_imbalance(a, strata, stratum)) / mask.sum())
@@ -87,7 +83,7 @@ def test_bcd_probability_cases():
 def test_bcd_lambda_one_alternates_to_balance():
     spec = SchemeSpec("bcd", bcd_lambda=1.0)
     strata = np.zeros(1000, dtype=int)
-    a = assign_bcd(strata, spec, np.random.default_rng(3))
+    a = assign(strata, spec, np.random.default_rng(3))
     d = np.cumsum(a - 0.5)
     assert np.max(np.abs(d)) <= 0.5
     assert d[-1] == 0.0  # even stratum size balances exactly
@@ -103,7 +99,7 @@ def test_bcd_requires_even_target():
 def test_sbr_exact_counts():
     spec = SchemeSpec("sbr")
     strata = np.array([1] * 5 + [2] * 4)
-    a = assign_sbr(strata, spec, np.random.default_rng(9))
+    a = assign(strata, spec, np.random.default_rng(9))
     assert a[strata == 1].sum() == 2  # floor(0.5 * 5)
     assert a[strata == 2].sum() == 2
     assert _imbalance(a, strata, 2) == 0.0
@@ -116,7 +112,7 @@ def test_sbr_floor_identity_random_configs():
         k = int(rng.integers(1, 5))
         strata = rng.integers(0, k, n)
         pi = float(rng.uniform(0.2, 0.8))
-        a = assign_sbr(strata, SchemeSpec("sbr", pi=pi), rng)
+        a = assign(strata, SchemeSpec("sbr", pi=pi), rng)
         for stratum in np.unique(strata):
             mask = strata == stratum
             assert a[mask].sum() == int(np.floor(pi * mask.sum()))
