@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import expit, ndtri
 
 from .data import Dataset, QuantileGrid
-from .errors import CarqteError, DataValidationError
+from .errors import CarqteError, DataValidationError, NumericalError
 
 METHODS = ("na", "lp", "ml", "lpml", "mlx", "lpmlx", "np", "lasso")
 # Recombination method -> the logistic method whose per-cell fits it recombines.
@@ -401,8 +401,11 @@ def _model(method, taus, coef, live, prob, degraded, support=None, unfit=(), **d
 
     ``unfit`` lists the cells of ``degraded`` in a stratum whose base fit is
     not live on both arms; the others are too small.  Warns with both counts
-    when a cell adjusts by zero, and raises when no cell is live.
+    when a cell adjusts by zero; raises when no cell is live or a fitted
+    value is not finite.
     """
+    if prob is not None and not np.all(np.isfinite(prob)):
+        raise NumericalError(f"{method}: fitted values are not finite")
     if degraded:
         why = f"{len(degraded) - len(unfit)} cell(s) too small"
         if unfit:
@@ -622,7 +625,8 @@ def _l1_logit_cd(H, y, lam, theta0=None):
     """Coordinate descent on iteratively reweighted quadratic majorizations.
 
     ``lam`` is the per-column penalty level on the mean negative
-    log-likelihood scale; zero entries are unpenalized.
+    log-likelihood scale; zero entries are unpenalized.  Returns theta and
+    its KKT residual, above ``_KKT_TOL`` only after ``_MAX_OUTER`` steps.
     """
     n, p = H.shape
     theta = np.zeros(p) if theta0 is None else theta0.copy()
@@ -651,8 +655,8 @@ def _l1_logit_cd(H, y, lam, theta0=None):
                 break
         kkt = _l1_kkt_residual(H, y, theta, lam)
         if kkt <= _KKT_TOL:
-            return theta, kkt, True
-    return theta, _l1_kkt_residual(H, y, theta, lam), False
+            break
+    return theta, kkt
 
 
 def _fit_hd_lasso(
@@ -682,7 +686,6 @@ def _fit_hd_lasso(
     kkt_diag: dict = {}
     hd_theta: dict = {}
     hd_lam: dict = {}
-    not_converged: list = []
     separated: list = []
     short_refits = 0  # refits that stopped short of the score tolerance
     for a, s, rows, labels in fitted:
@@ -699,10 +702,7 @@ def _fit_hd_lasso(
             for _k in range(cfg.loading_iterations + 1):
                 lam = np.zeros(p)
                 lam[pen_cols] = rho * loadings[pen_cols] / nc
-                lam = np.maximum(lam, 0.0)
-                theta, kkt, ok = _l1_logit_cd(Hc, y_t, lam, theta0=theta)
-                if not ok:
-                    not_converged.append((a, s, ti, kkt))
+                theta, kkt = _l1_logit_cd(Hc, y_t, lam, theta0=theta)
                 resid = y_t - expit(Hc @ theta)
                 new_loadings = np.sqrt(((Hc * resid[:, None]) ** 2).mean(axis=0))
                 rel = np.max(
@@ -734,11 +734,12 @@ def _fit_hd_lasso(
             f"lasso: post-selection refit did not reach score tolerance in {short_refits} fit(s)",
             stacklevel=2,
         )
-    if not_converged:
-        worst = max(item[3] for item in not_converged)
+    # A problem converged unless its final round stopped above the KKT tolerance.
+    unconverged = [kkt for kkt in kkt_diag.values() if kkt > _KKT_TOL]
+    if unconverged:
         warnings.warn(
-            f"lasso: inner solver hit iteration cap in {len(not_converged)} fit(s); "
-            f"worst KKT residual {worst:.3e}",
+            f"lasso: inner solver hit iteration cap in {len(unconverged)} fit(s); "
+            f"worst KKT residual {max(unconverged):.3e}",
             stacklevel=2,
         )
     prob = _fitted_prob(dataset, taus, live, H, coef, expit)

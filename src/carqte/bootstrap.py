@@ -7,7 +7,10 @@ re-estimated.  Several models bootstrap over one shared stream of weights,
 solved together in one pass per block of replicates, and one helper thread
 solves each block while the calling thread draws the next.  From the
 resulting draw matrix we build pointwise confidence intervals and Wald
-tests, quantile-difference tests, and uniform bands.
+tests, quantile-difference tests, and uniform bands.  The Wald rule lives
+here once: ``_wald``, ``_se_and_center`` and ``_band`` build both the public
+per-test functions and :func:`_wald_tests`, which runs every test of a
+``carqte estimate`` call or of a Monte Carlo replication at once.
 """
 
 from __future__ import annotations
@@ -363,3 +366,24 @@ def _band(est, d, se, center, alpha: float) -> InferenceResult:
         critical_value=float(crit),
         alpha=alpha,
     )
+
+
+def _wald_tests(boot, alpha: float, pairs, band: bool) -> list:
+    """Per model of ``boot``: the Wald test of each tau, then of each
+    difference q(tau_i) - q(tau_j) for (i, j) in ``pairs``, then the uniform
+    band if ``band``.
+
+    Every Wald SE and band centre comes from one quantile call over
+    [draws | d_i - d_j ...] of every model.  Each result decides any null
+    through ``rejects``.
+    """
+    d = np.hstack([np.column_stack([b.draws] + [b.draws[:, i] - b.draws[:, j] for i, j in pairs])
+                   for b in boot])
+    se, center = (v.reshape(len(boot), -1) for v in _se_and_center(d))
+    out = []
+    for b, s, c in zip(boot, se, center):
+        point, n = b.point.qte, b.draws.shape[1]
+        est = np.append(point, [point[i] - point[j] for i, j in pairs])
+        res = [_wald(e, v, alpha) for e, v in zip(est, s)]
+        out.append(res + [_band(point, b.draws, s[:n], c[:n], alpha)] if band else res)
+    return out

@@ -27,13 +27,14 @@ from . import __version__
 # for it only.
 from .adjust import METHODS, LassoConfig, fit_adjustment  # noqa: F401
 from .bootstrap import (  # noqa: F401
-    _normal_critical_values, difference_test, pointwise_test, run_bootstrap, uniform_band,
+    _normal_critical_values, _wald_tests, difference_test, pointwise_test, run_bootstrap,
+    uniform_band,
 )
 from .data import QuantileGrid, _checked_fractions, index_strata, load_csv  # noqa: F401
 from .dgp import DGP_KINDS, DgpSpec
 from .errors import CarqteError, DataValidationError, NumericalError
 from .estimator import pilot_quantiles, qte  # noqa: F401
-from .harness import ScenarioSpec, _fit_and_bootstrap, _wald_tests, emit_table, run_scenario
+from .harness import ScenarioSpec, _fit_and_bootstrap, emit_table, run_scenario
 from .randomization import SCHEME_KINDS, SchemeSpec
 
 _EXIT_OK = 0
@@ -88,16 +89,12 @@ def _parse_pi(raw: str) -> float | None:
     raise DataValidationError("--pi must be 'estimated' or 'fixed:<value>'")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _dump_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    """Write ``payload`` as strict JSON; a non-finite value raises before any write."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericalError("the result holds a non-finite value") from None
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -271,8 +268,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         mc_reps=args.mc_reps,
         truth_cache=args.truth_cache,
         workers=args.workers,
-        lasso_c=args.lasso_c,
-        lasso_iters=args.lasso_iters,
+        lasso=LassoConfig(c=args.lasso_c, loading_iterations=args.lasso_iters),
     )
     result = run_scenario(spec)
     table = emit_table(result)
@@ -296,6 +292,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+def _lasso_options(parser: argparse.ArgumentParser) -> None:
+    """``--lasso-c`` and ``--lasso-iters``, defaulting to :class:`LassoConfig`'s."""
+    parser.add_argument("--lasso-c", type=float, default=LassoConfig.c, dest="lasso_c")
+    parser.add_argument("--lasso-iters", type=int, default=LassoConfig.loading_iterations,
+                        dest="lasso_iters")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carqte",
@@ -316,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--null", type=float, default=0.0, help="null QTE value to test")
     est.add_argument("--pi", default="estimated", help="'estimated' or 'fixed:<value>'")
-    est.add_argument("--lasso-c", type=float, default=1.1, dest="lasso_c")
-    est.add_argument("--lasso-iters", type=int, default=2, dest="lasso_iters")
+    _lasso_options(est)
     est.add_argument("--diff", default=None, help="two taus 't1,t2' for a difference test")
     est.add_argument("--uniform", action="store_true", help="emit a uniform band")
     est.add_argument("--config", default=None, help="JSON config file; flags win")
@@ -333,17 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--B", type=int, default=200)
     sim.add_argument("--taus", default="0.5")
     sim.add_argument("--alpha", type=float, default=0.05)
-    sim.add_argument("--delta", type=float, default=1.5)
+    sim.add_argument("--delta", type=float, default=ScenarioSpec.delta)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--pi", default="estimated", help="'estimated' or 'fixed:<value>'")
-    sim.add_argument("--target-pi", type=float, default=0.5, dest="target_pi")
-    sim.add_argument("--bcd-lambda", type=float, default=0.75, dest="bcd_lambda")
-    sim.add_argument("--lasso-c", type=float, default=1.1, dest="lasso_c")
-    sim.add_argument("--lasso-iters", type=int, default=2, dest="lasso_iters")
-    sim.add_argument("--mc-n", type=int, default=10_000, dest="mc_n")
-    sim.add_argument("--mc-reps", type=int, default=300, dest="mc_reps")
+    sim.add_argument("--target-pi", type=float, default=SchemeSpec.pi, dest="target_pi")
+    sim.add_argument("--bcd-lambda", type=float, default=SchemeSpec.bcd_lambda, dest="bcd_lambda")
+    _lasso_options(sim)
+    sim.add_argument("--mc-n", type=int, default=ScenarioSpec.mc_n, dest="mc_n")
+    sim.add_argument("--mc-reps", type=int, default=ScenarioSpec.mc_reps, dest="mc_reps")
     sim.add_argument("--truth-cache", default=None, dest="truth_cache")
-    sim.add_argument("--workers", type=int, default=1)
+    sim.add_argument("--workers", type=int, default=ScenarioSpec.workers)
     sim.add_argument("--config", default=None, help="JSON config file; flags win")
     sim.add_argument("--out", default=None, help="results CSV path (default stdout)")
     sim.set_defaults(func=cmd_simulate)

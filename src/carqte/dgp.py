@@ -190,8 +190,8 @@ def _oracle_key(spec: DgpSpec, grid: QuantileGrid, mc_n: int, mc_reps: int) -> s
 def cached_true_qte(
     spec: DgpSpec,
     grid: QuantileGrid,
-    mc_n: int = 10_000,
-    mc_reps: int = 1_000,
+    mc_n: int,
+    mc_reps: int,
     cache_path: str | None = None,
 ) -> np.ndarray:
     """Oracle truths at seed 0, with a small JSON sidecar cache keyed by all

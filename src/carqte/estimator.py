@@ -38,14 +38,6 @@ class QteEstimate:
         return float(self.q1[i] if arm == 1 else self.q0[i])
 
 
-def _arm_rows(dataset: Dataset, arm: int) -> np.ndarray:
-    """Rows of one arm, ordered by outcome (ties keep row order)."""
-    rows = dataset.arm_rows[arm]
-    if rows.size == 0:
-        raise DegenerateCellError([], f"arm {arm} has no observations")
-    return rows
-
-
 def _search_left(cum: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Row-wise ``np.searchsorted(cum[r], targets[r], side="left")``.
 
@@ -92,8 +84,8 @@ class _Solver:
     """
 
     def __init__(self, dataset: Dataset, column_taus: np.ndarray, m_by_arm: dict) -> None:
-        rows1 = _arm_rows(dataset, 1)
-        self._perm = np.concatenate([rows1, _arm_rows(dataset, 0)])
+        rows0, rows1 = dataset.arm_rows
+        self._perm = np.concatenate([rows1, rows0])
         self.n = dataset.n
         self._n1 = rows1.size
         # Column of each row in the [pi | 1 - pi] table: its arm's propensity.
@@ -172,8 +164,7 @@ def _model_solver(dataset: Dataset, models, grid: QuantileGrid) -> _Solver:
     # adjustments are evaluated: a cache allocated above those temporaries
     # would keep their memory from returning to the system (peak RSS +12%
     # on a 200k-row estimate).
-    for arm in (1, 0):
-        _arm_rows(dataset, arm)
+    dataset.arm_rows  # noqa: B018 - computed and cached here
     values = [m.evaluate_all(grid, dataset) for m in models]
     m_by_arm = {arm: [v[arm] for v in values] for arm in (1, 0)}
     return _Solver(dataset, np.tile(tuple(grid), len(models)), m_by_arm)

@@ -958,6 +958,31 @@ def test_lasso_mhat_sign_convention_and_debug_flag():
     assert "hd_raw_mhat" not in {f.name for f in dataclasses.fields(model)}
 
 
+def test_lasso_warning_counts_problems_by_their_final_kkt_residual(monkeypatch):
+    # One reweighting step per round leaves every problem above the KKT
+    # tolerance.  The warning counts each (cell, tau) problem once, by the
+    # residual of its last loading round, not each round that hit the cap.
+    monkeypatch.setattr(adjust, "_MAX_OUTER", 1)
+    ds, _ = _signal_dataset(0)
+    grid = QuantileGrid.of([0.25, 0.5, 0.75])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = _fit_hd_lasso(ds, pilot_quantiles(ds, grid), grid)
+    over = [v for v in model.diagnostics["kkt"].values() if v > adjust._KKT_TOL]
+    assert len(over) == 6
+    assert [str(w.message) for w in caught if "iteration cap" in str(w.message)] == [
+        f"lasso: inner solver hit iteration cap in 6 fit(s); worst KKT residual {max(over):.3e}"]
+
+
+def test_a_non_finite_fitted_value_is_a_numerical_error():
+    # The one constructor of every model refuses it, naming the method.
+    prob = np.full((2, 4, 1), 0.5)
+    prob[1, 2, 0] = np.inf
+    coef, live = np.zeros((2, 1, 1, 3)), np.ones((2, 1, 1), dtype=bool)
+    with pytest.raises(NumericalError, match="mlx: fitted values are not finite"):
+        adjust._model("mlx", (0.5,), coef, live, prob, [])
+
+
 @pytest.mark.parametrize("n_cell,p", [(2, 1), (40, 3), (100, 20), (5000, 400)])
 def test_penalty_level_equals_norm_ppf_formula(n_cell, p):
     from scipy.stats import norm

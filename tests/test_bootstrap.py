@@ -1,6 +1,8 @@
 import hashlib
 import sys
 import threading
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -616,6 +618,35 @@ def test_one_result_decides_each_null_as_its_own_test_would():
         assert band.rejects(null) == outside
     with pytest.raises(DataValidationError, match="grid length"):
         band.rejects(np.zeros(2))
+
+
+def test_wald_tests_of_every_model_equal_the_per_test_functions():
+    # One quantile pass over every model's draws and differences must give,
+    # bit for bit, the SEs, intervals and band of the public per-test
+    # functions.  Rounded draws make ties; the second model has a constant
+    # column (a zero SE, which warns) and the third is constant throughout.
+    rng = np.random.default_rng(3)
+    boot = []
+    for scale in ([1.0, 1.0, 1.0], [0.1, 0.0, 0.1], [0.0, 0.0, 0.0]):
+        draws = np.round(rng.normal(size=(201, 3)) * scale, 2)
+        point = np.round(rng.normal(size=3), 3)
+        boot.append(SimpleNamespace(draws=draws, point=SimpleNamespace(qte=point)))
+    pairs = [(2, 0), (1, 0)]
+    with pytest.warns(UserWarning, match="zero bootstrap SE"):
+        got = bt._wald_tests(boot, 0.05, pairs, True)
+
+    def fields(res):
+        return [np.asarray(getattr(res, f)).tolist()
+                for f in ("estimate", "se", "ci_lower", "ci_upper", "critical_value")]
+
+    for results, b in zip(got, boot, strict=True):
+        est, d = b.point.qte, b.draws
+        want = [pointwise_test(est[j], d[:, j], 0.05) for j in range(3)]
+        want += [difference_test(est[i], est[j], d[:, i], d[:, j], 0.05) for i, j in pairs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want.append(uniform_band(est, d, 0.05))
+        assert [fields(r) for r in results] == [fields(w) for w in want]
 
 
 def test_empirical_quantile_convention():

@@ -209,8 +209,7 @@ def test_fitter_options_are_pinned():
     assert [f.name for f in dataclasses.fields(carqte.DgpSpec)] == ["kind", "n"]
     fields = [f.name for f in dataclasses.fields(carqte.ScenarioSpec)]
     assert fields == ["dgp", "scheme", "methods", "reps", "B", "taus", "delta", "alpha", "seed",
-                      "fixed_pi", "mc_n", "mc_reps", "truth_cache", "workers", "lasso_c",
-                      "lasso_iters"]
+                      "fixed_pi", "mc_n", "mc_reps", "truth_cache", "workers", "lasso"]
 
 
 def test_names_the_benchmark_tracer_wraps_exist():
@@ -521,6 +520,92 @@ def test_simulate_workers_below_one_is_a_data_error(tmp_path, capsys, monkeypatc
         argv += ["--config", str(cfg)]
     assert main(argv) == 3
     assert "workers >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pi, message", [
+    ("fixed:abc", "cannot parse pi spec 'fixed:abc'"),
+    ("foo", "--pi must be 'estimated' or 'fixed:<value>'"),
+])
+def test_unparsable_pi_is_a_data_error(experiment_csv, tmp_path, capsys, pi, message):
+    out = tmp_path / "r.json"
+    code = main(["estimate", "--input", experiment_csv, "--pi", pi, "--B", "20",
+                 "--out", str(out)])
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_uniform_band_on_a_one_tau_grid_is_a_data_error(experiment_csv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["estimate", "--input", experiment_csv, "--taus", "0.5", "--uniform",
+                 "--B", "20", "--out", str(out)])
+    assert code == 3
+    assert "uniform band needs a grid of at least two taus" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, message", [
+    ("--n=0", "sample size must be at least 1"),
+    ("--mc-n=0", "mc_n and mc_reps must be at least 1"),
+])
+def test_simulate_sizes_below_one_are_data_errors(tmp_path, capsys, option, message):
+    out = tmp_path / "sim.csv"
+    assert main([*_TINY_SIMULATE, option, "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_option_defaults_are_the_config_classes_defaults():
+    # One owner per default: the options read the dataclass fields, and the
+    # oracle's default size is the one simulate has always used.
+    parser = build_parser()
+    sim = parser.parse_args(["simulate"])
+    spec = {f.name: f.default for f in dataclasses.fields(carqte.ScenarioSpec)}
+    names = ("mc_n", "mc_reps", "delta", "workers")
+    assert [getattr(sim, k) for k in names] == [spec[k] for k in names] == [10_000, 300, 1.5, 1]
+    assert (sim.target_pi, sim.bcd_lambda) == (SchemeSpec.pi, SchemeSpec.bcd_lambda)
+    for args in (sim, parser.parse_args(["estimate", "--input", "x.csv"])):
+        assert (args.lasso_c, args.lasso_iters) == (spec["lasso"].c,
+                                                    spec["lasso"].loading_iterations)
+
+
+def _overflow_csv(path, case):
+    """A file whose fits or report overflow.  ``covariate``: 80 rows, strata
+    A and B, arms alternating, y and x2 standard normal and x1 of order 1e200,
+    so every logistic fit is NaN.  ``outcome``: 60 rows of one stratum,
+    treated outcomes 1.7e308 U(0.9, 1) and control ones their negatives, so
+    every QTE overflows."""
+    if case == "covariate":
+        rng = np.random.default_rng(2)
+        y, x1 = rng.standard_normal(80), 1e200 * rng.standard_normal(80)
+        x2 = rng.standard_normal(80)
+        rows = [f"{float(y[i])!r},{i % 2},{'A' if i < 40 else 'B'},{float(x1[i])!r},"
+                f"{float(x2[i])!r}" for i in range(80)]
+        path.write_text("\n".join(["y,a,s,x1,x2", *rows]) + "\n")
+    else:
+        rng = np.random.default_rng(0)
+        u, x = 1.7e308 * rng.uniform(0.9, 1.0, 60), rng.standard_normal(60)
+        rows = [f"{float(u[i] if i % 2 else -u[i])!r},{i % 2},A,{float(x[i])!r}"
+                for i in range(60)]
+        path.write_text("\n".join(["y,a,s,x1", *rows]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("case, argv", [
+    *[("covariate", ["--adjust", m]) for m in ("ml", "mlx", "np", "lasso")],
+    *[("outcome", ["--adjust", m, "--diff", "0.75,0.25", "--uniform"]) for m in ("na", "lp", "ml")],
+])
+def test_non_finite_fits_and_reports_exit_4(tmp_path, case, argv):
+    # In a subprocess: under pytest an overflow warning is an error.
+    path, out = _overflow_csv(tmp_path / "overflow.csv", case), tmp_path / "r.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(carqte.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "carqte.cli", "estimate", "--input", path, "--B", "50", *argv,
+         "--out", str(out)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    why = f"{argv[1]}: fitted values are not finite" if case == "covariate" else "non-finite"
+    assert "carqte: numerical failure: " in proc.stderr and why in proc.stderr
     assert not out.exists()
 
 

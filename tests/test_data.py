@@ -13,7 +13,7 @@ from carqte import (
     QuantileGrid,
     load_csv,
 )
-from carqte.data import _per_stratum, index_strata
+from carqte.data import _per_stratum, _scan_lines, index_strata
 from conftest import load_csv_reference, pi_by_stratum, weighted_arm_counts
 
 
@@ -239,6 +239,35 @@ def test_csv_rejects_malformed(tmp_path, body):
     path.write_text(body)
     with pytest.raises(DataValidationError):
         load_csv(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("", "empty file"),
+    ("y,a,s,y\n1.0,1,u,2.0\n", "duplicate column names"),
+])
+def test_csv_header_errors_name_the_file(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(DataValidationError, match=f"{path}: {message}"):
+        load_csv(path)
+
+
+def test_a_crlf_split_across_two_read_chunks_ends_one_line(tmp_path):
+    # The \r of one line ending is the last byte of the first 1 MiB chunk.
+    rows = [b"y,a,s\r\n"]
+    size = len(rows[0])
+    while size < (1 << 20) - 100:
+        rows.append(b"%d,%d,u\r\n" % (len(rows) % 7, len(rows) % 2))
+        size += len(rows[-1])
+    # ``0...01`` pads the y cell so this row's \r lands on byte 2**20 - 1.
+    pad = (1 << 20) - 1 - size - len(b",1,u")
+    rows += [b"0" * (pad - 1) + b"1,1,u\r\n", b"2,0,u\r\n"]
+    data = b"".join(rows)
+    assert data[(1 << 20) - 1:(1 << 20) + 1] == b"\r\n"
+    path = tmp_path / "split.csv"
+    path.write_bytes(data)
+    assert _scan_lines(path) == (len(rows), False)
+    assert load_csv(path).n == len(rows) - 1
 
 
 # -- columnar loader against the row-by-row reference -------------------------

@@ -1,23 +1,20 @@
 import time
-import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import carqte.adjust as adjust
 import carqte.harness as harness
 
 from carqte import (
     DataValidationError,
     DgpSpec,
+    NumericalError,
     QuantileGrid,
     ScenarioSpec,
     SchemeSpec,
-    difference_test,
     emit_table,
-    pointwise_test,
     run_scenario,
-    uniform_band,
 )
 from carqte.harness import _result_records
 from conftest import parse_table
@@ -219,30 +216,55 @@ def test_spec_validation():
         run_scenario(_tiny_spec(), np.array([1.0, 2.0, 3.0]))
 
 
-def test_wald_tests_of_every_model_equal_the_per_test_functions():
-    # One quantile pass over every model's draws and differences must give,
-    # bit for bit, the SEs, intervals and band of the public per-test
-    # functions.  Rounded draws make ties; the second model has a constant
-    # column (a zero SE, which warns) and the third is constant throughout.
-    rng = np.random.default_rng(3)
-    boot = []
-    for scale in ([1.0, 1.0, 1.0], [0.1, 0.0, 0.1], [0.0, 0.0, 0.0]):
-        draws = np.round(rng.normal(size=(201, 3)) * scale, 2)
-        point = np.round(rng.normal(size=3), 3)
-        boot.append(SimpleNamespace(draws=draws, point=SimpleNamespace(qte=point)))
-    pairs = [(2, 0), (1, 0)]
-    with pytest.warns(UserWarning, match="zero bootstrap SE"):
-        got = harness._wald_tests(boot, 0.05, pairs, True)
+@pytest.mark.parametrize("fixed_pi", [1.5, 0.0, float("nan")])
+def test_spec_checks_a_scalar_fixed_pi_before_the_truth(monkeypatch, fixed_pi):
+    def no_truth(spec):
+        raise AssertionError("the truth was computed before fixed_pi was checked")
 
-    def fields(res):
-        return [np.asarray(getattr(res, f)).tolist()
-                for f in ("estimate", "se", "ci_lower", "ci_upper", "critical_value")]
+    monkeypatch.setattr(harness, "scenario_truth", no_truth)
+    with pytest.raises(DataValidationError, match=r"fixed pi must lie strictly inside \(0, 1\)"):
+        run_scenario(_tiny_spec(fixed_pi=fixed_pi))
 
-    for results, b in zip(got, boot, strict=True):
-        est, d = b.point.qte, b.draws
-        want = [pointwise_test(est[j], d[:, j], 0.05) for j in range(3)]
-        want += [difference_test(est[i], est[j], d[:, i], d[:, j], 0.05) for i, j in pairs]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            want.append(uniform_band(est, d, 0.05))
-        assert [fields(r) for r in results] == [fields(w) for w in want]
+
+def test_a_failed_replication_leaves_its_group_mates_reporting(monkeypatch):
+    fit_and_bootstrap, calls = harness._fit_and_bootstrap, []
+
+    def third_fails(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NumericalError("solver broke down")
+        return fit_and_bootstrap(*args)
+
+    monkeypatch.setattr(harness, "_fit_and_bootstrap", third_fails)
+    monkeypatch.setattr(harness, "_FAILURE_BUDGET", 0.5)  # tolerate one of four
+    res = run_scenario(_tiny_spec(), TRUTH2)
+    assert res.failures == 1
+    assert {row["reps"] for row in res.rows.values()} == {3}  # reps 0, 1 and 3 of one group
+
+
+def test_a_scenario_whose_every_replication_fails_raises(monkeypatch):
+    def fail(*args):
+        raise NumericalError("solver broke down")
+
+    monkeypatch.setattr(harness, "_fit_and_bootstrap", fail)
+    with pytest.raises(DataValidationError,
+                       match="4 of 4 replications failed; first: rep 0: solver broke down"):
+        run_scenario(_tiny_spec(), TRUTH2)
+
+
+def test_a_non_finite_fit_fails_its_replication(monkeypatch):
+    # One group fits ml for its four replications in one call; the second
+    # replication's fitted values are NaN.
+    fitted_prob, calls = adjust._fitted_prob, []
+
+    def second_is_nan(*args):
+        prob = fitted_prob(*args)
+        calls.append(None)
+        if len(calls) == 2:
+            prob[0, 0, 0] = np.nan
+        return prob
+
+    monkeypatch.setattr(adjust, "_fitted_prob", second_is_nan)
+    with pytest.raises(DataValidationError, match="1 of 4 replications failed; first: "
+                       "rep 1: ml: fitted values are not finite"):
+        run_scenario(_tiny_spec(methods=("ml",)), TRUTH2)

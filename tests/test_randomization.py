@@ -126,6 +126,12 @@ def test_target_outside_unit_interval_rejected_at_construction(pi):
         SchemeSpec("srs", pi=pi)
 
 
+def test_target_mapping_missing_a_stratum_label_is_rejected():
+    spec = SchemeSpec("srs", pi={"a": 0.5})
+    with pytest.raises(DataValidationError, match="target pi missing for stratum 'b'"):
+        assign(np.array(["a", "b", "a"]), spec, np.random.default_rng(0))
+
+
 def test_unknown_scheme_rejected():
     with pytest.raises(DataValidationError):
         SchemeSpec("pocock")
