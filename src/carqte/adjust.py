@@ -22,9 +22,9 @@ import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .data import Dataset, QuantileGrid
 from .errors import CarqteError, DataValidationError, NumericalError
@@ -178,6 +178,13 @@ def _fitted_prob(dataset: Dataset, taus: tuple, live: np.ndarray, H, coef, link=
 # ---------------------------------------------------------------------------
 
 
+def _expit(x):
+    """The logistic link ``1 / (1 + exp(-x))``.  Below x = -709.78,
+    ``exp(-x)`` overflows to inf, silently, and the link is 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _batch_objective(t, Y, valid, n, ridge, theta, mm):
     """Per-problem penalized mean negative log-likelihood, shape (C, T);
     ``mm`` is the row product of :func:`_newton_pass`."""
@@ -227,7 +234,7 @@ def _newton_pass(H, Y, valid, n, ridge, active):
         if cols.size == T:
             cols = slice(None)  # every column live: views, no copies
         Yc, tc, th, oc = Y[:, :, cols], t[:, :, cols], theta[:, :, cols], obj[:, cols]
-        prob = expit(tc)
+        prob = _expit(tc)
         score = mm(HT, Yc - prob) / n[:, None, None] - ridge[:, None, None] * th
         done = active[:, cols] & (np.max(np.abs(score), axis=1) <= _SCORE_TOL)
         converged[:, cols] |= done
@@ -488,7 +495,7 @@ def fit_ml(items, grid: QuantileGrid, method: str = "ml") -> list:
             coef[a, s], sep_c = next(fits)
             live[a, s] = True
             separated += [(a, s, ti) for ti in range(len(taus)) if sep_c[ti]]
-        prob = _fitted_prob(dataset, taus, live, H, coef, expit)
+        prob = _fitted_prob(dataset, taus, live, H, coef, _expit)
         try:
             out.append(_model(method, taus, coef, live, prob, degraded,
                               separated=tuple(separated)))
@@ -602,13 +609,13 @@ def penalty_level(n_cell: int, p_penalized: int, config: LassoConfig) -> float:
     """Cell-level penalty c * sqrt(n) * Phi^-1(1 - 1/(p log n)), its tail capped at 1/2."""
     logn = max(np.log(n_cell), 1.0)
     tail = min(1.0 / (p_penalized * logn), 0.5)
-    return config.c * np.sqrt(n_cell) * ndtri(1.0 - tail)
+    return config.c * np.sqrt(n_cell) * NormalDist().inv_cdf(1.0 - tail)
 
 
 def _l1_kkt_residual(H, y, theta, lam):
     """Max violation of the subgradient optimality conditions."""
     n = H.shape[0]
-    g = H.T @ (expit(H @ theta) - y) / n
+    g = H.T @ (_expit(H @ theta) - y) / n
     res = np.where(
         lam == 0.0,
         np.abs(g),
@@ -626,14 +633,15 @@ def _l1_logit_cd(H, y, lam, theta0=None):
 
     ``lam`` is the per-column penalty level on the mean negative
     log-likelihood scale; zero entries are unpenalized.  Returns theta and
-    its KKT residual, above ``_KKT_TOL`` only after ``_MAX_OUTER`` steps.
+    its KKT residual, above ``_KKT_TOL`` only after ``_MAX_OUTER`` steps, and
+    after the first step whose residual is not finite.
     """
     n, p = H.shape
     theta = np.zeros(p) if theta0 is None else theta0.copy()
     col_sq = H**2
     for _ in range(_MAX_OUTER):
         t = H @ theta
-        prob = expit(t)
+        prob = _expit(t)
         w = np.maximum(prob * (1.0 - prob), 1e-6)
         z = t + (y - prob) / w
         r = z - t
@@ -654,8 +662,8 @@ def _l1_logit_cd(H, y, lam, theta0=None):
             if max_delta < 1e-12:
                 break
         kkt = _l1_kkt_residual(H, y, theta, lam)
-        if kkt <= _KKT_TOL:
-            break
+        if kkt <= _KKT_TOL or not np.isfinite(kkt):
+            break  # a non-finite residual never falls; _model rejects the fit
     return theta, kkt
 
 
@@ -703,13 +711,13 @@ def _fit_hd_lasso(
                 lam = np.zeros(p)
                 lam[pen_cols] = rho * loadings[pen_cols] / nc
                 theta, kkt = _l1_logit_cd(Hc, y_t, lam, theta0=theta)
-                resid = y_t - expit(Hc @ theta)
+                resid = y_t - _expit(Hc @ theta)
                 new_loadings = np.sqrt(((Hc * resid[:, None]) ** 2).mean(axis=0))
                 rel = np.max(
                     np.abs(new_loadings - loadings) / np.maximum(np.abs(loadings), 1e-12)
                 )
                 loadings = new_loadings
-                if rel < _LOADING_TOL:
+                if rel < _LOADING_TOL or not np.isfinite(kkt):
                     break
             kkt_diag[(a, s, ti)] = kkt
             hd_theta[(a, s, ti)] = theta.copy()
@@ -742,7 +750,7 @@ def _fit_hd_lasso(
             f"worst KKT residual {max(unconverged):.3e}",
             stacklevel=2,
         )
-    prob = _fitted_prob(dataset, taus, live, H, coef, expit)
+    prob = _fitted_prob(dataset, taus, live, H, coef, _expit)
     return _model("lasso", taus, coef, live, prob, degraded, support,
                   separated=tuple(separated), kkt=kkt_diag, hd_theta=hd_theta, hd_lam=hd_lam)
 

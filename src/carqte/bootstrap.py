@@ -19,16 +19,16 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import Dataset, QuantileGrid, _per_stratum
 from .errors import DataValidationError, NumericalError
 from .estimator import QteEstimate, _model_solver, _point
 
 # Spread of the standard normal between the 2.5% and 97.5% critical values.
-_NORMAL_SPREAD = ndtri(0.975) - ndtri(0.025)
+_NORMAL_SPREAD = NormalDist().inv_cdf(0.975) - NormalDist().inv_cdf(0.025)
 
 # A bootstrap draw is discarded when an arm's weighted mass in some stratum
 # falls below this fraction of the stratum count.
@@ -263,11 +263,12 @@ def _normal_critical_values(alpha: float) -> tuple[float, float]:
     """(lower, upper) two-sided standard-normal critical values at level alpha."""
     if not (0.0 < alpha < 1.0):
         raise DataValidationError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    z_lo, z_hi = ndtri(alpha / 2.0), ndtri(1.0 - alpha / 2.0)
-    if not (np.isfinite(z_lo) and np.isfinite(z_hi)):
-        # 1 - alpha/2 rounds to 1 for alpha below about 1.1e-16.
+    p_lo, p_hi = alpha / 2.0, 1.0 - alpha / 2.0
+    if not (0.0 < p_lo and p_hi < 1.0):
+        # 1 - alpha/2 rounds to 1 for alpha below about 1.1e-16, where the
+        # critical value is infinite.
         raise DataValidationError(f"alpha {alpha!r} is too small: its critical value is infinite")
-    return z_lo, z_hi
+    return NormalDist().inv_cdf(p_lo), NormalDist().inv_cdf(p_hi)
 
 
 def pointwise_test(

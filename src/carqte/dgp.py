@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .data import QuantileGrid
 from .errors import DataValidationError
@@ -126,6 +125,8 @@ def _draw(spec: DgpSpec, rng: np.random.Generator):
         eps2 = rng.standard_t(5, size=n) / _SQRT5
         y1, y0 = dgp2_outcomes(z, x, eps1, eps2)
     else:
+        from scipy.special import ndtr  # only this design needs scipy
+
         z = _standardized_beta22(rng, n)
         chol = np.linalg.cholesky(toeplitz_omega())
         w = rng.standard_normal((n, 20)) @ chol.T

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import expit
 
 from carqte import Dataset, DataValidationError, DegenerateCellError
-from carqte.adjust import _SCORE_TOL, _SEPARATION_CAP, _ZERO_SD, _fit_logit_cells
+from carqte.adjust import _SCORE_TOL, _SEPARATION_CAP, _ZERO_SD, _expit, _fit_logit_cells
 from carqte.data import _per_stratum
 from carqte.estimator import _Solver
 
@@ -266,10 +266,10 @@ def evaluate_reference(model, arm, grid, ds, H=None, ml_model=None):
             if model.method == "lp":
                 out[rows, j] = tau - H_s @ theta
             elif model.method in ("ml", "mlx", "np", "lasso"):
-                out[rows, j] = tau - expit(H_s @ theta)
+                out[rows, j] = tau - _expit(H_s @ theta)
             else:
                 th1, th0 = ml_model.coef[1, s, ti].copy(), ml_model.coef[0, s, ti].copy()
-                w = np.column_stack([expit(H_s @ th1), expit(H_s @ th0)])
+                w = np.column_stack([_expit(H_s @ th1), _expit(H_s @ th0)])
                 cell = w[ds.a[rows] == arm]
                 mean, sd = cell.mean(axis=0), cell.std(axis=0)
                 ok = sd > _ZERO_SD

@@ -3,6 +3,7 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -407,7 +408,7 @@ def test_prob_pass_in_stratum_tasks_equals_one_task(monkeypatch, method):
     ds, pilot, grid = _dgp1_sample(3)
     model = _fit_quiet(fit_adjustment, method, ds, pilot, grid)
     H = _RowFeatures(method, ds.x)
-    link = None if method == "lp" else expit
+    link = None if method == "lp" else adjust._expit
     width = H.shape[1] * len(grid)
     assert len(_stratum_tasks(ds, width)) == 1  # the model's own pass was one task
     monkeypatch.setattr(adjust, "_BLOCK_FLOATS", 1)
@@ -492,7 +493,7 @@ def test_no_helper_thread_outlives_a_stratum_pass(monkeypatch, method, fail):
     failing = None if fail is None else range(ds.n_strata)[fail]
     if method == "mlx":
         H = _FailingStratum(_RowFeatures("mlx", ds.x), ds.s, failing)
-        call = (adjust._fitted_prob, ds, tuple(grid), base.live, H, base.coef, expit)
+        call = (adjust._fitted_prob, ds, tuple(grid), base.live, H, base.coef, adjust._expit)
     else:
         prob = base.prob.view(_FailingColumns)
         prob.fail, prob.fail_rows = failing, np.flatnonzero(ds.s == failing)
@@ -983,14 +984,38 @@ def test_a_non_finite_fitted_value_is_a_numerical_error():
         adjust._model("mlx", (0.5,), coef, live, prob, [])
 
 
-@pytest.mark.parametrize("n_cell,p", [(2, 1), (40, 3), (100, 20), (5000, 400)])
+_PENALTY_LEVELS = {(2, 1): 0.0, (40, 3): 9.312175720180859, (100, 20): 25.248533094171222,
+                   (5000, 400): 267.3770072233668}
+
+
+@pytest.mark.parametrize("n_cell,p", list(_PENALTY_LEVELS))
 def test_penalty_level_equals_norm_ppf_formula(n_cell, p):
+    # The quantile comes from statistics.NormalDist, within 1e-15 relative
+    # of scipy's norm.ppf; the levels are pinned as literals.
     from scipy.stats import norm
 
     cfg = LassoConfig(c=1.1)
-    tail = 1.0 / (p * max(np.log(n_cell), 1.0))
-    want = cfg.c * np.sqrt(n_cell) * norm.ppf(1.0 - min(tail, 0.5))
-    assert penalty_level(n_cell, p, cfg) == want
+    level = _PENALTY_LEVELS[(n_cell, p)]
+    tail = min(1.0 / (p * max(np.log(n_cell), 1.0)), 0.5)
+    z = NormalDist().inv_cdf(1.0 - tail)
+    assert z == pytest.approx(norm.ppf(1.0 - tail), rel=1e-15, abs=0.0)
+    assert penalty_level(n_cell, p, cfg) == cfg.c * np.sqrt(n_cell) * z == level
+
+
+def test_logistic_link_is_within_four_ulp_of_scipy_expit():
+    # Away from underflow each link is within 2 ulp of the exact value, so
+    # within 4 of the other; below x = -709.78 exp(-x) overflows, silently,
+    # and both give 0.
+    ends = [-1000.0, -745.0, 0.0, 745.0, 1000.0]
+    x = np.concatenate([np.linspace(-1000.0, 1000.0, 2_000_001), ends])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = adjust._expit(x)
+    want = expit(x)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+    assert got[-5:].tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+    z = np.random.default_rng(23).normal(0.0, 8.0, 200_000)
+    assert np.all(np.abs(adjust._expit(z) - expit(z)) <= 2 * np.spacing(expit(z)))
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])

@@ -668,7 +668,9 @@ def test_critical_values_reject_alpha_whose_critical_value_is_infinite(alpha):
 
 
 def test_critical_values_reject_alpha_outside_unit_interval():
-    assert _normal_critical_values(0.05) == (norm.ppf(0.025), norm.ppf(0.975))
+    assert _normal_critical_values(0.05) == (-1.9599639845400538, 1.9599639845400536)
+    assert _normal_critical_values(0.05) == pytest.approx(
+        (norm.ppf(0.025), norm.ppf(0.975)), rel=1e-15, abs=0.0)
     draws = np.random.default_rng(19).standard_normal(50)
     for alpha in (0.0, 1.0, 2.0, -0.1, float("nan")):
         with pytest.raises(DataValidationError, match="alpha"):
@@ -677,12 +679,15 @@ def test_critical_values_reject_alpha_outside_unit_interval():
 
 @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9, 1e-10])
 def test_normal_quantiles_equal_scipy_stats_norm(alpha):
-    # The package computes normal quantiles with scipy.special.ndtri, which
-    # is what norm.ppf calls; the values must match bit for bit.
-    assert bt._NORMAL_SPREAD == norm.ppf(0.975) - norm.ppf(0.025)
+    # The package computes normal quantiles with statistics.NormalDist,
+    # whose inv_cdf is within 1e-15 relative of norm.ppf (scipy's ndtri).
+    assert bt._NORMAL_SPREAD == 3.919927969080107
+    assert bt._NORMAL_SPREAD == pytest.approx(
+        norm.ppf(0.975) - norm.ppf(0.025), rel=1e-15, abs=0.0)
     lo, hi = _normal_critical_values(alpha)
-    assert (lo, hi) == (norm.ppf(alpha / 2.0), norm.ppf(1.0 - alpha / 2.0))
-    assert type(lo) is type(norm.ppf(alpha / 2.0))
+    assert (lo, hi) == pytest.approx(
+        (norm.ppf(alpha / 2.0), norm.ppf(1.0 - alpha / 2.0)), rel=1e-15, abs=0.0)
+    assert type(lo) is type(hi) is float
 
 
 def test_run_bootstrap_validation():

@@ -125,13 +125,44 @@ def test_recombination_without_a_live_base_stratum_exits_3(tmp_path, capsys, met
             f"live {base} fit") in capsys.readouterr().err
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats costs about half of the start-up of a fresh process.
-    code = "import sys, carqte, carqte.cli; print('scipy.stats' in sys.modules)"
+def _scipy_modules_after(runs):
+    """In a fresh process: the scipy modules loaded after ``import
+    carqte.cli`` and after each argv of ``runs`` through ``main``."""
+    code = (
+        "import json, sys\n"
+        "import carqte, carqte.cli\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "seen = [loaded()]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert carqte.cli.main(argv) == 0, argv\n"
+        "    seen.append(loaded())\n"
+        "print(json.dumps(seen))\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(carqte.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _small_simulate(dgp, out):
+    return ["simulate", "--dgp", dgp, "--n", "80", "--reps", "2", "--B", "20",
+            "--mc-n", "2000", "--mc-reps", "2", "--out", str(out)]
+
+
+def test_cli_import_does_not_load_scipy_stats(experiment_csv, tmp_path):
+    # scipy costs about half of the start-up of a fresh process, and no
+    # estimate or low-dimensional simulation needs it.
+    runs = [["estimate", "--input", experiment_csv, "--adjust", method, "--B", "20",
+             "--out", str(tmp_path / f"{method}.json")] for method in carqte.METHODS]
+    runs += [_small_simulate(dgp, tmp_path / f"sim{dgp}.csv") for dgp in ("1", "2")]
+    assert _scipy_modules_after(runs) == [[]] * (len(runs) + 1)
+
+
+def test_simulate_dgp_hd_runs_and_loads_scipy_special(tmp_path):
+    # The dgphd covariates are normal CDFs of correlated normals (scipy's ndtr).
+    loaded = _scipy_modules_after([_small_simulate("hd", tmp_path / "hd.csv")])
+    assert loaded[0] == [] and "scipy.special" in loaded[1]
+    assert parse_table((tmp_path / "hd.csv").read_text())
 
 
 def test_public_surface_is_pinned():
@@ -609,6 +640,34 @@ def test_non_finite_fits_and_reports_exit_4(tmp_path, case, argv):
     assert not out.exists()
 
 
+def test_lasso_stops_at_the_first_non_finite_kkt_residual(tmp_path, monkeypatch, capsys):
+    # A NaN residual never meets the tolerance: each (cell, tau) problem
+    # takes one outer step in one loading round, then _model refuses the fit.
+    from carqte import adjust
+
+    calls = {"cd": 0, "kkt": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(adjust, "_l1_logit_cd", counted("cd", adjust._l1_logit_cd))
+    monkeypatch.setattr(adjust, "_l1_kkt_residual", counted("kkt", adjust._l1_kkt_residual))
+    path, out = _overflow_csv(tmp_path / "overflow.csv", "covariate"), tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:  # with the overflows of x1 ~ 1e200
+        warnings.simplefilter("always")
+        code = main(["estimate", "--input", path, "--B", "50", "--adjust", "lasso",
+                     "--out", str(out)])
+    assert code == 4
+    assert "lasso: fitted values are not finite" in capsys.readouterr().err
+    assert "lasso: post-selection refit did not reach score tolerance in 12 fit(s)" in {
+        str(w.message) for w in caught}
+    assert calls == {"cd": 12, "kkt": 12}  # 2 strata x 2 arms x 3 taus
+    assert not out.exists()
+
+
 def test_simulate_unknown_method_usage_error():
     assert main(["simulate", "--methods", "na,banana", "--reps", "2"]) == 2
 
@@ -751,11 +810,11 @@ def test_lasso_c_must_be_finite_and_positive(experiment_csv, tmp_path, capsys, c
     assert not out.exists()
 
 
-# sha256 of the table written by the command below (numpy 2.4, scipy 1.17,
-# OpenBLAS 0.3.31), re-recorded when each replication's bootstrap weights
-# came to be drawn as one stream laid out in the solver's arm-sorted column
-# order; workers 1 and 2 write the same bytes.
-PAPER_TABLE_SHA256 = "5c6df2cbce897e7b310801b95ac0be516c27301b293fe47cc3f58366ebd6df87"
+# sha256 of the table written by the command below (numpy 2.4, OpenBLAS
+# 0.3.31), re-recorded when the normal quantiles came to be computed by
+# statistics.NormalDist: only mean_se moved then, by at most 4.4e-16.
+# Workers 1 and 2 write the same bytes.
+PAPER_TABLE_SHA256 = "d869bfc885a5216ebe6ab977c213c3fed9f345996b3e96a965cad10aed64989e"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -773,23 +832,24 @@ def test_simulate_paper_methods_table_is_pinned(tmp_path, workers):
 
 # sha256 of each report below with its "input" line (the temporary CSV path)
 # removed, so that the bytes of the whole report are pinned.  Re-recorded
-# when the config echo came to hold every option of the command; only lines
-# inside "config" changed then.  A key "<method>-d4" runs the method on a
+# when the normal quantiles came to be computed by statistics.NormalDist and
+# the logistic link by numpy; only standard errors, interval ends and band
+# critical values moved then, each by at most 1.3e-15 relative.  A key "<method>-d4" runs the method on a
 # 4-covariate file (dgphd, n=600, sbr, its first four covariates): at d=2
 # there is one covariate pair, so only there can a slip in the order of the
 # product or threshold columns show.
 ESTIMATE_REPORT_SHA256 = {
-    "lpmlx": "8e439e5d4fca6028cd4a55063dbcc7aa38cb6d253ada16e4a777ef0d14c400ec",
-    "lpml": "6d7e869cf44b3369459b4453d9a124e9c03a5ac2e1fa982238966a18f1ffe931",
-    "na": "0ff8c9ce151caa10b42c2f5446cebe0a2e6d5d0f047bacf021d50144d8d686c0",
-    "lp": "81417db831f67ebc94e6e4d665b58d2f4b97f553fa77a4cabb292b5eedfdbffe",
-    "ml": "2b253f401db8bf905f16baa7fd9836c03f6023f812df1def8a530373dcb25222",
-    "mlx": "47a896154dd19c62517ab854175822e32a791081242621fd1e3c3950335aad17",
-    "np": "50daef094f00ff36d5cfc5f8dd99c38b2c4ade3a7e03894f7e2f67a79c15662e",
-    "lasso": "7eb5c1b9b0bfd49a7e8ee110d7b661dbc843ebb27418c0fdce4659cce9b29aad",
-    "mlx-d4": "73e02b3b50e39b137ded5c5de0d3d7164461271e39cb9f2d6d906edcbbc04702",
-    "np-d4": "cfc9a7776c4fb5b972067d5bd786178f7f14c89445c5a5264d5129d1c13f9217",
-    "lasso-d4": "d8e4f242ad8b47b6af57be66c5d3abc9b61af682842ed2ba1172e651a5221398",
+    "lpmlx": "ad4eb0b245c9b644af61732f254aac690fffa6b82c60f9205340f955cfbcf298",
+    "lpml": "aaa6820ff04b715a31f9fa4280b5ac3cb18c29cbb0193aab2409cdd1526e4698",
+    "na": "b5ea0a123d5fc6162de3e210e883ef01338afd3c65cfd021bf7c247c89e6a41c",
+    "lp": "a08dd52bd570b59fc27fcb699fea9d78b26489b6a7f4c18bbef2e7605f4767c2",
+    "ml": "5326f6ec21c3b4e35ad7a5f612a44bb1fde4d5920a07012692a8a3031c25e965",
+    "mlx": "0e525f53e193285e4c08490933389d67d0b4731a5eebec74b51a14630c208bfd",
+    "np": "bb8deec4a11f3ad02036f26d65f69aed874d9751e0794fb93a9656ddd95d000a",
+    "lasso": "2f1965fc7bab3dfe55aafa80d831d7e30be4fc6832a72426020e0799accc33b9",
+    "mlx-d4": "3c6a16aeac2781360dfdac7770baa1795e15a9e2110cd05fa329b5a140c28310",
+    "np-d4": "bd7b2d75daa8aa537c8d3476844397e0e8d1f5be00e24f9b662e8b15afd66cf0",
+    "lasso-d4": "4031ab2abe1312442eb5f5df382049e3f0f83bd7f8f2aa0cb24bca6050f6a4e0",
 }
 _FULL_REPORT = ["--taus", "0.25,0.5,0.75", "--diff", "0.75,0.25", "--uniform", "--B", "200"]
 _ESTIMATE_PIN_ARGS = {
