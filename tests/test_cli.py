@@ -656,7 +656,7 @@ def test_lasso_stops_at_the_first_non_finite_kkt_residual(tmp_path, monkeypatch,
     monkeypatch.setattr(adjust, "_l1_logit_cd", counted("cd", adjust._l1_logit_cd))
     monkeypatch.setattr(adjust, "_l1_kkt_residual", counted("kkt", adjust._l1_kkt_residual))
     path, out = _overflow_csv(tmp_path / "overflow.csv", "covariate"), tmp_path / "r.json"
-    with warnings.catch_warnings(record=True) as caught:  # with the overflows of x1 ~ 1e200
+    with warnings.catch_warnings(record=True) as caught:  # the overflows of x1 ~ 1e200 too
         warnings.simplefilter("always")
         code = main(["estimate", "--input", path, "--B", "50", "--adjust", "lasso",
                      "--out", str(out)])
