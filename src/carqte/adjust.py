@@ -202,14 +202,15 @@ def _newton_pass(H, Y, valid, n, ridge, active):
     masks them out of the objective), ``Y`` is (C, N, T) with tau along the
     columns, ``ridge`` is per cell and ``active`` (C, T) selects the problems
     to fit, for at most ``_MAX_NEWTON`` iterations.  A problem is frozen
-    once its score is within tolerance (converged) or, without ridge, once a
-    coefficient passes the separation cap (separated); an iteration works
-    only on the tau columns that still have a live problem.  Steps solve
-    each Hessian exactly; if some Hessian of the stack is singular, that
-    iteration falls back to per-problem minimum norm least squares.
-    Backtracking halves a problem's step while its objective rises by more
-    than 1e-14.  Returns theta (C, p, T) and the converged and separated
-    masks.
+    once its score is within tolerance (converged), without ridge once a
+    coefficient passes the separation cap (separated), or at its first score
+    or Hessian that is not finite (failed: its theta is returned as NaN, so
+    the fitted values refuse it); an iteration works only on the tau columns
+    that still have a live problem.  Steps solve each Hessian exactly; if
+    some Hessian of the stack is singular, that iteration falls back to
+    per-problem minimum norm least squares.  Backtracking halves a problem's
+    step while its objective rises by more than 1e-14.  Returns theta
+    (C, p, T) and the converged and separated masks.
 
     The products over the N rows are 2-D ``np.dot`` calls for a lone cell,
     which release the GIL (a stacked matmul of one cell holds it), and
@@ -221,6 +222,7 @@ def _newton_pass(H, Y, valid, n, ridge, active):
     active = active.copy()
     converged = np.zeros((C, T), dtype=bool)
     separated = np.zeros((C, T), dtype=bool)
+    failed = np.zeros((C, T), dtype=bool)
     check_sep = (ridge == 0.0)[:, None]
     HT = H.transpose(0, 2, 1)
     theta = np.zeros((C, p, T))
@@ -236,9 +238,13 @@ def _newton_pass(H, Y, valid, n, ridge, active):
         Yc, tc, th, oc = Y[:, :, cols], t[:, :, cols], theta[:, :, cols], obj[:, cols]
         prob = _expit(tc)
         score = mm(HT, Yc - prob) / n[:, None, None] - ridge[:, None, None] * th
+        # A NaN score never meets the tolerance, and a step from it or from
+        # a non-finite Hessian is no fit, however finite theta still is.
+        bad = active[:, cols] & ~np.all(np.isfinite(score), axis=1)
         done = active[:, cols] & (np.max(np.abs(score), axis=1) <= _SCORE_TOL)
         converged[:, cols] |= done
-        live = active[:, cols] & ~done
+        failed[:, cols] |= bad
+        live = active[:, cols] & ~done & ~bad
         active[:, cols] = live
         if not live.any():
             break
@@ -249,6 +255,12 @@ def _newton_pass(H, Y, valid, n, ridge, active):
         k = w.shape[1]
         hess = np.stack([mm(HT * w[:, j, None, :], H) for j in range(k)], axis=1)
         hess = hess / n[:, None, None, None] + ridge[:, None, None, None] * eye
+        bad = live & ~np.all(np.isfinite(hess), axis=(2, 3))
+        failed[:, cols] |= bad
+        live &= ~bad
+        active[:, cols] = live
+        if not live.any():
+            continue
         hess, rhs = hess[live], score.transpose(0, 2, 1)[live]
         try:
             solved = np.linalg.solve(hess, rhs[..., None])[..., 0]
@@ -276,6 +288,7 @@ def _newton_pass(H, Y, valid, n, ridge, active):
         sep = live & check_sep & (np.max(np.abs(th), axis=1) > _SEPARATION_CAP)
         separated[:, cols] |= sep
         active[:, cols] = live & ~sep
+    theta.transpose(0, 2, 1)[failed] = np.nan
     return theta, converged, separated
 
 
@@ -449,6 +462,9 @@ def _fit_lp(dataset: Dataset, pilot, grid: QuantileGrid) -> AdjustmentModel:
         live[a, s] = True
         Hc = H[rows]
         wdot = Hc - Hc.mean(axis=0)
+        if not np.all(np.isfinite(wdot)):  # a cell sum overflowed; lstsq would fail on it
+            raise NumericalError(f"lp: demeaned regressors are not finite in stratum "
+                                 f"{dataset.strata_labels[s]!r}, arm {a}")
         for ti, y_t in enumerate(labels.T.copy()):  # one contiguous vector per tau
             coef[a, s, ti], _, rank, _ = np.linalg.lstsq(wdot, y_t, rcond=None)
             if rank < p:
@@ -605,7 +621,7 @@ class LassoConfig:
             raise DataValidationError("lasso config needs a finite c > 0 and K >= 1")
 
 
-def penalty_level(n_cell: int, p_penalized: int, config: LassoConfig) -> float:
+def _penalty_level(n_cell: int, p_penalized: int, config: LassoConfig) -> float:
     """Cell-level penalty c * sqrt(n) * Phi^-1(1 - 1/(p log n)), its tail capped at 1/2."""
     logn = max(np.log(n_cell), 1.0)
     tail = min(1.0 / (p_penalized * logn), 0.5)
@@ -700,7 +716,7 @@ def _fit_hd_lasso(
         live[a, s] = True
         Hc = H[rows]
         nc = rows.size
-        rho = penalty_level(nc, pen_cols.size, cfg)
+        rho = _penalty_level(nc, pen_cols.size, cfg)
         for ti, y_t in enumerate(labels.T.copy()):  # one contiguous vector per tau
             ybar = y_t.mean()
             # Initial loadings: centered-label second moments (no square root).

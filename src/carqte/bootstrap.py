@@ -23,7 +23,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import Dataset, QuantileGrid, _per_stratum
+from .data import Dataset, QuantileGrid, _checked_fraction
 from .errors import DataValidationError, NumericalError
 from .estimator import QteEstimate, _model_solver, _point
 
@@ -149,7 +149,7 @@ def run_bootstrap(
     grid: QuantileGrid,
     B: int,
     rng: np.random.Generator,
-    fixed_pi=None,
+    fixed_pi: float | None = None,
 ) -> BootstrapDrawSet:
     """B multiplier-bootstrap QTE draws over the grid for each fitted model.
 
@@ -160,8 +160,9 @@ def run_bootstrap(
     solved in one pass.  The same solver, with unit weights, gives each
     model's point estimate, so the adjustments are evaluated once.
     ``fixed_pi`` None re-estimates the treated fractions from each draw's
-    weights; a scalar or per-stratum value in (0, 1) fixes them in every
-    draw, the naive variant.
+    weights, and the point estimate takes ``dataset.strata.pi_hat``; one
+    number in (0, 1) fixes every stratum's fraction, in the point estimate
+    and in every draw, the naive variant.
 
     Replicates are solved in blocks of b = max(1, _BLOCK_FLOATS // n), so a
     block's weights and temporaries stay within a fixed float budget
@@ -195,8 +196,11 @@ def run_bootstrap(
     draws = _draw_matrix(len(models), B, n_taus)
     solver = _model_solver(dataset, models, grid)
     floor = _DEGENERATE_FRACTION * dataset.strata.n.astype(np.float64)
-    fixed_pis = None if fixed_pi is None else _per_stratum(fixed_pi, n_strata, "fixed pi")[None]
-    q1_unit, q0_unit = _point(solver, dataset, fixed_pi)
+    # The 1 x S treated fractions of the point estimate, and of every block
+    # when they are fixed.
+    unit_pis = (dataset.strata.pi_hat if fixed_pi is None
+                else np.full(n_strata, _checked_fraction(fixed_pi, "fixed pi")))[None]
+    q1_unit, q0_unit = _point(solver, unit_pis)
 
     size = min(B, max(1, _BLOCK_FLOATS // n))
     # Each column's (arm, stratum) cell, s or S + s, offset by 2S per block
@@ -233,7 +237,7 @@ def run_bootstrap(
                     "in some stratum"
                 )
         n1w, n0w = nw[:, 0], nw[:, 1]
-        return xi, (n1w / (n1w + n0w) if fixed_pis is None else fixed_pis)
+        return xi, (n1w / (n1w + n0w) if fixed_pi is None else unit_pis)
 
     def store(start, solved):  # a solved block's draws, or its solve's error
         q1, q0 = solved.result()
@@ -311,7 +315,7 @@ def difference_test(
     return pointwise_test(estimate_1 - estimate_2, d1 - d2, alpha)
 
 
-def sup_critical_value(sups: np.ndarray, alpha: float) -> float:
+def _sup_critical_value(sups: np.ndarray, alpha: float) -> float:
     """Smallest z covering at least 1-alpha of the sup statistics."""
     s = np.sort(np.asarray(sups, dtype=np.float64))
     b = s.size
@@ -358,7 +362,7 @@ def _band(est, d, se, center, alpha: float) -> InferenceResult:
                 stacklevel=3,
             )
         stud = np.abs((d[:, ok] - center[ok]) / se[ok])
-        crit = sup_critical_value(stud.max(axis=1), alpha)
+        crit = _sup_critical_value(stud.max(axis=1), alpha)
     return InferenceResult(
         estimate=est,
         se=se,

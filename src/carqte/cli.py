@@ -30,7 +30,7 @@ from .bootstrap import (  # noqa: F401
     _normal_critical_values, _wald_tests, difference_test, pointwise_test, run_bootstrap,
     uniform_band,
 )
-from .data import QuantileGrid, _checked_fractions, index_strata, load_csv  # noqa: F401
+from .data import QuantileGrid, _checked_fraction, index_strata, load_csv  # noqa: F401
 from .dgp import DGP_KINDS, DgpSpec
 from .errors import CarqteError, DataValidationError, NumericalError
 from .estimator import pilot_quantiles, qte  # noqa: F401
@@ -84,8 +84,7 @@ def _parse_pi(raw: str) -> float | None:
             value = float(raw.split(":", 1)[1])
         except ValueError:
             raise DataValidationError(f"cannot parse pi spec {raw!r}") from None
-        _checked_fractions(value, "fixed pi")
-        return value
+        return _checked_fraction(value, "fixed pi")
     raise DataValidationError("--pi must be 'estimated' or 'fixed:<value>'")
 
 
@@ -185,7 +184,7 @@ def _wald_row(res, null: float) -> dict:
             "reject": res.rejects(null), "null": null}
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
+def _cmd_estimate(args: argparse.Namespace) -> int:
     grid = _parse_taus(args.taus)
     fixed_pi = _parse_pi(args.pi)
     alpha = args.alpha
@@ -238,7 +237,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> int:
     grid = _parse_taus(args.taus)
     fixed_pi = _parse_pi(args.pi)
     alpha = args.alpha  # checked by ScenarioSpec
@@ -299,7 +298,7 @@ def _lasso_options(parser: argparse.ArgumentParser) -> None:
                         dest="lasso_iters")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carqte",
         description="Regression-adjusted QTE estimation and multiplier-bootstrap "
@@ -324,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--uniform", action="store_true", help="emit a uniform band")
     est.add_argument("--config", default=None, help="JSON config file; flags win")
     est.add_argument("--out", default=None, help="report path (default stdout)")
-    est.set_defaults(func=cmd_estimate)
+    est.set_defaults(func=_cmd_estimate)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo scenario", allow_abbrev=False)
     sim.add_argument("--dgp", default="1", help="1, 2, or hd")
@@ -347,12 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--workers", type=int, default=ScenarioSpec.workers)
     sim.add_argument("--config", default=None, help="JSON config file; flags win")
     sim.add_argument("--out", default=None, help="results CSV path (default stdout)")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=_cmd_simulate)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)

@@ -9,6 +9,7 @@ share across workers.
 from __future__ import annotations
 
 import csv
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,12 +33,11 @@ def _checked_fractions(values, what: str) -> np.ndarray:
     return out
 
 
-def _per_stratum(values, n_strata: int, what: str) -> np.ndarray:
-    """``values``, a scalar or one per stratum, as ``n_strata`` checked fractions."""
-    out = np.full(n_strata, float(values)) if np.isscalar(values) else np.asarray(values, float)
-    if out.shape != (n_strata,):
-        raise DataValidationError(f"{what}: expected a scalar or one value per stratum")
-    return _checked_fractions(out, what)
+def _checked_fraction(value, what: str) -> float:
+    """``value``, one real number strictly inside (0, 1), as a float."""
+    if not isinstance(value, numbers.Real):
+        raise DataValidationError(f"{what} must be one number, got {value!r}")
+    return float(_checked_fractions(value, what))
 
 
 def _dense_codes(values: list) -> tuple[np.ndarray, list]:

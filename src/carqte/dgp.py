@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -62,7 +61,7 @@ class PotentialData:
         return self.y1 * a + self.y0 * (1.0 - a)
 
 
-def strata_from_z(z: np.ndarray, kind: str) -> np.ndarray:
+def _strata_from_z(z: np.ndarray, kind: str) -> np.ndarray:
     """Stratum label sum_j 1{z <= g_j} for the design's cut points."""
     cuts = _CUTS[kind]
     return (z[:, None] <= cuts[None, :]).sum(axis=1).astype(np.int64)
@@ -73,7 +72,7 @@ def _standardized_beta22(rng: np.random.Generator, n: int) -> np.ndarray:
     return (rng.beta(2.0, 2.0, size=n) - 0.5) * _SQRT20
 
 
-def dgp1_outcomes(z, x, eps1, eps2):
+def _dgp1_outcomes(z, x, eps1, eps2):
     """Potential outcomes of the first design given all latent draws."""
     x1, x2 = x[:, 0], x[:, 1]
     base = (1.0 + x2) + _GAMMA * z
@@ -82,7 +81,7 @@ def dgp1_outcomes(z, x, eps1, eps2):
     return y1, y0
 
 
-def dgp2_outcomes(z, x, eps1, eps2):
+def _dgp2_outcomes(z, x, eps1, eps2):
     """Potential outcomes of the second design given all latent draws."""
     x1, x2 = x[:, 0], x[:, 1]
     base = (1.0 + x1 + x2) + _GAMMA * z
@@ -92,13 +91,13 @@ def dgp2_outcomes(z, x, eps1, eps2):
     return y1, y0
 
 
-def toeplitz_omega() -> np.ndarray:
+def _toeplitz_omega() -> np.ndarray:
     """The 20 x 20 correlation matrix of dgphd's covariates, entries 0.5^|i-j|."""
     idx = np.arange(20)
     return 0.5 ** np.abs(idx[:, None] - idx[None, :])
 
 
-def dgphd_outcomes(z, x, eps1, eps2):
+def _dgphd_outcomes(z, x, eps1, eps2):
     """Potential outcomes of the high-dimensional design."""
     k = np.arange(1, x.shape[1] + 1, dtype=np.float64)
     beta = 4.0 / k**2
@@ -116,50 +115,36 @@ def _draw(spec: DgpSpec, rng: np.random.Generator):
         x = np.column_stack([rng.uniform(-2.0, 2.0, size=n), rng.standard_normal(n)])
         eps1 = rng.standard_normal(n)
         eps2 = rng.standard_normal(n)
-        y1, y0 = dgp1_outcomes(z, x, eps1, eps2)
+        y1, y0 = _dgp1_outcomes(z, x, eps1, eps2)
     elif spec.kind == "dgp2":
         z = rng.uniform(-2.0, 2.0, size=n)
         x = np.column_stack([rng.uniform(-2.0, 2.0, size=n), rng.standard_normal(n)])
         # t(5) scaled to unit variance.
         eps1 = rng.standard_t(5, size=n) / _SQRT5
         eps2 = rng.standard_t(5, size=n) / _SQRT5
-        y1, y0 = dgp2_outcomes(z, x, eps1, eps2)
+        y1, y0 = _dgp2_outcomes(z, x, eps1, eps2)
     else:
         from scipy.special import ndtr  # only this design needs scipy
 
         z = _standardized_beta22(rng, n)
-        chol = np.linalg.cholesky(toeplitz_omega())
+        chol = np.linalg.cholesky(_toeplitz_omega())
         w = rng.standard_normal((n, 20)) @ chol.T
         x = ndtr(w)
         eps1 = rng.standard_normal(n)
         eps2 = rng.standard_normal(n)
-        y1, y0 = dgphd_outcomes(z, x, eps1, eps2)
+        y1, y0 = _dgphd_outcomes(z, x, eps1, eps2)
     return z, x, y1, y0
 
 
 def generate(spec: DgpSpec, rng: np.random.Generator) -> PotentialData:
     """Draw one latent sample of size ``spec.n`` from the named design."""
     z, x, y1, y0 = _draw(spec, rng)
-    return PotentialData(z=z, s=strata_from_z(z, spec.kind), x=x, y1=y1, y0=y0)
+    return PotentialData(z=z, s=_strata_from_z(z, spec.kind), x=x, y1=y1, y0=y0)
 
 
 # ---------------------------------------------------------------------------
 # True-QTE oracle
 # ---------------------------------------------------------------------------
-
-
-def _oracle_from_sampler(
-    sampler: Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]],
-    taus: tuple[float, ...],
-    mc_reps: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Average difference of empirical quantiles over fresh potential draws."""
-    acc = np.zeros(len(taus))
-    for _ in range(mc_reps):
-        y1, y0 = sampler(rng)
-        acc += np.quantile(y1, taus) - np.quantile(y0, taus)
-    return acc / mc_reps
 
 
 def _true_qte_oracle(
@@ -174,11 +159,12 @@ def _true_qte_oracle(
     if mc_n < 1 or mc_reps < 1:
         raise DataValidationError("mc_n and mc_reps must be at least 1")
     inner = DgpSpec(spec.kind, mc_n)
-
-    def sampler(r: np.random.Generator):
-        return _draw(inner, r)[2:]
-
-    return _oracle_from_sampler(sampler, tuple(grid), mc_reps, rng)
+    taus = tuple(grid)
+    acc = np.zeros(len(taus))
+    for _ in range(mc_reps):
+        _, _, y1, y0 = _draw(inner, rng)
+        acc += np.quantile(y1, taus) - np.quantile(y0, taus)
+    return acc / mc_reps
 
 
 def _oracle_key(spec: DgpSpec, grid: QuantileGrid, mc_n: int, mc_reps: int) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, QuantileGrid, _per_stratum
+from .data import Dataset, QuantileGrid
 from .errors import DegenerateCellError, NumericalError
 
 
@@ -170,28 +170,24 @@ def _model_solver(dataset: Dataset, models, grid: QuantileGrid) -> _Solver:
     return _Solver(dataset, np.tile(tuple(grid), len(models)), m_by_arm)
 
 
-def _point(solver: _Solver, dataset: Dataset, fixed_pi) -> tuple[np.ndarray, np.ndarray]:
-    """(q1, q0) per column at unit weights: the solve as a one-row block.
-
-    Unit weights give the count fractions ``dataset.strata.pi_hat``, or the
-    known ``fixed_pi`` when one is given.
-    """
-    pis = (dataset.strata.pi_hat if fixed_pi is None
-           else _per_stratum(fixed_pi, dataset.n_strata, "fixed pi"))
-    q1, q0 = solver.solve(np.ones((1, solver.n)), pis[None])
+def _point(solver: _Solver, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q1, q0) per column at unit weights and the 1 x S treated fractions
+    ``pis``: the solve as a one-row block."""
+    q1, q0 = solver.solve(np.ones((1, solver.n)), pis)
     return q1[0], q0[0]
 
 
-def qte(dataset: Dataset, model, grid: QuantileGrid, fixed_pi=None) -> QteEstimate:
+def qte(dataset: Dataset, model, grid: QuantileGrid) -> QteEstimate:
     """Adjusted QTE curve: per-tau difference of the two arm solutions.
 
     The model is evaluated on the dataset rows once, for both arms, and the
-    arm problems are solved with unit weights.  ``fixed_pi`` None uses the
-    estimated treated fractions; a scalar or per-stratum value in (0, 1)
-    fixes them instead.
+    arm problems are solved with unit weights at the estimated treated
+    fractions ``dataset.strata.pi_hat``.  The naive estimate at a known
+    fraction is the ``point`` of :func:`~carqte.bootstrap.run_bootstrap`
+    with ``fixed_pi``.
     """
     solver = _model_solver(dataset, (model,), grid)
-    q1, q0 = _point(solver, dataset, fixed_pi)
+    q1, q0 = _point(solver, dataset.strata.pi_hat[None])
     return QteEstimate(taus=tuple(grid), q1=q1, q0=q0)
 
 

@@ -26,7 +26,7 @@ from .adjust import LOGIT_BASE, LOGIT_METHODS, METHODS, LassoConfig, fit_adjustm
 from .bootstrap import _draw_matrix, _normal_critical_values, _wald_tests, run_bootstrap
 # perfbench traces these by name; the harness no longer calls them.
 from .bootstrap import difference_test, pointwise_test, uniform_band  # noqa: F401
-from .data import Dataset, QuantileGrid, _checked_fractions
+from .data import Dataset, QuantileGrid, _checked_fraction
 from .data import index_strata  # noqa: F401 - perfbench traces it
 from .dgp import DgpSpec, cached_true_qte, generate
 from .errors import CarqteError, DataValidationError
@@ -42,9 +42,10 @@ _REP_GROUP = 8
 class ScenarioSpec:
     """Everything needed to reproduce one Monte Carlo experiment.
 
-    ``fixed_pi`` None estimates the treated fractions; a scalar or
-    per-stratum value in (0, 1) fixes them (the naive variant).  ``mc_n``
-    and ``mc_reps`` size the oracle, and ``simulate`` takes its defaults here.
+    ``fixed_pi`` None estimates the treated fractions; one number in
+    (0, 1) fixes every stratum's (the naive variant), and anything else
+    fails at construction.  ``mc_n`` and ``mc_reps`` size the oracle, and
+    ``simulate`` takes its defaults here.
     """
 
     dgp: DgpSpec
@@ -56,7 +57,7 @@ class ScenarioSpec:
     delta: float = 1.5
     alpha: float = 0.05
     seed: int = 0
-    fixed_pi: object = None
+    fixed_pi: float | None = None
     mc_n: int = 10_000
     mc_reps: int = 300
     truth_cache: str | None = None
@@ -72,9 +73,8 @@ class ScenarioSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise DataValidationError(f"unknown method {m!r}")
-        # A scalar is checked before the truth; a sequence against each draw's strata.
-        if self.fixed_pi is not None and np.isscalar(self.fixed_pi):
-            _checked_fractions(self.fixed_pi, "fixed pi")
+        if self.fixed_pi is not None:
+            _checked_fraction(self.fixed_pi, "fixed pi")
 
     @property
     def n(self) -> int:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import _checked_fractions, _dense_codes, _per_stratum
+from .data import _checked_fraction, _dense_codes
 from .errors import DataValidationError
 
 SCHEME_KINDS = ("srs", "wei", "bcd", "sbr")
@@ -25,9 +25,9 @@ SCHEME_KINDS = ("srs", "wei", "bcd", "sbr")
 class SchemeSpec:
     """Assignment scheme configuration.
 
-    ``pi`` is the per-stratum target treated fraction (scalar or mapping by
-    stratum label).  ``bcd_lambda`` is the biased-coin push probability, in
-    (0.5, 1].
+    ``pi`` is the target treated fraction: one number for every stratum, or
+    a mapping from stratum label to number; anything else fails here.
+    ``bcd_lambda`` is the biased-coin push probability, in (0.5, 1].
     """
 
     kind: str
@@ -37,37 +37,28 @@ class SchemeSpec:
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
             raise DataValidationError(f"unknown scheme kind {self.kind!r}")
-        # A scalar or mapping target is checked here, before any caller
-        # spends work on the scheme; a per-stratum sequence is checked
-        # against the strata when it is expanded.
-        if isinstance(self.pi, Mapping):
-            _checked_fractions(list(self.pi.values()), "target fractions")
-        elif np.isscalar(self.pi):
-            _checked_fractions(self.pi, "target fractions")
+        # Checked here, before any caller spends work on the scheme.
+        mapping = isinstance(self.pi, Mapping)
+        for value in self.pi.values() if mapping else (self.pi,):
+            _checked_fraction(value, "target fractions")
         if not (0.5 < self.bcd_lambda <= 1.0):
             raise DataValidationError("bcd lambda must lie in (0.5, 1]")
-        if self.kind in ("wei", "bcd"):
-            # The sequential designs balance toward one half by construction:
-            # their imbalance statistic is measured against pi = 1/2.
-            pi = self.pi
-            scalar = np.isscalar(pi) and float(pi) == 0.5
-            if not scalar:
-                raise DataValidationError(f"{self.kind} is defined for pi = 0.5 only")
-
-
-def _per_stratum_targets(target_pi, labels: tuple) -> np.ndarray:
-    """Expand a scalar / mapping / sequence target fraction to code order."""
-    if isinstance(target_pi, Mapping):
-        try:
-            target_pi = [float(target_pi[lab]) for lab in labels]
-        except KeyError as exc:
-            raise DataValidationError(f"target pi missing for stratum {exc.args[0]!r}") from None
-    return _per_stratum(target_pi, len(labels), "target fractions")
+        # The sequential designs balance toward one half by construction:
+        # their imbalance statistic is measured against pi = 1/2.
+        if self.kind in ("wei", "bcd") and (mapping or self.pi != 0.5):
+            raise DataValidationError(f"{self.kind} is defined for pi = 0.5 only")
 
 
 def _targets_for(strata: np.ndarray, spec: SchemeSpec) -> tuple[np.ndarray, np.ndarray, list]:
+    """(codes, target, labels): the dense stratum codes, each stratum's
+    target fraction in code order, and the labels."""
     codes, labels = _dense_codes(np.asarray(strata).tolist())
-    target = _per_stratum_targets(spec.pi, tuple(labels))
+    if not isinstance(spec.pi, Mapping):
+        return codes, np.full(len(labels), float(spec.pi)), labels
+    try:
+        target = np.array([float(spec.pi[lab]) for lab in labels])
+    except KeyError as exc:
+        raise DataValidationError(f"target pi missing for stratum {exc.args[0]!r}") from None
     return codes, target, labels
 
 
@@ -78,7 +69,7 @@ def _assign_srs(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarra
     return (u < target[codes]).astype(np.int64)
 
 
-def wei_probability(d_prev: float, n_prev: int) -> float:
+def _wei_probability(d_prev: float, n_prev: int) -> float:
     """Treatment probability for the next unit of a stratum under WEI.
 
     Wei's allocation function phi(x) = (1 - x) / 2 at the imbalance ratio
@@ -88,7 +79,7 @@ def wei_probability(d_prev: float, n_prev: int) -> float:
     return (1.0 - ratio) / 2.0
 
 
-def bcd_probability(d_prev: float, lam: float) -> float:
+def _bcd_probability(d_prev: float, lam: float) -> float:
     """Treatment probability for the next unit of a stratum under BCD."""
     if d_prev == 0.0:
         return 0.5
@@ -117,13 +108,13 @@ def _assign_sequential(strata, spec: SchemeSpec, rng: np.random.Generator,
 
 def _assign_wei(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray:
     """Wei's adaptive biased-coin design, processing units in row order."""
-    return _assign_sequential(strata, spec, rng, wei_probability)
+    return _assign_sequential(strata, spec, rng, _wei_probability)
 
 
 def _assign_bcd(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray:
     """Efron-style biased-coin design, processing units in row order."""
     lam = spec.bcd_lambda
-    return _assign_sequential(strata, spec, rng, lambda d, _m: bcd_probability(d, lam))
+    return _assign_sequential(strata, spec, rng, lambda d, _m: _bcd_probability(d, lam))
 
 
 def _assign_sbr(strata, spec: SchemeSpec, rng: np.random.Generator) -> np.ndarray:

@@ -10,7 +10,6 @@ from scipy.special import expit
 
 from carqte import Dataset, DataValidationError, DegenerateCellError
 from carqte.adjust import _SCORE_TOL, _SEPARATION_CAP, _ZERO_SD, _expit, _fit_logit_cells
-from carqte.data import _per_stratum
 from carqte.estimator import _Solver
 
 
@@ -95,11 +94,12 @@ def weighted_arm_counts(ds, w):
 def pi_by_stratum(ds, xi, fixed_pi=None):
     """Per-stratum treated fractions the solver is handed for weights ``xi``.
 
-    ``fixed_pi`` when given; otherwise the weighted fractions ``n1w / nw``,
-    raising :class:`DegenerateCellError` when one of them is 0 or 1.
+    ``fixed_pi``, one number, in every stratum when given; otherwise the
+    weighted fractions ``n1w / nw``, raising :class:`DegenerateCellError`
+    when one of them is 0 or 1.
     """
     if fixed_pi is not None:
-        return _per_stratum(fixed_pi, ds.n_strata, "fixed pi")
+        return np.full(ds.n_strata, float(fixed_pi))
     n1w, nw = weighted_arm_counts(ds, xi)
     bad = [ds.strata_labels[i] for i in np.flatnonzero((nw <= 0.0) | (n1w <= 0.0) | (n1w >= nw))]
     if bad:

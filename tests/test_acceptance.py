@@ -39,7 +39,7 @@ from carqte import (
     uniform_band,
 )
 from carqte.adjust import _fit_hd_lasso, _fit_lp, _l1_kkt_residual
-from carqte.bootstrap import sup_critical_value
+from carqte.bootstrap import _sup_critical_value
 from carqte.dgp import _true_qte_oracle
 from carqte.estimator import QteEstimate
 
@@ -353,7 +353,7 @@ def test_criterion_10_uniform_band_sanity():
     # direct max-of-Gaussians oracle: 95% quantile of sup of 11 independent
     # absolute normals, simulated afresh
     sim = np.abs(np.random.default_rng(SEED + 11).standard_normal((200_000, 11))).max(axis=1)
-    oracle = sup_critical_value(sim, 0.05)
+    oracle = _sup_critical_value(sim, 0.05)
     close = abs(crit - oracle) < 0.25
 
     _gate(

@@ -32,7 +32,7 @@ from carqte.adjust import (
     _fit_none,
     _RowFeatures,
     _l1_kkt_residual,
-    penalty_level,
+    _penalty_level,
 )
 from carqte.dgp import DgpSpec, generate
 from carqte.estimator import QteEstimate, _model_solver, qte
@@ -999,7 +999,7 @@ def test_penalty_level_equals_norm_ppf_formula(n_cell, p):
     tail = min(1.0 / (p * max(np.log(n_cell), 1.0)), 0.5)
     z = NormalDist().inv_cdf(1.0 - tail)
     assert z == pytest.approx(norm.ppf(1.0 - tail), rel=1e-15, abs=0.0)
-    assert penalty_level(n_cell, p, cfg) == cfg.c * np.sqrt(n_cell) * z == level
+    assert _penalty_level(n_cell, p, cfg) == cfg.c * np.sqrt(n_cell) * z == level
 
 
 def test_logistic_link_is_within_four_ulp_of_scipy_expit():

@@ -6,7 +6,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import arm_sorted_rows, make_stratified_dataset, weighted_arm_counts
+from conftest import (
+    arm_sorted_rows,
+    brute_force_arm,
+    make_stratified_dataset,
+    weighted_arm_counts,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
@@ -19,6 +24,7 @@ from carqte import (
     DataValidationError,
     DgpSpec,
     NumericalError,
+    QteEstimate,
     QuantileGrid,
     SchemeSpec,
     assign,
@@ -34,7 +40,7 @@ from carqte import (
     uniform_band,
 )
 from carqte.adjust import _fit_none
-from carqte.bootstrap import _empirical_quantile, _normal_critical_values, sup_critical_value
+from carqte.bootstrap import _empirical_quantile, _normal_critical_values, _sup_critical_value
 
 
 def test_weights_nonnegative_and_reproducible():
@@ -189,6 +195,17 @@ def _pinned_design():
 _PI_MODES = {"estimated": {}, "fixed": {"fixed_pi": 0.5}}
 
 
+def _unit_point(ds, model, grid, pi_mode):
+    """The unit-weight estimate of each π mode: ``qte``, or at π fixed at 1/2
+    the brute-force argmin of each arm problem."""
+    if pi_mode == "estimated":
+        return qte(ds, model, grid)
+    adj, ones, half = model.evaluate_all(grid, ds), np.ones(ds.n), np.full(ds.n_strata, 0.5)
+    q1, q0 = (np.array([brute_force_arm(arm, ds, ones, half, adj[arm][:, j], tau)
+                        for j, tau in enumerate(grid)]) for arm in (1, 0))
+    return QteEstimate(tuple(grid), q1, q0)
+
+
 @pytest.mark.parametrize("pi_mode", ["estimated", "fixed"])
 def test_shared_stream_draws_equal_single_model_draws(pi_mode):
     ds, grid, models = _pinned_design()
@@ -204,7 +221,7 @@ def test_shared_stream_draws_equal_single_model_draws(pi_mode):
         assert draws.draws.shape == (40, 3)
         assert np.array_equal(draws.draws, alone.draws)
         assert solo.n_resampled == shared.n_resampled
-        point = qte(ds, model, grid, **kw)  # what the draws carry as .point
+        point = _unit_point(ds, model, grid, pi_mode)  # what the draws carry as .point
         for got in (draws.point, alone.point):
             assert got.taus == point.taus
             assert np.array_equal(got.q1, point.q1) and np.array_equal(got.q0, point.q0)
@@ -558,7 +575,7 @@ def test_uniform_band_single_tau_matches_sup_rule():
     se = bootstrap_se(draws[:, 0])
     center = _empirical_quantile(draws[:, 0], 0.5)
     sups = np.abs((draws[:, 0] - center) / se)
-    assert band.critical_value == sup_critical_value(sups, 0.05)
+    assert band.critical_value == _sup_critical_value(sups, 0.05)
 
 
 def test_uniform_band_critical_value_monotone_in_alpha():

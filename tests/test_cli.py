@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import hashlib
 import importlib.util
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 import carqte
 from carqte import DgpSpec, generate
-from carqte.cli import build_parser, main
+from carqte.adjust import LOGIT_BASE
+from carqte.cli import _build_parser, main
 from carqte.randomization import SchemeSpec, assign
 
 
@@ -180,27 +182,38 @@ def test_public_surface_is_pinned():
     ]
 
 
+def _module_names(text: str) -> list[str]:
+    """The names a module binds at its top level by def, class or assignment."""
+    names = []
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
 def test_every_public_name_is_used_outside_the_tests():
     # A public name that only the tests and its own module use is a step of
-    # an entry point, and goes private.  Uses count in another module of the
-    # package, in bench/ or perfbench/, or in README.md.
+    # an entry point, and goes private.  That holds for every name a module
+    # of the package binds at its top level, not only for carqte.__all__.
+    # Uses count in another module of the package, in bench/ or perfbench/,
+    # or in README.md.
     root = Path(carqte.__file__).resolve().parents[2]
     package = Path(carqte.__file__).parent
-    sources = {p: p.read_text(encoding="utf-8") for p in package.glob("*.py")
-               if p.name != "__init__.py"}
+    sources = {p: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
     elsewhere = [p.read_text(encoding="utf-8") for d in ("bench", "perfbench")
                  for p in sorted((root / d).glob("*.py"))]
     elsewhere.append((root / "README.md").read_text(encoding="utf-8"))
     unused = []
-    for name in carqte.__all__:
-        if inspect.ismodule(getattr(carqte, name)):
-            continue
-        defined = re.compile(rf"^(?:def|class) {name}\b|^{name}\s*[:=]", re.M)
-        [home] = [p for p, text in sources.items() if defined.search(text)]
-        used = re.compile(rf"\b{name}\b")
-        texts = [text for p, text in sources.items() if p != home] + elsewhere
-        if not any(used.search(text) for text in texts):
-            unused.append(name)
+    for home, text in sources.items():
+        # __init__ re-exports every public name, so its imports are no use.
+        texts = [t for p, t in sources.items() if p not in (home, package / "__init__.py")]
+        for name in _module_names(text):
+            used = re.compile(rf"\b{name}\b")
+            if not name.startswith("_") and not any(used.search(t) for t in texts + elsewhere):
+                unused.append(f"{home.stem}.{name}")
     assert unused == []
 
 
@@ -216,9 +229,9 @@ def test_fitter_options_are_pinned():
     assert params(adjust.fit_ml) == ["items", "grid", "method"]
     assert params(adjust._fit_lpml) == ["dataset", "pilot", "grid", "ml_model", "method"]
     assert params(adjust._fit_hd_lasso) == ["dataset", "pilot", "grid", "config"]
-    assert params(adjust.penalty_level) == ["n_cell", "p_penalized", "config"]
+    assert params(adjust._penalty_level) == ["n_cell", "p_penalized", "config"]
     # A dataset carries its strata, and a result decides any null itself.
-    assert params(carqte.qte) == ["dataset", "model", "grid", "fixed_pi"]
+    assert params(carqte.qte) == ["dataset", "model", "grid"]
     assert params(carqte.pilot_quantiles) == ["dataset", "grid"]
     assert params(carqte.run_bootstrap) == [
         "dataset", "models", "grid", "B", "rng", "fixed_pi"]
@@ -487,7 +500,7 @@ def test_simulate_reruns_byte_identical(tmp_path):
 
 
 def _parser_options(command):
-    parser = carqte.cli._command_parser(build_parser(), command)
+    parser = carqte.cli._command_parser(_build_parser(), command)
     return {a.dest for a in parser._actions if a.default != argparse.SUPPRESS}
 
 
@@ -590,7 +603,7 @@ def test_simulate_sizes_below_one_are_data_errors(tmp_path, capsys, option, mess
 def test_option_defaults_are_the_config_classes_defaults():
     # One owner per default: the options read the dataclass fields, and the
     # oracle's default size is the one simulate has always used.
-    parser = build_parser()
+    parser = _build_parser()
     sim = parser.parse_args(["simulate"])
     spec = {f.name: f.default for f in dataclasses.fields(carqte.ScenarioSpec)}
     names = ("mc_n", "mc_reps", "delta", "workers")
@@ -604,39 +617,96 @@ def test_option_defaults_are_the_config_classes_defaults():
 def _overflow_csv(path, case):
     """A file whose fits or report overflow.  ``covariate``: 80 rows, strata
     A and B, arms alternating, y and x2 standard normal and x1 of order 1e200,
-    so every logistic fit is NaN.  ``outcome``: 60 rows of one stratum,
-    treated outcomes 1.7e308 U(0.9, 1) and control ones their negatives, so
-    every QTE overflows."""
-    if case == "covariate":
-        rng = np.random.default_rng(2)
-        y, x1 = rng.standard_normal(80), 1e200 * rng.standard_normal(80)
-        x2 = rng.standard_normal(80)
-        rows = [f"{float(y[i])!r},{i % 2},{'A' if i < 40 else 'B'},{float(x1[i])!r},"
-                f"{float(x2[i])!r}" for i in range(80)]
-        path.write_text("\n".join(["y,a,s,x1,x2", *rows]) + "\n")
-    else:
+    so every logistic fit is NaN.  ``collinear``: the same with x2 = 1.0, a
+    copy of the intercept, so the Hessians are singular too.  ``cell_sum``:
+    the same layout with x1 = 1.7e308 U(0.9, 1), so a cell's sum of x1
+    overflows.  ``outcome``: 60 rows of one stratum, treated outcomes
+    1.7e308 U(0.9, 1) and control ones their negatives, so every QTE
+    overflows."""
+    if case == "outcome":
         rng = np.random.default_rng(0)
         u, x = 1.7e308 * rng.uniform(0.9, 1.0, 60), rng.standard_normal(60)
         rows = [f"{float(u[i] if i % 2 else -u[i])!r},{i % 2},A,{float(x[i])!r}"
                 for i in range(60)]
         path.write_text("\n".join(["y,a,s,x1", *rows]) + "\n")
+        return str(path)
+    rng = np.random.default_rng(2)
+    y = rng.standard_normal(80)
+    x1 = (1.7e308 * rng.uniform(0.9, 1.0, 80) if case == "cell_sum"
+          else 1e200 * rng.standard_normal(80))
+    x2 = np.ones(80) if case == "collinear" else rng.standard_normal(80)
+    rows = [f"{float(y[i])!r},{i % 2},{'A' if i < 40 else 'B'},{float(x1[i])!r},"
+            f"{float(x2[i])!r}" for i in range(80)]
+    path.write_text("\n".join(["y,a,s,x1,x2", *rows]) + "\n")
     return str(path)
 
 
 @pytest.mark.parametrize("case, argv", [
     *[("covariate", ["--adjust", m]) for m in ("ml", "mlx", "np", "lasso")],
     *[("outcome", ["--adjust", m, "--diff", "0.75,0.25", "--uniform"]) for m in ("na", "lp", "ml")],
+    *[("collinear", ["--adjust", m]) for m in ("ml", "lpml", "mlx", "lpmlx", "np", "lasso")],
+    ("cell_sum", ["--adjust", "lp"]),
 ])
 def test_non_finite_fits_and_reports_exit_4(tmp_path, case, argv):
-    # In a subprocess: under pytest an overflow warning is an error.
+    # In a subprocess: under pytest an overflow warning is an error, and
+    # LAPACK writes its complaints straight to the stdout file descriptor.
     path, out = _overflow_csv(tmp_path / "overflow.csv", case), tmp_path / "r.json"
     env = {**os.environ, "PYTHONPATH": str(Path(carqte.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "carqte.cli", "estimate", "--input", path, "--B", "50", *argv,
          "--out", str(out)], env=env, capture_output=True, text=True)
     assert proc.returncode == 4, proc.stderr
-    why = f"{argv[1]}: fitted values are not finite" if case == "covariate" else "non-finite"
+    method = argv[1]
+    why = {"outcome": "non-finite",
+           "cell_sum": "lp: demeaned regressors are not finite in stratum 'A', arm 1"}.get(
+        case, f"{LOGIT_BASE.get(method, method)}: fitted values are not finite")
     assert "carqte: numerical failure: " in proc.stderr and why in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, method, solves", [
+    *[("covariate", m, 1) for m in ("ml", "mlx", "np")],
+    ("covariate", "lasso", 12),
+    ("cell_sum", "ml", 1),
+])
+def test_newton_fails_a_problem_at_its_first_non_finite_score_or_hessian(
+        tmp_path, monkeypatch, capsys, case, method, solves):
+    # With x1 of order 1e200 the first scores are finite and every Hessian
+    # overflows; with x1 near the float maximum the first scores overflow.
+    # Either way each batched solve evaluates its objective once, at
+    # theta = 0, and stops: one solve for ml, mlx and np, one post-selection
+    # refit per (cell, tau) for the lasso.  Iterating on took 201
+    # evaluations per solve.
+    from carqte import adjust
+
+    objective, calls = adjust._batch_objective, []
+
+    def counted(*args):
+        calls.append(1)
+        return objective(*args)
+
+    monkeypatch.setattr(adjust, "_batch_objective", counted)
+    path, out = _overflow_csv(tmp_path / "overflow.csv", case), tmp_path / "r.json"
+    with warnings.catch_warnings():  # the overflows of x1
+        warnings.simplefilter("ignore")
+        code = main(["estimate", "--input", path, "--B", "50", "--adjust", method,
+                     "--out", str(out)])
+    assert code == 4
+    assert f"{method}: fitted values are not finite" in capsys.readouterr().err
+    assert len(calls) == solves
+    assert not out.exists()
+
+
+def test_lp_refuses_a_cell_whose_regressor_sum_overflows(tmp_path, capsys):
+    path, out = _overflow_csv(tmp_path / "overflow.csv", "cell_sum"), tmp_path / "r.json"
+    with warnings.catch_warnings():  # the overflow of the cell's x1 sum
+        warnings.simplefilter("ignore")
+        code = main(["estimate", "--input", path, "--B", "50", "--adjust", "lp",
+                     "--out", str(out)])
+    assert code == 4
+    assert "lp: demeaned regressors are not finite in stratum 'A', arm 1" in (
+        capsys.readouterr().err)
     assert not out.exists()
 
 

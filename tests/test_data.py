@@ -13,7 +13,7 @@ from carqte import (
     QuantileGrid,
     load_csv,
 )
-from carqte.data import _per_stratum, _scan_lines, index_strata
+from carqte.data import _checked_fraction, _scan_lines, index_strata
 from conftest import load_csv_reference, pi_by_stratum, weighted_arm_counts
 
 
@@ -65,16 +65,17 @@ def test_empty_stratum_raises():
         extra.strata
 
 
-@pytest.mark.parametrize("values,match", [
-    ([0.5] * 3, "one value per stratum"),
-    (np.array(0.5), "one value per stratum"),
-    ([0.5, 1.0], "strictly inside"),
-])
-def test_per_stratum_fractions_are_checked(values, match):
-    assert _per_stratum(0.3, 2, "fixed pi").tolist() == [0.3, 0.3]
-    assert _per_stratum([0.2, 0.7], 2, "fixed pi").tolist() == [0.2, 0.7]
-    with pytest.raises(DataValidationError, match=f"fixed pi.*{match}"):
-        _per_stratum(values, 2, "fixed pi")
+def test_fixed_fraction_is_one_number_inside_the_unit_interval():
+    assert _checked_fraction(0.3, "fixed pi") == 0.3
+    assert type(_checked_fraction(np.float64(0.3), "fixed pi")) is float
+    # A sequence, even of one value per stratum, a 0-d array and a string
+    # are not one number.
+    for values in ([0.2, 0.7], [0.5] * 3, np.array(0.5), "0.5"):
+        with pytest.raises(DataValidationError, match="fixed pi must be one number"):
+            _checked_fraction(values, "fixed pi")
+    for value in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(DataValidationError, match=r"fixed pi must lie strictly inside"):
+            _checked_fraction(value, "fixed pi")
 
 
 def test_strata_is_computed_once_and_equals_index_strata():

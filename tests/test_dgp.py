@@ -13,12 +13,11 @@ from carqte import (
     generate,
 )
 from carqte.dgp import (
-    _oracle_from_sampler,
+    _dgp1_outcomes,
+    _dgp2_outcomes,
+    _strata_from_z,
+    _toeplitz_omega,
     _true_qte_oracle,
-    dgp1_outcomes,
-    dgp2_outcomes,
-    strata_from_z,
-    toeplitz_omega,
 )
 
 
@@ -26,19 +25,19 @@ def test_dgp1_noise_free_outcome():
     z = np.array([0.0])
     x = np.array([[0.0, 0.0]])
     eps = np.array([0.0])
-    y1, y0 = dgp1_outcomes(z, x, eps, eps)
+    y1, y0 = _dgp1_outcomes(z, x, eps, eps)
     assert y1[0] == 2.0
     assert y0[0] == 1.0
 
 
 def test_dgp2_noise_free_outcome():
-    y1, y0 = dgp2_outcomes(np.array([0.0]), np.array([[0.0, 0.0]]), np.array([0.0]), np.array([0.0]))
+    y1, y0 = _dgp2_outcomes(np.array([0.0]), np.array([[0.0, 0.0]]), np.array([0.0]), np.array([0.0]))
     assert y1[0] == 2.0
     assert y0[0] == 1.0
 
 
 def test_stratum_rule_at_zero():
-    assert strata_from_z(np.array([0.0]), "dgp1")[0] == 3
+    assert _strata_from_z(np.array([0.0]), "dgp1")[0] == 3
 
 
 @pytest.mark.parametrize("kind", ["dgp1", "dgp2", "dgphd"])
@@ -91,12 +90,12 @@ def test_dgphd_covariates_are_norm_cdf_of_the_same_draws():
     data = generate(DgpSpec("dgphd", n), np.random.default_rng(8))
     rng = np.random.default_rng(8)
     rng.beta(2.0, 2.0, size=n)  # z
-    w = rng.standard_normal((n, 20)) @ np.linalg.cholesky(toeplitz_omega()).T
+    w = rng.standard_normal((n, 20)) @ np.linalg.cholesky(_toeplitz_omega()).T
     assert np.array_equal(data.x, norm.cdf(w))
 
 
 def test_toeplitz_omega_is_spd():
-    omega = toeplitz_omega()
+    omega = _toeplitz_omega()
     assert np.array_equal(omega, omega.T)
     np.linalg.cholesky(omega)  # raises if not positive definite
 
@@ -124,18 +123,6 @@ def test_oracle_truth_is_pinned(kind):
     got = _true_qte_oracle(DgpSpec(kind, 400), grid, mc_n=2000, mc_reps=5,
                            rng=np.random.default_rng(11))
     assert got.tolist() == PINNED_ORACLE[kind]
-
-
-def test_oracle_constant_shift_recovers_shift():
-    # Degenerate design: y1 = y0 + c with symmetric noise; median QTE is c.
-    c = 2.5
-
-    def sampler(rng):
-        y0 = rng.normal(0.0, 1.0, 4000)
-        return y0 + c, y0
-
-    got = _oracle_from_sampler(sampler, (0.5,), 40, np.random.default_rng(4))
-    assert got[0] == pytest.approx(c, abs=0.05)
 
 
 def test_dgp1_median_qte_is_one():

@@ -210,6 +210,12 @@ def test_location_shift_invariance_bitwise():
         assert np.array_equal(d1.draws, d2.draws)
 
 
+def _fixed_point(ds, model, grid, fixed_pi):
+    """The naive point estimate: what a bootstrap at a fixed pi carries."""
+    (draws,) = run_bootstrap(ds, [model], grid, 2, np.random.default_rng(0), fixed_pi=fixed_pi)
+    return draws.point
+
+
 def test_fixed_pi_mode():
     rng = np.random.default_rng(88)
     ds = make_stratified_dataset(rng, n=41, k=2)  # odd n: pi_hat != 0.5
@@ -217,7 +223,7 @@ def test_fixed_pi_mode():
     values = {(a, 0.5): rng.normal(0, 1, 41) for a in (0, 1)}
     model = TableModel(values)
     est_estimated = qte(ds, model, grid)
-    est_fixed = qte(ds, model, grid, fixed_pi=0.5)
+    est_fixed = _fixed_point(ds, model, grid, 0.5)
     xi = np.ones(41)
     want = brute_force_arm(1, ds, xi, np.full(2, 0.5), values[(1, 0.5)], 0.5)
     assert est_fixed.q1[0] == want
@@ -228,7 +234,7 @@ def test_fixed_pi_mode():
     a_b = np.tile([0, 1], 20)
     ds_b = Dataset.from_arrays(y_b, a_b, np.ones(40), np.zeros((40, 1)))
     m = TableModel({(0, 0.5): np.zeros(40), (1, 0.5): np.zeros(40)})
-    assert qte(ds_b, m, grid).qte[0] == qte(ds_b, m, grid, fixed_pi=0.5).qte[0]
+    assert qte(ds_b, m, grid).qte[0] == _fixed_point(ds_b, m, grid, 0.5).qte[0]
 
 
 def test_degenerate_cell_hard_error():
@@ -256,6 +262,8 @@ def test_weight_length_mismatch():
 def test_problem_validation():
     ds = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0], [1, 1, 2, 2], np.zeros((4, 1)))
     grid = QuantileGrid.of([0.5])
-    for fixed_pi in (0.0, 1.0, [0.5, 0.5, 0.5]):
-        with pytest.raises(DataValidationError):
-            qte(ds, _fit_none(grid), grid, fixed_pi=fixed_pi)
+    # One number strictly inside (0, 1); a sequence, even one value per
+    # stratum, is refused.
+    for fixed_pi in (0.0, 1.0, [0.5, 0.5, 0.5], [0.5, 0.5], np.array(0.5)):
+        with pytest.raises(DataValidationError, match="fixed pi"):
+            _fixed_point(ds, _fit_none(grid), grid, fixed_pi)

@@ -226,6 +226,12 @@ def test_spec_checks_a_scalar_fixed_pi_before_the_truth(monkeypatch, fixed_pi):
         run_scenario(_tiny_spec(fixed_pi=fixed_pi))
 
 
+@pytest.mark.parametrize("fixed_pi", [[0.5] * 5, (0.5,), np.array(0.5), "0.5"])
+def test_spec_rejects_a_fixed_pi_that_is_not_one_number(fixed_pi):
+    with pytest.raises(DataValidationError, match="fixed pi must be one number"):
+        _tiny_spec(fixed_pi=fixed_pi)
+
+
 def test_a_failed_replication_leaves_its_group_mates_reporting(monkeypatch):
     fit_and_bootstrap, calls = harness._fit_and_bootstrap, []
 

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from carqte import DataValidationError, SchemeSpec, assign
-from carqte.randomization import (
-    bcd_probability,
-    wei_probability,
-)
+from carqte.randomization import _bcd_probability, _wei_probability
 
 
 def _imbalance(a, s, stratum):
@@ -47,18 +44,18 @@ def test_srs_per_stratum_targets():
 
 
 def test_wei_first_unit_probability_is_half():
-    assert wei_probability(0.0, 0) == 0.5  # 0/0 ratio treated as zero
+    assert _wei_probability(0.0, 0) == 0.5  # 0/0 ratio treated as zero
 
 
 def test_wei_all_treated_history_forces_control():
     # ratio 1 under the allocation function (1 - x) / 2: next treated w.p. 0
-    assert wei_probability(5.0, 10) == 0.0
+    assert _wei_probability(5.0, 10) == 0.0
 
 
 def test_wei_probability_symmetry_on_sampled_points():
     # phi(-x) = 1 - phi(x): an imbalance pushes as hard as its mirror image.
     for d in np.linspace(0, 5, 11):
-        assert wei_probability(-d, 10) == pytest.approx(1 - wei_probability(d, 10))
+        assert _wei_probability(-d, 10) == pytest.approx(1 - _wei_probability(d, 10))
 
 
 def test_wei_imbalance_shrinks():
@@ -75,9 +72,9 @@ def test_wei_imbalance_shrinks():
 
 
 def test_bcd_probability_cases():
-    assert bcd_probability(0.0, 0.75) == 0.5
-    assert bcd_probability(-1.0, 0.75) == 0.75  # one excess control -> push to treat
-    assert bcd_probability(2.0, 0.75) == 0.25
+    assert _bcd_probability(0.0, 0.75) == 0.5
+    assert _bcd_probability(-1.0, 0.75) == 0.75  # one excess control -> push to treat
+    assert _bcd_probability(2.0, 0.75) == 0.25
 
 
 def test_bcd_lambda_one_alternates_to_balance():
@@ -123,6 +120,15 @@ def test_sbr_floor_identity_random_configs():
                                 {1: 0.3, 2: 1.0}, {1: float("nan")}])
 def test_target_outside_unit_interval_rejected_at_construction(pi):
     with pytest.raises(DataValidationError, match=r"strictly inside \(0, 1\)"):
+        SchemeSpec("srs", pi=pi)
+
+
+@pytest.mark.parametrize("pi", [[0.3, 0.7], (0.5,), np.array([0.3, 0.7]), np.array(0.5),
+                                "0.5", {1: [0.3, 0.7]}])
+def test_target_that_is_not_a_number_or_mapping_is_rejected_at_construction(pi):
+    # A sequence would be matched to strata by sorted-label position; a
+    # mapping names each stratum instead.
+    with pytest.raises(DataValidationError, match="target fractions must be one number"):
         SchemeSpec("srs", pi=pi)
 
 
