@@ -65,17 +65,30 @@ def test_empty_stratum_raises():
         extra.strata
 
 
+@pytest.mark.parametrize("values,case", [
+    ([[0.5] * 3, [0.2, 0.7]], "one value per stratum"),
+    ([np.full(3, 0.5), np.array([0.2, 0.7])], "one value per stratum"),
+    ([0.0, 1.0, 1.5, float("nan")], "strictly inside"),
+])
+def test_per_stratum_fractions_are_checked(values, case):
+    # A fixed treated fraction is one number shared by every stratum: one
+    # value per stratum is refused, and so is a number outside (0, 1).
+    message = {
+        "one value per stratum": "fixed pi must be one number",
+        "strictly inside": "fixed pi must lie strictly inside",
+    }[case]
+    for value in values:
+        with pytest.raises(DataValidationError, match=message):
+            _checked_fraction(value, "fixed pi")
+
+
 def test_fixed_fraction_is_one_number_inside_the_unit_interval():
     assert _checked_fraction(0.3, "fixed pi") == 0.3
     assert type(_checked_fraction(np.float64(0.3), "fixed pi")) is float
-    # A sequence, even of one value per stratum, a 0-d array and a string
-    # are not one number.
-    for values in ([0.2, 0.7], [0.5] * 3, np.array(0.5), "0.5"):
+    # A 0-d array and a string are not one number either.
+    for values in (np.array(0.5), "0.5"):
         with pytest.raises(DataValidationError, match="fixed pi must be one number"):
             _checked_fraction(values, "fixed pi")
-    for value in (0.0, 1.0, 1.5, float("nan")):
-        with pytest.raises(DataValidationError, match=r"fixed pi must lie strictly inside"):
-            _checked_fraction(value, "fixed pi")
 
 
 def test_strata_is_computed_once_and_equals_index_strata():
