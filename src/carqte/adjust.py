@@ -392,50 +392,75 @@ def _fit_logit_cells(cells, labels):
 # ---------------------------------------------------------------------------
 
 
-def _cells(dataset: Dataset, taus: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero coefficients and an all-degraded mask for every (arm, stratum, tau) cell."""
-    shape = (2, dataset.n_strata, len(taus))
-    return np.zeros(shape + (p,)), np.zeros(shape, dtype=bool)
-
-
 def _cell_problems(dataset: Dataset, pilot, taus: tuple, min_rows: int) -> tuple:
-    """The (arm, stratum) cells with at least ``min_rows`` rows, and the others.
+    """The (arm, stratum) cells with at least ``min_rows`` rows, and the live mask.
 
     Cells run stratum-major, treated arm first.  The first result yields each
     fitted cell as ``(a, s, rows, labels)``, with its (n_c, T) labels
     1{y <= q_a(tau)}, the one target every method fits, built only as the
-    cell is reached; the second lists the other cells as ``(a, s)``.  A
-    per-tau fit reads the rows of ``labels.T.copy()``: on a strided column,
-    a matrix product can sum in another order.
+    cell is reached.  The second is the (arm, stratum, tau) ``live`` mask,
+    set on every tau of the fitted cells; a fitter that leaves a fitted cell
+    unfit clears it there, and :func:`_model` reports every cell outside it
+    as degraded.  A per-tau fit reads the rows of ``labels.T.copy()``: on a
+    strided column, a matrix product can sum in another order.
     """
     cutoffs = [np.array([pilot.q(a, tau) for tau in taus]) for a in (0, 1)]
     cells = [(a, s, np.flatnonzero((dataset.s == s) & (dataset.a == a)))
              for s in range(dataset.n_strata) for a in (1, 0)]
+    live = np.zeros((2, dataset.n_strata, len(taus)), dtype=bool)
+    for a, s, rows in cells:
+        live[a, s] = rows.size >= min_rows
     fitted = ((a, s, rows, (dataset.y[rows][:, None] <= cutoffs[a]).astype(np.float64))
               for a, s, rows in cells if rows.size >= min_rows)
-    return fitted, [(a, s) for a, s, rows in cells if rows.size < min_rows]
+    return fitted, live
 
 
-def _model(method, taus, coef, live, prob, degraded, support=None, unfit=(), **diagnostics):
-    """The fitted :class:`AdjustmentModel`, with ``degraded`` under its diagnostics.
+# The outcomes that warn, in the order they do; {n} is the number of listed
+# cells or problems, {why} the degraded cells counted by cause.
+_WARNINGS = (
+    ("singular_gram", "singular within-cell Gram in {n} cell(s); minimum-norm solution used"),
+    ("unconverged", "logistic fit did not reach score tolerance in {n} problem(s)"),
+    ("degraded", "{why}, degraded to zero adjustment"),
+)
 
-    ``unfit`` lists the cells of ``degraded`` in a stratum whose base fit is
-    not live on both arms; the others are too small.  Warns with both counts
-    when a cell adjusts by zero; raises when no cell is live or a fitted
-    value is not finite.
+
+def _model(method, taus, coef, live, prob, support=None, unfit=None, converged=None,
+           extra=None, **masks):
+    """The fitted :class:`AdjustmentModel`, with every outcome of the fit
+    listed under its diagnostics and reported.
+
+    ``degraded`` lists the (a, s) cells outside ``live``.  Each of ``masks``
+    is an (arm, stratum, tau) bool mask, listed under its own name as
+    (a, s, tau index) tuples, and ``unconverged`` lists the live problems
+    outside ``converged``.  Every list runs in cell order: stratum first,
+    treated arm first, then tau.  ``unfit`` masks the (a, s) cells degraded
+    because their stratum's base fit is not live on both arms; the other
+    degraded cells are too small.  ``extra`` diagnostics are kept as given.
+    Warns once per non-empty outcome of ``_WARNINGS``, then raises when no
+    cell is live or a fitted value is not finite.
     """
+    if converged is not None:
+        masks["unconverged"] = live & ~converged
+    order = [(a, s) for s in range(live.shape[1]) for a in (1, 0)]
+    diagnostics = {"degraded": tuple((a, s) for a, s in order if not live[a, s].all())}
+    for key, mask in masks.items():
+        diagnostics[key] = tuple((a, s, ti) for a, s in order for ti in range(len(taus))
+                                 if mask[a, s, ti])
+    n_unfit = 0 if unfit is None else int(unfit.sum())
+    why = f"{len(diagnostics['degraded']) - n_unfit} cell(s) too small"
+    if n_unfit:
+        why += f" and {n_unfit} in a stratum without a live {LOGIT_BASE[method]} fit"
+    for key, text in _WARNINGS:
+        if diagnostics.get(key):
+            warnings.warn(f"{method}: " + text.format(n=len(diagnostics[key]), why=why),
+                          stacklevel=3)
+    if diagnostics["degraded"] and not live.any():
+        raise DataValidationError(f"{method}: no cell is live: {why}" if n_unfit
+                                  else f"{method}: every (arm, stratum) cell is too small")
     if prob is not None and not np.all(np.isfinite(prob)):
         raise NumericalError(f"{method}: fitted values are not finite")
-    if degraded:
-        why = f"{len(degraded) - len(unfit)} cell(s) too small"
-        if unfit:
-            why += f" and {len(unfit)} in a stratum without a live {LOGIT_BASE[method]} fit"
-        warnings.warn(f"{method}: {why}, degraded to zero adjustment", stacklevel=3)
-        if not live.any():
-            raise DataValidationError(f"{method}: no cell is live: {why}" if unfit
-                                      else f"{method}: every (arm, stratum) cell is too small")
     return AdjustmentModel(method, taus, coef, live, prob, support,
-                           {"degraded": tuple(degraded), **diagnostics})
+                           {**diagnostics, **(extra or {})})
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +472,7 @@ def _fit_none(grid: QuantileGrid) -> AdjustmentModel:
     """The no-adjustment model: evaluates to zero everywhere."""
     taus = tuple(grid)
     coef, live = np.zeros((2, 0, len(taus), 0)), np.zeros((2, 0, len(taus)), dtype=bool)
-    return _model("na", taus, coef, live, None, [])
+    return _model("na", taus, coef, live, None)
 
 
 def _fit_lp(dataset: Dataset, pilot, grid: QuantileGrid) -> AdjustmentModel:
@@ -455,11 +480,9 @@ def _fit_lp(dataset: Dataset, pilot, grid: QuantileGrid) -> AdjustmentModel:
     H = _RowFeatures("lp", dataset.x)
     p = H.shape[1]
     taus = tuple(grid)
-    coef, live = _cells(dataset, taus, p)
-    fitted, degraded = _cell_problems(dataset, pilot, taus, p + 2)
-    singular: list = []
+    fitted, live = _cell_problems(dataset, pilot, taus, p + 2)
+    coef, singular = np.zeros(live.shape + (p,)), np.zeros_like(live)
     for a, s, rows, labels in fitted:
-        live[a, s] = True
         Hc = H[rows]
         wdot = Hc - Hc.mean(axis=0)
         if not np.all(np.isfinite(wdot)):  # a cell sum overflowed; lstsq would fail on it
@@ -467,16 +490,9 @@ def _fit_lp(dataset: Dataset, pilot, grid: QuantileGrid) -> AdjustmentModel:
                                  f"{dataset.strata_labels[s]!r}, arm {a}")
         for ti, y_t in enumerate(labels.T.copy()):  # one contiguous vector per tau
             coef[a, s, ti], _, rank, _ = np.linalg.lstsq(wdot, y_t, rcond=None)
-            if rank < p:
-                singular.append((a, s, ti))
-    if singular:
-        warnings.warn(
-            f"lp: singular within-cell Gram in {len(singular)} cell(s); "
-            "minimum-norm solution used",
-            stacklevel=2,
-        )
+            singular[a, s, ti] = rank < p
     prob = _fitted_prob(dataset, taus, live, H, coef)
-    return _model("lp", taus, coef, live, prob, degraded, singular_gram=tuple(singular))
+    return _model("lp", taus, coef, live, prob, singular_gram=singular)
 
 
 def fit_ml(items, grid: QuantileGrid, method: str = "ml") -> list:
@@ -492,29 +508,26 @@ def fit_ml(items, grid: QuantileGrid, method: str = "ml") -> list:
     prepared, cells, labels = [], [], []
     for dataset, pilot in items:
         H = _RowFeatures(method, dataset.x)
-        fitted, degraded = _cell_problems(dataset, pilot, taus, H.shape[1] + 2)
+        fitted, live = _cell_problems(dataset, pilot, taus, H.shape[1] + 2)
         fitted = list(fitted)
         cells += [(H, rows) for _, _, rows, _ in fitted]
         labels += [cell_labels for *_, cell_labels in fitted]
         fitted = [(a, s) for a, s, *_ in fitted]  # no reference to the labels kept
-        prepared.append((H, fitted, degraded))
-    fits = iter(())  # (theta, separated) of each fitted cell, in item order
+        prepared.append((H, fitted, live))
+    fits = iter(())  # (theta, converged, separated) of each fitted cell, in item order
     if cells:
-        theta, _, sep = _fit_logit_cells(cells, labels)
-        fits = zip(theta, sep)
+        fits = zip(*_fit_logit_cells(cells, labels))
     del cells, labels  # freed before ``prob`` is allocated, so they add nothing to the peak
     out: list = []
-    for (dataset, _), (H, fitted, degraded) in zip(items, prepared):
-        coef, live = _cells(dataset, taus, H.shape[1])
-        separated: list = []
+    for (dataset, _), (H, fitted, live) in zip(items, prepared):
+        coef = np.zeros(live.shape + (H.shape[1],))
+        converged, separated = np.zeros_like(live), np.zeros_like(live)
         for a, s in fitted:
-            coef[a, s], sep_c = next(fits)
-            live[a, s] = True
-            separated += [(a, s, ti) for ti in range(len(taus)) if sep_c[ti]]
+            coef[a, s], converged[a, s], separated[a, s] = next(fits)
         prob = _fitted_prob(dataset, taus, live, H, coef, _expit)
         try:
-            out.append(_model(method, taus, coef, live, prob, degraded,
-                              separated=tuple(separated)))
+            out.append(_model(method, taus, coef, live, prob, converged=converged,
+                              separated=separated))
         except CarqteError as exc:
             out.append(exc)
     return out
@@ -551,21 +564,19 @@ def _fit_lpml(
         raise DataValidationError("ml_model was fitted on other data or another grid")
     ml_prob = ml_model.prob
     delta = 1.0 / dataset.n
-    coef, live = _cells(dataset, taus, 2)
     prob = np.empty(ml_prob.shape)
     prob[:] = np.asarray(taus)
     # Two coefficients plus the usual slack; a cell also adjusts by zero when
     # its stratum's base fit is not live on both arms.
-    fitted, degraded = _cell_problems(dataset, pilot, taus, 4)
-    unfit: list = []
-    zero_var: list = []
+    fitted, live = _cell_problems(dataset, pilot, taus, 4)
+    coef, zero_var = np.zeros(live.shape + (2,)), np.zeros_like(live)
+    unfit = np.zeros(live.shape[:2], dtype=bool)
     cells: list = [[] for _ in range(dataset.n_strata)]  # (a, (T, n_c) labels) by stratum
     for a, s, _, labels in fitted:
         if ml_model.live[:, s].all():
-            live[a, s] = True
             cells[s].append((a, labels.T == 1.0))  # kept as bools: 1/8 of the floats
         else:
-            unfit.append((a, s))
+            live[a, s], unfit[a, s] = False, True
 
     def recombine(strata):
         for s in strata:
@@ -581,7 +592,7 @@ def _fit_lpml(
                 wd /= np.where(ok, sd, 1.0)
                 wd[:, ~ok] = 0.0
                 wd_cell = wd[in_cell]
-                zero_var.extend((a, s, ti) for ti in range(len(ok)) if not ok[ti].all())
+                zero_var[a, s] = ~ok.all(axis=1)
                 for ti, y_t in enumerate(labels):  # contiguous copies per tau
                     wd_t, wd_ct = wd[:, ti].copy(), wd_cell[:, ti].copy()
                     gram = np.dot(wd_ct.T, wd_ct) / len(cell) + delta * np.eye(2)
@@ -592,10 +603,7 @@ def _fit_lpml(
                     prob[a, stratum, ti] = np.dot(wd_t, theta)
 
     _two_lanes(_chunks(dataset.strata.n, 2 * len(taus)), recombine)
-    degraded = sorted(degraded + unfit, key=lambda cell: (cell[1], -cell[0]))  # cell order
-    zero_var.sort(key=lambda cell: (cell[1], -cell[0], cell[2]))
-    return _model(method, taus, coef, live, prob, degraded, unfit=unfit,
-                  zero_variance=tuple(zero_var))
+    return _model(method, taus, coef, live, prob, unfit=unfit, zero_variance=zero_var)
 
 
 # ---------------------------------------------------------------------------
@@ -704,16 +712,11 @@ def _fit_hd_lasso(
     pen_cols = np.arange(1, p)
     forced = tuple(j for j in cfg.forced_support if 0 <= j < p)
     taus = tuple(grid)
-    coef, live = _cells(dataset, taus, p)
-    fitted, degraded = _cell_problems(dataset, pilot, taus, 3)
-    support: dict = {}
-    kkt_diag: dict = {}
-    hd_theta: dict = {}
-    hd_lam: dict = {}
-    separated: list = []
-    short_refits = 0  # refits that stopped short of the score tolerance
+    fitted, live = _cell_problems(dataset, pilot, taus, 3)
+    coef = np.zeros(live.shape + (p,))
+    converged, separated = np.zeros_like(live), np.zeros_like(live)
+    support, kkt_diag, hd_theta, hd_lam = {}, {}, {}, {}  # by (a, s, tau index)
     for a, s, rows, labels in fitted:
-        live[a, s] = True
         Hc = H[rows]
         nc = rows.size
         rho = _penalty_level(nc, pen_cols.size, cfg)
@@ -750,14 +753,7 @@ def _fit_hd_lasso(
             refit, conv, sep = _fit_logit_cells([(Hc[:, cols], np.arange(nc))], [y_t[:, None]])
             coef[a, s, ti, list(cols)] = refit[0, 0]
             support[(a, s, ti)] = cols
-            if sep[0, 0]:
-                separated.append((a, s, ti))
-            short_refits += not conv[0, 0]
-    if short_refits:
-        warnings.warn(
-            f"lasso: post-selection refit did not reach score tolerance in {short_refits} fit(s)",
-            stacklevel=2,
-        )
+            converged[a, s, ti], separated[a, s, ti] = conv[0, 0], sep[0, 0]
     # A problem converged unless its final round stopped above the KKT tolerance.
     unconverged = [kkt for kkt in kkt_diag.values() if kkt > _KKT_TOL]
     if unconverged:
@@ -767,8 +763,9 @@ def _fit_hd_lasso(
             stacklevel=2,
         )
     prob = _fitted_prob(dataset, taus, live, H, coef, _expit)
-    return _model("lasso", taus, coef, live, prob, degraded, support,
-                  separated=tuple(separated), kkt=kkt_diag, hd_theta=hd_theta, hd_lam=hd_lam)
+    return _model("lasso", taus, coef, live, prob, support, converged=converged,
+                  extra={"kkt": kkt_diag, "hd_theta": hd_theta, "hd_lam": hd_lam},
+                  separated=separated)
 
 
 # ---------------------------------------------------------------------------

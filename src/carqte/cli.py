@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -57,15 +58,15 @@ def _parse_taus(raw) -> QuantileGrid:
 
 
 def _parse_diff(raw, grid: QuantileGrid) -> tuple[float, float]:
-    """The two grid taus of a difference test, from 't1,t2' or a config list."""
+    """The two distinct grid taus of a difference test, from 't1,t2' or a config list."""
     parts = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
     try:
         taus = tuple(float(v) for v in parts)
     except (TypeError, ValueError):
         taus = ()
-    if len(taus) != 2 or any(t not in tuple(grid) for t in taus):
+    if len(taus) != 2 or taus[0] == taus[1] or any(t not in tuple(grid) for t in taus):
         raise DataValidationError(
-            f"--diff needs two taus from the grid {list(grid)}, got {raw!r}"
+            f"--diff needs two distinct taus from the grid {list(grid)}, got {raw!r}"
         )
     return taus
 
@@ -350,9 +351,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _run(argv: list[str]) -> tuple[int, str | None]:
+    """The exit code of ``argv``, and the message that explains a failure."""
     parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if args.config:
@@ -364,18 +365,37 @@ def main(argv: list[str] | None = None) -> int:
             # Checked here, not by argparse, because the config may give it.
             _command_parser(parser, "estimate").error(
                 "the following arguments are required: --input")
-        return args.func(args)
+        return args.func(args), None
     except SystemExit as exc:  # argparse's --help, --version and usage errors
-        return int(exc.code) if exc.code else _EXIT_OK
+        return (int(exc.code) if exc.code else _EXIT_OK), None
     except _UsageError as exc:
-        print(f"carqte: usage error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        return _EXIT_USAGE, f"carqte: usage error: {exc}"
     except NumericalError as exc:
-        print(f"carqte: numerical failure: {exc}", file=sys.stderr)
-        return _EXIT_NUMERIC
+        return _EXIT_NUMERIC, f"carqte: numerical failure: {exc}"
     except (CarqteError, OSError) as exc:
-        print(f"carqte: {exc}", file=sys.stderr)
-        return _EXIT_DATA
+        return _EXIT_DATA, f"carqte: {exc}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run ``carqte``; the warnings of the run are shown when it ends.
+
+    A run that fails shows no numpy ``RuntimeWarning``: the overflow that
+    failed it is what its one-line message explains.  The warnings are
+    recorded through the process-wide ``warnings`` state, so those of the
+    fit's and the bootstrap's helper threads are recorded too.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    code, message = _EXIT_OK, None  # an error that escapes shows every warning
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            code, message = _run(argv)
+    finally:
+        for w in caught:
+            if code == _EXIT_OK or not issubclass(w.category, RuntimeWarning):
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    if message is not None:
+        print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -542,6 +542,40 @@ def test_zero_variance_lists_cells_in_order_across_stratum_tasks(monkeypatch):
     assert list(got) == sorted(got, key=lambda cell: (cell[1], -cell[0], cell[2]))
 
 
+@pytest.mark.parametrize("method, key", [
+    ("lp", "singular_gram"), ("np", "separated"), ("lasso", "separated")])
+def test_outcomes_list_cells_in_order_across_stratum_tasks(monkeypatch, method, key):
+    # In strata 1 and 3 x2 copies x1 (every lp Gram there is singular) and
+    # the outcome is x1 itself (logistic problems there separate).  The
+    # np solve and every prob pass then run one cell or stratum per task.
+    ds, _, grid = _dgp1_sample(5)
+    y, x = ds.y.copy(), ds.x.copy()
+    flat = np.isin(ds.s, [1, 3])
+    x[flat, 1] = y[flat] = x[flat, 0]
+    ds = Dataset.from_arrays(y, ds.a, ds.s, x)
+    pilot = pilot_quantiles(ds, grid)
+    one = _fit_quiet(fit_adjustment, method, ds, pilot, grid)
+    monkeypatch.setattr(adjust, "_BLOCK_FLOATS", 1)
+    got = _switching(_fit_quiet, fit_adjustment, method, ds, pilot, grid).diagnostics[key]
+    assert got == one.diagnostics[key] and {cell[1] for cell in got} >= {1, 3}
+    assert list(got) == sorted(got, key=lambda cell: (cell[1], -cell[0], cell[2]))
+    if method == "lp":
+        assert list(got) == [(a, s, ti) for s in (1, 3) for a in (1, 0) for ti in range(len(grid))]
+
+
+def test_diagnostics_keys_are_pinned():
+    # A new diagnostic shows up here as a test diff.
+    ds, pilot, grid = _dgp1_sample(3)
+    keys = {method: sorted(_fit_quiet(fit_adjustment, method, ds, pilot, grid).diagnostics)
+            for method in METHODS}
+    logit = ["degraded", "separated", "unconverged"]
+    recombined = ["degraded", "zero_variance"]
+    assert keys == {
+        "na": ["degraded"], "lp": ["degraded", "singular_gram"], "ml": logit,
+        "lpml": recombined, "mlx": logit, "lpmlx": recombined, "np": logit,
+        "lasso": ["degraded", "hd_lam", "hd_theta", "kkt", "separated", "unconverged"]}
+
+
 # -- LP ---------------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -614,10 +615,10 @@ def test_option_defaults_are_the_config_classes_defaults():
                                                     spec["lasso"].loading_iterations)
 
 
-def _overflow_csv(path, case):
+def _overflow_csv(path, case, scale=1e200):
     """A file whose fits or report overflow.  ``covariate``: 80 rows, strata
-    A and B, arms alternating, y and x2 standard normal and x1 of order 1e200,
-    so every logistic fit is NaN.  ``collinear``: the same with x2 = 1.0, a
+    A and B, arms alternating, y and x2 standard normal and x1 of order
+    ``scale``, at 1e200 so every logistic fit is NaN.  ``collinear``: the same with x2 = 1.0, a
     copy of the intercept, so the Hessians are singular too.  ``cell_sum``:
     the same layout with x1 = 1.7e308 U(0.9, 1), so a cell's sum of x1
     overflows.  ``outcome``: 60 rows of one stratum, treated outcomes
@@ -633,7 +634,7 @@ def _overflow_csv(path, case):
     rng = np.random.default_rng(2)
     y = rng.standard_normal(80)
     x1 = (1.7e308 * rng.uniform(0.9, 1.0, 80) if case == "cell_sum"
-          else 1e200 * rng.standard_normal(80))
+          else scale * rng.standard_normal(80))
     x2 = np.ones(80) if case == "collinear" else rng.standard_normal(80)
     rows = [f"{float(y[i])!r},{i % 2},{'A' if i < 40 else 'B'},{float(x1[i])!r},"
             f"{float(x2[i])!r}" for i in range(80)]
@@ -661,8 +662,59 @@ def test_non_finite_fits_and_reports_exit_4(tmp_path, case, argv):
            "cell_sum": "lp: demeaned regressors are not finite in stratum 'A', arm 1"}.get(
         case, f"{LOGIT_BASE.get(method, method)}: fitted values are not finite")
     assert "carqte: numerical failure: " in proc.stderr and why in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr  # the message explains the overflow
     assert proc.stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_numpy_warnings_of_every_thread_show_only_when_the_run_succeeds(
+        experiment_csv, tmp_path, monkeypatch, fails):
+    # An overflow on the calling thread and one on a helper thread, as the
+    # fit's and the bootstrap's lanes have: both are shown on exit 0 and
+    # dropped on exit 4, while carqte's own warning is shown either way.
+    fit_and_bootstrap = carqte.cli._fit_and_bootstrap
+
+    def overflowing(*args):
+        with ThreadPoolExecutor(1) as pool:
+            pool.submit(np.multiply, np.float64(1e308), 10.0).result()
+        np.multiply(np.float64(1e308), 10.0)
+        warnings.warn("a carqte warning", UserWarning)
+        if fails:
+            raise carqte.NumericalError("the fit overflowed")
+        return fit_and_bootstrap(*args)
+
+    monkeypatch.setattr(carqte.cli, "_fit_and_bootstrap", overflowing)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["estimate", "--input", experiment_csv, "--B", "20",
+                     "--out", str(tmp_path / "r.json")])
+    assert code == (4 if fails else 0)
+    shown = [(w.category, str(w.message)) for w in caught]
+    overflow = (RuntimeWarning, "overflow encountered in multiply")
+    assert shown == [(UserWarning, "a carqte warning")] if fails else [
+        overflow, overflow, (UserWarning, "a carqte warning")]
+
+
+@pytest.mark.parametrize("method", ["ml", "mlx", "np"])
+def test_a_logistic_fit_short_of_the_score_tolerance_is_listed_and_warns_once(
+        tmp_path, method):
+    # With x1 of order 1e20 no problem meets the score tolerance within the
+    # Newton cap, though every coefficient stays finite: the run exits 0
+    # and lists all 2 strata x 2 arms x 3 taus problems.
+    path = _overflow_csv(tmp_path / "scaled.csv", "covariate", scale=1e20)
+    ds, grid = carqte.load_csv(path), carqte.QuantileGrid.of([0.25, 0.5, 0.75])
+    text = f"{method}: logistic fit did not reach score tolerance in 12 problem(s)"
+    with pytest.warns(UserWarning, match=re.escape(text)):
+        model = carqte.fit_adjustment(method, ds, carqte.pilot_quantiles(ds, grid), grid)
+    assert model.diagnostics["unconverged"] == tuple(
+        (a, s, ti) for s in (0, 1) for a in (1, 0) for ti in range(3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["estimate", "--input", path, "--B", "50", "--adjust", method,
+                     "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    assert [str(w.message) for w in caught] == [text]
 
 
 @pytest.mark.parametrize("case, method, solves", [
@@ -732,7 +784,7 @@ def test_lasso_stops_at_the_first_non_finite_kkt_residual(tmp_path, monkeypatch,
                      "--out", str(out)])
     assert code == 4
     assert "lasso: fitted values are not finite" in capsys.readouterr().err
-    assert "lasso: post-selection refit did not reach score tolerance in 12 fit(s)" in {
+    assert "lasso: logistic fit did not reach score tolerance in 12 problem(s)" in {
         str(w.message) for w in caught}
     assert calls == {"cd": 12, "kkt": 12}  # 2 strata x 2 arms x 3 taus
     assert not out.exists()
@@ -746,7 +798,7 @@ def test_usage_error_without_subcommand():
     assert main([]) == 2
 
 
-@pytest.mark.parametrize("diff", ["0.5", "0.5,0.3", "a,b", "0.25,0.5,0.75"])
+@pytest.mark.parametrize("diff", ["0.5", "0.5,0.3", "a,b", "0.25,0.5,0.75", "0.5,0.5"])
 def test_estimate_bad_diff_is_data_error_naming_grid(experiment_csv, tmp_path, capsys, diff):
     out = tmp_path / "r.json"
     code = main(["estimate", "--input", experiment_csv, "--taus", "0.25,0.5,0.75",
