@@ -618,12 +618,12 @@ def test_option_defaults_are_the_config_classes_defaults():
 def _overflow_csv(path, case, scale=1e200):
     """A file whose fits or report overflow.  ``covariate``: 80 rows, strata
     A and B, arms alternating, y and x2 standard normal and x1 of order
-    ``scale``, at 1e200 so every logistic fit is NaN.  ``collinear``: the same with x2 = 1.0, a
-    copy of the intercept, so the Hessians are singular too.  ``cell_sum``:
-    the same layout with x1 = 1.7e308 U(0.9, 1), so a cell's sum of x1
-    overflows.  ``outcome``: 60 rows of one stratum, treated outcomes
-    1.7e308 U(0.9, 1) and control ones their negatives, so every QTE
-    overflows."""
+    ``scale``, at 1e200 so every logistic fit is NaN.  ``collinear``: the
+    same with x2 = 1.0, a copy of the intercept, so the Hessians are
+    singular too.  ``cell_sum``: the same layout with x1 = 1.7e308 U(0.9, 1),
+    so a cell's sum of x1 overflows.  ``outcome``: 60 rows of one stratum,
+    treated outcomes 1.7e308 U(0.9, 1) and control ones their negatives, so
+    every QTE overflows."""
     if case == "outcome":
         rng = np.random.default_rng(0)
         u, x = 1.7e308 * rng.uniform(0.9, 1.0, 60), rng.standard_normal(60)
