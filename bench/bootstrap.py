@@ -1,18 +1,21 @@
-"""In-process multiplier-bootstrap time per replicate at three sample sizes.
+"""In-process multiplier-bootstrap time and memory at three sample sizes.
 
 Usage (from the repository root)::
 
     python3 bench/bootstrap.py --seed 3 --repeats 7 --out bootstrap.json
+    python3 bench/bootstrap.py --taus 0.1,0.12,0.14 --repeats 5
 
 For each n in 400, 10k and 200k the script draws one dgp1 dataset under
-stratified block randomization, fits ``lpmlx`` on taus 0.25/0.5/0.75 and
-then times ``run_bootstrap`` on that model, B=200, ``--repeats`` times with
-the same generator seed.  Only the bootstrap call is timed: the dataset,
-the pilot and the fit are built once, outside the timed region, and the
-first call is a warm-up.  The JSON holds, per n, the median and quartiles of
-the time per replicate in microseconds, and a digest of the draws, which
-must not change between repeats or between two commits that claim the same
-draws.
+stratified block randomization, fits ``lpmlx`` on the ``--taus`` grid
+(0.25/0.5/0.75 by default) and then times ``run_bootstrap`` on that model,
+B=200, ``--repeats`` times with the same generator seed.  Only the bootstrap
+call is timed: the dataset, the pilot and the fit are built once, outside
+the timed region, and the first call is a warm-up.  One more call, untimed,
+runs under ``tracemalloc`` and gives the peak of the memory it allocates
+above what was allocated before it.  The JSON holds, per n, the median and
+quartiles of the time per replicate in microseconds, that traced peak in
+MB, and a digest of the draws, which must not change between repeats or
+between two commits that claim the same draws.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import json
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +44,12 @@ METHOD = "lpmlx"
 TAUS = (0.25, 0.5, 0.75)
 
 
-def time_size(n: int, seed: int, repeats: int) -> dict:
-    """Per-replicate bootstrap times at sample size ``n``."""
+def time_size(n: int, seed: int, repeats: int, taus: tuple) -> dict:
+    """Per-replicate bootstrap times and the traced peak at sample size ``n``."""
     latent = generate(DgpSpec("dgp1", n), np.random.default_rng(seed))
     a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(seed + 1))
     ds = Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
-    grid = QuantileGrid.of(TAUS)
+    grid = QuantileGrid.of(taus)
     model = fit_adjustment(METHOD, ds, pilot_quantiles(ds, grid), grid)
     digests, per_rep_us = set(), []
     for k in range(repeats + 1):
@@ -55,17 +59,27 @@ def time_size(n: int, seed: int, repeats: int) -> dict:
         digests.add(hashlib.sha256(draws.draws.tobytes()).hexdigest())
         if k:  # the first call is a warm-up
             per_rep_us.append(elapsed / B * 1e6)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_bootstrap(ds, [model], grid, B, np.random.default_rng(seed + 2))
+        traced_peak_mb = (tracemalloc.get_traced_memory()[1] - start) / 1e6
+    finally:
+        tracemalloc.stop()
     if len(digests) != 1:
         raise AssertionError(f"n={n}: repeats gave different draws")
     q1, med, q3 = np.percentile(per_rep_us, [25, 50, 75])
     return {"n": n, "replicate_us": {"median": float(med), "q1": float(q1), "q3": float(q3)},
-            "samples_us": per_rep_us, "draws_sha256": digests.pop()}
+            "samples_us": per_rep_us, "traced_peak_mb": traced_peak_mb,
+            "draws_sha256": digests.pop()}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--taus", type=lambda text: tuple(float(t) for t in text.split(",")),
+                    default=TAUS, help="comma-separated quantile grid (default 0.25,0.5,0.75)")
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args(argv)
     if args.repeats < 5:
@@ -74,11 +88,11 @@ def main(argv=None) -> int:
 
     doc = {
         "design": {"dgp": "dgp1", "scheme": "sbr", "method": METHOD, "B": B,
-                   "taus": list(TAUS), "seed": args.seed},
+                   "taus": list(args.taus), "seed": args.seed},
         "repeats": args.repeats,
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "scipy": scipy.__version__, "arch": platform.machine()},
-        "sizes": [time_size(n, args.seed, args.repeats) for n in SIZES],
+        "sizes": [time_size(n, args.seed, args.repeats, args.taus) for n in SIZES],
     }
     text = json.dumps(doc, indent=1) + "\n"
     if args.out is None:
@@ -88,7 +102,8 @@ def main(argv=None) -> int:
     for row in doc["sizes"]:
         r = row["replicate_us"]
         print(f"n={row['n']:>7}  {r['median']:9.1f} us/replicate  "
-              f"(q1 {r['q1']:.1f}, q3 {r['q3']:.1f})", file=sys.stderr)
+              f"(q1 {r['q1']:.1f}, q3 {r['q3']:.1f})  traced peak "
+              f"{row['traced_peak_mb']:.1f} MB", file=sys.stderr)
     return 0
 
 

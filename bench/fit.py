@@ -7,7 +7,8 @@ Usage (from the repository root)::
 For each n in 10k and 200k the script writes the benchmark's "large" design
 (``perfbench/inputs.py``: 5 covariates, 8 strata, blocks of 4 within
 strata) to a temporary CSV.  For each case one fresh interpreter loads that
-file, forms the pilot quantiles on taus 0.25/0.5/0.75 and times
+file, forms the pilot quantiles on the ``--taus`` grid (0.25/0.5/0.75 by
+default) and times
 ``fit_adjustment`` ``--repeats`` times after a warm-up call; only the fit is
 timed.  The cases are the whole mlx and lpmlx fits, and the lpml and lpmlx
 recombinations alone: ``fit_adjustment("lpmlx", ..., ml_model=<mlx model>)``
@@ -57,13 +58,13 @@ def vmhwm_mb() -> float:
     return kb / 1024.0
 
 
-def time_case(path: str, method: str, base: str | None, repeats: int) -> dict:
+def time_case(path: str, method: str, base: str | None, repeats: int, taus: tuple) -> dict:
     """Fit times of ``method`` on the file at ``path``, handed a fitted
     ``base`` model when ``base`` is given; runs in the child."""
     from carqte import QuantileGrid, fit_adjustment, load_csv, pilot_quantiles
 
     ds = load_csv(path)
-    grid = QuantileGrid.of(TAUS)
+    grid = QuantileGrid.of(taus)
     pilot = pilot_quantiles(ds, grid)
     ml_model = None if base is None else fit_adjustment(base, ds, pilot, grid)
     loaded_mb = vmhwm_mb()
@@ -84,12 +85,14 @@ def time_case(path: str, method: str, base: str | None, repeats: int) -> dict:
             "prob_sha256": digests.pop()}
 
 
-def run_child(path: str, method: str, base: str | None, repeats: int, blas_threads: str) -> dict:
+def run_child(path: str, method: str, base: str | None, repeats: int, blas_threads: str,
+              taus: str) -> dict:
     env = dict(os.environ)
     if blas_threads != "default":
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = blas_threads
-    argv = [sys.executable, __file__, "--child", path, method, "--repeats", str(repeats)]
+    argv = [sys.executable, __file__, "--child", path, method, "--repeats", str(repeats),
+            "--taus", taus]
     argv += [] if base is None else ["--ml-model", base]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
@@ -103,12 +106,15 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--blas-threads", default="1",
                     help="BLAS threads of each child, or 'default' to leave them unset")
+    ap.add_argument("--taus", default=",".join(map(repr, TAUS)),
+                    help="comma-separated quantile grid (default 0.25,0.5,0.75)")
     ap.add_argument("--out", type=Path, default=None)
     ap.add_argument("--child", nargs=2, metavar=("CSV", "METHOD"), help=argparse.SUPPRESS)
     ap.add_argument("--ml-model", default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    taus = tuple(float(t) for t in args.taus.split(","))
     if args.child:
-        print(json.dumps(time_case(*args.child, args.ml_model, args.repeats)))
+        print(json.dumps(time_case(*args.child, args.ml_model, args.repeats, taus)))
         return 0
     if args.repeats < 5:
         ap.error("--repeats must be at least 5: the record is a median")
@@ -120,7 +126,7 @@ def main(argv=None) -> int:
             path = str(Path(tmp) / f"large{n}.csv")
             sha = inputs.generate_csv(inputs.Design("large", n), args.seed, path)
             for method, base in CASES:
-                row = run_child(path, method, base, args.repeats, args.blas_threads)
+                row = run_child(path, method, base, args.repeats, args.blas_threads, args.taus)
                 cases.append({"n": n, "method": method, "ml_model": base,
                               "input_sha256": sha, **row})
                 r = row["fit_s"]
@@ -131,7 +137,7 @@ def main(argv=None) -> int:
                       file=sys.stderr)
     doc = {
         "design": {"design": "large", "cases": [list(case) for case in CASES],
-                   "taus": list(TAUS),
+                   "taus": list(taus),
                    "seed": args.seed, "blas_threads": args.blas_threads},
         "repeats": args.repeats,
         "machine": {"python": platform.python_version(), "numpy": np.__version__,

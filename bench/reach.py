@@ -13,7 +13,8 @@ bytecode of its own (a docstring, a bare ``try:``) is not counted.  Code
 that runs only in a subprocess (the CLI tests that start ``python -m
 carqte.cli``) or in a forked worker of ``simulate --workers`` is not seen.
 Only the standard library is used; tracing makes the tests several times
-slower.
+slower.  pytest runs with a fixed ``--hypothesis-seed``, so the fuzz tests
+draw the same examples and the totals repeat from run to run.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "carqte"
-TIER1 = ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+TIER1 = ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0"]
 
 
 def code_lines(code) -> set[int]:

@@ -140,14 +140,21 @@ class AdjustmentModel:
         (control first).  The adjustment exists only in sample: ``grid`` and
         ``dataset`` must be the ones the model was fitted on.
         """
+        prob = self._checked_prob(grid, dataset)
+        if prob is None:
+            return np.zeros((dataset.n, len(self.taus))), np.zeros((dataset.n, len(self.taus)))
+        taus = np.asarray(self.taus)
+        return taus - prob[0], taus - prob[1]
+
+    def _checked_prob(self, grid, dataset: Dataset) -> np.ndarray | None:
+        """``prob``, once ``grid`` and ``dataset`` are checked to be the ones
+        the model was fitted on (for ``na``, the grid only)."""
         if tuple(grid) != self.taus:
             raise DataValidationError(f"model was fitted on grid {self.taus}, not {tuple(grid)}")
-        if self.prob is None:
-            return np.zeros((dataset.n, len(self.taus))), np.zeros((dataset.n, len(self.taus)))
-        if dataset.n != self.prob.shape[1] or dataset.n_strata != self.live.shape[1]:
+        if self.prob is not None and (dataset.n != self.prob.shape[1]
+                                      or dataset.n_strata != self.live.shape[1]):
             raise DataValidationError("model was fitted on another dataset")
-        taus = np.asarray(self.taus)
-        return taus - self.prob[0], taus - self.prob[1]
+        return self.prob
 
 
 def _fitted_prob(dataset: Dataset, taus: tuple, live: np.ndarray, H, coef, link=None):

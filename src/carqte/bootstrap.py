@@ -207,7 +207,8 @@ def run_bootstrap(
     # row: one bincount sums every row's treated and control masses, each
     # bin in column order, so a row's masses are bit for bit those of a
     # one-row block.  This is the one weighted mass in the package.
-    codes = (np.arange(size)[:, None] * (2 * n_strata) + solver._prop_col).ravel()
+    codes = (solver._prop_col if size == 1
+             else (np.arange(size)[:, None] * (2 * n_strata) + solver._prop_col).ravel())
 
     def masses(xi):  # b x 2 x S masses, and whether each row's clear the floor
         nw = np.bincount(codes[:xi.size], weights=xi.ravel(), minlength=2 * n_strata * len(xi))

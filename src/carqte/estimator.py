@@ -69,21 +69,26 @@ class _Solver:
 
     Built once per dataset.  The rows are permuted once into an arm-sorted
     layout, [arm 1 sorted by y | arm 0 sorted by y], and each arm's
-    n x (K*T) adjustment matrix (model-major columns, one n x T block per
-    model) is stored in that row order, so a solve reads every row-indexed
-    array contiguously.  :meth:`solve` takes a b x n block of weight vectors
-    in that layout and their treated fractions; the unit-weight point
-    estimate is a one-row block.  Per block it forms the inverse-propensity
-    masses shared by every model, and per arm runs one ``cumsum`` along the
-    rows, one product against each half (treated and control rows) of the
-    adjustment matrix, and one exact sorted search.
+    adjustment matrix ``tau - prob`` is gathered straight from the models'
+    ``prob`` into that row order, so a solve reads every row-indexed array
+    contiguously.  The matrix is n x (K'*T): model-major columns, one n x T
+    block for each of the K' adjusted models.  An unadjusted model (``prob``
+    None) has exact zero slopes and gets no columns, and a solver whose
+    models are all unadjusted holds no matrix.  :meth:`solve` takes a b x n
+    block of weight vectors in that layout and their treated fractions; the
+    unit-weight point estimate is a one-row block.  Per block it forms the
+    inverse-propensity masses shared by every model, and per arm runs one
+    ``cumsum`` along the rows, one product against each half (treated and
+    control rows) of the adjustment matrix, and one exact sorted search.
 
-    The n-length temporaries of a solve live in one workspace, allocated at
+    The two b x n temporaries of a solve live in one workspace, allocated at
     the first solve and again only when a block outgrows it, so a solver
     runs one solve at a time.
     """
 
-    def __init__(self, dataset: Dataset, column_taus: np.ndarray, m_by_arm: dict) -> None:
+    def __init__(self, dataset: Dataset, taus: np.ndarray, probs) -> None:
+        """``probs`` holds each model's (arm, row, tau) ``prob`` over the
+        dataset's rows and the T ``taus``, or None for no adjustment."""
         rows0, rows1 = dataset.arm_rows
         self._perm = np.concatenate([rows1, rows0])
         self.n = dataset.n
@@ -92,18 +97,27 @@ class _Solver:
         arm_offset = np.repeat([0, dataset.n_strata], [self._n1, dataset.n - self._n1])
         self._prop_col = dataset.s[self._perm] + arm_offset
         self._y = dataset.y[self._perm]
-        self._m = {arm: np.take(np.hstack(m_by_arm[arm]), self._perm, axis=0) for arm in (1, 0)}
-        self._taus = column_taus
+        self._taus = np.tile(taus, len(probs))
+        T = len(taus)
+        adjusted = [prob for prob in probs if prob is not None]
+        # The columns that the slopes shift; the others' targets stay tau * total.
+        self._cols = np.flatnonzero(np.repeat([prob is not None for prob in probs], T))
+        self._m = {}
+        for arm in (1, 0) if adjusted else ():
+            m = self._m[arm] = np.empty((self.n, len(adjusted) * T))
+            for j, prob in enumerate(adjusted):
+                block = m[:, j * T:(j + 1) * T]
+                # mode="clip" lets take write straight into ``out``; every index is valid.
+                np.take(prob[arm], self._perm, axis=0, out=block, mode="clip")
+                np.subtract(taus, block, out=block)
         self._work = None
 
     def _workspace(self, b: int) -> list[np.ndarray]:
         """b-row views of the workspace: a b x n scratch (the propensities,
-        then the excess masses), the b x n masses, and the b x n1 and b x n0
-        cumulative masses of the two arms."""
+        then the excess masses) and the b x n masses, which each arm's
+        cumulative sum overwrites."""
         if self._work is None or len(self._work[0]) < b:
-            n1 = self._n1
-            self._work = (np.empty((b, self.n)), np.empty((b, self.n)),
-                          np.empty((b, n1)), np.empty((b, self.n - n1)))
+            self._work = (np.empty((b, self.n)), np.empty((b, self.n)))
         return [a[:b] for a in self._work]
 
     def solve(self, xi: np.ndarray, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,51 +137,57 @@ class _Solver:
         argmin over observed arm outcomes.
         """
         n1 = self._n1
-        scratch, w, cum1, cum0 = self._workspace(len(xi))
+        scratch, w = self._workspace(len(xi))
         # mode="clip" lets take write straight into ``out``; every index is valid.
         prop = np.take(np.concatenate([pis, 1.0 - pis], axis=1), self._prop_col, axis=1,
                        out=scratch[:len(pis)], mode="clip")
         np.divide(xi, prop, out=w)
-        # The residual weights xi (a - pi) / pi of the arm-1 target are
-        # [w - xi | -xi] over [treated | control] rows, and those of the
-        # arm-0 target, xi (a - pi) / (1 - pi), are [xi | -(w - xi)].
-        excess = np.subtract(w, xi, out=scratch)  # prop is spent
         # np.dot, unlike matmul on one product, and a 1-D cumsum, unlike one
         # along an axis, release the GIL, so the bootstrap's draw runs beside
         # them; the sums are the same.
-        m1, m0 = self._m[1], self._m[0]
-        slope1 = np.dot(excess[:, :n1], m1[:n1]) - np.dot(xi[:, n1:], m1[n1:])
-        slope0 = np.dot(xi[:, :n1], m0[:n1]) - np.dot(excess[:, n1:], m0[n1:])
+        shifts = (None, None)
+        if self._m:
+            # The residual weights xi (a - pi) / pi of the arm-1 target are
+            # [w - xi | -xi] over [treated | control] rows, and those of the
+            # arm-0 target, xi (a - pi) / (1 - pi), are [xi | -(w - xi)].
+            excess = np.subtract(w, xi, out=scratch)  # prop is spent
+            m1, m0 = self._m[1], self._m[0]
+            slope1 = np.dot(excess[:, :n1], m1[:n1]) - np.dot(xi[:, n1:], m1[n1:])
+            slope0 = np.dot(xi[:, :n1], m0[:n1]) - np.dot(excess[:, n1:], m0[n1:])
+            shifts = (-slope1, slope0)
         out = []
-        for arm, rows, shift, cum in ((1, slice(None, n1), -slope1, cum1),
-                                      (0, slice(n1, None), slope0, cum0)):
+        for arm, rows, shift in ((1, slice(None, n1), shifts[0]),
+                                 (0, slice(n1, None), shifts[1])):
+            cum = w[:, rows]  # nothing reads the masses after their sum
             if len(w) == 1:
-                np.cumsum(w[0, rows], out=cum[0])
+                np.cumsum(cum[0], out=cum[0])
             else:
-                np.cumsum(w[:, rows], axis=1, out=cum)
+                np.cumsum(cum, axis=1, out=cum)
             total = cum[:, -1:]
             if not np.all(np.isfinite(total) & (total > 0.0)):
                 raise NumericalError(f"arm {arm} has no weighted mass")
+            targets = self._taus * total
+            if shift is not None:
+                targets[:, self._cols] += shift
             y = self._y[rows]
-            k = _search_left(cum, self._taus * total + shift)
+            k = _search_left(cum, targets)
             out.append(y[np.minimum(k, y.size - 1)])
         return out[0], out[1]
 
 
 def _model_solver(dataset: Dataset, models, grid: QuantileGrid) -> _Solver:
-    """Solver over the adjustments of ``models``, evaluated on every row; every
-    estimate and draw passes here, so it refuses degenerate strata."""
+    """Solver over the adjustments of ``models`` on every row; every estimate
+    and draw passes here, so it refuses degenerate strata, and models fitted
+    on another grid or dataset."""
     degenerate = [dataset.strata_labels[i] for i in dataset.strata.degenerate]
     if degenerate:
         raise DegenerateCellError(degenerate)
     # The arm-sorted rows are cached on the dataset, so sort them before the
-    # adjustments are evaluated: a cache allocated above those temporaries
-    # would keep their memory from returning to the system (peak RSS +12%
-    # on a 200k-row estimate).
+    # adjustment matrices are allocated: a cache allocated above them would
+    # keep their memory from returning to the system.
     dataset.arm_rows  # noqa: B018 - computed and cached here
-    values = [m.evaluate_all(grid, dataset) for m in models]
-    m_by_arm = {arm: [v[arm] for v in values] for arm in (1, 0)}
-    return _Solver(dataset, np.tile(tuple(grid), len(models)), m_by_arm)
+    probs = [m._checked_prob(grid, dataset) for m in models]
+    return _Solver(dataset, np.asarray(tuple(grid)), probs)
 
 
 def _point(solver: _Solver, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -123,8 +123,10 @@ def solve_arm(ds, arm, tau, xi, mhat, fixed_pi=None):
         pis = pi_by_stratum(ds, xi, fixed_pi)[None]
     else:
         pis = np.stack([pi_by_stratum(ds, w) for w in block])
-    m = np.asarray(mhat, float)[:, None]
-    solver = _Solver(ds, np.array([tau]), {arm: [m], 1 - arm: [np.zeros_like(m)]})
+    # The solver reads tau - prob: the other arm's prob is tau, no adjustment.
+    prob = np.full((2, ds.n, 1), tau)
+    prob[arm, :, 0] = tau - np.asarray(mhat, float)
+    solver = _Solver(ds, np.array([tau]), [prob])
     q1, q0 = solver.solve(block[:, solver._perm], pis)
     got = (q1 if arm == 1 else q0)[:, 0]
     for w, p, g in zip(block, np.broadcast_to(pis, (3, ds.n_strata)), got):
@@ -182,17 +184,18 @@ def solve_both_ways(ds, xi, mhat, tau, arm):
 class TableModel:
     """Duck-typed adjustment model backed by explicit per-unit values.
 
-    ``values[(arm, tau)]`` is an n-vector; used to exercise the estimator
-    with arbitrary adjustments and per-(arm, stratum) shifts.
+    ``values[(arm, tau)]`` is an n-vector of adjustments; used to exercise
+    the estimator with arbitrary adjustments and per-(arm, stratum) shifts.
+    The solver reads a model's ``prob``, so that is ``tau - values``.
     """
 
     def __init__(self, values):
         self.values = {(a, float(t)): np.asarray(v, float) for (a, t), v in values.items()}
 
-    def evaluate_all(self, grid, dataset):
-        return tuple(
-            np.column_stack([self.values[(arm, float(t))] for t in grid]) for arm in (0, 1)
-        )
+    def _checked_prob(self, grid, dataset):
+        return np.stack([
+            np.column_stack([t - self.values[(arm, float(t))] for t in grid]) for arm in (0, 1)
+        ])
 
     def shifted(self, dataset, shifts):
         """New model with per-(arm, stratum) constants added."""

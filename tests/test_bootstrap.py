@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import threading
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -256,6 +257,52 @@ def test_shared_stream_counts_resampled_draws_once(monkeypatch):
 # Block budgets giving b = 1, b = 7 (B = 25 leaves a last block of 4) and
 # one block of all B replicates.
 _BLOCK_BUDGETS = (1, 7 * 200, 2**30)
+
+
+@pytest.mark.parametrize("pi_mode", ["estimated", "fixed"])
+def test_one_row_blocks_give_every_model_its_single_model_draws(monkeypatch, pi_mode):
+    # At b = 1 (the path of n > 16,384) every replicate is a one-row block,
+    # solved by matrix-vector products in which na has no columns; alone,
+    # na's solver holds no adjustment matrix at all.
+    ds, grid, models = _pinned_design()
+    methods = tuple(PINNED_DRAWS[pi_mode])
+    assert "na" in methods
+    kw = _PI_MODES[pi_mode]
+    monkeypatch.setattr(bt, "_BLOCK_FLOATS", 1)
+    shared = run_bootstrap(ds, models, grid, 25, np.random.default_rng(33), **kw)
+    for method, model, draws in zip(methods, models, shared, strict=True):
+        (alone,) = run_bootstrap(ds, [model], grid, 25, np.random.default_rng(33), **kw)
+        assert np.array_equal(draws.draws, alone.draws), method
+        assert np.array_equal(draws.point.q1, alone.point.q1), method
+        assert np.array_equal(draws.point.q0, alone.point.q0), method
+
+
+def test_bootstrap_holds_one_adjustment_matrix_per_arm():
+    # The solver gathers each arm's n x T adjustments straight from the
+    # model's prob, so a one-row-block bootstrap of one lp model at 41 taus
+    # peaks at its two matrices and O(n) vectors; the unadjusted pilot
+    # allocates no n x T array at all.
+    n = 20_000
+    latent = generate(DgpSpec("dgp1", n), np.random.default_rng(3))
+    a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(4))
+    ds = Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
+    grid = QuantileGrid.of([round(0.1 + 0.02 * k, 3) for k in range(41)])
+    model = fit_adjustment("lp", ds, pilot_quantiles(ds, grid), grid)
+    assert bt._BLOCK_FLOATS // n == 1
+    n_by_t, vector = n * len(grid) * 8, n * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        pilot_quantiles(ds, grid)
+        pilot_peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run_bootstrap(ds, [model], grid, 4, np.random.default_rng(5))
+        boot_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert pilot_peak < n_by_t
+    assert boot_peak <= 3 * n_by_t + 16 * vector
 
 
 @pytest.mark.parametrize("pi_mode", ["estimated", "fixed"])

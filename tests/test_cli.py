@@ -78,6 +78,27 @@ def test_estimate_all_products(experiment_csv, tmp_path):
     assert band["critical_value"] > 0
 
 
+def test_estimate_uniform_band_on_41_taus(tmp_path):
+    # A dense grid of a uniform band: 41 taus, 0.1 to 0.9 by 0.02.
+    csv_path = _write_experiment_csv(tmp_path / "exp.csv", "dgp1", 400, 2)
+    taus = ",".join(repr(round(0.1 + 0.02 * k, 2)) for k in range(41))
+    reports = []
+    for name in ("r1.json", "r2.json"):
+        out = tmp_path / name
+        assert main(["estimate", "--input", csv_path, "--adjust", "lp", "--taus", taus,
+                     "--B", "100", "--seed", "5", "--uniform", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    report = _strict_json(reports[0].decode())
+    band = report["uniform_band"]
+    assert [len(band[k]) for k in ("estimate", "se", "lower", "upper")] == [41] * 4
+    assert np.all(np.isfinite([band[k] for k in ("estimate", "se", "lower", "upper")]))
+    _check_interval(band)
+    assert len(report["pointwise"]) == 41
+    for row in report["pointwise"]:
+        _check_interval(row)
+
+
 def test_estimate_degenerate_stratum_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("y,a,s,x1\n1.0,1,A,0.1\n2.0,1,A,0.2\n3.0,1,B,0.3\n4.0,0,B,0.4\n")

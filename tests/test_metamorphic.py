@@ -6,7 +6,8 @@ the untransformed run, bit for bit.  The designs are dgp1 and dgp2 under
 stratified block randomization at n=400 with the taus 0.25/0.5/0.75 and
 B=50, for every method, the lasso included; at much larger n a cell's
 Newton chunk follows stratum order, so the bit-identities are pinned at this
-n only.
+n only.  The grid test runs the seven low-dimensional methods on a second,
+denser grid.
 """
 
 import numpy as np
@@ -27,18 +28,18 @@ def _design(kind, seed):
     return latent.observed(a), a, latent.s, latent.x
 
 
-def _run(y, a, s, x):
+def _run(y, a, s, x, methods=METHODS, grid=GRID):
     """Every method's point estimate and draws, from one pipeline call."""
     ds = Dataset.from_arrays(y, a, s, x)
-    pilot = pilot_quantiles(ds, GRID)
-    boot = _fit_and_bootstrap(ds, pilot, METHODS, GRID, 50,
+    pilot = pilot_quantiles(ds, grid)
+    boot = _fit_and_bootstrap(ds, pilot, methods, grid, 50,
                               np.random.default_rng(np.random.SeedSequence(9)), None,
                               LassoConfig(), {})
     return [(b.point.q1, b.point.q0, b.draws) for b in boot]
 
 
-def _assert_same(got, want, scale=1.0):
-    for method, g, w in zip(METHODS, got, want, strict=True):
+def _assert_same(got, want, scale=1.0, methods=METHODS):
+    for method, g, w in zip(methods, got, want, strict=True):
         for g_arr, w_arr in zip(g, w, strict=True):
             assert np.array_equal(g_arr, scale * w_arr), method
 
@@ -70,3 +71,15 @@ def test_shuffling_the_rows_changes_no_estimate_or_draw(kind, seed):
     assert np.unique(y).size == N
     order = np.random.default_rng(seed).permutation(N)
     _assert_same(_run(y[order], a[order], s[order], x[order]), _run(y, a, s, x))
+
+
+def test_a_taus_estimates_and_draws_do_not_depend_on_the_rest_of_the_grid():
+    # Each (cell, tau) problem is fitted and solved on its own, and the
+    # weights do not depend on the grid, so 0.25/0.5/0.75 give the same
+    # columns alone as inside the 33 taus 0.1, 0.125, ..., 0.9.
+    dense = QuantileGrid.of([round(0.1 + 0.025 * k, 3) for k in range(33)])
+    cols = [dense.index_of(t) for t in GRID]
+    methods = tuple(m for m in METHODS if m != "lasso")
+    y, a, s, x = _design("dgp1", 3)
+    wide = [(q1[cols], q0[cols], d[:, cols]) for q1, q0, d in _run(y, a, s, x, methods, dense)]
+    _assert_same(wide, _run(y, a, s, x, methods), methods=methods)
