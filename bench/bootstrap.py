@@ -8,14 +8,18 @@ Usage (from the repository root)::
 For each n in 400, 10k and 200k the script draws one dgp1 dataset under
 stratified block randomization, fits ``lpmlx`` on the ``--taus`` grid
 (0.25/0.5/0.75 by default) and then times ``run_bootstrap`` on that model,
-B=200, ``--repeats`` times with the same generator seed.  Only the bootstrap
-call is timed: the dataset, the pilot and the fit are built once, outside
-the timed region, and the first call is a warm-up.  One more call, untimed,
-runs under ``tracemalloc`` and gives the peak of the memory it allocates
-above what was allocated before it.  The JSON holds, per n, the median and
+B=200, ``--repeats`` times with the same generator seed.  At n = 400 and
+10k it also fits the seven methods of the paper's simulation (every method
+but ``lasso``, as ``carqte simulate`` runs them) and times one
+``run_bootstrap`` call over all seven, which share one weight stream.  Only
+the bootstrap call is timed: the dataset, the pilot and the fits are built
+once, outside the timed region, and the first call is a warm-up.  One more
+call, untimed, runs under ``tracemalloc`` and gives the peak of the memory
+it allocates above what was allocated before it.  The JSON holds, per row
+(``sizes`` for lpmlx, ``sim_methods`` for the seven), the median and
 quartiles of the time per replicate in microseconds, that traced peak in
-MB, and a digest of the draws, which must not change between repeats or
-between two commits that claim the same draws.
+MB, and a digest of the draws of every model, which must not change between
+repeats or between two commits that claim the same draws.
 """
 
 from __future__ import annotations
@@ -39,35 +43,39 @@ from carqte import (  # noqa: E402
 )
 
 SIZES = (400, 10_000, 200_000)
+SIM_SIZES = (400, 10_000)
 B = 200
 METHOD = "lpmlx"
+SIM_METHODS = ("na", "lp", "ml", "lpml", "mlx", "lpmlx", "np")
 TAUS = (0.25, 0.5, 0.75)
 
 
-def time_size(n: int, seed: int, repeats: int, taus: tuple) -> dict:
-    """Per-replicate bootstrap times and the traced peak at sample size ``n``."""
+def time_size(n: int, seed: int, repeats: int, taus: tuple, methods: tuple) -> dict:
+    """Per-replicate times and the traced peak of one bootstrap over the
+    ``methods`` at sample size ``n``."""
     latent = generate(DgpSpec("dgp1", n), np.random.default_rng(seed))
     a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(seed + 1))
     ds = Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
     grid = QuantileGrid.of(taus)
-    model = fit_adjustment(METHOD, ds, pilot_quantiles(ds, grid), grid)
+    pilot = pilot_quantiles(ds, grid)
+    models = [fit_adjustment(method, ds, pilot, grid) for method in methods]
     digests, per_rep_us = set(), []
     for k in range(repeats + 1):
         t0 = time.perf_counter()
-        (draws,) = run_bootstrap(ds, [model], grid, B, np.random.default_rng(seed + 2))
+        boot = run_bootstrap(ds, models, grid, B, np.random.default_rng(seed + 2))
         elapsed = time.perf_counter() - t0
-        digests.add(hashlib.sha256(draws.draws.tobytes()).hexdigest())
+        digests.add(hashlib.sha256(b"".join(d.draws.tobytes() for d in boot)).hexdigest())
         if k:  # the first call is a warm-up
             per_rep_us.append(elapsed / B * 1e6)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        run_bootstrap(ds, [model], grid, B, np.random.default_rng(seed + 2))
+        run_bootstrap(ds, models, grid, B, np.random.default_rng(seed + 2))
         traced_peak_mb = (tracemalloc.get_traced_memory()[1] - start) / 1e6
     finally:
         tracemalloc.stop()
     if len(digests) != 1:
-        raise AssertionError(f"n={n}: repeats gave different draws")
+        raise AssertionError(f"n={n}, {methods}: repeats gave different draws")
     q1, med, q3 = np.percentile(per_rep_us, [25, 50, 75])
     return {"n": n, "replicate_us": {"median": float(med), "q1": float(q1), "q3": float(q3)},
             "samples_us": per_rep_us, "traced_peak_mb": traced_peak_mb,
@@ -87,23 +95,27 @@ def main(argv=None) -> int:
     import scipy
 
     doc = {
-        "design": {"dgp": "dgp1", "scheme": "sbr", "method": METHOD, "B": B,
-                   "taus": list(args.taus), "seed": args.seed},
+        "design": {"dgp": "dgp1", "scheme": "sbr", "method": METHOD,
+                   "sim_methods": list(SIM_METHODS), "B": B, "taus": list(args.taus),
+                   "seed": args.seed},
         "repeats": args.repeats,
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "scipy": scipy.__version__, "arch": platform.machine()},
-        "sizes": [time_size(n, args.seed, args.repeats, args.taus) for n in SIZES],
+        "sizes": [time_size(n, args.seed, args.repeats, args.taus, (METHOD,)) for n in SIZES],
+        "sim_methods": [time_size(n, args.seed, args.repeats, args.taus, SIM_METHODS)
+                        for n in SIM_SIZES],
     }
     text = json.dumps(doc, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
         args.out.write_text(text, encoding="utf-8")
-    for row in doc["sizes"]:
-        r = row["replicate_us"]
-        print(f"n={row['n']:>7}  {r['median']:9.1f} us/replicate  "
-              f"(q1 {r['q1']:.1f}, q3 {r['q3']:.1f})  traced peak "
-              f"{row['traced_peak_mb']:.1f} MB", file=sys.stderr)
+    for label, key in ((METHOD, "sizes"), ("7 methods", "sim_methods")):
+        for row in doc[key]:
+            r = row["replicate_us"]
+            print(f"{label:>9}  n={row['n']:>7}  {r['median']:9.1f} us/replicate  "
+                  f"(q1 {r['q1']:.1f}, q3 {r['q3']:.1f})  traced peak "
+                  f"{row['traced_peak_mb']:.1f} MB", file=sys.stderr)
     return 0
 
 

@@ -52,6 +52,9 @@ _ZERO_SD = 1e-8
 _LOADING_TOL = 1e-4
 _KKT_TOL = 1e-8
 _MAX_OUTER = 200
+# Lasso dictionary columns always kept in the post-selection refit: the first
+# covariate of [1 | x], which every dictionary has (a fit needs d >= 1).
+_FORCED_SUPPORT = (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -59,13 +62,13 @@ _MAX_OUTER = 200
 # ---------------------------------------------------------------------------
 
 
-def _features(method: str, x: np.ndarray, medians: np.ndarray | None = None) -> np.ndarray:
+def _features(method: str, x: np.ndarray, medians: np.ndarray | None) -> np.ndarray:
     """The (n, p) regressor matrix of ``method`` on the covariates ``x``.
 
     ``lp``: x itself.  ``ml``, ``lpml`` and ``lasso``: [1 | x].  ``mlx`` and
     ``lpmlx``: those columns, then x_i x_j for every i < j.  ``np``: the
     ``mlx`` columns, then x_i 1{x_i > t_i} x_j 1{x_j > t_j} for every i < j,
-    at the column medians t of ``x``, or at ``medians`` when given.
+    at the thresholds t = ``medians`` (None for the other methods).
     """
     n, d = x.shape
     if d < 1:
@@ -80,9 +83,9 @@ def _features(method: str, x: np.ndarray, medians: np.ndarray | None = None) -> 
     for c, (i, j) in enumerate(pairs, start):
         H[:, c] = x[:, i] * x[:, j]
     if method == "np":
-        t = np.median(x, axis=0) if medians is None else medians
+        above = x > medians
         for c, (i, j) in enumerate(pairs, start + len(pairs)):
-            H[:, c] = x[:, i] * (x[:, i] > t[i]) * x[:, j] * (x[:, j] > t[j])
+            H[:, c] = x[:, i] * above[:, i] * x[:, j] * above[:, j]
     return H
 
 
@@ -90,10 +93,10 @@ class _RowFeatures:
     """The (n, p) regressors of ``method`` on a dataset's covariates ``x``,
     built only for the rows asked for.
 
-    ``self[rows]`` is ``_features(method, x)[rows]`` bit for bit: each entry
-    is the same elementwise product, and ``np`` thresholds at the whole
-    dataset's medians, not at those of the rows.  A fit builds one cell or
-    stratum at a time, never the whole matrix.
+    ``self[rows]`` is ``self[:][rows]`` bit for bit: each entry is the same
+    elementwise product, and ``np`` thresholds at the whole dataset's column
+    medians, computed here once, not at those of the rows.  A fit builds one
+    cell or stratum at a time, never the whole matrix.
     """
 
     def __init__(self, method: str, x: np.ndarray):
@@ -502,7 +505,7 @@ def _fit_lp(dataset: Dataset, pilot, grid: QuantileGrid) -> AdjustmentModel:
     return _model("lp", taus, coef, live, prob, singular_gram=singular)
 
 
-def fit_ml(items, grid: QuantileGrid, method: str = "ml") -> list:
+def fit_ml(items, grid: QuantileGrid, method: str) -> list:
     """Logistic quasi-ML per cell on indicator labels below the pilot quantile,
     for a group of ``(dataset, pilot)`` items in one batched solve.
 
@@ -566,10 +569,7 @@ def _fit_lpml(
         ml_model = fit_adjustment(base, dataset, pilot, grid)
     elif ml_model.method != base:
         raise DataValidationError(f"{method} recombines an {base} fit, not {ml_model.method}")
-    elif ml_model.taus != taus or ml_model.prob.shape[1] != dataset.n \
-            or ml_model.live.shape[1] != dataset.n_strata:
-        raise DataValidationError("ml_model was fitted on other data or another grid")
-    ml_prob = ml_model.prob
+    ml_prob = ml_model._checked_prob(grid, dataset)
     delta = 1.0 / dataset.n
     prob = np.empty(ml_prob.shape)
     prob[:] = np.asarray(taus)
@@ -620,16 +620,11 @@ def _fit_lpml(
 
 @dataclass(frozen=True)
 class LassoConfig:
-    """Tuning constants for the penalized logistic fit.
-
-    ``forced_support`` columns are always included in the post-selection
-    refit; the default is the first covariate column of (1, x), and a column
-    past the dictionary is dropped.  The intercept column is never penalized.
-    """
+    """Tuning constants for the penalized logistic fit: the penalty
+    multiplier ``c`` and the number of loading refreshes."""
 
     c: float = 1.1
     loading_iterations: int = 2
-    forced_support: tuple[int, ...] = (1,)
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.c) and self.c > 0.0) or self.loading_iterations < 1:
@@ -702,7 +697,7 @@ def _fit_hd_lasso(
     dataset: Dataset,
     pilot,
     grid: QuantileGrid,
-    config: LassoConfig | None = None,
+    config: LassoConfig = LassoConfig(),
 ) -> AdjustmentModel:
     """Penalized logistic per cell on the dictionary [1 | x], then an
     unpenalized refit on the support.
@@ -710,14 +705,14 @@ def _fit_hd_lasso(
     Penalty loadings start from the second moments of the centered indicator
     label times each squared column and are refreshed from fitted residuals
     over ``config.loading_iterations`` rounds.  The selected support, joined
-    with any forced columns and the intercept (column 0, never penalized), is
-    refitted without penalty; evaluation uses the refitted coefficients.
+    with the ``_FORCED_SUPPORT`` columns and the intercept (column 0, never
+    penalized), is refitted without penalty; evaluation uses the refitted
+    coefficients.
     """
-    cfg = config if config is not None else LassoConfig()
     H = _RowFeatures("lasso", dataset.x)
     p = H.shape[1]
     pen_cols = np.arange(1, p)
-    forced = tuple(j for j in cfg.forced_support if 0 <= j < p)
+    forced = _FORCED_SUPPORT
     taus = tuple(grid)
     fitted, live = _cell_problems(dataset, pilot, taus, 3)
     coef = np.zeros(live.shape + (p,))
@@ -726,14 +721,14 @@ def _fit_hd_lasso(
     for a, s, rows, labels in fitted:
         Hc = H[rows]
         nc = rows.size
-        rho = _penalty_level(nc, pen_cols.size, cfg)
+        rho = _penalty_level(nc, pen_cols.size, config)
         for ti, y_t in enumerate(labels.T.copy()):  # one contiguous vector per tau
             ybar = y_t.mean()
             # Initial loadings: centered-label second moments (no square root).
             sig = ((y_t - ybar) ** 2)[:, None] * (Hc**2)
             loadings = sig.mean(axis=0)
             theta = None
-            for _k in range(cfg.loading_iterations + 1):
+            for _k in range(config.loading_iterations + 1):
                 lam = np.zeros(p)
                 lam[pen_cols] = rho * loadings[pen_cols] / nc
                 theta, kkt = _l1_logit_cd(Hc, y_t, lam, theta0=theta)
@@ -785,7 +780,7 @@ def fit_adjustment(
     dataset: Dataset,
     pilot,
     grid: QuantileGrid,
-    lasso_config: LassoConfig | None = None,
+    lasso_config: LassoConfig = LassoConfig(),
     ml_model: AdjustmentModel | None = None,
 ) -> AdjustmentModel:
     """Fit the named auxiliary regression on its regressors (:func:`_features`).

@@ -89,7 +89,6 @@ class InferenceResult:
     ci_lower: object
     ci_upper: object
     critical_value: float
-    alpha: float
 
     def rejects(self, null) -> bool:
         """Whether the test rejects ``null``.
@@ -297,7 +296,7 @@ def _wald(estimate: float, se: float, alpha: float) -> InferenceResult:
         lower, upper = float(estimate + z_lo * se), float(estimate + z_hi * se)
     return InferenceResult(
         estimate=float(estimate), se=se, ci_lower=lower, ci_upper=upper,
-        critical_value=float(z_hi), alpha=alpha,
+        critical_value=float(z_hi),
     )
 
 
@@ -370,7 +369,6 @@ def _band(est, d, se, center, alpha: float) -> InferenceResult:
         ci_lower=est - crit * se,
         ci_upper=est + crit * se,
         critical_value=float(crit),
-        alpha=alpha,
     )
 
 

@@ -168,8 +168,6 @@ class StrataStats:
     """Per-stratum counts and treated fractions, indexed by dense stratum code."""
 
     n: np.ndarray
-    n1: np.ndarray
-    n0: np.ndarray
     pi_hat: np.ndarray
     degenerate: tuple[int, ...]
 
@@ -184,20 +182,16 @@ def index_strata(dataset: Dataset) -> StrataStats:
     """
     k = dataset.n_strata
     n = np.bincount(dataset.s, minlength=k).astype(np.int64)
-    n1 = np.bincount(dataset.s, weights=dataset.a.astype(np.float64), minlength=k)
-    n1 = n1.astype(np.int64)
-    n0 = n - n1
+    n1 = np.bincount(dataset.s, weights=dataset.a.astype(np.float64), minlength=k).astype(np.int64)
 
     if np.any(n == 0):
         empty = [dataset.strata_labels[i] for i in np.flatnonzero(n == 0)]
         raise DataValidationError(f"strata without rows: {empty}")
 
     pi_hat = n1.astype(np.float64) / n.astype(np.float64)
-    degen = np.flatnonzero((n1 == 0) | (n0 == 0))
+    degen = np.flatnonzero((n1 == 0) | (n1 == n))
     return StrataStats(
         n=_readonly(n),
-        n1=_readonly(n1),
-        n0=_readonly(n0),
         pi_hat=_readonly(pi_hat),
         degenerate=tuple(int(i) for i in degen),
     )

@@ -50,7 +50,6 @@ class DgpSpec:
 class PotentialData:
     """Latent draw: both potential outcomes plus strata and covariates."""
 
-    z: np.ndarray
     s: np.ndarray
     x: np.ndarray
     y1: np.ndarray
@@ -139,7 +138,7 @@ def _draw(spec: DgpSpec, rng: np.random.Generator):
 def generate(spec: DgpSpec, rng: np.random.Generator) -> PotentialData:
     """Draw one latent sample of size ``spec.n`` from the named design."""
     z, x, y1, y0 = _draw(spec, rng)
-    return PotentialData(z=z, s=_strata_from_z(z, spec.kind), x=x, y1=y1, y0=y0)
+    return PotentialData(s=_strata_from_z(z, spec.kind), x=x, y1=y1, y0=y0)
 
 
 # ---------------------------------------------------------------------------

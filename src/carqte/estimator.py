@@ -16,6 +16,9 @@ import numpy as np
 from .data import Dataset, QuantileGrid
 from .errors import DegenerateCellError, NumericalError
 
+# Rows per chunk of the solver's gather of each model's adjustments.
+_GATHER_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class QteEstimate:
@@ -103,13 +106,17 @@ class _Solver:
         # The columns that the slopes shift; the others' targets stay tau * total.
         self._cols = np.flatnonzero(np.repeat([prob is not None for prob in probs], T))
         self._m = {}
+        # With K' > 1 a model's block is a strided view, which take fills
+        # through a buffer the size of ``out``: row chunks bound that buffer.
+        chunks = [slice(r, r + _GATHER_ROWS) for r in range(0, self.n, _GATHER_ROWS)]
         for arm in (1, 0) if adjusted else ():
             m = self._m[arm] = np.empty((self.n, len(adjusted) * T))
             for j, prob in enumerate(adjusted):
-                block = m[:, j * T:(j + 1) * T]
-                # mode="clip" lets take write straight into ``out``; every index is valid.
-                np.take(prob[arm], self._perm, axis=0, out=block, mode="clip")
-                np.subtract(taus, block, out=block)
+                for rows in chunks:
+                    block = m[rows, j * T:(j + 1) * T]
+                    # mode="clip" lets take write straight into ``out``; every index is valid.
+                    np.take(prob[arm], self._perm[rows], axis=0, out=block, mode="clip")
+                    np.subtract(taus, block, out=block)
         self._work = None
 
     def _workspace(self, b: int) -> list[np.ndarray]:

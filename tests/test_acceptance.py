@@ -38,6 +38,7 @@ from carqte import (
     run_scenario,
     uniform_band,
 )
+from carqte import adjust
 from carqte.adjust import _fit_hd_lasso, _fit_lp, _l1_kkt_residual
 from carqte.bootstrap import _sup_critical_value
 from carqte.dgp import _true_qte_oracle
@@ -205,14 +206,14 @@ def test_criterion_6_fixed_pi_bootstrap_is_conservative(truth05, size_runs):
     )
 
 
-def test_criterion_7_lasso_correctness():
+def test_criterion_7_lasso_correctness(monkeypatch):
     # (a) KKT residuals on every cell of a high-dimensional run
     latent = generate(DgpSpec("dgphd", 400), np.random.default_rng(SEED + 2))
     a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(SEED + 3))
     ds = Dataset.from_arrays(latent.observed(a), a, latent.s, latent.x)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
     pilot = pilot_quantiles(ds, grid)
-    cfg = LassoConfig(forced_support=(1,))
+    cfg = LassoConfig()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = _fit_hd_lasso(ds, pilot, grid, cfg)
@@ -228,7 +229,8 @@ def test_criterion_7_lasso_correctness():
         forced_ok &= 1 in model.support[(arm, s, ti)]
         n_cells += 1
 
-    # (b) planted-signal recovery across 20 seeds
+    # (b) planted-signal recovery across 20 seeds, with no forced column
+    monkeypatch.setattr(adjust, "_FORCED_SUPPORT", ())
     recovered = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -243,7 +245,7 @@ def test_criterion_7_lasso_correctness():
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            m = _fit_hd_lasso(dsp, pil, GRID05, LassoConfig(forced_support=()))
+            m = _fit_hd_lasso(dsp, pil, GRID05)
         # dictionary columns 1 and 2 are the planted signal and its duplicate
         recovered += all({1, 2} & set(m.support[(arm, 0, 0)]) for arm in (0, 1))
     _gate(

@@ -61,21 +61,22 @@ GRID = QuantileGrid.of([0.5])
 
 def test_raw_and_logistic_maps():
     x = np.array([[2.0, 3.0]])
-    assert _features("lp", x).tolist() == [[2.0, 3.0]]
+    assert _features("lp", x, None).tolist() == [[2.0, 3.0]]
     for method in ("ml", "lpml", "lasso"):
-        assert _features(method, x).tolist() == [[1.0, 2.0, 3.0]]
+        assert _features(method, x, None).tolist() == [[1.0, 2.0, 3.0]]
     for method in ("mlx", "lpmlx"):
-        assert _features(method, x).tolist() == [[1.0, 2.0, 3.0, 6.0]]
+        assert _features(method, x, None).tolist() == [[1.0, 2.0, 3.0, 6.0]]
 
 
 def test_sieve_roster_five_terms_for_two_covariates():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [2.0, 0.5]])
-    H = _features("np", x)
+    H = _RowFeatures("np", x)[:]
     assert H.shape == (4, 5)
-    assert np.array_equal(H[:, :4], _features("mlx", x))
+    assert np.array_equal(H[:, :4], _features("mlx", x, None))
     # The joint product thresholded at the medians 1.5 and 0.75: only the
     # third row has both coordinates strictly above them.
     assert H[:, 4].tolist() == [0.0, 0.0, 4.0, 0.0]
+    assert np.array_equal(_features("np", x, np.array([1.5, 0.75])), H)
 
 
 def _tied_covariates(d, n=41):
@@ -92,14 +93,14 @@ def _tied_covariates(d, n=41):
 @pytest.mark.parametrize("method", [m for m in METHODS if m != "na"])
 def test_features_match_the_term_roster_reference(method, d):
     x = _tied_covariates(d)
-    assert np.array_equal(_features(method, x), features_reference(method, x))
+    assert np.array_equal(_RowFeatures(method, x)[:], features_reference(method, x))
 
 
 @pytest.mark.parametrize("method", ["lp", "ml", "mlx", "np", "lasso"])
 def test_a_cells_features_are_the_rows_of_the_datasets_features(method):
     x = _tied_covariates(3, n=61)
-    whole = _features(method, x)
     H = _RowFeatures(method, x)
+    whole = H[:]
     assert H.shape == whole.shape
     # A cell above the first covariate's median: its own medians differ.
     cell = np.flatnonzero(x[:, 0] > np.median(x[:, 0]))
@@ -107,7 +108,7 @@ def test_a_cells_features_are_the_rows_of_the_datasets_features(method):
         got, want = H[rows], whole[rows]
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     if method == "np":  # the sieve thresholds at the dataset's medians, not the cell's
-        assert not np.array_equal(_features("np", x[cell]), whole[cell])
+        assert not np.array_equal(_RowFeatures("np", x[cell])[:], whole[cell])
 
 
 # -- logistic cell ----------------------------------------------------------
@@ -880,9 +881,11 @@ def test_lpml_reusing_fitted_logistic_model_equals_standalone_fit():
         fit_adjustment("lp", ds, pilot, grid, ml_model=ml)
     # an ml fit on other rows or another grid is refused
     half = Dataset.from_arrays(ds.y[:80], ds.a[:80], ds.s[:80], ds.x[:80])
-    for other in (fit_adjustment("ml", half, pilot_quantiles(half, grid), grid),
-                  fit_adjustment("ml", ds, _median_pilot(ds.y, ds.a), GRID)):
-        with pytest.raises(DataValidationError, match="other data or another grid"):
+    for other, message in ((fit_adjustment("ml", half, pilot_quantiles(half, grid), grid),
+                            "model was fitted on another dataset"),
+                           (fit_adjustment("ml", ds, _median_pilot(ds.y, ds.a), GRID),
+                            "model was fitted on grid")):
+        with pytest.raises(DataValidationError, match=message):
             fit_adjustment("lpml", ds, pilot, grid, ml_model=other)
 
 
@@ -899,16 +902,18 @@ def _signal_dataset(seed, n=200, p=20):
     return ds, _median_pilot(y, a)
 
 
-def test_lasso_recovers_planted_signal():
+def test_lasso_recovers_planted_signal(monkeypatch):
+    monkeypatch.setattr(adjust, "_FORCED_SUPPORT", ())
     for seed in range(5):
         ds, pilot = _signal_dataset(seed)
-        model = _fit_hd_lasso(ds, pilot, GRID, LassoConfig(forced_support=()))
+        model = _fit_hd_lasso(ds, pilot, GRID)
         for arm in (0, 1):
             # dictionary columns: 0 intercept, 1 signal, 2 its duplicate
             assert {1, 2} & set(model.support[(arm, 0, 0)])
 
 
-def test_lasso_null_design_selects_little():
+def test_lasso_null_design_selects_little(monkeypatch):
+    monkeypatch.setattr(adjust, "_FORCED_SUPPORT", ())
     sizes = []
     for seed in range(25):
         rng = np.random.default_rng(1000 + seed)
@@ -917,15 +922,16 @@ def test_lasso_null_design_selects_little():
         a = np.tile([0, 1], n // 2)
         y = rng.normal(0, 1, n)
         ds = Dataset.from_arrays(y, a, np.zeros(n, int), x)
-        model = _fit_hd_lasso(ds, _median_pilot(y, a), GRID, LassoConfig(forced_support=()))
+        model = _fit_hd_lasso(ds, _median_pilot(y, a), GRID)
         for arm in (0, 1):
             sizes.append(len(model.support[(arm, 0, 0)]) - 1)  # minus intercept
     assert np.mean([v <= 5 for v in sizes]) >= 0.9
 
 
-def test_lasso_kkt_conditions_verified_independently():
+def test_lasso_kkt_conditions_verified_independently(monkeypatch):
+    monkeypatch.setattr(adjust, "_FORCED_SUPPORT", ())
     ds, pilot = _signal_dataset(0)
-    model = _fit_hd_lasso(ds, pilot, GRID, LassoConfig(forced_support=()))
+    model = _fit_hd_lasso(ds, pilot, GRID)
     H = features_reference("lasso", ds.x)
     for arm in (0, 1):
         rows = np.flatnonzero(ds.a == arm)
@@ -935,24 +941,14 @@ def test_lasso_kkt_conditions_verified_independently():
         assert _l1_kkt_residual(H[rows], labels, theta, lam) <= 1e-6
 
 
-def test_lasso_post_support_contains_forced():
-    ds, pilot = _signal_dataset(3)
-    cfg = LassoConfig(forced_support=(7,))
-    model = _fit_hd_lasso(ds, pilot, GRID, cfg)
-    for arm in (0, 1):
-        sup = model.support[(arm, 0, 0)]
-        assert 7 in sup
-        assert model.coef[arm, 0, 0].shape == (21,)
-        assert np.flatnonzero(model.coef[arm, 0, 0]).tolist() == list(sup)
-
-
-def test_lasso_empty_support_falls_back():
+def test_lasso_empty_support_falls_back(monkeypatch):
+    monkeypatch.setattr(adjust, "_FORCED_SUPPORT", ())
     rng = np.random.default_rng(2)
     n = 60
     x = rng.normal(0, 1, (n, 4))
     y = rng.normal(0, 1, n)
     ds = Dataset.from_arrays(y, np.tile([0, 1], n // 2), np.zeros(n, int), x)
-    cfg = LassoConfig(c=50.0, forced_support=())  # penalty so heavy nothing enters
+    cfg = LassoConfig(c=50.0)  # penalty so heavy nothing enters
     model = _fit_hd_lasso(ds, _median_pilot(y, ds.a), GRID, cfg)
     for arm in (0, 1):
         assert set(model.support[(arm, 0, 0)]) == {0}  # intercept only
@@ -983,9 +979,10 @@ def test_lasso_lists_separated_refits():
     assert [key for key in want if key[0] == 1] == [(1, 0, 0), (1, 0, 1), (1, 0, 2)]
 
 
-def test_lasso_mhat_sign_convention_and_debug_flag():
+def test_lasso_mhat_sign_convention_and_debug_flag(monkeypatch):
+    monkeypatch.setattr(adjust, "_FORCED_SUPPORT", ())
     ds, pilot = _signal_dataset(4)
-    model = _fit_hd_lasso(ds, pilot, GRID, LassoConfig(forced_support=()))
+    model = _fit_hd_lasso(ds, pilot, GRID)
     H = features_reference("lasso", ds.x[:1])
     prob = float(expit(H @ model.coef[1, 0, 0])[0])
     assert model.evaluate_all(GRID, ds)[1][0, 0] == pytest.approx(0.5 - prob)

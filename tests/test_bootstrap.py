@@ -279,9 +279,10 @@ def test_one_row_blocks_give_every_model_its_single_model_draws(monkeypatch, pi_
 
 def test_bootstrap_holds_one_adjustment_matrix_per_arm():
     # The solver gathers each arm's n x T adjustments straight from the
-    # model's prob, so a one-row-block bootstrap of one lp model at 41 taus
-    # peaks at its two matrices and O(n) vectors; the unadjusted pilot
-    # allocates no n x T array at all.
+    # models' prob, so a one-row-block bootstrap of K' lp models at 41 taus
+    # peaks at their 2K' matrices, O(n) vectors and one gather chunk, also
+    # when K' > 1 makes each model's block a strided view; the unadjusted
+    # pilot allocates no n x T array at all.
     n = 20_000
     latent = generate(DgpSpec("dgp1", n), np.random.default_rng(3))
     a = assign(latent.s, SchemeSpec("sbr"), np.random.default_rng(4))
@@ -290,19 +291,20 @@ def test_bootstrap_holds_one_adjustment_matrix_per_arm():
     model = fit_adjustment("lp", ds, pilot_quantiles(ds, grid), grid)
     assert bt._BLOCK_FLOATS // n == 1
     n_by_t, vector = n * len(grid) * 8, n * 8
+    chunk = est._GATHER_ROWS * len(grid) * 8
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         pilot_quantiles(ds, grid)
-        pilot_peak = tracemalloc.get_traced_memory()[1] - start
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        run_bootstrap(ds, [model], grid, 4, np.random.default_rng(5))
-        boot_peak = tracemalloc.get_traced_memory()[1] - start
+        assert tracemalloc.get_traced_memory()[1] - start < n_by_t
+        for models in ([model], [model, model]):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            run_bootstrap(ds, models, grid, 4, np.random.default_rng(5))
+            boot_peak = tracemalloc.get_traced_memory()[1] - start
+            assert boot_peak <= 2 * len(models) * n_by_t + 16 * vector + chunk, len(models)
     finally:
         tracemalloc.stop()
-    assert pilot_peak < n_by_t
-    assert boot_peak <= 3 * n_by_t + 16 * vector
 
 
 @pytest.mark.parametrize("pi_mode", ["estimated", "fixed"])
@@ -682,6 +684,17 @@ def test_one_result_decides_each_null_as_its_own_test_would():
         assert band.rejects(null) == outside
     with pytest.raises(DataValidationError, match="grid length"):
         band.rejects(np.zeros(2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: difference_test(1.0, 0.0, np.zeros(10), np.zeros(9)), "equal length"),
+    (lambda: uniform_band(np.zeros(3), np.zeros(10)), "B x len"),
+    (lambda: uniform_band(np.zeros(3), np.zeros((10, 2))), "B x len"),
+    (lambda: uniform_band(np.zeros(2), np.zeros((1, 2))), "at least two bootstrap draws"),
+], ids=["difference-lengths", "band-vector", "band-width", "band-one-draw"])
+def test_difference_and_band_refuse_draws_of_the_wrong_shape(call, message):
+    with pytest.raises(DataValidationError, match=message):
+        call()
 
 
 def test_wald_tests_of_every_model_equal_the_per_test_functions():

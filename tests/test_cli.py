@@ -239,6 +239,55 @@ def test_every_public_name_is_used_outside_the_tests():
     assert unused == []
 
 
+def _attribute_reads(tree: ast.AST, skip: tuple = ()) -> set[str]:
+    """The names ``tree`` reads as ``obj.name`` or ``getattr(obj, "name")``,
+    outside the subtrees ``skip``."""
+    reads, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if any(node is s for s in skip):
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            reads.add(node.args[1].value)
+        stack.extend(ast.iter_child_nodes(node))
+    return reads
+
+
+# The fit's own result: no pipeline step reads the coefficients, because
+# ``prob`` holds every fitted value, but they are what each fitter computes
+# and what its reference tests check.
+_UNREAD_FIELDS = {"adjust.AdjustmentModel.coef"}
+
+
+def test_every_public_dataclass_field_is_read_outside_the_tests():
+    # A field that no code reads is surface that only the tests use.  A read
+    # counts anywhere in the package, bench/ or perfbench/, the class's own
+    # methods included (q1 and q0 are read through QteEstimate.qte), but not
+    # in its own __post_init__, which only checks the field.
+    root = Path(carqte.__file__).resolve().parents[2]
+    package = Path(carqte.__file__).parent
+    paths = [*sorted(package.glob("*.py")),
+             *(p for d in ("bench", "perfbench") for p in sorted((root / d).glob("*.py")))]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    unread = []
+    for home in sorted(package.glob("*.py")):
+        for cls in trees[home].body:
+            if (not isinstance(cls, ast.ClassDef) or cls.name.startswith("_")
+                    or not any("dataclass" in ast.unparse(d) for d in cls.decorator_list)):
+                continue
+            checks = tuple(f for f in cls.body
+                           if isinstance(f, ast.FunctionDef) and f.name == "__post_init__")
+            reads = set().union(*(_attribute_reads(t, checks) for t in trees.values()))
+            unread += [f"{home.stem}.{cls.name}.{f.target.id}" for f in cls.body
+                       if isinstance(f, ast.AnnAssign) and f.target.id not in reads]
+    assert sorted(set(unread) - _UNREAD_FIELDS) == []
+    assert set(unread) >= _UNREAD_FIELDS  # an exception that is read is no exception
+
+
 def test_fitter_options_are_pinned():
     # A new fitter option or config field shows up here as a test diff.
     def params(fn):
@@ -262,11 +311,11 @@ def test_fitter_options_are_pinned():
         "estimate_1", "estimate_2", "draws_at_tau1", "draws_at_tau2", "alpha"]
     assert params(carqte.uniform_band) == ["estimates", "draws", "alpha"]
     fields = [f.name for f in dataclasses.fields(carqte.StrataStats)]
-    assert fields == ["n", "n1", "n0", "pi_hat", "degenerate"]
+    assert fields == ["n", "pi_hat", "degenerate"]
     fields = [f.name for f in dataclasses.fields(carqte.InferenceResult)]
-    assert fields == ["estimate", "se", "ci_lower", "ci_upper", "critical_value", "alpha"]
+    assert fields == ["estimate", "se", "ci_lower", "ci_upper", "critical_value"]
     fields = [f.name for f in dataclasses.fields(adjust.LassoConfig)]
-    assert fields == ["c", "loading_iterations", "forced_support"]
+    assert fields == ["c", "loading_iterations"]
     fields = [f.name for f in dataclasses.fields(adjust.AdjustmentModel)]
     assert fields == ["method", "taus", "coef", "live", "prob", "support", "diagnostics"]
     # Wei's allocation function, the design's Z coefficient and the oracle
@@ -430,6 +479,7 @@ def test_config_reserved_keys_are_data_errors(experiment_csv, tmp_path, capsys, 
         ({"null": 1}, "null", 1.0),
         ({"taus": 0.5}, "taus", [0.5]),
         ({"taus": "0.25,0.75"}, "taus", [0.25, 0.75]),
+        ({"diff": None}, "diff", None),  # null is the default of an option without one
     ],
 )
 def test_config_values_are_coerced_through_option_types(experiment_csv, tmp_path, cfg,
@@ -469,6 +519,34 @@ def test_config_bad_values_are_data_errors(experiment_csv, tmp_path, capsys, cfg
     err = capsys.readouterr().err
     assert "config key" in err or "quantile list" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"B"', "null"])
+def test_config_that_is_not_an_object_is_a_data_error(experiment_csv, tmp_path, capsys,
+                                                      content):
+    path = tmp_path / "cfg.json"
+    path.write_text(content)
+    out = tmp_path / "r.json"
+    code = main(["estimate", "--input", experiment_csv, "--config", str(path),
+                 "--out", str(out)])
+    assert code == 3
+    assert "config file must hold a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_estimate_and_simulate_write_to_stdout_without_out(experiment_csv, tmp_path, capsys):
+    # No --out, or --out -, writes the report or table to stdout, byte for
+    # byte what --out writes to a file; simulate then writes no sidecar.
+    estimate = ["estimate", "--input", experiment_csv, "--taus", "0.5", "--B", "20"]
+    for argv in (estimate, [*_TINY_SIMULATE, "--methods", "na"]):
+        path = tmp_path / "to-file"
+        assert main([*argv, "--out", str(path)]) == 0
+        capsys.readouterr()
+        for out in ([], ["--out", "-"]):
+            assert main([*argv, *out]) == 0
+            assert capsys.readouterr().out == path.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.csv", "to-file",
+                                                          "to-file.config.json"]
 
 
 def test_config_coerces_simulate_options(tmp_path):

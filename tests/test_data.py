@@ -21,8 +21,8 @@ def test_balanced_split_counts():
     ds = Dataset.from_arrays([9.0, 8.0, 7.0, 6.0], [1, 0, 1, 0], [1, 1, 2, 2], np.zeros((4, 1)))
     st_ = ds.strata
     assert st_.n.tolist() == [2, 2]
-    assert st_.n1.tolist() == [1, 1]
     assert st_.pi_hat.tolist() == [0.5, 0.5]
+    assert st_.degenerate == ()
 
 
 def test_direct_count_arithmetic():
@@ -45,6 +45,9 @@ def test_validate_flags_degenerate_cells():
     ds = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 1], ["a", "a", "b", "b"], np.zeros((4, 1)))
     st_ = ds.strata
     assert st_.degenerate == (1,)  # stratum "b" has no controls
+    no_treated = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 0], ["a", "a", "b", "b"],
+                                     np.zeros((4, 1)))
+    assert no_treated.strata.degenerate == (0,)
 
     healthy = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0], ["a", "a", "b", "b"], np.zeros((4, 1)))
     assert healthy.strata.degenerate == ()
@@ -96,7 +99,7 @@ def test_strata_is_computed_once_and_equals_index_strata():
                              np.zeros((5, 1)))
     assert ds.strata is ds.strata
     fresh = index_strata(ds)
-    for name in ("n", "n1", "n0", "pi_hat"):
+    for name in ("n", "pi_hat"):
         assert np.array_equal(getattr(ds.strata, name), getattr(fresh, name))
     assert ds.strata.degenerate == fresh.degenerate
 
@@ -119,8 +122,8 @@ def test_unit_weights_equal_all_ones_bootstrap():
     ds = Dataset.from_arrays(rng.normal(size=30), rng.integers(0, 2, 30), rng.integers(0, 3, 30), np.zeros((30, 1)))
     st_ = ds.strata
     n1w, nw = weighted_arm_counts(ds, np.ones(30))
-    assert np.array_equal(n1w, st_.n1) and np.array_equal(nw, st_.n)
-    assert np.array_equal(nw - n1w, st_.n0)
+    assert np.array_equal(nw, st_.n)
+    assert np.array_equal(n1w / nw, st_.pi_hat)
 
 
 def test_stratum_totals_order_independent():
@@ -142,6 +145,13 @@ def test_stratum_labels_map_to_dense_codes():
     ds = Dataset.from_arrays([1.0, 2.0, 3.0], [1, 0, 1], ["x", "z", "x"], np.zeros((3, 1)))
     assert ds.strata_labels == ("x", "z")
     assert ds.s.tolist() == [0, 1, 0]
+    # Labels that do not sort keep their first-appearance order; a covariate
+    # vector is one column.
+    mixed = Dataset.from_arrays([1.0, 2.0, 3.0], [1, 0, 1], np.array([2, "b", 2], dtype=object),
+                                [0.5, 0.25, 0.75])
+    assert mixed.strata_labels == (2, "b")
+    assert mixed.s.tolist() == [0, 1, 0]
+    assert mixed.x.tolist() == [[0.5], [0.25], [0.75]]
 
 
 @pytest.mark.parametrize(
@@ -151,6 +161,8 @@ def test_stratum_labels_map_to_dense_codes():
         ([1.0, 2.0], [1, 2], [1, 1]),
         ([1.0, 2.0], [1], [1, 1]),
         ([1.0, 2.0], [1, 0], [1.0, np.nan]),  # a NaN label equals no other label
+        ([], [], []),
+        ([[1.0], [2.0]], [1, 0], [1, 1]),
     ],
 )
 def test_bad_inputs_rejected(y, a, s):
@@ -169,8 +181,12 @@ def test_quantile_grid_validation():
         QuantileGrid.of([0.5, 0.5])
     with pytest.raises(DataValidationError):
         QuantileGrid.of([0.0, 0.5])
+    with pytest.raises(DataValidationError, match="non-empty 1-D"):
+        QuantileGrid.of([])
     g = QuantileGrid.of([0.25, 0.75])
     assert g.index_of(0.75) == 1
+    with pytest.raises(DataValidationError, match="not on the grid"):
+        g.index_of(0.5)
 
 
 def test_unit_weights_must_be_ones():

@@ -15,6 +15,7 @@ from carqte import (
 from carqte.dgp import (
     _dgp1_outcomes,
     _dgp2_outcomes,
+    _draw,
     _strata_from_z,
     _toeplitz_omega,
     _true_qte_oracle,
@@ -34,6 +35,15 @@ def test_dgp2_noise_free_outcome():
     y1, y0 = _dgp2_outcomes(np.array([0.0]), np.array([[0.0, 0.0]]), np.array([0.0]), np.array([0.0]))
     assert y1[0] == 2.0
     assert y0[0] == 1.0
+
+
+@pytest.mark.parametrize("kind, n, message", [
+    ("dgp3", 10, "unknown dgp kind 'dgp3'"),
+    ("dgp1", 0, "sample size must be at least 1"),
+])
+def test_spec_rejects_an_unknown_kind_and_an_empty_sample(kind, n, message):
+    with pytest.raises(DataValidationError, match=message):
+        DgpSpec(kind, n)
 
 
 def test_stratum_rule_at_zero():
@@ -59,8 +69,8 @@ def test_generation_deterministic_and_coupled(kind):
     assert np.array_equal(d1.observed(a), d1.y1 * a + d1.y0 * (1 - a))
 
 
-# sha256 of generate's z, s, x, y1 and y0 bytes, in that order, for n=50 at
-# seed 9 (numpy 2.4, scipy 1.17).
+# sha256 of the latent z and of generate's s, x, y1 and y0 bytes, in that
+# order, for n=50 at seed 9 (numpy 2.4, scipy 1.17).
 PINNED_GENERATE = {
     "dgp1": "17c1d848ac5dccfa805465adaf85655c04a9feb16806fa585abce613a489e18b",
     "dgp2": "218d82a9ff5979b97159d42a250c4c5e3820b2e87f5fbfbfe501570245937a6c",
@@ -71,8 +81,10 @@ PINNED_GENERATE = {
 @pytest.mark.parametrize("kind", list(PINNED_GENERATE))
 def test_generate_draws_are_pinned(kind):
     data = generate(DgpSpec(kind, 50), np.random.default_rng(9))
+    z = _draw(DgpSpec(kind, 50), np.random.default_rng(9))[0]  # the strata's latent draw
+    assert np.array_equal(_strata_from_z(z, kind), data.s)
     digest = hashlib.sha256()
-    for arr in (data.z, data.s, data.x, data.y1, data.y0):
+    for arr in (z, data.s, data.x, data.y1, data.y0):
         digest.update(np.ascontiguousarray(arr).tobytes())
     assert digest.hexdigest() == PINNED_GENERATE[kind]
 
