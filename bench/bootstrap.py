@@ -20,6 +20,14 @@ it allocates above what was allocated before it.  The JSON holds, per row
 quartiles of the time per replicate in microseconds, that traced peak in
 MB, and a digest of the draws of every model, which must not change between
 repeats or between two commits that claim the same draws.
+
+numpy runs on one BLAS thread: the script sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before numpy loads, as the
+benchmark's children and ``bench/fit.py`` do, and records the count as
+``design.blas_threads``.  To compare a parent commit with a change, run the
+two in fresh processes, alternating (parent, change, parent, ...), and
+compare the medians over those runs: run as two back-to-back blocks, the
+two sides have read 24-27% apart on unchanged solve code.
 """
 
 from __future__ import annotations
@@ -27,13 +35,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
+# Pinned before numpy loads: the BLAS reads these once, at import.
+BLAS_THREADS = 1
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = str(BLAS_THREADS)
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -97,7 +111,7 @@ def main(argv=None) -> int:
     doc = {
         "design": {"dgp": "dgp1", "scheme": "sbr", "method": METHOD,
                    "sim_methods": list(SIM_METHODS), "B": B, "taus": list(args.taus),
-                   "seed": args.seed},
+                   "seed": args.seed, "blas_threads": BLAS_THREADS},
         "repeats": args.repeats,
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "scipy": scipy.__version__, "arch": platform.machine()},

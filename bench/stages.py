@@ -19,19 +19,33 @@ replication from one quantile call.
 For each stage the JSON holds, under ``stages.grouped``, the median and
 quartiles over the repeats of the stage's total time in a call, plus
 ``fits`` (every ``fit:*`` stage) and ``call``.
+
+numpy runs on one BLAS thread: the script sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before numpy loads, as the
+benchmark's children and ``bench/fit.py`` do, and records the count as
+``design.blas_threads``.  To compare a parent commit with a change, run the
+two in fresh processes, alternating (parent, change, parent, ...), and
+compare the medians over those runs: run as two back-to-back blocks, the
+two sides have read 24-27% apart on unchanged solve code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
 from collections import defaultdict
 from pathlib import Path
 
-import numpy as np
+# Pinned before numpy loads: the BLAS reads these once, at import.
+BLAS_THREADS = 1
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = str(BLAS_THREADS)
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -104,7 +118,8 @@ def main(argv=None) -> int:
     doc = {
         "design": {"dgp": "dgp1", "scheme": "sbr", "n": 400, "methods": list(METHODS),
                    "B": 200, "taus": [0.25, 0.5, 0.75], "reps": args.reps,
-                   "seed": args.seed, "rep_group": harness._REP_GROUP},
+                   "seed": args.seed, "rep_group": harness._REP_GROUP,
+                   "blas_threads": BLAS_THREADS},
         "repeats": args.repeats,
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "scipy": scipy.__version__, "arch": platform.machine()},

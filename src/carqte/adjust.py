@@ -21,7 +21,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -133,8 +133,8 @@ class AdjustmentModel:
     coef: np.ndarray
     live: np.ndarray
     prob: np.ndarray | None
-    support: dict | None = None
-    diagnostics: dict = field(default_factory=dict)
+    support: dict | None
+    diagnostics: dict
 
     def evaluate_all(self, grid, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
         """Adjustment values ``tau - prob`` for every row, at both arms.
@@ -351,11 +351,11 @@ def _fit_logit_cells(cells, labels):
 
     ``cells[c]`` is ``(H, rows)``, the cell's rows of its own feature matrix
     (an array or a :class:`_RowFeatures`), so cells of several datasets
-    share a solve unstacked.  ``labels[c]`` holds its (n_c, T) 0/1 labels,
-    one column per tau.  The first pass has no ridge; problems that separate
-    in it are refitted from zero with ridge ``1e-4 / n_c`` in a second
-    batched pass.  Returns theta (C, T, p) and the converged and separated
-    masks (C, T).
+    share a solve unstacked.  ``labels[c]`` holds its (n_c, T) bool or 0/1
+    labels, one column per tau, cast to floats as its block is filled.  The
+    first pass has no ridge; problems that separate in it are refitted from
+    zero with ridge ``1e-4 / n_c`` in a second batched pass.  Returns theta
+    (C, T, p) and the converged and separated masks (C, T).
 
     The chunks run on :func:`_two_lanes`; each builds its own features and
     writes only its own rows of the results, so nothing depends on which
@@ -406,21 +406,26 @@ def _cell_problems(dataset: Dataset, pilot, taus: tuple, min_rows: int) -> tuple
     """The (arm, stratum) cells with at least ``min_rows`` rows, and the live mask.
 
     Cells run stratum-major, treated arm first.  The first result yields each
-    fitted cell as ``(a, s, rows, labels)``, with its (n_c, T) labels
+    fitted cell as ``(a, s, rows, labels)``, with its (n_c, T) bool labels
     1{y <= q_a(tau)}, the one target every method fits, built only as the
     cell is reached.  The second is the (arm, stratum, tau) ``live`` mask,
     set on every tau of the fitted cells; a fitter that leaves a fitted cell
     unfit clears it there, and :func:`_model` reports every cell outside it
-    as degraded.  A per-tau fit reads the rows of ``labels.T.copy()``: on a
-    strided column, a matrix product can sum in another order.
+    as degraded.  A per-tau fit reads contiguous float rows, as
+    ``labels.T.astype(np.float64, order="C")`` gives: on a strided column, a
+    matrix product can sum in another order.  ``pilot`` may hold more taus.
     """
+    for tau in taus:
+        if tau not in pilot.taus:
+            raise DataValidationError(f"the pilot has no quantile at tau={tau}: "
+                                      f"its grid is {pilot.taus}")
     cutoffs = [np.array([pilot.q(a, tau) for tau in taus]) for a in (0, 1)]
     cells = [(a, s, np.flatnonzero((dataset.s == s) & (dataset.a == a)))
              for s in range(dataset.n_strata) for a in (1, 0)]
     live = np.zeros((2, dataset.n_strata, len(taus)), dtype=bool)
     for a, s, rows in cells:
         live[a, s] = rows.size >= min_rows
-    fitted = ((a, s, rows, (dataset.y[rows][:, None] <= cutoffs[a]).astype(np.float64))
+    fitted = ((a, s, rows, dataset.y[rows][:, None] <= cutoffs[a])
               for a, s, rows in cells if rows.size >= min_rows)
     return fitted, live
 
@@ -498,7 +503,7 @@ def _fit_lp(dataset: Dataset, pilot, grid: QuantileGrid) -> AdjustmentModel:
         if not np.all(np.isfinite(wdot)):  # a cell sum overflowed; lstsq would fail on it
             raise NumericalError(f"lp: demeaned regressors are not finite in stratum "
                                  f"{dataset.strata_labels[s]!r}, arm {a}")
-        for ti, y_t in enumerate(labels.T.copy()):  # one contiguous vector per tau
+        for ti, y_t in enumerate(labels.T.astype(np.float64, order="C")):
             coef[a, s, ti], _, rank, _ = np.linalg.lstsq(wdot, y_t, rcond=None)
             singular[a, s, ti] = rank < p
     prob = _fitted_prob(dataset, taus, live, H, coef)
@@ -543,23 +548,18 @@ def fit_ml(items, grid: QuantileGrid, method: str) -> list:
     return out
 
 
-def _fit_lpml(
-    dataset: Dataset,
-    pilot,
-    grid: QuantileGrid,
-    ml_model: AdjustmentModel | None = None,
-    method: str = "lpml",
-) -> AdjustmentModel:
+def _fit_lpml(dataset: Dataset, pilot, grid: QuantileGrid, ml_model: AdjustmentModel | None,
+              method: str) -> AdjustmentModel:
     """Optimal linear recombination of the two logistic probability columns.
 
     The columns are the ``prob`` of the logistic model named by
     ``LOGIT_BASE[method]``, fitted here unless ``ml_model`` hands it over.
     Per cell, the pair (treated-model probability, control-model probability)
     is demeaned, scaled by its cell standard deviation, and regressed on the
-    indicator label with a ridge of 1/n on the 2x2 system; a column of zero
-    cell sd gets a zero coefficient.  A stratum's columns are gathered for
-    every tau at once, and strata run on :func:`_two_lanes` as in
-    :func:`_fitted_prob`, each task writing only its strata's cells.
+    cell's bool labels, as floats, with a ridge of 1/n on the 2x2 system; a
+    column of zero cell sd gets a zero coefficient.  A stratum's columns are
+    gathered for every tau at once, and strata run on :func:`_two_lanes` as
+    in :func:`_fitted_prob`, each task writing only its strata's cells.
     """
     taus = tuple(grid)
     base = LOGIT_BASE[method]
@@ -581,7 +581,7 @@ def _fit_lpml(
     cells: list = [[] for _ in range(dataset.n_strata)]  # (a, (T, n_c) labels) by stratum
     for a, s, _, labels in fitted:
         if ml_model.live[:, s].all():
-            cells[s].append((a, labels.T == 1.0))  # kept as bools: 1/8 of the floats
+            cells[s].append((a, labels.T))
         else:
             live[a, s], unfit[a, s] = False, True
 
@@ -654,16 +654,17 @@ def _l1_kkt_residual(H, y, theta, lam):
     return float(np.max(res)) if res.size else 0.0
 
 
-def _l1_logit_cd(H, y, lam, theta0=None):
+def _l1_logit_cd(H, y, lam, theta):
     """Coordinate descent on iteratively reweighted quadratic majorizations.
 
     ``lam`` is the per-column penalty level on the mean negative
-    log-likelihood scale; zero entries are unpenalized.  Returns theta and
-    its KKT residual, above ``_KKT_TOL`` only after ``_MAX_OUTER`` steps, and
-    after the first step whose residual is not finite.
+    log-likelihood scale; zero entries are unpenalized.  Starts from a copy
+    of ``theta``.  Returns theta and its KKT residual, above ``_KKT_TOL``
+    only after ``_MAX_OUTER`` steps, and after the first step whose residual
+    is not finite.
     """
     n, p = H.shape
-    theta = np.zeros(p) if theta0 is None else theta0.copy()
+    theta = theta.copy()
     col_sq = H**2
     for _ in range(_MAX_OUTER):
         t = H @ theta
@@ -707,7 +708,9 @@ def _fit_hd_lasso(
     over ``config.loading_iterations`` rounds.  The selected support, joined
     with the ``_FORCED_SUPPORT`` columns and the intercept (column 0, never
     penalized), is refitted without penalty; evaluation uses the refitted
-    coefficients.
+    coefficients.  A problem converged when its last loading round stopped
+    at a KKT residual of at most ``_KKT_TOL`` and its refit met the score
+    tolerance.
     """
     H = _RowFeatures("lasso", dataset.x)
     p = H.shape[1]
@@ -722,16 +725,16 @@ def _fit_hd_lasso(
         Hc = H[rows]
         nc = rows.size
         rho = _penalty_level(nc, pen_cols.size, config)
-        for ti, y_t in enumerate(labels.T.copy()):  # one contiguous vector per tau
+        for ti, y_t in enumerate(labels.T.astype(np.float64, order="C")):
             ybar = y_t.mean()
             # Initial loadings: centered-label second moments (no square root).
             sig = ((y_t - ybar) ** 2)[:, None] * (Hc**2)
             loadings = sig.mean(axis=0)
-            theta = None
+            theta = np.zeros(p)
             for _k in range(config.loading_iterations + 1):
                 lam = np.zeros(p)
                 lam[pen_cols] = rho * loadings[pen_cols] / nc
-                theta, kkt = _l1_logit_cd(Hc, y_t, lam, theta0=theta)
+                theta, kkt = _l1_logit_cd(Hc, y_t, lam, theta)
                 resid = y_t - _expit(Hc @ theta)
                 new_loadings = np.sqrt(((Hc * resid[:, None]) ** 2).mean(axis=0))
                 rel = np.max(
@@ -741,8 +744,8 @@ def _fit_hd_lasso(
                 if rel < _LOADING_TOL or not np.isfinite(kkt):
                     break
             kkt_diag[(a, s, ti)] = kkt
-            hd_theta[(a, s, ti)] = theta.copy()
-            hd_lam[(a, s, ti)] = lam.copy()
+            hd_theta[(a, s, ti)] = theta
+            hd_lam[(a, s, ti)] = lam
             keep = {j for j in pen_cols if theta[j] != 0.0} | set(forced) | {0}
             # Refit must stay overdetermined within the cell.
             cap = max(nc - 2, 1)
@@ -755,15 +758,8 @@ def _fit_hd_lasso(
             refit, conv, sep = _fit_logit_cells([(Hc[:, cols], np.arange(nc))], [y_t[:, None]])
             coef[a, s, ti, list(cols)] = refit[0, 0]
             support[(a, s, ti)] = cols
-            converged[a, s, ti], separated[a, s, ti] = conv[0, 0], sep[0, 0]
-    # A problem converged unless its final round stopped above the KKT tolerance.
-    unconverged = [kkt for kkt in kkt_diag.values() if kkt > _KKT_TOL]
-    if unconverged:
-        warnings.warn(
-            f"lasso: inner solver hit iteration cap in {len(unconverged)} fit(s); "
-            f"worst KKT residual {max(unconverged):.3e}",
-            stacklevel=2,
-        )
+            converged[a, s, ti] = conv[0, 0] and kkt <= _KKT_TOL
+            separated[a, s, ti] = sep[0, 0]
     prob = _fitted_prob(dataset, taus, live, H, coef, _expit)
     return _model("lasso", taus, coef, live, prob, support, converged=converged,
                   extra={"kkt": kkt_diag, "hd_theta": hd_theta, "hd_lam": hd_lam},

@@ -64,7 +64,7 @@ class BootstrapDrawSet:
     """
 
     per_model: tuple[BootstrapDraws, ...]
-    n_resampled: int = 0
+    n_resampled: int
 
     def __getitem__(self, k: int) -> BootstrapDraws:
         return self.per_model[k]
@@ -118,8 +118,10 @@ def draw_weights(n: int, rng: np.random.Generator, out: np.ndarray | None = None
 def _empirical_quantile(values: np.ndarray, nu) -> np.ndarray:
     """Per-column order statistics with linear interpolation at rank nu*(B-1)+1.
 
-    This single convention is shared by the standard-error, difference-test,
-    and uniform-band constructions.
+    The standard errors and centres of the pointwise, difference-test and
+    uniform-band constructions all use this convention.  The band's critical
+    value does not: :func:`_sup_critical_value` takes the ceil((1-alpha)B)-th
+    order statistic of the sup statistics, without interpolation.
     """
     return np.quantile(np.asarray(values, dtype=np.float64), nu, axis=0, method="linear")
 
@@ -329,8 +331,8 @@ def uniform_band(estimates: np.ndarray, draws: np.ndarray, alpha: float = 0.05) 
 
     Per-tau standard errors come from the shared interquantile convention;
     draws are centered at their per-tau bootstrap median and studentized, and
-    the critical value is the (1-alpha) empirical quantile of the per-draw
-    sup.  Grid points with zero standard error are excluded from the sup
+    the critical value is the ceil((1-alpha)B)-th order statistic of the
+    per-draw sup.  Grid points with zero standard error are excluded from the sup
     (with a warning) and contribute a zero-width band segment.
     """
     est = np.asarray(estimates, dtype=np.float64)

@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -536,7 +538,7 @@ def test_zero_variance_lists_cells_in_order_across_stratum_tasks(monkeypatch):
     prob[0, flat] = 0.5 + 1e-14 * np.random.default_rng(5).standard_normal(prob[0, flat].shape)
     ml = dataclasses.replace(ml, prob=prob)
     monkeypatch.setattr(adjust, "_BLOCK_FLOATS", 1)
-    model = _switching(_fit_lpml, ds, pilot, grid, ml_model=ml)
+    model = _switching(_fit_lpml, ds, pilot, grid, ml_model=ml, method="lpml")
     want = [(a, s, ti) for s in (1, 3) for a in (1, 0) for ti in range(len(grid))]
     got = model.diagnostics["zero_variance"]
     assert [cell for cell in got if cell[1] in (1, 3)] == want
@@ -789,7 +791,7 @@ def test_lpml_handles_collinear_probability_columns():
     # the treated-model column in both places: the two columns coincide, and
     # the ridge splits the weight evenly between them
     dup = dataclasses.replace(ml, prob=ml.prob[[1, 1]])
-    model = _fit_lpml(ds, pilot, GRID, ml_model=dup)
+    model = _fit_lpml(ds, pilot, GRID, ml_model=dup, method="lpml")
     assert model.live.all() and np.all(np.isfinite(model.coef))
     assert np.allclose(model.coef[..., 0], model.coef[..., 1], rtol=1e-9)
 
@@ -799,7 +801,7 @@ def test_lpml_matches_ridge_reference():
     ds = _two_strata_dataset(rng, n=200)
     pilot = _median_pilot(ds.y, ds.a)
     ml = _fit_ml(ds, pilot, GRID)
-    model = _fit_lpml(ds, pilot, GRID, ml_model=ml)
+    model = _fit_lpml(ds, pilot, GRID, ml_model=ml, method="lpml")
     H = features_reference("ml", ds.x)
     assert model.live.all()
     for arm, s, ti in np.ndindex(model.live.shape):
@@ -825,7 +827,8 @@ def test_lpml_zero_variance_column_coefficient_forced_zero():
     # constant and gets a zero coefficient.
     prob = ml.prob.copy()
     prob[0] = 0.5 + 1e-14 * rng.standard_normal(prob[0].shape)
-    model = _fit_lpml(ds, pilot, GRID, ml_model=dataclasses.replace(ml, prob=prob))
+    model = _fit_lpml(ds, pilot, GRID, ml_model=dataclasses.replace(ml, prob=prob),
+                      method="lpml")
     assert model.live.all()
     assert len(model.diagnostics["zero_variance"]) == model.live.size
     assert np.all(model.coef[..., 1] == 0.0)
@@ -992,18 +995,31 @@ def test_lasso_mhat_sign_convention_and_debug_flag(monkeypatch):
 
 def test_lasso_warning_counts_problems_by_their_final_kkt_residual(monkeypatch):
     # One reweighting step per round leaves every problem above the KKT
-    # tolerance.  The warning counts each (cell, tau) problem once, by the
-    # residual of its last loading round, not each round that hit the cap.
+    # tolerance.  Each (cell, tau) problem is listed once, by the residual of
+    # its last loading round, not each round that hit the cap, and the one
+    # unconverged warning of every logistic fitter counts it.
     monkeypatch.setattr(adjust, "_MAX_OUTER", 1)
     ds, _ = _signal_dataset(0)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         model = _fit_hd_lasso(ds, pilot_quantiles(ds, grid), grid)
-    over = [v for v in model.diagnostics["kkt"].values() if v > adjust._KKT_TOL]
+    over = [key for key, v in model.diagnostics["kkt"].items() if v > adjust._KKT_TOL]
     assert len(over) == 6
-    assert [str(w.message) for w in caught if "iteration cap" in str(w.message)] == [
-        f"lasso: inner solver hit iteration cap in 6 fit(s); worst KKT residual {max(over):.3e}"]
+    assert model.diagnostics["unconverged"] == tuple(over)
+    assert [str(w.message) for w in caught] == [
+        "lasso: logistic fit did not reach score tolerance in 6 problem(s)"]
+
+
+def test_only_the_model_constructor_warns():
+    # Every fitter reports its outcomes through adjust._model, which lists
+    # and warns them; no fitter warns on its own.
+    tree = ast.parse(Path(adjust.__file__).read_text(encoding="utf-8"))
+    callers = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute) and node.func.attr.startswith("warn")
+               and isinstance(node.func.value, ast.Name) and node.func.value.id == "warnings"]
+    assert callers == ["_model"]
 
 
 def test_a_non_finite_fitted_value_is_a_numerical_error():
@@ -1141,3 +1157,22 @@ def test_evaluate_errors():
             _fit_none(GRID).evaluate_all(grid, ds)
     with pytest.raises(DataValidationError):
         fit_adjustment("probit", ds, _median_pilot(ds.y, ds.a), GRID)
+
+
+@pytest.mark.parametrize("method", [m for m in METHODS if m != "na"])
+def test_a_pilot_without_a_fitted_tau_is_a_data_error_naming_it(method):
+    ds = _two_strata_dataset(np.random.default_rng(21))
+    grid = QuantileGrid.of([0.25, 0.5, 0.75])
+    short = pilot_quantiles(ds, QuantileGrid.of([0.25, 0.5]))
+    with pytest.raises(DataValidationError, match=r"no quantile at tau=0\.75"):
+        fit_adjustment(method, ds, short, grid)
+    if method in adjust.LOGIT_METHODS:
+        with pytest.raises(DataValidationError, match=r"no quantile at tau=0\.75"):
+            fit_ml([(ds, short)], grid, method)
+    # A pilot on a larger grid serves every tau of the fit.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        wide = fit_adjustment(method, ds, pilot_quantiles(ds, QuantileGrid.of(
+            [0.1, 0.25, 0.5, 0.6, 0.75])), grid)
+        same = fit_adjustment(method, ds, pilot_quantiles(ds, grid), grid)
+    assert np.array_equal(wide.prob, same.prob)
