@@ -32,7 +32,7 @@ from .bootstrap import (  # noqa: F401
     uniform_band,
 )
 from .data import QuantileGrid, _checked_fraction, index_strata, load_csv  # noqa: F401
-from .dgp import DGP_KINDS, DgpSpec
+from .dgp import DgpSpec
 from .errors import CarqteError, DataValidationError, NumericalError
 from .estimator import pilot_quantiles, qte  # noqa: F401
 from .harness import ScenarioSpec, _fit_and_bootstrap, emit_table, run_scenario
@@ -251,8 +251,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if m not in METHODS:
             raise _UsageError(f"unknown method {m!r}; choose from {METHODS}")
     dgp_kind = {"1": "dgp1", "2": "dgp2", "hd": "dgphd"}.get(args.dgp, args.dgp)
-    if dgp_kind not in DGP_KINDS:
-        raise DataValidationError(f"unknown dgp {args.dgp!r}")
     spec = ScenarioSpec(
         dgp=DgpSpec(dgp_kind, args.n),
         scheme=SchemeSpec(args.scheme, pi=args.target_pi, bcd_lambda=args.bcd_lambda),

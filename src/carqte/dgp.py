@@ -17,7 +17,7 @@ import numpy as np
 from .data import QuantileGrid
 from .errors import DataValidationError
 
-DGP_KINDS = ("dgp1", "dgp2", "dgphd")
+_DGP_KINDS = ("dgp1", "dgp2", "dgphd")
 
 # Coefficient of Z in every design's outcomes.  The truth cache keys carry it.
 _GAMMA = 4.0
@@ -40,7 +40,7 @@ class DgpSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if self.kind not in DGP_KINDS:
+        if self.kind not in _DGP_KINDS:
             raise DataValidationError(f"unknown dgp kind {self.kind!r}")
         if self.n < 1:
             raise DataValidationError("sample size must be at least 1")

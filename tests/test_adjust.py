@@ -997,7 +997,8 @@ def test_lasso_warning_counts_problems_by_their_final_kkt_residual(monkeypatch):
     # One reweighting step per round leaves every problem above the KKT
     # tolerance.  Each (cell, tau) problem is listed once, by the residual of
     # its last loading round, not each round that hit the cap, and the one
-    # unconverged warning of every logistic fitter counts it.
+    # unconverged warning counts it under the penalized solve, not the refit,
+    # which converged.
     monkeypatch.setattr(adjust, "_MAX_OUTER", 1)
     ds, _ = _signal_dataset(0)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
@@ -1008,7 +1009,8 @@ def test_lasso_warning_counts_problems_by_their_final_kkt_residual(monkeypatch):
     assert len(over) == 6
     assert model.diagnostics["unconverged"] == tuple(over)
     assert [str(w.message) for w in caught] == [
-        "lasso: logistic fit did not reach score tolerance in 6 problem(s)"]
+        "lasso: 6 problem(s) did not converge: the penalized solve missed the KKT tolerance "
+        "in 6, the refit missed the score tolerance in 0"]
 
 
 def test_only_the_model_constructor_warns():

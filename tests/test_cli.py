@@ -700,6 +700,14 @@ def test_simulate_sizes_below_one_are_data_errors(tmp_path, capsys, option, mess
     assert not out.exists()
 
 
+def test_simulate_unknown_dgp_is_a_data_error(tmp_path, capsys):
+    # DgpSpec owns the check of the design kind and its message.
+    out = tmp_path / "sim.csv"
+    assert main([*_TINY_SIMULATE, "--dgp", "3", "--out", str(out)]) == 3
+    assert "carqte: unknown dgp kind '3'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_option_defaults_are_the_config_classes_defaults():
     # One owner per default: the options read the dataclass fields, and the
     # oracle's default size is the one simulate has always used.
@@ -883,7 +891,8 @@ def test_lasso_stops_at_the_first_non_finite_kkt_residual(tmp_path, monkeypatch,
                      "--out", str(out)])
     assert code == 4
     assert "lasso: fitted values are not finite" in capsys.readouterr().err
-    assert "lasso: logistic fit did not reach score tolerance in 12 problem(s)" in {
+    assert ("lasso: 12 problem(s) did not converge: the penalized solve missed the KKT "
+            "tolerance in 12, the refit missed the score tolerance in 12") in {
         str(w.message) for w in caught}
     assert calls == {"cd": 12, "kkt": 12}  # 2 strata x 2 arms x 3 taus
     assert not out.exists()
