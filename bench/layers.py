@@ -57,6 +57,11 @@ REPEATS = 7
 FIT_SIZES = (10_000, 200_000)
 # (method, the logistic model handed to it as ``ml_model``, or None)
 FIT_CASES = (("mlx", None), ("lpmlx", None), ("lpml", "ml"), ("lpmlx", "mlx"))
+# A fit case's child: it inherits this run's BLAS pinning through os.environ
+# and is handed its file, method, handed method (or None), grid and REPEATS.
+CASE = ("import json, sys, layers\n"
+        "path, method, base, taus, layers.REPEATS = json.loads(sys.argv[1])\n"
+        "print(json.dumps(layers.fit_case(path, method, base, tuple(taus))))")
 BOOT_SIZES = (400, 10_000, 200_000)
 SIM_SIZES = (400, 10_000)
 SIM_METHODS = ("na", "lp", "ml", "lpml", "mlx", "lpmlx", "np")
@@ -88,13 +93,13 @@ def timed_repeats(call, digest) -> tuple[float, str]:
 
 def fit_case(path: str, method: str, base: str, taus: tuple) -> dict:
     """One fit row, in a fresh interpreter; ``base`` is the method of the
-    handed model, or "-" for none."""
+    handed model, or None."""
     from carqte import QuantileGrid, fit_adjustment, load_csv, pilot_quantiles
 
     ds = load_csv(path)
     grid = QuantileGrid.of(taus)
     pilot = pilot_quantiles(ds, grid)
-    ml_model = None if base == "-" else fit_adjustment(base, ds, pilot, grid)
+    ml_model = None if base is None else fit_adjustment(base, ds, pilot, grid)
     loaded_mb = vmhwm_mb()
     fit_s, prob = timed_repeats(lambda: fit_adjustment(method, ds, pilot, grid,
                                                        ml_model=ml_model),
@@ -112,10 +117,9 @@ def fit(seed: int, taus: tuple) -> tuple[dict, dict]:
             path = str(Path(tmp) / f"large{n}.csv")
             digest = inputs.generate_csv(inputs.Design("large", n), seed, path)
             for method, base in FIT_CASES:
-                # The child inherits this run's BLAS pinning through os.environ.
-                proc = subprocess.run([sys.executable, __file__, "fit", "--taus",
-                                       ",".join(map(repr, taus)), "--case", path, method,
-                                       base or "-"], capture_output=True, text=True, check=False)
+                case = json.dumps([path, method, base, taus, REPEATS])
+                proc = subprocess.run([sys.executable, "-c", CASE, case], cwd=ROOT / "bench",
+                                      capture_output=True, text=True, check=False)
                 if proc.returncode != 0:
                     raise RuntimeError(f"{method} at n={n} exited {proc.returncode}: "
                                        f"{proc.stderr[-2000:]}")
@@ -220,14 +224,10 @@ def main(argv=None) -> int:
                     type=lambda text: tuple(float(t) for t in text.split(",")))
     ap.add_argument("--blas-threads", default="1",
                     help="BLAS threads of the run, or 'default' to leave them unset")
-    ap.add_argument("--case", nargs=3, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.blas_threads != "default":  # the BLAS reads these once, when numpy loads
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = args.blas_threads
-    if args.case:
-        print(json.dumps(fit_case(*args.case, args.taus)))
-        return 0
     design, rows = LAYERS[args.layer](args.seed, args.taus)
     print(json.dumps({"layer": args.layer, "seed": args.seed, "taus": args.taus,
                       "blas_threads": args.blas_threads, "repeats": REPEATS,

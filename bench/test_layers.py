@@ -10,12 +10,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import subprocess
 
 import pytest
 
 import layers
 import record
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TINY = {"FIT_SIZES": (2000,), "BOOT_SIZES": (400,), "SIM_SIZES": (400,), "B": 20, "REPS": 2,
         "REPEATS": 2}
 ROWS = {
@@ -36,15 +38,15 @@ def tiny_runs():
     with pytest.MonkeyPatch.context() as mp:
         for name, value in TINY.items():
             mp.setattr(layers, name, value)
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in BLAS_VARS:
             mp.setenv(var, "1")  # a run pins these; the context restores them
         return {layer: [run_layer(layer) for _ in range(2)] for layer in layers.LAYERS}
 
 
-def run_layer(layer: str) -> dict:
+def run_layer(layer: str, *options: str) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert layers.main([layer, "--seed", "3"]) == 0
+        assert layers.main([layer, "--seed", "3", *options]) == 0
     (line,) = out.getvalue().splitlines()
     return json.loads(line)
 
@@ -64,6 +66,29 @@ def test_two_runs_give_one_digest(tiny_runs, layer):
     first, second = ({label: {k: v for k, v in row.items() if k.endswith("_sha256")}
                       for label, row in doc["rows"].items()} for doc in tiny_runs[layer])
     assert first == second
+
+
+@pytest.mark.parametrize("blas", ["1", "default"])
+def test_a_fit_child_runs_on_the_runs_blas_threads_and_repeats(monkeypatch, blas):
+    # Each child reports, after its row, the BLAS variables it ran under and
+    # the repeats it timed.
+    for name, value in TINY.items():
+        monkeypatch.setattr(layers, name, value)
+    monkeypatch.setattr(layers, "FIT_CASES", layers.FIT_CASES[3:])
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)  # restored after the test
+    probe = (f"\nimport os; print(json.dumps([layers.REPEATS, *map(os.environ.get, "
+             f"{BLAS_VARS!r})]), file=sys.stderr)")
+    seen, run = [], subprocess.run
+
+    def probed(argv, **kwargs):
+        proc = run([*argv[:-2], argv[-2] + probe, argv[-1]], **kwargs)
+        seen.append(json.loads(proc.stderr.splitlines()[-1]))
+        return proc
+
+    monkeypatch.setattr(subprocess, "run", probed)
+    assert run_layer("fit", "--blas-threads", blas)["blas_threads"] == blas
+    assert seen == [[2] + [None if blas == "default" else blas] * 3]
 
 
 def test_repeats_that_differ_are_refused():

@@ -434,37 +434,27 @@ def _cell_problems(dataset: Dataset, pilot, taus: tuple, min_rows: int) -> tuple
 # cells or problems, {why} the degraded cells counted by cause.
 _WARNINGS = (
     ("singular_gram", "singular within-cell Gram in {n} cell(s); minimum-norm solution used"),
+    ("kkt_unmet", "penalized solve missed the KKT tolerance in {n} problem(s)"),
     ("unconverged", "logistic fit did not reach score tolerance in {n} problem(s)"),
     ("degraded", "{why}, degraded to zero adjustment"),
 )
-# The lasso's unconverged line: a problem fails at its penalized solve, at its
-# refit or at both, and each cause is counted.
-_LASSO_UNCONVERGED = ("{n} problem(s) did not converge: the penalized solve missed the KKT "
-                      "tolerance in {kkt}, the refit missed the score tolerance in {refit}")
 
 
 def _model(method, taus, coef, live, prob, support=None, unfit=None, converged=None,
-           kkt_met=None, extra=None, **masks):
+           extra=None, **masks):
     """The fitted :class:`AdjustmentModel`, with every outcome of the fit
     listed under its diagnostics and reported.
 
     ``degraded`` lists the (a, s) cells outside ``live``.  Each of ``masks``
     is an (arm, stratum, tau) bool mask, listed under its own name as
     (a, s, tau index) tuples, and ``unconverged`` lists the live problems
-    outside ``converged`` and, for the lasso, outside ``kkt_met``.  Every
-    list runs in cell order: stratum first, treated arm first, then tau.
-    ``unfit`` masks the (a, s) cells degraded because their stratum's base
-    fit is not live on both arms; the other degraded cells are too small.
-    ``extra`` diagnostics are kept as given.  Warns once per non-empty
-    outcome of ``_WARNINGS`` (the lasso's unconverged line counts each
-    cause), then raises when no cell is live or a fitted value is not finite.
+    outside ``converged``.  Every list runs in cell order: stratum first,
+    treated arm first, then tau.  ``unfit`` masks the (a, s) cells degraded
+    because their stratum's base fit is not live on both arms; the other
+    degraded cells are too small.  ``extra`` diagnostics are kept as given.
+    Warns once per non-empty outcome of ``_WARNINGS``, then raises when no
+    cell is live or a fitted value is not finite.
     """
-    texts = dict(_WARNINGS)
-    causes = {}
-    if kkt_met is not None:
-        texts["unconverged"] = _LASSO_UNCONVERGED
-        causes = {"kkt": int((live & ~kkt_met).sum()), "refit": int((live & ~converged).sum())}
-        converged = converged & kkt_met
     if converged is not None:
         masks["unconverged"] = live & ~converged
     order = [(a, s) for s in range(live.shape[1]) for a in (1, 0)]
@@ -476,9 +466,9 @@ def _model(method, taus, coef, live, prob, support=None, unfit=None, converged=N
     why = f"{len(diagnostics['degraded']) - n_unfit} cell(s) too small"
     if n_unfit:
         why += f" and {n_unfit} in a stratum without a live {LOGIT_BASE[method]} fit"
-    for key, text in texts.items():
+    for key, text in _WARNINGS:
         if diagnostics.get(key):
-            warnings.warn(f"{method}: " + text.format(n=len(diagnostics[key]), why=why, **causes),
+            warnings.warn(f"{method}: " + text.format(n=len(diagnostics[key]), why=why),
                           stacklevel=3)
     if diagnostics["degraded"] and not live.any():
         raise DataValidationError(f"{method}: no cell is live: {why}" if n_unfit
@@ -730,7 +720,7 @@ def _fit_hd_lasso(
     taus = tuple(grid)
     fitted, live = _cell_problems(dataset, pilot, taus, 3)
     coef = np.zeros(live.shape + (p,))
-    converged, kkt_met, separated = (np.zeros_like(live) for _ in range(3))
+    converged, kkt_unmet, separated = (np.zeros_like(live) for _ in range(3))
     support, kkt_diag, hd_theta, hd_lam = {}, {}, {}, {}  # by (a, s, tau index)
     for a, s, rows, labels in fitted:
         Hc = H[rows]
@@ -770,12 +760,12 @@ def _fit_hd_lasso(
             coef[a, s, ti, list(cols)] = refit[0, 0]
             support[(a, s, ti)] = cols
             converged[a, s, ti] = conv[0, 0]
-            kkt_met[a, s, ti] = kkt <= _KKT_TOL
+            kkt_unmet[a, s, ti] = not kkt <= _KKT_TOL  # a NaN residual too
             separated[a, s, ti] = sep[0, 0]
     prob = _fitted_prob(dataset, taus, live, H, coef, _expit)
-    return _model("lasso", taus, coef, live, prob, support, converged=converged, kkt_met=kkt_met,
+    return _model("lasso", taus, coef, live, prob, support, converged=converged,
                   extra={"kkt": kkt_diag, "hd_theta": hd_theta, "hd_lam": hd_lam},
-                  separated=separated)
+                  kkt_unmet=kkt_unmet, separated=separated)
 
 
 # ---------------------------------------------------------------------------

@@ -576,7 +576,8 @@ def test_diagnostics_keys_are_pinned():
     assert keys == {
         "na": ["degraded"], "lp": ["degraded", "singular_gram"], "ml": logit,
         "lpml": recombined, "mlx": logit, "lpmlx": recombined, "np": logit,
-        "lasso": ["degraded", "hd_lam", "hd_theta", "kkt", "separated", "unconverged"]}
+        "lasso": ["degraded", "hd_lam", "hd_theta", "kkt", "kkt_unmet", "separated",
+                  "unconverged"]}
 
 
 # -- LP ---------------------------------------------------------------------
@@ -996,9 +997,8 @@ def test_lasso_mhat_sign_convention_and_debug_flag(monkeypatch):
 def test_lasso_warning_counts_problems_by_their_final_kkt_residual(monkeypatch):
     # One reweighting step per round leaves every problem above the KKT
     # tolerance.  Each (cell, tau) problem is listed once, by the residual of
-    # its last loading round, not each round that hit the cap, and the one
-    # unconverged warning counts it under the penalized solve, not the refit,
-    # which converged.
+    # its last loading round, not each round that hit the cap, and its one
+    # warning names the penalized solve, not the refit, which converged.
     monkeypatch.setattr(adjust, "_MAX_OUTER", 1)
     ds, _ = _signal_dataset(0)
     grid = QuantileGrid.of([0.25, 0.5, 0.75])
@@ -1007,10 +1007,10 @@ def test_lasso_warning_counts_problems_by_their_final_kkt_residual(monkeypatch):
         model = _fit_hd_lasso(ds, pilot_quantiles(ds, grid), grid)
     over = [key for key, v in model.diagnostics["kkt"].items() if v > adjust._KKT_TOL]
     assert len(over) == 6
-    assert model.diagnostics["unconverged"] == tuple(over)
+    assert model.diagnostics["kkt_unmet"] == tuple(over)
+    assert model.diagnostics["unconverged"] == ()
     assert [str(w.message) for w in caught] == [
-        "lasso: 6 problem(s) did not converge: the penalized solve missed the KKT tolerance "
-        "in 6, the refit missed the score tolerance in 0"]
+        "lasso: penalized solve missed the KKT tolerance in 6 problem(s)"]
 
 
 def test_only_the_model_constructor_warns():

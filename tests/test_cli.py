@@ -891,8 +891,8 @@ def test_lasso_stops_at_the_first_non_finite_kkt_residual(tmp_path, monkeypatch,
                      "--out", str(out)])
     assert code == 4
     assert "lasso: fitted values are not finite" in capsys.readouterr().err
-    assert ("lasso: 12 problem(s) did not converge: the penalized solve missed the KKT "
-            "tolerance in 12, the refit missed the score tolerance in 12") in {
+    assert {"lasso: penalized solve missed the KKT tolerance in 12 problem(s)",
+            "lasso: logistic fit did not reach score tolerance in 12 problem(s)"} <= {
         str(w.message) for w in caught}
     assert calls == {"cd": 12, "kkt": 12}  # 2 strata x 2 arms x 3 taus
     assert not out.exists()
