@@ -31,12 +31,15 @@ compares a parent with a change in alternating runs of these layers.
   at n = 400, the seven methods, B replicates and REPS replications, with the
   harness's own names wrapped by timers: ``prepare``, ``fit:<method>`` (a
   grouped ``fit_ml`` or a ``fit_adjustment`` call), ``bootstrap`` and
-  ``inference``; ``other`` is the rest of the ``call``.
+  ``inference``; ``other`` is the rest of the ``call``.  Its ``truth`` row
+  times ``harness.scenario_truth``, the scenario's true QTE on the
+  ``--taus`` grid, for dgp1 and for dgp2, and digests the two truths.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -209,8 +212,16 @@ def stages(seed: int, taus: tuple) -> tuple[dict, dict]:
         for name, fn in originals.items():
             setattr(harness, name, fn)
     row = {f"{stage}_s": statistics.median(r[stage] for r in runs) for stage in sorted(runs[0])}
+    truth_row, truths = {}, b""
+    for kind in ("dgp1", "dgp2"):
+        design_spec = dataclasses.replace(spec, dgp=DgpSpec(kind, spec.n))
+        truth_row[f"{kind}_s"], _ = timed_repeats(lambda: harness.scenario_truth(design_spec),
+                                                  np.ndarray.tobytes)
+        truths += harness.scenario_truth(design_spec).tobytes()
+    truth_row["truth_sha256"] = hashlib.sha256(truths).hexdigest()
     return {"dgp": "dgp1", "scheme": "sbr", "n": 400, "methods": SIM_METHODS, "B": B,
-            "reps": REPS, "rep_group": harness._REP_GROUP}, {"sim-paper": row}
+            "reps": REPS, "rep_group": harness._REP_GROUP}, {"sim-paper": row,
+                                                             "truth": truth_row}
 
 
 LAYERS = {"fit": fit, "bootstrap": bootstrap, "stages": stages}

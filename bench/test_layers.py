@@ -3,6 +3,8 @@
 Runs each layer at a tiny size through the same code as the real runs, and
 one tiny alternating recording of a commit against itself.  The recording
 runs the committed ``bench/layers.py`` of HEAD, so commit before running it.
+It also checks the exact dgp1 and dgp2 truths against a large Monte Carlo
+run, which takes too long for the package's tests.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ ROWS = {
                   for label in ("lpmlx", "7 methods")},
     "stages": {"sim-paper": {f"{stage}_s" for stage in ("prepare", "bootstrap", "inference",
                                                         "other", "call")}
-               | {f"fit:{m}_s" for m in layers.SIM_METHODS}},
+               | {f"fit:{m}_s" for m in layers.SIM_METHODS},
+               "truth": {"dgp1_s", "dgp2_s", "truth_sha256"}},
 }
 
 
@@ -123,3 +126,20 @@ def test_an_a_a_recording_alternates_and_gives_equal_digests(tmp_path, monkeypat
     for row in entry["rows"].values():
         assert row["digests_equal"] and list(row["digests"]) == ["draws_sha256"]
         assert set(row["metrics"]) == {"replicate_us", "traced_peak_mb"}
+
+
+@pytest.mark.parametrize("kind", ["dgp1", "dgp2"])
+def test_exact_truth_lies_within_4_monte_carlo_ses(kind):
+    # 20 independent oracle runs of 15 samples of 10k draws each: the
+    # default oracle's 3M draws, with a standard error from their spread.
+    import numpy as np
+
+    from carqte.data import QuantileGrid
+    from carqte.dgp import _EXACT_NODES, DgpSpec, _exact_true_qte, _true_qte_oracle
+
+    grid = QuantileGrid.of([0.25, 0.5, 0.75])
+    runs = np.array([_true_qte_oracle(DgpSpec(kind, 10), grid, 10_000, 15,
+                                      np.random.default_rng(seed)) for seed in range(20)])
+    se = runs.std(axis=0, ddof=1) / np.sqrt(len(runs))
+    exact = _exact_true_qte(kind, grid, _EXACT_NODES[kind])
+    assert np.all(np.abs(exact - runs.mean(axis=0)) <= 4.0 * se)

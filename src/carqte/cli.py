@@ -339,9 +339,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--target-pi", type=float, default=SchemeSpec.pi, dest="target_pi")
     sim.add_argument("--bcd-lambda", type=float, default=SchemeSpec.bcd_lambda, dest="bcd_lambda")
     _lasso_options(sim)
-    sim.add_argument("--mc-n", type=int, default=ScenarioSpec.mc_n, dest="mc_n")
-    sim.add_argument("--mc-reps", type=int, default=ScenarioSpec.mc_reps, dest="mc_reps")
-    sim.add_argument("--truth-cache", default=None, dest="truth_cache")
+    sim.add_argument("--mc-n", type=int, default=ScenarioSpec.mc_n, dest="mc_n",
+                     help="draws per Monte Carlo truth sample (--dgp hd only)")
+    sim.add_argument("--mc-reps", type=int, default=ScenarioSpec.mc_reps, dest="mc_reps",
+                     help="Monte Carlo truth samples (--dgp hd only)")
+    sim.add_argument("--truth-cache", default=None, dest="truth_cache",
+                     help="JSON cache of Monte Carlo truths (--dgp hd only)")
     sim.add_argument("--workers", type=int, default=ScenarioSpec.workers)
     sim.add_argument("--config", default=None, help="JSON config file; flags win")
     sim.add_argument("--out", default=None, help="results CSV path (default stdout)")

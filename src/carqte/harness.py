@@ -4,7 +4,8 @@ One scenario fixes a design, a randomization scheme, a sample size, and a
 list of adjustment methods.  Every replication draws fresh potential data,
 assigns treatment, fits each method on the shared draw, point-estimates and
 bootstraps all methods together over one stream of weights, and tests
-against the cached truth (size) and the truth shifted by ``delta`` (power)
+against the design's true QTE (size; exact for dgp1 and dgp2, a cached Monte
+Carlo oracle for dgphd) and the truth shifted by ``delta`` (power)
 through the Wald rule of ``carqte estimate``, ``bootstrap._wald_tests``.
 Replications run in groups of consecutive indices that share each logistic
 fit; seeds derive from (master seed, replication index) and groups from the
@@ -44,8 +45,10 @@ class ScenarioSpec:
 
     ``fixed_pi`` None estimates the treated fractions; one number in
     (0, 1) fixes every stratum's (the naive variant), and anything else
-    fails at construction.  ``mc_n`` and ``mc_reps`` size the oracle, and
-    ``simulate`` takes its defaults here.
+    fails at construction.  ``mc_n`` and ``mc_reps`` size dgphd's Monte
+    Carlo oracle and ``truth_cache`` names its cache; dgp1 and dgp2 have
+    exact truths and use none of the three.  ``simulate`` takes its
+    defaults here.
     """
 
     dgp: DgpSpec
@@ -69,6 +72,8 @@ class ScenarioSpec:
             raise DataValidationError("need reps >= 1, B >= 2 and workers >= 1")
         if self.seed < 0:
             raise DataValidationError("seeds must be non-negative integers")
+        if self.mc_n < 1 or self.mc_reps < 1:
+            raise DataValidationError("mc_n and mc_reps must be at least 1")
         _normal_critical_values(self.alpha)  # checks alpha
         for m in self.methods:
             if m not in METHODS:
@@ -194,7 +199,7 @@ def _run_group(args) -> list:
 
 
 def scenario_truth(spec: ScenarioSpec) -> np.ndarray:
-    """Oracle QTE truths for the scenario's design and grid, at oracle seed 0."""
+    """True QTEs for the scenario's design and grid (see :func:`cached_true_qte`)."""
     return cached_true_qte(
         spec.dgp,
         spec.taus,

@@ -31,6 +31,7 @@ from carqte import (
     SchemeSpec,
     assign,
     bootstrap_se,
+    cached_true_qte,
     generate,
     pilot_quantiles,
     qte,
@@ -41,7 +42,6 @@ from carqte import (
 from carqte import adjust
 from carqte.adjust import _fit_hd_lasso, _fit_lp, _l1_kkt_residual
 from carqte.bootstrap import _sup_critical_value
-from carqte.dgp import _true_qte_oracle
 from carqte.estimator import QteEstimate
 
 SEED = 20260808
@@ -55,9 +55,7 @@ def _gate(number: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def truth05():
-    rng = np.random.default_rng(0)
-    truth = _true_qte_oracle(DgpSpec("dgp1", 10_000), GRID05, mc_n=10_000, mc_reps=300, rng=rng)
-    return truth
+    return cached_true_qte(DgpSpec("dgp1", 400), GRID05, mc_n=1, mc_reps=1)
 
 
 @pytest.fixture(scope="module")

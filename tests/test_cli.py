@@ -182,6 +182,18 @@ def test_cli_import_does_not_load_scipy_stats(experiment_csv, tmp_path):
     assert _scipy_modules_after(runs) == [[]] * (len(runs) + 1)
 
 
+def test_cli_import_loads_neither_numpy_polynomial_nor_scipy():
+    # estimate's set-up is this import alone; the exact dgp1 and dgp2 truths
+    # load numpy.polynomial when they run.
+    code = ("import sys, carqte.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             or m.startswith('numpy.polynomial')))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(carqte.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_simulate_dgp_hd_runs_and_loads_scipy_special(tmp_path):
     # The dgphd covariates are normal CDFs of correlated normals (scipy's ndtr).
     loaded = _scipy_modules_after([_small_simulate("hd", tmp_path / "hd.csv")])
@@ -373,8 +385,9 @@ def test_config_that_is_not_utf8_is_a_data_error(experiment_csv, tmp_path, capsy
 def test_simulate_with_unreadable_truth_cache_is_a_data_error(tmp_path, capsys, content):
     cache = tmp_path / "truth.json"
     cache.write_bytes(content)
-    code = main(["simulate", "--reps", "2", "--B", "20", "--n", "80", "--mc-n", "200",
-                 "--mc-reps", "2", "--workers", "1", "--truth-cache", str(cache)])
+    code = main(["simulate", "--dgp", "hd", "--reps", "2", "--B", "20", "--n", "80",
+                 "--mc-n", "200", "--mc-reps", "2", "--workers", "1", "--truth-cache",
+                 str(cache)])
     assert code == 3
     assert str(cache) in capsys.readouterr().err
     assert cache.read_bytes() == content
@@ -1042,9 +1055,10 @@ def test_lasso_c_must_be_finite_and_positive(experiment_csv, tmp_path, capsys, c
 
 # sha256 of the table written by the command below (numpy 2.4, OpenBLAS
 # 0.3.31), re-recorded when the normal quantiles came to be computed by
-# statistics.NormalDist: only mean_se moved then, by at most 4.4e-16.
+# statistics.NormalDist (only mean_se moved then, by at most 4.4e-16), and
+# when dgp1's truth became exact (bias in all 35 rows, power in 2).
 # Workers 1 and 2 write the same bytes.
-PAPER_TABLE_SHA256 = "d869bfc885a5216ebe6ab977c213c3fed9f345996b3e96a965cad10aed64989e"
+PAPER_TABLE_SHA256 = "803f3c3fc81c21bafe70e65ff97eed28c64d05c885727bb247bd3b3c5ff91f64"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

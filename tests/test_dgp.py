@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import norm, t
 
 from carqte import (
     DataValidationError,
@@ -13,10 +13,14 @@ from carqte import (
     generate,
 )
 from carqte.dgp import (
+    _EXACT_NODES,
     _dgp1_outcomes,
     _dgp2_outcomes,
     _draw,
+    _exact_true_qte,
+    _ndtr,
     _strata_from_z,
+    _t5_kernel,
     _toeplitz_omega,
     _true_qte_oracle,
 )
@@ -140,21 +144,72 @@ def test_oracle_truth_is_pinned(kind):
 def test_dgp1_median_qte_is_one():
     # Every term of both potential outcomes is symmetric, so the medians are
     # the intercepts 2 and 1.
-    grid = QuantileGrid.of([0.5])
-    got = _true_qte_oracle(DgpSpec("dgp1", 4000), grid, mc_n=4000, mc_reps=60,
-                           rng=np.random.default_rng(21))
-    assert got[0] == pytest.approx(1.0, abs=0.05)
+    got = cached_true_qte(DgpSpec("dgp1", 400), QuantileGrid.of([0.5]), mc_n=1, mc_reps=1)
+    assert got[0] == pytest.approx(1.0, abs=1e-12)
+
+
+GRID17 = QuantileGrid.of(np.linspace(0.1, 0.9, 17))
+
+
+def test_dgp1_truth_is_symmetric_about_one():
+    taus = np.asarray(GRID17.taus)
+    upper = _exact_true_qte("dgp1", QuantileGrid.of(1.0 - taus[::-1]), _EXACT_NODES["dgp1"])
+    lower = _exact_true_qte("dgp1", GRID17, _EXACT_NODES["dgp1"])
+    assert np.max(np.abs(lower + upper[::-1] - 2.0)) <= 1e-12
+
+
+def test_dgp1_truth_at_the_quartiles():
+    got = cached_true_qte(DgpSpec("dgp1", 400), QuantileGrid.of([0.25, 0.5, 0.75]),
+                          mc_n=1, mc_reps=1)
+    assert np.max(np.abs(got - [-0.490933, 1.0, 2.490933])) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", sorted(_EXACT_NODES))
+def test_exact_truth_moves_less_than_1e9_when_the_nodes_double(kind):
+    n_z, n_x = _EXACT_NODES[kind]
+    shipped = _exact_true_qte(kind, GRID17, (n_z, n_x))
+    doubled = _exact_true_qte(kind, GRID17, (2 * n_z, 2 * n_x))
+    assert np.max(np.abs(shipped - doubled)) <= 1e-9
+
+
+def test_quadrature_kernels_match_scipy():
+    u = np.concatenate([-np.logspace(3, -3, 40), [0.0], np.logspace(-3, 3, 40)])
+    assert np.allclose(_ndtr(u), norm.cdf(u), rtol=1e-14, atol=0.0)
+    cdf, pdf = _t5_kernel(u)
+    root5 = np.sqrt(5.0)
+    assert np.allclose(cdf, t.cdf(root5 * u, 5), rtol=0.0, atol=1e-15)
+    assert np.allclose(pdf, root5 * t.pdf(root5 * u, 5), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(_EXACT_NODES))
+def test_exact_truths_use_no_cache_file(tmp_path, kind):
+    cache = tmp_path / "truth.json"
+    cache.write_bytes(b"{not json")  # never read
+    got = cached_true_qte(DgpSpec(kind, 300), QuantileGrid.of([0.5]), mc_n=300, mc_reps=3,
+                          cache_path=str(cache))
+    assert np.all(np.isfinite(got)) and cache.read_bytes() == b"{not json"
+    absent = tmp_path / "absent.json"
+    cached_true_qte(DgpSpec(kind, 300), QuantileGrid.of([0.5]), mc_n=300, mc_reps=3,
+                    cache_path=str(absent))
+    assert list(tmp_path.iterdir()) == [cache]
+
+
+@pytest.mark.parametrize("kind", sorted(_EXACT_NODES))
+def test_exact_truth_is_finite_at_extreme_taus(kind):
+    grid = QuantileGrid.of([5e-324, 1e-300, 0.5, 1.0 - 2.0**-53])
+    got = cached_true_qte(DgpSpec(kind, 300), grid, mc_n=1, mc_reps=1)
+    assert np.all(np.isfinite(got))
 
 
 def test_cached_oracle_round_trip(tmp_path):
     cache = tmp_path / "truth.json"
-    spec = DgpSpec("dgp1", 300)
+    spec = DgpSpec("dgphd", 300)
     grid = QuantileGrid.of([0.5])
     first = cached_true_qte(spec, grid, mc_n=300, mc_reps=3, cache_path=str(cache))
     blob = json.loads(cache.read_text())
     [key] = blob.keys()
     # The key text of caches written when gamma and the seed were parameters.
-    assert key == "dgp1|gamma=4.0|mc_n=300|mc_reps=3|seed=0|taus=0.5"
+    assert key == "dgphd|gamma=4.0|mc_n=300|mc_reps=3|seed=0|taus=0.5"
     blob[key] = [123.0]  # prove the next call is a cache hit
     cache.write_text(json.dumps(blob))
     second = cached_true_qte(spec, grid, mc_n=300, mc_reps=3, cache_path=str(cache))
@@ -174,7 +229,7 @@ def test_unreadable_truth_cache_is_a_data_error_and_kept(tmp_path, content, matc
     cache = tmp_path / "truth.json"
     cache.write_bytes(content)
     with pytest.raises(DataValidationError, match=match):
-        cached_true_qte(DgpSpec("dgp1", 300), QuantileGrid.of([0.5]), mc_n=300,
+        cached_true_qte(DgpSpec("dgphd", 300), QuantileGrid.of([0.5]), mc_n=300,
                         mc_reps=3, cache_path=str(cache))
     assert cache.read_bytes() == content
 
@@ -182,7 +237,7 @@ def test_unreadable_truth_cache_is_a_data_error_and_kept(tmp_path, content, matc
 @pytest.mark.parametrize("entry", ["abc", [1.0, 2.0], [None], [float("nan")], {"a": 1}])
 def test_bad_truth_cache_entry_is_a_data_error(tmp_path, entry):
     cache = tmp_path / "truth.json"
-    spec, grid = DgpSpec("dgp1", 300), QuantileGrid.of([0.5])
+    spec, grid = DgpSpec("dgphd", 300), QuantileGrid.of([0.5])
     cached_true_qte(spec, grid, mc_n=300, mc_reps=3, cache_path=str(cache))
     blob = json.loads(cache.read_text())
     [key] = blob.keys()
