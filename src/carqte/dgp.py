@@ -205,8 +205,9 @@ def _mixture_quantiles(taus, loc, scale, weight, kernel, tail) -> np.ndarray:
     Newton's method, vectorised over tau from the mixture's mean, stays
     inside a bracket on which F crosses tau: the ``tail`` bounds of the
     components give it, every step narrows it, and a step that leaves it is
-    replaced by bisection.  It stops when |F - tau| is within the rounding
-    bound of the weighted sum, len(weight) * eps (the weights sum to one).
+    replaced by bisection.  A tau stops moving once |F - tau| is within the
+    rounding bound of the weighted sum, len(weight) * eps (the weights sum
+    to one); closer to 0 or 1 than that, any such point is its quantile.
     """
     lo = loc.min() - scale.max() * tail(taus)
     hi = loc.max() + scale.max() * tail(1.0 - taus)
