@@ -23,6 +23,8 @@ pairwise wins (ties count for neither side), with the direction and bound
 gain is shown when the change wins at least nine tenths of the pairs and the
 medians differ by more than the parent's interquartile range.  A layer row
 lists every digest its runs gave; ``digests_equal`` says each had one value.
+A row that only one side's layer prints (a row the change adds) is recorded
+with that side's median and quartiles and ``only`` naming the side.
 The file records the machine, versions, BLAS threads, shas and seeds; a new
 run into it (same shas) replaces the entries of the same workload, seed,
 trace, grid and BLAS threads.
@@ -157,8 +159,9 @@ def record_layer(args, layer, pairs, seed, trees) -> dict:
         trees[side], "bench/layers.py", layer, "--seed", seed, "--taus", args.taus,
         "--blas-threads", args.blas_threads))
     rows = {}
-    for label in runs["parent"][0]["rows"]:
-        per_run = {side: [r["rows"][label] for r in rs] for side, rs in runs.items()}
+    for label in dict.fromkeys(label for rs in runs.values() for label in rs[0]["rows"]):
+        per_run = {side: [r["rows"][label] for r in rs] for side, rs in runs.items()
+                   if label in rs[0]["rows"]}
         every = [row for rs in per_run.values() for row in rs]
         digests = {key: sorted({row[key] for row in every})
                    for key in every[0] if key.endswith("_sha256")}
@@ -167,8 +170,14 @@ def record_layer(args, layer, pairs, seed, trees) -> dict:
         units = {name: next(u for end, u in UNITS.items() if name.endswith(end))
                  for name in every[0] if name not in digests}
         rows[label] = {"digests": digests,
-                       "digests_equal": all(len(d) == 1 for d in digests.values()),
-                       "metrics": summarise(values, units, {})}
+                       "digests_equal": all(len(d) == 1 for d in digests.values())}
+        if len(values) == 2:
+            rows[label]["metrics"] = summarise(values, units, {})
+        else:
+            ((side, rs),) = values.items()
+            rows[label].update(only=side, metrics={
+                name: {"unit": unit, side: quartiles([v[name] for v in rs])}
+                for name, unit in units.items()})
     first = runs["parent"][0]
     return {"workload": layer, "seed": seed, "taus": first["taus"],
             "blas_threads": first["blas_threads"], "repeats": first["repeats"],

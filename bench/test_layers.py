@@ -128,6 +128,29 @@ def test_an_a_a_recording_alternates_and_gives_equal_digests(tmp_path, monkeypat
         assert set(row["metrics"]) == {"replicate_us", "traced_peak_mb"}
 
 
+def test_a_row_of_one_side_is_recorded_without_a_comparison(monkeypatch):
+    # The change adds a row the parent's layer does not print.
+    seen = iter(range(100))
+
+    def fake_run(tree, script, *args):
+        k = next(seen)
+        rows = {"old": {"call_s": 1.0 + k, "x_sha256": "a"}}
+        if tree == "change-tree":
+            rows["new"] = {"truth_s": 0.5 + k, "truth_sha256": "b"}
+        return {"taus": [0.5], "blas_threads": "1", "repeats": 2, "design": {}, "rows": rows}
+
+    monkeypatch.setattr(record, "run_once", fake_run)
+    args = record.argparse.Namespace(taus="0.5", blas_threads="1")
+    entry = record.record_layer(args, "stages", 2, 3, {"parent": "parent-tree",
+                                                       "change": "change-tree"})
+    old, new = entry["rows"]["old"], entry["rows"]["new"]
+    assert old["digests_equal"] and set(old["metrics"]["call_s"]) >= {"parent", "change", "wins"}
+    assert "only" not in old
+    assert new["only"] == "change" and new["digests"] == {"truth_sha256": ["b"]}
+    assert set(new["metrics"]) == {"truth_s"} and set(new["metrics"]["truth_s"]) == {"unit",
+                                                                                     "change"}
+
+
 @pytest.mark.parametrize("kind", ["dgp1", "dgp2"])
 def test_exact_truth_lies_within_4_monte_carlo_ses(kind):
     # 20 independent oracle runs of 15 samples of 10k draws each: the
