@@ -178,7 +178,8 @@ def stages(seed: int, taus: tuple) -> tuple[dict, dict]:
                                 methods=SIM_METHODS, reps=REPS, B=B,
                                 taus=QuantileGrid.of(taus), seed=seed)
     # The tests only compare against the truth, so a fixed vector stands in
-    # for the oracle, whose cost is not a replication stage.
+    # for the true QTE, whose cost is not a replication stage (the truth row
+    # below times it).
     truth = np.linspace(1.0, 2.0, len(taus))
     labels = {"_prepare": lambda a, k: "prepare", "fit_ml": lambda a, k: f"fit:{k['method']}",
               "fit_adjustment": lambda a, k: f"fit:{a[0]}",
